@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from fractions import Fraction
@@ -14,7 +13,7 @@ from . import oracle as orc
 from . import rules
 from . import script as sc
 from . import svgout
-from .errors import Euclid2Error, ParseError
+from .errors import Euclid2Error, ParseError, UnreadableFile
 from .terms import Eq
 
 EXIT_OK = 0
@@ -22,57 +21,43 @@ EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc}") from exc
+
+
 def _load(path: str) -> sc.Script:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
-    return sc.parse_script(p.read_text(encoding="utf-8"))
+    return sc.parse_script(_read(path))
 
 
 def _cmd_check(args) -> int:
-    entries = sorted(args.files)
-    results: dict[str, tuple[int, str]] = {}
-
-    def one(path: str) -> tuple[int, str]:
+    code = EXIT_OK
+    certificates: dict[str, list[dict]] = {}
+    for path in sorted(args.files):
         try:
             script = _load(path)
-        except (ParseError, FileNotFoundError, OSError) as exc:
-            return EXIT_USAGE, f"{path}: parse error: {exc}\n"
+        except (ParseError, UnreadableFile) as exc:
+            sys.stdout.write(f"{path}: parse error: {exc}\n")
+            code = max(code, EXIT_USAGE)
+            continue
         report = rules.check_proof(script, profile=args.profile)
-        text = sc.emit_report(report, "json" if args.json else "text", timing=args.timing)
-        if args.emit_certs:
-            Path(args.emit_certs).write_text(
-                json.dumps(report.certificates, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        return (EXIT_OK if report.accepted else EXIT_REJECTED), text
-
-    if len(entries) > 1:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            for path, res in zip(entries, pool.map(one, entries)):
-                results[path] = res
-    else:
-        for path in entries:
-            results[path] = one(path)
-
-    code = EXIT_OK
-    for path in entries:
-        rc, text = results[path]
-        sys.stdout.write(text)
-        code = max(code, rc)
+        sys.stdout.write(
+            sc.emit_report(report, "json" if args.json else "text", timing=args.timing)
+        )
+        certificates[path] = report.certificates
+        if not report.accepted:
+            code = max(code, EXIT_REJECTED)
+    if args.emit_certs:
+        Path(args.emit_certs).write_text(
+            json.dumps(certificates, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return code
 
 
-_COLOR_ORDER = ["red", "blue", "violet", "magenta", "plain"]
-
-
 def _cmd_annotate(args) -> int:
-    try:
-        script = _load(args.file)
-    except (ParseError, FileNotFoundError, OSError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_USAGE
-    report = rules.check_proof(script, profile=args.profile)
+    report = rules.check_proof(_load(args.file), profile=args.profile)
     for step in report.steps:
         sys.stdout.write(f"{step.index:>3}. [{step.color:<7}] {step.statement} ; {step.rule}\n")
     if not report.accepted:
@@ -81,11 +66,7 @@ def _cmd_annotate(args) -> int:
         )
         return EXIT_REJECTED
     if args.compare:
-        try:
-            golden = Path(args.compare).read_text(encoding="utf-8").split()
-        except OSError as exc:
-            sys.stderr.write(f"cannot read golden file: {exc}\n")
-            return EXIT_USAGE
+        golden = _read(args.compare).split()
         got = report.colors()
         if golden != got:
             sys.stdout.write(
@@ -98,11 +79,7 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        script = _load(args.file)
-    except (ParseError, FileNotFoundError, OSError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_USAGE
+    script = _load(args.file)
     try:
         inst = dg.realize(script)
     except Euclid2Error as exc:
@@ -118,12 +95,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        script = _load(args.file)
-    except (ParseError, FileNotFoundError, OSError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_USAGE
-    tol = Fraction(args.tol).limit_denominator(10**15)
+    script = _load(args.file)
     targets: list[tuple[str, Eq]] = [("diorismos", script.diorismos)]
     for step in script.steps:
         if isinstance(step.claim, Eq):
@@ -133,7 +105,7 @@ def _cmd_oracle(args) -> int:
     for label, stmt in targets:
         try:
             records = orc.check_numeric_detailed(
-                stmt, script, samples=args.samples, tol=tol, seed=args.seed
+                stmt, script, samples=args.samples, tol=args.tol, seed=args.seed
             )
         except Euclid2Error as exc:
             sys.stderr.write(f"{label}: oracle error: {exc}\n")
@@ -149,37 +121,54 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if all_ok else EXIT_REJECTED
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _tolerance(text: str) -> Fraction:
+    tol = Fraction(text).limit_denominator(10**15)
+    if tol < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="euclid2",
         description="Proof checker for the Book II deductive calculus",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--profile", choices=tuple(rules.PROFILES), default="default")
 
-    p = sub.add_parser("check", help="check proof scripts")
+    p = sub.add_parser("check", help="check proof scripts", parents=[profile])
     p.add_argument("files", nargs="+")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
-    p.add_argument("--profile", choices=("default", "bm-dissection"), default="default")
     p.add_argument("--emit-certs", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("annotate", help="print the proof with color classes")
+    p = sub.add_parser(
+        "annotate", help="print the proof with color classes", parents=[profile]
+    )
     p.add_argument("file")
     p.add_argument("--compare", metavar="GOLDEN", default=None)
-    p.add_argument("--profile", choices=("default", "bm-dissection"), default="default")
     p.set_defaults(func=_cmd_annotate)
 
-    p = sub.add_parser("render", help="render the realized diagram as SVG")
+    p = sub.add_parser(
+        "render", help="render the realized diagram as SVG", parents=[profile]
+    )
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--profile", choices=("default", "bm-dissection"), default="default")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("oracle", help="cross-check equality claims numerically")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol", default="1e-9")
+    p.add_argument("--samples", type=_positive_int, default=20)
+    p.add_argument("--tol", type=_tolerance, default="1e-9")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)

@@ -87,16 +87,6 @@ class DiagramInstance:
             return dx if geo.sign(dx) >= 0 else cr.neg(dx)
         return cr.sqrt(geo.dist2(p, q))
 
-    def label_at(self, p: Pt) -> str | None:
-        key = (cr.exact_key(p[0]), cr.exact_key(p[1]))
-        return self._labels().get(key)
-
-    def _labels(self):
-        m = {}
-        for name, p in self.coords.items():
-            m[(cr.exact_key(p[0]), cr.exact_key(p[1]))] = name
-        return m
-
 
 # ---------------------------------------------------------------------------
 # realize
@@ -516,16 +506,17 @@ def _verify_fact(inst: DiagramInstance, stmt: Statement):
 
 def _derive_cell_facts(inst: DiagramInstance):
     drawn = inst.drawn
+    label_at = {
+        (cr.exact_key(x), cr.exact_key(y)): name for name, (x, y) in inst.coords.items()
+    }
     for (x1, y1, x2, y2) in geo.elementary_cells(drawn):
-        corners = {
-            "bl": inst.label_at((x1, y1)),
-            "br": inst.label_at((x2, y1)),
-            "tr": inst.label_at((x2, y2)),
-            "tl": inst.label_at((x1, y2)),
-        }
-        if any(v is None for v in corners.values()):
+        corners = [
+            label_at.get((cr.exact_key(x), cr.exact_key(y)))
+            for x, y in ((x1, y1), (x2, y1), (x2, y2), (x1, y2))
+        ]
+        if None in corners:
             continue
-        bl, br, tr, tl = corners["bl"], corners["br"], corners["tr"], corners["tl"]
+        bl, br, tr, tl = corners
         _emit(inst, SegEq(Segment(tl, bl), Segment(tr, br)), "I34-OppositeSides")
         _emit(inst, SegEq(Segment(tl, tr), Segment(bl, br)), "I34-OppositeSides")
         for vertex, p, q in (
@@ -575,10 +566,6 @@ def realize(
             if k not in script.params:
                 raise InvalidParam(f"unknown parameter {k!r}")
     return _Builder(script, values).run()
-
-
-def derive_segment_facts(inst: DiagramInstance) -> list[ConstructionFact]:
-    return list(inst.facts)
 
 
 # ---------------------------------------------------------------------------

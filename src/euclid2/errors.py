@@ -92,10 +92,6 @@ class AmbiguousIntersection(DiagramError):
     pass
 
 
-class AmbiguousName(DiagramError):
-    pass
-
-
 class UnknownName(DiagramError):
     pass
 
@@ -127,16 +123,17 @@ class UndeclaredPoint(ParseError):
         super().__init__(line, col, f"point {name!r} not in roster")
 
 
+# command-line layer
+class UnreadableFile(Euclid2Error):
+    """A named input file is missing or cannot be read as UTF-8 text."""
+
+
 # oracle layer
 class OracleError(Euclid2Error):
     pass
 
 
 class UnmappedTerm(OracleError):
-    pass
-
-
-class NotPolynomial(OracleError):
     pass
 
 

@@ -20,7 +20,7 @@ from . import constructible as cr
 from . import diagram as dg
 from . import script as sc
 from . import terms as T
-from .errors import NotPolynomial, RealizeFailed, UnmappedTerm
+from .errors import RealizeFailed, UnmappedTerm
 
 # ---------------------------------------------------------------------------
 # polynomials: {monomial: coefficient}, monomial = tuple of (var, exponent)
@@ -93,35 +93,7 @@ class Poly:
         return " + ".join(parts)
 
 
-def poly_var(name: str) -> Poly:
-    return Poly.var(name)
-
-
-def poly_const(q) -> Poly:
-    return Poly.const(q)
-
-
-# ---------------------------------------------------------------------------
-# length expressions: polynomial or opaque radical
-
-
-@dataclass(frozen=True)
-class LengthExpr:
-    poly: Poly | None
-    radical: object | None = None  # a constructible Expr when not polynomial
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.poly is not None
-
-
-def check_identity_exact(lhs: LengthExpr, rhs: LengthExpr) -> bool:
-    if not lhs.is_polynomial or not rhs.is_polynomial:
-        raise NotPolynomial("a radical length has no polynomial canonical form")
-    return (lhs.poly - rhs.poly).is_zero()
-
-
-def poly_identity(lhs: Poly, rhs: Poly) -> bool:
+def check_identity_exact(lhs: Poly, rhs: Poly) -> bool:
     return (lhs - rhs).is_zero()
 
 
@@ -226,32 +198,29 @@ class Coordinatization:
         line, ia, ib = loc
         return self._span(line, ia, ib)
 
-    def seg_length(self, seg: T.Segment) -> LengthExpr:
+    def seg_length(self, seg: T.Segment) -> Poly:
         p = self.seg_poly_or_none(seg)
         if p is None:
             raise UnmappedTerm(f"segment {seg.text()} is not on a declared line")
-        return LengthExpr(p)
+        return p
 
-    def term_length(self, term: T.Term) -> LengthExpr:
+    def term_length(self, term: T.Term) -> Poly:
         if isinstance(term, T.SquareOn):
-            p = self.seg_length(term.side).poly
-            return LengthExpr(p * p)
+            p = self.seg_length(term.side)
+            return p * p
         if isinstance(term, T.RectBy):
-            p = self.seg_length(term.first).poly
-            q = self.seg_length(term.second).poly
-            return LengthExpr(p * q)
+            return self.seg_length(term.first) * self.seg_length(term.second)
         if isinstance(term, T.Multiple):
-            inner = self.term_length(term.inner)
-            return LengthExpr(inner.poly.scale(term.count))
+            return self.term_length(term.inner).scale(term.count)
         raise UnmappedTerm(f"term {T.term_text(term)} has no polynomial reading")
 
 
-def translate(stmt: T.Eq, coord: Coordinatization) -> tuple[LengthExpr, LengthExpr]:
-    def side(s: T.TermSum) -> LengthExpr:
+def translate(stmt: T.Eq, coord: Coordinatization) -> tuple[Poly, Poly]:
+    def side(s: T.TermSum) -> Poly:
         total = Poly.const(0)
         for t in s.terms:
-            total = total + coord.term_length(t).poly
-        return LengthExpr(total)
+            total = total + coord.term_length(t)
+        return total
 
     return side(stmt.lhs), side(stmt.rhs)
 
@@ -298,24 +267,6 @@ def _holds_numeric(inst: dg.DiagramInstance, stmt: T.Eq, tol: Fraction) -> bool:
     return max(abs(lo), abs(hi)) <= budget
 
 
-def check_numeric(
-    stmt: T.Eq,
-    script: sc.Script,
-    samples: int = 20,
-    tol: float | Fraction = Fraction(1, 10**9),
-    seed: int = 0,
-) -> bool:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    tol = Fraction(tol).limit_denominator(10**15) if not isinstance(tol, Fraction) else tol
-    rng = random.Random(seed)
-    for _ in range(samples):
-        inst, _params = sample_instance(script, rng)
-        if not _holds_numeric(inst, stmt, tol):
-            return False
-    return True
-
-
 def check_numeric_detailed(
     stmt: T.Eq,
     script: sc.Script,
@@ -323,6 +274,10 @@ def check_numeric_detailed(
     tol: float | Fraction = Fraction(1, 10**9),
     seed: int = 0,
 ) -> list[dict]:
+    """One record per seeded sample; the statement holds numerically when
+    every record is `ok`."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     tol = Fraction(tol).limit_denominator(10**15) if not isinstance(tol, Fraction) else tol
     rng = random.Random(seed)
     records = []

@@ -36,6 +36,7 @@ from .errors import (
     UnresolvedPremise,
     VEFailed,
 )
+from .script import Rule
 from .terms import (
     Eq,
     Fig,
@@ -54,24 +55,6 @@ from .terms import (
     stmt_text,
     term_sum,
 )
-
-
-class Rule(enum.Enum):
-    R1 = "R1"
-    R2 = "R2"
-    R3 = "R3"
-    R4 = "R4"
-    CN1 = "CN1"
-    CN2 = "CN2"
-    CN3 = "CN3"
-    VE = "VE"
-    NAME = "NAME"
-    I43 = "I43"
-    I47 = "I47"
-    DOUBLE = "DOUBLE"
-    MERGE = "MERGE"
-    SYM = "SYM"
-    BM = "BM"
 
 
 class ColorClass(enum.Enum):
@@ -94,12 +77,6 @@ _COLOR_OF = {
 
 def color_of(rule: Rule) -> ColorClass:
     return _COLOR_OF.get(rule, ColorClass.PLAIN)
-
-
-PROFILES = {
-    "default": frozenset(r for r in Rule if r not in (Rule.BM, Rule.SYM)),
-    "bm-dissection": frozenset(r for r in Rule if r is not Rule.SYM),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +313,22 @@ class RuleContext:
         return dg.figure_region(self.inst, letters)
 
 
-def _naming_pairs(ctx: RuleContext, premises) -> list[tuple[FigureName, T.Term]]:
+def _lift_naming(p: Statement) -> Statement:
+    """A naming fact as the equality it states: `F pi X x Y` is
+    fig(F) = rect(X,Y) and `F on X` is fig(F) = sq(X).  Other statements
+    are returned unchanged."""
+    if isinstance(p, Pi):
+        return Eq(term_sum([Fig(p.figure)]), term_sum([RectBy(p.first, p.second)]))
+    if isinstance(p, IsSq):
+        return Eq(term_sum([Fig(p.figure)]), term_sum([SquareOn(p.side)]))
+    return p
+
+
+def _naming_pairs(premises) -> list[tuple[FigureName, T.Term]]:
     """(figure, invisible-term) pairs carried by naming-form premises."""
     out = []
-    for p in premises:
-        if isinstance(p, Pi):
-            out.append((p.figure, RectBy(p.first, p.second)))
-        elif isinstance(p, IsSq):
-            out.append((p.figure, SquareOn(p.side)))
-        elif isinstance(p, Eq):
+    for p in map(_lift_naming, premises):
+        if isinstance(p, Eq):
             for left, right in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
                 if (
                     len(left.terms) == 1
@@ -471,7 +455,7 @@ def _split_base_eq(premises):
 
 def rule_R3(ctx: RuleContext, claim, premises) -> StepOutcome:
     base, rest = _split_base_eq(premises)
-    namings = _naming_pairs(ctx, rest)
+    namings = _naming_pairs(rest)
     if base is None:
         raise NoMatch("R3 needs an equality premise")
     if not namings:
@@ -495,7 +479,7 @@ def rule_R3(ctx: RuleContext, claim, premises) -> StepOutcome:
 
 def rule_R4(ctx: RuleContext, claim, premises) -> StepOutcome:
     base, rest = _split_base_eq(premises)
-    namings = _naming_pairs(ctx, rest)
+    namings = _naming_pairs(rest)
     if base is None:
         raise NoMatch("R4 needs an equality premise")
     if not namings:
@@ -552,16 +536,9 @@ def rule_CN1(ctx: RuleContext, claim, premises) -> StepOutcome:
 def rule_CN2(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("CN2 concludes an equality")
-    eqs: list[Eq] = []
-    for p in premises:
-        if isinstance(p, Eq):
-            eqs.append(p)
-        elif isinstance(p, Pi):
-            eqs.append(Eq(term_sum([Fig(p.figure)]), term_sum([RectBy(p.first, p.second)])))
-        elif isinstance(p, IsSq):
-            eqs.append(Eq(term_sum([Fig(p.figure)]), term_sum([SquareOn(p.side)])))
-        else:
-            raise NoMatch("CN2 premises must be equalities or namings")
+    eqs = [_lift_naming(p) for p in premises]
+    if not all(isinstance(p, Eq) for p in eqs):
+        raise NoMatch("CN2 premises must be equalities or namings")
     if len(eqs) == 2:
         p1, p2 = eqs
         for s1, o1 in ((p1.lhs, p1.rhs), (p1.rhs, p1.lhs)):
@@ -905,7 +882,7 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("DOUBLE concludes an equality")
     if len(premises) == 2:
-        pairs = _naming_pairs(ctx, premises)
+        pairs = _naming_pairs(premises)
         if len(pairs) == 2:
             (fig1, t1), (fig2, t2) = pairs
             if T._term_key(t1) != T._term_key(t2):
@@ -950,16 +927,9 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
 def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("MERGE concludes an equality")
-    eqs: list[Eq] = []
-    for p in premises:
-        if isinstance(p, Eq):
-            eqs.append(p)
-        elif isinstance(p, Pi):
-            eqs.append(Eq(term_sum([Fig(p.figure)]), term_sum([RectBy(p.first, p.second)])))
-        elif isinstance(p, IsSq):
-            eqs.append(Eq(term_sum([Fig(p.figure)]), term_sum([SquareOn(p.side)])))
-        else:
-            raise NoMatch("MERGE premises must be equalities or namings")
+    eqs = [_lift_naming(p) for p in premises]
+    if not all(isinstance(p, Eq) for p in eqs):
+        raise NoMatch("MERGE premises must be equalities or namings")
     if not eqs:
         raise NoMatch("MERGE needs at least one premise")
     if len(eqs) == 1:
@@ -988,11 +958,8 @@ def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
     figs = [t for s in lefts for t in s.terms if isinstance(t, Fig)]
     for i in range(len(figs)):
         for j in range(i + 1, len(figs)):
-            try:
-                pi_ = ctx.region(figs[i].name.letters)
-                pj = ctx.region(figs[j].name.letters)
-            except Exception:
-                continue
+            pi_ = ctx.region(figs[i].name.letters)
+            pj = ctx.region(figs[j].name.letters)
             if geo.polys_overlap(pi_, pj):
                 overlap = True
     flags = ["aggregation"]
@@ -1076,9 +1043,10 @@ _HANDLERS = {
     Rule.BM: rule_BM,
 }
 
-
-def rule_CN(kind: str, ctx: RuleContext, claim, premises) -> StepOutcome:
-    return {"CN1": rule_CN1, "CN2": rule_CN2, "CN3": rule_CN3}[kind](ctx, claim, premises)
+PROFILES = {
+    "default": frozenset(r for r in _HANDLERS if r is not Rule.BM),
+    "bm-dissection": frozenset(_HANDLERS),
+}
 
 
 @dataclass
@@ -1167,8 +1135,7 @@ def check_proof(
 
     ctx = RuleContext(inst, fb, script.flags)
     prior: dict[int, Statement] = {}
-    fact_counts = [fb.size()]
-    derived_stmts: list[Statement] = []
+    report.fact_counts.append(fb.size())
 
     for step in script.steps:
         rule = Rule(step.rule)
@@ -1199,13 +1166,11 @@ def check_proof(
             report.certificates.append(outcome.certificate)
         prior[step.index] = step.claim
         fb.add(step.claim, f"step:{step.index}")
-        fact_counts.append(fb.size())
-        derived_stmts.append(outcome.derived)
+        report.fact_counts.append(fb.size())
+        report.derived.append(outcome.derived)
 
     if not script.steps or not stmt_equal(script.steps[-1].claim, script.diorismos):
         return reject(len(script.steps), ClaimMismatch.__name__)
 
     report.timing_ms = (time.perf_counter() - t0) * 1000
-    report.fact_counts = fact_counts  # type: ignore[attr-defined]
-    report.derived = derived_stmts  # type: ignore[attr-defined]
     return report

@@ -26,6 +26,7 @@ naming forms, against the diagram.
 
 from __future__ import annotations
 
+import enum
 import json
 import re
 from dataclasses import dataclass, field
@@ -41,22 +42,26 @@ from .terms import (
     stmt_text,
 )
 
-RULE_NAMES = (
-    "R1",
-    "R2",
-    "R3",
-    "R4",
-    "CN1",
-    "CN2",
-    "CN3",
-    "VE",
-    "NAME",
-    "I43",
-    "I47",
-    "DOUBLE",
-    "MERGE",
-    "BM",
-)
+
+class Rule(enum.Enum):
+    """The rules a proof step may cite.  This is the one list of rule names:
+    the parser, the rule engine's handler table and the report schema all
+    follow it."""
+
+    R1 = "R1"
+    R2 = "R2"
+    R3 = "R3"
+    R4 = "R4"
+    CN1 = "CN1"
+    CN2 = "CN2"
+    CN3 = "CN3"
+    VE = "VE"
+    NAME = "NAME"
+    I43 = "I43"
+    I47 = "I47"
+    DOUBLE = "DOUBLE"
+    MERGE = "MERGE"
+    BM = "BM"
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +344,12 @@ class ProofStep:
     claim: Statement
     rule: str
     premises: tuple[PremiseRef, ...]
-    cert: str | None = None
+    line: int = field(default=0, compare=False)  # source line, for error reports
 
     def text(self):
         parts = [f"{self.index}. {stmt_text(self.claim)} ; {self.rule}"]
         for p in self.premises:
             parts.append(p.text())
-        if self.cert:
-            parts.append(f"cert={self.cert}")
         return " ".join(parts)
 
 
@@ -355,6 +358,7 @@ class Hypothesis:
     index: int
     stmt: Statement
     flag: str
+    line: int = field(default=0, compare=False)  # source line, for error reports
 
     def text(self):
         return f"hypothesis {stmt_text(self.stmt)} ; flag {self.flag}"
@@ -371,14 +375,6 @@ class Script:
     hypotheses: tuple[Hypothesis, ...]
     diorismos: Eq
     steps: tuple[ProofStep, ...]
-
-    def param_defaults(self) -> dict[str, Fraction]:
-        out = {}
-        for name, val in self.params.items():
-            if val is None:
-                raise ParseError(0, 1, f"param {name} has no default value")
-            out[name] = val
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +400,7 @@ class _Parser:
         construction: list[ConstructionCmd] = []
         hypotheses: list[Hypothesis] = []
         diorismos: Eq | None = None
+        claim_line = 0
         steps: list[ProofStep] = []
         section = "header"
         saw_qed = False
@@ -427,6 +424,7 @@ class _Parser:
                 if not isinstance(stmt, Eq):
                     raise self.err(1, "diorismos must be an equality of sums")
                 diorismos = stmt
+                claim_line = self.i + 1
                 continue
             if line == "proof:":
                 if diorismos is None:
@@ -503,7 +501,7 @@ class _Parser:
             raise ParseError(len(self.lines), 1, "missing qed")
         for k, s in enumerate(steps):
             if s.index != k + 1:
-                raise ParseError(1, 1, f"step indices must be dense from 1, got {s.index}")
+                raise ParseError(s.line, 1, f"step indices must be dense from 1, got {s.index}")
 
         for cmd in construction:
             if isinstance(cmd, StandaloneSegmentCmd):
@@ -526,15 +524,10 @@ class _Parser:
             diorismos=diorismos,
             steps=tuple(steps),
         )
-        _validate_labels(script, declared_segments, declared_figures, self.lines)
+        _validate_labels(script, declared_segments, declared_figures, claim_line)
         return script
 
     # -- command parsing ---------------------------------------------------
-
-    def _seg_pair(self, tok: str, raw: str) -> tuple[str, str]:
-        if not re.match(r"^[A-Z]{2}$", tok):
-            raise self.err(raw.find(tok) + 1, f"two-letter segment, got {tok!r}")
-        return (tok[0], tok[1])
 
     def _parse_command(self, line: str, raw: str) -> ConstructionCmd:
         toks = line.split()
@@ -630,7 +623,7 @@ class _Parser:
         if not m:
             raise self.err(1, "hypothesis <stmt> ; flag <word>")
         stmt = parse_statement(m.group(1), self.i + 1)
-        return Hypothesis(index, stmt, m.group(2))
+        return Hypothesis(index, stmt, m.group(2), self.i + 1)
 
     def _parse_step(self, line: str, raw: str) -> ProofStep:
         m = re.match(r"^(\d+)\.\s+(.+?)\s+;\s+(\S+)\s*(.*)$", line)
@@ -639,11 +632,12 @@ class _Parser:
         index = int(m.group(1))
         claim = parse_statement(m.group(2), self.i + 1)
         rule = m.group(3)
-        if rule not in RULE_NAMES:
-            raise UnknownRule(self.i + 1, raw.find(rule) + 1, rule)
+        try:
+            Rule(rule)
+        except ValueError:
+            raise UnknownRule(self.i + 1, raw.find(rule) + 1, rule) from None
         rest = m.group(4).strip()
         premises: list[PremiseRef] = []
-        cert = None
         pos = 0
         while pos < len(rest):
             ch = rest[pos]
@@ -669,13 +663,8 @@ class _Parser:
                 premises.append(HypRef(int(m2.group(1))))
                 pos += m2.end()
                 continue
-            m2 = re.match(r"cert=(\S+)", rest[pos:])
-            if m2:
-                cert = m2.group(1)
-                pos += m2.end()
-                continue
             raise self.err(raw.find(rest) + pos + 1, f"premise token, got {rest[pos:]!r}")
-        return ProofStep(index, claim, rule, tuple(premises), cert)
+        return ProofStep(index, claim, rule, tuple(premises), self.i + 1)
 
 
 def _stmt_labels(stmt: Statement):
@@ -717,7 +706,7 @@ def _stmt_labels(stmt: Statement):
     return segs, figs
 
 
-def _validate_labels(script: Script, declared_segments, declared_figures, lines):
+def _validate_labels(script: Script, declared_segments, declared_figures, claim_line: int):
     roster = set(script.points)
 
     def check_stmt(stmt: Statement, lineno: int):
@@ -738,20 +727,14 @@ def _validate_labels(script: Script, declared_segments, declared_figures, lines)
             elif f not in declared_figures:
                 raise UndeclaredPoint(lineno, 1, f)
 
-    def lineno_of(needle: str) -> int:
-        for k, ln in enumerate(lines):
-            if needle in ln:
-                return k + 1
-        return 1
-
     for h in script.hypotheses:
-        check_stmt(h.stmt, lineno_of(stmt_text(h.stmt).split(" ")[0]))
-    check_stmt(script.diorismos, lineno_of("claim:"))
+        check_stmt(h.stmt, h.line)
+    check_stmt(script.diorismos, claim_line)
     for s in script.steps:
-        check_stmt(s.claim, lineno_of(f"{s.index}."))
+        check_stmt(s.claim, s.line)
         for p in s.premises:
             if isinstance(p, InlinePremise):
-                check_stmt(p.stmt, lineno_of(f"{s.index}."))
+                check_stmt(p.stmt, s.line)
 
 
 def parse_script(text: str) -> Script:
@@ -808,6 +791,10 @@ class CheckReport:
     diorismos: str
     timing_ms: float = 0.0
     certificates: list[dict] = field(default_factory=list)
+    # fact-base size before the first step, then after each accepted step
+    fact_counts: list[int] = field(default_factory=list)
+    # the statement each accepted step's rule derived
+    derived: list[Statement] = field(default_factory=list)
 
     @property
     def accepted(self) -> bool:

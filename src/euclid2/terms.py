@@ -296,10 +296,13 @@ class _StmtParser:
         tok = tok.strip()
         m = re.match(r"^(\d+)\*(.+)$", tok)
         if m:
+            count = int(m.group(1))
+            if count < 2:
+                raise self.err(col, f"multiple count of at least 2, got {count}")
             inner = self.parse_term(m.group(2), col)
             if isinstance(inner, Multiple):
                 raise self.err(col, "nested multiple")
-            return Multiple(int(m.group(1)), inner)
+            return Multiple(count, inner)
         m = re.match(r"^sq\(([A-Z]{1,2})\)$", tok)
         if m:
             return SquareOn(self.parse_segment(m.group(1), col))

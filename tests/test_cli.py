@@ -43,6 +43,16 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["annotate", "render", "oracle"])
+def test_missing_or_unreadable_file_exit_two(command, tmp_path, capsys):
+    binary = tmp_path / "binary.e2p"
+    binary.write_bytes(b"\xff\xfe\x00prop")
+    for path in (str(tmp_path / "missing.e2p"), str(binary)):
+        code, out, err = run_cli([command, path], capsys)
+        assert code == 2
+        assert "cannot read" in err and out == ""
+
+
 def test_check_json_validates_schema(capsys):
     code, out, _ = run_cli(["check", "--json", str(CORPUS / "II_1.e2p")], capsys)
     assert code == 0
@@ -141,15 +151,47 @@ def test_oracle_corrupted_claim_fails(tmp_path, capsys):
 
 def test_emit_certs_sidecar(tmp_path, capsys):
     sidecar = tmp_path / "ii4.cert.json"
-    code, _, _ = run_cli(
-        ["check", str(CORPUS / "II_4.e2p"), "--emit-certs", str(sidecar)], capsys
-    )
+    path = str(CORPUS / "II_4.e2p")
+    code, _, _ = run_cli(["check", path, "--emit-certs", str(sidecar)], capsys)
     assert code == 0
-    certs = json.loads(sidecar.read_text())
+    certs = json.loads(sidecar.read_text())[path]
     kinds = {c["kind"] for c in certs}
     assert {"VE", "NAME", "I43"} <= kinds
     ve = [c for c in certs if c["kind"] == "VE"]
     assert all("lhs" in c and "rhs" in c for c in ve)
+
+
+def test_emit_certs_keyed_by_file(tmp_path, capsys):
+    paths = [str(CORPUS / "II_4.e2p"), str(CORPUS / "II_1.e2p")]
+    single = {}
+    for path in paths:
+        sidecar = tmp_path / "one.json"
+        assert run_cli(["check", path, "--emit-certs", str(sidecar)], capsys)[0] == 0
+        single[path] = json.loads(sidecar.read_text())[path]
+    sidecar = tmp_path / "both.json"
+    assert run_cli(["check", *paths, "--emit-certs", str(sidecar)], capsys)[0] == 0
+    assert json.loads(sidecar.read_text()) == single
+    assert all(single.values())
+
+
+def test_check_multiple_count_below_two_exit_two(tmp_path, capsys):
+    text = corpusdata.read_script_text("II_1.e2p").replace(
+        "claim: rect(A,BC) =", "claim: 1*rect(A,BC) ="
+    )
+    bad = tmp_path / "bad.e2p"
+    bad.write_text(text)
+    code, out, _ = run_cli(["check", str(bad)], capsys)
+    assert code == 2
+    assert "parse error" in out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--samples", "0"], ["--samples", "-3"], ["--tol", "abc"]]
+)
+def test_oracle_bad_option_exit_two(flags, capsys):
+    code, out, _ = run_cli(["oracle", str(CORPUS / "II_4.e2p"), *flags], capsys)
+    assert code == 2
+    assert "ok" not in out
 
 
 def test_console_script_installed():

@@ -45,6 +45,16 @@ def test_missing_qed():
         sc.parse_script(text)
 
 
+def test_label_error_reports_the_step_line():
+    # step 5 is on line 32; an earlier comment mentions "II.5."
+    text = corpusdata.read_script_text("II_6.e2p").replace(
+        "5. fig(NOP) = fig(HF) + fig(CM) ; VE", "5. fig(NOP) = fig(HZ) + fig(CM) ; VE"
+    )
+    with pytest.raises(UndeclaredPoint) as exc:
+        sc.parse_script(text)
+    assert exc.value.line == 32
+
+
 def test_error_locality_line_numbers():
     base = corpusdata.read_script_text("II_5.e2p").splitlines()
     rng = random.Random(7)

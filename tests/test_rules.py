@@ -12,6 +12,7 @@ from euclid2.errors import (
     NoMatch,
     NoRightAngle,
     NotComplements,
+    UnknownName,
     VEFailed,
 )
 from euclid2.terms import parse_statement as ps
@@ -181,32 +182,31 @@ def test_r4_examples():
 
 def test_cn1_examples():
     c = dummy_ctx()
-    out = rules.rule_CN("CN1", c, ps("DK == A"), [ps("DK == BG"), ps("BG == A")])
+    out = rules.rule_CN1(c, ps("DK == A"), [ps("DK == BG"), ps("BG == A")])
     assert T.stmt_equal(out.derived, ps("DK == A"))
     with pytest.raises(NoLink):
-        rules.rule_CN("CN1", c, ps("DK == A"), [ps("DK == BG"), ps("CE == A")])
+        rules.rule_CN1(c, ps("DK == A"), [ps("DK == BG"), ps("CE == A")])
 
 
 def test_cn2_example():
     c = dummy_ctx()
     claim = ps("fig(NOP) + fig(LG) = rect(AD,DB) + sq(CD)")
-    out = rules.rule_CN(
-        "CN2", c, claim, [ps("fig(NOP) = rect(AD,DB)"), ps("fig(LG) = sq(CD)")]
+    out = rules.rule_CN2(
+        c, claim, [ps("fig(NOP) = rect(AD,DB)"), ps("fig(LG) = sq(CD)")]
     )
     assert T.stmt_equal(out.derived, claim)
 
 
 def test_cn3_example():
     c = dummy_ctx()
-    out = rules.rule_CN(
-        "CN3",
+    out = rules.rule_CN3(
         c,
         ps("rect(BE,EF) = sq(HE)"),
         [ps("rect(BE,EF) + sq(GE) = sq(HE) + sq(GE)")],
     )
     assert T.stmt_equal(out.derived, ps("rect(BE,EF) = sq(HE)"))
     with pytest.raises(NoCommonTerm):
-        rules.rule_CN("CN3", c, ps("sq(A) = sq(B)"), [ps("sq(AB) = sq(CD)")])
+        rules.rule_CN3(c, ps("sq(A) = sq(B)"), [ps("sq(AB) = sq(CD)")])
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,17 @@ def test_merge_single_premise(ii4):
     assert T.stmt_equal(out.derived, claim)
 
 
+def test_merge_unbound_figure_is_not_skipped(ii4):
+    """A left-hand figure that binds no region fails the step rather than
+    skipping the overlap test."""
+    with pytest.raises(UnknownName):
+        rules.rule_MERGE(
+            ii4,
+            ps("fig(XY) + fig(XZ) = sq(AC) + sq(CB)"),
+            [ps("XY on AC"), ps("XZ on CB")],
+        )
+
+
 # ---------------------------------------------------------------------------
 # checker-level invariants
 
@@ -300,6 +311,14 @@ def test_color_mapping_total():
     for other in (rules.Rule.CN1, rules.Rule.VE, rules.Rule.I43, rules.Rule.I47,
                   rules.Rule.DOUBLE, rules.Rule.MERGE):
         assert rules.color_of(other) in rules.ColorClass
+
+
+def test_report_schema_enums_follow_the_vocabulary():
+    props = corpusdata.report_schema()["properties"]
+    step = props["steps"]["items"]["properties"]
+    assert step["rule"]["enum"] == [r.value for r in rules.Rule]
+    assert step["color"]["enum"] == [c.value for c in rules.ColorClass]
+    assert props["profile"]["enum"] == list(rules.PROFILES)
 
 
 @pytest.mark.parametrize("entry", all_default_entries(), ids=lambda e: e["prop"])
@@ -347,7 +366,7 @@ def test_no_implicit_commutativity_mutations(entry):
             continue
         mutated_any = True
         steps = list(script.steps)
-        steps[k] = sc.ProofStep(step.index, mutated, step.rule, step.premises, step.cert)
+        steps[k] = sc.ProofStep(step.index, mutated, step.rule, step.premises)
         bad = sc.Script(
             prop_id=script.prop_id,
             points=script.points,
