@@ -1,22 +1,23 @@
-"""Constructible reals as hash-consed expression DAGs.
+"""Constructible reals: exact values, and expression DAGs for the rest.
 
 Values built from rationals with +, -, *, / fold to exact rationals.  A
 single square root of a rational folds to an exact quadratic form
 a + b*sqrt(r) (r a squarefree integer), and arithmetic stays exact inside
-that field; sign queries on such values are decided exactly.  Everything
-else (nested or mixed radicals) falls back to interval refinement with
-outward-rounded dyadic endpoints, doubling precision until the sign is
-separated or the bit budget runs out.
-
-Nodes are immutable after construction; the per-node interval cache is
-append-only and idempotent (re-computing an entry yields the same value),
-so concurrent readers of one diagram instance behave as if serialized.
+that field; sign queries on such values are decided exactly.  Exact values
+are plain values: equality is decided by `exact_key`, never by object
+identity.  Everything else (nested or mixed radicals) is a radical node.
+Radical nodes are shared through a weak table, so equal constructions give
+one node while any caller holds it, and the table never outlives its users.
+Their signs fall back to interval refinement with outward-rounded dyadic
+endpoints, doubling precision until the sign is separated or the bit
+budget runs out.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from fractions import Fraction
 
 from .errors import Undecidable
@@ -52,13 +53,15 @@ def _square_free(n: int) -> tuple[int, int]:
 
 
 class Expr:
-    """One DAG node.  Nodes are interned: structurally identical expressions
-    are the same object, so the difference of identical subtrees folds to an
-    exact zero at construction time."""
+    """One value: an exact rational or quadratic form, or a radical node.
+    Exact values are built fresh and compared by value.  Radical nodes are
+    interned weakly on the `exact_key` of their arguments, so identical
+    subtrees are one object and their difference folds to an exact zero at
+    construction time."""
 
     __slots__ = ("kind", "args", "rat", "quad", "_ivals", "__weakref__")
 
-    _table: dict = {}
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def __init__(self, kind, args, rat, quad):
         self.kind = kind
@@ -165,22 +168,17 @@ def _sqrt_interval(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo_int, scale), Fraction(hi_int, scale)
 
 
-def _intern(kind, args, rat, quad) -> Expr:
-    if rat is not None:
-        key = ("rat", rat)
-    elif quad is not None:
-        key = ("quad", quad)
-    else:
-        key = (kind,) + tuple(id(a) for a in args)
+def _intern(kind, args) -> Expr:
+    key = (kind,) + tuple(exact_key(a) for a in args)
     node = Expr._table.get(key)
     if node is None:
-        node = Expr(kind, args, rat, quad)
+        node = Expr(kind, args, None, None)
         Expr._table[key] = node
     return node
 
 
 def const(q) -> Expr:
-    return _intern("rat", (), Fraction(q), None)
+    return Expr("rat", (), Fraction(q), None)
 
 
 def _mk_quad(a: Fraction, b: Fraction, r: int) -> Expr:
@@ -190,7 +188,7 @@ def _mk_quad(a: Fraction, b: Fraction, r: int) -> Expr:
         return const(a + b)
     if r == 0:
         return const(a)
-    return _intern("quad", (), None, (a, b, r))
+    return Expr("quad", (), None, (a, b, r))
 
 
 ZERO = const(0)
@@ -234,7 +232,7 @@ def _binop(kind, x: Expr, y: Expr) -> Expr:
     if kind == "sub" and x is y:
         return ZERO
     if kind == "mul":
-        if x.kind == "sqrt" and y.kind == "sqrt" and x.args[0] is y.args[0]:
+        if x is y and x.kind == "sqrt":
             return x.args[0]
         if x.rat is not None and x.rat == 0 or y.rat is not None and y.rat == 0:
             return ZERO
@@ -256,7 +254,7 @@ def _binop(kind, x: Expr, y: Expr) -> Expr:
             return _binop("mul", x, const(1 / y.rat))
         if x.rat is not None and x.rat == 0:
             return ZERO
-    return _intern(kind, (x, y), None, None)
+    return _intern(kind, (x, y))
 
 
 def add(x: Expr, y: Expr) -> Expr:
@@ -292,7 +290,7 @@ def sqrt(x: Expr) -> Expr:
         if rad == 1:
             return const(coeff)
         return _mk_quad(Fraction(0), coeff, rad)
-    return _intern("sqrt", (x,), None, None)
+    return _intern("sqrt", (x,))
 
 
 def neg(x: Expr) -> Expr:
@@ -361,10 +359,6 @@ def midpoint(x: Expr, bits: int = 80) -> Fraction:
                 raise Undecidable("midpoint refinement exhausted")
 
 
-def to_float(x: Expr) -> float:
-    return float(midpoint(x))
-
-
 def decimal_text(x: Expr, places: int = 4) -> str:
     """Deterministic fixed-point rendering (used by SVG and reports)."""
     m = midpoint(x, bits=max(64, 4 * places)) * 10**places
@@ -378,7 +372,8 @@ def decimal_text(x: Expr, places: int = 4) -> str:
 
 
 def exact_key(x: Expr):
-    """Hashable identity for exact values; falls back to node identity."""
+    """Hashable identity of a value: exact values by value, radical nodes
+    (interned, so equal constructions are one node) by node identity."""
     if x.rat is not None:
         return ("r", x.rat)
     if x.quad is not None:

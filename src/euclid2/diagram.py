@@ -287,8 +287,8 @@ class _Builder:
         if cmd.source not in self.inst.declared:
             raise UnknownName(f"figure {cmd.source!r} not declared")
         src = self.inst.declared[cmd.source]
-        xs = sorted({cr.exact_key(p[0]): p[0] for p in src}.values(), key=cr.to_float)
-        ys = sorted({cr.exact_key(p[1]): p[1] for p in src}.values(), key=cr.to_float)
+        xs = sorted({cr.exact_key(p[0]): p[0] for p in src}.values(), key=geo.by_value)
+        ys = sorted({cr.exact_key(p[1]): p[1] for p in src}.values(), key=geo.by_value)
         w = cr.sub(xs[-1], xs[0])
         h = cr.sub(ys[-1], ys[0])
         l0, l1, l2, l3 = cmd.name

@@ -10,10 +10,12 @@ the comparisons go through sign refinement of constructible reals.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import constructible as cr
 from .constructible import Expr
+from .errors import InvalidParam
 
 Pt = tuple[Expr, Expr]
 Polygon = tuple[Pt, ...]
@@ -31,6 +33,10 @@ def sign(x: Expr) -> int:
 
 def cmp(a: Expr, b: Expr) -> int:
     return sign(cr.sub(a, b))
+
+
+# The one ordering of exact scalars, for sorted/min/max: by value alone.
+by_value = functools.cmp_to_key(cmp)
 
 
 def sub2(p: Pt, q: Pt) -> Pt:
@@ -249,7 +255,7 @@ def _interval_minus(lo: Expr, hi: Expr, pieces: list[tuple[Expr, Expr]]) -> bool
     """True iff [lo,hi] is fully covered by the union of the pieces."""
     pieces = [(a, b) if cmp(a, b) <= 0 else (b, a) for a, b in pieces]
     pieces = [pc for pc in pieces if cmp(pc[1], lo) > 0 and cmp(pc[0], hi) < 0]
-    pieces.sort(key=_SortKey)
+    pieces.sort(key=lambda pc: by_value(pc[0]))
     cur = lo
     for a, b in pieces:
         if cmp(a, cur) > 0:
@@ -259,16 +265,6 @@ def _interval_minus(lo: Expr, hi: Expr, pieces: list[tuple[Expr, Expr]]) -> bool
         if cmp(cur, hi) >= 0:
             return True
     return cmp(cur, hi) >= 0
-
-
-class _SortKey:
-    """Comparison adapter so exact scalars can be sorted with list.sort."""
-
-    def __init__(self, piece):
-        self.v = piece[0]
-
-    def __lt__(self, other):
-        return cmp(self.v, other.v) < 0
 
 
 class DrawnSegments:
@@ -353,7 +349,7 @@ def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
     cx = _sorted_unique([p[0] for p in corner])
     cy = _sorted_unique([p[1] for p in corner])
     if len(ox) != 2 or len(oy) != 2 or len(cx) != 2 or len(cy) != 2:
-        raise ValueError("gnomon parts must be axis-aligned boxes")
+        raise InvalidParam("gnomon parts must be axis-aligned boxes")
     X1, X2 = ox
     Y1, Y2 = oy
     x1, x2 = cx
@@ -371,7 +367,7 @@ def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
         return ((X1, Y1), (X2, Y1), (X2, Y2), (x2, Y2), (x2, y1), (X1, y1))
     if at_right and at_top and not (at_left or at_bottom):
         return ((X1, Y1), (X2, Y1), (X2, y1), (x1, y1), (x1, Y2), (X1, Y2))
-    raise ValueError("corner box does not sit in a corner of the outer box")
+    raise InvalidParam("corner box does not sit in a corner of the outer box")
 
 
 def elementary_cells(drawn: DrawnSegments):

@@ -20,7 +20,7 @@ from . import constructible as cr
 from . import diagram as dg
 from . import script as sc
 from . import terms as T
-from .errors import RealizeFailed, UnmappedTerm
+from .errors import DiagramError, RealizeFailed, UnmappedTerm
 
 # ---------------------------------------------------------------------------
 # polynomials: {monomial: coefficient}, monomial = tuple of (var, exponent)
@@ -178,7 +178,6 @@ class Coordinatization:
 
     def _substitute(self, var: str, value: Poly):
         for key, poly in list(self.gaps.items()):
-            d: dict[Monomial, Fraction] = {}
             out = Poly.const(0)
             for m, c in poly.coeffs:
                 term = Poly.const(c)
@@ -241,8 +240,6 @@ def _draw_params(script: sc.Script, rng: random.Random) -> dict[str, Fraction]:
 def sample_instance(
     script: sc.Script, rng: random.Random, retries: int = 50
 ) -> tuple[dg.DiagramInstance, dict[str, Fraction]]:
-    from .errors import DiagramError
-
     last = None
     for _ in range(retries):
         params = _draw_params(script, rng)

@@ -23,6 +23,7 @@ from . import terms as T
 from .errors import (
     ClaimMismatch,
     DistinctTargets,
+    Euclid2Error,
     NameMismatch,
     NoCommonTerm,
     NoLink,
@@ -140,7 +141,7 @@ class FactBase:
             pv = self.inst.point(v)
             pf = self.inst.point(arm_fact)
             pq = self.inst.point(arm_query)
-        except Exception:
+        except Euclid2Error:
             return False
         return geo.collinear(pv, pf, pq)
 
@@ -160,14 +161,14 @@ class FactBase:
                 try:
                     if dg.statement_holds(self.inst, stmt):
                         return True
-                except Exception:
+                except Euclid2Error:
                     return False
         return False
 
     def _region(self, letters: str):
         try:
             return dg.region_key_of(self.inst, letters)
-        except Exception:
+        except Euclid2Error:
             return ("unresolved", letters)
 
     def _eq_region_key(self, eq: Eq):
@@ -306,7 +307,7 @@ class RuleContext:
             return dg.region_key_of(self.inst, name.letters) == dg.region_key_of(
                 self.inst, other.letters
             )
-        except Exception:
+        except Euclid2Error:
             return False
 
     def region(self, letters: str):
@@ -627,11 +628,8 @@ def _resolve_ve_regions(ctx: RuleContext, s: TermSum):
 def rule_VE(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise VEFailed("visual evidence concludes an equality")
-    try:
-        left, ext_l = _resolve_ve_regions(ctx, claim.lhs)
-        right, ext_r = _resolve_ve_regions(ctx, claim.rhs)
-    except UnboundFigure:
-        raise
+    left, ext_l = _resolve_ve_regions(ctx, claim.lhs)
+    right, ext_r = _resolve_ve_regions(ctx, claim.rhs)
     result = geo.coverage_equal(
         [(poly, m) for _, poly, m in left], [(poly, m) for _, poly, m in right]
     )
@@ -810,8 +808,8 @@ def rule_I43(ctx: RuleContext, claim, premises) -> StepOutcome:
     pshared = k1[pk]
     xs = [b1[0], b1[2], b2[0], b2[2]]
     ys = [b1[1], b1[3], b2[1], b2[3]]
-    X1, X2 = _min_max(xs)
-    Y1, Y2 = _min_max(ys)
+    X1, X2 = min(xs, key=geo.by_value), max(xs, key=geo.by_value)
+    Y1, Y2 = min(ys, key=geo.by_value), max(ys, key=geo.by_value)
     # far corners of the complements must be opposite corners of the bbox
     far1 = _opposite_corner(b1, pshared)
     far2 = _opposite_corner(b2, pshared)
@@ -850,16 +848,6 @@ def _poly_box(poly):
     if len(xs) != 2 or len(ys) != 2:
         return None
     return (xs[0], ys[0], xs[1], ys[1])
-
-
-def _min_max(vals):
-    lo = hi = vals[0]
-    for v in vals[1:]:
-        if geo.cmp(v, lo) < 0:
-            lo = v
-        if geo.cmp(v, hi) > 0:
-            hi = v
-    return lo, hi
 
 
 def _opposite_corner(box, p):

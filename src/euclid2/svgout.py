@@ -13,6 +13,7 @@ from . import constructible as cr
 from . import diagram as dg
 from . import geometry as geo
 from . import script as sc
+from .errors import Euclid2Error
 
 SCALE = 100
 PAD = Fraction(2, 5)  # diagram units of padding
@@ -46,10 +47,10 @@ class _View:
             r = cr.sqrt(circ.radius2)
             see((cr.add(circ.center[0], r), cr.add(circ.center[1], r)))
             see((cr.sub(circ.center[0], r), cr.sub(circ.center[1], r)))
-        self.minx = _fold_min(xs)
-        self.maxy = _fold_max(ys)
-        self.maxx = _fold_max(xs)
-        self.miny = _fold_min(ys)
+        self.minx = min(xs, key=geo.by_value)
+        self.maxy = max(ys, key=geo.by_value)
+        self.maxx = max(xs, key=geo.by_value)
+        self.miny = min(ys, key=geo.by_value)
         pad = cr.const(PAD)
         self.width = cr.mul(
             cr.add(cr.sub(self.maxx, self.minx), cr.mul(cr.const(2), pad)), cr.const(SCALE)
@@ -70,22 +71,6 @@ class _View:
 
     def xy(self, p) -> tuple[str, str]:
         return self.x(p[0]), self.y(p[1])
-
-
-def _fold_min(vals):
-    out = vals[0]
-    for v in vals[1:]:
-        if geo.cmp(v, out) < 0:
-            out = v
-    return out
-
-
-def _fold_max(vals):
-    out = vals[0]
-    for v in vals[1:]:
-        if geo.cmp(v, out) > 0:
-            out = v
-    return out
 
 
 def render_svg(
@@ -149,7 +134,7 @@ def render_svg(
         for letters in ve_figures:
             try:
                 poly = dg.figure_region(inst, letters)
-            except Exception:
+            except Euclid2Error:
                 continue
             pts = " ".join(",".join(view.xy(p)) for p in poly)
             out.append(f'    <polygon id="ve-{letters}" points="{pts}" />')

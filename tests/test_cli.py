@@ -185,6 +185,24 @@ def test_check_multiple_count_below_two_exit_two(tmp_path, capsys):
     assert "parse error" in out
 
 
+@pytest.mark.parametrize("command", ["check", "render", "oracle"])
+def test_malformed_gnomon_is_a_diagram_error(command, tmp_path, capsys):
+    lines = corpusdata.read_script_text("II_5.e2p").splitlines(keepends=True)
+    assert lines[23] == "  gnomon NOP = CEFB minus LG\n"
+    lines[23] = "  gnomon NOP = CEFB minus CEFB\n"
+    bad = tmp_path / "bad.e2p"
+    bad.write_text("".join(lines))
+    code, out, err = run_cli([command, str(bad)], capsys)
+    assert code == 1
+    reason = "corner box does not sit in a corner of the outer box"
+    if command == "check":
+        assert f"Rejected at step 0: RealizeFailed: {reason}" in out
+    elif command == "render":
+        assert err == f"realize failed: {reason}\n"
+    else:
+        assert err == f"diorismos: oracle error: no valid parameter draw after 50 tries: {reason}\n"
+
+
 @pytest.mark.parametrize(
     "flags", [["--samples", "0"], ["--samples", "-3"], ["--tol", "abc"]]
 )

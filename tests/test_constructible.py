@@ -1,9 +1,14 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from euclid2 import constructible as cr
+from euclid2 import corpusdata, rules
+from euclid2 import geometry as geo
+from euclid2 import oracle as orc
+from euclid2 import script as sc
 from euclid2.errors import Undecidable
 
 
@@ -56,6 +61,37 @@ def test_nested_radical_falls_back_to_intervals():
     assert cr.refine_sign(cr.sub(n, cr.ONE)) == 1
     lo, hi = n.interval(128)
     assert lo < hi
+
+
+def test_equal_radical_constructions_share_one_node():
+    def nested():
+        return cr.sqrt(cr.add(cr.const(1), cr.sqrt(cr.const(2))))
+
+    a, b = nested(), nested()
+    assert a is b
+    assert cr.refine_sign(cr.sub(a, b)) == 0
+    assert cr.exact_key(a) == cr.exact_key(b)
+
+
+def test_no_global_state_survives_check_and_oracle():
+    for entry in corpusdata.all_entries() + corpusdata.negative_entries():
+        script = sc.parse_script(corpusdata.read_script_text(entry["file"]))
+        rules.check_proof(script, profile=entry["profile"])
+        orc.check_numeric_detailed(script.diorismos, script, samples=3)
+    held = cr.sqrt(cr.add(cr.const(2), cr.sqrt(cr.const(3))))
+    assert len(cr.Expr._table) >= 1
+    del held
+    gc.collect()
+    assert len(cr.Expr._table) == 0
+
+
+def test_shared_order_separates_values_a_double_cannot():
+    eps = Fraction(1, 2**60)
+    one, above = cr.ONE, cr.const(1 + eps)
+    assert float(above.rat) == float(one.rat)
+    assert [v.rat for v in sorted([above, one], key=geo.by_value)] == [1, 1 + eps]
+    assert min([above, one], key=geo.by_value) is one
+    assert max([one, above], key=geo.by_value) is above
 
 
 def test_undecidable_at_budget():

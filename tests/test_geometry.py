@@ -4,6 +4,7 @@ import pytest
 
 from euclid2 import constructible as cr
 from euclid2 import geometry as geo
+from euclid2.errors import InvalidParam
 
 
 def P(x, y):
@@ -65,7 +66,7 @@ def test_gnomon_polygon():
     g = geo.gnomon_polygon(outer, corner)
     assert len(g) == 6
     assert geo.area(g).rat == 15
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam, match="corner box does not sit in a corner"):
         geo.gnomon_polygon(outer, box(1, 1, 2, 2))
 
 
