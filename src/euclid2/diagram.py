@@ -19,13 +19,27 @@ from . import script as sc
 from .constructible import Expr
 from .errors import (
     AmbiguousIntersection,
+    Euclid2Error,
     FactVerificationFailed,
     InvalidParam,
     NoIntersection,
     UnknownName,
 )
 from .geometry import Polygon, Pt
-from .terms import Eq, Fig, FigureName, RightAngle, SegEq, Segment, Statement, term_sum
+from .terms import (
+    Eq,
+    Fig,
+    FigureName,
+    Multiple,
+    RectBy,
+    RightAngle,
+    SegEq,
+    Segment,
+    SquareOn,
+    Statement,
+    lift_naming,
+    term_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -135,6 +149,14 @@ class _Builder:
             raise InvalidParam(f"point {label!r} used before construction")
         return self.inst.coords[label]
 
+    def base(self, on) -> tuple[Pt, Pt]:
+        """The endpoints of a line that a construction scales or intersects
+        along; two points built at the same place give it no direction."""
+        p, q = self.pt_of(on[0]), self.pt_of(on[1])
+        if geo.pts_equal(p, q):
+            raise InvalidParam(f"segment {on[0]}{on[1]} has zero length")
+        return p, q
+
     # -- command interpreters -------------------------------------------
 
     def run(self) -> DiagramInstance:
@@ -189,7 +211,7 @@ class _Builder:
         )
 
     def _do_ExtendBy(self, cmd: sc.ExtendBy):
-        p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
+        p, q = self.base(cmd.on)
         L = self.length(cmd.by)
         plen = self.inst.seg_len(Segment(cmd.on[0], cmd.on[1]))
         scale = cr.div(L, plen)
@@ -204,7 +226,7 @@ class _Builder:
             self.fact(SegEq(Segment(cmd.on[1], cmd.to), ref), "CopiedLength")
 
     def _do_ExtendCopy(self, cmd: sc.ExtendCopy):
-        p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
+        p, q = self.base(cmd.on)
         anchor = self.pt_of(cmd.anchor)
         if not geo.collinear(p, q, anchor):
             raise InvalidParam(f"anchor {cmd.anchor} is not on line {cmd.on[0]}{cmd.on[1]}")
@@ -384,8 +406,8 @@ class _Builder:
         )
 
     def _do_IntersectAt(self, cmd: sc.IntersectAt):
-        p = self.pt_of(cmd.line[0])
-        d = geo.sub2(self.pt_of(cmd.line[1]), p)
+        p, q = self.base(cmd.line)
+        d = geo.sub2(q, p)
         if cmd.other_kind == "line":
             u = self.pt_of(cmd.other[0])
             du = geo.sub2(self.pt_of(cmd.other[1]), u)
@@ -461,15 +483,13 @@ def _seg_from_token(tok: str) -> Segment:
 
 
 def term_value(inst: DiagramInstance, t) -> Expr:
-    from . import terms as T
-
-    if isinstance(t, T.SquareOn):
+    if isinstance(t, SquareOn):
         return inst.seg_len2(t.side)
-    if isinstance(t, T.RectBy):
+    if isinstance(t, RectBy):
         return cr.mul(inst.seg_len(t.first), inst.seg_len(t.second))
-    if isinstance(t, T.Fig):
+    if isinstance(t, Fig):
         return geo.area(figure_region(inst, t.name.letters))
-    if isinstance(t, T.Multiple):
+    if isinstance(t, Multiple):
         return cr.mul(cr.const(t.count), term_value(inst, t.inner))
     raise TypeError(t)
 
@@ -482,7 +502,9 @@ def sum_value(inst: DiagramInstance, s) -> Expr:
 
 
 def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
-    """Numeric truth of a statement in the realized instance."""
+    """Numeric truth of a statement in the realized instance; a naming
+    statement holds when the equality it states does."""
+    stmt = lift_naming(stmt)
     if isinstance(stmt, SegEq):
         return geo.sign(cr.sub(inst.seg_len2(stmt.a), inst.seg_len2(stmt.b))) == 0
     if isinstance(stmt, RightAngle):
@@ -498,7 +520,7 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
 def _verify_fact(inst: DiagramInstance, stmt: Statement):
     try:
         ok = statement_holds(inst, stmt)
-    except Exception as exc:  # pragma: no cover - construction bug guard
+    except Euclid2Error as exc:
         raise FactVerificationFailed(f"{stmt} could not be verified: {exc}") from exc
     if not ok:
         raise FactVerificationFailed(f"construction fact {stmt} is numerically false")
@@ -506,13 +528,10 @@ def _verify_fact(inst: DiagramInstance, stmt: Statement):
 
 def _derive_cell_facts(inst: DiagramInstance):
     drawn = inst.drawn
-    label_at = {
-        (cr.exact_key(x), cr.exact_key(y)): name for name, (x, y) in inst.coords.items()
-    }
+    label_at = {geo.point_key(p): name for name, p in inst.coords.items()}
     for (x1, y1, x2, y2) in geo.elementary_cells(drawn):
         corners = [
-            label_at.get((cr.exact_key(x), cr.exact_key(y)))
-            for x, y in ((x1, y1), (x2, y1), (x2, y2), (x1, y2))
+            label_at.get(geo.point_key(p)) for p in geo.box_polygon(x1, y1, x2, y2)
         ]
         if None in corners:
             continue

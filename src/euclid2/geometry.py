@@ -56,6 +56,12 @@ def dist2(p: Pt, q: Pt) -> Expr:
     return dot(d, d)
 
 
+def point_key(p: Pt):
+    """Hashable identity of a point with exact coordinates: equal points
+    have equal keys."""
+    return (cr.exact_key(p[0]), cr.exact_key(p[1]))
+
+
 def pts_equal(p: Pt, q: Pt) -> bool:
     return cmp(p[0], q[0]) == 0 and cmp(p[1], q[1]) == 0
 
@@ -96,7 +102,7 @@ def polygon_exact_rational(poly: Polygon) -> bool:
 def region_key(poly: Polygon):
     """Canonical hashable identity of a polygon region (orientation- and
     rotation-insensitive).  Requires exact vertex coordinates."""
-    keys = [(cr.exact_key(p[0]), cr.exact_key(p[1])) for p in poly]
+    keys = [point_key(p) for p in poly]
     best = None
     for seq in (keys, keys[::-1]):
         for i in range(len(seq)):
@@ -341,19 +347,26 @@ def normalized_box(p: Pt, q: Pt) -> tuple[Expr, Expr, Expr, Expr] | None:
     return (x1, y1, x2, y2)
 
 
+def box_of(poly: Polygon) -> tuple[Expr, Expr, Expr, Expr] | None:
+    """(x1, y1, x2, y2) with x1 < x2 and y1 < y2 when the quadrilateral is
+    an axis-aligned box, else None."""
+    if len(poly) != 4:
+        return None
+    xs = _sorted_unique([p[0] for p in poly])
+    ys = _sorted_unique([p[1] for p in poly])
+    if len(xs) != 2 or len(ys) != 2:
+        return None
+    return (xs[0], ys[0], xs[1], ys[1])
+
+
 def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
     """L-shaped hexagon: axis-aligned outer box minus a corner box that
     shares exactly one vertex with it."""
-    ox = _sorted_unique([p[0] for p in outer])
-    oy = _sorted_unique([p[1] for p in outer])
-    cx = _sorted_unique([p[0] for p in corner])
-    cy = _sorted_unique([p[1] for p in corner])
-    if len(ox) != 2 or len(oy) != 2 or len(cx) != 2 or len(cy) != 2:
+    outer_box, corner_box = box_of(outer), box_of(corner)
+    if outer_box is None or corner_box is None:
         raise InvalidParam("gnomon parts must be axis-aligned boxes")
-    X1, X2 = ox
-    Y1, Y2 = oy
-    x1, x2 = cx
-    y1, y2 = cy
+    X1, Y1, X2, Y2 = outer_box
+    x1, y1, x2, y2 = corner_box
     # classify which outer corner the inner box occupies
     at_left = cmp(x1, X1) == 0
     at_bottom = cmp(y1, Y1) == 0

@@ -13,6 +13,7 @@ import enum
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import constructible as cr
@@ -51,6 +52,7 @@ from .terms import (
     SquareOn,
     Statement,
     TermSum,
+    lift_naming,
     stmt_equal,
     stmt_key,
     stmt_text,
@@ -230,58 +232,6 @@ def make_certificate(kind: str, payload: dict) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# term-sum helpers
-
-
-def _multiset(s: TermSum) -> dict:
-    out: dict = {}
-    for t in T.normalize(s).terms:
-        k = T._term_key(t)
-        out.setdefault(k, [0, t])
-        out[k][0] += 1
-    return out
-
-
-def _ms_sub(a: dict, b: dict) -> dict | None:
-    """Multiset difference a - b, or None when b is not contained in a."""
-    out = {k: [n, t] for k, (n, t) in a.items()}
-    for k, (n, _) in b.items():
-        if k not in out or out[k][0] < n:
-            return None
-        out[k][0] -= n
-        if out[k][0] == 0:
-            del out[k]
-    return out
-
-
-def _ms_terms(a: dict) -> list:
-    out = []
-    for _, (n, t) in sorted(a.items()):
-        out.extend([t] * n)
-    return out
-
-
-def _ms_union(a: dict, b: dict) -> dict:
-    out = {k: [n, t] for k, (n, t) in a.items()}
-    for k, (n, t) in b.items():
-        out.setdefault(k, [0, t])
-        out[k][0] += n
-    return out
-
-
-def _ms_common(a: dict, b: dict) -> dict:
-    out = {}
-    for k, (n, t) in a.items():
-        if k in b:
-            out[k] = [min(n, b[k][0]), t]
-    return out
-
-
-def sides_multiset_equal(a: TermSum, b: TermSum) -> bool:
-    return T.sum_key(a) == T.sum_key(b)
-
-
-# ---------------------------------------------------------------------------
 # the rule context and shared substitution machinery
 
 
@@ -314,48 +264,53 @@ class RuleContext:
         return dg.figure_region(self.inst, letters)
 
 
-def _lift_naming(p: Statement) -> Statement:
-    """A naming fact as the equality it states: `F pi X x Y` is
-    fig(F) = rect(X,Y) and `F on X` is fig(F) = sq(X).  Other statements
-    are returned unchanged."""
-    if isinstance(p, Pi):
-        return Eq(term_sum([Fig(p.figure)]), term_sum([RectBy(p.first, p.second)]))
-    if isinstance(p, IsSq):
-        return Eq(term_sum([Fig(p.figure)]), term_sum([SquareOn(p.side)]))
-    return p
+def _single_terms(stmt: Statement) -> tuple[T.Term, T.Term] | None:
+    """The lone term of each side of an equality with one term a side."""
+    if isinstance(stmt, Eq) and len(stmt.lhs.terms) == 1 and len(stmt.rhs.terms) == 1:
+        return stmt.lhs.terms[0], stmt.rhs.terms[0]
+    return None
+
+
+def _fig_pair(stmt: Statement) -> tuple[Fig, Fig] | None:
+    """The two figures of an equality `fig(X) = fig(Y)`."""
+    pair = _single_terms(stmt)
+    if pair is not None and all(isinstance(t, Fig) for t in pair):
+        return pair
+    return None
 
 
 def _naming_pairs(premises) -> list[tuple[FigureName, T.Term]]:
     """(figure, invisible-term) pairs carried by naming-form premises."""
     out = []
-    for p in map(_lift_naming, premises):
-        if isinstance(p, Eq):
-            for left, right in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-                if (
-                    len(left.terms) == 1
-                    and len(right.terms) == 1
-                    and isinstance(left.terms[0], Fig)
-                    and isinstance(right.terms[0], (RectBy, SquareOn))
-                ):
-                    out.append((left.terms[0].name, right.terms[0]))
+    for p in map(lift_naming, premises):
+        pair = _single_terms(p)
+        if pair is None:
+            continue
+        for left, right in (pair, pair[::-1]):
+            if isinstance(left, Fig) and isinstance(right, (RectBy, SquareOn)):
+                out.append((left.name, right))
     return out
 
 
-def _subst_sum(s: TermSum, f) -> tuple[TermSum, int]:
-    changed = 0
+def _subst_eq(eq: Eq, f) -> tuple[Eq, int]:
+    """`eq` with every term t (inside multiples too) replaced by f(t) where
+    that is not None, and the number of terms replaced."""
+    replaced = 0
 
     def walk(t):
-        nonlocal changed
+        nonlocal replaced
         if isinstance(t, Multiple):
-            inner = walk(t.inner)
-            return Multiple(t.count, inner)
+            return Multiple(t.count, walk(t.inner))
         r = f(t)
-        if r is not None:
-            changed += 1
-            return r
-        return t
+        if r is None:
+            return t
+        replaced += 1
+        return r
 
-    return term_sum(walk(t) for t in s.terms), changed
+    def side(s: TermSum) -> TermSum:
+        return term_sum(walk(t) for t in s.terms)
+
+    return Eq(side(eq.lhs), side(eq.rhs)), replaced
 
 
 def _match_claim(derived: Statement, claim: Statement):
@@ -400,12 +355,9 @@ def rule_R2(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not rest:
         # the implicit rule "since X = Y, the square on X equals the square
         # on Y" used standalone
-        if isinstance(claim, Eq) and all(
-            len(side.terms) == 1 and isinstance(side.terms[0], SquareOn)
-            for side in (claim.lhs, claim.rhs)
-        ):
-            s1 = claim.lhs.terms[0].side
-            s2 = claim.rhs.terms[0].side
+        pair = _single_terms(claim)
+        if pair is not None and all(isinstance(t, SquareOn) for t in pair):
+            s1, s2 = (t.side for t in pair)
             if {s1, s2} == {se.a, se.b} or (s1 == s2 and s1 in (se.a, se.b)):
                 return StepOutcome(claim)
         raise NoMatch("standalone R2 must conclude sq(X) = sq(Y) from X == Y")
@@ -430,12 +382,8 @@ def rule_R2(ctx: RuleContext, claim, premises) -> StepOutcome:
                     return SquareOn(b)
                 return None
 
-            lhs, n1 = _subst_sum(base.lhs, repl)
-            rhs, n2 = _subst_sum(base.rhs, repl)
-            if n1 + n2 == 0:
-                continue
-            derived = Eq(lhs, rhs)
-            if stmt_equal(derived, claim):
+            derived, replaced = _subst_eq(base, repl)
+            if replaced and stmt_equal(derived, claim):
                 return StepOutcome(derived)
         raise NoMatch("no square-on term rewrites to the claim")
     raise NoMatch("R2 premise must be a square-on fact or an equality")
@@ -469,11 +417,9 @@ def rule_R3(ctx: RuleContext, claim, premises) -> StepOutcome:
                 return target
             return None
 
-        lhs, n1 = _subst_sum(derived.lhs, repl)
-        rhs, n2 = _subst_sum(derived.rhs, repl)
-        if n1 + n2 == 0:
+        derived, replaced = _subst_eq(derived, repl)
+        if not replaced:
             raise NoMatch(f"figure {figure.letters} does not occur in the equality")
-        derived = Eq(lhs, rhs)
     _match_claim(derived, claim)
     return StepOutcome(derived)
 
@@ -487,20 +433,15 @@ def rule_R4(ctx: RuleContext, claim, premises) -> StepOutcome:
         raise NoMatch("R4 needs a contained-by or square-on naming premise")
     derived = base
     for figure, target in namings:
-        tkey = T._term_key(target)
 
-        def repl(t, tkey=tkey, figure=figure):
-            if T._term_key(t) == tkey:
-                return Fig(figure)
-            return None
+        def repl(t, target=target, figure=figure):
+            return Fig(figure) if t == target else None
 
-        lhs, n1 = _subst_sum(derived.lhs, repl)
-        rhs, n2 = _subst_sum(derived.rhs, repl)
-        if n1 + n2 == 0:
+        derived, replaced = _subst_eq(derived, repl)
+        if not replaced:
             raise NoMatch(
                 f"term {T.term_text(target)} (operand order significant) not present"
             )
-        derived = Eq(lhs, rhs)
     _match_claim(derived, claim)
     return StepOutcome(derived)
 
@@ -514,7 +455,6 @@ def rule_CN1(ctx: RuleContext, claim, premises) -> StepOutcome:
         raise NoLink("CN1 needs two premises")
     a, b = premises
     if isinstance(a, SegEq) and isinstance(b, SegEq):
-        segs = [a.a, a.b, b.a, b.b]
         for mid in (a.a, a.b):
             if mid in (b.a, b.b):
                 left = a.b if mid == a.a else a.a
@@ -526,7 +466,7 @@ def rule_CN1(ctx: RuleContext, claim, premises) -> StepOutcome:
     if isinstance(a, Eq) and isinstance(b, Eq):
         for s1, o1 in ((a.lhs, a.rhs), (a.rhs, a.lhs)):
             for s2, o2 in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
-                if sides_multiset_equal(s1, s2):
+                if Counter(s1.terms) == Counter(s2.terms):
                     derived = Eq(o1, o2)
                     if stmt_equal(derived, claim):
                         return StepOutcome(derived)
@@ -537,7 +477,7 @@ def rule_CN1(ctx: RuleContext, claim, premises) -> StepOutcome:
 def rule_CN2(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("CN2 concludes an equality")
-    eqs = [_lift_naming(p) for p in premises]
+    eqs = [lift_naming(p) for p in premises]
     if not all(isinstance(p, Eq) for p in eqs):
         raise NoMatch("CN2 premises must be equalities or namings")
     if len(eqs) == 2:
@@ -555,14 +495,11 @@ def rule_CN2(ctx: RuleContext, claim, premises) -> StepOutcome:
         # "let T have been added to both": claim = premise with one common
         # multiset adjoined to the two sides
         p1 = eqs[0]
+        left, right = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
         for s1, o1 in ((p1.lhs, p1.rhs), (p1.rhs, p1.lhs)):
-            d1 = _ms_sub(_multiset(claim.lhs), _multiset(s1))
-            d2 = _ms_sub(_multiset(claim.rhs), _multiset(o1))
-            if d1 is None or d2 is None:
-                continue
-            if sorted(d1.keys()) == sorted(d2.keys()) and all(
-                d1[k][0] == d2[k][0] for k in d1
-            ) and d1:
+            m1, m2 = Counter(s1.terms), Counter(o1.terms)
+            added = left - m1
+            if m1 <= left and m2 <= right and added and added == right - m2:
                 return StepOutcome(claim)
         raise NoMatch("claim does not add one common term multiset to both sides")
     raise NoMatch("CN2 takes one or two premises")
@@ -573,15 +510,14 @@ def rule_CN3(ctx: RuleContext, claim, premises) -> StepOutcome:
     if len(eqs) != 1:
         raise NoCommonTerm("CN3 needs exactly one equality premise")
     base = eqs[0]
-    ml, mr = _multiset(base.lhs), _multiset(base.rhs)
-    common = _ms_common(ml, mr)
+    ml, mr = Counter(base.lhs.terms), Counter(base.rhs.terms)
+    common = ml & mr
     if not common:
         raise NoCommonTerm("the two sides share no term")
-    left = _ms_sub(ml, common)
-    right = _ms_sub(mr, common)
+    left, right = ml - common, mr - common
     if not left or not right:
         raise NoCommonTerm("removing the common terms would empty a side")
-    derived = Eq(term_sum(_ms_terms(left)), term_sum(_ms_terms(right)))
+    derived = Eq(term_sum(left.elements()), term_sum(right.elements()))
     _match_claim(derived, claim)
     return StepOutcome(derived)
 
@@ -674,20 +610,13 @@ def rule_NAME(ctx: RuleContext, claim, premises=()) -> StepOutcome:
              "polygon": _poly_payload(poly)},
         )
         return StepOutcome(claim, (), cert)
-    if isinstance(claim, Eq):
-        if len(claim.lhs.terms) == 1 and len(claim.rhs.terms) == 1:
-            t1, t2 = claim.lhs.terms[0], claim.rhs.terms[0]
-            if isinstance(t1, Fig) and isinstance(t2, Fig):
-                k1 = dg.region_key_of(ctx.inst, t1.name.letters)
-                k2 = dg.region_key_of(ctx.inst, t2.name.letters)
-                if k1 != k2:
-                    raise NameMismatch(
-                        f"{t1.name.letters} and {t2.name.letters} bind different regions"
-                    )
-                digest, cert = make_certificate(
-                    "NAME", {"alias": [t1.name.letters, t2.name.letters]}
-                )
-                return StepOutcome(claim, ("alias",), cert)
+    pair = _fig_pair(claim)
+    if pair is not None:
+        n1, n2 = (t.name.letters for t in pair)
+        if dg.region_key_of(inst, n1) != dg.region_key_of(inst, n2):
+            raise NameMismatch(f"{n1} and {n2} bind different regions")
+        digest, cert = make_certificate("NAME", {"alias": [n1, n2]})
+        return StepOutcome(claim, ("alias",), cert)
     raise NameMismatch("NAME accepts square-on, contained-by, or alias claims")
 
 
@@ -720,17 +649,15 @@ def _require_side(inst, poly, seg: T.Segment):
 def _shared_corner(inst, poly, s1: T.Segment, s2: T.Segment):
     _require_side(inst, poly, s1)
     _require_side(inst, poly, s2)
-    p1 = set(map(lambda e: (cr.exact_key(e[0]), cr.exact_key(e[1])), inst.seg_endpoints(s1)))
-    p2 = set(map(lambda e: (cr.exact_key(e[0]), cr.exact_key(e[1])), inst.seg_endpoints(s2)))
-    shared = p1 & p2
+    shared = set(map(geo.point_key, inst.seg_endpoints(s1))) & set(
+        map(geo.point_key, inst.seg_endpoints(s2))
+    )
     if len(shared) != 1:
         raise NameMismatch("the two sides do not meet in exactly one corner")
     a1, b1 = inst.seg_endpoints(s1)
     a2, b2 = inst.seg_endpoints(s2)
     key = next(iter(shared))
-    corner = next(
-        p for p in (a1, b1) if (cr.exact_key(p[0]), cr.exact_key(p[1])) == key
-    )
+    corner = next(p for p in (a1, b1) if geo.point_key(p) == key)
     u = next(p for p in (a1, b1) if p is not corner)
     v = next(p for p in (a2, b2) if not geo.pts_equal(p, corner))
     if geo.sign(geo.dot(geo.sub2(u, corner), geo.sub2(v, corner))) != 0:
@@ -782,26 +709,19 @@ def rule_I47(ctx: RuleContext, claim, premises) -> StepOutcome:
 
 
 def rule_I43(ctx: RuleContext, claim, premises) -> StepOutcome:
-    if not (
-        isinstance(claim, Eq)
-        and len(claim.lhs.terms) == 1
-        and len(claim.rhs.terms) == 1
-        and isinstance(claim.lhs.terms[0], Fig)
-        and isinstance(claim.rhs.terms[0], Fig)
-    ):
+    pair = _fig_pair(claim)
+    if pair is None:
         raise NotComplements("I43 equates two named figures")
-    f1 = claim.lhs.terms[0].name.letters
-    f2 = claim.rhs.terms[0].name.letters
+    f1, f2 = (t.name.letters for t in pair)
     r1 = ctx.region(f1)
     r2 = ctx.region(f2)
-    b1 = _poly_box(r1)
-    b2 = _poly_box(r2)
+    b1 = geo.box_of(r1)
+    b2 = geo.box_of(r2)
     if b1 is None or b2 is None:
         raise NotComplements("complements must be rectangles")
     # shared corner
-    k1 = {(cr.exact_key(p[0]), cr.exact_key(p[1])): p for p in r1}
-    k2 = {(cr.exact_key(p[0]), cr.exact_key(p[1])): p for p in r2}
-    shared = set(k1) & set(k2)
+    k1 = {geo.point_key(p): p for p in r1}
+    shared = set(k1) & set(map(geo.point_key, r2))
     if len(shared) != 1:
         raise NotComplements("the two figures do not meet in exactly one corner")
     pk = shared.pop()
@@ -840,16 +760,6 @@ def rule_I43(ctx: RuleContext, claim, premises) -> StepOutcome:
     return StepOutcome(claim, (), cert)
 
 
-def _poly_box(poly):
-    if len(poly) != 4:
-        return None
-    xs = geo._sorted_unique([p[0] for p in poly])
-    ys = geo._sorted_unique([p[1] for p in poly])
-    if len(xs) != 2 or len(ys) != 2:
-        return None
-    return (xs[0], ys[0], xs[1], ys[1])
-
-
 def _opposite_corner(box, p):
     x1, y1, x2, y2 = box
     ox = x1 if geo.cmp(p[0], x1) != 0 else x2
@@ -873,7 +783,7 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
         pairs = _naming_pairs(premises)
         if len(pairs) == 2:
             (fig1, t1), (fig2, t2) = pairs
-            if T._term_key(t1) != T._term_key(t2):
+            if t1 != t2:
                 raise DistinctTargets(
                     f"{T.term_text(t1)} and {T.term_text(t2)} differ (operand order counts)"
                 )
@@ -888,14 +798,10 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
         p = premises[0]
         if not isinstance(p, Eq):
             raise NoMatch("single-premise DOUBLE needs an equality")
-        if (
-            len(p.lhs.terms) == 1
-            and len(p.rhs.terms) == 1
-            and isinstance(p.lhs.terms[0], Fig)
-            and isinstance(p.rhs.terms[0], Fig)
-        ):
-            f1, f2 = p.lhs.terms[0], p.rhs.terms[0]
-            for doubled in (f1, f2):
+        pair = _fig_pair(p)
+        if pair is not None:
+            f1, f2 = pair
+            for doubled in pair:
                 derived = Eq(term_sum([f1, f2]), term_sum([Multiple(2, doubled)]))
                 if stmt_equal(derived, claim):
                     return StepOutcome(derived, flags)
@@ -915,7 +821,7 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
 def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("MERGE concludes an equality")
-    eqs = [_lift_naming(p) for p in premises]
+    eqs = [lift_naming(p) for p in premises]
     if not all(isinstance(p, Eq) for p in eqs):
         raise NoMatch("MERGE premises must be equalities or namings")
     if not eqs:
@@ -923,8 +829,7 @@ def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
     if len(eqs) == 1:
         _match_claim(eqs[0], claim)
         return StepOutcome(eqs[0], ("aggregation",))
-    target_l = _multiset(claim.lhs)
-    orientation = _find_merge_orientation(eqs, target_l)
+    orientation = _find_merge_orientation(eqs, Counter(claim.lhs.terms))
     if orientation is None:
         raise NoMatch("no orientation of the premises aggregates to the claim")
     lefts, rights = orientation
@@ -934,16 +839,11 @@ def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
     )
     _match_claim(derived, claim)
     # disjointness of the left-hand figure multisets
-    seen: dict = {}
-    overlap = False
-    for s in lefts:
-        for t in s.terms:
-            if isinstance(t, Fig):
-                k = T._term_key(t)
-                if k in seen:
-                    raise OverlapWithoutFlag(f"figure {t.name.letters} aggregated twice")
-                seen[k] = t
     figs = [t for s in lefts for t in s.terms if isinstance(t, Fig)]
+    for t, n in Counter(figs).items():
+        if n > 1:
+            raise OverlapWithoutFlag(f"figure {t.name.letters} aggregated twice")
+    overlap = False
     for i in range(len(figs)):
         for j in range(i + 1, len(figs)):
             pi_ = ctx.region(figs[i].name.letters)
@@ -964,12 +864,7 @@ def _find_merge_orientation(eqs, target_l, chosen=None):
     if chosen is None:
         chosen = []
     if len(chosen) == len(eqs):
-        ms: dict = {}
-        for s, _ in chosen:
-            ms = _ms_union(ms, _multiset(s))
-        if sorted(ms.keys()) == sorted(target_l.keys()) and all(
-            ms[k][0] == target_l[k][0] for k in ms
-        ):
+        if sum((Counter(s.terms) for s, _ in chosen), Counter()) == target_l:
             return [s for s, _ in chosen], [o for _, o in chosen]
         return None
     nxt = eqs[len(chosen)]
@@ -983,17 +878,10 @@ def _find_merge_orientation(eqs, target_l, chosen=None):
 def rule_BM(ctx: RuleContext, claim, premises) -> StepOutcome:
     """Congruent-by-construction rectangles are equal; only available under
     the bm-dissection profile."""
-    if not (
-        isinstance(claim, Eq)
-        and len(claim.lhs.terms) == 1
-        and len(claim.rhs.terms) == 1
-        and isinstance(claim.lhs.terms[0], Fig)
-        and isinstance(claim.rhs.terms[0], Fig)
-    ):
+    pair = _fig_pair(claim)
+    if pair is None:
         raise NoMatch("BM equates two named rectangles")
-    r1 = ctx.region(claim.lhs.terms[0].name.letters)
-    r2 = ctx.region(claim.rhs.terms[0].name.letters)
-    b1, b2 = _poly_box(r1), _poly_box(r2)
+    b1, b2 = (geo.box_of(ctx.region(t.name.letters)) for t in pair)
     if b1 is None or b2 is None:
         raise NoMatch("BM applies to axis-aligned rectangles")
     def dims(b):
@@ -1060,11 +948,7 @@ def _resolve_premises(ctx: RuleContext, script: sc.Script, step, prior: dict):
             if ctx.fb.has(stmt):
                 resolved.append(_ResolvedPremise(stmt, False))
                 continue
-            if isinstance(stmt, (Pi, IsSq)) or (
-                isinstance(stmt, Eq)
-                and len(stmt.lhs.terms) == 1
-                and len(stmt.rhs.terms) == 1
-            ):
+            if isinstance(stmt, (Pi, IsSq)) or _single_terms(stmt) is not None:
                 try:
                     rule_NAME(ctx, stmt)
                     resolved.append(_ResolvedPremise(stmt, True))
@@ -1106,7 +990,7 @@ def check_proof(
 
     try:
         inst = instance if instance is not None else dg.realize(script)
-    except Exception as exc:
+    except Euclid2Error as exc:
         return reject(0, f"RealizeFailed: {exc}")
 
     fb = FactBase(inst)
@@ -1116,7 +1000,7 @@ def check_proof(
         try:
             if not dg.statement_holds(inst, h.stmt):
                 return reject(0, f"HypothesisFalse: h{h.index}")
-        except Exception as exc:
+        except Euclid2Error as exc:
             return reject(0, f"HypothesisUnverifiable: h{h.index}: {exc}")
         fb.add(h.stmt, f"hypothesis:h{h.index}")
         report.hypotheses.append((f"h{h.index}", stmt_text(h.stmt), h.flag))

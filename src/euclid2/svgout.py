@@ -14,6 +14,7 @@ from . import diagram as dg
 from . import geometry as geo
 from . import script as sc
 from .errors import Euclid2Error
+from .terms import Eq, Fig, Multiple
 
 SCALE = 100
 PAD = Fraction(2, 5)  # diagram units of padding
@@ -116,16 +117,14 @@ def render_svg(
         out.append("  </g>")
     ve_figures: list[str] = []
     if report is not None:
+        claims = {step.index: step.claim for step in script.steps}
         for step in report.steps:
-            if step.rule == "VE":
-                from .terms import Eq, Fig, Multiple, parse_statement
-
-                stmt = parse_statement(step.statement)
-                if isinstance(stmt, Eq):
-                    for t in stmt.lhs.terms + stmt.rhs.terms:
-                        inner = t.inner if isinstance(t, Multiple) else t
-                        if isinstance(inner, Fig) and inner.name.letters not in ve_figures:
-                            ve_figures.append(inner.name.letters)
+            stmt = claims[step.index]
+            if step.rule == "VE" and isinstance(stmt, Eq):
+                for t in stmt.lhs.terms + stmt.rhs.terms:
+                    inner = t.inner if isinstance(t, Multiple) else t
+                    if isinstance(inner, Fig) and inner.name.letters not in ve_figures:
+                        ve_figures.append(inner.name.letters)
     if ve_figures:
         out.append(
             '  <g id="ve-figures" stroke="#aa1111" stroke-width="2.5" '

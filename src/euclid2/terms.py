@@ -258,6 +258,17 @@ def stmt_key(s: Statement):
     raise TypeError(s)
 
 
+def lift_naming(p: Statement) -> Statement:
+    """A naming statement as the equality it states: `F pi X x Y` is
+    fig(F) = rect(X,Y) and `F on X` is fig(F) = sq(X).  Other statements
+    are returned unchanged."""
+    if isinstance(p, Pi):
+        return Eq(term_sum([Fig(p.figure)]), term_sum([RectBy(p.first, p.second)]))
+    if isinstance(p, IsSq):
+        return Eq(term_sum([Fig(p.figure)]), term_sum([SquareOn(p.side)]))
+    return p
+
+
 def stmt_equal(a: Statement, b: Statement) -> bool:
     """Syntactic identity modulo segment-endpoint order, term-multiset order,
     symmetry of `=` and `==`, and arm order of right angles.  Rect operand

@@ -203,6 +203,48 @@ def test_malformed_gnomon_is_a_diagram_error(command, tmp_path, capsys):
         assert err == f"diorismos: oracle error: no valid parameter draw after 50 tries: {reason}\n"
 
 
+ZERO_BASE = """prop zero-base
+points A B C D E O
+construct:
+  place AB = 1
+  cuthalf C on AB
+  cuthalf D on AB
+  cuthalf O on AB
+  semicircle on AB center O above
+  {construction}
+claim: sq(AB) = sq(AB)
+proof:
+  1. sq(AB) = sq(AB) ; R2 [AB == AB]
+qed
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "render", "oracle"])
+@pytest.mark.parametrize(
+    "construction",
+    [
+        "extend CD to E by 1",
+        "extend CD to E with EB = AB",
+        "intersect E = line CD x circle O above",
+    ],
+)
+def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, capsys):
+    """C and D are both the midpoint of AB, so the line CD has no length to
+    scale by and no direction to intersect along."""
+    bad = tmp_path / "zero.e2p"
+    bad.write_text(ZERO_BASE.format(construction=construction))
+    code, out, err = run_cli([command, str(bad)], capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    reason = "segment CD has zero length"
+    if command == "check":
+        assert f"Rejected at step 0: RealizeFailed: {reason}" in out
+    elif command == "render":
+        assert err == f"realize failed: {reason}\n"
+    else:
+        assert err == f"diorismos: oracle error: no valid parameter draw after 50 tries: {reason}\n"
+
+
 @pytest.mark.parametrize(
     "flags", [["--samples", "0"], ["--samples", "-3"], ["--tol", "abc"]]
 )

@@ -70,6 +70,15 @@ def test_gnomon_polygon():
         geo.gnomon_polygon(outer, box(1, 1, 2, 2))
 
 
+def test_box_of():
+    assert [v.rat for v in geo.box_of(box(0, 0, 2, 1))] == [0, 0, 2, 1]
+    turned = (P(2, 1), P(0, 1), P(0, 0), P(2, 0))
+    assert [v.rat for v in geo.box_of(turned)] == [0, 0, 2, 1]
+    gnomon = geo.gnomon_polygon(box(0, 0, 4, 4), box(0, 0, 1, 1))
+    assert geo.box_of(gnomon) is None
+    assert geo.box_of((P(0, 0), P(2, 0), P(3, 1), P(0, 1))) is None
+
+
 def test_gnomon_coverage():
     outer = box(0, 0, 4, 4)
     corner = box(3, 3, 4, 4)

@@ -12,6 +12,7 @@ from euclid2.errors import (
     NoMatch,
     NoRightAngle,
     NotComplements,
+    OverlapWithoutFlag,
     UnknownName,
     VEFailed,
 )
@@ -209,6 +210,33 @@ def test_cn3_example():
         rules.rule_CN3(c, ps("sq(A) = sq(B)"), [ps("sq(AB) = sq(CD)")])
 
 
+def test_cn3_removes_common_terms_with_multiplicity():
+    c = dummy_ctx()
+    out = rules.rule_CN3(
+        c, ps("sq(A) + sq(B) = sq(C)"), [ps("sq(A) + sq(A) + sq(B) = sq(A) + sq(C)")]
+    )
+    assert T.stmt_equal(out.derived, ps("sq(A) + sq(B) = sq(C)"))
+
+
+def test_cn2_single_premise_counts_repeated_terms():
+    c = dummy_ctx()
+    claim = ps("sq(A) + sq(C) + sq(C) = sq(B) + sq(C) + sq(C)")
+    out = rules.rule_CN2(c, claim, [ps("sq(A) = sq(B)")])
+    assert T.stmt_equal(out.derived, claim)
+    # the premise side sq(A) + sq(A) is not contained in sq(A) + sq(D)
+    with pytest.raises(NoMatch):
+        rules.rule_CN2(
+            c,
+            ps("sq(A) + sq(D) = sq(B) + sq(C) + sq(D)"),
+            [ps("sq(A) + sq(A) = sq(B) + sq(C)")],
+        )
+    # two copies of sq(C) added on the left, one on the right
+    with pytest.raises(NoMatch):
+        rules.rule_CN2(
+            c, ps("sq(A) + sq(C) + sq(C) = sq(B) + sq(C)"), [ps("sq(A) = sq(B)")]
+        )
+
+
 # ---------------------------------------------------------------------------
 # diagram-backed rules
 
@@ -291,8 +319,35 @@ def test_merge_unbound_figure_is_not_skipped(ii4):
         )
 
 
+def test_merge_rejects_a_figure_aggregated_twice(ii4):
+    with pytest.raises(OverlapWithoutFlag, match="HF aggregated twice"):
+        rules.rule_MERGE(
+            ii4,
+            ps("fig(HF) + fig(HF) = sq(AC) + sq(AC)"),
+            [ps("fig(HF) = sq(AC)"), ps("fig(HF) = sq(AC)")],
+        )
+
+
 # ---------------------------------------------------------------------------
 # checker-level invariants
+
+
+@pytest.mark.parametrize(
+    "hypothesis, verdict",
+    [
+        ("BH pi GB x BC", None),
+        ("BH pi GB x BD", "HypothesisFalse: h1"),
+        ("BK on BD", "HypothesisFalse: h1"),
+    ],
+)
+def test_naming_hypothesis_is_checked_as_its_equality(hypothesis, verdict):
+    """A naming-form hypothesis holds when the area equality it states does."""
+    text = corpusdata.read_script_text("II_1.e2p").replace(
+        "claim:", f"hypothesis {hypothesis} ; flag x\nclaim:", 1
+    )
+    report = rules.check_proof(sc.parse_script(text))
+    assert report.reject_cause == verdict
+    assert report.accepted == (verdict is None)
 
 
 def all_default_entries():
