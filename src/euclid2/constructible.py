@@ -1,16 +1,17 @@
 """Constructible reals: exact values, and expression DAGs for the rest.
 
-Values built from rationals with +, -, *, / fold to exact rationals.  A
-single square root of a rational folds to an exact quadratic form
-a + b*sqrt(r) (r a squarefree integer), and arithmetic stays exact inside
-that field; sign queries on such values are decided exactly.  Exact values
-are plain values: equality is decided by `exact_key`, never by object
-identity.  Everything else (nested or mixed radicals) is a radical node.
-Radical nodes are shared through a weak table, so equal constructions give
-one node while any caller holds it, and the table never outlives its users.
-Their signs fall back to interval refinement with outward-rounded dyadic
-endpoints, doubling precision until the sign is separated or the bit
-budget runs out.
+Values built from rationals with +, -, *, / fold to exact rationals; an
+operation on two rationals is plain `Fraction` arithmetic, before any
+other path.  A single square root of a rational folds to an exact
+quadratic form a + b*sqrt(r) (r a squarefree integer), and arithmetic
+stays exact inside that field; sign queries on such values are decided
+exactly.  Exact values are plain values: equality is decided by
+`exact_key`, never by object identity.  Everything else (nested or mixed
+radicals) is a radical node.  Radical nodes are shared through a weak
+table, so equal constructions give one node while any caller holds it, and
+the table never outlives its users.  Their signs fall back to interval
+refinement with outward-rounded dyadic endpoints, doubling precision until
+the sign is separated or the bit budget runs out.
 """
 
 from __future__ import annotations
@@ -178,15 +179,12 @@ def _intern(kind, args) -> Expr:
 
 
 def const(q) -> Expr:
-    return Expr("rat", (), Fraction(q), None)
+    return Expr("rat", (), q if type(q) is Fraction else Fraction(q), None)
 
 
 def _mk_quad(a: Fraction, b: Fraction, r: int) -> Expr:
+    """a + b*sqrt(r) for squarefree r >= 2."""
     if b == 0:
-        return const(a)
-    if r == 1:
-        return const(a + b)
-    if r == 0:
         return const(a)
     return Expr("quad", (), None, (a, b, r))
 
@@ -196,6 +194,8 @@ ONE = const(1)
 
 
 def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
+    """x op y inside one quadratic field, or None.  `_binop` combines two
+    rationals itself, so at least one operand here has a radicand r >= 2."""
     ex, ey = x.exact_pair() if x.is_exact else None, y.exact_pair() if y.is_exact else None
     if ex is None or ey is None:
         return None
@@ -220,12 +220,21 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
         b = (b1 * a2 - a1 * b2) / den
     else:  # pragma: no cover
         raise AssertionError(kind)
-    if b == 0:
-        return const(a)
     return _mk_quad(a, b, r)
 
 
 def _binop(kind, x: Expr, y: Expr) -> Expr:
+    a, b = x.rat, y.rat
+    if a is not None and b is not None:
+        if kind == "add":
+            return Expr("rat", (), a + b, None)
+        if kind == "sub":
+            return Expr("rat", (), a - b, None)
+        if kind == "mul":
+            return Expr("rat", (), a * b, None)
+        if b == 0:
+            raise ZeroDivisionError("division by exact zero")
+        return Expr("rat", (), a / b, None)
     folded = _exact_combine(kind, x, y)
     if folded is not None:
         return folded

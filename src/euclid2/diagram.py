@@ -189,7 +189,7 @@ class _Builder:
         p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
         t = self.length(cmd.at)
         plen = self.inst.seg_len(Segment(cmd.on[0], cmd.on[1]))
-        if geo.sign(cr.sub(plen, t)) <= 0:
+        if geo.cmp(plen, t) <= 0:
             raise InvalidParam(
                 f"cut {cmd.point} at {cmd.at.text()} falls outside {cmd.on[0]}{cmd.on[1]}"
             )
@@ -341,7 +341,7 @@ class _Builder:
         a, b = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
         if not geo.collinear(a, b, p):
             raise InvalidParam(f"{cmd.frm} is not on line {cmd.on[0]}{cmd.on[1]}")
-        if geo.sign(cr.sub(a[1], b[1])) != 0:
+        if geo.cmp(a[1], b[1]) != 0:
             raise InvalidParam("perp from a non-horizontal base is not supported")
         L = self.length(cmd.length)
         n = (p[0], cr.add(p[1], L) if cmd.side == "above" else cr.sub(p[1], L))
@@ -506,14 +506,14 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
     statement holds when the equality it states does."""
     stmt = lift_naming(stmt)
     if isinstance(stmt, SegEq):
-        return geo.sign(cr.sub(inst.seg_len2(stmt.a), inst.seg_len2(stmt.b))) == 0
+        return geo.cmp(inst.seg_len2(stmt.a), inst.seg_len2(stmt.b)) == 0
     if isinstance(stmt, RightAngle):
         v = inst.point(stmt.vertex)
         a = inst.point(stmt.arm1)
         bpt = inst.point(stmt.arm2)
         return geo.sign(geo.dot(geo.sub2(a, v), geo.sub2(bpt, v))) == 0
     if isinstance(stmt, Eq):
-        return geo.sign(cr.sub(sum_value(inst, stmt.lhs), sum_value(inst, stmt.rhs))) == 0
+        return geo.cmp(sum_value(inst, stmt.lhs), sum_value(inst, stmt.rhs)) == 0
     raise TypeError(f"cannot evaluate {stmt!r} numerically")
 
 
@@ -545,7 +545,7 @@ def _derive_cell_facts(inst: DiagramInstance):
             (tl, bl, tr),
         ):
             _emit(inst, RightAngle(vertex, p, q), "ParallelogramRight")
-        if geo.sign(cr.sub(cr.sub(x2, x1), cr.sub(y2, y1))) == 0:
+        if geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0:
             diag1 = ((x1, y1), (x2, y2))
             diag2 = ((x2, y1), (x1, y2))
             if drawn.segment_drawn(*diag1) or drawn.segment_drawn(*diag2):
@@ -643,4 +643,4 @@ def equal_content(inst: DiagramInstance, p: list[str], q: list[str]) -> bool:
     total_q = cr.ZERO
     for name in q:
         total_q = cr.add(total_q, geo.area(figure_region(inst, name)))
-    return geo.sign(cr.sub(total_p, total_q)) == 0
+    return geo.cmp(total_p, total_q) == 0

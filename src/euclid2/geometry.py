@@ -32,6 +32,10 @@ def sign(x: Expr) -> int:
 
 
 def cmp(a: Expr, b: Expr) -> int:
+    """-1, 0 or +1 as a <, = or > b; two rationals are compared directly."""
+    p, q = a.rat, b.rat
+    if p is not None and q is not None:
+        return 0 if p == q else 1 if p > q else -1
     return sign(cr.sub(a, b))
 
 
@@ -239,7 +243,17 @@ def coverage_equal(
 
 
 def polys_overlap(a: Polygon, b: Polygon) -> bool:
-    """True iff the interiors intersect (positive-area overlap)."""
+    """True iff the interiors intersect (positive-area overlap).  Two
+    axis-aligned boxes overlap iff their open extents overlap on both axes;
+    any other pair goes through the full arrangement."""
+    box_a, box_b = box_of(a), box_of(b)
+    if box_a is not None and box_b is not None:
+        ax1, ay1, ax2, ay2 = box_a
+        bx1, by1, bx2, by2 = box_b
+        return (
+            cmp(ax1, bx2) < 0 and cmp(bx1, ax2) < 0
+            and cmp(ay1, by2) < 0 and cmp(by1, ay2) < 0
+        )
     res = coverage_equal([(a, 1), (b, 1)], [])
     # res.equal is False unless both are empty; we want max multiplicity
     return res.max_multiplicity >= 2
@@ -349,14 +363,15 @@ def normalized_box(p: Pt, q: Pt) -> tuple[Expr, Expr, Expr, Expr] | None:
 
 def box_of(poly: Polygon) -> tuple[Expr, Expr, Expr, Expr] | None:
     """(x1, y1, x2, y2) with x1 < x2 and y1 < y2 when the quadrilateral is
-    an axis-aligned box, else None."""
+    an axis-aligned box whose sides are its edges, else None.  The edges
+    must alternate between horizontal and vertical, so a crossed
+    quadrilateral on the four corners (a bowtie) is not a box."""
     if len(poly) != 4:
         return None
-    xs = _sorted_unique([p[0] for p in poly])
-    ys = _sorted_unique([p[1] for p in poly])
-    if len(xs) != 2 or len(ys) != 2:
+    kinds = [is_axis_segment(poly[i - 1], poly[i]) for i in range(4)]
+    if kinds not in (["h", "v", "h", "v"], ["v", "h", "v", "h"]):
         return None
-    return (xs[0], ys[0], xs[1], ys[1])
+    return normalized_box(poly[0], poly[2])
 
 
 def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:

@@ -240,6 +240,14 @@ def _draw_params(script: sc.Script, rng: random.Random) -> dict[str, Fraction]:
 def sample_instance(
     script: sc.Script, rng: random.Random, retries: int = 50
 ) -> tuple[dg.DiagramInstance, dict[str, Fraction]]:
+    """Realize the script at a random parameter draw, retrying failed draws.
+    A script without parameters gives the same diagram on every draw, so
+    its first failure is final."""
+    if not script.params:
+        try:
+            return dg.realize(script, {}), {}
+        except DiagramError as exc:
+            raise RealizeFailed(f"realize failed: {exc}") from exc
     last = None
     for _ in range(retries):
         params = _draw_params(script, rng)
@@ -250,18 +258,24 @@ def sample_instance(
     raise RealizeFailed(f"no valid parameter draw after {retries} tries: {last}")
 
 
-def _holds_numeric(inst: dg.DiagramInstance, stmt: T.Eq, tol: Fraction) -> bool:
+def _evaluate_sample(
+    inst: dg.DiagramInstance, stmt: T.Eq, tol: Fraction
+) -> tuple[bool, Fraction, Fraction]:
+    """(holds within tol, lhs midpoint, rhs midpoint) in one realized
+    instance; each side is evaluated once."""
     lhs = dg.sum_value(inst, stmt.lhs)
     rhs = dg.sum_value(inst, stmt.rhs)
+    lhs_mid = cr.midpoint(lhs, 128)
     diff = cr.sub(lhs, rhs)
-    scale = max(Fraction(1), abs(cr.midpoint(lhs, 128)))
-    budget = tol * scale
-    if diff.is_exact:
-        if diff.rat is not None:
-            return abs(diff.rat) <= budget
-        return abs(cr.midpoint(diff, 256)) <= budget
-    lo, hi = diff.interval(256)
-    return max(abs(lo), abs(hi)) <= budget
+    budget = tol * max(Fraction(1), abs(lhs_mid))
+    if diff.rat is not None:
+        err = abs(diff.rat)
+    elif diff.quad is not None:
+        err = abs(cr.midpoint(diff, 256))
+    else:
+        lo, hi = diff.interval(256)
+        err = max(abs(lo), abs(hi))
+    return err <= budget, lhs_mid, cr.midpoint(rhs, 128)
 
 
 def check_numeric_detailed(
@@ -280,13 +294,13 @@ def check_numeric_detailed(
     records = []
     for k in range(samples):
         inst, params = sample_instance(script, rng)
-        ok = _holds_numeric(inst, stmt, tol)
+        ok, lhs, rhs = _evaluate_sample(inst, stmt, tol)
         records.append(
             {
                 "sample": k,
                 "params": {n: T.rational_text(v) for n, v in params.items()},
-                "lhs": float(cr.midpoint(dg.sum_value(inst, stmt.lhs), 128)),
-                "rhs": float(cr.midpoint(dg.sum_value(inst, stmt.rhs), 128)),
+                "lhs": float(lhs),
+                "rhs": float(rhs),
                 "ok": ok,
             }
         )

@@ -625,7 +625,7 @@ def _require_square(poly, letters):
         raise NameMismatch(f"{letters} is not a quadrilateral")
     sides = [geo.dist2(poly[i], poly[(i + 1) % 4]) for i in range(4)]
     for i in range(1, 4):
-        if geo.sign(cr.sub(sides[0], sides[i])) != 0:
+        if geo.cmp(sides[0], sides[i]) != 0:
             raise NameMismatch(f"{letters} is not equilateral")
     for i in range(4):
         u = geo.sub2(poly[(i + 1) % 4], poly[i])
@@ -890,9 +890,9 @@ def rule_BM(ctx: RuleContext, claim, premises) -> StepOutcome:
         return w, h
     w1, h1 = dims(b1)
     w2, h2 = dims(b2)
-    same = (
-        geo.sign(cr.sub(w1, w2)) == 0 and geo.sign(cr.sub(h1, h2)) == 0
-    ) or (geo.sign(cr.sub(w1, h2)) == 0 and geo.sign(cr.sub(h1, w2)) == 0)
+    same = (geo.cmp(w1, w2) == 0 and geo.cmp(h1, h2) == 0) or (
+        geo.cmp(w1, h2) == 0 and geo.cmp(h1, w2) == 0
+    )
     if not same:
         raise NoMatch("rectangles are not congruent")
     return StepOutcome(claim, ("bm-dissection",))

@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 import subprocess
 from pathlib import Path
@@ -7,6 +8,10 @@ import jsonschema
 import pytest
 
 from euclid2 import cli, corpusdata
+from euclid2 import diagram as dg
+from euclid2 import oracle as orc
+from euclid2 import script as sc
+from euclid2.errors import RealizeFailed
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "euclid2" / "corpus"
 
@@ -242,7 +247,19 @@ def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, ca
     elif command == "render":
         assert err == f"realize failed: {reason}\n"
     else:
-        assert err == f"diorismos: oracle error: no valid parameter draw after 50 tries: {reason}\n"
+        assert err == f"diorismos: oracle error: realize failed: {reason}\n"
+
+
+def test_parameter_free_script_is_realized_once(monkeypatch):
+    """Without `param` lines every draw gives the same diagram, so the
+    oracle's first failed realize is final."""
+    script = sc.parse_script(ZERO_BASE.format(construction="extend CD to E by 1"))
+    calls = []
+    realize = dg.realize
+    monkeypatch.setattr(dg, "realize", lambda *args: calls.append(args) or realize(*args))
+    with pytest.raises(RealizeFailed, match="^realize failed: segment CD has zero length$"):
+        orc.sample_instance(script, random.Random(0))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
 from euclid2 import corpusdata, rules
@@ -110,6 +112,51 @@ def test_undecidable_at_budget():
 def test_division_by_exact_zero_raises():
     with pytest.raises(ZeroDivisionError):
         cr.div(cr.ONE, cr.sub(cr.const(2), cr.const(2)))
+
+
+_big = st.integers(-(10**30), 10**30)
+_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(max_denominator=10**12),
+    st.builds(Fraction, _big, st.integers(1, 10**30)),
+    _big.map(Fraction),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals)
+def test_rational_arithmetic_is_fraction_arithmetic(p, q):
+    a, b = cr.const(p), cr.const(q)
+    assert cr.add(a, b).rat == p + q
+    assert cr.sub(a, b).rat == p - q
+    assert cr.mul(a, b).rat == p * q
+    if q == 0:
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            cr.div(a, b)
+    else:
+        assert cr.div(a, b).rat == p / q
+
+
+@st.composite
+def _values(draw):
+    """A rational, a Q(sqrt r) value, or a radical node (degree 4 over Q)."""
+    q = draw(st.fractions(min_value=-5, max_value=5, max_denominator=10**6))
+    kind = draw(st.sampled_from(["rat", "quad", "node"]))
+    if kind == "rat":
+        return cr.const(q)
+    r = cr.sqrt(cr.const(draw(st.sampled_from([2, 3, 5]))))
+    if kind == "quad":
+        return cr.add(cr.const(q), cr.mul(cr.const(draw(st.integers(-3, 3))), r))
+    k = draw(st.integers(2, 5))
+    return cr.add(cr.const(q), cr.sqrt(cr.add(cr.const(k), r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values(), _values())
+def test_cmp_is_the_sign_of_the_difference(a, b):
+    assert geo.cmp(a, b) == geo.sign(cr.sub(a, b))
+    assert geo.cmp(b, a) == -geo.cmp(a, b)
+    assert geo.cmp(a, a) == 0
 
 
 def _random_expr(rng: random.Random, depth: int):

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
+from euclid2 import corpusdata, rules
 from euclid2 import geometry as geo
+from euclid2 import script as sc
 from euclid2.errors import InvalidParam
 
 
@@ -58,6 +62,89 @@ def test_coverage_with_multiplicity():
 def test_polys_overlap():
     assert geo.polys_overlap(box(0, 0, 2, 2), box(1, 1, 3, 3))
     assert not geo.polys_overlap(box(0, 0, 1, 1), box(1, 0, 2, 1))
+
+
+def _arrangement_overlap(a, b):
+    return geo.coverage_equal([(a, 1), (b, 1)], []).max_multiplicity >= 2
+
+
+@pytest.mark.parametrize(
+    "a, b, overlap",
+    [
+        ((0, 0, 1, 1), (1, 0, 2, 1), False),  # shared edge
+        ((0, 0, 1, 1), (1, 1, 2, 2), False),  # shared corner
+        ((0, 0, 4, 4), (1, 1, 2, 2), True),  # nested
+        ((0, 0, 1, 2), (0, 0, 1, 2), True),  # identical
+        ((0, 0, 1, 1), (3, 0, 4, 1), False),  # disjoint
+        ((0, 0, 2, 2), (1, 1, 3, 3), True),  # corners overlap
+        ((0, 0, 4, 1), (1, -1, 2, 3), True),  # a cross
+    ],
+)
+def test_box_overlap_pinned(a, b, overlap):
+    pa, pb = box(*a), box(*b)
+    assert geo.polys_overlap(pa, pb) is overlap
+    assert geo.polys_overlap(pb, pa) is overlap
+    assert _arrangement_overlap(pa, pb) is overlap
+
+
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def boxes(draw):
+    x1, x2 = sorted(draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+    poly = box(x1, y1, x2, y2)
+    # any start corner and either orientation
+    k = draw(st.integers(0, 3))
+    poly = poly[k:] + poly[:k]
+    return poly[::-1] if draw(st.booleans()) else poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), boxes())
+def test_box_overlap_equals_the_arrangement(a, b):
+    assert geo.box_of(a) is not None and geo.box_of(b) is not None
+    assert geo.polys_overlap(a, b) is _arrangement_overlap(a, b)
+
+
+def test_crossed_quadrilateral_is_not_a_box():
+    """A bowtie on the four corners of a box covers two triangles, not the
+    box, so it must not take the box test."""
+    bowtie = (P(0, 0), P(2, 2), P(2, 0), P(0, 2))
+    assert geo.box_of(bowtie) is None
+    assert geo.polys_overlap(bowtie, box("1/2", "1/4", "3/2", "1/2")) is False
+    assert geo.polys_overlap(bowtie, box(0, "3/2", 2, 2)) is True
+    degenerate = (P(0, 0), P(2, 0), P(0, 0), P(0, 2))
+    assert geo.box_of(degenerate) is None
+
+
+def test_merge_sends_no_box_pair_to_the_arrangement(monkeypatch):
+    """II.8's MERGE step tests 15 pairs of boxes for overlap; the box test
+    decides each of them without the full arrangement."""
+    overlap, coverage = geo.polys_overlap, geo.coverage_equal
+    overlaps, inside, arrangements = [], [], []
+
+    def counting_overlap(a, b):
+        overlaps.append((a, b))
+        inside.append(True)
+        try:
+            return overlap(a, b)
+        finally:
+            inside.pop()
+
+    def counting_coverage(lhs, rhs):
+        if inside:
+            arrangements.append(lhs)
+        return coverage(lhs, rhs)
+
+    monkeypatch.setattr(geo, "polys_overlap", counting_overlap)
+    monkeypatch.setattr(geo, "coverage_equal", counting_coverage)
+    report = rules.check_proof(sc.parse_script(corpusdata.read_script_text("II_8.e2p")))
+    assert report.accepted
+    assert len(overlaps) == 15
+    assert all(geo.box_of(a) and geo.box_of(b) for a, b in overlaps)
+    assert arrangements == []
 
 
 def test_gnomon_polygon():
