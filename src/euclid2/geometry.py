@@ -1,11 +1,16 @@
 """Exact polygon machinery: areas, point location, and the coverage check
 behind visual-evidence steps.
 
-Coverage equality is decided on the arrangement induced by all polygon
-edges: every trapezoid of the vertical-slab decomposition gets one interior
-sample point, and the multiplicity sums of both sides must agree on every
-sample.  With rational coordinates every predicate is exact; with radicals
-the comparisons go through sign refinement of constructible reals.
+Coverage equality has two exact paths, chosen by the input alone.  When
+every edge of every polygon is axis-parallel (Book II's rectangles, squares
+and gnomons), the multiplicity functions are constant on each cell of the
+compressed grid of distinct vertex x and y coordinates, so both sides are
+compared cell by cell there.  Any other input goes through the arrangement
+induced by all polygon edges: every trapezoid of the vertical-slab
+decomposition gets one interior sample point, and the multiplicity sums of
+both sides must agree on every sample.  With rational coordinates every
+predicate is exact; with radicals the comparisons go through sign
+refinement of constructible reals.
 """
 
 from __future__ import annotations
@@ -146,23 +151,27 @@ def coverage_multiplicity(polys: list[tuple[Polygon, int]], p: Pt) -> int:
     return sum(m for poly, m in polys if point_in_polygon(p, poly))
 
 
+def _locate(v: Expr, vals: list[Expr]) -> tuple[int, bool]:
+    """Binary search of v in the sorted distinct vals: (index, found)."""
+    lo, hi = 0, len(vals)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = cmp(v, vals[mid])
+        if c == 0:
+            return mid, True
+        if c < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, False
+
+
 def _sorted_unique(vals: list[Expr]) -> list[Expr]:
     out: list[Expr] = []
     for v in vals:
-        lo, hi = 0, len(out)
-        placed = False
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = cmp(v, out[mid])
-            if c == 0:
-                placed = True
-                break
-            if c < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if not placed:
-            out.insert(lo, v)
+        i, found = _locate(v, out)
+        if not found:
+            out.insert(i, v)
     return out
 
 
@@ -203,7 +212,92 @@ class CoverageResult:
 def coverage_equal(
     lhs: list[tuple[Polygon, int]], rhs: list[tuple[Polygon, int]]
 ) -> CoverageResult:
-    """True iff the two multiplicity functions agree everywhere off edges."""
+    """True iff the two multiplicity functions agree everywhere off edges.
+    Rectilinear input is decided on the compressed coordinate grid, any
+    other input on the slab arrangement; both give the same `equal`,
+    `exact` and `max_multiplicity`."""
+    polys = [p for p, _ in lhs] + [p for p, _ in rhs]
+    if all(_rectilinear(poly) for poly in polys):
+        return _grid_coverage(lhs, rhs)
+    return _arrangement_coverage(lhs, rhs)
+
+
+def _rectilinear(poly: Polygon) -> bool:
+    """True iff each vertex shares an x or a y with the next one: every
+    edge is axis-parallel or has zero length."""
+    return all(
+        cmp(a[0], b[0]) == 0 or cmp(a[1], b[1]) == 0
+        for a, b in zip(poly, poly[1:] + poly[:1])
+    )
+
+
+def _grid_axis(vals: list[Expr]) -> tuple[list[Expr], list[int]]:
+    """The sorted distinct values and the index of each input value among
+    them, found by binary search with `cmp`."""
+    uniq = _sorted_unique(vals)
+    return uniq, [_locate(v, uniq)[0] for v in vals]
+
+
+def _grid_coverage(
+    lhs: list[tuple[Polygon, int]], rhs: list[tuple[Polygon, int]]
+) -> CoverageResult:
+    """Coverage of rectilinear polygons on the grid of their distinct vertex
+    coordinates, where no edge passes through the inside of a cell.  A cell
+    is inside a polygon when an odd number of its vertical edges cross the
+    cell's row to the right of it: the crossing-to-+x rule of
+    `point_in_polygon`, so non-simple polygons agree with the arrangement.
+    The witness is the centre of the first differing cell in x-then-y
+    order."""
+    sides = [(p, m, 0) for p, m in lhs if p] + [(p, m, 1) for p, m in rhs if p]
+    exact = all(polygon_exact_rational(p) for p, _, _ in sides)
+    verts = [v for p, _, _ in sides for v in p]
+    xs, ixs = _grid_axis([v[0] for v in verts])
+    ys, iys = _grid_axis([v[1] for v in verts])
+    # cell (i, j) lies between xs[i], xs[i + 1] and ys[j], ys[j + 1]; its
+    # multiplicity on each side is cover[side][i * ny + j]
+    nx, ny = max(len(xs) - 1, 0), max(len(ys) - 1, 0)
+    cover = ([0] * (nx * ny), [0] * (nx * ny))
+    start = 0
+    for poly, m, side in sides:
+        n = len(poly)
+        px, py = ixs[start:start + n], iys[start:start + n]
+        start += n
+        # crossing[l * ny + j]: parity of vertical edges on line l over row j
+        crossing = [0] * (len(xs) * ny)
+        for k in range(n):
+            if px[k] == px[k - 1]:
+                lo, hi = sorted((py[k], py[k - 1]))
+                for j in range(px[k] * ny + lo, px[k] * ny + hi):
+                    crossing[j] ^= 1
+        cells = cover[side]
+        x0, x1 = min(px), max(px)
+        for j in range(min(py), max(py)):
+            inside = 0
+            for i in range(x1 - 1, x0 - 1, -1):
+                inside ^= crossing[(i + 1) * ny + j]
+                if inside:
+                    cells[i * ny + j] += m
+    left, right = cover
+    max_mult = max([0, *left, *right])
+    half = cr.const(Fraction(1, 2))
+    for c, (ml, mr) in enumerate(zip(left, right)):
+        if ml != mr:
+            i, j = divmod(c, ny)
+            centre = (
+                cr.mul(cr.add(xs[i], xs[i + 1]), half),
+                cr.mul(cr.add(ys[j], ys[j + 1]), half),
+            )
+            return CoverageResult(False, exact, max_mult, (centre, ml, mr))
+    return CoverageResult(True, exact, max_mult)
+
+
+def _arrangement_coverage(
+    lhs: list[tuple[Polygon, int]], rhs: list[tuple[Polygon, int]]
+) -> CoverageResult:
+    """Coverage on the vertical-slab arrangement of all edges and their
+    crossings: one sample point per trapezoid, located by
+    `point_in_polygon`.  Decides any polygons; the reference the grid path
+    must agree with."""
     all_polys = [p for p, _ in lhs] + [p for p, _ in rhs]
     exact = all(polygon_exact_rational(p) for p in all_polys)
     edges = [e for poly in all_polys for e in _edges(poly)]
@@ -243,20 +337,11 @@ def coverage_equal(
 
 
 def polys_overlap(a: Polygon, b: Polygon) -> bool:
-    """True iff the interiors intersect (positive-area overlap).  Two
-    axis-aligned boxes overlap iff their open extents overlap on both axes;
-    any other pair goes through the full arrangement."""
-    box_a, box_b = box_of(a), box_of(b)
-    if box_a is not None and box_b is not None:
-        ax1, ay1, ax2, ay2 = box_a
-        bx1, by1, bx2, by2 = box_b
-        return (
-            cmp(ax1, bx2) < 0 and cmp(bx1, ax2) < 0
-            and cmp(ay1, by2) < 0 and cmp(by1, ay2) < 0
-        )
-    res = coverage_equal([(a, 1), (b, 1)], [])
-    # res.equal is False unless both are empty; we want max multiplicity
-    return res.max_multiplicity >= 2
+    """True iff the interiors intersect (positive-area overlap): the pair
+    covers some point twice, which `coverage_equal` decides on the grid
+    (boxes and gnomons) or on the arrangement (shapes with a slanted
+    edge)."""
+    return coverage_equal([(a, 1), (b, 1)], []).max_multiplicity >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_polys_overlap():
 
 
 def _arrangement_overlap(a, b):
-    return geo.coverage_equal([(a, 1), (b, 1)], []).max_multiplicity >= 2
+    return geo._arrangement_coverage([(a, 1), (b, 1)], []).max_multiplicity >= 2
 
 
 @pytest.mark.parametrize(
@@ -120,31 +120,142 @@ def test_crossed_quadrilateral_is_not_a_box():
 
 
 def test_merge_sends_no_box_pair_to_the_arrangement(monkeypatch):
-    """II.8's MERGE step tests 15 pairs of boxes for overlap; the box test
-    decides each of them without the full arrangement."""
-    overlap, coverage = geo.polys_overlap, geo.coverage_equal
-    overlaps, inside, arrangements = [], [], []
-
-    def counting_overlap(a, b):
-        overlaps.append((a, b))
-        inside.append(True)
-        try:
-            return overlap(a, b)
-        finally:
-            inside.pop()
-
-    def counting_coverage(lhs, rhs):
-        if inside:
-            arrangements.append(lhs)
-        return coverage(lhs, rhs)
-
-    monkeypatch.setattr(geo, "polys_overlap", counting_overlap)
-    monkeypatch.setattr(geo, "coverage_equal", counting_coverage)
+    """II.8's MERGE step tests 15 pairs of boxes for overlap; the grid
+    decides each of them without the slab arrangement."""
+    overlaps = _count_calls(monkeypatch, "polys_overlap")
+    located = _count_calls(monkeypatch, "point_in_polygon")
+    crossed = _count_calls(monkeypatch, "_intersection_xs")
     report = rules.check_proof(sc.parse_script(corpusdata.read_script_text("II_8.e2p")))
     assert report.accepted
     assert len(overlaps) == 15
     assert all(geo.box_of(a) and geo.box_of(b) for a, b in overlaps)
-    assert arrangements == []
+    assert located == [] and crossed == []
+
+
+def test_grid_witness_is_the_first_differing_cell():
+    """Rectilinear coverage is decided cell by cell on the grid of vertex
+    coordinates; the witness is the centre of the first differing cell in
+    x-then-y order, with both multiplicities."""
+    res = geo.coverage_equal([(box(0, 0, 3, 2), 1)], [(box(0, 0, 1, 2), 1), (box(2, 1, 3, 2), 2)])
+    assert not res.equal and res.exact and res.max_multiplicity == 2
+    (x, y), ml, mr = res.witness
+    assert (x.rat, y.rat, ml, mr) == (Fraction(3, 2), Fraction(1, 2), 1, 0)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(geo, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(geo, name, counting)
+    return calls
+
+
+def test_corpus_sends_no_coverage_to_the_arrangement(monkeypatch):
+    """Every corpus coverage call (VE, and MERGE's overlap pairs of boxes
+    and gnomons) has only axis-parallel edges, so none of them samples
+    points or intersects edges; the verdicts stay those of expected.json."""
+    located = _count_calls(monkeypatch, "point_in_polygon")
+    crossed = _count_calls(monkeypatch, "_intersection_xs")
+    covered = _count_calls(monkeypatch, "coverage_equal")
+    for entry in corpusdata.all_entries() + corpusdata.negative_entries():
+        script = sc.parse_script(corpusdata.read_script_text(entry["file"]))
+        report = rules.check_proof(script, profile=entry["profile"])
+        assert report.verdict == entry["verdict"], entry["file"]
+    assert len(covered) == 58
+    assert located == [] and crossed == []
+
+
+def test_a_slanted_edge_takes_the_arrangement(monkeypatch):
+    """A triangle beside a box has a slanted edge, so the whole input goes
+    through the arrangement and gets its answer."""
+    crossed = _count_calls(monkeypatch, "_intersection_xs")
+    triangle = (P(0, 0), P(2, 0), P(0, 2))
+    beside = box(2, 0, 3, 1)
+    halves = [((P(0, 0), P(2, 0), P(2, 2)), 1), ((P(0, 0), P(2, 2), P(0, 2)), 1)]
+    assert geo.coverage_equal([(box(0, 0, 2, 2), 1)], halves).equal
+    res = geo.coverage_equal([(triangle, 1), (beside, 1)], [(triangle, 1)])
+    reference = geo._arrangement_coverage([(triangle, 1), (beside, 1)], [(triangle, 1)])
+    assert len(crossed) == 3
+    assert not res.equal and res.max_multiplicity == 1
+    assert (res.equal, res.exact, res.max_multiplicity) == (
+        reference.equal, reference.exact, reference.max_multiplicity)
+    (x, y), ml, mr = res.witness
+    assert (ml, mr) == (1, 0) and 2 < x.rat < 3 and 0 < y.rat < 1
+
+
+_S2 = cr.sqrt(cr.const(2))
+_RATIONAL = [cr.const(Fraction(k, 2)) for k in range(-2, 6)]
+_QUADRATIC = _RATIONAL[::2] + [cr.add(cr.const(k), _S2) for k in (-1, 0, 1)] + [
+    cr.div(_S2, cr.const(2))]
+
+
+@st.composite
+def rectilinear_sides(draw):
+    """Two sides of boxes, gnomons and L-shaped hexagons (which may be
+    degenerate or cross themselves) with multiplicities 1-3, on a few shared
+    rational or Q(sqrt 2) coordinates so that edges and corners coincide.
+    Half the time the right side re-expresses the left one (boxes split in
+    two, other shapes turned) and possibly adds a shape."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+
+    def coords(n):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n, unique=True))
+        return sorted((pool[i] for i in picks), key=geo.by_value)
+
+    def turned(poly):
+        k = draw(st.integers(0, len(poly) - 1))
+        poly = poly[k:] + poly[:k]
+        return poly[::-1] if draw(st.booleans()) else poly
+
+    def shape():
+        kind = draw(st.sampled_from(["box", "gnomon", "L"]))
+        if kind == "box":
+            (x1, x2), (y1, y2) = coords(2), coords(2)
+            return turned(geo.box_polygon(x1, y1, x2, y2))
+        if kind == "gnomon":
+            (x1, xm, x2), (y1, ym, y2) = coords(3), coords(3)
+            cx1, cx2 = draw(st.sampled_from([(x1, xm), (xm, x2)]))
+            cy1, cy2 = draw(st.sampled_from([(y1, ym), (ym, y2)]))
+            outer, corner = geo.box_polygon(x1, y1, x2, y2), geo.box_polygon(cx1, cy1, cx2, cy2)
+            return turned(geo.gnomon_polygon(outer, corner))
+        a, b, c, d, e, f = (draw(st.sampled_from(pool)) for _ in range(6))
+        return turned(((a, d), (c, d), (c, e), (b, e), (b, f), (a, f)))
+
+    def side(lo):
+        return [(shape(), draw(st.integers(1, 3))) for _ in range(draw(st.integers(lo, 2)))]
+
+    lhs = side(1)
+    if draw(st.booleans()):
+        return lhs, side(0)
+    rhs = []
+    for poly, m in lhs:
+        found, cut = geo.box_of(poly), draw(st.sampled_from(pool))
+        if found and geo.cmp(found[0], cut) < 0 and geo.cmp(cut, found[2]) < 0:
+            x1, y1, x2, y2 = found
+            rhs += [(geo.box_polygon(x1, y1, cut, y2), m), (geo.box_polygon(cut, y1, x2, y2), m)]
+        else:
+            rhs.append((turned(poly), m))
+    return lhs, rhs + side(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectilinear_sides())
+def test_grid_coverage_equals_the_arrangement(sides):
+    lhs, rhs = sides
+    grid = geo.coverage_equal(lhs, rhs)
+    reference = geo._arrangement_coverage(lhs, rhs)
+    assert grid.equal is reference.equal
+    assert grid.exact is reference.exact
+    assert grid.max_multiplicity == reference.max_multiplicity
+    if not grid.equal:
+        point, ml, mr = grid.witness
+        assert ml != mr
+        assert geo.coverage_multiplicity(lhs, point) == ml
+        assert geo.coverage_multiplicity(rhs, point) == mr
 
 
 def test_gnomon_polygon():
