@@ -346,6 +346,13 @@ def polys_overlap(a: Polygon, b: Polygon) -> bool:
 
 # ---------------------------------------------------------------------------
 # axis-aligned boxes, drawn-side coverage, elementary cells
+#
+# What is drawn is fixed once a diagram is realized, so `DrawnSegments`
+# indexes it once: the distinct lines of horizontal and vertical pieces,
+# sorted by value, each with its pieces merged into disjoint covered
+# intervals.  A side query locates its line and one interval by binary
+# search with `cmp`, and the line lists are the breakpoints of
+# `elementary_cells`.
 
 
 def is_axis_segment(p: Pt, q: Pt) -> str | None:
@@ -356,50 +363,95 @@ def is_axis_segment(p: Pt, q: Pt) -> str | None:
     return None
 
 
-def _interval_minus(lo: Expr, hi: Expr, pieces: list[tuple[Expr, Expr]]) -> bool:
-    """True iff [lo,hi] is fully covered by the union of the pieces."""
-    pieces = [(a, b) if cmp(a, b) <= 0 else (b, a) for a, b in pieces]
-    pieces = [pc for pc in pieces if cmp(pc[1], lo) > 0 and cmp(pc[0], hi) < 0]
-    pieces.sort(key=lambda pc: by_value(pc[0]))
-    cur = lo
+Interval = tuple[Expr, Expr]
+
+
+def _merge_intervals(pieces: list[Interval]) -> list[Interval]:
+    """The union of closed pieces, as sorted disjoint closed intervals.
+    Pieces may have reversed endpoints; touching pieces merge."""
+    pieces = sorted(
+        ((a, b) if cmp(a, b) <= 0 else (b, a) for a, b in pieces),
+        key=lambda pc: by_value(pc[0]),
+    )
+    out: list[Interval] = []
     for a, b in pieces:
-        if cmp(a, cur) > 0:
-            return False
-        if cmp(b, cur) > 0:
-            cur = b
-        if cmp(cur, hi) >= 0:
-            return True
-    return cmp(cur, hi) >= 0
+        if out and cmp(a, out[-1][1]) <= 0:
+            if cmp(b, out[-1][1]) > 0:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
+
+
+def _covered(intervals: list[Interval], lo: Expr, hi: Expr) -> bool:
+    """True iff [lo, hi] (either order) lies inside one of the sorted
+    disjoint intervals; a zero-length query always does."""
+    c = cmp(lo, hi)
+    if c == 0:
+        return True
+    if c > 0:
+        lo, hi = hi, lo
+    # the last interval starting at or before lo is the only candidate
+    i, j = 0, len(intervals)
+    while i < j:
+        mid = (i + j) // 2
+        if cmp(intervals[mid][0], lo) <= 0:
+            i = mid + 1
+        else:
+            j = mid
+    return i > 0 and cmp(intervals[i - 1][1], hi) >= 0
+
+
+def _add_to_line(lines: list[Expr], pieces: list[list[Interval]], c: Expr, piece: Interval):
+    """File piece under the line at coordinate c, adding the line in sorted
+    position when no line equals c by value."""
+    i, found = _locate(c, lines)
+    if not found:
+        lines.insert(i, c)
+        pieces.insert(i, [])
+    pieces[i].append(piece)
 
 
 class DrawnSegments:
-    """Index of drawn segments split into horizontal / vertical / other."""
+    """The drawn segments of a diagram, indexed by exact line.
+
+    Horizontal pieces are grouped by y and vertical pieces by x.  The
+    distinct line coordinates (`h_lines`, `v_lines`) are sorted by value,
+    with the first value seen standing for its line, and are found by
+    binary search with `cmp`, so two constructions of one value reach one
+    line and a radical that cannot be compared raises `Undecidable`.  Each
+    line's pieces are merged once into sorted disjoint covered intervals
+    (`h_cover[i]` for `h_lines[i]`, likewise `v_cover`), so a side query is
+    two binary searches.  Segments that are neither horizontal nor vertical
+    stay in `other` for `segment_drawn`."""
 
     def __init__(self, segments: list[tuple[Pt, Pt]]):
-        self.horizontal: list[tuple[Expr, Expr, Expr]] = []  # (y, x1, x2)
-        self.vertical: list[tuple[Expr, Expr, Expr]] = []  # (x, y1, y2)
+        self.h_lines: list[Expr] = []
+        self.v_lines: list[Expr] = []
+        h_pieces: list[list[Interval]] = []
+        v_pieces: list[list[Interval]] = []
         self.other: list[tuple[Pt, Pt]] = []
-        self.all = list(segments)
         for p, q in segments:
             kind = is_axis_segment(p, q)
             if kind == "h":
-                self.horizontal.append((p[1], p[0], q[0]))
+                _add_to_line(self.h_lines, h_pieces, p[1], (p[0], q[0]))
             elif kind == "v":
-                self.vertical.append((p[0], p[1], q[1]))
+                _add_to_line(self.v_lines, v_pieces, p[0], (p[1], q[1]))
             else:
                 self.other.append((p, q))
+        self.h_cover = [_merge_intervals(pcs) for pcs in h_pieces]
+        self.v_cover = [_merge_intervals(pcs) for pcs in v_pieces]
+
+    @staticmethod
+    def _line(lines: list[Expr], cover: list[list[Interval]], c: Expr) -> list[Interval]:
+        i, found = _locate(c, lines)
+        return cover[i] if found else []
 
     def h_covered(self, y: Expr, x1: Expr, x2: Expr) -> bool:
-        if cmp(x1, x2) > 0:
-            x1, x2 = x2, x1
-        pieces = [(a, b) for (yy, a, b) in self.horizontal if cmp(yy, y) == 0]
-        return _interval_minus(x1, x2, pieces)
+        return _covered(self._line(self.h_lines, self.h_cover, y), x1, x2)
 
     def v_covered(self, x: Expr, y1: Expr, y2: Expr) -> bool:
-        if cmp(y1, y2) > 0:
-            y1, y2 = y2, y1
-        pieces = [(a, b) for (xx, a, b) in self.vertical if cmp(xx, x) == 0]
-        return _interval_minus(y1, y2, pieces)
+        return _covered(self._line(self.v_lines, self.v_cover, x), y1, y2)
 
     def box_sides_drawn(self, x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> bool:
         return (
@@ -425,12 +477,9 @@ class DrawnSegments:
             return False
         # project onto the dominant axis of pq
         d = sub2(q, p)
-        horiz = sign(d[0]) != 0
-        idx = 0 if horiz else 1
-        lo, hi = p[idx], q[idx]
-        if cmp(lo, hi) > 0:
-            lo, hi = hi, lo
-        return _interval_minus(lo, hi, [(a[idx], b[idx]) for a, b in pieces])
+        idx = 0 if sign(d[0]) != 0 else 1
+        merged = _merge_intervals([(a[idx], b[idx]) for a, b in pieces])
+        return _covered(merged, p[idx], q[idx])
 
 
 def box_polygon(x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> Polygon:
@@ -484,10 +533,9 @@ def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
 
 
 def elementary_cells(drawn: DrawnSegments):
-    """All grid boxes between consecutive breakpoints whose four sides are
+    """All grid boxes between consecutive drawn lines whose four sides are
     fully drawn.  Yields (x1, y1, x2, y2)."""
-    xs = _sorted_unique([x for (x, _, _) in drawn.vertical])
-    ys = _sorted_unique([y for (y, _, _) in drawn.horizontal])
+    xs, ys = drawn.v_lines, drawn.h_lines
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
             x1, x2 = xs[i], xs[i + 1]

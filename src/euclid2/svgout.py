@@ -2,7 +2,9 @@
 
 1 diagram unit = 100 px; element ids derive from point labels and drawing
 order, and every coordinate is formatted from exact values, so the output is
-byte-identical across runs.
+byte-identical across runs.  A diagram repeats few coordinates many times
+(endpoints, labels, overlay vertices), so each distinct x and y value is
+formatted once per render and looked up after that.
 """
 
 from __future__ import annotations
@@ -44,31 +46,41 @@ class _View:
         for poly in inst.declared.values():
             for p in poly:
                 see(p)
-        for circ in inst.circles.values():
-            r = cr.sqrt(circ.radius2)
+        self.radius: dict[str, cr.Expr] = {}
+        for label, circ in inst.circles.items():
+            r = self.radius[label] = cr.sqrt(circ.radius2)
             see((cr.add(circ.center[0], r), cr.add(circ.center[1], r)))
             see((cr.sub(circ.center[0], r), cr.sub(circ.center[1], r)))
         self.minx = min(xs, key=geo.by_value)
         self.maxy = max(ys, key=geo.by_value)
         self.maxx = max(xs, key=geo.by_value)
         self.miny = min(ys, key=geo.by_value)
-        pad = cr.const(PAD)
+        self.pad = cr.const(PAD)
+        self.scale = cr.const(SCALE)
         self.width = cr.mul(
-            cr.add(cr.sub(self.maxx, self.minx), cr.mul(cr.const(2), pad)), cr.const(SCALE)
+            cr.add(cr.sub(self.maxx, self.minx), cr.mul(cr.const(2), self.pad)), self.scale
         )
         self.height = cr.mul(
-            cr.add(cr.sub(self.maxy, self.miny), cr.mul(cr.const(2), pad)), cr.const(SCALE)
+            cr.add(cr.sub(self.maxy, self.miny), cr.mul(cr.const(2), self.pad)), self.scale
         )
+        # exact_key -> (value, text); keeping the value alive keeps a radical
+        # node's key, its id, from being reused by another node
+        self._x_text: dict = {}
+        self._y_text: dict = {}
 
     def x(self, v: cr.Expr) -> str:
-        return _fmt(
-            cr.mul(cr.add(cr.sub(v, self.minx), cr.const(PAD)), cr.const(SCALE))
-        )
+        key = cr.exact_key(v)
+        if key not in self._x_text:
+            shifted = cr.add(cr.sub(v, self.minx), self.pad)
+            self._x_text[key] = (v, _fmt(cr.mul(shifted, self.scale)))
+        return self._x_text[key][1]
 
     def y(self, v: cr.Expr) -> str:
-        return _fmt(
-            cr.mul(cr.add(cr.sub(self.maxy, v), cr.const(PAD)), cr.const(SCALE))
-        )
+        key = cr.exact_key(v)
+        if key not in self._y_text:
+            shifted = cr.add(cr.sub(self.maxy, v), self.pad)
+            self._y_text[key] = (v, _fmt(cr.mul(shifted, self.scale)))
+        return self._y_text[key][1]
 
     def xy(self, p) -> tuple[str, str]:
         return self.x(p[0]), self.y(p[1])
@@ -80,11 +92,11 @@ def render_svg(
     report: sc.CheckReport | None = None,
 ) -> str:
     view = _View(inst)
+    width, height = _fmt(view.width), _fmt(view.height)
     out = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(view.width)}" height="{_fmt(view.height)}" '
-        f'viewBox="0 0 {_fmt(view.width)} {_fmt(view.height)}">'
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     )
     out.append(f"  <title>{script.prop_id}</title>")
     out.append('  <g id="segments" stroke="#222222" stroke-width="1.5" fill="none">')
@@ -99,7 +111,6 @@ def render_svg(
         out.append('  <g id="arcs" stroke="#222222" stroke-width="1.5" fill="none">')
         for label in sorted(inst.circles):
             circ = inst.circles[label]
-            r = cr.sqrt(circ.radius2)
             a, b = circ.endpoints
             pa, pb = inst.point(a), inst.point(b)
             if circ.side == "above":
@@ -110,7 +121,7 @@ def render_svg(
                 sweep = 1 if geo.cmp(pa[0], pb[0]) < 0 else 0
             sx, sy = view.xy(start)
             ex, ey = view.xy(end)
-            rr = _fmt(cr.mul(r, cr.const(SCALE)))
+            rr = _fmt(cr.mul(view.radius[label], view.scale))
             out.append(
                 f'    <path id="arc-{label}" d="M {sx} {sy} A {rr} {rr} 0 0 {sweep} {ex} {ey}" />'
             )

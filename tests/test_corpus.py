@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from euclid2 import diagram as dg
 from euclid2 import oracle as orc
 from euclid2 import rules
 from euclid2 import script as sc
+from euclid2 import svgout
 from euclid2 import terms as T
 
 ENTRIES = corpusdata.all_entries()
@@ -99,6 +101,38 @@ def test_reports_are_deterministic():
     b = sc.emit_report(rules.check_proof(script), "json")
     assert a == b
     assert "timing" not in a
+
+
+# sha256 of each entry's SVG (realized at its defaults, overlaid with its
+# report); any change to a coordinate, an id or the element order shows here
+SVG_SHA256 = {
+    "II_1.e2p": "1f3df5d2d96ee73261a5d79b1ba8bd56893b69cafc74ff8950c51335228c693d",
+    "II_2.e2p": "872f6439ded60aae1f06ae240a3302ea2d1ae0652fd75f36b75425ebad64160c",
+    "II_3.e2p": "6011e517f194fd7082d26a4114e1df6e7f36a97af1b37add70c656967104309d",
+    "II_4.e2p": "770572ca1d19fbb5d972bda3cd183ff6831a02f04c991dcdb27457387f131cf6",
+    "II_5.e2p": "5e8520dc601f1bc9ed829c42a84603e201ee10b50bd76a058f8115e4c39e1023",
+    "II_6.e2p": "2d090b4fd50ecc5b283d1f3a1920104019cfac799999664d2aad02ca84d53db6",
+    "II_7.e2p": "374f0946325f62ae7b65e7232d512ba95043b3ccbe9eaedc9b61e9e14b734585",
+    "II_8.e2p": "f6769032fb26cfb0209e3682fe4522684f4323d46c43c62f009646235e587d44",
+    "II_9.e2p": "0f3539d54530c834e16ffa673021c643209fccd531e1033cedc07f40913fc752",
+    "II_10.e2p": "26ea870d60c310cd5b44a15d3a6a4b4c7cab019fb07ffc626df279bcfb15b294",
+    "II_11.e2p": "f39536fed5d59872e86a5580e9b7ff91d41193917ee5d274c1ce718e8c05f7f8",
+    "II_12.e2p": "21b2b95e30177028d06976371a34c2250b56fe7e42ebaef32dde6375c245d1e1",
+    "II_13.e2p": "07fb0eede335de8f7d0d772feb25a563f100bf17a17a1c26fea1fa32ba48443b",
+    "II_14.e2p": "ecc9c31facdd07e2d2d6657f74d17f2fd8b4ca4612b13adf750aad58b28b359c",
+    "II_5_bm.e2p": "e01cea61ae90153450fea550d4d0efc2d552746e7f298ef8af30295928ef84bd",
+    "II_14_bm.e2p": "d55b8e41e3671bc037cf25d461a3a98c240f4d75ede54759445fe54d93059537",
+}
+
+
+def test_render_svg_matches_golden_digests():
+    assert sorted(SVG_SHA256) == sorted(e["file"] for e in ENTRIES)
+    for entry in ENTRIES:
+        script = load(entry["file"])
+        inst = dg.realize(script)
+        report = rules.check_proof(script, instance=inst, profile=entry["profile"])
+        svg = svgout.render_svg(script, inst, report)
+        assert hashlib.sha256(svg.encode()).hexdigest() == SVG_SHA256[entry["file"]], entry["file"]
 
 
 def test_certificates_present_for_geometry_rules():

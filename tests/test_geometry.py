@@ -318,6 +318,169 @@ def test_elementary_cells():
     assert len(cells) == 2
 
 
+def _interval_minus(lo, hi, pieces):
+    """True iff [lo, hi] (lo <= hi) is covered by the union of the closed
+    pieces, walked afresh on every query: the drawn-side test before the
+    per-line index, kept as the reference the index must agree with."""
+    pieces = [(a, b) if geo.cmp(a, b) <= 0 else (b, a) for a, b in pieces]
+    pieces = [pc for pc in pieces if geo.cmp(pc[1], lo) > 0 and geo.cmp(pc[0], hi) < 0]
+    pieces.sort(key=lambda pc: geo.by_value(pc[0]))
+    cur = lo
+    for a, b in pieces:
+        if geo.cmp(a, cur) > 0:
+            return False
+        if geo.cmp(b, cur) > 0:
+            cur = b
+        if geo.cmp(cur, hi) >= 0:
+            return True
+    return geo.cmp(cur, hi) >= 0
+
+
+class _ReferenceDrawn:
+    """Every query filters all drawn segments by line with `cmp`."""
+
+    def __init__(self, segments):
+        self.h = [(p[1], p[0], q[0]) for p, q in segments if geo.is_axis_segment(p, q) == "h"]
+        self.v = [(p[0], p[1], q[1]) for p, q in segments if geo.is_axis_segment(p, q) == "v"]
+
+    def h_covered(self, y, x1, x2):
+        if geo.cmp(x1, x2) > 0:
+            x1, x2 = x2, x1
+        return _interval_minus(x1, x2, [(a, b) for c, a, b in self.h if geo.cmp(c, y) == 0])
+
+    def v_covered(self, x, y1, y2):
+        if geo.cmp(y1, y2) > 0:
+            y1, y2 = y2, y1
+        return _interval_minus(y1, y2, [(a, b) for c, a, b in self.v if geo.cmp(c, x) == 0])
+
+    def box_sides_drawn(self, x1, y1, x2, y2):
+        return (self.h_covered(y1, x1, x2) and self.h_covered(y2, x1, x2)
+                and self.v_covered(x1, y1, y2) and self.v_covered(x2, y1, y2))
+
+    def elementary_cells(self):
+        xs = geo._sorted_unique([c for c, _, _ in self.v])
+        ys = geo._sorted_unique([c for c, _, _ in self.h])
+        return [
+            (xs[i], ys[j], xs[i + 1], ys[j + 1])
+            for i in range(len(xs) - 1)
+            for j in range(len(ys) - 1)
+            if self.box_sides_drawn(xs[i], ys[j], xs[i + 1], ys[j + 1])
+        ]
+
+
+def _keys(values):
+    return [cr.exact_key(v) for v in values]
+
+
+@st.composite
+def drawn_pieces(draw):
+    """Horizontal and vertical segments on a few shared rational or Q(sqrt 2)
+    coordinates, so that pieces nest, touch, repeat and come reversed; a
+    coordinate is sometimes rebuilt by another construction of its value."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+
+    def value():
+        v = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            v = cr.div(cr.mul(v, cr.const(3)), cr.const(3))
+        return v
+
+    segments = []
+    for _ in range(draw(st.integers(0, 10))):
+        c, a, b = value(), value(), value()
+        horizontal = draw(st.booleans())
+        segments.append(((a, c), (b, c)) if horizontal else ((c, a), (c, b)))
+    queries = [(value(), value(), value()) for _ in range(6)]
+    return segments, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_pieces())
+def test_drawn_index_equals_the_reference(case):
+    segments, queries = case
+    drawn, ref = geo.DrawnSegments(segments), _ReferenceDrawn(segments)
+    for c, lo, hi in queries:
+        assert drawn.h_covered(c, lo, hi) is ref.h_covered(c, lo, hi)
+        assert drawn.v_covered(c, lo, hi) is ref.v_covered(c, lo, hi)
+    for (x1, y1, _), (x2, y2, _) in zip(queries, queries[1:]):
+        assert drawn.box_sides_drawn(x1, y1, x2, y2) is ref.box_sides_drawn(x1, y1, x2, y2)
+    got = [_keys(cell) for cell in geo.elementary_cells(drawn)]
+    assert got == [_keys(cell) for cell in ref.elementary_cells()]
+
+
+def _hline(y, x1, x2):
+    return (P(x1, y), P(x2, y))
+
+
+def test_touching_pieces_cover_their_union():
+    drawn = geo.DrawnSegments([
+        _hline(0, 0, 1), _hline(0, 2, 1), (P(5, 0), P(5, 1)), (P(5, 2), P(5, 1)),
+    ])
+    z, two = cr.ZERO, cr.const(2)
+    assert drawn.h_covered(z, z, two) and drawn.h_covered(z, two, z)
+    assert drawn.v_covered(cr.const(5), z, two)
+    assert [[_keys(iv) for iv in line] for line in drawn.h_cover] == [[_keys((z, two))]]
+    assert len(drawn.v_cover[0]) == 1
+
+
+def test_a_gap_between_pieces_is_not_covered():
+    """However small the gap, the pieces on either side stay apart."""
+    gap = Fraction(1, 10**9)
+    drawn = geo.DrawnSegments([_hline(0, 0, 1), _hline(0, 1 + gap, 2)])
+    z = cr.ZERO
+    assert not drawn.h_covered(z, z, cr.const(2))
+    assert not drawn.h_covered(z, cr.const(1), cr.const(1 + gap))
+    assert drawn.h_covered(z, z, cr.const(1))
+    assert drawn.h_covered(z, cr.const(1 + gap), cr.const(2))
+
+
+def test_query_on_an_undrawn_line():
+    drawn = geo.DrawnSegments([_hline(0, 0, 1), (P(0, 0), P(0, 1))])
+    one = cr.ONE
+    assert not drawn.h_covered(one, cr.ZERO, one)
+    assert not drawn.v_covered(one, cr.ZERO, one)
+    assert not geo.DrawnSegments([]).h_covered(cr.ZERO, cr.ZERO, one)
+
+
+def test_zero_length_query_is_covered():
+    """A point needs no drawn length, on a drawn line or off one."""
+    drawn = geo.DrawnSegments([_hline(0, 0, 1)])
+    half, three = cr.const(Fraction(1, 2)), cr.const(3)
+    assert drawn.h_covered(cr.ZERO, half, half)
+    assert drawn.h_covered(three, half, half)
+    assert drawn.v_covered(three, half, half)
+
+
+def test_line_reached_by_two_constructions_of_one_value():
+    """sqrt 2 and 2/sqrt(2) are one line, and the pieces on it merge."""
+    s2 = cr.sqrt(cr.const(2))
+    other = cr.div(cr.const(2), cr.sqrt(cr.const(2)))
+    third = cr.div(cr.sqrt(cr.const(8)), cr.const(2))
+    zero, one, two = cr.ZERO, cr.ONE, cr.const(2)
+    drawn = geo.DrawnSegments([
+        ((zero, s2), (one, s2)), ((one, other), (two, other)),
+        ((s2, zero), (s2, one)), ((other, one), (other, two)),
+    ])
+    assert len(drawn.h_lines) == 1 and len(drawn.v_lines) == 1
+    assert drawn.h_covered(third, zero, two)
+    assert drawn.v_covered(third, two, zero)
+    assert not drawn.h_covered(cr.add(third, one), zero, two)
+
+
+def test_slanted_segment_uses_the_merge_routine(monkeypatch):
+    merged = []
+    merge = geo._merge_intervals
+    monkeypatch.setattr(
+        geo, "_merge_intervals", lambda pieces: merged.append(pieces) or merge(pieces))
+    drawn = geo.DrawnSegments([(P(0, 0), P(1, 1)), (P(2, 2), P(1, 1)), (P(3, 3), P(4, 4))])
+    assert merged == []  # the slanted pieces are not indexed
+    assert drawn.segment_drawn(P(2, 2), P(0, 0))
+    assert len(merged) == 1 and len(merged[0]) == 3
+    assert not drawn.segment_drawn(P(0, 0), P(4, 4))
+    assert drawn.segment_drawn(P(3, 3), P(3, 3))
+    assert not drawn.segment_drawn(P(0, 1), P(0, 1))
+
+
 def test_region_key_rotation_invariant():
     a = box(0, 0, 1, 1)
     b = tuple(reversed((a[2], a[3], a[0], a[1])))
