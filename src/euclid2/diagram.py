@@ -18,7 +18,6 @@ from . import geometry as geo
 from . import script as sc
 from .constructible import Expr
 from .errors import (
-    AmbiguousIntersection,
     Euclid2Error,
     FactVerificationFailed,
     InvalidParam,
@@ -405,29 +404,23 @@ class _Builder:
             "Radius",
         )
 
-    def _do_IntersectAt(self, cmd: sc.IntersectAt):
+    def _do_IntersectLines(self, cmd: sc.IntersectLines):
         p, q = self.base(cmd.line)
-        d = geo.sub2(q, p)
-        if cmd.other_kind == "line":
-            u = self.pt_of(cmd.other[0])
-            du = geo.sub2(self.pt_of(cmd.other[1]), u)
-            n = _line_line(p, d, u, du)
-        else:
-            circ = self.inst.circles.get(cmd.other)
-            if circ is None:
-                raise UnknownName(f"no circle centered at {cmd.other}")
-            n = _line_circle(p, d, circ, cmd.side)
-            self.new_point(cmd.new, n)
-            for e in circ.endpoints:
-                self.fact(
-                    SegEq(
-                        Segment(circ.center_label, cmd.new),
-                        Segment(circ.center_label, e),
-                    ),
-                    "Radius",
-                )
-            return
-        self.new_point(cmd.new, n)
+        u = self.pt_of(cmd.other[0])
+        du = geo.sub2(self.pt_of(cmd.other[1]), u)
+        self.new_point(cmd.new, _line_line(p, geo.sub2(q, p), u, du))
+
+    def _do_IntersectCircle(self, cmd: sc.IntersectCircle):
+        p, q = self.base(cmd.line)
+        circ = self.inst.circles.get(cmd.center)
+        if circ is None:
+            raise UnknownName(f"no circle centered at {cmd.center}")
+        self.new_point(cmd.new, _line_circle(p, geo.sub2(q, p), circ, cmd.side))
+        for e in circ.endpoints:
+            self.fact(
+                SegEq(Segment(circ.center_label, cmd.new), Segment(circ.center_label, e)),
+                "Radius",
+            )
 
     def _do_GnomonDecl(self, cmd: sc.GnomonDecl):
         outer = figure_region(self.inst, cmd.outer)
@@ -443,7 +436,7 @@ def _line_line(p: Pt, d: Pt, u: Pt, du: Pt) -> Pt:
     return (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1])))
 
 
-def _line_circle(p: Pt, d: Pt, circ: Circle, side: str | None) -> Pt:
+def _line_circle(p: Pt, d: Pt, circ: Circle, side: str) -> Pt:
     pc = geo.sub2(p, circ.center)
     a = geo.dot(d, d)
     b = cr.mul(cr.const(2), geo.dot(d, pc))
@@ -464,8 +457,6 @@ def _line_circle(p: Pt, d: Pt, circ: Circle, side: str | None) -> Pt:
     ]
     if len(cands) == 1:
         return cands[0]
-    if side is None:
-        raise AmbiguousIntersection("two intersection points; side flag required")
     c0, c1 = cands
     upper = c0 if geo.cmp(c0[1], c1[1]) > 0 else c1
     lower = c1 if upper is c0 else c0

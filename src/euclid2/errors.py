@@ -88,10 +88,6 @@ class NoIntersection(DiagramError):
     pass
 
 
-class AmbiguousIntersection(DiagramError):
-    pass
-
-
 class UnknownName(DiagramError):
     pass
 

@@ -222,13 +222,12 @@ def _poly_payload(poly) -> list[list[str]]:
     return [[_coord_text(x), _coord_text(y)] for x, y in poly]
 
 
-def make_certificate(kind: str, payload: dict) -> tuple[str, dict]:
+def make_certificate(kind: str, payload: dict) -> dict:
     doc = {"kind": kind, **payload}
-    digest = hashlib.sha256(
+    doc["digest"] = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
-    doc["digest"] = digest
-    return digest, doc
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +575,7 @@ def rule_VE(ctx: RuleContext, claim, premises) -> StepOutcome:
         flags.append("extended-VE")
     if result.max_multiplicity > 1:
         flags.append(f"multiplicity-{result.max_multiplicity}")
-    digest, cert = make_certificate(
+    cert = make_certificate(
         "VE",
         {
             "lhs": [[n, m, _poly_payload(p)] for n, p, m in left],
@@ -593,7 +592,7 @@ def rule_NAME(ctx: RuleContext, claim, premises=()) -> StepOutcome:
         poly = ctx.region(claim.figure.letters)
         _require_square(poly, claim.figure.letters)
         _require_side(inst, poly, claim.side)
-        digest, cert = make_certificate(
+        cert = make_certificate(
             "NAME", {"figure": claim.figure.letters, "side": claim.side.text(),
                      "polygon": _poly_payload(poly)}
         )
@@ -603,7 +602,7 @@ def rule_NAME(ctx: RuleContext, claim, premises=()) -> StepOutcome:
         if len(poly) != 4:
             raise NameMismatch(f"{claim.figure.letters} is not a quadrilateral")
         corner = _shared_corner(inst, poly, claim.first, claim.second)
-        digest, cert = make_certificate(
+        cert = make_certificate(
             "NAME",
             {"figure": claim.figure.letters, "sides": [claim.first.text(), claim.second.text()],
              "corner": [_coord_text(corner[0]), _coord_text(corner[1])],
@@ -615,7 +614,7 @@ def rule_NAME(ctx: RuleContext, claim, premises=()) -> StepOutcome:
         n1, n2 = (t.name.letters for t in pair)
         if dg.region_key_of(inst, n1) != dg.region_key_of(inst, n2):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
-        digest, cert = make_certificate("NAME", {"alias": [n1, n2]})
+        cert = make_certificate("NAME", {"alias": [n1, n2]})
         return StepOutcome(claim, ("alias",), cert)
     raise NameMismatch("NAME accepts square-on, contained-by, or alias claims")
 
@@ -701,7 +700,7 @@ def rule_I47(ctx: RuleContext, claim, premises) -> StepOutcome:
                 raise NoRightAngle("angle between the legs is not right")
             if geo.sign(geo.cross(geo.sub2(px, pv), geo.sub2(py, pv))) == 0:
                 raise SidesNotATriangle("the three points are collinear")
-            digest, cert = make_certificate(
+            cert = make_certificate(
                 "I47", {"vertex": v, "legs": [l1.text(), l2.text()], "hyp": hyp.text()}
             )
             return StepOutcome(claim, (), cert)
@@ -749,7 +748,7 @@ def rule_I43(ctx: RuleContext, claim, premises) -> StepOutcome:
         raise NotComplements("shared corner is not on the diameter")
     if not ctx.inst.drawn.segment_drawn(d0, d1):
         raise NotComplements("the diameter is not drawn")
-    digest, cert = make_certificate(
+    cert = make_certificate(
         "I43",
         {
             "parallelogram": _poly_payload(bbox_corners),

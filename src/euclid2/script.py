@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -109,182 +110,196 @@ def _parse_len(tok: str, line: int) -> LenExpr:
 
 # ---------------------------------------------------------------------------
 # construction commands
+#
+# Each command's concrete syntax is its SYNTAX template, the one place it is
+# written: parsing and printing both follow it.  A placeholder `<field:spec>`
+# stands for a dataclass field; spec is a letter count (`2`, or a range such
+# as `1-4`), `len` for a length expression, or a list of words such as
+# `above|below`.  A letter field annotated as a tuple holds one letter per
+# item.  A field named twice must repeat the same text.
+
+_PLACEHOLDER = re.compile(r"<(\w+):([^>]+)>")
+
+
+class _Command:
+    SYNTAX: str
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        parts: list[str] = []
+        cls._convert = {}  # field -> (token, line number) -> value
+        pos = 0
+        for m in _PLACEHOLDER.finditer(cls.SYNTAX):
+            parts.append(re.escape(cls.SYNTAX[pos : m.start()]))
+            name, spec = m.groups()
+            pos = m.end()
+            if name in cls._convert:
+                parts.append(f"(?P={name})")
+            elif spec == "len":
+                parts.append(rf"(?P<{name}>\S+)")
+                cls._convert[name] = _parse_len
+            else:
+                if spec[0].isdigit():
+                    spec = f"[A-Z]{{{spec.replace('-', ',')}}}"
+                parts.append(f"(?P<{name}>{spec})")
+                tup = cls.__annotations__[name].startswith("tuple")
+                cls._convert[name] = (lambda tok, _: tuple(tok)) if tup else (lambda tok, _: tok)
+        parts.append(re.escape(cls.SYNTAX[pos:]))
+        # compiled on first use, through re's cache, so a cold run compiles
+        # only the syntaxes its script uses
+        cls._pattern = "".join(parts)
+
+    @classmethod
+    def match(cls, line: str, lineno: int):
+        """The command `line` spells in this syntax, or None."""
+        m = re.fullmatch(cls._pattern, line)
+        if m is None:
+            return None
+        return cls(**{name: cls._convert[name](tok, lineno) for name, tok in m.groupdict().items()})
+
+    def text(self) -> str:
+        def field_text(m):
+            value = getattr(self, m.group(1))
+            return "".join(value) if isinstance(value, (str, tuple)) else value.text()
+
+        return _PLACEHOLDER.sub(field_text, self.SYNTAX)
 
 
 @dataclass(frozen=True)
-class PlaceSegment:
+class PlaceSegment(_Command):
+    SYNTAX = "place <p:1><q:1> = <length:len>"
     p: str
     q: str
     length: LenExpr
 
-    def text(self):
-        return f"place {self.p}{self.q} = {self.length.text()}"
-
 
 @dataclass(frozen=True)
-class StandaloneSegmentCmd:
+class StandaloneSegmentCmd(_Command):
+    SYNTAX = "segment <name:1> = <length:len>"
     name: str
     length: LenExpr
 
-    def text(self):
-        return f"segment {self.name} = {self.length.text()}"
-
 
 @dataclass(frozen=True)
-class CutRandom:
+class CutRandom(_Command):
+    SYNTAX = "cut <point:1> on <on:2> at <at:len>"
     point: str
     on: tuple[str, str]
     at: LenExpr
 
-    def text(self):
-        return f"cut {self.point} on {self.on[0]}{self.on[1]} at {self.at.text()}"
-
 
 @dataclass(frozen=True)
-class CutHalf:
+class CutHalf(_Command):
+    SYNTAX = "cuthalf <point:1> on <on:2>"
     point: str
     on: tuple[str, str]
 
-    def text(self):
-        return f"cuthalf {self.point} on {self.on[0]}{self.on[1]}"
-
 
 @dataclass(frozen=True)
-class ExtendBy:
+class ExtendBy(_Command):
+    SYNTAX = "extend <on:2> to <to:1> by <by:len>"
     on: tuple[str, str]
     to: str
     by: LenExpr
 
-    def text(self):
-        return f"extend {self.on[0]}{self.on[1]} to {self.to} by {self.by.text()}"
-
 
 @dataclass(frozen=True)
-class ExtendCopy:
+class ExtendCopy(_Command):
+    SYNTAX = "extend <on:2> to <to:1> with <to:1><anchor:1> = <copy:2>"
     on: tuple[str, str]
     to: str
     anchor: str
     copy: tuple[str, str]
 
-    def text(self):
-        return (
-            f"extend {self.on[0]}{self.on[1]} to {self.to} "
-            f"with {self.to}{self.anchor} = {self.copy[0]}{self.copy[1]}"
-        )
-
 
 @dataclass(frozen=True)
-class SquareOnCmd:
-    name: str  # 4 letters, boundary order, containing the base edge
+class SquareOnCmd(_Command):
+    SYNTAX = "square <name:4> on <on:2> <side:below|above|left|right>"
+    name: str  # boundary order, containing the base edge
     on: tuple[str, str]
-    side: str  # below | above | left | right
-
-    def text(self):
-        return f"square {self.name} on {self.on[0]}{self.on[1]} {self.side}"
+    side: str
 
 
 @dataclass(frozen=True)
-class RectFig:
-    name: str  # single letter
+class RectFig(_Command):
+    SYNTAX = "rectfig <name:1> <width:len> x <height:len>"
+    name: str
     width: LenExpr
     height: LenExpr
 
-    def text(self):
-        return f"rectfig {self.name} {self.width.text()} x {self.height.text()}"
-
 
 @dataclass(frozen=True)
-class TriangulateToRect:
-    name: str  # 4 letters
+class TriangulateToRect(_Command):
+    SYNTAX = "torect <name:4> from <source:1>"
+    name: str
     source: str  # declared figure
 
-    def text(self):
-        return f"torect {self.name} from {self.source}"
-
 
 @dataclass(frozen=True)
-class Perp:
+class Perp(_Command):
+    SYNTAX = "perp <new:1> from <frm:1> on <on:2> <side:below|above> len <length:len>"
     new: str
     frm: str
     on: tuple[str, str]
     side: str
     length: LenExpr
 
-    def text(self):
-        return (
-            f"perp {self.new} from {self.frm} on {self.on[0]}{self.on[1]} "
-            f"{self.side} len {self.length.text()}"
-        )
-
 
 @dataclass(frozen=True)
-class ParallelTranslate:
+class ParallelTranslate(_Command):
+    SYNTAX = "parallel <new:1> through <through:1> along <along:2>"
     new: str
     through: str
     along: tuple[str, str]
 
-    def text(self):
-        return f"parallel {self.new} through {self.through} along {self.along[0]}{self.along[1]}"
-
 
 @dataclass(frozen=True)
-class ParallelMeet:
+class ParallelMeet(_Command):
+    SYNTAX = "parallel <new:1> through <through:1> along <along:2> meet <meet:2>"
     new: str
     through: str
     along: tuple[str, str]
     meet: tuple[str, str]
 
-    def text(self):
-        return (
-            f"parallel {self.new} through {self.through} along "
-            f"{self.along[0]}{self.along[1]} meet {self.meet[0]}{self.meet[1]}"
-        )
-
 
 @dataclass(frozen=True)
-class Join:
+class Join(_Command):
+    SYNTAX = "join <p:1> <q:1>"
     p: str
     q: str
 
-    def text(self):
-        return f"join {self.p} {self.q}"
-
 
 @dataclass(frozen=True)
-class SemicircleOn:
+class SemicircleOn(_Command):
+    SYNTAX = "semicircle on <on:2> center <center:1> <side:above|below>"
     on: tuple[str, str]
     center: str
     side: str
 
-    def text(self):
-        return f"semicircle on {self.on[0]}{self.on[1]} center {self.center} {self.side}"
-
 
 @dataclass(frozen=True)
-class IntersectAt:
+class IntersectLines(_Command):
+    SYNTAX = "intersect <new:1> = line <line:2> x line <other:2>"
     new: str
     line: tuple[str, str]
-    other: tuple[str, str] | str  # line endpoints, or circle center label
-    other_kind: str  # "line" | "circle"
-    side: str | None  # above | below for circle intersections
-
-    def text(self):
-        if self.other_kind == "line":
-            rhs = f"line {self.other[0]}{self.other[1]}"
-        else:
-            rhs = f"circle {self.other}"
-        suffix = f" {self.side}" if self.side else ""
-        return f"intersect {self.new} = line {self.line[0]}{self.line[1]} x {rhs}{suffix}"
+    other: tuple[str, str]
 
 
 @dataclass(frozen=True)
-class GnomonDecl:
-    name: str  # 3 letters
+class IntersectCircle(_Command):
+    SYNTAX = "intersect <new:1> = line <line:2> x circle <center:1> <side:above|below>"
+    new: str
+    line: tuple[str, str]
+    center: str
+    side: str  # which of the two crossings
+
+
+@dataclass(frozen=True)
+class GnomonDecl(_Command):
+    SYNTAX = "gnomon <name:3> = <outer:1-4> minus <corner:1-4>"
+    name: str
     outer: str
     corner: str
-
-    def text(self):
-        return f"gnomon {self.name} = {self.outer} minus {self.corner}"
 
 
 ConstructionCmd = (
@@ -302,9 +317,28 @@ ConstructionCmd = (
     | ParallelMeet
     | Join
     | SemicircleOn
-    | IntersectAt
+    | IntersectLines
+    | IntersectCircle
     | GnomonDecl
 )
+
+# the command table: every command class, and the classes sharing a head word
+COMMANDS: tuple[type[_Command], ...] = typing.get_args(ConstructionCmd)
+_BY_HEAD: dict[str, list[type[_Command]]] = {}
+for _cls in COMMANDS:
+    _BY_HEAD.setdefault(_cls.SYNTAX.split()[0], []).append(_cls)
+
+
+def parse_command(line: str, lineno: int) -> ConstructionCmd:
+    """One `construct:` line, stripped of its indent and comment."""
+    head = line.split()[0]
+    if head not in _BY_HEAD:
+        raise ParseError(lineno, 1, f"unknown construction command {head!r}")
+    for cls in _BY_HEAD[head]:
+        cmd = cls.match(line, lineno)
+        if cmd is not None:
+            return cmd
+    raise ParseError(lineno, 1, f"malformed {head} command: {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +439,6 @@ class _Parser:
         section = "header"
         saw_qed = False
 
-        declared_segments: set[str] = set()
-        declared_figures: set[str] = set()
-
         for self.i, raw in enumerate(self.lines):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -475,7 +506,7 @@ class _Parser:
                 if line.startswith("hypothesis "):
                     section = "hypotheses"
                 else:
-                    construction.append(self._parse_command(line, raw))
+                    construction.append(parse_command(line, self.i + 1))
                     continue
 
             if section in ("hypotheses",) or (
@@ -503,15 +534,12 @@ class _Parser:
             if s.index != k + 1:
                 raise ParseError(s.line, 1, f"step indices must be dense from 1, got {s.index}")
 
-        for cmd in construction:
-            if isinstance(cmd, StandaloneSegmentCmd):
-                declared_segments.add(cmd.name)
-            if isinstance(cmd, (RectFig,)):
-                declared_figures.add(cmd.name)
-            if isinstance(cmd, GnomonDecl):
-                declared_figures.add(cmd.name)
-            if isinstance(cmd, (SquareOnCmd, TriangulateToRect)):
-                declared_figures.add(cmd.name)
+        declared_segments = {c.name for c in construction if isinstance(c, StandaloneSegmentCmd)}
+        declared_figures = {
+            c.name
+            for c in construction
+            if isinstance(c, (RectFig, GnomonDecl, SquareOnCmd, TriangulateToRect))
+        }
 
         script = Script(
             prop_id=prop_id,
@@ -526,97 +554,6 @@ class _Parser:
         )
         _validate_labels(script, declared_segments, declared_figures, claim_line)
         return script
-
-    # -- command parsing ---------------------------------------------------
-
-    def _parse_command(self, line: str, raw: str) -> ConstructionCmd:
-        toks = line.split()
-        head = toks[0]
-        ln = self.i + 1
-
-        def want(pattern: str):
-            m = re.match(pattern, line)
-            if not m:
-                raise self.err(1, f"malformed {head} command: {line!r}")
-            return m
-
-        if head == "place":
-            m = want(r"^place ([A-Z])([A-Z]) = (\S+)$")
-            return PlaceSegment(m.group(1), m.group(2), _parse_len(m.group(3), ln))
-        if head == "segment":
-            m = want(r"^segment ([A-Z]) = (\S+)$")
-            return StandaloneSegmentCmd(m.group(1), _parse_len(m.group(2), ln))
-        if head == "cut":
-            m = want(r"^cut ([A-Z]) on ([A-Z])([A-Z]) at (\S+)$")
-            return CutRandom(m.group(1), (m.group(2), m.group(3)), _parse_len(m.group(4), ln))
-        if head == "cuthalf":
-            m = want(r"^cuthalf ([A-Z]) on ([A-Z])([A-Z])$")
-            return CutHalf(m.group(1), (m.group(2), m.group(3)))
-        if head == "extend":
-            m = re.match(r"^extend ([A-Z])([A-Z]) to ([A-Z]) by (\S+)$", line)
-            if m:
-                return ExtendBy((m.group(1), m.group(2)), m.group(3), _parse_len(m.group(4), ln))
-            m = want(
-                r"^extend ([A-Z])([A-Z]) to ([A-Z]) with ([A-Z])([A-Z]) = ([A-Z])([A-Z])$"
-            )
-            if m.group(4) != m.group(3):
-                raise self.err(1, "copy spec must start with the new point")
-            return ExtendCopy(
-                (m.group(1), m.group(2)),
-                m.group(3),
-                m.group(5),
-                (m.group(6), m.group(7)),
-            )
-        if head == "square":
-            m = want(r"^square ([A-Z]{4}) on ([A-Z])([A-Z]) (below|above|left|right)$")
-            return SquareOnCmd(m.group(1), (m.group(2), m.group(3)), m.group(4))
-        if head == "rectfig":
-            m = want(r"^rectfig ([A-Z]) (\S+) x (\S+)$")
-            return RectFig(m.group(1), _parse_len(m.group(2), ln), _parse_len(m.group(3), ln))
-        if head == "torect":
-            m = want(r"^torect ([A-Z]{4}) from ([A-Z])$")
-            return TriangulateToRect(m.group(1), m.group(2))
-        if head == "perp":
-            m = want(
-                r"^perp ([A-Z]) from ([A-Z]) on ([A-Z])([A-Z]) (below|above) len (\S+)$"
-            )
-            return Perp(
-                m.group(1), m.group(2), (m.group(3), m.group(4)), m.group(5),
-                _parse_len(m.group(6), ln),
-            )
-        if head == "parallel":
-            m = re.match(
-                r"^parallel ([A-Z]) through ([A-Z]) along ([A-Z])([A-Z]) meet ([A-Z])([A-Z])$",
-                line,
-            )
-            if m:
-                return ParallelMeet(
-                    m.group(1), m.group(2), (m.group(3), m.group(4)),
-                    (m.group(5), m.group(6)),
-                )
-            m = want(r"^parallel ([A-Z]) through ([A-Z]) along ([A-Z])([A-Z])$")
-            return ParallelTranslate(m.group(1), m.group(2), (m.group(3), m.group(4)))
-        if head == "join":
-            m = want(r"^join ([A-Z]) ([A-Z])$")
-            return Join(m.group(1), m.group(2))
-        if head == "semicircle":
-            m = want(r"^semicircle on ([A-Z])([A-Z]) center ([A-Z]) (above|below)$")
-            return SemicircleOn((m.group(1), m.group(2)), m.group(3), m.group(4))
-        if head == "intersect":
-            m = re.match(
-                r"^intersect ([A-Z]) = line ([A-Z])([A-Z]) x line ([A-Z])([A-Z])$", line
-            )
-            if m:
-                return IntersectAt(
-                    m.group(1), (m.group(2), m.group(3)), (m.group(4), m.group(5)),
-                    "line", None,
-                )
-            m = want(r"^intersect ([A-Z]) = line ([A-Z])([A-Z]) x circle ([A-Z]) (above|below)$")
-            return IntersectAt(m.group(1), (m.group(2), m.group(3)), m.group(4), "circle", m.group(5))
-        if head == "gnomon":
-            m = want(r"^gnomon ([A-Z]{3}) = ([A-Z]{1,4}) minus ([A-Z]{1,4})$")
-            return GnomonDecl(m.group(1), m.group(2), m.group(3))
-        raise self.err(1, f"unknown construction command {head!r}")
 
     def _parse_hypothesis(self, line: str, index: int) -> Hypothesis:
         m = re.match(r"^hypothesis (.+?) ; flag (\S+)$", line)

@@ -28,12 +28,14 @@ def _fmt(e: cr.Expr) -> str:
 
 class _View:
     def __init__(self, inst: dg.DiagramInstance):
-        xs: list[cr.Expr] = []
-        ys: list[cr.Expr] = []
+        # the distinct x and y values by exact_key; a drawing repeats a few
+        # values many times, so the extent scans each value once
+        xs: dict = {}
+        ys: dict = {}
 
         def see(p):
-            xs.append(p[0])
-            ys.append(p[1])
+            xs.setdefault(cr.exact_key(p[0]), p[0])
+            ys.setdefault(cr.exact_key(p[1]), p[1])
 
         for p in inst.coords.values():
             see(p)
@@ -51,10 +53,10 @@ class _View:
             r = self.radius[label] = cr.sqrt(circ.radius2)
             see((cr.add(circ.center[0], r), cr.add(circ.center[1], r)))
             see((cr.sub(circ.center[0], r), cr.sub(circ.center[1], r)))
-        self.minx = min(xs, key=geo.by_value)
-        self.maxy = max(ys, key=geo.by_value)
-        self.maxx = max(xs, key=geo.by_value)
-        self.miny = min(ys, key=geo.by_value)
+        self.minx = min(xs.values(), key=geo.by_value)
+        self.maxy = max(ys.values(), key=geo.by_value)
+        self.maxx = max(xs.values(), key=geo.by_value)
+        self.miny = min(ys.values(), key=geo.by_value)
         self.pad = cr.const(PAD)
         self.scale = cr.const(SCALE)
         self.width = cr.mul(

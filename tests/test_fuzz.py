@@ -1,6 +1,7 @@
-"""Mutated corpus constructions: realizing and rendering them either works
-or raises a typed `Euclid2Error`, never anything else."""
+"""Mutated corpus scripts: realizing, rendering and checking them either
+works or raises a typed `Euclid2Error`, never anything else."""
 
+import builtins
 import re
 
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
+from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
 from euclid2.errors import Euclid2Error
 
-FILES = [e["file"] for e in corpusdata.all_entries()]
+ENTRIES = corpusdata.all_entries()
+FILES = [e["file"] for e in ENTRIES]
 NUMBERS = ["0", "-1", "1", "2", "1/3", "3/2", "0/1", "1/0", "10000", "1e9", "|AB|", "|ZZ|"]
 LABELS = list("ABCDEFGHKLMNOPXZ")
 WORDS = ["place", "cut", "cuthalf", "extend", "square", "join", "parallel", "intersect",
@@ -75,3 +78,63 @@ def test_mutated_construction_realizes_or_raises_a_typed_error(text):
         svgout.render_svg(script, inst)
     except Euclid2Error:
         pass
+
+
+# ---------------------------------------------------------------------------
+# proof lines: rule names and premise lists
+
+_STEP = re.compile(r"^(\s*(\d+)\.\s+.+?\s+;\s+)(\S+)(.*)$")
+_PREMISE = re.compile(r"\[[^\]]*\]|\S+")
+
+
+@st.composite
+def mutated_proofs(draw):
+    entry = draw(st.sampled_from(ENTRIES))
+    lines = corpusdata.read_script_text(entry["file"]).splitlines()
+    steps = [k for k, line in enumerate(lines) if _STEP.match(line)]
+    n_hyps = sum(line.startswith("hypothesis ") for line in lines)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(steps))
+        head, index, rule, rest = _STEP.match(lines[k]).groups()
+        premises = _PREMISE.findall(rest.split("#", 1)[0])
+        kind = draw(st.sampled_from(["rule", "drop", "duplicate", "reorder", "ref", "borrow"]))
+        if kind == "rule":
+            rule = draw(st.sampled_from([r.value for r in rules.Rule]))
+        elif kind == "drop" and premises:
+            del premises[draw(st.integers(0, len(premises) - 1))]
+        elif kind == "duplicate" and premises:
+            premises.insert(draw(st.integers(0, len(premises))), draw(st.sampled_from(premises)))
+        elif kind == "reorder":
+            premises = draw(st.permutations(premises))
+        elif kind == "ref":
+            # this step, a later or missing step, a missing hypothesis
+            i = int(index)
+            ref = draw(st.sampled_from(
+                [f"s{i}", f"s{i + 1}", f"s{len(steps) + 1}", "s0", "h0", f"h{n_hyps + 1}"]))
+            premises.insert(draw(st.integers(0, len(premises))), ref)
+        elif kind == "borrow":
+            # a premise of another step, of whatever form
+            other = _STEP.match(lines[draw(st.sampled_from(steps))]).group(4)
+            pool = _PREMISE.findall(other.split("#", 1)[0]) or ["h1"]
+            premises.insert(draw(st.integers(0, len(premises))), draw(st.sampled_from(pool)))
+        lines[k] = " ".join([head + rule, *premises])
+    return entry["profile"], "\n".join(lines) + "\n"
+
+
+def _builtin_exception(name: str) -> bool:
+    obj = getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_proofs())
+def test_mutated_proof_is_checked_or_raises_a_typed_error(case):
+    profile, text = case
+    try:
+        script = sc.parse_script(text)
+    except Euclid2Error:
+        return
+    report = rules.check_proof(script, profile=profile)
+    if not report.accepted:
+        # a step-level fault is reported as "<ExceptionName>: message"
+        assert not _builtin_exception(report.reject_cause.split(":", 1)[0]), report.reject_cause

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,16 @@ def test_error_locality_line_numbers():
     assert seen >= 10
 
 
+def test_grammar_doc_examples_cover_every_command():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "GRAMMAR.md").read_text()
+    table = doc.split("## Construction commands", 1)[1].split("\n## ", 1)[0]
+    # each placeholder such as <len> or <w> stands for a length; 1 is one
+    examples = [re.sub(r"<\w+>", "1", ex) for ex in re.findall(r"^\| `([^`]+)` \|", table, re.M)]
+    parsed = [sc.parse_command(ex, 1) for ex in examples]
+    assert {type(c) for c in parsed} == set(sc.COMMANDS)
+    assert [c.text() for c in parsed] == examples
+
+
 # ---------------------------------------------------------------------------
 # generated scripts: round-trip over the grammar
 
@@ -97,28 +109,40 @@ def _gen_script(rng: random.Random) -> sc.Script:
         b = rng.choice([p for p in points if p != a])
         return (a, b)
 
-    cmds = [sc.PlaceSegment(points[0], points[1], _gen_len(rng))]
-    for _ in range(rng.randint(0, 6)):
-        k = rng.randrange(8)
-        if k == 0:
-            cmds.append(sc.CutRandom(pick(), pair(), _gen_len(rng)))
-        elif k == 1:
-            cmds.append(sc.CutHalf(pick(), pair()))
-        elif k == 2:
-            cmds.append(sc.ExtendBy(pair(), pick(), _gen_len(rng)))
-        elif k == 3:
-            name = "".join(rng.sample(points, 4))
-            cmds.append(sc.SquareOnCmd(name, (name[0], name[1]),
-                                       rng.choice(["below", "above", "left", "right"])))
-        elif k == 4:
-            cmds.append(sc.Join(*pair()))
-        elif k == 5:
-            cmds.append(sc.Perp(pick(), pick(), pair(),
-                                rng.choice(["below", "above"]), _gen_len(rng)))
-        elif k == 6:
-            cmds.append(sc.ParallelTranslate(pick(), pick(), pair()))
-        else:
-            cmds.append(sc.IntersectAt(pick(), pair(), pair(), "line", None))
+    def letters(n):
+        return "".join(rng.sample(points, n))
+
+    def square():
+        name = letters(4)
+        return sc.SquareOnCmd(name, (name[0], name[1]),
+                              rng.choice(["below", "above", "left", "right"]))
+
+    # one random-instance factory per class of the command table
+    makers = {
+        sc.PlaceSegment: lambda: sc.PlaceSegment(*pair(), _gen_len(rng)),
+        sc.StandaloneSegmentCmd: lambda: sc.StandaloneSegmentCmd(pick(), _gen_len(rng)),
+        sc.CutRandom: lambda: sc.CutRandom(pick(), pair(), _gen_len(rng)),
+        sc.CutHalf: lambda: sc.CutHalf(pick(), pair()),
+        sc.ExtendBy: lambda: sc.ExtendBy(pair(), pick(), _gen_len(rng)),
+        sc.ExtendCopy: lambda: sc.ExtendCopy(pair(), pick(), pick(), pair()),
+        sc.SquareOnCmd: square,
+        sc.RectFig: lambda: sc.RectFig(pick(), _gen_len(rng), _gen_len(rng)),
+        sc.TriangulateToRect: lambda: sc.TriangulateToRect(letters(4), pick()),
+        sc.Perp: lambda: sc.Perp(pick(), pick(), pair(), rng.choice(["below", "above"]),
+                                 _gen_len(rng)),
+        sc.ParallelTranslate: lambda: sc.ParallelTranslate(pick(), pick(), pair()),
+        sc.ParallelMeet: lambda: sc.ParallelMeet(pick(), pick(), pair(), pair()),
+        sc.Join: lambda: sc.Join(*pair()),
+        sc.SemicircleOn: lambda: sc.SemicircleOn(pair(), pick(), rng.choice(["above", "below"])),
+        sc.IntersectLines: lambda: sc.IntersectLines(pick(), pair(), pair()),
+        sc.IntersectCircle: lambda: sc.IntersectCircle(pick(), pair(), pick(),
+                                                       rng.choice(["above", "below"])),
+        sc.GnomonDecl: lambda: sc.GnomonDecl(letters(3), letters(rng.randint(1, 4)),
+                                             letters(rng.randint(1, 4))),
+    }
+    assert set(makers) == set(sc.COMMANDS)
+    kinds = [rng.choice(sc.COMMANDS) for _ in range(rng.randint(0, 8))]
+    cmds = [makers[k]() for k in [sc.PlaceSegment] + kinds]
 
     def stmt(rng):
         from euclid2 import terms as T
@@ -170,8 +194,11 @@ def _gen_script(rng: random.Random) -> sc.Script:
 
 def test_roundtrip_generated_scripts():
     rng = random.Random(20260811)
+    generated = set()
     for _ in range(100):
         script = _gen_script(rng)
+        generated.update(type(c) for c in script.construction)
         text = sc.format_script(script)
         again = sc.parse_script(text)
         assert again == script, text
+    assert generated == set(sc.COMMANDS)
