@@ -1,17 +1,20 @@
 """Constructible reals: exact values, and expression DAGs for the rest.
 
-Values built from rationals with +, -, *, / fold to exact rationals; an
-operation on two rationals is plain `Fraction` arithmetic, before any
-other path.  A single square root of a rational folds to an exact
-quadratic form a + b*sqrt(r) (r a squarefree integer), and arithmetic
-stays exact inside that field; sign queries on such values are decided
-exactly.  Exact values are plain values: equality is decided by
-`exact_key`, never by object identity.  Everything else (nested or mixed
-radicals) is a radical node.  Radical nodes are shared through a weak
-table, so equal constructions give one node while any caller holds it, and
-the table never outlives its users.  Their signs fall back to interval
-refinement with outward-rounded dyadic endpoints, doubling precision until
-the sign is separated or the bit budget runs out.
+A rational is two ints, `num` and `den` > 0 in lowest terms (zero is
+0/1); an operation on two rationals is integer products and one
+`math.gcd`, before any other path.  `const` is where an `int` or
+`Fraction` enters, and `Expr.rat` is a read-only `Fraction` view for
+readers outside the tower.  A single square root of a rational folds to an
+exact quadratic form a + b*sqrt(r) (r a squarefree integer, a and b
+`Fraction`s via `exact_pair`), and arithmetic stays exact inside that
+field; sign queries on such values are decided exactly.  Exact values are
+plain values: equality is decided by `exact_key`, never by object
+identity.  Everything else (nested or mixed radicals) is a radical node.
+Radical nodes are shared through a weak table, so equal constructions give
+one node while any caller holds it, and the table never outlives its
+users.  Their signs fall back to interval refinement with outward-rounded
+dyadic endpoints, doubling precision until the sign is separated or the
+bit budget runs out.
 """
 
 from __future__ import annotations
@@ -60,19 +63,20 @@ class Expr:
     subtrees are one object and their difference folds to an exact zero at
     construction time."""
 
-    __slots__ = ("kind", "args", "rat", "quad", "_ivals", "__weakref__")
+    __slots__ = ("kind", "args", "num", "den", "quad", "_ivals", "__weakref__")
 
     _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __init__(self, kind, args, rat, quad):
+    def __init__(self, kind, args, num, den, quad):
         self.kind = kind
         self.args = args
-        self.rat = rat
+        self.num = num
+        self.den = den  # > 0 with gcd(num, den) == 1 for a rational, else 0
         self.quad = quad  # (a, b, r): value a + b*sqrt(r), r squarefree >= 2, b != 0
         self._ivals: dict[int, tuple[Fraction, Fraction]] = {}
 
     def __repr__(self):
-        if self.rat is not None:
+        if self.den:
             return f"Expr({self.rat})"
         if self.quad is not None:
             a, b, r = self.quad
@@ -82,22 +86,14 @@ class Expr:
     # -- exact views -------------------------------------------------------
 
     @property
-    def is_rational(self) -> bool:
-        return self.rat is not None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.rat is not None or self.quad is not None
-
-    def as_fraction(self) -> Fraction:
-        if self.rat is None:
-            raise ValueError("not an exact rational")
-        return self.rat
+    def rat(self) -> Fraction | None:
+        """The rational value as a `Fraction`, or None."""
+        return Fraction(self.num, self.den) if self.den else None
 
     def exact_pair(self):
-        """(a, b, r) view of an exact value; rationals get (q, 0, 0)."""
-        if self.rat is not None:
-            return (self.rat, Fraction(0), 0)
+        """(a, b, r) of an exact value, (q, 0, 0) for a rational, else None."""
+        if self.den:
+            return (Fraction(self.num, self.den), Fraction(0), 0)
         return self.quad
 
     # -- intervals ---------------------------------------------------------
@@ -112,11 +108,9 @@ class Expr:
 
     def _compute_interval(self, bits: int):
         scale = 1 << bits
-        if self.rat is not None:
-            q = self.rat
-            lo = Fraction(math.floor(q * scale), scale)
-            hi = Fraction(math.ceil(q * scale), scale)
-            return lo, hi
+        if self.den:
+            n, d = self.num << bits, self.den
+            return Fraction(n // d, scale), Fraction(-(-n // d), scale)
         if self.quad is not None:
             a, b, r = self.quad
             slo, shi = _sqrt_interval(Fraction(r), bits + 8)
@@ -173,20 +167,23 @@ def _intern(kind, args) -> Expr:
     key = (kind,) + tuple(exact_key(a) for a in args)
     node = Expr._table.get(key)
     if node is None:
-        node = Expr(kind, args, None, None)
+        node = Expr(kind, args, 0, 0, None)
         Expr._table[key] = node
     return node
 
 
 def const(q) -> Expr:
-    return Expr("rat", (), q if type(q) is Fraction else Fraction(q), None)
+    """The exact rational q: an `int`, or anything `Fraction` accepts."""
+    if type(q) is not int:
+        q = Fraction(q)
+    return Expr("rat", (), q.numerator, q.denominator, None)
 
 
 def _mk_quad(a: Fraction, b: Fraction, r: int) -> Expr:
     """a + b*sqrt(r) for squarefree r >= 2."""
     if b == 0:
         return const(a)
-    return Expr("quad", (), None, (a, b, r))
+    return Expr("quad", (), 0, 0, (a, b, r))
 
 
 ZERO = const(0)
@@ -196,7 +193,7 @@ ONE = const(1)
 def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
     """x op y inside one quadratic field, or None.  `_binop` combines two
     rationals itself, so at least one operand here has a radicand r >= 2."""
-    ex, ey = x.exact_pair() if x.is_exact else None, y.exact_pair() if y.is_exact else None
+    ex, ey = x.exact_pair(), y.exact_pair()
     if ex is None or ey is None:
         return None
     a1, b1, r1 = ex
@@ -224,17 +221,21 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
 
 
 def _binop(kind, x: Expr, y: Expr) -> Expr:
-    a, b = x.rat, y.rat
-    if a is not None and b is not None:
-        if kind == "add":
-            return Expr("rat", (), a + b, None)
-        if kind == "sub":
-            return Expr("rat", (), a - b, None)
-        if kind == "mul":
-            return Expr("rat", (), a * b, None)
-        if b == 0:
+    d1, d2 = x.den, y.den
+    if d1 and d2:
+        n1, n2 = x.num, y.num
+        if kind == "add" or kind == "sub":
+            if kind == "sub":
+                n2 = -n2
+            n, d = (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
+        elif kind == "mul":
+            n, d = n1 * n2, d1 * d2
+        elif n2 == 0:
             raise ZeroDivisionError("division by exact zero")
-        return Expr("rat", (), a / b, None)
+        else:
+            n, d = (n1 * d2, d1 * n2) if n2 > 0 else (-n1 * d2, -d1 * n2)
+        g = math.gcd(n, d)
+        return Expr("rat", (), n // g, d // g, None)
     folded = _exact_combine(kind, x, y)
     if folded is not None:
         return folded
@@ -243,25 +244,23 @@ def _binop(kind, x: Expr, y: Expr) -> Expr:
     if kind == "mul":
         if x is y and x.kind == "sqrt":
             return x.args[0]
-        if x.rat is not None and x.rat == 0 or y.rat is not None and y.rat == 0:
+        if x.den == 1 and x.num == 0 or y.den == 1 and y.num == 0:
             return ZERO
-        if x.rat is not None and x.rat == 1:
+        if x.den == 1 and x.num == 1:
             return y
-        if y.rat is not None and y.rat == 1:
+        if y.den == 1 and y.num == 1:
             return x
     if kind == "add":
-        if x.rat is not None and x.rat == 0:
+        if x.den == 1 and x.num == 0:
             return y
-        if y.rat is not None and y.rat == 0:
+        if y.den == 1 and y.num == 0:
             return x
-    if kind == "sub" and y.rat is not None and y.rat == 0:
+    if kind == "sub" and y.den == 1 and y.num == 0:
         return x
     if kind == "div":
-        if y.rat is not None:
-            if y.rat == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return _binop("mul", x, const(1 / y.rat))
-        if x.rat is not None and x.rat == 0:
+        if y.den:
+            return _binop("mul", x, _binop("div", ONE, y))
+        if x.den == 1 and x.num == 0:
             return ZERO
     return _intern(kind, (x, y))
 
@@ -283,14 +282,13 @@ def div(x: Expr, y: Expr) -> Expr:
 
 
 def sqrt(x: Expr) -> Expr:
-    if x.rat is not None:
-        q = x.rat
-        if q < 0:
+    if x.den:
+        if x.num < 0:
             raise ValueError("sqrt of negative exact value")
-        if q == 0:
+        if x.num == 0:
             return ZERO
-        sn, rn = _square_free(q.numerator)
-        sd, rd = _square_free(q.denominator)
+        sn, rn = _square_free(x.num)
+        sd, rd = _square_free(x.den)
         # sqrt(n/d) = (sn/(sd*rd)) * sqrt(rn*rd)
         coeff = Fraction(sn, sd * rd)
         rad = rn * rd
@@ -309,8 +307,8 @@ def neg(x: Expr) -> Expr:
 def refine_sign(x: Expr, max_bits: int | None = None) -> int:
     """-1, 0 or +1.  Exact for rationals and single-radical quadratic values;
     interval refinement otherwise; raises Undecidable at the bit budget."""
-    if x.rat is not None:
-        return (x.rat > 0) - (x.rat < 0)
+    if x.den:
+        return (x.num > 0) - (x.num < 0)
     if x.quad is not None:
         a, b, r = x.quad
         # a + b*sqrt(r) with b != 0 and r squarefree is never zero
@@ -356,7 +354,7 @@ def refine_to_width(x: Expr, width: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def midpoint(x: Expr, bits: int = 80) -> Fraction:
-    if x.rat is not None:
+    if x.den:
         return x.rat
     while True:
         try:
@@ -369,12 +367,17 @@ def midpoint(x: Expr, bits: int = 80) -> Fraction:
 
 
 def decimal_text(x: Expr, places: int = 4) -> str:
-    """Deterministic fixed-point rendering (used by SVG and reports)."""
-    m = midpoint(x, bits=max(64, 4 * places)) * 10**places
-    n = math.floor(m + Fraction(1, 2))
+    """Deterministic fixed-point rendering, rounded half up (SVG, reports)."""
+    if x.den:
+        n, d = x.num, x.den
+    else:
+        q = midpoint(x, bits=max(64, 4 * places))
+        n, d = q.numerator, q.denominator
+    scale = 10**places
+    n = (2 * n * scale + d) // (2 * d)
     sign = "-" if n < 0 else ""
     n = abs(n)
-    whole, frac = divmod(n, 10**places)
+    whole, frac = divmod(n, scale)
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}." + str(frac).zfill(places).rstrip("0")
@@ -383,8 +386,8 @@ def decimal_text(x: Expr, places: int = 4) -> str:
 def exact_key(x: Expr):
     """Hashable identity of a value: exact values by value, radical nodes
     (interned, so equal constructions are one node) by node identity."""
-    if x.rat is not None:
-        return ("r", x.rat)
+    if x.den:
+        return ("r", x.num, x.den)
     if x.quad is not None:
         return ("q", x.quad)
     return ("n", id(x))

@@ -37,10 +37,10 @@ def sign(x: Expr) -> int:
 
 
 def cmp(a: Expr, b: Expr) -> int:
-    """-1, 0 or +1 as a <, = or > b; two rationals are compared directly."""
-    p, q = a.rat, b.rat
-    if p is not None and q is not None:
-        return 0 if p == q else 1 if p > q else -1
+    """-1, 0 or +1 as a <, = or > b; two rationals by cross-multiplying."""
+    if a.den and b.den:
+        p, q = a.num * b.den, b.num * a.den
+        return (p > q) - (p < q)
     return sign(cr.sub(a, b))
 
 
@@ -105,7 +105,7 @@ def area(poly: Polygon) -> Expr:
 
 
 def polygon_exact_rational(poly: Polygon) -> bool:
-    return all(p[0].is_rational and p[1].is_rational for p in poly)
+    return all(p[0].den and p[1].den for p in poly)
 
 
 def region_key(poly: Polygon):

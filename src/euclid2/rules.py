@@ -210,8 +210,8 @@ class FactBase:
 
 
 def _coord_text(e: cr.Expr) -> str:
-    if e.rat is not None:
-        return T.rational_text(e.rat)
+    if e.den:
+        return T.ratio_text(e.num, e.den)
     if e.quad is not None:
         a, b, r = e.quad
         return f"{T.rational_text(a)}+{T.rational_text(b)}*sqrt({r})"
@@ -1018,8 +1018,11 @@ def check_proof(
             outcome = _HANDLERS[rule](ctx, step.claim, stmts)
         except RuleError as exc:
             return reject(step.index, exc.cause)
-        except Exception as exc:
+        except Euclid2Error as exc:
             return reject(step.index, f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            # a fault of the checker itself, kept apart from calculus rejections
+            return reject(step.index, f"InternalError: {type(exc).__name__}: {exc}")
         blue = tuple(stmt_text(r.stmt) for r in resolved if r.blue)
         digest = outcome.certificate["digest"] if outcome.certificate else None
         report.steps.append(

@@ -96,16 +96,16 @@ class LenSeg:
 LenExpr = LenLit | LenParam | LenSeg
 
 
-def _parse_len(tok: str, line: int) -> LenExpr:
-    tok = tok.strip()
+def _parse_len(tok: str, line: int, col: int) -> LenExpr:
+    """A length token that starts at column `col` of source line `line`."""
     m = re.match(r"^\|([A-Z]{1,2})\|$", tok)
     if m:
         return LenSeg(m.group(1))
     if re.match(r"^-?\d+(/\d+)?$", tok):
-        return LenLit(parse_rational(tok, line))
+        return LenLit(parse_rational(tok, line, col))
     if re.match(r"^[a-z][a-z0-9_]*$", tok):
         return LenParam(tok)
-    raise ParseError(line, 1, f"length expression, got {tok!r}")
+    raise ParseError(line, col, f"length expression, got {tok!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ class _Command:
     def __init_subclass__(cls):
         super().__init_subclass__()
         parts: list[str] = []
-        cls._convert = {}  # field -> (token, line number) -> value
+        cls._convert = {}  # field -> (token, line number, column) -> value
         pos = 0
         for m in _PLACEHOLDER.finditer(cls.SYNTAX):
             parts.append(re.escape(cls.SYNTAX[pos : m.start()]))
@@ -143,19 +143,23 @@ class _Command:
                     spec = f"[A-Z]{{{spec.replace('-', ',')}}}"
                 parts.append(f"(?P<{name}>{spec})")
                 tup = cls.__annotations__[name].startswith("tuple")
-                cls._convert[name] = (lambda tok, _: tuple(tok)) if tup else (lambda tok, _: tok)
+                cls._convert[name] = (lambda tok, *_: tuple(tok)) if tup else (lambda tok, *_: tok)
         parts.append(re.escape(cls.SYNTAX[pos:]))
         # compiled on first use, through re's cache, so a cold run compiles
         # only the syntaxes its script uses
         cls._pattern = "".join(parts)
 
     @classmethod
-    def match(cls, line: str, lineno: int):
-        """The command `line` spells in this syntax, or None."""
+    def match(cls, line: str, lineno: int, col: int):
+        """The command `line` spells in this syntax, or None; `line` starts
+        at column `col` of source line `lineno`."""
         m = re.fullmatch(cls._pattern, line)
         if m is None:
             return None
-        return cls(**{name: cls._convert[name](tok, lineno) for name, tok in m.groupdict().items()})
+        return cls(**{
+            name: convert(m.group(name), lineno, col + m.start(name))
+            for name, convert in cls._convert.items()
+        })
 
     def text(self) -> str:
         def field_text(m):
@@ -329,16 +333,17 @@ for _cls in COMMANDS:
     _BY_HEAD.setdefault(_cls.SYNTAX.split()[0], []).append(_cls)
 
 
-def parse_command(line: str, lineno: int) -> ConstructionCmd:
-    """One `construct:` line, stripped of its indent and comment."""
+def parse_command(line: str, lineno: int, col: int) -> ConstructionCmd:
+    """One `construct:` line, stripped of its indent and comment, that starts
+    at column `col` of source line `lineno`."""
     head = line.split()[0]
     if head not in _BY_HEAD:
-        raise ParseError(lineno, 1, f"unknown construction command {head!r}")
+        raise ParseError(lineno, col, f"unknown construction command {head!r}")
     for cls in _BY_HEAD[head]:
-        cmd = cls.match(line, lineno)
+        cmd = cls.match(line, lineno, col)
         if cmd is not None:
             return cmd
-    raise ParseError(lineno, 1, f"malformed {head} command: {line!r}")
+    raise ParseError(lineno, col, f"malformed {head} command: {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +498,8 @@ class _Parser:
                     body = line[6:]
                     if "=" in body:
                         name, val = body.split("=", 1)
-                        params[name.strip()] = parse_rational(val, self.i + 1)
+                        col = raw.find(val.strip(), raw.find("=") + 1) + 1
+                        params[name.strip()] = parse_rational(val, self.i + 1, col)
                     else:
                         params[body.strip()] = None
                     continue
@@ -506,7 +512,8 @@ class _Parser:
                 if line.startswith("hypothesis "):
                     section = "hypotheses"
                 else:
-                    construction.append(parse_command(line, self.i + 1))
+                    indent = len(raw) - len(raw.lstrip())
+                    construction.append(parse_command(line, self.i + 1, indent + 1))
                     continue
 
             if section in ("hypotheses",) or (

@@ -370,7 +370,8 @@ def parse_statement(text: str, line: int = 0) -> Statement:
 
 
 def parse_rational(tok: str, line: int = 0, col: int = 1) -> Fraction:
-    m = re.match(r"^(-?\d+)(?:/(\d+))?$", tok.strip())
+    tok = tok.strip()
+    m = re.match(r"^(-?\d+)(?:/(\d+))?$", tok)
     if not m:
         raise ParseError(line, col, f"rational number, got {tok!r}")
     num = int(m.group(1))
@@ -380,5 +381,10 @@ def parse_rational(tok: str, line: int = 0, col: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
+def ratio_text(num: int, den: int) -> str:
+    """The rational num/den, given in lowest terms with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def rational_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return ratio_text(q.numerator, q.denominator)

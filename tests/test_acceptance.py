@@ -120,6 +120,12 @@ def test_criterion_3_negative_suite():
 # 4. VE exactness over random rational draws
 
 
+def _frac(e):
+    """The exact rational value of `e`; fails unless `e` is rational."""
+    assert e.den, f"not an exact rational: {e!r}"
+    return e.rat
+
+
 def test_criterion_4_ve_exactness():
     rng = random.Random(20260811)
     total_ve = 0
@@ -138,7 +144,7 @@ def test_criterion_4_ve_exactness():
                 claim = T.parse_statement(step.statement)
                 lhs = dg.sum_value(inst, claim.lhs)
                 rhs = dg.sum_value(inst, claim.rhs)
-                assert lhs.as_fraction() == rhs.as_fraction(), (k, step.index)
+                assert _frac(lhs) == _frac(rhs), (k, step.index)
                 total_ve += 1
     ok(4, f"{total_ve} VE verifications on the exact-rational path, areas equal exactly")
 
@@ -148,7 +154,7 @@ def test_criterion_4_ve_exactness():
 
 
 def _frac_polygon(poly):
-    return [(p[0].as_fraction(), p[1].as_fraction()) for p in poly]
+    return [(_frac(p[0]), _frac(p[1])) for p in poly]
 
 
 def _frac_inside(px, py, poly):
@@ -170,8 +176,8 @@ def test_criterion_5_overlap_multiplicity_and_grid_oracle():
     assert res.equal and res.exact and res.max_multiplicity == 2
     cf = dg.figure_region(inst, "CF")
     mid = geo.pt(
-        (cf[0][0].as_fraction() + cf[2][0].as_fraction()) / 2,
-        (cf[0][1].as_fraction() + cf[2][1].as_fraction()) / 2,
+        (_frac(cf[0][0]) + _frac(cf[2][0])) / 2,
+        (_frac(cf[0][1]) + _frac(cf[2][1])) / 2,
     )
     lhs_regions = [(dg.figure_region(inst, n), 1) for n in ("AF", "CE")]
     rhs_regions = [(dg.figure_region(inst, n), 1) for n in ("KLM", "CF")]

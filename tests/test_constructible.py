@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ def test_radicand_normalization_shares_field():
 
 def test_nested_radical_falls_back_to_intervals():
     n = cr.sqrt(cr.add(cr.ONE, cr.sqrt(cr.const(2))))
-    assert not n.is_exact
+    assert n.exact_pair() is None
     assert cr.refine_sign(cr.sub(n, cr.ONE)) == 1
     lo, hi = n.interval(128)
     assert lo < hi
@@ -104,7 +105,7 @@ def test_undecidable_at_budget():
         cr.sqrt(cr.add(cr.const(2), s2)), cr.sqrt(cr.sub(cr.const(2), s2))
     )
     z = cr.sub(prod, s2)
-    assert not z.is_exact
+    assert z.exact_pair() is None
     with pytest.raises(Undecidable):
         cr.refine_sign(z, max_bits=256)
 
@@ -135,6 +136,56 @@ def test_rational_arithmetic_is_fraction_arithmetic(p, q):
             cr.div(a, b)
     else:
         assert cr.div(a, b).rat == p / q
+
+
+def _canonical(e) -> bool:
+    """num/den in lowest terms with den > 0, so zero is 0/1."""
+    return e.den > 0 and math.gcd(e.num, e.den) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals)
+def test_integer_pair_core_is_canonical_and_agrees_with_fraction(p, q):
+    a, b = cr.const(p), cr.const(q)
+    results = [a, b, cr.add(a, b), cr.sub(a, b), cr.mul(a, b), cr.neg(a)]
+    if q != 0:
+        results.append(cr.div(a, b))
+    assert all(_canonical(e) for e in results)
+    assert (cr.exact_key(a) == cr.exact_key(b)) == (p == q)
+    assert geo.cmp(a, b) == (p > q) - (p < q)
+    assert cr.refine_sign(a) == (p > 0) - (p < 0)
+    # the same value built by another route has the same key
+    assert cr.exact_key(cr.sub(cr.add(a, b), b)) == cr.exact_key(a)
+    if q != 0:
+        assert cr.exact_key(cr.mul(cr.div(a, b), b)) == cr.exact_key(a)
+
+
+def test_exact_key_is_the_value_whatever_the_route():
+    half = cr.const(Fraction(1, 2))
+    assert cr.exact_key(cr.add(half, half)) == cr.exact_key(cr.ONE)
+    assert cr.exact_key(cr.div(cr.const(-2), cr.const(-4))) == cr.exact_key(half)
+    assert cr.exact_key(cr.sub(half, half)) == cr.exact_key(cr.ZERO) == ("r", 0, 1)
+    assert cr.exact_key(cr.div(cr.const(3), cr.const(-6))) == ("r", -1, 2)
+
+
+def _in_q2(e, a, b):
+    """e carries the value a + b*sqrt(2): as a quadratic form, or as a
+    rational when b = 0."""
+    return (e.quad, e.rat) == (((a, b, 2), None) if b != 0 else (None, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, _rationals.filter(lambda b: b != 0))
+def test_mixed_rational_and_quadratic_arithmetic_matches_fraction(p, a, b):
+    r, w = cr.const(p), cr.add(cr.const(a), cr.mul(cr.const(b), cr.sqrt(cr.const(2))))
+    assert _in_q2(w, a, b)
+    assert _in_q2(cr.add(r, w), p + a, b) and _in_q2(cr.add(w, r), a + p, b)
+    assert _in_q2(cr.sub(r, w), p - a, -b) and _in_q2(cr.sub(w, r), a - p, b)
+    assert _in_q2(cr.mul(r, w), p * a, p * b) and _in_q2(cr.mul(w, r), a * p, b * p)
+    norm = a * a - 2 * b * b  # nonzero: sqrt(2) is irrational
+    assert _in_q2(cr.div(r, w), p * a / norm, -p * b / norm)
+    if p != 0:
+        assert _in_q2(cr.div(w, r), a / p, b / p)
 
 
 @st.composite

@@ -1,9 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from euclid2 import cli
 from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
@@ -133,6 +135,93 @@ def test_render_svg_matches_golden_digests():
         report = rules.check_proof(script, instance=inst, profile=entry["profile"])
         svg = svgout.render_svg(script, inst, report)
         assert hashlib.sha256(svg.encode()).hexdigest() == SVG_SHA256[entry["file"]], entry["file"]
+
+
+# sha256 of each case's `check --json --emit-certs` stdout followed by its
+# certificate sidecar, run from the corpus directory so that the sidecar is
+# keyed by the relative file name, with the exit code; certificates print
+# exact coordinates, so any change to how a value is written shows here.
+# Without `--timing` the report carries no timing to mask.
+CHECK_SHA256 = {
+    "II_1.e2p@default": (0, "b288c6993f68f8acfbe6caebdf0bff84194d04a0b3f78f5cde5f43d754824170"),
+    "II_2.e2p@default": (0, "e0a7240f456913586ba3e7dd3095904a2a07d5305f9cf531c6e25ea03302758e"),
+    "II_3.e2p@default": (0, "7858ac666deff50184d23afde022dcb720cf803e853ed2604587be3d94615e54"),
+    "II_4.e2p@default": (0, "49708913bbdb5850a9603259cf3ecbde82d26d138721f42194e335f5a55f274b"),
+    "II_5.e2p@default": (0, "74535897b2674ac543f64125779296dfcda7676243f74b12ceb7c406a0f3a5ff"),
+    "II_6.e2p@default": (0, "4e1ef9b582a0d5d9e6af063e5fb397ddcc7e13d5b2aff9d396cb67a2e54c7abe"),
+    "II_7.e2p@default": (0, "13043efb9dee4cde92c31ac0bd05d676b78b1a30026b937083f385c7894cfce8"),
+    "II_8.e2p@default": (0, "dc8f70941d7520507265e38a25fc7b2e2c3a244ac87236f7d871e1371e12466a"),
+    "II_9.e2p@default": (0, "6e84deb0c595be4dbb19e7629568d0724fb3d45232fec830abf324e824a0565a"),
+    "II_10.e2p@default": (0, "8265b7cf305aa799d81434cf4e616aca3ff5233433d5b1aafac7100326c63c02"),
+    "II_11.e2p@default": (0, "1fc3abceaaf7c964acf6908dc795100e9eedc06ec434f8a04d42aee1fd242ebc"),
+    "II_12.e2p@default": (0, "716779458e715857e89ca838aeade3623e05bf93064ccb3607d44d809ba19db3"),
+    "II_13.e2p@default": (0, "a78bf6f0644db492d204de0a07a26003eca8dca18bb8fbd30728528e3eec84de"),
+    "II_14.e2p@default": (0, "fa989b64fe11ab2b87dc54834da77e896c72428365448aa956729c0ae8c08d28"),
+    "II_5_bm.e2p@bm-dissection": (0, "060be43d73a3e838ff0ac1a7747d84c1cf0c46a69643c4c53bd2f6e07449f9a6"),
+    "II_14_bm.e2p@bm-dissection": (0, "01ae0e64b064288d09f8bf0c258a4ca1d99cc6a0254b8b038c1714f8318875ef"),
+    "neg/II_4_commuted.e2p@default": (1, "087f494fa414b044aa6ff384ea79311e8b76ec8d2fbb38627e55d81f9ed0a9ae"),
+    "neg/II_1_false_ve.e2p@default": (1, "3433439cf2f9827d24785120c3a4c501c972cae2acc1415079d06ba6bdf6c657"),
+    "neg/II_11_no_rangle.e2p@default": (1, "ee17d4c2054d75e88d89114eeefd874dbf15d7588fd0ecfd907bb1ad739975a9"),
+    "neg/mueller_congruence.e2p@default": (1, "8e8630faa7cb2232e870b487bcb5b0bae7f9898a3bbbbcf6c9c5ba5005bf7c44"),
+    "neg/II_2_claim_mismatch.e2p@default": (1, "6114abde317f0b74ae901a81981c95610afd904496604b574234a532535b1d0a"),
+    "neg/II_14_wrong_radius.e2p@default": (1, "a7c97a5fa5491742beafda92e1cd56ef863ae00a37a8968eee4886f92fc0e718"),
+    "neg/II_7_merge_overlap.e2p@default": (1, "1bcf896427a48872bbeb56bb1093eb8c82a714f06e6964e37c426adb91ab7656"),
+    "neg/II_4_double_distinct.e2p@default": (1, "babf7b1bbbf2880f52806934e4cdeb84c4fd465f153eb961f0f0d87149277985"),
+    "neg/II_14_no_common.e2p@default": (1, "b8c3c68719758a1005d4666cd6e8a171ef4f6aef010945e3afbd169d7f203275"),
+    "neg/II_5_bad_i43.e2p@default": (1, "98a0eb0285d1e8b3a4843b010533297b444ae04f5074e1304917c8fc219822ea"),
+    "neg/II_9_missing_hyp.e2p@default": (1, "f4d41db8f9a34f3884add44292f885229c78cb684c8ea158d0543f68d6959ad2"),
+    "II_5_bm.e2p@default": (1, "a705e847b31a3507c5cb181ab6a15f6ae2291ec48be5714ae780aa23ec00714a"),
+}
+
+# sha256 of each entry's `oracle --json --samples 3` stdout (seed 0)
+ORACLE_SHA256 = {
+    "II_1.e2p": "3b0e072dff4899ea4cb4b9383b8271cdc06f51429b7f2768755289a068210c59",
+    "II_2.e2p": "afdf5fab3d111aa17bcfed253d7067386bcc2daa0d8fd1177e0f5c1271a5d9f1",
+    "II_3.e2p": "dd519c529f1b3377cb736191a5ce5def9f15c44b427529ed1280ef6457d51666",
+    "II_4.e2p": "76fbc70d47701142f896c980b4618946bd39945227172ed89e68b4b64336e3df",
+    "II_5.e2p": "4290d96ae1ec831221154d0b386b213067d7cbb3bbbf9eaab233b00379c22ce3",
+    "II_6.e2p": "4446fd4492f0010ce65b1c7391925f70bfdf7711f6feaac30b80c91bdebf6ffa",
+    "II_7.e2p": "145f048eef647ec59821eafef24c96d8ba1f78c64933b4c5cdcf92dcd5ad8a8c",
+    "II_8.e2p": "93f635ce963fb6b39a317d3c95b9a8a12b80172f7fced6a99b153146ba4f09e3",
+    "II_9.e2p": "cc8c363cb2a5af7045ae6bd0178b6d6a70f83cc10e6e477189b4e6639c406e38",
+    "II_10.e2p": "d918d7c961e1f7efc4be95d4ff9856f9d9b9e1496b1ea45547d0250ae32deaf4",
+    "II_11.e2p": "15c942f447c3d00019cd60be242ee87d5e5d3c3059ddd6b3311b8dd53b36a5c1",
+    "II_12.e2p": "32d58b76328cc0dd0a84a979f737dc88534b685ad54a2de06842f0b8c33577da",
+    "II_13.e2p": "a5de51b9364a6c4981ce7d5f0aebb751aed16cdb7af5792600f81ffe25ae2323",
+    "II_14.e2p": "b95f9361ee8295a80dc84678198a3fbdd6fc47403f82e8c9feefc820e317f919",
+    "II_5_bm.e2p": "55f20998a99a452d303d5c6062629a407c56fe77c5b418bacbdef7cfd53f8f42",
+    "II_14_bm.e2p": "6a8002e3f8002fa03473a7e5fb1cfa38f01c4a77cef65dbdf09c9df39405ff60",
+}
+
+
+def _cli_stdout(args, capsys) -> tuple[int, str]:
+    code = cli.main(args)
+    return code, capsys.readouterr().out
+
+
+def test_check_json_and_certificates_match_golden_digests(tmp_path, monkeypatch, capsys):
+    cases = ENTRIES + NEGATIVES
+    assert sorted(CHECK_SHA256) == sorted(f"{e['file']}@{e['profile']}" for e in cases)
+    monkeypatch.chdir(Path(str(corpusdata.corpus_root())))
+    sidecar = tmp_path / "certs.json"
+    for entry in cases:
+        key = f"{entry['file']}@{entry['profile']}"
+        code, out = _cli_stdout(
+            ["check", "--json", "--profile", entry["profile"],
+             "--emit-certs", str(sidecar), entry["file"]],
+            capsys,
+        )
+        digest = hashlib.sha256((out + sidecar.read_text()).encode()).hexdigest()
+        assert (code, digest) == CHECK_SHA256[key], key
+
+
+def test_oracle_json_matches_golden_digests(monkeypatch, capsys):
+    assert sorted(ORACLE_SHA256) == sorted(e["file"] for e in ENTRIES)
+    monkeypatch.chdir(Path(str(corpusdata.corpus_root())))
+    for entry in ENTRIES:
+        code, out = _cli_stdout(["oracle", "--json", "--samples", "3", entry["file"]], capsys)
+        assert code == 0, entry["file"]
+        assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[entry["file"]], entry["file"]
 
 
 def test_certificates_present_for_geometry_rules():

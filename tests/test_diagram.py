@@ -21,7 +21,7 @@ def realize(name, params=None):
 
 def frac_pt(inst, label):
     x, y = inst.point(label)
-    return (x.as_fraction(), y.as_fraction())
+    return (x.rat, y.rat)
 
 
 def test_realize_ii2_coordinates():
@@ -48,7 +48,7 @@ def test_realize_ii5_cut_exact():
     d = frac_pt(inst, "D")
     assert d[0] - c[0] == Fraction(1, 5)
     # CD is an exact rational length
-    assert inst.seg_len(T.mk_segment("C", "D")).as_fraction() == Fraction(1, 5)
+    assert inst.seg_len(T.mk_segment("C", "D")).rat == Fraction(1, 5)
 
 
 def test_realize_ii11_golden_interval():
@@ -114,9 +114,9 @@ def test_verify_decomposition_ii1():
     res = dg.verify_decomposition(inst, [("BH", 1)], [("BK", 1), ("DL", 1), ("EH", 1)])
     assert res.equal and res.exact
     # areas agree exactly: a(b+c+d) = ab+ac+ad
-    lhs = geo.area(dg.figure_region(inst, "BH")).as_fraction()
+    lhs = geo.area(dg.figure_region(inst, "BH")).rat
     parts = sum(
-        geo.area(dg.figure_region(inst, nm)).as_fraction() for nm in ("BK", "DL", "EH")
+        geo.area(dg.figure_region(inst, nm)).rat for nm in ("BK", "DL", "EH")
     )
     assert lhs == parts
 
@@ -125,8 +125,8 @@ def test_verify_decomposition_false_case():
     inst = realize("II_2.e2p")
     res = dg.verify_decomposition(inst, [("AE", 1)], [("AF", 1)])
     assert not res.equal
-    assert geo.area(dg.figure_region(inst, "AE")).as_fraction() == 1
-    assert geo.area(dg.figure_region(inst, "AF")).as_fraction() == Fraction(2, 5)
+    assert geo.area(dg.figure_region(inst, "AE")).rat == 1
+    assert geo.area(dg.figure_region(inst, "AF")).rat == Fraction(2, 5)
 
 
 def test_verify_decomposition_ii7_multiplicity():
@@ -161,8 +161,8 @@ def test_brute_force_grid_agreement_ii1_to_ii6():
         assert res.equal and res.exact, name
         left = [(dg.figure_region(inst, n), m) for n, m in lhs]
         right = [(dg.figure_region(inst, n), m) for n, m in rhs]
-        xs = [p[0].as_fraction() for poly, _ in left + right for p in poly]
-        ys = [p[1].as_fraction() for poly, _ in left + right for p in poly]
+        xs = [p[0].rat for poly, _ in left + right for p in poly]
+        ys = [p[1].rat for poly, _ in left + right for p in poly]
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         n = 17
         for i in range(n):

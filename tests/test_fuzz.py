@@ -1,7 +1,6 @@
 """Mutated corpus scripts: realizing, rendering and checking them either
 works or raises a typed `Euclid2Error`, never anything else."""
 
-import builtins
 import re
 
 from hypothesis import given, settings
@@ -121,11 +120,6 @@ def mutated_proofs(draw):
     return entry["profile"], "\n".join(lines) + "\n"
 
 
-def _builtin_exception(name: str) -> bool:
-    obj = getattr(builtins, name, None)
-    return isinstance(obj, type) and issubclass(obj, BaseException)
-
-
 @settings(max_examples=60, deadline=None)
 @given(mutated_proofs())
 def test_mutated_proof_is_checked_or_raises_a_typed_error(case):
@@ -136,5 +130,5 @@ def test_mutated_proof_is_checked_or_raises_a_typed_error(case):
         return
     report = rules.check_proof(script, profile=profile)
     if not report.accepted:
-        # a step-level fault is reported as "<ExceptionName>: message"
-        assert not _builtin_exception(report.reject_cause.split(":", 1)[0]), report.reject_cause
+        # an untyped fault in a step is reported as "InternalError: <Type>: message"
+        assert not report.reject_cause.startswith("InternalError"), report.reject_cause

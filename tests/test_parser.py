@@ -75,12 +75,37 @@ def test_error_locality_line_numbers():
     assert seen >= 10
 
 
+@pytest.mark.parametrize(
+    "old, new, col, expected",
+    [
+        # a param value: the column of the value, the value without its space
+        ("param c = 2/5", "param c = 1e3", 11, "rational number, got '1e3'"),
+        ("param c = 2/5", "param c =   2/0", 13, "zero denominator"),
+        # a length in a construction command: the column of the length token
+        ("  place BC = 1", "  place BC = 1e9", 14, "length expression, got '1e9'"),
+        ("  place BC = 1", "  place BC = 1/0", 14, "zero denominator"),
+        ("  segment A = a", "    segment A = A", 17, "length expression, got 'A'"),
+        # a whole construction command: the column where the command starts
+        ("  place BC = 1", "    plaice BC = 1", 5, "unknown construction command 'plaice'"),
+        ("  place BC = 1", "   place BC 1", 4, "malformed place command: 'place BC 1'"),
+    ],
+)
+def test_malformed_token_reports_its_column(old, new, col, expected):
+    text = corpusdata.read_script_text("II_1.e2p")
+    lines = text.splitlines()
+    k = lines.index(old)
+    lines[k] = new
+    with pytest.raises(ParseError) as exc:
+        sc.parse_script("\n".join(lines) + "\n")
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (k + 1, col, expected)
+
+
 def test_grammar_doc_examples_cover_every_command():
     doc = (Path(__file__).resolve().parents[1] / "docs" / "GRAMMAR.md").read_text()
     table = doc.split("## Construction commands", 1)[1].split("\n## ", 1)[0]
     # each placeholder such as <len> or <w> stands for a length; 1 is one
     examples = [re.sub(r"<\w+>", "1", ex) for ex in re.findall(r"^\| `([^`]+)` \|", table, re.M)]
-    parsed = [sc.parse_command(ex, 1) for ex in examples]
+    parsed = [sc.parse_command(ex, 1, 1) for ex in examples]
     assert {type(c) for c in parsed} == set(sc.COMMANDS)
     assert [c.text() for c in parsed] == examples
 
