@@ -5,16 +5,20 @@ A rational is two ints, `num` and `den` > 0 in lowest terms (zero is
 `math.gcd`, before any other path.  `const` is where an `int` or
 `Fraction` enters, and `Expr.rat` is a read-only `Fraction` view for
 readers outside the tower.  A single square root of a rational folds to an
-exact quadratic form a + b*sqrt(r) (r a squarefree integer, a and b
-`Fraction`s via `exact_pair`), and arithmetic stays exact inside that
-field; sign queries on such values are decided exactly.  Exact values are
-plain values: equality is decided by `exact_key`, never by object
-identity.  Everything else (nested or mixed radicals) is a radical node.
-Radical nodes are shared through a weak table, so equal constructions give
-one node while any caller holds it, and the table never outlives its
-users.  Their signs fall back to interval refinement with outward-rounded
-dyadic endpoints, doubling precision until the sign is separated or the
-bit budget runs out.
+exact quadratic form a + b*sqrt(r) (r >= 2 an integer that is not a
+perfect square, a and b `Fraction`s via `exact_pair`), and arithmetic
+stays exact inside that field; sign queries on such values are decided
+exactly.  The radicand is not factored: trial division stops at
+`_TRIAL_BOUND` and the cofactor left gets one perfect-square test, so r
+may keep a square factor, and two radicands r1 != r2 name one field when
+r1*r2 is a perfect square.  Exact values are plain values: equality is
+decided by `exact_key` (for a + b*sqrt(r): a, the sign of b and b*b*r),
+never by object identity.  Everything else (nested or mixed radicals) is
+a radical node.  Radical nodes are shared through a weak table, so equal
+constructions give one node while any caller holds it, and the table never
+outlives its users.  Their signs fall back to interval refinement with
+outward-rounded dyadic endpoints, doubling precision until the sign is
+separated or the bit budget runs out.
 """
 
 from __future__ import annotations
@@ -40,19 +44,44 @@ def max_bits_budget() -> int:
     return DEFAULT_MAX_BITS
 
 
+# Trial division stops below this bound, so `sqrt` of a rational costs a
+# bounded number of small divisions and one `isqrt` whatever its size.
+_TRIAL_BOUND = 2**10
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return tuple(p for p in range(2, n) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+
 def _square_free(n: int) -> tuple[int, int]:
-    """n = s*s*r with r squarefree; returns (s, r).  n > 0."""
-    s, r, d = 1, 1, 2
-    while d * d <= n:
-        if n % d == 0:
+    """n = s*s*r with r = 1 or r not a perfect square; returns (s, r).  n > 0.
+
+    Only primes below `_TRIAL_BOUND` are divided out; the cofactor left
+    gets one perfect-square test.  So r is squarefree whenever that
+    cofactor is below `_TRIAL_BOUND`**3 (every corpus radicand), and a
+    large prime costs no more than a small one."""
+    s = r = 1
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break  # n is 1 or a prime
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            s *= d ** (e // 2)
+            s *= p ** (e // 2)
             if e % 2:
-                r *= d
-        d += 1 if d == 2 else 2
+                r *= p
+    t = math.isqrt(n)
+    if t * t == n:
+        return s * t, r
     return s, r * n
 
 
@@ -72,8 +101,9 @@ class Expr:
         self.args = args
         self.num = num
         self.den = den  # > 0 with gcd(num, den) == 1 for a rational, else 0
-        self.quad = quad  # (a, b, r): value a + b*sqrt(r), r squarefree >= 2, b != 0
-        self._ivals: dict[int, tuple[Fraction, Fraction]] = {}
+        # (a, b, r): value a + b*sqrt(r), b != 0, r >= 2 not a perfect square
+        self.quad = quad
+        self._ivals: dict[int, tuple[Fraction, Fraction]] | None = None  # made by interval()
 
     def __repr__(self):
         if self.den:
@@ -99,11 +129,14 @@ class Expr:
     # -- intervals ---------------------------------------------------------
 
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        cached = self._ivals.get(bits)
+        ivals = self._ivals
+        if ivals is None:
+            ivals = self._ivals = {}
+        cached = ivals.get(bits)
         if cached is not None:
             return cached
         lo, hi = self._compute_interval(bits)
-        self._ivals[bits] = (lo, hi)
+        ivals[bits] = (lo, hi)
         return lo, hi
 
     def _compute_interval(self, bits: int):
@@ -180,7 +213,7 @@ def const(q) -> Expr:
 
 
 def _mk_quad(a: Fraction, b: Fraction, r: int) -> Expr:
-    """a + b*sqrt(r) for squarefree r >= 2."""
+    """a + b*sqrt(r) for r >= 2 not a perfect square."""
     if b == 0:
         return const(a)
     return Expr("quad", (), 0, 0, (a, b, r))
@@ -198,9 +231,19 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
         return None
     a1, b1, r1 = ex
     a2, b2, r2 = ey
-    if r1 and r2 and r1 != r2:
-        return None  # mixed radicands: no shared quadratic field
     r = r1 or r2
+    if r1 and r2 and r1 != r2:
+        # one field when r1*r2 = t*t: then sqrt(R) = (t/r)*sqrt(r) for the
+        # larger radicand R and the smaller r, which is kept so that the
+        # result does not depend on operand order
+        t = math.isqrt(r1 * r2)
+        if t * t != r1 * r2:
+            return None  # mixed radicands: no shared quadratic field
+        if r1 < r2:
+            b2 = b2 * Fraction(t, r1)
+        else:
+            r = r2
+            b1 = b1 * Fraction(t, r2)
     if kind == "add":
         a, b = a1 + a2, b1 + b2
     elif kind == "sub":
@@ -212,7 +255,7 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
         if den == 0:
             if a2 == 0 and b2 == 0:
                 raise ZeroDivisionError("division by exact zero")
-            return None  # cannot happen for squarefree r, but stay safe
+            return None  # cannot happen: sqrt(r) is irrational, but stay safe
         a = (a1 * a2 - b1 * b2 * r) / den
         b = (b1 * a2 - a1 * b2) / den
     else:  # pragma: no cover
@@ -289,14 +332,13 @@ def sqrt(x: Expr) -> Expr:
             return ZERO
         sn, rn = _square_free(x.num)
         sd, rd = _square_free(x.den)
-        # sqrt(n/d) = (sn/(sd*rd)) * sqrt(rn*rd)
-        coeff = Fraction(sn, sd * rd)
+        # sqrt(n/d) = (sn/(sd*rd)) * sqrt(rn*rd).  n and d are coprime, so
+        # rn and rd are, and as each is 1 or not a perfect square, rn*rd is
+        # a perfect square only when it is 1
         rad = rn * rd
-        s2, rad = _square_free(rad)
-        coeff *= s2
         if rad == 1:
-            return const(coeff)
-        return _mk_quad(Fraction(0), coeff, rad)
+            return const(Fraction(sn, sd))
+        return _mk_quad(Fraction(0), Fraction(sn, sd * rd), rad)
     return _intern("sqrt", (x,))
 
 
@@ -311,7 +353,8 @@ def refine_sign(x: Expr, max_bits: int | None = None) -> int:
         return (x.num > 0) - (x.num < 0)
     if x.quad is not None:
         a, b, r = x.quad
-        # a + b*sqrt(r) with b != 0 and r squarefree is never zero
+        # a + b*sqrt(r) with b != 0 and r not a perfect square is never
+        # zero, and a*a never equals b*b*r below
         if a >= 0 and b > 0:
             return 1
         if a <= 0 and b < 0:
@@ -385,9 +428,15 @@ def decimal_text(x: Expr, places: int = 4) -> str:
 
 def exact_key(x: Expr):
     """Hashable identity of a value: exact values by value, radical nodes
-    (interned, so equal constructions are one node) by node identity."""
+    (interned, so equal constructions are one node) by node identity.
+    a + b*sqrt(r) is keyed by a, the sign of b and b*b*r in lowest terms,
+    so equal values get one key whatever square factor r keeps."""
     if x.den:
         return ("r", x.num, x.den)
     if x.quad is not None:
-        return ("q", x.quad)
+        a, b, r = x.quad
+        p, q = b.numerator, b.denominator
+        q2 = q * q
+        g = math.gcd(r, q2)  # gcd(p, q) = 1, so only r and q*q share factors
+        return ("q", a.numerator, a.denominator, p > 0, p * p * (r // g), q2 // g)
     return ("n", id(x))

@@ -36,6 +36,14 @@ from fractions import Fraction
 from .errors import ParseError, UndeclaredPoint, UnknownRule
 from .terms import (
     Eq,
+    Fig,
+    IsSq,
+    Multiple,
+    Pi,
+    RectBy,
+    RightAngle,
+    SegEq,
+    SquareOn,
     Statement,
     parse_rational,
     parse_statement,
@@ -613,8 +621,6 @@ class _Parser:
 
 def _stmt_labels(stmt: Statement):
     """(point-or-lone-segment letters, figure names) mentioned by a statement."""
-    from . import terms as T
-
     segs: list[str] = []
     figs: list[str] = []
 
@@ -622,30 +628,30 @@ def _stmt_labels(stmt: Statement):
         segs.append(s.text() if s.display else (s.a + (s.b or "")))
 
     def term(t):
-        if isinstance(t, T.SquareOn):
+        if isinstance(t, SquareOn):
             seg(t.side)
-        elif isinstance(t, T.RectBy):
+        elif isinstance(t, RectBy):
             seg(t.first)
             seg(t.second)
-        elif isinstance(t, T.Fig):
+        elif isinstance(t, Fig):
             figs.append(t.name.letters)
-        elif isinstance(t, T.Multiple):
+        elif isinstance(t, Multiple):
             term(t.inner)
 
-    if isinstance(stmt, T.Eq):
+    if isinstance(stmt, Eq):
         for t in stmt.lhs.terms + stmt.rhs.terms:
             term(t)
-    elif isinstance(stmt, T.Pi):
+    elif isinstance(stmt, Pi):
         figs.append(stmt.figure.letters)
         seg(stmt.first)
         seg(stmt.second)
-    elif isinstance(stmt, T.IsSq):
+    elif isinstance(stmt, IsSq):
         figs.append(stmt.figure.letters)
         seg(stmt.side)
-    elif isinstance(stmt, T.SegEq):
+    elif isinstance(stmt, SegEq):
         seg(stmt.a)
         seg(stmt.b)
-    elif isinstance(stmt, T.RightAngle):
+    elif isinstance(stmt, RightAngle):
         segs.extend([stmt.vertex + stmt.arm1, stmt.vertex + stmt.arm2])
     return segs, figs
 

@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import shutil
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -280,3 +283,33 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "Accepted" in proc.stdout
+
+
+def _cli_subprocess(args):
+    """Run the CLI in a child with a hard timeout, so a hang fails the test
+    instead of stalling the suite; returns (returncode, stdout, seconds)."""
+    path = [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "euclid2.cli", *args],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    return proc.returncode, proc.stdout, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("h", ["1000000007/2", "10000019/2"])
+def test_large_prime_parameter_checks_without_hanging(h, tmp_path):
+    # EH = sqrt(w*h) with w = 2: its radicand is the prime 1000000007 (or
+    # 10000019), and the oracle's draws multiply it by further large
+    # factors; trial division up to the square root stalls on both
+    text = (CORPUS / "II_14.e2p").read_text(encoding="utf-8")
+    assert "param h = 1/2" in text
+    path = tmp_path / "II_14_big.e2p"
+    path.write_text(text.replace("param h = 1/2", f"param h = {h}"), encoding="utf-8")
+    code, out, elapsed = _cli_subprocess(["check", "--json", str(path)])
+    assert code == 0 and json.loads(out)["verdict"]["status"] == "accepted"
+    code, out, elapsed_oracle = _cli_subprocess(["oracle", "--samples", "3", str(path)])
+    assert code == 0 and "diorismos: ok (3 samples)" in out
+    # acceptance criterion 1's bound for the whole corpus
+    assert elapsed + elapsed_oracle < 5.0, (elapsed, elapsed_oracle)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
@@ -186,6 +186,88 @@ def test_mixed_rational_and_quadratic_arithmetic_matches_fraction(p, a, b):
     assert _in_q2(cr.div(r, w), p * a / norm, -p * b / norm)
     if p != 0:
         assert _in_q2(cr.div(w, r), a / p, b / p)
+
+
+# primes above the trial-division bound: the square of one stays inside a
+# radicand whose cofactor is not a perfect square
+_large_primes = st.sampled_from([1031, 65537, 1000003, 1000000007])
+_cofactors = st.one_of(_large_primes, st.integers(1, 60))
+
+
+def _is_exact_zero(e) -> bool:
+    return e.den != 0 and e.num == 0
+
+
+def test_radicand_keeps_a_large_square_factor():
+    n = 1031 * 1031 * 65537 * 1000003
+    assert cr.sqrt(cr.const(n)).quad == (0, 1, n)
+    assert cr.sqrt(cr.const(1031 * 1031)).rat == 1031
+    assert cr.sqrt(cr.const(Fraction(7, 1031 * 1031))).quad == (0, Fraction(1, 1031), 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_primes, _cofactors, _cofactors)
+def test_equal_values_share_a_key_whatever_square_the_radicand_keeps(p, q, s):
+    big = cr.sqrt(cr.const(p * p * q * s))
+    small = cr.sqrt(cr.const(q * s))
+    pairs = [
+        (big, cr.mul(cr.const(p), small)),
+        (cr.div(big, cr.const(p)), small),  # keys reduce b*b*r by gcd(r, den(b)**2)
+    ]
+    for x, y in pairs:
+        assert cr.exact_key(x) == cr.exact_key(y)
+        assert _is_exact_zero(cr.sub(x, y)) and _is_exact_zero(cr.sub(y, x))
+        assert cr.exact_key(cr.add(x, cr.ONE)) == cr.exact_key(cr.add(cr.ONE, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _rationals.map(abs),
+        st.builds(lambda p, q, s: Fraction(p * p * q, s), _large_primes, _cofactors, _cofactors),
+    )
+)
+def test_square_of_a_square_root_is_the_rational(x):
+    root = cr.sqrt(cr.const(x))
+    assert cr.exact_key(cr.mul(root, root)) == cr.exact_key(cr.const(x))
+
+
+def _sign_reference(a: Fraction, b: Fraction, r: int) -> int:
+    """sign(a + b*sqrt(r)) from one integer square root: scaled by the
+    denominators it is A + B*sqrt(r), and isqrt(B*B*r) brackets |B|*sqrt(r)."""
+    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    m = math.isqrt(B * B * r)
+    if m * m == B * B * r:
+        v = A + (m if B > 0 else -m)
+        return (v > 0) - (v < 0)
+    if B > 0:  # m < B*sqrt(r) < m + 1
+        return 1 if m >= -A else -1
+    return 1 if m < A else -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, _rationals, _large_primes, _cofactors, _cofactors)
+def test_refine_sign_agrees_with_an_isqrt_reference(a, b, p, q, s):
+    r = p * p * q * s
+    v = cr.add(cr.const(a), cr.mul(cr.const(b), cr.sqrt(cr.const(r))))
+    assert v.exact_pair() is not None
+    assert cr.refine_sign(v) == _sign_reference(a, b, r)
+    # a value next to a + b*sqrt(r): the rational floor of b*sqrt(r) * 2**40
+    if b != 0:
+        near = Fraction(math.isqrt(int(b * b * r * 2**80)), 2**40) * (1 if b > 0 else -1)
+        w = cr.sub(v, cr.const(a + near))
+        assert cr.refine_sign(w) == _sign_reference(-near, b, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_primes, st.sampled_from([2, 3, 6, 1031, 65537]), _large_primes)
+def test_radicands_of_different_fields_still_give_a_radical_node(p, q, s):
+    # p*p*q and q*s share a field only when their product p*p*q*q*s is a
+    # square, and a prime s never makes it one
+    assume(q != s)
+    x, y = cr.sqrt(cr.const(p * p * q)), cr.sqrt(cr.const(q * s))
+    for z in (cr.add(x, y), cr.sub(x, y), cr.mul(x, y), cr.div(x, y)):
+        assert z.exact_pair() is None and z.kind in ("add", "sub", "mul", "div")
 
 
 @st.composite
