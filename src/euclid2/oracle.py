@@ -211,7 +211,7 @@ class Coordinatization:
             return self.seg_length(term.first) * self.seg_length(term.second)
         if isinstance(term, T.Multiple):
             return self.term_length(term.inner).scale(term.count)
-        raise UnmappedTerm(f"term {T.term_text(term)} has no polynomial reading")
+        raise UnmappedTerm(f"term {term.text()} has no polynomial reading")
 
 
 def translate(stmt: T.Eq, coord: Coordinatization) -> tuple[Poly, Poly]:

@@ -55,7 +55,6 @@ from .terms import (
     lift_naming,
     stmt_equal,
     stmt_key,
-    stmt_text,
     term_sum,
 )
 
@@ -180,7 +179,7 @@ class FactBase:
                 if isinstance(t, Fig):
                     out.append(("region", self._region(t.name.letters)))
                 else:
-                    out.append(("term", T._term_key(t)))
+                    out.append(("term", T.term_key(t)))
             return tuple(sorted(out, key=repr))
 
         sides = sorted([side(eq.lhs), side(eq.rhs)], key=repr)
@@ -315,7 +314,7 @@ def _subst_eq(eq: Eq, f) -> tuple[Eq, int]:
 def _match_claim(derived: Statement, claim: Statement):
     if not stmt_equal(derived, claim):
         raise NoMatch(
-            f"derived {stmt_text(derived)!r} does not match claim {stmt_text(claim)!r}"
+            f"derived {derived.text()!r} does not match claim {claim.text()!r}"
         )
 
 
@@ -342,7 +341,7 @@ def rule_R1(ctx: RuleContext, claim, premises) -> StepOutcome:
     for cand in candidates:
         if stmt_equal(cand, claim):
             return StepOutcome(cand)
-    raise NoMatch(f"no substitution of {stmt_text(se)} into {stmt_text(pi)} yields the claim")
+    raise NoMatch(f"no substitution of {se.text()} into {pi.text()} yields the claim")
 
 
 def rule_R2(ctx: RuleContext, claim, premises) -> StepOutcome:
@@ -439,7 +438,7 @@ def rule_R4(ctx: RuleContext, claim, premises) -> StepOutcome:
         derived, replaced = _subst_eq(derived, repl)
         if not replaced:
             raise NoMatch(
-                f"term {T.term_text(target)} (operand order significant) not present"
+                f"term {target.text()} (operand order significant) not present"
             )
     _match_claim(derived, claim)
     return StepOutcome(derived)
@@ -545,15 +544,15 @@ def _resolve_ve_regions(ctx: RuleContext, s: TermSum):
                     extended = True
                     out.append((fact.figure.letters, ctx.region(fact.figure.letters), mult))
                     return
-            raise UnboundFigure(f"no square-on naming binds {T.term_text(term)}")
+            raise UnboundFigure(f"no square-on naming binds {term.text()}")
         if isinstance(term, RectBy):
             for fact in ctx.fb.pi_facts():
                 if fact.first == term.first and fact.second == term.second:
                     extended = True
                     out.append((fact.figure.letters, ctx.region(fact.figure.letters), mult))
                     return
-            raise UnboundFigure(f"no contained-by naming binds {T.term_text(term)}")
-        raise UnboundFigure(f"term {T.term_text(term)} cannot be bound to a region")
+            raise UnboundFigure(f"no contained-by naming binds {term.text()}")
+        raise UnboundFigure(f"term {term.text()} cannot be bound to a region")
 
     for t in T.normalize(s).terms:
         resolve(t, 1)
@@ -784,7 +783,7 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
             (fig1, t1), (fig2, t2) = pairs
             if t1 != t2:
                 raise DistinctTargets(
-                    f"{T.term_text(t1)} and {T.term_text(t2)} differ (operand order counts)"
+                    f"{t1.text()} and {t2.text()} differ (operand order counts)"
                 )
             derived = Eq(
                 term_sum([Fig(fig1), Fig(fig2)]),
@@ -955,7 +954,7 @@ def _resolve_premises(ctx: RuleContext, script: sc.Script, step, prior: dict):
                 except RuleError:
                     pass
             raise UnresolvedPremise(
-                f"premise {stmt_text(stmt)!r} is neither a fact nor diagram-checkable"
+                f"premise {stmt.text()!r} is neither a fact nor diagram-checkable"
             )
     return resolved
 
@@ -974,7 +973,7 @@ def check_proof(
         reject_cause=None,
         steps=[],
         hypotheses=[],
-        diorismos=stmt_text(script.diorismos),
+        diorismos=script.diorismos.text(),
     )
     allowed = PROFILES.get(profile)
     if allowed is None:
@@ -1002,7 +1001,7 @@ def check_proof(
         except Euclid2Error as exc:
             return reject(0, f"HypothesisUnverifiable: h{h.index}: {exc}")
         fb.add(h.stmt, f"hypothesis:h{h.index}")
-        report.hypotheses.append((f"h{h.index}", stmt_text(h.stmt), h.flag))
+        report.hypotheses.append((f"h{h.index}", h.stmt.text(), h.flag))
 
     ctx = RuleContext(inst, fb, script.flags)
     prior: dict[int, Statement] = {}
@@ -1023,12 +1022,12 @@ def check_proof(
         except Exception as exc:
             # a fault of the checker itself, kept apart from calculus rejections
             return reject(step.index, f"InternalError: {type(exc).__name__}: {exc}")
-        blue = tuple(stmt_text(r.stmt) for r in resolved if r.blue)
+        blue = tuple(r.stmt.text() for r in resolved if r.blue)
         digest = outcome.certificate["digest"] if outcome.certificate else None
         report.steps.append(
             sc.StepRecord(
                 index=step.index,
-                statement=stmt_text(step.claim),
+                statement=step.claim.text(),
                 rule=rule.value,
                 color=color_of(rule).value,
                 flags=outcome.flags,

@@ -22,34 +22,23 @@ Statement syntax is the stable text form from the term layer.  Step premises
 are earlier steps (`s2`), hypotheses (`h1`), or inline statements in square
 brackets, which the checker resolves against construction facts or, for
 naming forms, against the diagram.
+
+Each construction command, hypothesis and proof-step line is a form with a
+SYNTAX template, read and printed by the term layer's engine
+(`terms.Syntax`, `terms.Reader`); `_Parser` adds the section structure and
+checks every name against the declarations above it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import re
 import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, UndeclaredPoint, UnknownRule
-from .terms import (
-    Eq,
-    Fig,
-    IsSq,
-    Multiple,
-    Pi,
-    RectBy,
-    RightAngle,
-    SegEq,
-    SquareOn,
-    Statement,
-    parse_rational,
-    parse_statement,
-    rational_text,
-    stmt_text,
-)
+from .terms import Eq, Reader, Statement, Syntax, rational_text
 
 
 class Rule(enum.Enum):
@@ -94,91 +83,22 @@ class LenParam:
 
 
 @dataclass(frozen=True)
-class LenSeg:
+class LenSeg(Syntax):
+    SYNTAX = "|<seg:1-2>|"
     seg: str  # "XY" or "A"
-
-    def text(self) -> str:
-        return f"|{self.seg}|"
 
 
 LenExpr = LenLit | LenParam | LenSeg
 
 
-def _parse_len(tok: str, line: int, col: int) -> LenExpr:
-    """A length token that starts at column `col` of source line `line`."""
-    m = re.match(r"^\|([A-Z]{1,2})\|$", tok)
-    if m:
-        return LenSeg(m.group(1))
-    if re.match(r"^-?\d+(/\d+)?$", tok):
-        return LenLit(parse_rational(tok, line, col))
-    if re.match(r"^[a-z][a-z0-9_]*$", tok):
-        return LenParam(tok)
-    raise ParseError(line, col, f"length expression, got {tok!r}")
-
-
 # ---------------------------------------------------------------------------
 # construction commands
 #
-# Each command's concrete syntax is its SYNTAX template, the one place it is
-# written: parsing and printing both follow it.  A placeholder `<field:spec>`
-# stands for a dataclass field; spec is a letter count (`2`, or a range such
-# as `1-4`), `len` for a length expression, or a list of words such as
-# `above|below`.  A letter field annotated as a tuple holds one letter per
-# item.  A field named twice must repeat the same text.
-
-_PLACEHOLDER = re.compile(r"<(\w+):([^>]+)>")
-
-
-class _Command:
-    SYNTAX: str
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        parts: list[str] = []
-        cls._convert = {}  # field -> (token, line number, column) -> value
-        pos = 0
-        for m in _PLACEHOLDER.finditer(cls.SYNTAX):
-            parts.append(re.escape(cls.SYNTAX[pos : m.start()]))
-            name, spec = m.groups()
-            pos = m.end()
-            if name in cls._convert:
-                parts.append(f"(?P={name})")
-            elif spec == "len":
-                parts.append(rf"(?P<{name}>\S+)")
-                cls._convert[name] = _parse_len
-            else:
-                if spec[0].isdigit():
-                    spec = f"[A-Z]{{{spec.replace('-', ',')}}}"
-                parts.append(f"(?P<{name}>{spec})")
-                tup = cls.__annotations__[name].startswith("tuple")
-                cls._convert[name] = (lambda tok, *_: tuple(tok)) if tup else (lambda tok, *_: tok)
-        parts.append(re.escape(cls.SYNTAX[pos:]))
-        # compiled on first use, through re's cache, so a cold run compiles
-        # only the syntaxes its script uses
-        cls._pattern = "".join(parts)
-
-    @classmethod
-    def match(cls, line: str, lineno: int, col: int):
-        """The command `line` spells in this syntax, or None; `line` starts
-        at column `col` of source line `lineno`."""
-        m = re.fullmatch(cls._pattern, line)
-        if m is None:
-            return None
-        return cls(**{
-            name: convert(m.group(name), lineno, col + m.start(name))
-            for name, convert in cls._convert.items()
-        })
-
-    def text(self) -> str:
-        def field_text(m):
-            value = getattr(self, m.group(1))
-            return "".join(value) if isinstance(value, (str, tuple)) else value.text()
-
-        return _PLACEHOLDER.sub(field_text, self.SYNTAX)
-
+# Each command's concrete syntax is its SYNTAX template (see `terms.Syntax`);
+# `len` reads a length expression.
 
 @dataclass(frozen=True)
-class PlaceSegment(_Command):
+class PlaceSegment(Syntax):
     SYNTAX = "place <p:1><q:1> = <length:len>"
     p: str
     q: str
@@ -186,14 +106,14 @@ class PlaceSegment(_Command):
 
 
 @dataclass(frozen=True)
-class StandaloneSegmentCmd(_Command):
+class StandaloneSegmentCmd(Syntax):
     SYNTAX = "segment <name:1> = <length:len>"
     name: str
     length: LenExpr
 
 
 @dataclass(frozen=True)
-class CutRandom(_Command):
+class CutRandom(Syntax):
     SYNTAX = "cut <point:1> on <on:2> at <at:len>"
     point: str
     on: tuple[str, str]
@@ -201,14 +121,14 @@ class CutRandom(_Command):
 
 
 @dataclass(frozen=True)
-class CutHalf(_Command):
+class CutHalf(Syntax):
     SYNTAX = "cuthalf <point:1> on <on:2>"
     point: str
     on: tuple[str, str]
 
 
 @dataclass(frozen=True)
-class ExtendBy(_Command):
+class ExtendBy(Syntax):
     SYNTAX = "extend <on:2> to <to:1> by <by:len>"
     on: tuple[str, str]
     to: str
@@ -216,7 +136,7 @@ class ExtendBy(_Command):
 
 
 @dataclass(frozen=True)
-class ExtendCopy(_Command):
+class ExtendCopy(Syntax):
     SYNTAX = "extend <on:2> to <to:1> with <to:1><anchor:1> = <copy:2>"
     on: tuple[str, str]
     to: str
@@ -225,7 +145,7 @@ class ExtendCopy(_Command):
 
 
 @dataclass(frozen=True)
-class SquareOnCmd(_Command):
+class SquareOnCmd(Syntax):
     SYNTAX = "square <name:4> on <on:2> <side:below|above|left|right>"
     name: str  # boundary order, containing the base edge
     on: tuple[str, str]
@@ -233,7 +153,7 @@ class SquareOnCmd(_Command):
 
 
 @dataclass(frozen=True)
-class RectFig(_Command):
+class RectFig(Syntax):
     SYNTAX = "rectfig <name:1> <width:len> x <height:len>"
     name: str
     width: LenExpr
@@ -241,14 +161,14 @@ class RectFig(_Command):
 
 
 @dataclass(frozen=True)
-class TriangulateToRect(_Command):
+class TriangulateToRect(Syntax):
     SYNTAX = "torect <name:4> from <source:1>"
     name: str
     source: str  # declared figure
 
 
 @dataclass(frozen=True)
-class Perp(_Command):
+class Perp(Syntax):
     SYNTAX = "perp <new:1> from <frm:1> on <on:2> <side:below|above> len <length:len>"
     new: str
     frm: str
@@ -258,7 +178,7 @@ class Perp(_Command):
 
 
 @dataclass(frozen=True)
-class ParallelTranslate(_Command):
+class ParallelTranslate(Syntax):
     SYNTAX = "parallel <new:1> through <through:1> along <along:2>"
     new: str
     through: str
@@ -266,7 +186,7 @@ class ParallelTranslate(_Command):
 
 
 @dataclass(frozen=True)
-class ParallelMeet(_Command):
+class ParallelMeet(Syntax):
     SYNTAX = "parallel <new:1> through <through:1> along <along:2> meet <meet:2>"
     new: str
     through: str
@@ -275,14 +195,14 @@ class ParallelMeet(_Command):
 
 
 @dataclass(frozen=True)
-class Join(_Command):
+class Join(Syntax):
     SYNTAX = "join <p:1> <q:1>"
     p: str
     q: str
 
 
 @dataclass(frozen=True)
-class SemicircleOn(_Command):
+class SemicircleOn(Syntax):
     SYNTAX = "semicircle on <on:2> center <center:1> <side:above|below>"
     on: tuple[str, str]
     center: str
@@ -290,7 +210,7 @@ class SemicircleOn(_Command):
 
 
 @dataclass(frozen=True)
-class IntersectLines(_Command):
+class IntersectLines(Syntax):
     SYNTAX = "intersect <new:1> = line <line:2> x line <other:2>"
     new: str
     line: tuple[str, str]
@@ -298,7 +218,7 @@ class IntersectLines(_Command):
 
 
 @dataclass(frozen=True)
-class IntersectCircle(_Command):
+class IntersectCircle(Syntax):
     SYNTAX = "intersect <new:1> = line <line:2> x circle <center:1> <side:above|below>"
     new: str
     line: tuple[str, str]
@@ -307,7 +227,7 @@ class IntersectCircle(_Command):
 
 
 @dataclass(frozen=True)
-class GnomonDecl(_Command):
+class GnomonDecl(Syntax):
     SYNTAX = "gnomon <name:3> = <outer:1-4> minus <corner:1-4>"
     name: str
     outer: str
@@ -325,8 +245,8 @@ ConstructionCmd = (
     | RectFig
     | TriangulateToRect
     | Perp
+    | ParallelMeet  # before ParallelTranslate, whose syntax is its prefix
     | ParallelTranslate
-    | ParallelMeet
     | Join
     | SemicircleOn
     | IntersectLines
@@ -335,23 +255,10 @@ ConstructionCmd = (
 )
 
 # the command table: every command class, and the classes sharing a head word
-COMMANDS: tuple[type[_Command], ...] = typing.get_args(ConstructionCmd)
-_BY_HEAD: dict[str, list[type[_Command]]] = {}
+COMMANDS: tuple[type[Syntax], ...] = typing.get_args(ConstructionCmd)
+_BY_HEAD: dict[str, list[type[Syntax]]] = {}
 for _cls in COMMANDS:
     _BY_HEAD.setdefault(_cls.SYNTAX.split()[0], []).append(_cls)
-
-
-def parse_command(line: str, lineno: int, col: int) -> ConstructionCmd:
-    """One `construct:` line, stripped of its indent and comment, that starts
-    at column `col` of source line `lineno`."""
-    head = line.split()[0]
-    if head not in _BY_HEAD:
-        raise ParseError(lineno, col, f"unknown construction command {head!r}")
-    for cls in _BY_HEAD[head]:
-        cmd = cls.match(line, lineno, col)
-        if cmd is not None:
-            return cmd
-    raise ParseError(lineno, col, f"malformed {head} command: {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,40 +282,31 @@ class HypRef:
 
 
 @dataclass(frozen=True)
-class InlinePremise:
+class InlinePremise(Syntax):
+    SYNTAX = "[<stmt:stmt>]"
     stmt: Statement
-
-    def text(self):
-        return f"[{stmt_text(self.stmt)}]"
 
 
 PremiseRef = StepRef | HypRef | InlinePremise
 
 
 @dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Syntax):
+    SYNTAX = "<index:int>. <claim:stmt> ; <rule:rule><premises:premises>"
     index: int
     claim: Statement
     rule: str
     premises: tuple[PremiseRef, ...]
     line: int = field(default=0, compare=False)  # source line, for error reports
 
-    def text(self):
-        parts = [f"{self.index}. {stmt_text(self.claim)} ; {self.rule}"]
-        for p in self.premises:
-            parts.append(p.text())
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Syntax):
+    SYNTAX = "hypothesis <stmt:stmt> ; flag <flag:run>"
     index: int
     stmt: Statement
     flag: str
     line: int = field(default=0, compare=False)  # source line, for error reports
-
-    def text(self):
-        return f"hypothesis {stmt_text(self.stmt)} ; flag {self.flag}"
 
 
 @dataclass
@@ -427,268 +325,222 @@ class Script:
 # ---------------------------------------------------------------------------
 # parsing
 
-_POINTS_RE = re.compile(r"^[A-Z]$")
 
+class _Parser(Reader):
+    """Reads a script line by line.  Each name is checked against the
+    points, parameters, standalone segments and figures declared above it."""
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.i = 0
+    def __init__(self):
+        super().__init__()
+        self.prop_id: str | None = None
+        self.points: list[str] = []
+        self.base_lines: list[tuple[str, ...]] = []
+        self.params: dict[str, Fraction | None] = {}
+        self.flags: set[str] = set()
+        self.segments: set[str] = set()
+        self.figures: set[str] = set()
 
-    def err(self, col: int, expected: str) -> ParseError:
-        return ParseError(self.i + 1, col, expected)
-
-    def parse(self) -> Script:
-        prop_id = None
-        points: list[str] = []
-        base_lines: list[tuple[str, ...]] = []
-        params: dict[str, Fraction | None] = {}
-        flags: set[str] = set()
+    def parse(self, text: str) -> Script:
         construction: list[ConstructionCmd] = []
         hypotheses: list[Hypothesis] = []
         diorismos: Eq | None = None
-        claim_line = 0
         steps: list[ProofStep] = []
         section = "header"
         saw_qed = False
 
-        for self.i, raw in enumerate(self.lines):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        lines = text.splitlines()
+        for self.line, raw in enumerate(lines, 1):
+            self.start(raw.split("#", 1)[0])
+            head = self.toks[0]
+            if not head:
                 continue
             if saw_qed:
-                raise self.err(1, "no content allowed after qed")
-            if line == "construct:":
-                section = "construct"
-                continue
-            if line.startswith("claim:"):
-                section = "claim"
-                body = line[len("claim:") :].strip()
-                stmt = parse_statement(body, self.i + 1)
-                if not isinstance(stmt, Eq):
-                    raise self.err(1, "diorismos must be an equality of sums")
-                diorismos = stmt
-                claim_line = self.i + 1
-                continue
-            if line == "proof:":
-                if diorismos is None:
-                    raise self.err(1, "claim must precede proof")
-                section = "proof"
-                continue
-            if line == "qed":
-                saw_qed = True
-                continue
-
-            if section == "header":
-                if line.startswith("prop "):
-                    prop_id = line[5:].strip()
-                    continue
-                if line.startswith("points "):
-                    for tok in line[7:].split():
-                        if not _POINTS_RE.match(tok):
-                            raise self.err(
-                                raw.find(tok) + 1, f"single-letter point, got {tok!r}"
-                            )
-                        if tok in points:
-                            raise self.err(raw.find(tok) + 1, f"duplicate point {tok}")
-                        points.append(tok)
-                    continue
-                if line.startswith("line "):
-                    seq = tuple(line[5:].split())
-                    for tok in seq:
-                        if tok not in points:
-                            raise UndeclaredPoint(self.i + 1, raw.find(tok) + 1, tok)
-                    if len(seq) < 2:
-                        raise self.err(1, "line needs at least two points")
-                    base_lines.append(seq)
-                    continue
-                if line.startswith("param "):
-                    body = line[6:]
-                    if "=" in body:
-                        name, val = body.split("=", 1)
-                        col = raw.find(val.strip(), raw.find("=") + 1) + 1
-                        params[name.strip()] = parse_rational(val, self.i + 1, col)
-                    else:
-                        params[body.strip()] = None
-                    continue
-                if line.startswith("flags "):
-                    flags.update(line[6:].split())
-                    continue
-                raise self.err(1, f"header directive, got {line!r}")
-
-            if section == "construct":
-                if line.startswith("hypothesis "):
-                    section = "hypotheses"
+                raise self.err("no content allowed after qed")
+            if head in ("construct", "claim", "proof") and self.toks[1] == ":":
+                self.pos = 2
+                if head == "construct":
+                    if hypotheses or diorismos is not None:
+                        raise self.fail("construct: must come before hypotheses and the claim", 0)
+                    section = "construct"
+                elif head == "claim":
+                    stmt = self.read_stmt()
+                    if not isinstance(stmt, Eq):
+                        raise self.fail("diorismos must be an equality of sums", 2)
+                    diorismos = stmt
+                    section = "claim"
                 else:
-                    indent = len(raw) - len(raw.lstrip())
-                    construction.append(parse_command(line, self.i + 1, indent + 1))
-                    continue
-
-            if section in ("hypotheses",) or (
-                section == "claim" and line.startswith("hypothesis ")
+                    if diorismos is None:
+                        raise self.fail("claim must precede proof", 0)
+                    section = "proof"
+                self.end()
+            elif head == "qed":
+                self.pos = 1
+                self.end()
+                saw_qed = True
+            elif section == "header":
+                self._header(head)
+            elif section == "construct" and head != "hypothesis":
+                construction.append(self._command(head))
+            elif section in ("construct", "hypotheses") or (
+                section == "claim" and head == "hypothesis"
             ):
-                if not line.startswith("hypothesis "):
-                    raise self.err(1, "hypothesis or claim expected")
-                hypotheses.append(self._parse_hypothesis(line, len(hypotheses) + 1))
+                if head != "hypothesis":
+                    raise self.err("hypothesis or claim expected")
+                hypotheses.append(self.read(Hypothesis, index=len(hypotheses) + 1, line=self.line))
+                self.end()
                 section = "hypotheses"
-                continue
+            elif section == "proof":
+                step = self.read(ProofStep, line=self.line)
+                if step.index != len(steps) + 1:
+                    raise self.fail(f"step indices must be dense from 1, got {step.index}", 0)
+                steps.append(step)
+            else:
+                raise self.fail(f"unexpected line in section {section!r}: {self.src.strip()!r}", 0)
 
-            if section == "proof":
-                steps.append(self._parse_step(line, raw))
-                continue
-
-            raise self.err(1, f"unexpected line in section {section!r}: {line!r}")
-
-        if prop_id is None:
+        if self.prop_id is None:
             raise ParseError(1, 1, "missing prop header")
         if diorismos is None:
-            raise ParseError(len(self.lines), 1, "missing claim")
+            raise ParseError(len(lines), 1, "missing claim")
         if not saw_qed:
-            raise ParseError(len(self.lines), 1, "missing qed")
-        for k, s in enumerate(steps):
-            if s.index != k + 1:
-                raise ParseError(s.line, 1, f"step indices must be dense from 1, got {s.index}")
-
-        declared_segments = {c.name for c in construction if isinstance(c, StandaloneSegmentCmd)}
-        declared_figures = {
-            c.name
-            for c in construction
-            if isinstance(c, (RectFig, GnomonDecl, SquareOnCmd, TriangulateToRect))
-        }
-
-        script = Script(
-            prop_id=prop_id,
-            points=tuple(points),
-            base_lines=tuple(base_lines),
-            params=params,
-            flags=frozenset(flags),
+            raise ParseError(len(lines), 1, "missing qed")
+        return Script(
+            prop_id=self.prop_id,
+            points=tuple(self.points),
+            base_lines=tuple(self.base_lines),
+            params=self.params,
+            flags=frozenset(self.flags),
             construction=tuple(construction),
             hypotheses=tuple(hypotheses),
             diorismos=diorismos,
             steps=tuple(steps),
         )
-        _validate_labels(script, declared_segments, declared_figures, claim_line)
-        return script
 
-    def _parse_hypothesis(self, line: str, index: int) -> Hypothesis:
-        m = re.match(r"^hypothesis (.+?) ; flag (\S+)$", line)
-        if not m:
-            raise self.err(1, "hypothesis <stmt> ; flag <word>")
-        stmt = parse_statement(m.group(1), self.i + 1)
-        return Hypothesis(index, stmt, m.group(2), self.i + 1)
+    def _header(self, head: str) -> None:
+        self.pos = 1
+        if head == "prop":
+            if not self.toks[1]:
+                raise self.err("proposition id")
+            self.prop_id = self.src[self.col(1) - 1 :].rstrip()
+        elif head == "points":
+            self._list(self._new_point)
+        elif head == "line":
+            seq = tuple(self._list(self.read_pt))
+            if len(seq) < 2:
+                raise self.fail("line needs at least two points", 0)
+            self.base_lines.append(seq)
+        elif head == "param":
+            name = self.toks[1]
+            if not "a" <= name[:1] <= "z":
+                raise self.err("length-parameter name")
+            if name in self.params:
+                raise self.fail(f"duplicate parameter {name}")
+            self.pos = 2
+            value = None
+            if self.toks[2] == "=":
+                self.pos = 3
+                value = self.read_rational("rational number")
+            elif self.toks[2]:
+                raise self.err("'=' or end of line")
+            self.end()
+            self.params[name] = value
+        elif head == "flags":
+            self.flags.update(self._list(self.read_run))
+        else:
+            self.pos = 0
+            raise self.err("header directive")
 
-    def _parse_step(self, line: str, raw: str) -> ProofStep:
-        m = re.match(r"^(\d+)\.\s+(.+?)\s+;\s+(\S+)\s*(.*)$", line)
-        if not m:
-            raise self.err(1, "step: <n>. <statement> ; <RULE> <premises>")
-        index = int(m.group(1))
-        claim = parse_statement(m.group(2), self.i + 1)
-        rule = m.group(3)
+    def _new_point(self) -> None:
+        if self.toks[self.pos] in self.points:
+            raise self.fail(f"duplicate point {self.toks[self.pos]}")
+        self.points.append(self.name(1, 1, "single-letter point"))
+
+    def _list(self, read) -> list:
+        """One or more items up to the end of the line."""
+        items = [read()]
+        while self.toks[self.pos]:
+            items.append(read())
+        return items
+
+    def _command(self, head: str) -> ConstructionCmd:
+        if head not in _BY_HEAD:
+            raise self.fail(f"unknown construction command {head!r}", 0)
+        cmd = self.choose(_BY_HEAD[head], f"{head} command", whole_line=True)
+        if isinstance(cmd, StandaloneSegmentCmd):
+            self.segments.add(cmd.name)
+        elif isinstance(cmd, (RectFig, GnomonDecl)):
+            self.figures.add(cmd.name)
+        return cmd
+
+    def check_label(self, kind: str, text: str, at: int) -> None:
+        # one letter names a standalone segment, one or three letters a
+        # declared figure; every other name is spelled with points
+        if kind == "seg" and len(text) == 1:
+            if text not in self.segments:
+                raise UndeclaredPoint(self.line, self.col(at), text)
+        elif kind == "fig" and len(text) in (1, 3):
+            if text not in self.figures:
+                raise UndeclaredPoint(self.line, self.col(at), text)
+        else:
+            for i, p in enumerate(text):
+                if p not in self.points:
+                    raise UndeclaredPoint(self.line, self.col(at) + i, p)
+
+    def read_rational(self, want: str) -> Fraction:
+        num, slash, den = self.toks[self.pos].partition("/")
+        if not num.lstrip("-").isdecimal() or slash and not den.isdecimal():
+            raise self.err(want)
+        if slash and int(den) == 0:
+            raise self.fail("zero denominator")
+        self.pos += 1
+        return Fraction(int(num), int(den or 1))
+
+    def read_len(self) -> LenExpr:
+        text = self.toks[self.pos]
+        if text == "|":
+            return self.read(LenSeg)
+        if not "a" <= text[:1] <= "z":  # not a word, so not a parameter
+            return LenLit(self.read_rational("length expression"))
+        if text not in self.params:
+            raise self.fail(f"parameter {text!r} not declared")
+        self.pos += 1
+        return LenParam(text)
+
+    def read_rule(self) -> str:
+        text = self.toks[self.pos]
         try:
-            Rule(rule)
+            Rule(text)
         except ValueError:
-            raise UnknownRule(self.i + 1, raw.find(rule) + 1, rule) from None
-        rest = m.group(4).strip()
+            raise UnknownRule(self.line, self.col(), text) from None
+        self.pos += 1
+        return text
+
+    def read_run(self) -> str:
+        """The text up to the next space, such as `I.36-external`."""
+        if not self.toks[self.pos]:
+            raise self.err("word")
+        col = self.col()
+        run = self.src[col - 1 :].split(None, 1)[0]
+        while self.col() < col + len(run):
+            self.pos += 1
+        return run
+
+    def read_premises(self) -> tuple[PremiseRef, ...]:
         premises: list[PremiseRef] = []
-        pos = 0
-        while pos < len(rest):
-            ch = rest[pos]
-            if ch.isspace():
-                pos += 1
+        while text := self.toks[self.pos]:
+            if text == "[":
+                premises.append(self.read(InlinePremise))
                 continue
-            if ch == "[":
-                end = rest.find("]", pos)
-                if end < 0:
-                    raise self.err(raw.find(rest) + pos + 1, "unterminated [premise]")
-                premises.append(
-                    InlinePremise(parse_statement(rest[pos + 1 : end], self.i + 1))
-                )
-                pos = end + 1
-                continue
-            m2 = re.match(r"s(\d+)", rest[pos:])
-            if m2:
-                premises.append(StepRef(int(m2.group(1))))
-                pos += m2.end()
-                continue
-            m2 = re.match(r"h(\d+)", rest[pos:])
-            if m2:
-                premises.append(HypRef(int(m2.group(1))))
-                pos += m2.end()
-                continue
-            raise self.err(raw.find(rest) + pos + 1, f"premise token, got {rest[pos:]!r}")
-        return ProofStep(index, claim, rule, tuple(premises), self.i + 1)
-
-
-def _stmt_labels(stmt: Statement):
-    """(point-or-lone-segment letters, figure names) mentioned by a statement."""
-    segs: list[str] = []
-    figs: list[str] = []
-
-    def seg(s):
-        segs.append(s.text() if s.display else (s.a + (s.b or "")))
-
-    def term(t):
-        if isinstance(t, SquareOn):
-            seg(t.side)
-        elif isinstance(t, RectBy):
-            seg(t.first)
-            seg(t.second)
-        elif isinstance(t, Fig):
-            figs.append(t.name.letters)
-        elif isinstance(t, Multiple):
-            term(t.inner)
-
-    if isinstance(stmt, Eq):
-        for t in stmt.lhs.terms + stmt.rhs.terms:
-            term(t)
-    elif isinstance(stmt, Pi):
-        figs.append(stmt.figure.letters)
-        seg(stmt.first)
-        seg(stmt.second)
-    elif isinstance(stmt, IsSq):
-        figs.append(stmt.figure.letters)
-        seg(stmt.side)
-    elif isinstance(stmt, SegEq):
-        seg(stmt.a)
-        seg(stmt.b)
-    elif isinstance(stmt, RightAngle):
-        segs.extend([stmt.vertex + stmt.arm1, stmt.vertex + stmt.arm2])
-    return segs, figs
-
-
-def _validate_labels(script: Script, declared_segments, declared_figures, claim_line: int):
-    roster = set(script.points)
-
-    def check_stmt(stmt: Statement, lineno: int):
-        segs, figs = _stmt_labels(stmt)
-        for s in segs:
-            if len(s) == 1:
-                if s not in declared_segments:
-                    raise UndeclaredPoint(lineno, 1, s)
-            else:
-                for p in s:
-                    if p not in roster:
-                        raise UndeclaredPoint(lineno, 1, p)
-        for f in figs:
-            if len(f) in (2, 4):
-                for p in f:
-                    if p not in roster:
-                        raise UndeclaredPoint(lineno, 1, p)
-            elif f not in declared_figures:
-                raise UndeclaredPoint(lineno, 1, f)
-
-    for h in script.hypotheses:
-        check_stmt(h.stmt, h.line)
-    check_stmt(script.diorismos, claim_line)
-    for s in script.steps:
-        check_stmt(s.claim, s.line)
-        for p in s.premises:
-            if isinstance(p, InlinePremise):
-                check_stmt(p.stmt, s.line)
+            # a word of step and hypothesis references, such as `s1` or `s1h2`
+            refs = text.replace("s", " s").replace("h", " h").split()
+            if not all(r[0] in "sh" and r[1:].isdecimal() for r in refs):
+                raise self.err("premise")
+            premises += [StepRef(int(r[1:])) if r[0] == "s" else HypRef(int(r[1:])) for r in refs]
+            self.pos += 1
+        return tuple(premises)
 
 
 def parse_script(text: str) -> Script:
-    return _Parser(text).parse()
+    return _Parser().parse(text)
 
 
 def format_script(s: Script) -> str:
@@ -706,7 +558,7 @@ def format_script(s: Script) -> str:
         out.append("  " + cmd.text())
     for h in s.hypotheses:
         out.append(h.text())
-    out.append(f"claim: {stmt_text(s.diorismos)}")
+    out.append(f"claim: {s.diorismos.text()}")
     out.append("proof:")
     for st in s.steps:
         out.append("  " + st.text())

@@ -5,11 +5,16 @@ the calculus is a purely syntactic comparison.  Rectangle operands stay in
 the order they were written: `rect(X,Y)` and `rect(Y,X)` are distinct terms.
 Segment endpoints, by contrast, are unordered (`GB` names the same segment
 as `BG`).
+
+The module also holds the text syntax of the whole `.e2p` grammar: one
+tokenizer, and one engine that parses and prints each form from its SYNTAX
+template.
 """
 
 from __future__ import annotations
 
 import re
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,27 +82,109 @@ class FigureName:
 
 
 # ---------------------------------------------------------------------------
+# text syntax
+#
+# Each form's concrete syntax is its SYNTAX template, the one place it is
+# written: `Reader.read` parses it and `Syntax.text` prints it.  A
+# placeholder `<field:spec>` stands for a dataclass field.  The spec is a
+# letter count (`2`, or a range such as `1-4`), a list of words such as
+# `above|below`, or the name of a reader method (`seg` reads with
+# `Reader.read_seg`).  Adjacent letter fields, each of a fixed count, read one
+# name; a letter field annotated as a tuple holds one letter per item, and a
+# field named twice must repeat the same letters.  The rest of a template is
+# literal tokens.  Whitespace between tokens is free.
+
+# A token is a number (`12`, `-1/2`, or a malformed one such as `1e3`, so
+# that an error quotes it whole), a name (`AB`, or a rule such as `CN1`), a
+# word (`sq`, `s1`, `d_2`), `==`, or any other single character; its kind
+# follows from its first character.  Whitespace only separates tokens.
+_TOKEN = re.compile(r"-?\d[\w/]*|[A-Z][A-Z0-9]*|[a-z][a-z0-9_]*|==|\S")
+_PLACEHOLDER = re.compile(r"<(\w+):([^>]+)>")
+# template items that always read exactly one token
+_ONE_TOKEN = {"letters", "words", "read_seg", "read_fig", "read_pt", "read_int"}
+
+
+class Syntax:
+    """A form whose text is its SYNTAX template."""
+
+    SYNTAX: str
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        items: list[tuple[str, typing.Any]] = []
+        pos = 0
+        for m in _PLACEHOLDER.finditer(cls.SYNTAX):
+            items += [("lit", text) for text in _TOKEN.findall(cls.SYNTAX, pos, m.start())]
+            name, spec = m.groups()
+            if spec[0].isdigit():
+                lo, _, hi = spec.partition("-")
+                lo, hi = int(lo), int(hi or lo)
+                parts = ((name, hi, cls.__annotations__[name].startswith("tuple")),)
+                if m.start() == pos and items and items[-1][0] == "letters":
+                    # right after another letter field: the two read one name
+                    before, lo_before, hi_before = items.pop()[1]
+                    parts, lo, hi = before + parts, lo_before + lo, hi_before + hi
+                items.append(("letters", (parts, lo, hi)))
+            elif "|" in spec:
+                items.append(("words", (name, tuple(spec.split("|")))))
+            else:
+                items.append(("read_" + spec, name))
+            pos = m.end()
+        items += [("lit", text) for text in _TOKEN.findall(cls.SYNTAX, pos)]
+        cls._items = tuple(items)
+        # the printer: the template with `%s` for each field
+        cls._format = _PLACEHOLDER.sub("%s", cls.SYNTAX)
+        cls._fields = tuple(m.group(1) for m in _PLACEHOLDER.finditer(cls.SYNTAX))
+        # (offset, text) of each literal token before the first field that can
+        # read more than one token: a form is tried only where these stand
+        key = []
+        for offset, (op, arg) in enumerate(items):
+            if op == "lit":
+                key.append((offset, arg))
+            elif op not in _ONE_TOKEN:
+                break
+        cls._key = tuple(key)
+
+    def text(self) -> str:
+        return self._format % tuple([_field_text(getattr(self, name)) for name in self._fields])
+
+
+def _field_text(value) -> str:
+    if type(value) is str:
+        return value
+    if type(value) is tuple:  # letters, or forms each after a space
+        return "".join([v if type(v) is str else " " + v.text() for v in value])
+    if type(value) is int:
+        return str(value)
+    return value.text()
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
 @dataclass(frozen=True)
-class SquareOn:
+class SquareOn(Syntax):
+    SYNTAX = "sq(<side:seg>)"
     side: Segment
 
 
 @dataclass(frozen=True)
-class RectBy:
+class RectBy(Syntax):
+    SYNTAX = "rect(<first:seg>,<second:seg>)"
     first: Segment
     second: Segment
 
 
 @dataclass(frozen=True)
-class Fig:
+class Fig(Syntax):
+    SYNTAX = "fig(<name:fig>)"
     name: FigureName
 
 
 @dataclass(frozen=True)
-class Multiple:
+class Multiple(Syntax):
+    SYNTAX = "<count:int>*<inner:atom>"
     count: int
     inner: "Term"
 
@@ -109,22 +196,12 @@ class Multiple:
 
 
 Term = SquareOn | RectBy | Fig | Multiple
+TERMS: tuple[type[Syntax], ...] = typing.get_args(Term)
+_ATOMS = tuple(t for t in TERMS if t is not Multiple)  # what a multiple may hold
 
 
-def term_text(t: Term) -> str:
-    if isinstance(t, SquareOn):
-        return f"sq({t.side.text()})"
-    if isinstance(t, RectBy):
-        return f"rect({t.first.text()},{t.second.text()})"
-    if isinstance(t, Fig):
-        return f"fig({t.name.text()})"
-    if isinstance(t, Multiple):
-        return f"{t.count}*{term_text(t.inner)}"
-    raise TypeError(t)
-
-
-def _term_key(t: Term) -> str:
-    # canonical sort key: stable serialization with canonical segment spelling
+def term_key(t: Term) -> str:
+    """Canonical sort key: the term's text with canonical segment spelling."""
     if isinstance(t, SquareOn):
         return f"sq({t.side.a}{t.side.b or ''})"
     if isinstance(t, RectBy):
@@ -132,7 +209,7 @@ def _term_key(t: Term) -> str:
     if isinstance(t, Fig):
         return f"fig({t.name.letters})"
     if isinstance(t, Multiple):
-        return f"{t.count}*{_term_key(t.inner)}"
+        return f"{t.count}*{term_key(t.inner)}"
     raise TypeError(t)
 
 
@@ -147,7 +224,7 @@ class TermSum:
             raise ValueError("TermSum must be non-empty")
 
     def text(self) -> str:
-        return " + ".join(term_text(t) for t in self.terms)
+        return " + ".join([t.text() for t in self.terms])
 
 
 def term_sum(terms) -> TermSum:
@@ -157,11 +234,11 @@ def term_sum(terms) -> TermSum:
 def normalize(s: TermSum) -> TermSum:
     """Sort into canonical multiset order.  Idempotent; never reorders the
     operands inside a RectBy."""
-    return TermSum(tuple(sorted(s.terms, key=_term_key)))
+    return TermSum(tuple(sorted(s.terms, key=term_key)))
 
 
 def sum_key(s: TermSum) -> tuple[str, ...]:
-    return tuple(_term_key(t) for t in normalize(s).terms)
+    return tuple(term_key(t) for t in normalize(s).terms)
 
 
 def expand_multiples(s: TermSum) -> tuple[str, ...]:
@@ -169,9 +246,9 @@ def expand_multiples(s: TermSum) -> tuple[str, ...]:
     out: list[str] = []
     for t in normalize(s).terms:
         if isinstance(t, Multiple):
-            out.extend([_term_key(t.inner)] * t.count)
+            out.extend([term_key(t.inner)] * t.count)
         else:
-            out.append(_term_key(t))
+            out.append(term_key(t))
     return tuple(sorted(out))
 
 
@@ -180,60 +257,48 @@ def expand_multiples(s: TermSum) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(Syntax):
+    SYNTAX = "<lhs:sum> = <rhs:sum>"
     lhs: TermSum
     rhs: TermSum
 
-    def text(self) -> str:
-        return f"{self.lhs.text()} = {self.rhs.text()}"
-
 
 @dataclass(frozen=True)
-class Pi:
+class Pi(Syntax):
     """`figure pi first x second` - the visible figure is the rectangle
     contained by the two segments.  The operand pair is ordered."""
 
+    SYNTAX = "<figure:fig> pi <first:seg> x <second:seg>"
     figure: FigureName
     first: Segment
     second: Segment
 
-    def text(self) -> str:
-        return f"{self.figure.text()} pi {self.first.text()} x {self.second.text()}"
-
 
 @dataclass(frozen=True)
-class IsSq:
+class IsSq(Syntax):
+    SYNTAX = "<figure:fig> on <side:seg>"
     figure: FigureName
     side: Segment
 
-    def text(self) -> str:
-        return f"{self.figure.text()} on {self.side.text()}"
-
 
 @dataclass(frozen=True)
-class SegEq:
+class SegEq(Syntax):
+    SYNTAX = "<a:seg> == <b:seg>"
     a: Segment
     b: Segment
 
-    def text(self) -> str:
-        return f"{self.a.text()} == {self.b.text()}"
-
 
 @dataclass(frozen=True)
-class RightAngle:
+class RightAngle(Syntax):
+    SYNTAX = "rangle(<vertex:pt>;<arm1:pt>,<arm2:pt>)"
     vertex: str
     arm1: str
     arm2: str
 
-    def text(self) -> str:
-        return f"rangle({self.vertex};{self.arm1},{self.arm2})"
 
-
-Statement = Eq | Pi | IsSq | SegEq | RightAngle
-
-
-def stmt_text(s: Statement) -> str:
-    return s.text()
+# an equality has no key token, so it is tried last
+Statement = Pi | IsSq | SegEq | RightAngle | Eq
+STATEMENTS: tuple[type[Syntax], ...] = typing.get_args(Statement)
 
 
 def _seg_key(s: Segment) -> str:
@@ -277,108 +342,177 @@ def stmt_equal(a: Statement, b: Statement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# text syntax
-#
-#   terms:       sq(AB) | rect(GB,BD) | fig(ADEB) | 2*rect(AC,CB)
-#   sums:        joined by " + "
-#   statements:  L = R | F pi X x Y | F on AB | AB == CD | rangle(B;A,C)
-
-_SEG_RE = re.compile(r"^[A-Z]{1,2}$")
-_FIG_RE = re.compile(r"^[A-Z]{1,4}$")
+# parsing
 
 
-class _StmtParser:
-    def __init__(self, text: str, line: int = 0):
-        self.src = text
+class Reader:
+    """A cursor over the tokens of one source line, which end with an empty
+    token.  `read` parses a form from its SYNTAX template, with one
+    `read_<spec>` method per field spec.  `check_label` is where a subclass
+    checks each name against what has been declared; this class accepts
+    every name."""
+
+    def __init__(self, text: str = "", line: int = 0):
         self.line = line
+        self.start(text)
 
-    def err(self, col: int, expected: str) -> ParseError:
-        return ParseError(self.line, col, expected)
+    def start(self, text: str) -> None:
+        self.src = text
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
+        self.pos = 0
+        self._cols: list[int] | None = None
 
-    def parse_segment(self, tok: str, col: int) -> Segment:
-        tok = tok.strip()
-        if not _SEG_RE.match(tok):
-            raise self.err(col, f"segment name, got {tok!r}")
-        if len(tok) == 1:
-            return standalone_segment(tok)
-        return Segment(tok[0], tok[1], display=tok)
+    def col(self, at: int | None = None) -> int:
+        """The column of token `at` (default: the current one)."""
+        if self._cols is None:  # only errors and runs need columns
+            self._cols = [m.start() + 1 for m in _TOKEN.finditer(self.src)]
+            self._cols.append(len(self.src.rstrip()) + 1)
+        return self._cols[self.pos if at is None else at]
 
-    def parse_term(self, tok: str, col: int) -> Term:
-        tok = tok.strip()
-        m = re.match(r"^(\d+)\*(.+)$", tok)
-        if m:
-            count = int(m.group(1))
-            if count < 2:
-                raise self.err(col, f"multiple count of at least 2, got {count}")
-            inner = self.parse_term(m.group(2), col)
-            if isinstance(inner, Multiple):
-                raise self.err(col, "nested multiple")
-            return Multiple(count, inner)
-        m = re.match(r"^sq\(([A-Z]{1,2})\)$", tok)
-        if m:
-            return SquareOn(self.parse_segment(m.group(1), col))
-        m = re.match(r"^rect\(([A-Z]{1,2}),([A-Z]{1,2})\)$", tok)
-        if m:
-            return RectBy(
-                self.parse_segment(m.group(1), col),
-                self.parse_segment(m.group(2), col),
-            )
-        m = re.match(r"^fig\(([A-Z]{1,4})\)$", tok)
-        if m:
-            return Fig(FigureName(m.group(1)))
-        raise self.err(col, f"term, got {tok!r}")
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A parse error at token `at` (default: the current one)."""
+        return ParseError(self.line, self.col(at), message)
 
-    def parse_sum(self, text: str, col: int) -> TermSum:
-        parts = [p for p in text.split("+")]
-        if not parts or any(not p.strip() for p in parts):
-            raise self.err(col, f"term sum, got {text!r}")
-        return term_sum(self.parse_term(p, col) for p in parts)
+    def err(self, want: str) -> ParseError:
+        got = self.toks[self.pos]
+        return self.fail(f"{want}, got {got!r}" if got else f"{want}, got end of line")
 
-    def parse(self) -> Statement:
-        s = self.src.strip()
-        col = self.src.find(s) + 1 if s else 1
-        m = re.match(r"^rangle\(\s*([A-Z])\s*;\s*([A-Z])\s*,\s*([A-Z])\s*\)$", s)
-        if m:
-            return RightAngle(m.group(1), m.group(2), m.group(3))
-        if "==" in s:
-            left, right = s.split("==", 1)
-            return SegEq(
-                self.parse_segment(left, col),
-                self.parse_segment(right, col + len(left) + 2),
-            )
-        m = re.match(r"^([A-Z]{1,4})\s+pi\s+([A-Z]{1,2})\s+x\s+([A-Z]{1,2})$", s)
-        if m:
-            return Pi(
-                FigureName(m.group(1)),
-                self.parse_segment(m.group(2), col),
-                self.parse_segment(m.group(3), col),
-            )
-        m = re.match(r"^([A-Z]{1,4})\s+on\s+([A-Z]{1,2})$", s)
-        if m:
-            return IsSq(FigureName(m.group(1)), self.parse_segment(m.group(2), col))
-        if "=" in s:
-            left, right = s.split("=", 1)
-            return Eq(
-                self.parse_sum(left, col),
-                self.parse_sum(right, col + len(left) + 1),
-            )
-        raise self.err(col, f"statement, got {s!r}")
+    def end(self) -> None:
+        if self.toks[self.pos]:
+            raise self.err("end of line")
+
+    def read(self, form: type[Syntax], **extra):
+        """The `form` spelled at the cursor; `extra` gives the fields its
+        template does not name."""
+        toks = self.toks
+        start = self.pos
+        fields: dict[str, typing.Any] = {}
+        for op, arg in form._items:
+            if op == "lit":
+                if toks[self.pos] != arg:
+                    raise self.err(repr(arg))
+                self.pos += 1
+            elif op == "letters":
+                parts, lo, hi = arg
+                letters = self.name(lo, hi)
+                rest = letters
+                for name, size, as_tuple in parts:
+                    value = tuple(rest[:size]) if as_tuple else rest[:size]
+                    rest = rest[size:]
+                    if fields.setdefault(name, value) != value:
+                        again = f"{name} {_field_text(fields[name])!r} again, got {letters!r}"
+                        raise self.fail(again, self.pos - 1)
+            elif op == "words":
+                name, words = arg
+                if toks[self.pos] not in words:
+                    raise self.err(" or ".join(words))
+                fields[name] = toks[self.pos]
+                self.pos += 1
+            else:
+                fields[arg] = getattr(self, op)()
+        try:
+            return form(**fields, **extra)
+        except ValueError as exc:
+            raise self.fail(str(exc), start) from None
+
+    def choose(self, forms, want: str, whole_line: bool = False):
+        """The first of `forms` that reads at the cursor, through the end of
+        the line if `whole_line`; a form is tried only if its key tokens are
+        in place.  When none reads, the error is that of the form that got
+        furthest, or `want` at the cursor if none got past it."""
+        toks = self.toks
+        start = self.pos
+        best = None
+        for form in forms:
+            for offset, text in form._key:
+                at = start + offset
+                if at >= len(toks) or toks[at] != text:
+                    break
+            else:
+                try:
+                    value = self.read(form)
+                    if whole_line:
+                        self.end()
+                    return value
+                except ParseError as exc:
+                    if best is None or exc.col > best.col:
+                        best = exc
+                    self.pos = start
+        # no form reads.  A form whose key tokens are not in place fails at
+        # one of them, before any field that nests, so trying it is cheap
+        # and may show an error further on.
+        best = best or self.err(want)
+        for form in forms:
+            key = form._key
+            if all(start + at < len(toks) and toks[start + at] == text for at, text in key):
+                continue  # read above
+            try:
+                self.read(form)
+            except ParseError as exc:
+                if exc.col > best.col:
+                    best = exc
+            self.pos = start
+        raise best
+
+    def check_label(self, kind: str, text: str, at: int) -> None:
+        """Raise unless the name `text`, token `at`, is declared as a `kind`:
+        "seg", "fig" or "pt"."""
+
+    def name(self, lo: int, hi: int, want: str = "", kind: str | None = None) -> str:
+        """A name of `lo` to `hi` letters, which an error calls `want`; a
+        `kind` of label must be declared."""
+        text = self.toks[self.pos]
+        if not (lo <= len(text) <= hi and "A" <= text[0] <= "Z" and text.isalpha()):
+            raise self.err(want or (f"{lo} letters" if lo == hi else f"{lo}-{hi} letters"))
+        if kind is not None:
+            self.check_label(kind, text, self.pos)
+        self.pos += 1
+        return text
+
+    def read_int(self) -> int:
+        text = self.toks[self.pos]
+        if not text.isdecimal():
+            raise self.err("integer")
+        self.pos += 1
+        return int(text)
+
+    def read_pt(self) -> str:
+        return self.name(1, 1, "point", "pt")
+
+    def read_seg(self) -> Segment:
+        text = self.name(1, 2, "segment name", "seg")
+        if len(text) == 1:
+            return standalone_segment(text)
+        return Segment(text[0], text[1], display=text)
+
+    def read_fig(self) -> FigureName:
+        return FigureName(self.name(1, 4, "figure name", "fig"))
+
+    def read_term(self) -> Term:
+        return self.choose(TERMS, "term")
+
+    def read_atom(self) -> Term:
+        return self.choose(_ATOMS, "term other than a multiple")
+
+    def read_sum(self) -> TermSum:
+        terms = [self.read_term()]
+        while self.toks[self.pos] == "+":
+            self.pos += 1
+            terms.append(self.read_term())
+        return term_sum(terms)
+
+    def read_stmt(self) -> Statement:
+        return self.choose(STATEMENTS, "statement")
 
 
 def parse_statement(text: str, line: int = 0) -> Statement:
-    return _StmtParser(text, line).parse()
-
-
-def parse_rational(tok: str, line: int = 0, col: int = 1) -> Fraction:
-    tok = tok.strip()
-    m = re.match(r"^(-?\d+)(?:/(\d+))?$", tok)
-    if not m:
-        raise ParseError(line, col, f"rational number, got {tok!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise ParseError(line, col, "zero denominator")
-    return Fraction(num, den)
+    """The statement `text` spells, on source line `line`; its names are
+    not checked against any declarations."""
+    reader = Reader(text, line)
+    stmt = reader.read_stmt()
+    reader.end()
+    return stmt
 
 
 def ratio_text(num: int, den: int) -> str:

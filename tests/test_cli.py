@@ -46,9 +46,12 @@ def test_check_missing_file_exit_two(capsys):
 
 def test_check_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.e2p"
-    bad.write_text("prop X\nclaim: sq(AB) = sq(AB)\nproof:\n  1. sq(AB) = sq(AB) ; R9\nqed\n")
-    code, _, _ = run_cli(["check", str(bad)], capsys)
+    bad.write_text(
+        "prop X\npoints A B\nclaim: sq(AB) = sq(AB)\nproof:\n  1. sq(AB) = sq(AB) ; R9\nqed\n"
+    )
+    code, out, _ = run_cli(["check", str(bad)], capsys)
     assert code == 2
+    assert "line 5, col 24: unknown rule 'R9'" in out
 
 
 @pytest.mark.parametrize("command", ["annotate", "render", "oracle"])
@@ -191,6 +194,24 @@ def test_check_multiple_count_below_two_exit_two(tmp_path, capsys):
     code, out, _ = run_cli(["check", str(bad)], capsys)
     assert code == 2
     assert "parse error" in out
+
+
+@pytest.mark.parametrize(
+    "param, where",
+    [
+        ("param e = 1/5", "line 15, col 18: parameter 'd' not declared"),
+        ("param Q9 = 1/5", "line 11, col 7: length-parameter name, got 'Q9'"),
+    ],
+)
+def test_undeclared_parameter_is_a_parse_error(param, where, tmp_path, capsys):
+    # `cut D on CB at d` names the parameter that the `param` line declared
+    text = corpusdata.read_script_text("II_5.e2p")
+    assert "param d = 1/5\n" in text
+    bad = tmp_path / "bad.e2p"
+    bad.write_text(text.replace("param d = 1/5", param))
+    code, out, _ = run_cli(["check", str(bad)], capsys)
+    assert code == 2
+    assert f"parse error: {where}" in out
 
 
 @pytest.mark.parametrize("command", ["check", "render", "oracle"])

@@ -11,7 +11,7 @@ from euclid2 import diagram as dg
 from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
-from euclid2.errors import Euclid2Error
+from euclid2.errors import Euclid2Error, ParseError
 
 ENTRIES = corpusdata.all_entries()
 FILES = [e["file"] for e in ENTRIES]
@@ -132,3 +132,57 @@ def test_mutated_proof_is_checked_or_raises_a_typed_error(case):
     if not report.accepted:
         # an untyped fault in a step is reported as "InternalError: <Type>: message"
         assert not report.reject_cause.startswith("InternalError"), report.reject_cause
+
+
+# ---------------------------------------------------------------------------
+# one mutated line: a parse error points into that line
+
+_DECLARING = ("prop", "points", "line", "param", "flags", "construct:", "proof:", "qed",
+              "segment", "rectfig", "gnomon")
+_PIECES = LABELS + NUMBERS + WORDS + [
+    "sq(AB)", "fig(CD)", "rect(A,BC)", "2*", "pi", "==", "+", ";", "[", "]", "s1", "h1", "R1",
+    "VE", "1.", "claim:", "(", ",",
+]
+
+
+@st.composite
+def mutated_lines(draw):
+    """A corpus script with one statement, step or construction line changed,
+    and that line's index.  Lines that declare names, and section lines, are
+    left alone: a change there can surface as an error further down."""
+    lines = corpusdata.read_script_text(draw(st.sampled_from(FILES))).splitlines()
+    k = draw(st.sampled_from([
+        k for k, line in enumerate(lines)
+        if line.strip() and not line.lstrip().startswith(("#",) + _DECLARING)
+    ]))
+    code = lines[k].split("#", 1)[0].rstrip()
+    kind = draw(st.sampled_from(["piece", "piece", "char", "drop", "squeeze"]))
+    if kind == "squeeze":
+        # the spaces go, all but the indent
+        indent = len(code) - len(code.lstrip())
+        lines[k] = code[:indent] + "".join(code[indent:].split())
+        return k, lines
+    tokens = code.split(" ")
+    i = draw(st.integers(0, len(tokens) - 1))
+    if kind == "piece":
+        tokens[i] = draw(st.sampled_from(_PIECES))
+    elif kind == "drop":
+        del tokens[i]
+    else:
+        j = draw(st.integers(0, len(code) - 1))
+        tokens = [code[:j] + draw(st.sampled_from(list("AZaqs019()[],;:=+*|/.- "))) + code[j + 1:]]
+    lines[k] = " ".join(tokens)
+    return k, lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_lines())
+def test_parse_error_on_a_mutated_line_points_into_it(case):
+    k, lines = case
+    try:
+        sc.parse_script("\n".join(lines) + "\n")
+    except ParseError as exc:
+        assert exc.line == k + 1, (lines[k], str(exc))
+        assert 1 <= exc.col <= len(lines[k]) + 1, (lines[k], str(exc))
+    except Euclid2Error:
+        pass

@@ -78,7 +78,7 @@ def test_statement_roundtrip_text():
     ]
     for t in texts:
         stmt = T.parse_statement(t)
-        again = T.parse_statement(T.stmt_text(stmt))
+        again = T.parse_statement(stmt.text())
         assert T.stmt_equal(stmt, again)
 
 
@@ -104,39 +104,37 @@ def segments(draw):
     return T.standalone_segment(draw(st.sampled_from(LETTERS)))
 
 
+FIGURES = st.text(LETTERS, min_size=1, max_size=4)
+
+
 @st.composite
-def terms(draw, depth=0):
+def terms(draw, depth=0, figures=FIGURES):
     kind = draw(st.integers(0, 3 if depth == 0 else 2))
     if kind == 0:
         return T.SquareOn(draw(segments()))
     if kind == 1:
         return T.RectBy(draw(segments()), draw(segments()))
     if kind == 2:
-        return T.Fig(T.FigureName(draw(st.text(LETTERS, min_size=1, max_size=4))))
-    return T.Multiple(draw(st.integers(2, 4)), draw(terms(depth=1)))
+        return T.Fig(T.FigureName(draw(figures)))
+    return T.Multiple(draw(st.integers(2, 4)), draw(terms(depth=1, figures=figures)))
 
 
 @st.composite
-def sums(draw):
-    return T.term_sum(draw(st.lists(terms(), min_size=1, max_size=4)))
+def sums(draw, figures=FIGURES):
+    return T.term_sum(draw(st.lists(terms(figures=figures), min_size=1, max_size=4)))
 
 
 @st.composite
-def statements(draw):
+def statements(draw, figures=FIGURES):
+    """Every statement form, over segments of either spelling order and
+    figure names drawn from `figures`."""
     kind = draw(st.integers(0, 4))
     if kind == 0:
-        return T.Eq(draw(sums()), draw(sums()))
+        return T.Eq(draw(sums(figures)), draw(sums(figures)))
     if kind == 1:
-        return T.Pi(
-            T.FigureName(draw(st.text(LETTERS, min_size=1, max_size=4))),
-            draw(segments()),
-            draw(segments()),
-        )
+        return T.Pi(T.FigureName(draw(figures)), draw(segments()), draw(segments()))
     if kind == 2:
-        return T.IsSq(
-            T.FigureName(draw(st.text(LETTERS, min_size=1, max_size=4))),
-            draw(segments()),
-        )
+        return T.IsSq(T.FigureName(draw(figures)), draw(segments()))
     if kind == 3:
         return T.SegEq(draw(segments()), draw(segments()))
     a = draw(st.sampled_from(LETTERS))
@@ -145,6 +143,55 @@ def statements(draw):
         draw(st.sampled_from([c for c in LETTERS if c != a])),
         draw(st.sampled_from([c for c in LETTERS if c != a])),
     )
+
+
+@given(statements())
+@settings(max_examples=300)
+def test_statement_text_parses_back(s):
+    # the printed text keeps each segment's spelling, so it reads back to an
+    # equal statement that prints byte-identically
+    again = T.parse_statement(s.text())
+    assert again == s
+    assert again.text() == s.text()
+
+
+@pytest.mark.parametrize(
+    "text, col, expected",
+    [
+        ("sq(AB) + 1*rect(AB,CD) = sq(AB)", 10, "Multiple count must be >= 2"),
+        ("sq(AB) = sq(AB) + sqq(CD)", 19, "term, got 'sqq'"),
+        ("fig(ABCDE) = sq(AB)", 5, "figure name, got 'ABCDE'"),
+        ("X pi AB x C7", 11, "segment name, got 'C7'"),
+        ("rangle(B;A,CD)", 12, "point, got 'CD'"),
+        ("AB == CD + EF", 10, "end of line, got '+'"),
+        ("sq(AB) =", 9, "term, got end of line"),
+        ("2*3*sq(AB) = sq(AB)", 3, "term other than a multiple, got '3'"),
+    ],
+)
+def test_parse_statement_error_column(text, col, expected):
+    with pytest.raises(ParseError) as exc:
+        T.parse_statement(text)
+    assert (exc.value.col, exc.value.expected) == (col, expected)
+
+
+def test_a_chain_of_multiples_is_one_parse_error():
+    # a multiple holds no multiple, so the parser does not recurse down the
+    # chain (the recursion limit) nor retry each level on failure
+    with pytest.raises(ParseError) as exc:
+        T.parse_statement("2*" * 3000 + "sq(AB) = sq(AB)")
+    assert exc.value.col == 3
+
+
+@pytest.mark.parametrize(
+    "spaced, canonical",
+    [
+        ("rect( GB , BD )+2 * sq(AB)=fig(ADEB)", "2*sq(AB) + rect(GB,BD) = fig(ADEB)"),
+        ("BKpiGBxBD", "BK pi GB x BD"),
+        ("rangle( B ; A , C )", "rangle(B;A,C)"),
+    ],
+)
+def test_whitespace_between_tokens_is_free(spaced, canonical):
+    assert T.parse_statement(spaced).text() == canonical
 
 
 @given(sums())
