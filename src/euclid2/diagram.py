@@ -1,6 +1,8 @@
-"""Realize construction programs as exact coordinates and derive the
-construction facts (segment equalities, right angles, figure bindings) that
-enter the fact base before the first proof step.
+"""Realize construction programs as exact coordinates, together with the
+facts each construction command states (segment equalities, right angles,
+figure bindings).  The facts of the labelled grid cells, figures the
+construction never draws, are derived and verified only when a proof check
+reads them (`DiagramInstance.cell_facts`).
 
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
@@ -67,12 +69,22 @@ class DiagramInstance:
     params: dict[str, Fraction] = field(default_factory=dict)
     _drawn: geo.DrawnSegments | None = None
     _region_cache: dict[str, Polygon] = field(default_factory=dict)
+    _cell_facts: list[ConstructionFact] | None = None
 
     @property
     def drawn(self) -> geo.DrawnSegments:
         if self._drawn is None:
             self._drawn = geo.DrawnSegments(self.drawn_list)
         return self._drawn
+
+    def cell_facts(self) -> list[ConstructionFact]:
+        """The I.34 sides and right angles of each labelled grid cell, and the
+        sides of each square cell with a drawn diagonal.  Derived and verified
+        on the first call (raising FactVerificationFailed for a false one);
+        later calls return the same list."""
+        if self._cell_facts is None:
+            self._cell_facts = _derive_cell_facts(self)
+        return self._cell_facts
 
     def point(self, label: str) -> Pt:
         if label not in self.coords:
@@ -161,7 +173,6 @@ class _Builder:
     def run(self) -> DiagramInstance:
         for cmd in self.script.construction:
             self.dispatch(cmd)
-        _derive_cell_facts(self.inst)
         _verify_base_lines(self.inst, self.script)
         return self.inst
 
@@ -517,7 +528,13 @@ def _verify_fact(inst: DiagramInstance, stmt: Statement):
         raise FactVerificationFailed(f"construction fact {stmt} is numerically false")
 
 
-def _derive_cell_facts(inst: DiagramInstance):
+def _derive_cell_facts(inst: DiagramInstance) -> list[ConstructionFact]:
+    facts: list[ConstructionFact] = []
+
+    def emit(stmt: Statement, reason: str):
+        _verify_fact(inst, stmt)
+        facts.append(ConstructionFact(stmt, reason))
+
     drawn = inst.drawn
     label_at = {geo.point_key(p): name for name, p in inst.coords.items()}
     for (x1, y1, x2, y2) in geo.elementary_cells(drawn):
@@ -527,27 +544,23 @@ def _derive_cell_facts(inst: DiagramInstance):
         if None in corners:
             continue
         bl, br, tr, tl = corners
-        _emit(inst, SegEq(Segment(tl, bl), Segment(tr, br)), "I34-OppositeSides")
-        _emit(inst, SegEq(Segment(tl, tr), Segment(bl, br)), "I34-OppositeSides")
+        emit(SegEq(Segment(tl, bl), Segment(tr, br)), "I34-OppositeSides")
+        emit(SegEq(Segment(tl, tr), Segment(bl, br)), "I34-OppositeSides")
         for vertex, p, q in (
             (bl, br, tl),
             (br, bl, tr),
             (tr, br, tl),
             (tl, bl, tr),
         ):
-            _emit(inst, RightAngle(vertex, p, q), "ParallelogramRight")
+            emit(RightAngle(vertex, p, q), "ParallelogramRight")
         if geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0:
             diag1 = ((x1, y1), (x2, y2))
             diag2 = ((x2, y1), (x1, y2))
             if drawn.segment_drawn(*diag1) or drawn.segment_drawn(*diag2):
-                _emit(inst, SegEq(Segment(tl, tr), Segment(tr, br)), "SquareSides")
-                _emit(inst, SegEq(Segment(tr, br), Segment(br, bl)), "SquareSides")
-                _emit(inst, SegEq(Segment(br, bl), Segment(bl, tl)), "SquareSides")
-
-
-def _emit(inst: DiagramInstance, stmt: Statement, reason: str):
-    _verify_fact(inst, stmt)
-    inst.facts.append(ConstructionFact(stmt, reason))
+                emit(SegEq(Segment(tl, tr), Segment(tr, br)), "SquareSides")
+                emit(SegEq(Segment(tr, br), Segment(br, bl)), "SquareSides")
+                emit(SegEq(Segment(br, bl), Segment(bl, tl)), "SquareSides")
+    return facts
 
 
 def _verify_base_lines(inst: DiagramInstance, script: sc.Script):

@@ -93,7 +93,11 @@ class FactBase:
     """Normalized statements with provenance.  Segment equalities live in a
     union-find so chains cited inline (Euclid's "DK, that is to say BG, is
     equal to A") resolve without explicit transitivity steps; everything
-    else is matched one statement at a time."""
+    else is matched one statement at a time.
+
+    A new base holds the diagram's construction facts: those of its commands
+    and those of its labelled grid cells.  Deriving the cell facts verifies
+    them, so this raises FactVerificationFailed for a false one."""
 
     def __init__(self, inst: dg.DiagramInstance):
         self.inst = inst
@@ -102,6 +106,8 @@ class FactBase:
         self._rangles: list[RightAngle] = []
         self._namings: list[Statement] = []  # Pi and IsSq facts
         self._eqs: list[Eq] = []
+        for fact in inst.facts + inst.cell_facts():
+            self.add(fact.statement, f"construction:{fact.reason}")
 
     def _find(self, k):
         self._parent.setdefault(k, k)
@@ -988,12 +994,10 @@ def check_proof(
 
     try:
         inst = instance if instance is not None else dg.realize(script)
+        fb = FactBase(inst)
     except Euclid2Error as exc:
         return reject(0, f"RealizeFailed: {exc}")
 
-    fb = FactBase(inst)
-    for fact in inst.facts:
-        fb.add(fact.statement, f"construction:{fact.reason}")
     for h in script.hypotheses:
         try:
             if not dg.statement_holds(inst, h.stmt):

@@ -228,7 +228,7 @@ class TermSum:
 
 
 def term_sum(terms) -> TermSum:
-    return normalize(TermSum(tuple(terms)))
+    return TermSum(tuple(sorted(terms, key=term_key)))
 
 
 def normalize(s: TermSum) -> TermSum:

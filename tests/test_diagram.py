@@ -6,6 +6,8 @@ from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
+from euclid2 import oracle as orc
+from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import terms as T
 from euclid2.errors import InvalidParam, UnknownName
@@ -68,12 +70,8 @@ def test_cut_outside_segment_rejected():
 
 
 def test_construction_facts_ii2():
-    from euclid2 import rules
-
     inst = realize("II_2.e2p")
     fb = rules.FactBase(inst)
-    for f in inst.facts:
-        fb.add(f.statement, f.reason)
     # square side equalities, directly or through the transitive closure
     assert fb.has_segeq(T.mk_segment("A", "D"), T.mk_segment("A", "B"))
     assert fb.has_segeq(T.mk_segment("B", "E"), T.mk_segment("A", "B"))
@@ -94,6 +92,61 @@ def test_construction_facts_ii5_midpoint():
     want = T.SegEq(T.mk_segment("A", "C"), T.mk_segment("C", "B"))
     assert any(
         f.reason == "Midpoint" and T.stmt_equal(f.statement, want) for f in inst.facts
+    )
+
+
+def _count_cell_derivations(monkeypatch) -> list:
+    calls = []
+    derive = dg._derive_cell_facts
+
+    def counted(inst):
+        calls.append(inst)
+        return derive(inst)
+
+    monkeypatch.setattr(dg, "_derive_cell_facts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["II_2.e2p", "II_14.e2p"])
+def test_oracle_derives_no_cell_facts(monkeypatch, name):
+    calls = _count_cell_derivations(monkeypatch)
+    script = load(name)
+    records = orc.check_numeric_detailed(script.diorismos, script, samples=3)
+    assert records and all(r["ok"] for r in records)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["II_2.e2p", "II_14.e2p"])
+def test_check_derives_cell_facts_once_per_instance(monkeypatch, name):
+    calls = _count_cell_derivations(monkeypatch)
+    script = load(name)
+    assert rules.check_proof(script).verdict == "accepted"
+    assert len(calls) == 1
+    inst = dg.realize(script)
+    assert len(calls) == 1
+    # an instance passed in, as `render` and the corpus check pass it
+    for _ in range(2):
+        assert rules.check_proof(script, instance=inst).verdict == "accepted"
+    assert calls[1:] == [inst]
+    assert inst.cell_facts() is inst.cell_facts()
+
+
+def test_false_cell_fact_rejects_at_step_zero(monkeypatch):
+    holds = dg.statement_holds
+
+    def patched(inst, stmt):
+        if isinstance(stmt, T.RightAngle) and stmt.vertex == "F":
+            return False  # no command states a right angle at F, only the cells
+        return holds(inst, stmt)
+
+    monkeypatch.setattr(dg, "statement_holds", patched)
+    script = load("II_2.e2p")
+    dg.realize(script)  # realize verifies command facts only
+    report = rules.check_proof(script)
+    assert (report.verdict, report.reject_step) == ("rejected", 0)
+    assert report.reject_cause == (
+        "RealizeFailed: construction fact "
+        "RightAngle(vertex='F', arm1='D', arm2='C') is numerically false"
     )
 
 

@@ -27,8 +27,6 @@ def ctx_for(name):
     script = load(name)
     inst = dg.realize(script)
     fb = rules.FactBase(inst)
-    for f in inst.facts:
-        fb.add(f.statement, f.reason)
     for h in script.hypotheses:
         fb.add(h.stmt, f"h{h.index}")
     return rules.RuleContext(inst, fb, script.flags)

@@ -42,6 +42,11 @@ def test_duplicate_squares_multiset():
     assert a == b
 
 
+def test_empty_sum_rejected():
+    with pytest.raises(ValueError):
+        T.term_sum([])
+
+
 def test_stmt_equal_eq_symmetric():
     a = T.parse_statement("rect(BA,AC) = fig(AF)")
     b = T.parse_statement("fig(AF) = rect(BA,AC)")
