@@ -5,20 +5,22 @@ A rational is two ints, `num` and `den` > 0 in lowest terms (zero is
 `math.gcd`, before any other path.  `const` is where an `int` or
 `Fraction` enters, and `Expr.rat` is a read-only `Fraction` view for
 readers outside the tower.  A single square root of a rational folds to an
-exact quadratic form a + b*sqrt(r) (r >= 2 an integer that is not a
-perfect square, a and b `Fraction`s via `exact_pair`), and arithmetic
-stays exact inside that field; sign queries on such values are decided
-exactly.  The radicand is not factored: trial division stops at
-`_TRIAL_BOUND` and the cofactor left gets one perfect-square test, so r
-may keep a square factor, and two radicands r1 != r2 name one field when
-r1*r2 is a perfect square.  Exact values are plain values: equality is
-decided by `exact_key` (for a + b*sqrt(r): a, the sign of b and b*b*r),
-never by object identity.  Everything else (nested or mixed radicals) is
-a radical node.  Radical nodes are shared through a weak table, so equal
-constructions give one node while any caller holds it, and the table never
-outlives its users.  Their signs fall back to interval refinement with
-outward-rounded dyadic endpoints, doubling precision until the sign is
-separated or the bit budget runs out.
+exact quadratic form (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0,
+gcd(an, bn, d) = 1 and r >= 2 an integer that is not a perfect square;
+arithmetic stays exact inside that field as integer products and one
+three-way `math.gcd`, and sign queries on such values are decided exactly.
+`Expr.quad` is the matching read-only `Fraction` view.  The radicand is
+not factored: trial division stops at `_TRIAL_BOUND` and the cofactor left
+gets one perfect-square test, so r may keep a square factor, and two
+radicands r1 != r2 name one field when r1*r2 is a perfect square.  Exact
+values are plain values: equality is decided by `exact_key` (for a +
+b*sqrt(r): a, the sign of b and b*b*r), never by object identity.
+Everything else (nested or mixed radicals) is a radical node.  Radical
+nodes are shared through a weak table, so equal constructions give one
+node while any caller holds it, and the table never outlives its users.
+Their signs fall back to interval refinement with outward-rounded dyadic
+endpoints, doubling precision until the sign is separated or the bit
+budget runs out.
 """
 
 from __future__ import annotations
@@ -92,25 +94,26 @@ class Expr:
     subtrees are one object and their difference folds to an exact zero at
     construction time."""
 
-    __slots__ = ("kind", "args", "num", "den", "quad", "_ivals", "__weakref__")
+    __slots__ = ("kind", "args", "num", "den", "q", "_ivals", "__weakref__")
 
     _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __init__(self, kind, args, num, den, quad):
+    def __init__(self, kind, args, num, den, q):
         self.kind = kind
         self.args = args
         self.num = num
         self.den = den  # > 0 with gcd(num, den) == 1 for a rational, else 0
-        # (a, b, r): value a + b*sqrt(r), b != 0, r >= 2 not a perfect square
-        self.quad = quad
+        # (an, bn, d, r): value (an + bn*sqrt(r))/d, d > 0, bn != 0,
+        # gcd(an, bn, d) == 1, r >= 2 not a perfect square; else None
+        self.q = q
         self._ivals: dict[int, tuple[Fraction, Fraction]] | None = None  # made by interval()
 
     def __repr__(self):
         if self.den:
-            return f"Expr({self.rat})"
-        if self.quad is not None:
-            a, b, r = self.quad
-            return f"Expr({a}+{b}*sqrt({r}))"
+            return f"Expr({self.num}/{self.den})"
+        if self.q is not None:
+            an, bn, d, r = self.q
+            return f"Expr(({an}+{bn}*sqrt({r}))/{d})"
         return f"Expr<{self.kind}>"
 
     # -- exact views -------------------------------------------------------
@@ -120,11 +123,13 @@ class Expr:
         """The rational value as a `Fraction`, or None."""
         return Fraction(self.num, self.den) if self.den else None
 
-    def exact_pair(self):
-        """(a, b, r) of an exact value, (q, 0, 0) for a rational, else None."""
-        if self.den:
-            return (Fraction(self.num, self.den), Fraction(0), 0)
-        return self.quad
+    @property
+    def quad(self) -> tuple[Fraction, Fraction, int] | None:
+        """(a, b, r) with the value a + b*sqrt(r) as `Fraction`s, or None."""
+        if self.q is None:
+            return None
+        an, bn, d, r = self.q
+        return Fraction(an, d), Fraction(bn, d), r
 
     # -- intervals ---------------------------------------------------------
 
@@ -144,15 +149,12 @@ class Expr:
         if self.den:
             n, d = self.num << bits, self.den
             return Fraction(n // d, scale), Fraction(-(-n // d), scale)
-        if self.quad is not None:
-            a, b, r = self.quad
-            slo, shi = _sqrt_interval(Fraction(r), bits + 8)
-            c1, c2 = a + b * slo, a + b * shi
-            lo, hi = min(c1, c2), max(c1, c2)
-            return (
-                Fraction(math.floor(lo * scale), scale),
-                Fraction(math.ceil(hi * scale), scale),
-            )
+        if self.q is not None:
+            an, bn, d, r = self.q
+            # m < |bn|*sqrt(r)*scale < m + 1, as the root is irrational
+            m = math.isqrt(bn * bn * r << 2 * bits)
+            lo = (an << bits) + (m if bn > 0 else -m - 1)
+            return Fraction(lo // d, scale), Fraction(-(-(lo + 1) // d), scale)
         k = self.kind
         if k == "sqrt":
             alo, ahi = self.args[0].interval(bits + 8)
@@ -212,11 +214,13 @@ def const(q) -> Expr:
     return Expr("rat", (), q.numerator, q.denominator, None)
 
 
-def _mk_quad(a: Fraction, b: Fraction, r: int) -> Expr:
-    """a + b*sqrt(r) for r >= 2 not a perfect square."""
-    if b == 0:
-        return const(a)
-    return Expr("quad", (), 0, 0, (a, b, r))
+def _quad(an: int, bn: int, d: int, r: int) -> Expr:
+    """(an + bn*sqrt(r))/d for d > 0 and r >= 2 not a perfect square,
+    reduced by one gcd; a rational when bn == 0."""
+    g = math.gcd(an, bn, d)
+    if bn == 0:
+        return Expr("rat", (), an // g, d // g, None)
+    return Expr("quad", (), 0, 0, (an // g, bn // g, d // g, r))
 
 
 ZERO = const(0)
@@ -225,12 +229,14 @@ ONE = const(1)
 
 def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
     """x op y inside one quadratic field, or None.  `_binop` combines two
-    rationals itself, so at least one operand here has a radicand r >= 2."""
-    ex, ey = x.exact_pair(), y.exact_pair()
+    rationals itself, so at least one operand here has a radicand r >= 2;
+    a rational operand reads as (num, 0, den, 0)."""
+    ex = x.q or ((x.num, 0, x.den, 0) if x.den else None)
+    ey = y.q or ((y.num, 0, y.den, 0) if y.den else None)
     if ex is None or ey is None:
         return None
-    a1, b1, r1 = ex
-    a2, b2, r2 = ey
+    a1, b1, d1, r1 = ex
+    a2, b2, d2, r2 = ey
     r = r1 or r2
     if r1 and r2 and r1 != r2:
         # one field when r1*r2 = t*t: then sqrt(R) = (t/r)*sqrt(r) for the
@@ -240,27 +246,27 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
         if t * t != r1 * r2:
             return None  # mixed radicands: no shared quadratic field
         if r1 < r2:
-            b2 = b2 * Fraction(t, r1)
+            a2, b2, d2 = a2 * r1, b2 * t, d2 * r1
         else:
             r = r2
-            b1 = b1 * Fraction(t, r2)
-    if kind == "add":
-        a, b = a1 + a2, b1 + b2
-    elif kind == "sub":
-        a, b = a1 - a2, b1 - b2
-    elif kind == "mul":
-        a, b = a1 * a2 + b1 * b2 * r, a1 * b2 + a2 * b1
-    elif kind == "div":
-        den = a2 * a2 - b2 * b2 * r
-        if den == 0:
-            if a2 == 0 and b2 == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return None  # cannot happen: sqrt(r) is irrational, but stay safe
-        a = (a1 * a2 - b1 * b2 * r) / den
-        b = (b1 * a2 - a1 * b2) / den
-    else:  # pragma: no cover
+            a1, b1, d1 = a1 * r2, b1 * t, d1 * r2
+    if kind == "add" or kind == "sub":
+        if kind == "sub":
+            a2, b2 = -a2, -b2
+        if d1 == d2:
+            return _quad(a1 + a2, b1 + b2, d1, r)
+        return _quad(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2, r)
+    if kind == "mul":
+        return _quad(a1 * a2 + b1 * b2 * r, a1 * b2 + a2 * b1, d1 * d2, r)
+    if kind != "div":  # pragma: no cover
         raise AssertionError(kind)
-    return _mk_quad(a, b, r)
+    # times the conjugate over the norm, which is zero only when y is, as
+    # sqrt(r) is irrational
+    norm = a2 * a2 - b2 * b2 * r
+    if norm == 0:
+        raise ZeroDivisionError("division by exact zero")
+    s = d2 if norm > 0 else -d2
+    return _quad((a1 * a2 - b1 * b2 * r) * s, (b1 * a2 - a1 * b2) * s, d1 * abs(norm), r)
 
 
 def _binop(kind, x: Expr, y: Expr) -> Expr:
@@ -337,8 +343,8 @@ def sqrt(x: Expr) -> Expr:
         # a perfect square only when it is 1
         rad = rn * rd
         if rad == 1:
-            return const(Fraction(sn, sd))
-        return _mk_quad(Fraction(0), Fraction(sn, sd * rd), rad)
+            return Expr("rat", (), sn, sd, None)
+        return Expr("quad", (), 0, 0, (0, sn, sd * rd, rad))
     return _intern("sqrt", (x,))
 
 
@@ -351,10 +357,10 @@ def refine_sign(x: Expr, max_bits: int | None = None) -> int:
     interval refinement otherwise; raises Undecidable at the bit budget."""
     if x.den:
         return (x.num > 0) - (x.num < 0)
-    if x.quad is not None:
-        a, b, r = x.quad
-        # a + b*sqrt(r) with b != 0 and r not a perfect square is never
-        # zero, and a*a never equals b*b*r below
+    if x.q is not None:
+        a, b, _, r = x.q
+        # (a + b*sqrt(r))/d with d > 0, b != 0 and r not a perfect square is
+        # never zero, and a*a never equals b*b*r below
         if a >= 0 and b > 0:
             return 1
         if a <= 0 and b < 0:
@@ -433,10 +439,11 @@ def exact_key(x: Expr):
     so equal values get one key whatever square factor r keeps."""
     if x.den:
         return ("r", x.num, x.den)
-    if x.quad is not None:
-        a, b, r = x.quad
-        p, q = b.numerator, b.denominator
+    if x.q is not None:
+        an, bn, d, r = x.q
+        ga, gb = math.gcd(an, d), math.gcd(bn, d)
+        p, q = bn // gb, d // gb
         q2 = q * q
         g = math.gcd(r, q2)  # gcd(p, q) = 1, so only r and q*q share factors
-        return ("q", a.numerator, a.denominator, p > 0, p * p * (r // g), q2 // g)
+        return ("q", an // ga, d // ga, p > 0, p * p * (r // g), q2 // g)
     return ("n", id(x))

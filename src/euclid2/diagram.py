@@ -523,9 +523,9 @@ def _verify_fact(inst: DiagramInstance, stmt: Statement):
     try:
         ok = statement_holds(inst, stmt)
     except Euclid2Error as exc:
-        raise FactVerificationFailed(f"{stmt} could not be verified: {exc}") from exc
+        raise FactVerificationFailed(f"{stmt.text()} could not be verified: {exc}") from exc
     if not ok:
-        raise FactVerificationFailed(f"construction fact {stmt} is numerically false")
+        raise FactVerificationFailed(f"construction fact {stmt.text()} is numerically false")
 
 
 def _derive_cell_facts(inst: DiagramInstance) -> list[ConstructionFact]:

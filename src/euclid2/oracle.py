@@ -268,9 +268,9 @@ def _evaluate_sample(
     lhs_mid = cr.midpoint(lhs, 128)
     diff = cr.sub(lhs, rhs)
     budget = tol * max(Fraction(1), abs(lhs_mid))
-    if diff.rat is not None:
+    if diff.den:
         err = abs(diff.rat)
-    elif diff.quad is not None:
+    elif diff.q is not None:
         err = abs(cr.midpoint(diff, 256))
     else:
         lo, hi = diff.interval(256)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -217,9 +218,10 @@ class FactBase:
 def _coord_text(e: cr.Expr) -> str:
     if e.den:
         return T.ratio_text(e.num, e.den)
-    if e.quad is not None:
-        a, b, r = e.quad
-        return f"{T.rational_text(a)}+{T.rational_text(b)}*sqrt({r})"
+    if e.q is not None:
+        an, bn, d, r = e.q
+        ga, gb = math.gcd(an, d), math.gcd(bn, d)
+        return f"{T.ratio_text(an // ga, d // ga)}+{T.ratio_text(bn // gb, d // gb)}*sqrt({r})"
     return cr.decimal_text(e, 30)
 
 

@@ -60,7 +60,7 @@ def test_radicand_normalization_shares_field():
 
 def test_nested_radical_falls_back_to_intervals():
     n = cr.sqrt(cr.add(cr.ONE, cr.sqrt(cr.const(2))))
-    assert n.exact_pair() is None
+    assert n.den == 0 and n.quad is None
     assert cr.refine_sign(cr.sub(n, cr.ONE)) == 1
     lo, hi = n.interval(128)
     assert lo < hi
@@ -105,7 +105,7 @@ def test_undecidable_at_budget():
         cr.sqrt(cr.add(cr.const(2), s2)), cr.sqrt(cr.sub(cr.const(2), s2))
     )
     z = cr.sub(prod, s2)
-    assert z.exact_pair() is None
+    assert z.den == 0 and z.quad is None
     with pytest.raises(Undecidable):
         cr.refine_sign(z, max_bits=256)
 
@@ -188,6 +188,138 @@ def test_mixed_rational_and_quadratic_arithmetic_matches_fraction(p, a, b):
         assert _in_q2(cr.div(w, r), a / p, b / p)
 
 
+def _canonical_quad(e) -> bool:
+    """(an + bn*sqrt(r))/d with d > 0, bn != 0, gcd(an, bn, d) = 1 and r not
+    a perfect square; or a canonical rational."""
+    if e.den:
+        return e.q is None and _canonical(e)
+    an, bn, d, r = e.q
+    return d > 0 and bn != 0 and math.gcd(an, bn, d) == 1 and math.isqrt(r) ** 2 != r
+
+
+def _reference(kind, x, y):
+    """x op y on (a, b, r) `Fraction` triples, by the formulas of the
+    `Fraction`-coefficient field: None for mixed radicands."""
+    a1, b1, r1 = x
+    a2, b2, r2 = y
+    r = r1 or r2
+    if r1 and r2 and r1 != r2:
+        t = math.isqrt(r1 * r2)
+        if t * t != r1 * r2:
+            return None
+        if r1 < r2:
+            b2 = b2 * Fraction(t, r1)
+        else:
+            r, b1 = r2, b1 * Fraction(t, r2)
+    if kind == "add":
+        return a1 + a2, b1 + b2, r
+    if kind == "sub":
+        return a1 - a2, b1 - b2, r
+    if kind == "mul":
+        return a1 * a2 + b1 * b2 * r, a1 * b2 + a2 * b1, r
+    norm = a2 * a2 - b2 * b2 * r
+    return (a1 * a2 - b1 * b2 * r) / norm, (b1 * a2 - a1 * b2) / norm, r
+
+
+def _triple(e):
+    return e.quad or (e.rat, Fraction(0), 0)
+
+
+# 2, 8, 18 and 50 share the field of sqrt(2) and 3 does not; 65537 and
+# 1031**2 * 65537 (whose square factor trial division leaves) share one
+# field through the rescale of the larger radicand
+_radicands = st.sampled_from([2, 8, 18, 50, 3, 65537, 1031 * 1031 * 65537])
+_small = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def _field_values(draw):
+    """A rational or a + b*sqrt(R) for one of `_radicands`."""
+    a = cr.const(draw(_small))
+    if draw(st.booleans()):
+        return a
+    b, root = draw(_small), cr.sqrt(cr.const(draw(_radicands)))
+    return cr.add(a, cr.mul(cr.const(b), root))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_values(), _field_values())
+def test_quadratic_arithmetic_is_canonical_and_matches_fraction_formulas(x, y):
+    assert _canonical_quad(x) and _canonical_quad(y)
+    zero = _reference("sub", _triple(x), _triple(y))
+    equal = zero is not None and zero[0] == zero[1] == 0
+    assert (cr.exact_key(x) == cr.exact_key(y)) == equal
+    for kind in ("add", "sub", "mul", "div"):
+        if kind == "div" and _is_exact_zero(y):
+            with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+                cr.div(x, y)
+            continue
+        z = getattr(cr, kind)(x, y)
+        ref = _reference(kind, _triple(x), _triple(y))
+        if ref is None:  # mixed radicands: a radical node
+            assert z.den == 0 and z.q is None
+            continue
+        assert _canonical_quad(z)
+        a, b, r = ref
+        assert (z.quad, z.rat) == (((a, b, r), None) if b != 0 else (None, a))
+    if zero is not None:  # one field: the same value by another route has one key
+        assert cr.exact_key(cr.sub(cr.add(x, y), y)) == cr.exact_key(x)
+        if not _is_exact_zero(y):
+            assert cr.exact_key(cr.mul(cr.div(x, y), y)) == cr.exact_key(x)
+    with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+        cr.div(x, cr.sub(y, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_values())
+def test_quadratic_interval_encloses_the_value(x):
+    for bits in (64, 128):
+        lo, hi = x.interval(bits)
+        assert hi - lo <= Fraction(3, 2**bits)
+        assert cr.refine_sign(cr.sub(x, cr.const(lo))) >= 0
+        assert cr.refine_sign(cr.sub(cr.const(hi), x)) >= 0
+
+
+def test_radicands_of_one_field_share_keys():
+    s2 = cr.sqrt(cr.const(2))
+    for n, k in ((8, 2), (18, 3), (50, 5)):
+        assert cr.sqrt(cr.const(n)).q == (0, k, 1, 2)
+        assert cr.exact_key(cr.sqrt(cr.const(n))) == cr.exact_key(cr.mul(cr.const(k), s2))
+    big = cr.sqrt(cr.const(1031 * 1031 * 65537))
+    assert big.q == (0, 1, 1, 1031 * 1031 * 65537)
+    small = cr.sqrt(cr.const(65537))
+    # the larger radicand is rewritten in terms of the smaller one
+    assert cr.add(big, small).q == cr.add(small, big).q == (0, 1032, 1, 65537)
+
+
+def test_quadratic_path_builds_no_fraction(monkeypatch):
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    values = [
+        cr.add(cr.const(Fraction(1, 3)), cr.sqrt(cr.const(2))),
+        cr.mul(cr.const(Fraction(-5, 7)), cr.sqrt(cr.const(8))),
+        cr.sub(cr.const(Fraction(9, 4)), cr.sqrt(cr.const(18))),
+        cr.const(Fraction(2, 9)),
+    ]
+    monkeypatch.setattr(cr, "Fraction", CountingFraction)
+    values.append(cr.sqrt(cr.const(50)))
+    for x in values:
+        for y in values:
+            for op in (cr.add, cr.sub, cr.mul, cr.div):
+                z = op(x, y)
+                cr.refine_sign(z)
+                cr.exact_key(z)
+            geo.cmp(x, y)
+    assert made == []
+    assert values[0].quad is not None  # the views are where a Fraction is built
+    assert len(made) == 2
+
+
 # primes above the trial-division bound: the square of one stays inside a
 # radicand whose cofactor is not a perfect square
 _large_primes = st.sampled_from([1031, 65537, 1000003, 1000000007])
@@ -250,7 +382,7 @@ def _sign_reference(a: Fraction, b: Fraction, r: int) -> int:
 def test_refine_sign_agrees_with_an_isqrt_reference(a, b, p, q, s):
     r = p * p * q * s
     v = cr.add(cr.const(a), cr.mul(cr.const(b), cr.sqrt(cr.const(r))))
-    assert v.exact_pair() is not None
+    assert v.den != 0 or v.quad is not None
     assert cr.refine_sign(v) == _sign_reference(a, b, r)
     # a value next to a + b*sqrt(r): the rational floor of b*sqrt(r) * 2**40
     if b != 0:
@@ -267,7 +399,7 @@ def test_radicands_of_different_fields_still_give_a_radical_node(p, q, s):
     assume(q != s)
     x, y = cr.sqrt(cr.const(p * p * q)), cr.sqrt(cr.const(q * s))
     for z in (cr.add(x, y), cr.sub(x, y), cr.mul(x, y), cr.div(x, y)):
-        assert z.exact_pair() is None and z.kind in ("add", "sub", "mul", "div")
+        assert z.den == 0 and z.quad is None and z.kind in ("add", "sub", "mul", "div")
 
 
 @st.composite

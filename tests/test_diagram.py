@@ -145,8 +145,7 @@ def test_false_cell_fact_rejects_at_step_zero(monkeypatch):
     report = rules.check_proof(script)
     assert (report.verdict, report.reject_step) == ("rejected", 0)
     assert report.reject_cause == (
-        "RealizeFailed: construction fact "
-        "RightAngle(vertex='F', arm1='D', arm2='C') is numerically false"
+        "RealizeFailed: construction fact rangle(F;D,C) is numerically false"
     )
 
 
