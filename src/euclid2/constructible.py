@@ -432,6 +432,16 @@ def decimal_text(x: Expr, places: int = 4) -> str:
     return f"{sign}{whole}." + str(frac).zfill(places).rstrip("0")
 
 
+def exact_text(x: Expr) -> str:
+    """A value as certificates print it: `n/d` for a rational, `a+b*sqrt(r)`
+    with a and b in lowest terms for a quadratic value, else 30 places."""
+    if x.den:
+        return str(x.num) if x.den == 1 else f"{x.num}/{x.den}"
+    if x.q is not None:
+        return "{}+{}*sqrt({})".format(*x.quad)
+    return decimal_text(x, 30)
+
+
 def exact_key(x: Expr):
     """Hashable identity of a value: exact values by value, radical nodes
     (interned, so equal constructions are one node) by node identity.

@@ -2,6 +2,10 @@
 color class (visual evidence red, renaming blue, the two substitution
 families violet and magenta, everything else plain).
 
+Every rule runs against the `FactBase`: the realized diagram, the script's
+flags and the facts so far.  `FactBase.region_key` alone decides which region
+a figure name denotes, for inline-premise matching, R3 and NAME's alias check.
+
 Premises are the claims of earlier steps, declared hypotheses, or inline
 statements resolved against the construction facts; naming-form inline
 premises fall back to a diagram check and are tagged as blue premises.
@@ -12,7 +16,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -100,13 +103,15 @@ class FactBase:
     and those of its labelled grid cells.  Deriving the cell facts verifies
     them, so this raises FactVerificationFailed for a false one."""
 
-    def __init__(self, inst: dg.DiagramInstance):
+    def __init__(self, inst: dg.DiagramInstance, flags=frozenset()):
         self.inst = inst
+        self.flags = flags
         self._parent: dict = {}
         self._stmts: dict = {}
         self._rangles: list[RightAngle] = []
         self._namings: list[Statement] = []  # Pi and IsSq facts
         self._eqs: list[Eq] = []
+        self._region_keys: dict[str, tuple | None] = {}
         for fact in inst.facts + inst.cell_facts():
             self.add(fact.statement, f"construction:{fact.reason}")
 
@@ -126,7 +131,10 @@ class FactBase:
         return len(self._stmts)
 
     def add(self, stmt: Statement, provenance: str):
-        self._stmts.setdefault(stmt_key(stmt), (stmt, provenance))
+        key = stmt_key(stmt)
+        if key in self._stmts:
+            return
+        self._stmts[key] = (stmt, provenance)
         if isinstance(stmt, SegEq):
             self._union(_seg_ckey(stmt.a), _seg_ckey(stmt.b))
         elif isinstance(stmt, RightAngle):
@@ -142,7 +150,8 @@ class FactBase:
             return True
         return self._find(ka) == self._find(kb)
 
-    def _ray_match(self, v: str, arm_fact: str, arm_query: str) -> bool:
+    def ray_match(self, v: str, arm_fact: str, arm_query: str) -> bool:
+        """The ray from v through arm_query runs along the line v arm_fact."""
         if arm_fact == arm_query:
             return True
         try:
@@ -158,11 +167,11 @@ class FactBase:
             if fact.vertex != stmt.vertex:
                 continue
             if (
-                self._ray_match(fact.vertex, fact.arm1, stmt.arm1)
-                and self._ray_match(fact.vertex, fact.arm2, stmt.arm2)
+                self.ray_match(fact.vertex, fact.arm1, stmt.arm1)
+                and self.ray_match(fact.vertex, fact.arm2, stmt.arm2)
             ) or (
-                self._ray_match(fact.vertex, fact.arm1, stmt.arm2)
-                and self._ray_match(fact.vertex, fact.arm2, stmt.arm1)
+                self.ray_match(fact.vertex, fact.arm1, stmt.arm2)
+                and self.ray_match(fact.vertex, fact.arm2, stmt.arm1)
             ):
                 # flipping an arm along its line preserves a right angle,
                 # but double-check numerically all the same
@@ -173,18 +182,30 @@ class FactBase:
                     return False
         return False
 
-    def _region(self, letters: str):
-        try:
-            return dg.region_key_of(self.inst, letters)
-        except Euclid2Error:
-            return ("unresolved", letters)
+    def region(self, letters: str) -> geo.Polygon:
+        """The region the figure name binds; raises UnknownName if none."""
+        return dg.figure_region(self.inst, letters)
+
+    def region_key(self, letters: str) -> tuple | None:
+        """Identity of the region the figure name binds, one for all of its
+        names, or None when the name binds no region."""
+        if letters not in self._region_keys:
+            try:
+                key = dg.region_key_of(self.inst, letters)
+            except Euclid2Error:
+                key = None
+            self._region_keys[letters] = key
+        return self._region_keys[letters]
 
     def _eq_region_key(self, eq: Eq):
+        """An equality up to figure names; an unbound name keeps its letters."""
+
         def side(s: TermSum):
             out = []
-            for t in T.normalize(s).terms:
+            for t in s.terms:
                 if isinstance(t, Fig):
-                    out.append(("region", self._region(t.name.letters)))
+                    key = self.region_key(t.name.letters)
+                    out.append(("letters", t.name.letters) if key is None else ("region", key))
                 else:
                     out.append(("term", T.term_key(t)))
             return tuple(sorted(out, key=repr))
@@ -215,18 +236,8 @@ class FactBase:
 # certificates
 
 
-def _coord_text(e: cr.Expr) -> str:
-    if e.den:
-        return T.ratio_text(e.num, e.den)
-    if e.q is not None:
-        an, bn, d, r = e.q
-        ga, gb = math.gcd(an, d), math.gcd(bn, d)
-        return f"{T.ratio_text(an // ga, d // ga)}+{T.ratio_text(bn // gb, d // gb)}*sqrt({r})"
-    return cr.decimal_text(e, 30)
-
-
 def _poly_payload(poly) -> list[list[str]]:
-    return [[_coord_text(x), _coord_text(y)] for x, y in poly]
+    return [[cr.exact_text(x), cr.exact_text(y)] for x, y in poly]
 
 
 def make_certificate(kind: str, payload: dict) -> dict:
@@ -238,7 +249,7 @@ def make_certificate(kind: str, payload: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the rule context and shared substitution machinery
+# shared substitution machinery
 
 
 @dataclass
@@ -246,28 +257,6 @@ class StepOutcome:
     derived: Statement
     flags: tuple[str, ...] = ()
     certificate: dict | None = None
-
-
-class RuleContext:
-    def __init__(self, inst: dg.DiagramInstance, fb: FactBase, script_flags=frozenset()):
-        self.inst = inst
-        self.fb = fb
-        self.script_flags = script_flags
-
-    def fig_matches(self, name: FigureName, other: FigureName) -> bool:
-        """Names match directly, or resolve to the same bound region (the
-        diagonal-renaming convention: CE and DB name one square)."""
-        if name.letters == other.letters:
-            return True
-        try:
-            return dg.region_key_of(self.inst, name.letters) == dg.region_key_of(
-                self.inst, other.letters
-            )
-        except Euclid2Error:
-            return False
-
-    def region(self, letters: str):
-        return dg.figure_region(self.inst, letters)
 
 
 def _single_terms(stmt: Statement) -> tuple[T.Term, T.Term] | None:
@@ -330,7 +319,7 @@ def _match_claim(derived: Statement, claim: Statement):
 # substitution rules (violet / magenta)
 
 
-def rule_R1(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_R1(fb: FactBase, claim, premises) -> StepOutcome:
     pis = [p for p in premises if isinstance(p, Pi)]
     eqs = [p for p in premises if isinstance(p, SegEq)]
     if len(pis) != 1 or len(eqs) != 1:
@@ -352,7 +341,7 @@ def rule_R1(ctx: RuleContext, claim, premises) -> StepOutcome:
     raise NoMatch(f"no substitution of {se.text()} into {pi.text()} yields the claim")
 
 
-def rule_R2(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_R2(fb: FactBase, claim, premises) -> StepOutcome:
     eqs = [p for p in premises if isinstance(p, SegEq)]
     if len(eqs) != 1:
         raise NoMatch("R2 needs exactly one segment equality")
@@ -395,68 +384,52 @@ def rule_R2(ctx: RuleContext, claim, premises) -> StepOutcome:
     raise NoMatch("R2 premise must be a square-on fact or an equality")
 
 
-def _split_base_eq(premises):
-    """The first equality premise is the one being rewritten; the rest are
-    naming premises."""
-    base = None
-    rest = []
-    for p in premises:
-        if base is None and isinstance(p, Eq):
-            base = p
-        else:
-            rest.append(p)
-    return base, rest
-
-
-def rule_R3(ctx: RuleContext, claim, premises) -> StepOutcome:
-    base, rest = _split_base_eq(premises)
-    namings = _naming_pairs(rest)
-    if base is None:
-        raise NoMatch("R3 needs an equality premise")
+def _rewrite_by_namings(rule: str, claim, premises, repl) -> StepOutcome:
+    """R3 and R4: rewrite the first equality premise by each other premise
+    that names a figure, term t becoming repl(figure, target, t) where that
+    is not None; a naming that rewrites no term fails the step."""
+    i = next((i for i, p in enumerate(premises) if isinstance(p, Eq)), None)
+    if i is None:
+        raise NoMatch(f"{rule} needs an equality premise")
+    namings = _naming_pairs(premises[:i] + premises[i + 1 :])
     if not namings:
-        raise NoMatch("R3 needs at least one naming premise")
-    derived = base
+        raise NoMatch(f"{rule} needs a contained-by or square-on naming premise")
+    derived = premises[i]
     for figure, target in namings:
+        derived, replaced = _subst_eq(derived, lambda t: repl(figure, target, t))
+        if not replaced:
+            raise NoMatch(f"naming fig({figure.letters}) = {target.text()} rewrites no term")
+    _match_claim(derived, claim)
+    return StepOutcome(derived)
 
-        def repl(t, figure=figure, target=target):
-            if isinstance(t, Fig) and ctx.fig_matches(t.name, figure):
-                return target
+
+def rule_R3(fb: FactBase, claim, premises) -> StepOutcome:
+    """A figure becomes the invisible term it is named as.  Names match when
+    identical or when both bind one region (CE and DB name one square)."""
+
+    def repl(figure, target, t):
+        if not isinstance(t, Fig):
             return None
+        if t.name == figure:
+            return target
+        key = fb.region_key(t.name.letters)
+        return target if key is not None and key == fb.region_key(figure.letters) else None
 
-        derived, replaced = _subst_eq(derived, repl)
-        if not replaced:
-            raise NoMatch(f"figure {figure.letters} does not occur in the equality")
-    _match_claim(derived, claim)
-    return StepOutcome(derived)
+    return _rewrite_by_namings("R3", claim, premises, repl)
 
 
-def rule_R4(ctx: RuleContext, claim, premises) -> StepOutcome:
-    base, rest = _split_base_eq(premises)
-    namings = _naming_pairs(rest)
-    if base is None:
-        raise NoMatch("R4 needs an equality premise")
-    if not namings:
-        raise NoMatch("R4 needs a contained-by or square-on naming premise")
-    derived = base
-    for figure, target in namings:
-
-        def repl(t, target=target, figure=figure):
-            return Fig(figure) if t == target else None
-
-        derived, replaced = _subst_eq(derived, repl)
-        if not replaced:
-            raise NoMatch(
-                f"term {target.text()} (operand order significant) not present"
-            )
-    _match_claim(derived, claim)
-    return StepOutcome(derived)
+def rule_R4(fb: FactBase, claim, premises) -> StepOutcome:
+    """An invisible term becomes the figure it names; operand order counts."""
+    return _rewrite_by_namings(
+        "R4", claim, premises, lambda figure, target, t: Fig(figure) if t == target else None
+    )
 
 
 # ---------------------------------------------------------------------------
 # common notions
 
 
-def rule_CN1(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_CN1(fb: FactBase, claim, premises) -> StepOutcome:
     if len(premises) != 2:
         raise NoLink("CN1 needs two premises")
     a, b = premises
@@ -480,7 +453,7 @@ def rule_CN1(ctx: RuleContext, claim, premises) -> StepOutcome:
     raise NoLink("CN1 chains two segment equalities or two sum equalities")
 
 
-def rule_CN2(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_CN2(fb: FactBase, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("CN2 concludes an equality")
     eqs = [lift_naming(p) for p in premises]
@@ -511,7 +484,7 @@ def rule_CN2(ctx: RuleContext, claim, premises) -> StepOutcome:
     raise NoMatch("CN2 takes one or two premises")
 
 
-def rule_CN3(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_CN3(fb: FactBase, claim, premises) -> StepOutcome:
     eqs = [p for p in premises if isinstance(p, Eq)]
     if len(eqs) != 1:
         raise NoCommonTerm("CN3 needs exactly one equality premise")
@@ -532,7 +505,7 @@ def rule_CN3(ctx: RuleContext, claim, premises) -> StepOutcome:
 # diagram-backed rules
 
 
-def _resolve_ve_regions(ctx: RuleContext, s: TermSum):
+def _resolve_ve_regions(fb: FactBase, s: TermSum):
     """Map each term to (figure letters, region polygon, multiplicity).
     Invisible terms resolve through naming facts in the fact base."""
     out = []
@@ -544,34 +517,34 @@ def _resolve_ve_regions(ctx: RuleContext, s: TermSum):
             resolve(term.inner, mult * term.count)
             return
         if isinstance(term, Fig):
-            out.append((term.name.letters, ctx.region(term.name.letters), mult))
+            out.append((term.name.letters, fb.region(term.name.letters), mult))
             return
         if isinstance(term, SquareOn):
-            for fact in ctx.fb.issq_facts():
+            for fact in fb.issq_facts():
                 if fact.side == term.side:
                     extended = True
-                    out.append((fact.figure.letters, ctx.region(fact.figure.letters), mult))
+                    out.append((fact.figure.letters, fb.region(fact.figure.letters), mult))
                     return
             raise UnboundFigure(f"no square-on naming binds {term.text()}")
         if isinstance(term, RectBy):
-            for fact in ctx.fb.pi_facts():
+            for fact in fb.pi_facts():
                 if fact.first == term.first and fact.second == term.second:
                     extended = True
-                    out.append((fact.figure.letters, ctx.region(fact.figure.letters), mult))
+                    out.append((fact.figure.letters, fb.region(fact.figure.letters), mult))
                     return
             raise UnboundFigure(f"no contained-by naming binds {term.text()}")
         raise UnboundFigure(f"term {term.text()} cannot be bound to a region")
 
-    for t in T.normalize(s).terms:
+    for t in s.terms:
         resolve(t, 1)
     return out, extended
 
 
-def rule_VE(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_VE(fb: FactBase, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise VEFailed("visual evidence concludes an equality")
-    left, ext_l = _resolve_ve_regions(ctx, claim.lhs)
-    right, ext_r = _resolve_ve_regions(ctx, claim.rhs)
+    left, ext_l = _resolve_ve_regions(fb, claim.lhs)
+    right, ext_r = _resolve_ve_regions(fb, claim.rhs)
     result = geo.coverage_equal(
         [(poly, m) for _, poly, m in left], [(poly, m) for _, poly, m in right]
     )
@@ -593,10 +566,10 @@ def rule_VE(ctx: RuleContext, claim, premises) -> StepOutcome:
     return StepOutcome(claim, tuple(flags), cert)
 
 
-def rule_NAME(ctx: RuleContext, claim, premises=()) -> StepOutcome:
-    inst = ctx.inst
+def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
+    inst = fb.inst
     if isinstance(claim, IsSq):
-        poly = ctx.region(claim.figure.letters)
+        poly = fb.region(claim.figure.letters)
         _require_square(poly, claim.figure.letters)
         _require_side(inst, poly, claim.side)
         cert = make_certificate(
@@ -605,21 +578,24 @@ def rule_NAME(ctx: RuleContext, claim, premises=()) -> StepOutcome:
         )
         return StepOutcome(claim, (), cert)
     if isinstance(claim, Pi):
-        poly = ctx.region(claim.figure.letters)
+        poly = fb.region(claim.figure.letters)
         if len(poly) != 4:
             raise NameMismatch(f"{claim.figure.letters} is not a quadrilateral")
         corner = _shared_corner(inst, poly, claim.first, claim.second)
         cert = make_certificate(
             "NAME",
             {"figure": claim.figure.letters, "sides": [claim.first.text(), claim.second.text()],
-             "corner": [_coord_text(corner[0]), _coord_text(corner[1])],
+             "corner": [cr.exact_text(corner[0]), cr.exact_text(corner[1])],
              "polygon": _poly_payload(poly)},
         )
         return StepOutcome(claim, (), cert)
     pair = _fig_pair(claim)
     if pair is not None:
         n1, n2 = (t.name.letters for t in pair)
-        if dg.region_key_of(inst, n1) != dg.region_key_of(inst, n2):
+        for name in (n1, n2):
+            if fb.region_key(name) is None:
+                fb.region(name)  # raises the UnknownName that says why
+        if fb.region_key(n1) != fb.region_key(n2):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
         cert = make_certificate("NAME", {"alias": [n1, n2]})
         return StepOutcome(claim, ("alias",), cert)
@@ -671,7 +647,7 @@ def _shared_corner(inst, poly, s1: T.Segment, s2: T.Segment):
     return corner
 
 
-def rule_I47(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_I47(fb: FactBase, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoRightAngle("I47 concludes an equality of squares")
     rangles = [p for p in premises if isinstance(p, RightAngle)]
@@ -697,12 +673,12 @@ def rule_I47(ctx: RuleContext, claim, premises) -> StepOutcome:
                 raise SidesNotATriangle("hypotenuse does not join the leg endpoints")
             if ra.vertex != v:
                 raise NoRightAngle(f"right angle is at {ra.vertex}, legs meet at {v}")
-            arms_ok = (
-                ctx.fb._ray_match(v, ra.arm1, x) and ctx.fb._ray_match(v, ra.arm2, y)
-            ) or (ctx.fb._ray_match(v, ra.arm1, y) and ctx.fb._ray_match(v, ra.arm2, x))
+            arms_ok = (fb.ray_match(v, ra.arm1, x) and fb.ray_match(v, ra.arm2, y)) or (
+                fb.ray_match(v, ra.arm1, y) and fb.ray_match(v, ra.arm2, x)
+            )
             if not arms_ok:
                 raise NoRightAngle("right-angle arms do not lie along the legs")
-            pv, px, py = ctx.inst.point(v), ctx.inst.point(x), ctx.inst.point(y)
+            pv, px, py = fb.inst.point(v), fb.inst.point(x), fb.inst.point(y)
             if geo.sign(geo.dot(geo.sub2(px, pv), geo.sub2(py, pv))) != 0:
                 raise NoRightAngle("angle between the legs is not right")
             if geo.sign(geo.cross(geo.sub2(px, pv), geo.sub2(py, pv))) == 0:
@@ -714,13 +690,13 @@ def rule_I47(ctx: RuleContext, claim, premises) -> StepOutcome:
     raise NoRightAngle("claim is not of the form sq(hyp) = sq(leg1) + sq(leg2)")
 
 
-def rule_I43(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_I43(fb: FactBase, claim, premises) -> StepOutcome:
     pair = _fig_pair(claim)
     if pair is None:
         raise NotComplements("I43 equates two named figures")
     f1, f2 = (t.name.letters for t in pair)
-    r1 = ctx.region(f1)
-    r2 = ctx.region(f2)
+    r1 = fb.region(f1)
+    r2 = fb.region(f2)
     b1 = geo.box_of(r1)
     b2 = geo.box_of(r2)
     if b1 is None or b2 is None:
@@ -753,7 +729,7 @@ def rule_I43(ctx: RuleContext, claim, premises) -> StepOutcome:
     d0, d1 = others
     if not geo.on_segment(pshared, d0, d1):
         raise NotComplements("shared corner is not on the diameter")
-    if not ctx.inst.drawn.segment_drawn(d0, d1):
+    if not fb.inst.drawn.segment_drawn(d0, d1):
         raise NotComplements("the diameter is not drawn")
     cert = make_certificate(
         "I43",
@@ -781,7 +757,7 @@ def _is_corner(p, corners):
 # the aggregation rules the paper flags as unexplained
 
 
-def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
     flags = ("unjustified-in-paper",)
     if not isinstance(claim, Eq):
         raise NoMatch("DOUBLE concludes an equality")
@@ -824,7 +800,7 @@ def rule_DOUBLE(ctx: RuleContext, claim, premises) -> StepOutcome:
     raise NoMatch("DOUBLE takes one or two premises")
 
 
-def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
     if not isinstance(claim, Eq):
         raise NoMatch("MERGE concludes an equality")
     eqs = [lift_naming(p) for p in premises]
@@ -852,13 +828,13 @@ def rule_MERGE(ctx: RuleContext, claim, premises) -> StepOutcome:
     overlap = False
     for i in range(len(figs)):
         for j in range(i + 1, len(figs)):
-            pi_ = ctx.region(figs[i].name.letters)
-            pj = ctx.region(figs[j].name.letters)
+            pi_ = fb.region(figs[i].name.letters)
+            pj = fb.region(figs[j].name.letters)
             if geo.polys_overlap(pi_, pj):
                 overlap = True
     flags = ["aggregation"]
     if overlap:
-        if "allow-overlap" not in ctx.script_flags:
+        if "allow-overlap" not in fb.flags:
             raise OverlapWithoutFlag(
                 "left-hand figures overlap and the script does not set allow-overlap"
             )
@@ -881,13 +857,13 @@ def _find_merge_orientation(eqs, target_l, chosen=None):
     return None
 
 
-def rule_BM(ctx: RuleContext, claim, premises) -> StepOutcome:
+def rule_BM(fb: FactBase, claim, premises) -> StepOutcome:
     """Congruent-by-construction rectangles are equal; only available under
     the bm-dissection profile."""
     pair = _fig_pair(claim)
     if pair is None:
         raise NoMatch("BM equates two named rectangles")
-    b1, b2 = (geo.box_of(ctx.region(t.name.letters)) for t in pair)
+    b1, b2 = (geo.box_of(fb.region(t.name.letters)) for t in pair)
     if b1 is None or b2 is None:
         raise NoMatch("BM applies to axis-aligned rectangles")
     def dims(b):
@@ -931,33 +907,29 @@ PROFILES = {
 }
 
 
-@dataclass
-class _ResolvedPremise:
-    stmt: Statement
-    blue: bool
-
-
-def _resolve_premises(ctx: RuleContext, script: sc.Script, step, prior: dict):
-    resolved: list[_ResolvedPremise] = []
+def _resolve_premises(fb: FactBase, script: sc.Script, step, prior: dict):
+    """Each premise of the step as a (statement, blue) pair; blue marks an
+    inline naming premise that only a diagram check (NAME) supports."""
+    resolved: list[tuple[Statement, bool]] = []
     for ref in step.premises:
         if isinstance(ref, sc.StepRef):
             if ref.index not in prior:
                 raise UnresolvedPremise(f"step {ref.index} is not an earlier step")
-            resolved.append(_ResolvedPremise(prior[ref.index], False))
+            resolved.append((prior[ref.index], False))
         elif isinstance(ref, sc.HypRef):
             hyps = {h.index: h for h in script.hypotheses}
             if ref.index not in hyps:
                 raise UnresolvedPremise(f"hypothesis h{ref.index} is not declared")
-            resolved.append(_ResolvedPremise(hyps[ref.index].stmt, False))
+            resolved.append((hyps[ref.index].stmt, False))
         else:
             stmt = ref.stmt
-            if ctx.fb.has(stmt):
-                resolved.append(_ResolvedPremise(stmt, False))
+            if fb.has(stmt):
+                resolved.append((stmt, False))
                 continue
             if isinstance(stmt, (Pi, IsSq)) or _single_terms(stmt) is not None:
                 try:
-                    rule_NAME(ctx, stmt)
-                    resolved.append(_ResolvedPremise(stmt, True))
+                    rule_NAME(fb, stmt)
+                    resolved.append((stmt, True))
                     continue
                 except RuleError:
                     pass
@@ -996,7 +968,7 @@ def check_proof(
 
     try:
         inst = instance if instance is not None else dg.realize(script)
-        fb = FactBase(inst)
+        fb = FactBase(inst, script.flags)
     except Euclid2Error as exc:
         return reject(0, f"RealizeFailed: {exc}")
 
@@ -1009,7 +981,6 @@ def check_proof(
         fb.add(h.stmt, f"hypothesis:h{h.index}")
         report.hypotheses.append((f"h{h.index}", h.stmt.text(), h.flag))
 
-    ctx = RuleContext(inst, fb, script.flags)
     prior: dict[int, Statement] = {}
     report.fact_counts.append(fb.size())
 
@@ -1018,9 +989,8 @@ def check_proof(
         if rule not in allowed:
             return reject(step.index, "RuleNotInProfile")
         try:
-            resolved = _resolve_premises(ctx, script, step, prior)
-            stmts = [r.stmt for r in resolved]
-            outcome = _HANDLERS[rule](ctx, step.claim, stmts)
+            resolved = _resolve_premises(fb, script, step, prior)
+            outcome = _HANDLERS[rule](fb, step.claim, [stmt for stmt, _ in resolved])
         except RuleError as exc:
             return reject(step.index, exc.cause)
         except Euclid2Error as exc:
@@ -1028,7 +998,7 @@ def check_proof(
         except Exception as exc:
             # a fault of the checker itself, kept apart from calculus rejections
             return reject(step.index, f"InternalError: {type(exc).__name__}: {exc}")
-        blue = tuple(r.stmt.text() for r in resolved if r.blue)
+        blue = tuple(stmt.text() for stmt, is_blue in resolved if is_blue)
         digest = outcome.certificate["digest"] if outcome.certificate else None
         report.steps.append(
             sc.StepRecord(

@@ -215,36 +215,37 @@ def term_key(t: Term) -> str:
 
 @dataclass(frozen=True)
 class TermSum:
-    """Non-empty multiset of terms, kept sorted by the canonical key."""
+    """Non-empty multiset of terms, sorted by the canonical key when built;
+    the operands inside a RectBy are never reordered."""
 
     terms: tuple[Term, ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("TermSum must be non-empty")
+        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=term_key)))
 
     def text(self) -> str:
         return " + ".join([t.text() for t in self.terms])
 
 
 def term_sum(terms) -> TermSum:
-    return TermSum(tuple(sorted(terms, key=term_key)))
+    return TermSum(tuple(terms))
 
 
 def normalize(s: TermSum) -> TermSum:
-    """Sort into canonical multiset order.  Idempotent; never reorders the
-    operands inside a RectBy."""
-    return TermSum(tuple(sorted(s.terms, key=term_key)))
+    """The canonical multiset order, which every TermSum already has."""
+    return s
 
 
 def sum_key(s: TermSum) -> tuple[str, ...]:
-    return tuple(term_key(t) for t in normalize(s).terms)
+    return tuple(term_key(t) for t in s.terms)
 
 
 def expand_multiples(s: TermSum) -> tuple[str, ...]:
     """Multiset key with every Multiple(n, t) flattened to n copies of t."""
     out: list[str] = []
-    for t in normalize(s).terms:
+    for t in s.terms:
         if isinstance(t, Multiple):
             out.extend([term_key(t.inner)] * t.count)
         else:
@@ -515,10 +516,6 @@ def parse_statement(text: str, line: int = 0) -> Statement:
     return stmt
 
 
-def ratio_text(num: int, den: int) -> str:
-    """The rational num/den, given in lowest terms with den > 0."""
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def rational_text(q: Fraction) -> str:
-    return ratio_text(q.numerator, q.denominator)
+    """`n/d`, or `n` for an integer."""
+    return str(q)

@@ -477,3 +477,12 @@ def test_decimal_text_deterministic():
     assert cr.decimal_text(f, 6) == "0.618034"
     assert cr.decimal_text(cr.const(Fraction(-3, 2)), 4) == "-1.5"
     assert cr.decimal_text(cr.const(2), 4) == "2"
+
+
+def test_exact_text_writes_each_coefficient_in_lowest_terms():
+    assert cr.exact_text(cr.const(Fraction(-3, 2))) == "-3/2"
+    assert cr.exact_text(cr.const(2)) == "2"
+    assert cr.exact_text(golden()) == "-1/2+1/2*sqrt(5)"
+    x = cr.add(cr.const(Fraction(1, 2)), cr.mul(cr.const(Fraction(3, 4)), cr.sqrt(cr.const(2))))
+    assert x.q == (2, 3, 4, 2)
+    assert cr.exact_text(x) == "1/2+3/4*sqrt(2)"

@@ -25,11 +25,10 @@ def load(name):
 
 def ctx_for(name):
     script = load(name)
-    inst = dg.realize(script)
-    fb = rules.FactBase(inst)
+    fb = rules.FactBase(dg.realize(script), script.flags)
     for h in script.hypotheses:
         fb.add(h.stmt, f"h{h.index}")
-    return rules.RuleContext(inst, fb, script.flags)
+    return fb
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +72,8 @@ def ii14():
 
 
 def dummy_ctx():
-    return rules.RuleContext(None, None, frozenset())
+    # the substitution rules and common notions never read the fact base
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,29 @@ def test_r3_resolves_diagonal_alias(ii3):
         [ps("fig(AD) + fig(CE) = rect(AB,BC)"), ps("DB on CB")],
     )
     assert T.stmt_equal(out.derived, ps("fig(AD) + sq(CB) = rect(AB,BC)"))
+
+
+def test_r3_matches_an_unbound_figure_by_its_letters_only(ii3):
+    # AC and CB lie on one line, so neither binds a region
+    out = rules.rule_R3(
+        ii3, ps("rect(AB,BC) = sq(CB)"), [ps("fig(AC) = sq(CB)"), ps("AC pi AB x BC")]
+    )
+    assert T.stmt_equal(out.derived, ps("rect(AB,BC) = sq(CB)"))
+    with pytest.raises(NoMatch):
+        rules.rule_R3(
+            ii3, ps("rect(AB,BC) = sq(CB)"), [ps("fig(AC) = sq(CB)"), ps("CB pi AB x BC")]
+        )
+
+
+def test_inline_equality_premise_matches_up_to_figure_names():
+    """A fact matches an equality that names its figures by other names of
+    the same regions; a name that binds no region matches its letters only."""
+    fb = ctx_for("II_4.e2p")
+    fb.add(ps("fig(AC) + fig(AG) = fig(GE)"), "test")
+    # CH is AG's second diagonal, FK is GE's
+    assert fb.has(ps("fig(AC) + fig(CH) = fig(FK)"))
+    assert fb.has(ps("fig(KF) = fig(HC) + fig(AC)"))
+    assert not fb.has(ps("fig(CB) + fig(CH) = fig(FK)"))
 
 
 def test_r4_examples():
@@ -261,6 +284,22 @@ def test_name_examples(ii2, ii3):
     rules.rule_NAME(ii2, ps("AF pi DA x AC"))
     out = rules.rule_NAME(ii3, ps("fig(CE) = fig(DB)"))
     assert "alias" in out.flags
+
+
+@pytest.mark.parametrize(
+    "claim, cause",
+    [
+        ("fig(AC) = fig(AE)", "UnknownName: AC does not span a rectangle"),
+        ("fig(AE) = fig(AB)", "UnknownName: AB does not span a rectangle"),
+        ("fig(AC) = fig(CB)", "UnknownName: AC does not span a rectangle"),
+    ],
+)
+def test_name_alias_of_an_unbound_figure_rejects_with_its_reason(claim, cause):
+    text = corpusdata.read_script_text("II_3.e2p").replace(
+        "4. DB on CB ; NAME", f"4. {claim} ; NAME"
+    )
+    report = rules.check_proof(sc.parse_script(text))
+    assert (report.reject_step, report.reject_cause) == (4, cause)
 
 
 def test_i47_examples(ii11, ii14):

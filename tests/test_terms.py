@@ -27,6 +27,13 @@ def test_normalize_permutation_invariance():
     assert T.normalize(a) == a
 
 
+def test_term_sum_is_sorted_when_built():
+    terms = (T.SquareOn(seg("CD")), T.Fig(T.FigureName("AB")), T.RectBy(seg("BC"), seg("AB")))
+    built = T.TermSum(terms)
+    assert built == T.term_sum(terms)
+    assert built.text() == T.term_sum(terms).text() == "fig(AB) + rect(BC,AB) + sq(CD)"
+
+
 def test_normalize_keeps_rect_operand_order():
     s = T.term_sum([T.RectBy(seg("GB"), seg("BD"))])
     t = T.normalize(s)
