@@ -9,10 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import diagram as dg
-from . import oracle as orc
 from . import rules
 from . import script as sc
-from . import svgout
 from .errors import Euclid2Error, ParseError, UnreadableFile
 from .terms import Eq
 
@@ -39,7 +37,9 @@ def _cmd_check(args) -> int:
         try:
             script = _load(path)
         except (ParseError, UnreadableFile) as exc:
-            sys.stdout.write(f"{path}: parse error: {exc}\n")
+            # under --json, stdout holds only the reports
+            kind = "read" if isinstance(exc, UnreadableFile) else "parse"
+            (sys.stderr if args.json else sys.stdout).write(f"{path}: {kind} error: {exc}\n")
             code = max(code, EXIT_USAGE)
             continue
         report = rules.check_proof(script, profile=args.profile)
@@ -79,6 +79,8 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import svgout  # only render needs it
+
     script = _load(args.file)
     try:
         inst = dg.realize(script)
@@ -95,6 +97,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle as orc  # only oracle needs it
+
     script = _load(args.file)
     targets: list[tuple[str, Eq]] = [("diorismos", script.diorismos)]
     for step in script.steps:

@@ -12,7 +12,6 @@ rectangles live in the left margin at deterministic spots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import constructible as cr
@@ -27,6 +26,7 @@ from .errors import (
     UnknownName,
 )
 from .geometry import Polygon, Pt
+from .record import FrozenRecord, Record
 from .terms import (
     Eq,
     Fig,
@@ -43,14 +43,12 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class ConstructionFact:
+class ConstructionFact(FrozenRecord):
     statement: Statement
     reason: str
 
 
-@dataclass
-class Circle:
+class Circle(Record):
     center_label: str
     center: Pt
     radius2: Expr
@@ -58,17 +56,16 @@ class Circle:
     side: str
 
 
-@dataclass
-class DiagramInstance:
-    coords: dict[str, Pt] = field(default_factory=dict)
-    drawn_list: list[tuple[Pt, Pt]] = field(default_factory=list)
-    standalone: dict[str, tuple[Pt, Pt]] = field(default_factory=dict)
-    declared: dict[str, Polygon] = field(default_factory=dict)
-    circles: dict[str, Circle] = field(default_factory=dict)
-    facts: list[ConstructionFact] = field(default_factory=list)
-    params: dict[str, Fraction] = field(default_factory=dict)
+class DiagramInstance(Record):
+    coords: dict[str, Pt] = {}
+    drawn_list: list[tuple[Pt, Pt]] = []
+    standalone: dict[str, tuple[Pt, Pt]] = {}
+    declared: dict[str, Polygon] = {}
+    circles: dict[str, Circle] = {}
+    facts: list[ConstructionFact] = []
+    params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
-    _region_cache: dict[str, Polygon] = field(default_factory=dict)
+    _region_cache: dict[str, Polygon] = {}
     _cell_facts: list[ConstructionFact] | None = None
 
     @property

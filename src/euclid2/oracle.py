@@ -13,7 +13,6 @@ The oracle validates statements, never proofs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructible as cr
@@ -21,6 +20,7 @@ from . import diagram as dg
 from . import script as sc
 from . import terms as T
 from .errors import DiagramError, RealizeFailed, UnmappedTerm
+from .record import FrozenRecord
 
 # ---------------------------------------------------------------------------
 # polynomials: {monomial: coefficient}, monomial = tuple of (var, exponent)
@@ -35,8 +35,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(FrozenRecord):
     coeffs: tuple[tuple[Monomial, Fraction], ...]
 
     @staticmethod

@@ -18,7 +18,6 @@ import hashlib
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from . import constructible as cr
 from . import diagram as dg
@@ -42,6 +41,7 @@ from .errors import (
     UnresolvedPremise,
     VEFailed,
 )
+from .record import Record
 from .script import Rule
 from .terms import (
     Eq,
@@ -252,8 +252,7 @@ def make_certificate(kind: str, payload: dict) -> dict:
 # shared substitution machinery
 
 
-@dataclass
-class StepOutcome:
+class StepOutcome(Record):
     derived: Statement
     flags: tuple[str, ...] = ()
     certificate: dict | None = None

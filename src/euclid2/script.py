@@ -34,10 +34,10 @@ from __future__ import annotations
 import enum
 import json
 import typing
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, UndeclaredPoint, UnknownRule
+from .record import FrozenRecord, Record
 from .terms import Eq, Reader, Statement, Syntax, rational_text
 
 
@@ -66,23 +66,20 @@ class Rule(enum.Enum):
 # length expressions
 
 
-@dataclass(frozen=True)
-class LenLit:
+class LenLit(FrozenRecord):
     value: Fraction
 
     def text(self) -> str:
         return rational_text(self.value)
 
 
-@dataclass(frozen=True)
-class LenParam:
+class LenParam(FrozenRecord):
     name: str
 
     def text(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class LenSeg(Syntax):
     SYNTAX = "|<seg:1-2>|"
     seg: str  # "XY" or "A"
@@ -97,7 +94,6 @@ LenExpr = LenLit | LenParam | LenSeg
 # Each command's concrete syntax is its SYNTAX template (see `terms.Syntax`);
 # `len` reads a length expression.
 
-@dataclass(frozen=True)
 class PlaceSegment(Syntax):
     SYNTAX = "place <p:1><q:1> = <length:len>"
     p: str
@@ -105,14 +101,12 @@ class PlaceSegment(Syntax):
     length: LenExpr
 
 
-@dataclass(frozen=True)
 class StandaloneSegmentCmd(Syntax):
     SYNTAX = "segment <name:1> = <length:len>"
     name: str
     length: LenExpr
 
 
-@dataclass(frozen=True)
 class CutRandom(Syntax):
     SYNTAX = "cut <point:1> on <on:2> at <at:len>"
     point: str
@@ -120,14 +114,12 @@ class CutRandom(Syntax):
     at: LenExpr
 
 
-@dataclass(frozen=True)
 class CutHalf(Syntax):
     SYNTAX = "cuthalf <point:1> on <on:2>"
     point: str
     on: tuple[str, str]
 
 
-@dataclass(frozen=True)
 class ExtendBy(Syntax):
     SYNTAX = "extend <on:2> to <to:1> by <by:len>"
     on: tuple[str, str]
@@ -135,7 +127,6 @@ class ExtendBy(Syntax):
     by: LenExpr
 
 
-@dataclass(frozen=True)
 class ExtendCopy(Syntax):
     SYNTAX = "extend <on:2> to <to:1> with <to:1><anchor:1> = <copy:2>"
     on: tuple[str, str]
@@ -144,7 +135,6 @@ class ExtendCopy(Syntax):
     copy: tuple[str, str]
 
 
-@dataclass(frozen=True)
 class SquareOnCmd(Syntax):
     SYNTAX = "square <name:4> on <on:2> <side:below|above|left|right>"
     name: str  # boundary order, containing the base edge
@@ -152,7 +142,6 @@ class SquareOnCmd(Syntax):
     side: str
 
 
-@dataclass(frozen=True)
 class RectFig(Syntax):
     SYNTAX = "rectfig <name:1> <width:len> x <height:len>"
     name: str
@@ -160,14 +149,12 @@ class RectFig(Syntax):
     height: LenExpr
 
 
-@dataclass(frozen=True)
 class TriangulateToRect(Syntax):
     SYNTAX = "torect <name:4> from <source:1>"
     name: str
     source: str  # declared figure
 
 
-@dataclass(frozen=True)
 class Perp(Syntax):
     SYNTAX = "perp <new:1> from <frm:1> on <on:2> <side:below|above> len <length:len>"
     new: str
@@ -177,7 +164,6 @@ class Perp(Syntax):
     length: LenExpr
 
 
-@dataclass(frozen=True)
 class ParallelTranslate(Syntax):
     SYNTAX = "parallel <new:1> through <through:1> along <along:2>"
     new: str
@@ -185,7 +171,6 @@ class ParallelTranslate(Syntax):
     along: tuple[str, str]
 
 
-@dataclass(frozen=True)
 class ParallelMeet(Syntax):
     SYNTAX = "parallel <new:1> through <through:1> along <along:2> meet <meet:2>"
     new: str
@@ -194,14 +179,12 @@ class ParallelMeet(Syntax):
     meet: tuple[str, str]
 
 
-@dataclass(frozen=True)
 class Join(Syntax):
     SYNTAX = "join <p:1> <q:1>"
     p: str
     q: str
 
 
-@dataclass(frozen=True)
 class SemicircleOn(Syntax):
     SYNTAX = "semicircle on <on:2> center <center:1> <side:above|below>"
     on: tuple[str, str]
@@ -209,7 +192,6 @@ class SemicircleOn(Syntax):
     side: str
 
 
-@dataclass(frozen=True)
 class IntersectLines(Syntax):
     SYNTAX = "intersect <new:1> = line <line:2> x line <other:2>"
     new: str
@@ -217,7 +199,6 @@ class IntersectLines(Syntax):
     other: tuple[str, str]
 
 
-@dataclass(frozen=True)
 class IntersectCircle(Syntax):
     SYNTAX = "intersect <new:1> = line <line:2> x circle <center:1> <side:above|below>"
     new: str
@@ -226,7 +207,6 @@ class IntersectCircle(Syntax):
     side: str  # which of the two crossings
 
 
-@dataclass(frozen=True)
 class GnomonDecl(Syntax):
     SYNTAX = "gnomon <name:3> = <outer:1-4> minus <corner:1-4>"
     name: str
@@ -265,23 +245,20 @@ for _cls in COMMANDS:
 # proof steps
 
 
-@dataclass(frozen=True)
-class StepRef:
+class StepRef(FrozenRecord):
     index: int
 
     def text(self):
         return f"s{self.index}"
 
 
-@dataclass(frozen=True)
-class HypRef:
+class HypRef(FrozenRecord):
     index: int
 
     def text(self):
         return f"h{self.index}"
 
 
-@dataclass(frozen=True)
 class InlinePremise(Syntax):
     SYNTAX = "[<stmt:stmt>]"
     stmt: Statement
@@ -290,27 +267,26 @@ class InlinePremise(Syntax):
 PremiseRef = StepRef | HypRef | InlinePremise
 
 
-@dataclass(frozen=True)
 class ProofStep(Syntax):
     SYNTAX = "<index:int>. <claim:stmt> ; <rule:rule><premises:premises>"
     index: int
     claim: Statement
     rule: str
     premises: tuple[PremiseRef, ...]
-    line: int = field(default=0, compare=False)  # source line, for error reports
+    line: int = 0  # source line, for error reports
+    NOT_COMPARED = ("line",)
 
 
-@dataclass(frozen=True)
 class Hypothesis(Syntax):
     SYNTAX = "hypothesis <stmt:stmt> ; flag <flag:run>"
     index: int
     stmt: Statement
     flag: str
-    line: int = field(default=0, compare=False)  # source line, for error reports
+    line: int = 0  # source line, for error reports
+    NOT_COMPARED = ("line",)
 
 
-@dataclass
-class Script:
+class Script(Record):
     prop_id: str
     points: tuple[str, ...]
     base_lines: tuple[tuple[str, ...], ...]
@@ -570,8 +546,7 @@ def format_script(s: Script) -> str:
 # check reports
 
 
-@dataclass
-class StepRecord:
+class StepRecord(Record):
     index: int
     statement: str
     rule: str
@@ -581,8 +556,7 @@ class StepRecord:
     blue_premises: tuple[str, ...] = ()
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     prop_id: str
     profile: str
     verdict: str  # "accepted" | "rejected"
@@ -592,11 +566,11 @@ class CheckReport:
     hypotheses: list[tuple[str, str, str]]  # (id, statement, flag)
     diorismos: str
     timing_ms: float = 0.0
-    certificates: list[dict] = field(default_factory=list)
+    certificates: list[dict] = []
     # fact-base size before the first step, then after each accepted step
-    fact_counts: list[int] = field(default_factory=list)
+    fact_counts: list[int] = []
     # the statement each accepted step's rule derived
-    derived: list[Statement] = field(default_factory=list)
+    derived: list[Statement] = []
 
     @property
     def accepted(self) -> bool:

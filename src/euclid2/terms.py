@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import re
 import typing
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import DegenerateSegment, ParseError
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(FrozenRecord):
     """Unordered endpoint pair, or a standalone one-letter segment.
 
     A standalone segment (Euclid's lone line "A" in II.1) has `a` set to its
@@ -32,7 +32,8 @@ class Segment:
 
     a: str
     b: str | None = None
-    display: str | None = field(default=None, compare=False, hash=False)
+    display: str | None = None
+    NOT_COMPARED = ("display",)
 
     def __post_init__(self):
         if self.b is not None:
@@ -65,8 +66,7 @@ def standalone_segment(name: str) -> Segment:
     return Segment(name, None)
 
 
-@dataclass(frozen=True)
-class FigureName:
+class FigureName(FrozenRecord):
     """Figure identifier: 1 letter (declared standalone figure), 2 letters
     (diagonal naming), 3 letters (declared gnomon) or 4 letters (vertices in
     boundary order)."""
@@ -86,7 +86,7 @@ class FigureName:
 #
 # Each form's concrete syntax is its SYNTAX template, the one place it is
 # written: `Reader.read` parses it and `Syntax.text` prints it.  A
-# placeholder `<field:spec>` stands for a dataclass field.  The spec is a
+# placeholder `<field:spec>` stands for a record field.  The spec is a
 # letter count (`2`, or a range such as `1-4`), a list of words such as
 # `above|below`, or the name of a reader method (`seg` reads with
 # `Reader.read_seg`).  Adjacent letter fields, each of a fixed count, read one
@@ -104,10 +104,8 @@ _PLACEHOLDER = re.compile(r"<(\w+):([^>]+)>")
 _ONE_TOKEN = {"letters", "words", "read_seg", "read_fig", "read_pt", "read_int"}
 
 
-class Syntax:
+class Syntax(FrozenRecord):
     """A form whose text is its SYNTAX template."""
-
-    SYNTAX: str
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -132,9 +130,13 @@ class Syntax:
             pos = m.end()
         items += [("lit", text) for text in _TOKEN.findall(cls.SYNTAX, pos)]
         cls._items = tuple(items)
-        # the printer: the template with `%s` for each field
+        # the printer: the template with `%s` for each field, and what each
+        # field prints, chosen once from the field's annotation
         cls._format = _PLACEHOLDER.sub("%s", cls.SYNTAX)
-        cls._fields = tuple(m.group(1) for m in _PLACEHOLDER.finditer(cls.SYNTAX))
+        cls._printers = tuple(
+            _printer(m.group(1), cls.__annotations__[m.group(1)])
+            for m in _PLACEHOLDER.finditer(cls.SYNTAX)
+        )
         # (offset, text) of each literal token before the first field that can
         # read more than one token: a form is tried only where these stand
         key = []
@@ -146,43 +148,43 @@ class Syntax:
         cls._key = tuple(key)
 
     def text(self) -> str:
-        return self._format % tuple([_field_text(getattr(self, name)) for name in self._fields])
+        return self._format % tuple([printer(self) for printer in self._printers])
 
 
-def _field_text(value) -> str:
-    if type(value) is str:
-        return value
-    if type(value) is tuple:  # letters, or forms each after a space
-        return "".join([v if type(v) is str else " " + v.text() for v in value])
-    if type(value) is int:
-        return str(value)
-    return value.text()
+def _printer(name: str, annotation: str):
+    """A function from a form to the text of its field `name`: a string or
+    an int as it is, letters joined, forms each after a space, a form by its
+    `text()`."""
+    get = attrgetter(name)
+    if annotation in ("str", "int"):
+        return get
+    if annotation.startswith("tuple[str"):
+        return lambda form: "".join(get(form))
+    if annotation.startswith("tuple"):
+        return lambda form: "".join([" " + item.text() for item in get(form)])
+    return lambda form: get(form).text()
 
 
 # ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
 class SquareOn(Syntax):
     SYNTAX = "sq(<side:seg>)"
     side: Segment
 
 
-@dataclass(frozen=True)
 class RectBy(Syntax):
     SYNTAX = "rect(<first:seg>,<second:seg>)"
     first: Segment
     second: Segment
 
 
-@dataclass(frozen=True)
 class Fig(Syntax):
     SYNTAX = "fig(<name:fig>)"
     name: FigureName
 
 
-@dataclass(frozen=True)
 class Multiple(Syntax):
     SYNTAX = "<count:int>*<inner:atom>"
     count: int
@@ -213,8 +215,7 @@ def term_key(t: Term) -> str:
     raise TypeError(t)
 
 
-@dataclass(frozen=True)
-class TermSum:
+class TermSum(FrozenRecord):
     """Non-empty multiset of terms, sorted by the canonical key when built;
     the operands inside a RectBy are never reordered."""
 
@@ -257,14 +258,12 @@ def expand_multiples(s: TermSum) -> tuple[str, ...]:
 # statements
 
 
-@dataclass(frozen=True)
 class Eq(Syntax):
     SYNTAX = "<lhs:sum> = <rhs:sum>"
     lhs: TermSum
     rhs: TermSum
 
 
-@dataclass(frozen=True)
 class Pi(Syntax):
     """`figure pi first x second` - the visible figure is the rectangle
     contained by the two segments.  The operand pair is ordered."""
@@ -275,21 +274,18 @@ class Pi(Syntax):
     second: Segment
 
 
-@dataclass(frozen=True)
 class IsSq(Syntax):
     SYNTAX = "<figure:fig> on <side:seg>"
     figure: FigureName
     side: Segment
 
 
-@dataclass(frozen=True)
 class SegEq(Syntax):
     SYNTAX = "<a:seg> == <b:seg>"
     a: Segment
     b: Segment
 
 
-@dataclass(frozen=True)
 class RightAngle(Syntax):
     SYNTAX = "rangle(<vertex:pt>;<arm1:pt>,<arm2:pt>)"
     vertex: str
@@ -402,7 +398,7 @@ class Reader:
                     value = tuple(rest[:size]) if as_tuple else rest[:size]
                     rest = rest[size:]
                     if fields.setdefault(name, value) != value:
-                        again = f"{name} {_field_text(fields[name])!r} again, got {letters!r}"
+                        again = f"{name} {''.join(fields[name])!r} again, got {letters!r}"
                         raise self.fail(again, self.pos - 1)
             elif op == "words":
                 name, words = arg

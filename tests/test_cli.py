@@ -54,6 +54,34 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     assert "line 5, col 24: unknown rule 'R9'" in out
 
 
+def test_check_json_keeps_stdout_a_json_stream(tmp_path, capsys):
+    missing = str(tmp_path / "missing.e2p")
+    code, out, err = run_cli(["check", "--json", str(CORPUS / "II_1.e2p"), missing], capsys)
+    assert code == 2
+    doc, end = json.JSONDecoder().raw_decode(out)
+    assert doc["verdict"]["status"] == "accepted" and out[end:].strip() == ""
+    assert f"{missing}: read error: cannot read" in err
+    # text mode keeps the line on stdout
+    code, out, err = run_cli(["check", missing], capsys)
+    assert code == 2 and f"{missing}: read error: cannot read" in out and err == ""
+
+
+def test_cli_import_loads_only_what_check_runs():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import euclid2.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    path = [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30, check=True)
+    loaded = set(proc.stdout.split())
+    assert "euclid2.rules" in loaded
+    assert not loaded & {"dataclasses", "inspect", "euclid2.oracle", "euclid2.svgout"}
+
+
 @pytest.mark.parametrize("command", ["annotate", "render", "oracle"])
 def test_missing_or_unreadable_file_exit_two(command, tmp_path, capsys):
     binary = tmp_path / "binary.e2p"
