@@ -1,26 +1,27 @@
 """Constructible reals: exact values, and expression DAGs for the rest.
 
-A rational is two ints, `num` and `den` > 0 in lowest terms (zero is
-0/1); an operation on two rationals is integer products and one
-`math.gcd`, before any other path.  `const` is where an `int` or
-`Fraction` enters, and `Expr.rat` is a read-only `Fraction` view for
-readers outside the tower.  A single square root of a rational folds to an
-exact quadratic form (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0,
-gcd(an, bn, d) = 1 and r >= 2 an integer that is not a perfect square;
-arithmetic stays exact inside that field as integer products and one
-three-way `math.gcd`, and sign queries on such values are decided exactly.
-`Expr.quad` is the matching read-only `Fraction` view.  The radicand is
-not factored: trial division stops at `_TRIAL_BOUND` and the cofactor left
-gets one perfect-square test, so r may keep a square factor, and two
-radicands r1 != r2 name one field when r1*r2 is a perfect square.  Exact
-values are plain values: equality is decided by `exact_key` (for a +
-b*sqrt(r): a, the sign of b and b*b*r), never by object identity.
-Everything else (nested or mixed radicals) is a radical node.  Radical
-nodes are shared through a weak table, so equal constructions give one
-node while any caller holds it, and the table never outlives its users.
-Their signs fall back to interval refinement with outward-rounded dyadic
-endpoints, doubling precision until the sign is separated or the bit
-budget runs out.
+A rational is two ints, `num` and `den` > 0 in lowest terms (zero is 0/1),
+and `rational` is its one constructor: one `math.gcd`, none when den == 1.
+`add`, `sub`, `mul` and `div` combine two rationals as integer products and
+one `rational`, before any other path; `geometry` does the same for a whole
+primitive.  `const` is where an `int` or `Fraction` enters, and `Expr.rat`
+is a read-only `Fraction` view for readers outside the tower.  A single
+square root of a rational folds to an exact quadratic form
+(an + bn*sqrt(r))/d, four ints with d > 0, bn != 0, gcd(an, bn, d) = 1 and
+r >= 2 an integer that is not a perfect square; arithmetic stays exact
+inside that field as integer products and one three-way `math.gcd`, and
+sign queries on such values are decided exactly.  `Expr.quad` is the
+matching read-only `Fraction` view.  The radicand is not factored: trial
+division stops at `_TRIAL_BOUND` and the cofactor left gets one
+perfect-square test, so r may keep a square factor, and two radicands
+r1 != r2 name one field when r1*r2 is a perfect square.  Exact values are
+plain values: equality is decided by `exact_key` (for a + b*sqrt(r): a, the
+sign of b and b*b*r), never by object identity.  Everything else (nested or
+mixed radicals) is a radical node.  Radical nodes are shared through a weak
+table, so equal constructions give one node while any caller holds it, and
+the table never outlives its users.  Their signs fall back to interval
+refinement with outward-rounded dyadic endpoints, doubling precision until
+the sign is separated or the bit budget runs out.
 """
 
 from __future__ import annotations
@@ -207,19 +208,28 @@ def _intern(kind, args) -> Expr:
     return node
 
 
+def rational(n: int, d: int) -> Expr:
+    """The rational n/d for ints n and d != 0, reduced by one gcd (none
+    when d == 1) with d > 0: every rational `Expr` is built here."""
+    if d != 1:
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        n, d = n // g, d // g
+    return Expr("rat", (), n, d, None)
+
+
 def const(q) -> Expr:
     """The exact rational q: an `int`, or anything `Fraction` accepts."""
     if type(q) is not int:
         q = Fraction(q)
-    return Expr("rat", (), q.numerator, q.denominator, None)
+    return rational(q.numerator, q.denominator)
 
 
 def _quad(an: int, bn: int, d: int, r: int) -> Expr:
     """(an + bn*sqrt(r))/d for d > 0 and r >= 2 not a perfect square,
     reduced by one gcd; a rational when bn == 0."""
-    g = math.gcd(an, bn, d)
     if bn == 0:
-        return Expr("rat", (), an // g, d // g, None)
+        return rational(an, d)
+    g = math.gcd(an, bn, d)
     return Expr("quad", (), 0, 0, (an // g, bn // g, d // g, r))
 
 
@@ -228,8 +238,8 @@ ONE = const(1)
 
 
 def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
-    """x op y inside one quadratic field, or None.  `_binop` combines two
-    rationals itself, so at least one operand here has a radicand r >= 2;
+    """x op y inside one quadratic field, or None.  `add` ... `div` combine
+    two rationals themselves, so at least one operand here has r >= 2;
     a rational operand reads as (num, 0, den, 0)."""
     ex = x.q or ((x.num, 0, x.den, 0) if x.den else None)
     ey = y.q or ((y.num, 0, y.den, 0) if y.den else None)
@@ -270,21 +280,7 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
 
 
 def _binop(kind, x: Expr, y: Expr) -> Expr:
-    d1, d2 = x.den, y.den
-    if d1 and d2:
-        n1, n2 = x.num, y.num
-        if kind == "add" or kind == "sub":
-            if kind == "sub":
-                n2 = -n2
-            n, d = (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
-        elif kind == "mul":
-            n, d = n1 * n2, d1 * d2
-        elif n2 == 0:
-            raise ZeroDivisionError("division by exact zero")
-        else:
-            n, d = (n1 * d2, d1 * n2) if n2 > 0 else (-n1 * d2, -d1 * n2)
-        g = math.gcd(n, d)
-        return Expr("rat", (), n // g, d // g, None)
+    """x op y when not both are rational."""
     folded = _exact_combine(kind, x, y)
     if folded is not None:
         return folded
@@ -308,25 +304,41 @@ def _binop(kind, x: Expr, y: Expr) -> Expr:
         return x
     if kind == "div":
         if y.den:
-            return _binop("mul", x, _binop("div", ONE, y))
+            return mul(x, div(ONE, y))
         if x.den == 1 and x.num == 0:
             return ZERO
     return _intern(kind, (x, y))
 
 
 def add(x: Expr, y: Expr) -> Expr:
+    d1, d2 = x.den, y.den
+    if d1 and d2:
+        if d1 == d2:
+            return rational(x.num + y.num, d1)
+        return rational(x.num * d2 + y.num * d1, d1 * d2)
     return _binop("add", x, y)
 
 
 def sub(x: Expr, y: Expr) -> Expr:
+    d1, d2 = x.den, y.den
+    if d1 and d2:
+        if d1 == d2:
+            return rational(x.num - y.num, d1)
+        return rational(x.num * d2 - y.num * d1, d1 * d2)
     return _binop("sub", x, y)
 
 
 def mul(x: Expr, y: Expr) -> Expr:
+    if x.den and y.den:
+        return rational(x.num * y.num, x.den * y.den)
     return _binop("mul", x, y)
 
 
 def div(x: Expr, y: Expr) -> Expr:
+    if x.den and y.den:
+        if y.num == 0:
+            raise ZeroDivisionError("division by exact zero")
+        return rational(x.num * y.den, x.den * y.num)
     return _binop("div", x, y)
 
 
@@ -343,7 +355,7 @@ def sqrt(x: Expr) -> Expr:
         # a perfect square only when it is 1
         rad = rn * rd
         if rad == 1:
-            return Expr("rat", (), sn, sd, None)
+            return rational(sn, sd)
         return Expr("quad", (), 0, 0, (0, sn, sd * rd, rad))
     return _intern("sqrt", (x,))
 
@@ -385,21 +397,6 @@ def refine_sign(x: Expr, max_bits: int | None = None) -> int:
             return -1
         bits *= 2
     raise Undecidable(f"sign not separated within {limit} bits")
-
-
-def refine_to_width(x: Expr, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink the enclosing interval until hi - lo <= width."""
-    bits = _MIN_BITS
-    while True:
-        try:
-            lo, hi = x.interval(bits)
-            if hi - lo <= width:
-                return lo, hi
-        except _IntervalIndeterminate:
-            pass
-        bits *= 2
-        if bits > 1 << 22:
-            raise Undecidable("interval refinement exhausted")
 
 
 def midpoint(x: Expr, bits: int = 80) -> Fraction:

@@ -507,10 +507,9 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
     if isinstance(stmt, SegEq):
         return geo.cmp(inst.seg_len2(stmt.a), inst.seg_len2(stmt.b)) == 0
     if isinstance(stmt, RightAngle):
-        v = inst.point(stmt.vertex)
-        a = inst.point(stmt.arm1)
-        bpt = inst.point(stmt.arm2)
-        return geo.sign(geo.dot(geo.sub2(a, v), geo.sub2(bpt, v))) == 0
+        return geo.right_angle(
+            inst.point(stmt.vertex), inst.point(stmt.arm1), inst.point(stmt.arm2)
+        )
     if isinstance(stmt, Eq):
         return geo.cmp(sum_value(inst, stmt.lhs), sum_value(inst, stmt.rhs)) == 0
     raise TypeError(f"cannot evaluate {stmt!r} numerically")
@@ -626,22 +625,3 @@ def _resolve_region(inst: DiagramInstance, letters: str) -> Polygon:
 def region_key_of(inst: DiagramInstance, letters: str):
     return geo.region_key(figure_region(inst, letters))
 
-
-def verify_decomposition(
-    inst: DiagramInstance,
-    lhs: list[tuple[str, int]],
-    rhs: list[tuple[str, int]],
-) -> geo.CoverageResult:
-    left = [(figure_region(inst, name), m) for name, m in lhs]
-    right = [(figure_region(inst, name), m) for name, m in rhs]
-    return geo.coverage_equal(left, right)
-
-
-def equal_content(inst: DiagramInstance, p: list[str], q: list[str]) -> bool:
-    total_p = cr.ZERO
-    for name in p:
-        total_p = cr.add(total_p, geo.area(figure_region(inst, name)))
-    total_q = cr.ZERO
-    for name in q:
-        total_q = cr.add(total_q, geo.area(figure_region(inst, name)))
-    return geo.cmp(total_p, total_q) == 0

@@ -11,12 +11,17 @@ decomposition gets one interior sample point, and the multiplicity sums of
 both sides must agree on every sample.  With rational coordinates every
 predicate is exact; with radicals the comparisons go through sign
 refinement of constructible reals.
+
+`cross`, `dot`, `dist2`, `collinear`, `right_angle` and `signed_area2` (so
+`area`) have an integer kernel: on rational input they compute on the ints
+`num`, `den` and reduce once by `cr.rational` (a predicate just compares);
+other input takes the `Expr` composition through `cr.add/sub/mul`.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import math
 
 from . import constructible as cr
 from .constructible import Expr
@@ -52,15 +57,39 @@ def sub2(p: Pt, q: Pt) -> Pt:
     return (cr.sub(p[0], q[0]), cr.sub(p[1], q[1]))
 
 
+def _rat_sub2(p: Pt, q: Pt) -> tuple[int, int, int, int] | None:
+    """p - q as unreduced fractions nx/dx, ny/dy of ints, returned as
+    (nx, dx, ny, dy) with dx, dy > 0, when p and q are rational; else None."""
+    (a, b), (c, d) = p, q
+    if a.den and b.den and c.den and d.den:
+        return (
+            a.num * c.den - c.num * a.den, a.den * c.den,
+            b.num * d.den - d.num * b.den, b.den * d.den,
+        )
+    return None
+
+
 def cross(u: Pt, v: Pt) -> Expr:
-    return cr.sub(cr.mul(u[0], v[1]), cr.mul(u[1], v[0]))
+    (a, b), (c, d) = u, v
+    if a.den and b.den and c.den and d.den:
+        n = a.num * d.num * b.den * c.den - b.num * c.num * a.den * d.den
+        return cr.rational(n, a.den * b.den * c.den * d.den)
+    return cr.sub(cr.mul(a, d), cr.mul(b, c))
 
 
 def dot(u: Pt, v: Pt) -> Expr:
-    return cr.add(cr.mul(u[0], v[0]), cr.mul(u[1], v[1]))
+    (a, b), (c, d) = u, v
+    if a.den and b.den and c.den and d.den:
+        n = a.num * c.num * b.den * d.den + b.num * d.num * a.den * c.den
+        return cr.rational(n, a.den * b.den * c.den * d.den)
+    return cr.add(cr.mul(a, c), cr.mul(b, d))
 
 
 def dist2(p: Pt, q: Pt) -> Expr:
+    r = _rat_sub2(p, q)
+    if r is not None:
+        nx, dx, ny, dy = r
+        return cr.rational((nx * dy) ** 2 + (ny * dx) ** 2, (dx * dy) ** 2)
     d = sub2(p, q)
     return dot(d, d)
 
@@ -76,7 +105,20 @@ def pts_equal(p: Pt, q: Pt) -> bool:
 
 
 def collinear(a: Pt, b: Pt, c: Pt) -> bool:
+    u, v = _rat_sub2(b, a), _rat_sub2(c, a)
+    if u is not None and v is not None:
+        # cross(u, v) == 0 over the positive denominators
+        return u[0] * v[2] * u[3] * v[1] == u[2] * v[0] * u[1] * v[3]
     return sign(cross(sub2(b, a), sub2(c, a))) == 0
+
+
+def right_angle(v: Pt, a: Pt, b: Pt) -> bool:
+    """The arms from v to a and to b are perpendicular."""
+    u, w = _rat_sub2(a, v), _rat_sub2(b, v)
+    if u is not None and w is not None:
+        # dot(u, w) == 0 over the positive denominators
+        return u[0] * w[0] * u[3] * w[3] + u[2] * w[2] * u[1] * w[1] == 0
+    return sign(dot(sub2(a, v), sub2(b, v))) == 0
 
 
 def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
@@ -89,11 +131,18 @@ def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
 
 
 def signed_area2(poly: Polygon) -> Expr:
-    """Twice the signed area."""
+    """Twice the signed area.  On rational vertices: the shoelace sum of
+    the coordinates scaled to one x and one y denominator, reduced once."""
+    if polygon_exact_rational(poly):
+        dx = math.lcm(*(p[0].den for p in poly))
+        dy = math.lcm(*(p[1].den for p in poly))
+        xs = [p[0].num * (dx // p[0].den) for p in poly]
+        ys = [p[1].num * (dy // p[1].den) for p in poly]
+        n = sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(poly)))
+        return cr.rational(n, dx * dy)
     acc = cr.ZERO
-    n = len(poly)
-    for i in range(n):
-        acc = cr.add(acc, cross(poly[i], poly[(i + 1) % n]))
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        acc = cr.add(acc, cross(p, q))
     return acc
 
 
@@ -279,7 +328,7 @@ def _grid_coverage(
                     cells[i * ny + j] += m
     left, right = cover
     max_mult = max([0, *left, *right])
-    half = cr.const(Fraction(1, 2))
+    half = cr.rational(1, 2)
     for c, (ml, mr) in enumerate(zip(left, right)):
         if ml != mr:
             i, j = divmod(c, ny)
@@ -308,7 +357,7 @@ def _arrangement_coverage(
     witness = None
     max_mult = 0
     one = cr.ONE
-    half = cr.const(Fraction(1, 2))
+    half = cr.rational(1, 2)
     for i in range(len(xs) - 1):
         xm = cr.mul(cr.add(xs[i], xs[i + 1]), half)
         ys = []

@@ -227,32 +227,42 @@ def translate(stmt: T.Eq, coord: Coordinatization) -> tuple[Poly, Poly]:
 # numeric checking
 
 
+def _base_params(script: sc.Script) -> dict[str, Fraction]:
+    """Each parameter's default, or 1/2 when it has none: what a draw scales."""
+    return {n: d if d is not None else Fraction(1, 2) for n, d in script.params.items()}
+
+
 def _draw_params(script: sc.Script, rng: random.Random) -> dict[str, Fraction]:
-    out = {}
-    for name, default in script.params.items():
-        base = default if default is not None else Fraction(1, 2)
-        k = rng.randrange(1 << 19, 3 << 19)
-        out[name] = base * Fraction(k, 1 << 20)
-    return out
+    return {
+        name: base * Fraction(rng.randrange(1 << 19, 3 << 19), 1 << 20)
+        for name, base in _base_params(script).items()
+    }
+
+
+def _realize_error(script: sc.Script, params: dict[str, Fraction]) -> str | None:
+    try:
+        dg.realize(script, params)
+    except DiagramError as exc:
+        return str(exc)
+    return None
 
 
 def sample_instance(
     script: sc.Script, rng: random.Random, retries: int = 50
 ) -> tuple[dg.DiagramInstance, dict[str, Fraction]]:
     """Realize the script at a random parameter draw, retrying failed draws.
-    A script without parameters gives the same diagram on every draw, so
-    its first failure is final."""
-    if not script.params:
-        try:
-            return dg.realize(script, {}), {}
-        except DiagramError as exc:
-            raise RealizeFailed(f"realize failed: {exc}") from exc
+    The first failure is final when the script fails the same way at the
+    base values the draws scale (a script without parameters has only
+    those), as it then does not depend on the draw."""
+    base = _base_params(script)
     last = None
     for _ in range(retries):
         params = _draw_params(script, rng)
         try:
             return dg.realize(script, params), params
         except DiagramError as exc:
+            if last is None and (params == base or _realize_error(script, base) == str(exc)):
+                raise RealizeFailed(f"realize failed: {exc}") from exc
             last = exc
     raise RealizeFailed(f"no valid parameter draw after {retries} tries: {last}")
 

@@ -21,6 +21,7 @@ from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
 from euclid2 import terms as T
+from helpers import refine_to_width, verify_decomposition
 
 
 def load(name):
@@ -172,7 +173,7 @@ def _frac_inside(px, py, poly):
 def test_criterion_5_overlap_multiplicity_and_grid_oracle():
     script = load("II_7.e2p")
     inst = dg.realize(script)
-    res = dg.verify_decomposition(inst, [("AF", 1), ("CE", 1)], [("KLM", 1), ("CF", 1)])
+    res = verify_decomposition(inst, [("AF", 1), ("CE", 1)], [("KLM", 1), ("CF", 1)])
     assert res.equal and res.exact and res.max_multiplicity == 2
     cf = dg.figure_region(inst, "CF")
     mid = geo.pt(
@@ -249,7 +250,7 @@ def test_criterion_7_golden_ratio():
     # the golden cut of AB = 1 at H: AH carries (sqrt 5 - 1)/2 and BH the
     # complementary piece consumed by the checked claim AB x BH = HA^2
     ah = inst.seg_len(T.mk_segment("A", "H"))
-    lo, hi = cr.refine_to_width(ah, Fraction(1, 10**20))
+    lo, hi = refine_to_width(ah, Fraction(1, 10**20))
     assert hi - lo <= Fraction(1, 10**20)
     target = Fraction(61803398874989484820, 10**20)
     assert abs((lo + hi) / 2 - target) <= Fraction(1, 10**20)

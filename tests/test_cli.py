@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -257,7 +258,7 @@ def test_malformed_gnomon_is_a_diagram_error(command, tmp_path, capsys):
     elif command == "render":
         assert err == f"realize failed: {reason}\n"
     else:
-        assert err == f"diorismos: oracle error: no valid parameter draw after 50 tries: {reason}\n"
+        assert err == f"diorismos: oracle error: realize failed: {reason}\n"
 
 
 ZERO_BASE = """prop zero-base
@@ -302,16 +303,48 @@ def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, ca
         assert err == f"diorismos: oracle error: realize failed: {reason}\n"
 
 
+def _counting_realize(monkeypatch) -> list:
+    calls = []
+    realize = dg.realize
+    monkeypatch.setattr(dg, "realize", lambda *args: calls.append(args) or realize(*args))
+    return calls
+
+
 def test_parameter_free_script_is_realized_once(monkeypatch):
     """Without `param` lines every draw gives the same diagram, so the
     oracle's first failed realize is final."""
     script = sc.parse_script(ZERO_BASE.format(construction="extend CD to E by 1"))
-    calls = []
-    realize = dg.realize
-    monkeypatch.setattr(dg, "realize", lambda *args: calls.append(args) or realize(*args))
+    calls = _counting_realize(monkeypatch)
     with pytest.raises(RealizeFailed, match="^realize failed: segment CD has zero length$"):
         orc.sample_instance(script, random.Random(0))
     assert len(calls) == 1
+
+
+def test_draw_independent_failure_is_final(monkeypatch):
+    """The malformed gnomon fails at every draw and at the parameter's
+    default, so the oracle stops after one draw and one default realize."""
+    text = corpusdata.read_script_text("II_5.e2p")
+    script = sc.parse_script(text.replace("minus LG", "minus CEFB"))
+    calls = _counting_realize(monkeypatch)
+    with pytest.raises(RealizeFailed, match="^realize failed: corner box does not sit"):
+        orc.sample_instance(script, random.Random(0))
+    assert len(calls) <= 2
+
+
+def test_draw_dependent_failure_still_retries(monkeypatch):
+    """With `param d = 2/5` the cut at d falls outside CB = 1/2 for a quarter
+    of the draws but not at the default, so a failed draw is retried."""
+    text = corpusdata.read_script_text("II_5.e2p")
+    script = sc.parse_script(text.replace("param d = 1/5", "param d = 2/5"))
+    seed = next(
+        s for s in range(200)
+        if orc._draw_params(script, random.Random(s))["d"] >= Fraction(1, 2)
+    )
+    calls = _counting_realize(monkeypatch)
+    _inst, params = orc.sample_instance(script, random.Random(seed))
+    assert params["d"] < Fraction(1, 2)
+    assert len(calls) >= 3  # the failed draw, the default, a later draw
+    assert calls[1] == (script, {"d": Fraction(2, 5)})
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from euclid2 import geometry as geo
 from euclid2 import oracle as orc
 from euclid2 import script as sc
 from euclid2.errors import Undecidable
+from helpers import refine_to_width
 
 
 def golden():
@@ -46,7 +47,7 @@ def test_golden_minus_three_fifths_positive():
 
 
 def test_interval_width_target():
-    lo, hi = cr.refine_to_width(golden(), Fraction(1, 10**20))
+    lo, hi = refine_to_width(golden(), Fraction(1, 10**20))
     assert hi - lo <= Fraction(1, 10**20)
     target = Fraction(61803398874989484820, 10**20)
     assert lo - Fraction(1, 10**20) <= target <= hi + Fraction(1, 10**20)

@@ -11,6 +11,7 @@ from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import terms as T
 from euclid2.errors import InvalidParam, UnknownName
+from helpers import equal_content, refine_to_width, verify_decomposition
 
 
 def load(name):
@@ -56,7 +57,7 @@ def test_realize_ii5_cut_exact():
 def test_realize_ii11_golden_interval():
     inst = realize("II_11.e2p")
     ah = inst.seg_len(T.mk_segment("A", "H"))
-    lo, hi = cr.refine_to_width(ah, Fraction(1, 10**20))
+    lo, hi = refine_to_width(ah, Fraction(1, 10**20))
     assert hi - lo <= Fraction(1, 10**20)
     target = Fraction(61803398874989484820, 10**20)
     assert abs((lo + hi) / 2 - target) <= Fraction(1, 10**20)
@@ -163,7 +164,7 @@ def test_figure_region_names():
 
 def test_verify_decomposition_ii1():
     inst = realize("II_1.e2p")
-    res = dg.verify_decomposition(inst, [("BH", 1)], [("BK", 1), ("DL", 1), ("EH", 1)])
+    res = verify_decomposition(inst, [("BH", 1)], [("BK", 1), ("DL", 1), ("EH", 1)])
     assert res.equal and res.exact
     # areas agree exactly: a(b+c+d) = ab+ac+ad
     lhs = geo.area(dg.figure_region(inst, "BH")).rat
@@ -175,7 +176,7 @@ def test_verify_decomposition_ii1():
 
 def test_verify_decomposition_false_case():
     inst = realize("II_2.e2p")
-    res = dg.verify_decomposition(inst, [("AE", 1)], [("AF", 1)])
+    res = verify_decomposition(inst, [("AE", 1)], [("AF", 1)])
     assert not res.equal
     assert geo.area(dg.figure_region(inst, "AE")).rat == 1
     assert geo.area(dg.figure_region(inst, "AF")).rat == Fraction(2, 5)
@@ -183,7 +184,7 @@ def test_verify_decomposition_false_case():
 
 def test_verify_decomposition_ii7_multiplicity():
     inst = realize("II_7.e2p")
-    res = dg.verify_decomposition(
+    res = verify_decomposition(
         inst, [("AF", 1), ("CE", 1)], [("KLM", 1), ("CF", 1)]
     )
     assert res.equal and res.exact and res.max_multiplicity == 2
@@ -191,9 +192,9 @@ def test_verify_decomposition_ii7_multiplicity():
 
 def test_equal_content():
     inst = realize("II_5.e2p")
-    assert dg.equal_content(inst, ["AH"], ["NOP"])
-    assert dg.equal_content(inst, ["AH"], ["AH"])
-    assert not dg.equal_content(inst, ["CEFB"], ["CH"])
+    assert equal_content(inst, ["AH"], ["NOP"])
+    assert equal_content(inst, ["AH"], ["AH"])
+    assert not equal_content(inst, ["CEFB"], ["CH"])
 
 
 def test_brute_force_grid_agreement_ii1_to_ii6():
@@ -209,7 +210,7 @@ def test_brute_force_grid_agreement_ii1_to_ii6():
     }
     for name, (lhs, rhs) in cases.items():
         inst = realize(name)
-        res = dg.verify_decomposition(inst, lhs, rhs)
+        res = verify_decomposition(inst, lhs, rhs)
         assert res.equal and res.exact, name
         left = [(dg.figure_region(inst, n), m) for n, m in lhs]
         right = [(dg.figure_region(inst, n), m) for n, m in rhs]

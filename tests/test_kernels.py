@@ -1,0 +1,195 @@
+"""The integer kernels of the exact primitives.
+
+On rational input `cr.add/sub/mul/div`, `cr.rational` and the geometry
+primitives compute in ints and reduce once; these tests pin them to
+`Fraction` arithmetic and to canonical output, and pin their non-rational
+path to the plain `Expr` composition it replaced."""
+
+import ast
+import math
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from euclid2 import constructible as cr
+from euclid2 import geometry as geo
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "euclid2"
+
+_big = st.integers(-(2**200), 2**200)
+_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-12, 12), _big)
+_dens = st.one_of(st.integers(1, 12), st.integers(1, 2**200))
+_fracs = st.builds(Fraction, _ints, _dens)
+_fpoints = st.tuples(_fracs, _fracs)
+
+
+def _pt(p):
+    return geo.pt(*p)
+
+
+def _canonical(e, ref: Fraction) -> bool:
+    return e.q is None and e.den > 0 and math.gcd(e.num, e.den) == 1 and (
+        Fraction(e.num, e.den) == ref
+    )
+
+
+def _fcross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _fdot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _fsub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ints, st.one_of(_ints.filter(bool), _dens.map(lambda d: -d)))
+def test_rational_is_reduced_with_a_positive_denominator(n, d):
+    assert _canonical(cr.rational(n, d), Fraction(n, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fracs, _fracs)
+def test_arithmetic_kernels_match_fraction(p, q):
+    x, y = cr.const(p), cr.const(q)
+    assert _canonical(cr.add(x, y), p + q)
+    assert _canonical(cr.sub(x, y), p - q)
+    assert _canonical(cr.mul(x, y), p * q)
+    if q:
+        assert _canonical(cr.div(x, y), p / q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fpoints, _fpoints, _fracs, st.booleans())
+def test_vector_kernels_match_fraction(a, b, t, on_line):
+    # c on the line ab half of the time, so `collinear` meets both answers
+    c = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])) if on_line else (t, b[0])
+    pa, pb, pc = _pt(a), _pt(b), _pt(c)
+    assert _canonical(geo.cross(pa, pb), _fcross(a, b))
+    assert _canonical(geo.dot(pa, pb), _fdot(a, b))
+    d = _fsub(a, b)
+    assert _canonical(geo.dist2(pa, pb), _fdot(d, d))
+    assert geo.collinear(pa, pb, pc) == (_fcross(_fsub(b, a), _fsub(c, a)) == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fpoints, _fpoints, _fracs, st.booleans())
+def test_right_angle_kernel_matches_fraction(v, a, s, square):
+    # b on the perpendicular to va through v half of the time
+    u = _fsub(a, v)
+    b = (v[0] - s * u[1], v[1] + s * u[0]) if square else (s, a[0])
+    assert geo.right_angle(_pt(v), _pt(a), _pt(b)) == (_fdot(u, _fsub(b, v)) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_fpoints, min_size=0, max_size=7))
+def test_area_kernels_match_the_shoelace_in_fraction(poly):
+    twice = sum((_fcross(poly[i - 1], poly[i]) for i in range(len(poly))), Fraction(0))
+    pts = tuple(_pt(p) for p in poly)
+    assert _canonical(geo.signed_area2(pts), twice)
+    assert _canonical(geo.area(pts), abs(twice) / 2)
+
+
+# Rationals, values of Q(sqrt 2) (also written with sqrt 8) and, in
+# `_MIXED` only, of Q(sqrt 3), whose products with sqrt 2 are radical nodes.
+_small = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60))
+
+
+def _value(a, b, r):
+    return cr.add(cr.const(a), cr.mul(cr.const(b), cr.sqrt(cr.const(r)))) if r else cr.const(a)
+
+
+def _points(radicands):
+    v = st.builds(_value, _small, _small, st.sampled_from(radicands))
+    return st.tuples(v, v)
+
+
+_MIXED = _points([0, 0, 2, 2, 8, 3])
+_ONE_FIELD = _points([0, 0, 2, 2, 8])
+
+
+def _old_cross(u, v):
+    return cr.sub(cr.mul(u[0], v[1]), cr.mul(u[1], v[0]))
+
+
+def _old_dot(u, v):
+    return cr.add(cr.mul(u[0], v[0]), cr.mul(u[1], v[1]))
+
+
+def _same_value(new, old) -> bool:
+    # both held while keyed: a radical node is keyed by identity and
+    # interned only while some caller holds it
+    return cr.exact_key(new) == cr.exact_key(old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED, _MIXED, st.lists(_MIXED, min_size=3, max_size=5))
+def test_kernels_equal_the_expr_composition_on_any_field(a, b, poly):
+    assert _same_value(geo.cross(a, b), _old_cross(a, b))
+    assert _same_value(geo.dot(a, b), _old_dot(a, b))
+    d = geo.sub2(a, b)
+    assert _same_value(geo.dist2(a, b), _old_dot(d, d))
+    old = cr.ZERO
+    for i in range(len(poly)):
+        old = cr.add(old, _old_cross(poly[i], poly[(i + 1) % len(poly)]))
+    assert _same_value(geo.signed_area2(tuple(poly)), old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD, _small)
+def test_predicate_kernels_equal_the_expr_composition(a, b, c, t):
+    # one quadratic field, so every sign below is decided exactly; besides
+    # c, a point on the line ab and one on the perpendicular to ab at a
+    t = cr.const(t)
+    u = geo.sub2(b, a)
+    on_line = (cr.add(a[0], cr.mul(t, u[0])), cr.add(a[1], cr.mul(t, u[1])))
+    square = (cr.sub(a[0], cr.mul(t, u[1])), cr.add(a[1], cr.mul(t, u[0])))
+    for p in (c, on_line, square):
+        pa = geo.sub2(p, a)
+        assert geo.collinear(a, b, p) == (geo.sign(_old_cross(u, pa)) == 0)
+        assert geo.right_angle(a, b, p) == (geo.sign(_old_dot(u, pa)) == 0)
+
+
+def test_kernels_build_no_fraction(monkeypatch):
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    s2 = cr.sqrt(cr.const(2))
+    rat = [geo.pt(Fraction(1, 3), Fraction(-5, 7)), geo.pt(2, Fraction(9, 4)), geo.pt(0, 0)]
+    quad = [(cr.add(cr.ONE, s2), cr.const(Fraction(1, 2))), (s2, cr.mul(s2, s2))]
+    monkeypatch.setattr(cr, "Fraction", CountingFraction)
+    for pts in (rat, quad + rat[:1]):
+        a, b, c = pts
+        for f in (geo.cross, geo.dot, geo.dist2):
+            cr.refine_sign(f(a, b))
+        geo.collinear(a, b, c)
+        geo.right_angle(a, b, c)
+        cr.refine_sign(geo.area(tuple(pts)))
+    for n, d in ((6, -4), (0, 5), (7, 1)):
+        cr.refine_sign(cr.rational(n, d))
+    assert made == []
+
+
+def test_one_rational_constructor():
+    """`rational` is the only place a rational `Expr` is built, and the
+    geometry module computes without `Fraction`."""
+    sites = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if 'Expr("rat"' in text
+    ]
+    assert len(sites) == 1 and sites[0][0] == "constructible.py"
+    tree = ast.parse((SRC / "constructible.py").read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "rational"]
+    assert fn.lineno <= sites[0][1] <= fn.end_lineno
+    assert "Fraction(" not in (SRC / "geometry.py").read_text(encoding="utf-8")
