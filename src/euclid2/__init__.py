@@ -1,12 +1,13 @@
 """Proof-checking toolkit for the deductive calculus of Euclid's Elements
 Book II: a statement language for visible and invisible figures, a rule
 engine with per-step color classes, an exact-geometry backend for
-diagram-based steps, and an algebraic oracle for cross-checking equalities.
+diagram-based steps, and a sampling oracle that cross-checks equalities on
+realized constructions.
 """
 
 from .rules import ColorClass, Rule, check_proof, color_of
 from .script import CheckReport, emit_report, format_script, parse_script
-from .terms import mk_segment, normalize, stmt_equal
+from .terms import mk_segment, stmt_equal
 
 __all__ = [
     "CheckReport",
@@ -17,7 +18,6 @@ __all__ = [
     "emit_report",
     "format_script",
     "mk_segment",
-    "normalize",
     "parse_script",
     "stmt_equal",
 ]

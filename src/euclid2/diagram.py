@@ -39,6 +39,7 @@ from .terms import (
     SquareOn,
     Statement,
     lift_naming,
+    segment_named,
     term_sum,
 )
 
@@ -130,7 +131,7 @@ class _Builder:
                 raise InvalidParam(f"parameter {expr.name!r} has no value")
             v = cr.const(self.inst.params[expr.name])
         else:
-            seg = _seg_from_token(expr.seg)
+            seg = segment_named(expr.seg)
             v = self.inst.seg_len(seg)
         if geo.sign(v) <= 0:
             raise InvalidParam(f"length {expr.text()} must be positive")
@@ -229,7 +230,7 @@ class _Builder:
         self.new_point(cmd.to, n)
         self.draw(q, n)
         if isinstance(cmd.by, sc.LenSeg):
-            ref = _seg_from_token(cmd.by.seg)
+            ref = segment_named(cmd.by.seg)
             self.fact(SegEq(Segment(cmd.on[1], cmd.to), ref), "CopiedLength")
 
     def _do_ExtendCopy(self, cmd: sc.ExtendCopy):
@@ -358,7 +359,7 @@ class _Builder:
             if other != cmd.frm:
                 self.fact(RightAngle(cmd.frm, cmd.new, other), "ParallelogramRight")
         if isinstance(cmd.length, sc.LenSeg):
-            ref = _seg_from_token(cmd.length.seg)
+            ref = segment_named(cmd.length.seg)
             self.fact(SegEq(Segment(cmd.frm, cmd.new), ref), "CopiedLength")
 
     def _do_ParallelTranslate(self, cmd: sc.ParallelTranslate):
@@ -469,12 +470,6 @@ def _line_circle(p: Pt, d: Pt, circ: Circle, side: str) -> Pt:
     upper = c0 if geo.cmp(c0[1], c1[1]) > 0 else c1
     lower = c1 if upper is c0 else c0
     return upper if side == "above" else lower
-
-
-def _seg_from_token(tok: str) -> Segment:
-    if len(tok) == 1:
-        return Segment(tok, None)
-    return Segment(tok[0], tok[1], display=tok)
 
 
 # ---------------------------------------------------------------------------

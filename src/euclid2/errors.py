@@ -129,9 +129,5 @@ class OracleError(Euclid2Error):
     pass
 
 
-class UnmappedTerm(OracleError):
-    pass
-
-
 class RealizeFailed(OracleError):
     pass

@@ -31,12 +31,6 @@ Pt = tuple[Expr, Expr]
 Polygon = tuple[Pt, ...]
 
 
-def pt(x, y) -> Pt:
-    gx = x if isinstance(x, Expr) else cr.const(x)
-    gy = y if isinstance(y, Expr) else cr.const(y)
-    return (gx, gy)
-
-
 def sign(x: Expr) -> int:
     return cr.refine_sign(x)
 

@@ -62,8 +62,12 @@ def mk_segment(p: str, q: str) -> Segment:
     return Segment(p, q)
 
 
-def standalone_segment(name: str) -> Segment:
-    return Segment(name, None)
+def segment_named(text: str) -> Segment:
+    """The segment a one- or two-letter name spells: one letter is a
+    standalone segment, two are an endpoint pair shown as written."""
+    if len(text) == 1:
+        return Segment(text)
+    return Segment(text[0], text[1], display=text)
 
 
 class FigureName(FrozenRecord):
@@ -232,11 +236,6 @@ class TermSum(FrozenRecord):
 
 def term_sum(terms) -> TermSum:
     return TermSum(tuple(terms))
-
-
-def normalize(s: TermSum) -> TermSum:
-    """The canonical multiset order, which every TermSum already has."""
-    return s
 
 
 def sum_key(s: TermSum) -> tuple[str, ...]:
@@ -478,10 +477,7 @@ class Reader:
         return self.name(1, 1, "point", "pt")
 
     def read_seg(self) -> Segment:
-        text = self.name(1, 2, "segment name", "seg")
-        if len(text) == 1:
-            return standalone_segment(text)
-        return Segment(text[0], text[1], display=text)
+        return segment_named(self.name(1, 2, "segment name", "seg"))
 
     def read_fig(self) -> FigureName:
         return FigureName(self.name(1, 4, "figure name", "fig"))

@@ -1,12 +1,20 @@
-"""Test-only helpers over the checker's exact machinery: an interval of a
-chosen width, a coverage check of named figures, and equality of content."""
+"""Test-only helpers over the checker's exact machinery: a point from plain
+numbers, an interval of a chosen width, a coverage check of named figures,
+equality of content, and exact identity checks on a grid."""
 
+import itertools
 from fractions import Fraction
 
 from euclid2 import constructible as cr
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
 from euclid2.errors import Undecidable
+
+
+def pt(x, y) -> geo.Pt:
+    gx = x if isinstance(x, cr.Expr) else cr.const(x)
+    gy = y if isinstance(y, cr.Expr) else cr.const(y)
+    return (gx, gy)
 
 
 def refine_to_width(x: cr.Expr, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -42,3 +50,36 @@ def equal_content(inst: dg.DiagramInstance, p: list[str], q: list[str]) -> bool:
     for name in q:
         total_q = cr.add(total_q, geo.area(dg.figure_region(inst, name)))
     return geo.cmp(total_p, total_q) == 0
+
+
+# Three distinct values per variable.  As scales of the corpus parameters
+# they keep every cut inside the segment it cuts.
+GRID = (Fraction(3, 4), Fraction(1), Fraction(5, 4))
+
+
+def holds_on_grid(holds, nvars: int) -> bool:
+    """`holds(*point)` at every point of GRID ** nvars.
+
+    When `holds` states an equality whose sides are polynomials of degree at
+    most 2 in each variable, this proves the identity.  Read the difference
+    as a polynomial in its last variable: at each grid point of the other
+    variables it has three roots, so its coefficients vanish on their grid
+    and, by induction on the number of variables, are zero.
+    """
+    return all(holds(*point) for point in itertools.product(GRID, repeat=nvars))
+
+
+def diorismos_holds_on_grid(script, stmt=None) -> bool:
+    """`stmt` (the diorismos by default) holds exactly in the script realized
+    with each parameter's default scaled by every GRID value.  When every
+    coordinate and length is affine in each parameter, as on the collinear
+    figures of II.1-II.8, each side of an equality has degree at most 2 in
+    each parameter, so this proves it wherever the figure keeps its shape."""
+    stmt = script.diorismos if stmt is None else stmt
+    names = list(script.params)
+
+    def holds(*scales):
+        params = {n: script.params[n] * k for n, k in zip(names, scales)}
+        return dg.statement_holds(dg.realize(script, params), stmt)
+
+    return holds_on_grid(holds, len(names))

@@ -13,11 +13,13 @@ import pytest
 
 from euclid2 import cli, corpusdata
 from euclid2 import diagram as dg
+from euclid2 import geometry as geo
 from euclid2 import oracle as orc
 from euclid2 import script as sc
 from euclid2.errors import RealizeFailed
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "euclid2" / "corpus"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(args, capsys):
@@ -110,6 +112,38 @@ def test_check_json_rejected_carries_cause(capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, corpusdata.report_schema())
     assert doc["verdict"] == {"status": "rejected", "step": 1, "cause": "VEFailed"}
+
+
+@pytest.mark.parametrize(
+    "name, verdict",
+    [
+        ("slanted_split.e2p", {"status": "accepted"}),
+        ("slanted_split_twice.e2p", {"status": "rejected", "step": 1, "cause": "VEFailed"}),
+    ],
+)
+def test_slanted_split_takes_the_arrangement(name, verdict, monkeypatch, capsys):
+    """A rectangle cut by a slanted segment: VE compares figures with a
+    slanted edge, so coverage goes through the arrangement from the CLI."""
+    calls = []
+    arrangement = geo._arrangement_coverage
+    monkeypatch.setattr(
+        geo, "_arrangement_coverage", lambda *args: calls.append(args) or arrangement(*args)
+    )
+    code, out, _ = run_cli(["check", "--json", str(DATA / name)], capsys)
+    doc = json.loads(out)
+    jsonschema.validate(doc, corpusdata.report_schema())
+    assert doc["verdict"] == verdict
+    assert code == (0 if verdict["status"] == "accepted" else 1)
+    assert len(calls) == 1
+
+
+def test_ve_reads_rectangles_through_pi_namings(capsys):
+    """VE binds each rect(...) term through a `pi` step: an extended VE."""
+    code, out, _ = run_cli(["check", "--json", str(DATA / "rect_extended_ve.e2p")], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == {"status": "accepted"}
+    assert doc["steps"][2]["flags"] == ["extended-VE"]
 
 
 def test_check_many_files_ordered_output(capsys):

@@ -11,7 +11,7 @@ from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import terms as T
 from euclid2.errors import InvalidParam, UnknownName
-from helpers import equal_content, refine_to_width, verify_decomposition
+from helpers import equal_content, pt, refine_to_width, verify_decomposition
 
 
 def load(name):
@@ -222,7 +222,7 @@ def test_brute_force_grid_agreement_ii1_to_ii6():
             for j in range(n):
                 px = x0 + (x1 - x0) * Fraction(2 * i + 1, 2 * n)
                 py = y0 + (y1 - y0) * Fraction(2 * j + 1, 2 * n)
-                p = geo.pt(px, py)
+                p = pt(px, py)
                 assert geo.coverage_multiplicity(left, p) == geo.coverage_multiplicity(
                     right, p
                 ), (name, px, py)

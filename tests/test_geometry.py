@@ -9,10 +9,11 @@ from euclid2 import corpusdata, rules
 from euclid2 import geometry as geo
 from euclid2 import script as sc
 from euclid2.errors import InvalidParam
+from helpers import pt
 
 
 def P(x, y):
-    return geo.pt(Fraction(x), Fraction(y))
+    return pt(Fraction(x), Fraction(y))
 
 
 def box(x1, y1, x2, y2):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
 from euclid2 import geometry as geo
+from helpers import pt
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "euclid2"
 
@@ -26,7 +27,7 @@ _fpoints = st.tuples(_fracs, _fracs)
 
 
 def _pt(p):
-    return geo.pt(*p)
+    return pt(*p)
 
 
 def _canonical(e, ref: Fraction) -> bool:
@@ -164,7 +165,7 @@ def test_kernels_build_no_fraction(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     s2 = cr.sqrt(cr.const(2))
-    rat = [geo.pt(Fraction(1, 3), Fraction(-5, 7)), geo.pt(2, Fraction(9, 4)), geo.pt(0, 0)]
+    rat = [pt(Fraction(1, 3), Fraction(-5, 7)), pt(2, Fraction(9, 4)), pt(0, 0)]
     quad = [(cr.add(cr.ONE, s2), cr.const(Fraction(1, 2))), (s2, cr.mul(s2, s2))]
     monkeypatch.setattr(cr, "Fraction", CountingFraction)
     for pts in (rat, quad + rat[:1]):

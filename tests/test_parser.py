@@ -277,7 +277,7 @@ def _gen_script(rng: random.Random) -> sc.Script:
 
         def seg():
             if rng.random() < 0.15:
-                return T.standalone_segment("A")
+                return T.segment_named("A")
             a, b = pair()
             return T.Segment(a, b, display=a + b)
 

@@ -7,7 +7,7 @@ from euclid2.errors import DegenerateSegment, ParseError
 
 
 def seg(s):
-    return T.Segment(s[0], s[1], display=s) if len(s) == 2 else T.standalone_segment(s)
+    return T.segment_named(s)
 
 
 def test_mk_segment_unordered():
@@ -24,7 +24,7 @@ def test_normalize_permutation_invariance():
     a = T.term_sum([T.SquareOn(seg("CB")), T.RectBy(seg("AC"), seg("CB"))])
     b = T.term_sum([T.RectBy(seg("AC"), seg("CB")), T.SquareOn(seg("CB"))])
     assert a == b
-    assert T.normalize(a) == a
+    assert T.term_sum(reversed(a.terms)) == a
 
 
 def test_term_sum_is_sorted_when_built():
@@ -36,8 +36,7 @@ def test_term_sum_is_sorted_when_built():
 
 def test_normalize_keeps_rect_operand_order():
     s = T.term_sum([T.RectBy(seg("GB"), seg("BD"))])
-    t = T.normalize(s)
-    rect = t.terms[0]
+    rect = s.terms[0]
     # GB canonicalizes to the unordered pair {B,G} but stays first operand
     assert rect.first == T.mk_segment("B", "G")
     assert rect.second == T.mk_segment("B", "D")
@@ -113,7 +112,7 @@ def segments(draw):
         a = draw(st.sampled_from(LETTERS))
         b = draw(st.sampled_from([c for c in LETTERS if c != a]))
         return T.Segment(a, b, display=a + b)
-    return T.standalone_segment(draw(st.sampled_from(LETTERS)))
+    return T.segment_named(draw(st.sampled_from(LETTERS)))
 
 
 FIGURES = st.text(LETTERS, min_size=1, max_size=4)
@@ -209,8 +208,8 @@ def test_whitespace_between_tokens_is_free(spaced, canonical):
 @given(sums())
 @settings(max_examples=200)
 def test_normalize_idempotent_and_cardinality(s):
-    n = T.normalize(s)
-    assert T.normalize(n) == n
+    n = T.term_sum(reversed(s.terms))
+    assert n == s and T.term_sum(n.terms) == n
     assert len(n.terms) == len(s.terms)
 
 
@@ -231,7 +230,7 @@ def _rect_orders(s):
 @given(sums())
 @settings(max_examples=200)
 def test_normalize_never_swaps_rect_operands(s):
-    assert _rect_orders(T.normalize(s)) == _rect_orders(s)
+    assert _rect_orders(T.term_sum(reversed(s.terms))) == _rect_orders(s)
 
 
 @given(statements())
