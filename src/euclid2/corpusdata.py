@@ -18,18 +18,6 @@ def expected() -> dict:
     return json.loads((corpus_root() / "expected.json").read_text(encoding="utf-8"))
 
 
-def default_entries() -> list[dict]:
-    return [e for e in expected()["entries"] if e["profile"] == "default"]
-
-
-def all_entries() -> list[dict]:
-    return expected()["entries"]
-
-
-def negative_entries() -> list[dict]:
-    return expected()["negatives"]
-
-
 def report_schema() -> dict:
     path = resources.files("euclid2") / "schemas" / "report.schema.json"
     return json.loads(path.read_text(encoding="utf-8"))

@@ -1,8 +1,8 @@
 """Realize construction programs as exact coordinates, together with the
 facts each construction command states (segment equalities, right angles,
-figure bindings).  The facts of the labelled grid cells, figures the
-construction never draws, are derived and verified only when a proof check
-reads them (`DiagramInstance.cell_facts`).
+figure bindings).  The labelled cells of the drawn grid, figures the
+construction never draws, are listed only when a proof check reads them
+(`DiagramInstance.cells`); the fact base reads their facts from that list.
 
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
@@ -44,6 +44,9 @@ from .terms import (
 )
 
 
+Cell = tuple[str, str, str, str, bool]  # see DiagramInstance.cells
+
+
 class ConstructionFact(FrozenRecord):
     statement: Statement
     reason: str
@@ -67,7 +70,7 @@ class DiagramInstance(Record):
     params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
     _region_cache: dict[str, Polygon] = {}
-    _cell_facts: list[ConstructionFact] | None = None
+    _cells: list[Cell] | None = None
 
     @property
     def drawn(self) -> geo.DrawnSegments:
@@ -75,14 +78,15 @@ class DiagramInstance(Record):
             self._drawn = geo.DrawnSegments(self.drawn_list)
         return self._drawn
 
-    def cell_facts(self) -> list[ConstructionFact]:
-        """The I.34 sides and right angles of each labelled grid cell, and the
-        sides of each square cell with a drawn diagonal.  Derived and verified
-        on the first call (raising FactVerificationFailed for a false one);
-        later calls return the same list."""
-        if self._cell_facts is None:
-            self._cell_facts = _derive_cell_facts(self)
-        return self._cell_facts
+    def cells(self) -> list[Cell]:
+        """Each elementary cell of the drawn grid whose four corners are
+        labelled, once, as (bl, br, tr, tl, square): its corner labels and
+        whether it is a square with a drawn diagonal.  Listed on the first
+        call (raising FactVerificationFailed when a label does not stand at
+        its corner); later calls return the same list."""
+        if self._cells is None:
+            self._cells = _labelled_cells(self)
+        return self._cells
 
     def point(self, label: str) -> Pt:
         if label not in self.coords:
@@ -150,7 +154,12 @@ class _Builder:
         self.inst._region_cache.clear()
 
     def fact(self, stmt: Statement, reason: str):
-        _verify_fact(self.inst, stmt)
+        try:
+            ok = statement_holds(self.inst, stmt)
+        except Euclid2Error as exc:
+            raise FactVerificationFailed(f"{stmt.text()} could not be verified: {exc}") from exc
+        if not ok:
+            raise FactVerificationFailed(f"construction fact {stmt.text()} is numerically false")
         self.inst.facts.append(ConstructionFact(stmt, reason))
 
     def pt_of(self, label: str) -> Pt:
@@ -473,7 +482,7 @@ def _line_circle(p: Pt, d: Pt, circ: Circle, side: str) -> Pt:
 
 
 # ---------------------------------------------------------------------------
-# fact verification and cell-derived facts
+# fact verification and labelled cells
 
 
 def term_value(inst: DiagramInstance, t) -> Expr:
@@ -500,7 +509,7 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
     statement holds when the equality it states does."""
     stmt = lift_naming(stmt)
     if isinstance(stmt, SegEq):
-        return geo.cmp(inst.seg_len2(stmt.a), inst.seg_len2(stmt.b)) == 0
+        return geo.equal_length(*inst.seg_endpoints(stmt.a), *inst.seg_endpoints(stmt.b))
     if isinstance(stmt, RightAngle):
         return geo.right_angle(
             inst.point(stmt.vertex), inst.point(stmt.arm1), inst.point(stmt.arm2)
@@ -510,48 +519,28 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
     raise TypeError(f"cannot evaluate {stmt!r} numerically")
 
 
-def _verify_fact(inst: DiagramInstance, stmt: Statement):
-    try:
-        ok = statement_holds(inst, stmt)
-    except Euclid2Error as exc:
-        raise FactVerificationFailed(f"{stmt.text()} could not be verified: {exc}") from exc
-    if not ok:
-        raise FactVerificationFailed(f"construction fact {stmt.text()} is numerically false")
-
-
-def _derive_cell_facts(inst: DiagramInstance) -> list[ConstructionFact]:
-    facts: list[ConstructionFact] = []
-
-    def emit(stmt: Statement, reason: str):
-        _verify_fact(inst, stmt)
-        facts.append(ConstructionFact(stmt, reason))
-
+def _labelled_cells(inst: DiagramInstance) -> list[Cell]:
+    """The facts a cell gives (its I.34 sides and corner right angles, and a
+    square's equal sides) are theorems of an axis-aligned box with those
+    labels at its corners, so the one check per cell is that they stand
+    there; the square test is an exact comparison of width and height."""
+    cells: list[Cell] = []
     drawn = inst.drawn
     label_at = {geo.point_key(p): name for name, p in inst.coords.items()}
     for (x1, y1, x2, y2) in geo.elementary_cells(drawn):
-        corners = [
-            label_at.get(geo.point_key(p)) for p in geo.box_polygon(x1, y1, x2, y2)
-        ]
-        if None in corners:
+        box = geo.box_polygon(x1, y1, x2, y2)
+        labels = [label_at.get(geo.point_key(p)) for p in box]
+        if None in labels:
             continue
-        bl, br, tr, tl = corners
-        emit(SegEq(Segment(tl, bl), Segment(tr, br)), "I34-OppositeSides")
-        emit(SegEq(Segment(tl, tr), Segment(bl, br)), "I34-OppositeSides")
-        for vertex, p, q in (
-            (bl, br, tl),
-            (br, bl, tr),
-            (tr, br, tl),
-            (tl, bl, tr),
-        ):
-            emit(RightAngle(vertex, p, q), "ParallelogramRight")
-        if geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0:
-            diag1 = ((x1, y1), (x2, y2))
-            diag2 = ((x2, y1), (x1, y2))
-            if drawn.segment_drawn(*diag1) or drawn.segment_drawn(*diag2):
-                emit(SegEq(Segment(tl, tr), Segment(tr, br)), "SquareSides")
-                emit(SegEq(Segment(tr, br), Segment(br, bl)), "SquareSides")
-                emit(SegEq(Segment(br, bl), Segment(bl, tl)), "SquareSides")
-    return facts
+        if not all(geo.pts_equal(inst.coords[lab], p) for lab, p in zip(labels, box)):
+            raise FactVerificationFailed(
+                f"cell {''.join(labels)}: a label does not stand at its corner"
+            )
+        square = geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0 and (
+            drawn.segment_drawn((x1, y1), (x2, y2)) or drawn.segment_drawn((x2, y1), (x1, y2))
+        )
+        cells.append((*labels, square))
+    return cells
 
 
 def _verify_base_lines(inst: DiagramInstance, script: sc.Script):

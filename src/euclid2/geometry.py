@@ -12,10 +12,11 @@ both sides must agree on every sample.  With rational coordinates every
 predicate is exact; with radicals the comparisons go through sign
 refinement of constructible reals.
 
-`cross`, `dot`, `dist2`, `collinear`, `right_angle` and `signed_area2` (so
-`area`) have an integer kernel: on rational input they compute on the ints
-`num`, `den` and reduce once by `cr.rational` (a predicate just compares);
-other input takes the `Expr` composition through `cr.add/sub/mul`.
+`cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle` and
+`signed_area2` (so `area`) have an integer kernel: on rational input they
+compute on the ints `num`, `den` and reduce once by `cr.rational` (a
+predicate just compares); other input takes the `Expr` composition through
+`cr.add/sub/mul`.
 """
 
 from __future__ import annotations
@@ -86,6 +87,19 @@ def dist2(p: Pt, q: Pt) -> Expr:
         return cr.rational((nx * dy) ** 2 + (ny * dx) ** 2, (dx * dy) ** 2)
     d = sub2(p, q)
     return dot(d, d)
+
+
+def equal_length(p: Pt, q: Pt, r: Pt, s: Pt) -> bool:
+    """|pq| == |rs|.  On rational points: the integer squared lengths over
+    their denominators, cross-multiplied."""
+    u, v = _rat_sub2(q, p), _rat_sub2(s, r)
+    if u is not None and v is not None:
+        nx, dx, ny, dy = u
+        mx, ex, my, ey = v
+        return ((nx * dy) ** 2 + (ny * dx) ** 2) * (ex * ey) ** 2 == (
+            (mx * ey) ** 2 + (my * ex) ** 2
+        ) * (dx * dy) ** 2
+    return cmp(dist2(p, q), dist2(r, s)) == 0
 
 
 def point_key(p: Pt):

@@ -100,20 +100,45 @@ class FactBase:
     else is matched one statement at a time.
 
     A new base holds the diagram's construction facts: those of its commands
-    and those of its labelled grid cells.  Deriving the cell facts verifies
-    them, so this raises FactVerificationFailed for a false one."""
+    and those of its labelled grid cells, whose listing raises
+    FactVerificationFailed for a label off its corner."""
 
     def __init__(self, inst: dg.DiagramInstance, flags=frozenset()):
         self.inst = inst
         self.flags = flags
         self._parent: dict = {}
-        self._stmts: dict = {}
-        self._rangles: list[RightAngle] = []
+        self._stmts: dict = {}  # stmt_key -> provenance
+        self._rangles: list[tuple[str, str, str]] = []  # (vertex, arm1, arm2)
         self._namings: list[Statement] = []  # Pi and IsSq facts
         self._eqs: list[Eq] = []
         self._region_keys: dict[str, tuple | None] = {}
-        for fact in inst.facts + inst.cell_facts():
+        for fact in inst.facts:
             self.add(fact.statement, f"construction:{fact.reason}")
+        for bl, br, tr, tl, square in inst.cells():
+            self._seed_segeq(tl, bl, tr, br, "construction:I34-OppositeSides")
+            self._seed_segeq(tl, tr, bl, br, "construction:I34-OppositeSides")
+            for v, p, q in ((bl, br, tl), (br, bl, tr), (tr, br, tl), (tl, bl, tr)):
+                self._seed_rangle(v, p, q)
+            if square:
+                self._seed_segeq(tl, tr, tr, br, "construction:SquareSides")
+                self._seed_segeq(tr, br, br, bl, "construction:SquareSides")
+                self._seed_segeq(br, bl, bl, tl, "construction:SquareSides")
+
+    def _seed_segeq(self, a: str, b: str, c: str, d: str, provenance: str):
+        """A cell fact goes in as `add` would put it (under its `stmt_key`,
+        first provenance kept), without building the statement."""
+        s = ("pp", a, b) if a < b else ("pp", b, a)  # _seg_ckey of each side
+        t = ("pp", c, d) if c < d else ("pp", d, c)
+        key = T.segeq_key(s[1] + s[2], t[1] + t[2])
+        if key not in self._stmts:
+            self._stmts[key] = provenance
+            self._union(s, t)
+
+    def _seed_rangle(self, v: str, p: str, q: str):
+        key = T.rangle_key(v, p, q)
+        if key not in self._stmts:
+            self._stmts[key] = "construction:ParallelogramRight"
+            self._rangles.append((v, p, q))
 
     def _find(self, k):
         self._parent.setdefault(k, k)
@@ -134,11 +159,11 @@ class FactBase:
         key = stmt_key(stmt)
         if key in self._stmts:
             return
-        self._stmts[key] = (stmt, provenance)
+        self._stmts[key] = provenance
         if isinstance(stmt, SegEq):
             self._union(_seg_ckey(stmt.a), _seg_ckey(stmt.b))
         elif isinstance(stmt, RightAngle):
-            self._rangles.append(stmt)
+            self._rangles.append((stmt.vertex, stmt.arm1, stmt.arm2))
         elif isinstance(stmt, (Pi, IsSq)):
             self._namings.append(stmt)
         elif isinstance(stmt, Eq):
@@ -163,15 +188,15 @@ class FactBase:
         return geo.collinear(pv, pf, pq)
 
     def has_rangle(self, stmt: RightAngle) -> bool:
-        for fact in self._rangles:
-            if fact.vertex != stmt.vertex:
+        for vertex, arm1, arm2 in self._rangles:
+            if vertex != stmt.vertex:
                 continue
             if (
-                self.ray_match(fact.vertex, fact.arm1, stmt.arm1)
-                and self.ray_match(fact.vertex, fact.arm2, stmt.arm2)
+                self.ray_match(vertex, arm1, stmt.arm1)
+                and self.ray_match(vertex, arm2, stmt.arm2)
             ) or (
-                self.ray_match(fact.vertex, fact.arm1, stmt.arm2)
-                and self.ray_match(fact.vertex, fact.arm2, stmt.arm1)
+                self.ray_match(vertex, arm1, stmt.arm2)
+                and self.ray_match(vertex, arm2, stmt.arm1)
             ):
                 # flipping an arm along its line preserves a right angle,
                 # but double-check numerically all the same
@@ -906,9 +931,10 @@ PROFILES = {
 }
 
 
-def _resolve_premises(fb: FactBase, script: sc.Script, step, prior: dict):
+def _resolve_premises(fb: FactBase, hyps: dict, step, prior: dict):
     """Each premise of the step as a (statement, blue) pair; blue marks an
-    inline naming premise that only a diagram check (NAME) supports."""
+    inline naming premise that only a diagram check (NAME) supports.  `hyps`
+    maps each declared hypothesis index to its statement."""
     resolved: list[tuple[Statement, bool]] = []
     for ref in step.premises:
         if isinstance(ref, sc.StepRef):
@@ -916,10 +942,9 @@ def _resolve_premises(fb: FactBase, script: sc.Script, step, prior: dict):
                 raise UnresolvedPremise(f"step {ref.index} is not an earlier step")
             resolved.append((prior[ref.index], False))
         elif isinstance(ref, sc.HypRef):
-            hyps = {h.index: h for h in script.hypotheses}
             if ref.index not in hyps:
                 raise UnresolvedPremise(f"hypothesis h{ref.index} is not declared")
-            resolved.append((hyps[ref.index].stmt, False))
+            resolved.append((hyps[ref.index], False))
         else:
             stmt = ref.stmt
             if fb.has(stmt):
@@ -981,6 +1006,7 @@ def check_proof(
         report.hypotheses.append((f"h{h.index}", h.stmt.text(), h.flag))
 
     prior: dict[int, Statement] = {}
+    hyps = {h.index: h.stmt for h in script.hypotheses}
     report.fact_counts.append(fb.size())
 
     for step in script.steps:
@@ -988,7 +1014,7 @@ def check_proof(
         if rule not in allowed:
             return reject(step.index, "RuleNotInProfile")
         try:
-            resolved = _resolve_premises(fb, script, step, prior)
+            resolved = _resolve_premises(fb, hyps, step, prior)
             outcome = _HANDLERS[rule](fb, step.claim, [stmt for stmt, _ in resolved])
         except RuleError as exc:
             return reject(step.index, exc.cause)

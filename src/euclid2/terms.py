@@ -311,12 +311,19 @@ def stmt_key(s: Statement):
     if isinstance(s, IsSq):
         return ("on", s.figure.letters, _seg_key(s.side))
     if isinstance(s, SegEq):
-        ab = sorted([_seg_key(s.a), _seg_key(s.b)])
-        return ("segeq", ab[0], ab[1])
+        return segeq_key(_seg_key(s.a), _seg_key(s.b))
     if isinstance(s, RightAngle):
-        arms = sorted([s.arm1, s.arm2])
-        return ("rangle", s.vertex, arms[0], arms[1])
+        return rangle_key(s.vertex, s.arm1, s.arm2)
     raise TypeError(s)
+
+
+def segeq_key(a: str, b: str):
+    """`stmt_key` of a segment equality, from the keys of its sides."""
+    return ("segeq", a, b) if a <= b else ("segeq", b, a)
+
+
+def rangle_key(vertex: str, arm1: str, arm2: str):
+    return ("rangle", vertex, arm1, arm2) if arm1 <= arm2 else ("rangle", vertex, arm2, arm1)
 
 
 def lift_naming(p: Statement) -> Statement:

@@ -1,14 +1,29 @@
-"""Test-only helpers over the checker's exact machinery: a point from plain
-numbers, an interval of a chosen width, a coverage check of named figures,
-equality of content, and exact identity checks on a grid."""
+"""Test-only helpers over the checker's exact machinery: the corpus
+entries, a point from plain numbers, an interval of a chosen width, a
+coverage check of named figures, equality of content, the facts of the
+labelled grid cells, and exact identity checks on a grid."""
 
 import itertools
 from fractions import Fraction
 
 from euclid2 import constructible as cr
+from euclid2 import corpusdata
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
 from euclid2.errors import Undecidable
+from euclid2.terms import RightAngle, SegEq, Segment
+
+
+def all_entries() -> list[dict]:
+    return corpusdata.expected()["entries"]
+
+
+def default_entries() -> list[dict]:
+    return [e for e in all_entries() if e["profile"] == "default"]
+
+
+def negative_entries() -> list[dict]:
+    return corpusdata.expected()["negatives"]
 
 
 def pt(x, y) -> geo.Pt:
@@ -50,6 +65,37 @@ def equal_content(inst: dg.DiagramInstance, p: list[str], q: list[str]) -> bool:
     for name in q:
         total_q = cr.add(total_q, geo.area(dg.figure_region(inst, name)))
     return geo.cmp(total_p, total_q) == 0
+
+
+def reference_cell_facts(inst: dg.DiagramInstance) -> list[tuple]:
+    """(statement, reason) for each fact of each labelled grid cell, one at
+    a time: for every elementary cell whose four corners carry labels
+    (found by comparing coordinates, the last label of a point winning),
+    its I.34 opposite sides, its four corner right angles and, when it is a
+    square with a drawn diagonal, its equal sides."""
+    facts = []
+    drawn = inst.drawn
+    for x1, y1, x2, y2 in geo.elementary_cells(drawn):
+        corners = geo.box_polygon(x1, y1, x2, y2)
+        labels = []
+        for p in corners:
+            at = [name for name, q in inst.coords.items() if geo.pts_equal(p, q)]
+            labels.append(at[-1] if at else None)
+        if None in labels:
+            continue
+        bl, br, tr, tl = labels
+        facts.append((SegEq(Segment(tl, bl), Segment(tr, br)), "I34-OppositeSides"))
+        facts.append((SegEq(Segment(tl, tr), Segment(bl, br)), "I34-OppositeSides"))
+        for vertex, p, q in ((bl, br, tl), (br, bl, tr), (tr, br, tl), (tl, bl, tr)):
+            facts.append((RightAngle(vertex, p, q), "ParallelogramRight"))
+        width, height = cr.sub(x2, x1), cr.sub(y2, y1)
+        if geo.cmp(width, height) == 0 and (
+            drawn.segment_drawn(corners[0], corners[2])
+            or drawn.segment_drawn(corners[1], corners[3])
+        ):
+            for a, b, c in ((tl, tr, br), (tr, br, bl), (br, bl, tl)):
+                facts.append((SegEq(Segment(a, b), Segment(b, c)), "SquareSides"))
+    return facts
 
 
 # Three distinct values per variable.  As scales of the corpus parameters

@@ -24,6 +24,7 @@ from euclid2 import terms as T
 from helpers import (
     diorismos_holds_on_grid,
     holds_on_grid,
+    negative_entries,
     pt,
     refine_to_width,
     verify_decomposition,
@@ -107,7 +108,7 @@ def test_criterion_2_scheme_fidelity():
 
 
 def test_criterion_3_negative_suite():
-    negs = corpusdata.negative_entries()
+    negs = negative_entries()
     assert len(negs) >= 10
     causes = {}
     for entry in negs:

@@ -13,7 +13,7 @@ from euclid2 import geometry as geo
 from euclid2 import oracle as orc
 from euclid2 import script as sc
 from euclid2.errors import Undecidable
-from helpers import refine_to_width
+from helpers import all_entries, negative_entries, refine_to_width
 
 
 def golden():
@@ -78,7 +78,7 @@ def test_equal_radical_constructions_share_one_node():
 
 
 def test_no_global_state_survives_check_and_oracle():
-    for entry in corpusdata.all_entries() + corpusdata.negative_entries():
+    for entry in all_entries() + negative_entries():
         script = sc.parse_script(corpusdata.read_script_text(entry["file"]))
         rules.check_proof(script, profile=entry["profile"])
         orc.check_numeric_detailed(script.diorismos, script, samples=3)

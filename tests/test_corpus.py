@@ -14,9 +14,10 @@ from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
 from euclid2 import terms as T
+from helpers import all_entries, default_entries, negative_entries
 
-ENTRIES = corpusdata.all_entries()
-NEGATIVES = corpusdata.negative_entries()
+ENTRIES = all_entries()
+NEGATIVES = negative_entries()
 
 
 def load(name):
@@ -24,7 +25,7 @@ def load(name):
 
 
 def test_corpus_completeness():
-    default = corpusdata.default_entries()
+    default = default_entries()
     assert len(default) == 14
     props = {e["prop"] for e in default}
     assert props == {f"II.{k}" for k in range(1, 15)}

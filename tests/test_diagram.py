@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
 from euclid2 import corpusdata
@@ -10,8 +12,17 @@ from euclid2 import oracle as orc
 from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import terms as T
-from euclid2.errors import InvalidParam, UnknownName
-from helpers import equal_content, pt, refine_to_width, verify_decomposition
+from euclid2.errors import Euclid2Error, InvalidParam, UnknownName
+from helpers import (
+    GRID,
+    all_entries,
+    equal_content,
+    negative_entries,
+    pt,
+    reference_cell_facts,
+    refine_to_width,
+    verify_decomposition,
+)
 
 
 def load(name):
@@ -96,21 +107,21 @@ def test_construction_facts_ii5_midpoint():
     )
 
 
-def _count_cell_derivations(monkeypatch) -> list:
+def _count_cell_listings(monkeypatch) -> list:
     calls = []
-    derive = dg._derive_cell_facts
+    listing = dg._labelled_cells
 
     def counted(inst):
         calls.append(inst)
-        return derive(inst)
+        return listing(inst)
 
-    monkeypatch.setattr(dg, "_derive_cell_facts", counted)
+    monkeypatch.setattr(dg, "_labelled_cells", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", ["II_2.e2p", "II_14.e2p"])
 def test_oracle_derives_no_cell_facts(monkeypatch, name):
-    calls = _count_cell_derivations(monkeypatch)
+    calls = _count_cell_listings(monkeypatch)
     script = load(name)
     records = orc.check_numeric_detailed(script.diorismos, script, samples=3)
     assert records and all(r["ok"] for r in records)
@@ -119,7 +130,7 @@ def test_oracle_derives_no_cell_facts(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["II_2.e2p", "II_14.e2p"])
 def test_check_derives_cell_facts_once_per_instance(monkeypatch, name):
-    calls = _count_cell_derivations(monkeypatch)
+    calls = _count_cell_listings(monkeypatch)
     script = load(name)
     assert rules.check_proof(script).verdict == "accepted"
     assert len(calls) == 1
@@ -129,25 +140,107 @@ def test_check_derives_cell_facts_once_per_instance(monkeypatch, name):
     for _ in range(2):
         assert rules.check_proof(script, instance=inst).verdict == "accepted"
     assert calls[1:] == [inst]
-    assert inst.cell_facts() is inst.cell_facts()
+    assert inst.cells() is inst.cells()
 
 
 def test_false_cell_fact_rejects_at_step_zero(monkeypatch):
-    holds = dg.statement_holds
-
-    def patched(inst, stmt):
-        if isinstance(stmt, T.RightAngle) and stmt.vertex == "F":
-            return False  # no command states a right angle at F, only the cells
-        return holds(inst, stmt)
-
-    monkeypatch.setattr(dg, "statement_holds", patched)
+    # a cell's facts rest on its labels standing at its corners: a label
+    # lookup that puts a label on another corner rejects before any step
     script = load("II_2.e2p")
-    dg.realize(script)  # realize verifies command facts only
-    report = rules.check_proof(script)
+    inst = dg.realize(script)
+    key = geo.point_key
+    c_key, f_key = key(inst.point("C")), key(inst.point("F"))
+    monkeypatch.setattr(geo, "point_key", lambda p: f_key if key(p) == c_key else key(p))
+    report = rules.check_proof(script, instance=inst)
     assert (report.verdict, report.reject_step) == ("rejected", 0)
     assert report.reject_cause == (
-        "RealizeFailed: construction fact rangle(F;D,C) is numerically false"
+        "RealizeFailed: cell DFFA: a label does not stand at its corner"
     )
+
+
+def _partition(fb: rules.FactBase) -> set:
+    groups: dict = {}
+    for k in list(fb._parent):
+        groups.setdefault(fb._find(k), set()).add(k)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _assert_seeded_as_reference(inst: dg.DiagramInstance):
+    """The base seeded from `inst.cells()` holds exactly what adding each
+    reference cell fact after the command facts gives, and each such fact
+    holds in the diagram."""
+    facts = reference_cell_facts(inst)
+    for stmt, _ in facts:
+        assert dg.statement_holds(inst, stmt), stmt.text()
+    seeded = rules.FactBase(inst)
+    ref = rules.FactBase(dg.DiagramInstance(coords=inst.coords, facts=inst.facts))
+    for stmt, reason in facts:
+        ref.add(stmt, f"construction:{reason}")
+    assert list(seeded._stmts.items()) == list(ref._stmts.items())
+    assert seeded._rangles == ref._rangles
+    assert _partition(seeded) == _partition(ref)
+
+
+CORPUS_FILES = sorted({e["file"] for e in all_entries() + negative_entries()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS_FILES), st.sampled_from(GRID))
+def test_seeded_cells_match_reference_on_corpus(name, scale):
+    script = load(name)
+    params = {n: v * scale for n, v in script.params.items() if v is not None}
+    try:
+        inst = dg.realize(script, params)
+    except Euclid2Error:
+        assume(False)
+    _assert_seeded_as_reference(inst)
+
+
+def test_every_corpus_diagram_seeds_as_reference():
+    cells = []
+    for name in CORPUS_FILES:
+        inst = dg.realize(load(name))
+        _assert_seeded_as_reference(inst)
+        cells += inst.cells()
+    # both kinds occur: squares with a drawn diagonal and other rectangles
+    assert {square for *_, square in cells} == {True, False}
+
+
+def _axis(draw) -> list[int]:
+    start = draw(st.integers(-3, 3))
+    gaps = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    return [start + sum(gaps[:k]) for k in range(len(gaps) + 1)]
+
+
+@st.composite
+def rectangle_grids(draw):
+    """A grid of axis lines, some of whose cells are drawn (half of them
+    with a diagonal), and labels on most of its points.  Gaps of 1 or 2 make
+    many cells square; the x coordinates are shifted by a multiple of
+    sqrt 2 now and then, so they are not always rational."""
+    shift = cr.mul(cr.const(draw(st.integers(0, 2))), cr.sqrt(cr.const(2)))
+    gx = [cr.add(cr.const(x), shift) for x in _axis(draw)]
+    gy = [cr.const(y) for y in _axis(draw)]
+    drawn = []
+    for i in range(len(gx) - 1):
+        for j in range(len(gy) - 1):
+            if draw(st.integers(0, 3)):
+                box = geo.box_polygon(gx[i], gy[j], gx[i + 1], gy[j + 1])
+                drawn += [(box[k], box[(k + 1) % 4]) for k in range(4)]
+                if draw(st.booleans()):
+                    drawn.append(draw(st.sampled_from([(box[0], box[2]), (box[3], box[1])])))
+    coords = {}
+    for i, x in enumerate(gx):
+        for j, y in enumerate(gy):
+            if draw(st.integers(0, 9)):
+                coords[f"P{i}{j}"] = (x, y)
+    return dg.DiagramInstance(coords=coords, drawn_list=drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangle_grids())
+def test_seeded_cells_match_reference_on_fuzzed_grids(inst):
+    _assert_seeded_as_reference(inst)
 
 
 def test_figure_region_names():

@@ -12,8 +12,9 @@ from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
 from euclid2.errors import Euclid2Error, ParseError
+from helpers import all_entries
 
-ENTRIES = corpusdata.all_entries()
+ENTRIES = all_entries()
 FILES = [e["file"] for e in ENTRIES]
 NUMBERS = ["0", "-1", "1", "2", "1/3", "3/2", "0/1", "1/0", "10000", "1e9", "|AB|", "|ZZ|"]
 LABELS = list("ABCDEFGHKLMNOPXZ")

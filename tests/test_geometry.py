@@ -9,7 +9,7 @@ from euclid2 import corpusdata, rules
 from euclid2 import geometry as geo
 from euclid2 import script as sc
 from euclid2.errors import InvalidParam
-from helpers import pt
+from helpers import all_entries, negative_entries, pt
 
 
 def P(x, y):
@@ -162,7 +162,7 @@ def test_corpus_sends_no_coverage_to_the_arrangement(monkeypatch):
     located = _count_calls(monkeypatch, "point_in_polygon")
     crossed = _count_calls(monkeypatch, "_intersection_xs")
     covered = _count_calls(monkeypatch, "coverage_equal")
-    for entry in corpusdata.all_entries() + corpusdata.negative_entries():
+    for entry in all_entries() + negative_entries():
         script = sc.parse_script(corpusdata.read_script_text(entry["file"]))
         report = rules.check_proof(script, profile=entry["profile"])
         assert report.verdict == entry["verdict"], entry["file"]

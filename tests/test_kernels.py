@@ -87,6 +87,22 @@ def test_right_angle_kernel_matches_fraction(v, a, s, square):
     assert geo.right_angle(_pt(v), _pt(a), _pt(b)) == (_fdot(u, _fsub(b, v)) == 0)
 
 
+def _equal_length_by_dist2(p, q, r, s) -> bool:
+    return geo.cmp(geo.dist2(p, q), geo.dist2(r, s)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fpoints, _fpoints, _fpoints, _fracs, st.booleans())
+def test_equal_length_kernel_matches_dist2(p, q, r, t, turned):
+    # rs is pq turned a quarter about r half of the time, so equal
+    u = _fsub(q, p)
+    s = (r[0] - u[1], r[1] + u[0]) if turned else (t, r[1])
+    pts = [_pt(x) for x in (p, q, r, s)]
+    assert geo.equal_length(*pts) == _equal_length_by_dist2(*pts)
+    assert geo.equal_length(*pts) == (_fdot(u, u) == _fdot(_fsub(s, r), _fsub(s, r)))
+    assert geo.equal_length(pts[0], pts[0], pts[2], pts[2])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_fpoints, min_size=0, max_size=7))
 def test_area_kernels_match_the_shoelace_in_fraction(poly):
@@ -154,6 +170,36 @@ def test_predicate_kernels_equal_the_expr_composition(a, b, c, t):
         pa = geo.sub2(p, a)
         assert geo.collinear(a, b, p) == (geo.sign(_old_cross(u, pa)) == 0)
         assert geo.right_angle(a, b, p) == (geo.sign(_old_dot(u, pa)) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD, st.booleans())
+def test_equal_length_kernel_matches_dist2_on_quadratic_points(p, q, r, turned):
+    # rationals and Q(sqrt 2) values, written with sqrt 2 or sqrt 8, mixed
+    # in one call; one field, so every comparison is decided exactly
+    u = geo.sub2(q, p)
+    s = (cr.sub(r[0], u[1]), cr.add(r[1], u[0])) if turned else (q[1], r[0])
+    assert geo.equal_length(p, q, r, s) == _equal_length_by_dist2(p, q, r, s)
+    if turned:
+        assert geo.equal_length(p, q, r, s)
+
+
+def test_equal_length_builds_no_expr_on_rational_points(monkeypatch):
+    made = []
+    init = cr.Expr.__init__
+
+    def counted(self, *args):
+        made.append(args[0])
+        init(self, *args)
+
+    big = Fraction(3**150, 7**90)
+    p, q = pt(big, -big), pt(-big, Fraction(1, 3))
+    r, s = pt(0, 0), pt(Fraction(-1, 3) - big, -2 * big)  # q - p turned
+    monkeypatch.setattr(cr.Expr, "__init__", counted)
+    assert geo.equal_length(p, q, r, s)
+    assert not geo.equal_length(p, q, r, p)
+    assert geo.equal_length(r, r, s, s)
+    assert made == []
 
 
 def test_kernels_build_no_fraction(monkeypatch):

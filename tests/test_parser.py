@@ -14,9 +14,10 @@ from euclid2 import corpusdata
 from euclid2 import script as sc
 from euclid2 import terms as T
 from euclid2.errors import ParseError, UndeclaredPoint, UnknownRule
+from helpers import all_entries, negative_entries
 
-CORPUS_FILES = [e["file"] for e in corpusdata.all_entries()] + [
-    n["file"] for n in corpusdata.negative_entries()
+CORPUS_FILES = [e["file"] for e in all_entries()] + [
+    n["file"] for n in negative_entries()
 ]
 
 

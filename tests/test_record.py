@@ -9,6 +9,7 @@ from euclid2 import script as sc
 from euclid2 import terms as T
 from euclid2.errors import DegenerateSegment
 from euclid2.record import FrozenRecord, Record
+from helpers import all_entries
 
 # (class, field) pairs that equality and hashing ignore
 NOT_COMPARED = {(T.Segment, "display"), (sc.ProofStep, "line"), (sc.Hypothesis, "line")}
@@ -40,7 +41,7 @@ def _samples():
         inst = dg.realize(script)
         _walk([script, inst, rules.check_proof(script, instance=inst)], out)
     text = corpusdata.read_script_text
-    for entry in corpusdata.all_entries():
+    for entry in all_entries():
         _walk(sc.parse_script(text(entry["file"])), out)
     _walk(rules.StepOutcome(T.parse_statement("AB == CD")), out)
     return out

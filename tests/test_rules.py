@@ -17,6 +17,7 @@ from euclid2.errors import (
     VEFailed,
 )
 from euclid2.terms import parse_statement as ps
+from helpers import default_entries
 
 
 def load(name):
@@ -402,10 +403,6 @@ def test_internal_fault_in_a_rule_is_not_a_calculus_rejection(monkeypatch):
     assert report.reject_cause == "InternalError: TypeError: unsupported operand"
 
 
-def all_default_entries():
-    return corpusdata.default_entries()
-
-
 def test_color_mapping_total():
     for rule in rules.Rule:
         assert isinstance(rules.color_of(rule), rules.ColorClass)
@@ -428,7 +425,7 @@ def test_report_schema_enums_follow_the_vocabulary():
     assert props["profile"]["enum"] == list(rules.PROFILES)
 
 
-@pytest.mark.parametrize("entry", all_default_entries(), ids=lambda e: e["prop"])
+@pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e["prop"])
 def test_factbase_monotone_and_replay(entry):
     script = load(entry["file"])
     report = rules.check_proof(script)
@@ -461,7 +458,7 @@ def _flip_first_rect(stmt):
     return (stmt, False)
 
 
-@pytest.mark.parametrize("entry", all_default_entries(), ids=lambda e: e["prop"])
+@pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e["prop"])
 def test_no_implicit_commutativity_mutations(entry):
     """Flipping the operand order inside any one step claim's rectangle (or
     contained-by fact) makes the checker reject at or after that step."""

@@ -20,10 +20,7 @@ ALLOWED = {
     "constructible._intern": "radical nodes (ROADMAP item 7): no corpus figure nests a radical",
     "constructible._sqrt_interval": "radical nodes (ROADMAP item 7): interval of a square root",
     "constructible.max_bits_budget": _BENCHMARK,
-    "corpusdata.all_entries": "public API: the corpus expectations; tests/test_corpus.py",
-    "corpusdata.default_entries": "public API: the corpus expectations; tests/test_corpus.py",
     "corpusdata.expected": _BENCHMARK,
-    "corpusdata.negative_entries": "public API: the corpus expectations; tests/test_corpus.py",
     "corpusdata.read_script_text": _BENCHMARK,
     "corpusdata.report_schema": "public API: the shipped report schema; tests/test_cli.py",
     "errors.ParseError.__init__": _PARSE_ERROR,
