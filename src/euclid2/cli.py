@@ -11,7 +11,7 @@ from pathlib import Path
 from . import diagram as dg
 from . import rules
 from . import script as sc
-from .errors import Euclid2Error, ParseError, UnreadableFile
+from .errors import Euclid2Error, ParseError, UnreadableFile, UnwritableFile
 from .terms import Eq
 
 EXIT_OK = 0
@@ -24,6 +24,13 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {path}: {exc}") from exc
 
 
 def _load(path: str) -> sc.Script:
@@ -50,9 +57,7 @@ def _cmd_check(args) -> int:
         if not report.accepted:
             code = max(code, EXIT_REJECTED)
     if args.emit_certs:
-        Path(args.emit_certs).write_text(
-            json.dumps(certificates, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write(args.emit_certs, json.dumps(certificates, indent=2, sort_keys=True) + "\n")
     return code
 
 
@@ -90,7 +95,7 @@ def _cmd_render(args) -> int:
     report = rules.check_proof(script, instance=inst, profile=args.profile)
     svg = svgout.render_svg(script, inst, report)
     if args.output:
-        Path(args.output).write_text(svg, encoding="utf-8")
+        _write(args.output, svg)
     else:
         sys.stdout.write(svg)
     return EXIT_OK
@@ -104,13 +109,15 @@ def _cmd_oracle(args) -> int:
     for step in script.steps:
         if isinstance(step.claim, Eq):
             targets.append((f"step {step.index}", step.claim))
+    # every target reads the same draws, realized once
+    draws, draw_error = orc.draw_samples(script, args.samples, args.seed)
     all_ok = True
     records_out = []
     for label, stmt in targets:
         try:
-            records = orc.check_numeric_detailed(
-                stmt, script, samples=args.samples, tol=args.tol, seed=args.seed
-            )
+            records = orc.evaluate_draws(stmt, draws, args.tol)
+            if draw_error is not None:
+                raise draw_error
         except Euclid2Error as exc:
             sys.stderr.write(f"{label}: oracle error: {exc}\n")
             return EXIT_REJECTED

@@ -219,7 +219,9 @@ def rational(n: int, d: int) -> Expr:
 
 def const(q) -> Expr:
     """The exact rational q: an `int`, or anything `Fraction` accepts."""
-    if type(q) is not int:
+    if type(q) is int:
+        return rational(q, 1)
+    if type(q) is not Fraction:
         q = Fraction(q)
     return rational(q.numerator, q.denominator)
 

@@ -1,8 +1,12 @@
 """Realize construction programs as exact coordinates, together with the
 facts each construction command states (segment equalities, right angles,
-figure bindings).  The labelled cells of the drawn grid, figures the
-construction never draws, are listed only when a proof check reads them
-(`DiagramInstance.cells`); the fact base reads their facts from that list.
+figure bindings).  A command's segment equalities and right angles are kept
+as label tuples, each decided once on the coordinates the command just
+built; no statement is built unless a reader asks for one
+(`ConstructionFact.statement`).  The labelled cells of the drawn grid,
+figures the construction never draws, are listed only when a proof check
+reads them (`DiagramInstance.cells`).  The fact base seeds both kinds from
+their labels.
 
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
@@ -19,6 +23,7 @@ from . import geometry as geo
 from . import script as sc
 from .constructible import Expr
 from .errors import (
+    DegenerateSegment,
     Euclid2Error,
     FactVerificationFailed,
     InvalidParam,
@@ -39,17 +44,53 @@ from .terms import (
     SquareOn,
     Statement,
     lift_naming,
-    segment_named,
     term_sum,
 )
 
 
 Cell = tuple[str, str, str, str, bool]  # see DiagramInstance.cells
+# A segment as a fact names it: its two labels in the order the fact prints
+# them, or a standalone segment's name and None.
+Side = tuple[str, str | None]
 
 
 class ConstructionFact(FrozenRecord):
-    statement: Statement
+    """A fact a construction command states, by kind and labels:
+    `("segeq", (side, side))`, `("rangle", (vertex, arm1, arm2))` or
+    `("eq", (figure, source))` for fig(figure) = fig(source)."""
+
+    kind: str
+    labels: tuple
     reason: str
+
+    @property
+    def statement(self) -> Statement:
+        if self.kind == "segeq":
+            a, b = [Segment(p) if q is None else Segment(p, q, p + q) for p, q in self.labels]
+            return SegEq(a, b)
+        if self.kind == "rangle":
+            return RightAngle(*self.labels)
+        figure, source = self.labels
+        return Eq(
+            term_sum([Fig(FigureName(figure))]), term_sum([Fig(FigureName(source))])
+        )
+
+
+def _side(p: str, q: str) -> Side:
+    """Segment pq as `terms.Segment` holds it: its labels in order."""
+    if p == q:
+        raise DegenerateSegment(f"segment {p}{q} is degenerate")
+    return (p, q) if p < q else (q, p)
+
+
+def _named(text: str) -> Side:
+    """The segment a one- or two-letter name spells, kept in that spelling
+    (as `terms.segment_named` keeps it)."""
+    if len(text) == 1:
+        return (text, None)
+    if text[0] == text[1]:
+        raise DegenerateSegment(f"segment {text} is degenerate")
+    return (text[0], text[1])
 
 
 class Circle(Record):
@@ -93,19 +134,27 @@ class DiagramInstance(Record):
             raise UnknownName(f"point {label!r} not realized")
         return self.coords[label]
 
+    def endpoints(self, a: str, b: str | None) -> tuple[Pt, Pt]:
+        """The ends of segment ab, or of the standalone segment a when b is
+        None."""
+        if b is None:
+            if a not in self.standalone:
+                raise UnknownName(f"standalone segment {a!r} not declared")
+            return self.standalone[a]
+        return (self.point(a), self.point(b))
+
     def seg_endpoints(self, seg: Segment) -> tuple[Pt, Pt]:
-        if seg.standalone:
-            if seg.a not in self.standalone:
-                raise UnknownName(f"standalone segment {seg.a!r} not declared")
-            return self.standalone[seg.a]
-        return (self.point(seg.a), self.point(seg.b))
+        return self.endpoints(seg.a, seg.b)
 
     def seg_len2(self, seg: Segment) -> Expr:
         p, q = self.seg_endpoints(seg)
         return geo.dist2(p, q)
 
     def seg_len(self, seg: Segment) -> Expr:
-        p, q = self.seg_endpoints(seg)
+        return self.side_len(seg.a, seg.b)
+
+    def side_len(self, a: str, b: str | None) -> Expr:
+        p, q = self.endpoints(a, b)
         dx = cr.sub(q[0], p[0])
         dy = cr.sub(q[1], p[1])
         if geo.sign(dx) == 0:
@@ -135,8 +184,7 @@ class _Builder:
                 raise InvalidParam(f"parameter {expr.name!r} has no value")
             v = cr.const(self.inst.params[expr.name])
         else:
-            seg = segment_named(expr.seg)
-            v = self.inst.seg_len(seg)
+            v = self.inst.side_len(*_named(expr.seg))
         if geo.sign(v) <= 0:
             raise InvalidParam(f"length {expr.text()} must be positive")
         return v
@@ -153,14 +201,29 @@ class _Builder:
         self.inst._drawn = None
         self.inst._region_cache.clear()
 
-    def fact(self, stmt: Statement, reason: str):
+    def fact(self, kind: str, labels: tuple, reason: str):
+        """Record a fact of the command just run once it holds on the
+        coordinates; its statement is built only to name it in an error."""
+        fact = ConstructionFact(kind, labels, reason)
+        inst = self.inst
         try:
-            ok = statement_holds(self.inst, stmt)
+            if kind == "segeq":
+                (a, b), (c, d) = labels
+                ok = geo.equal_length(*inst.endpoints(a, b), *inst.endpoints(c, d))
+            elif kind == "rangle":
+                v, p, q = labels
+                ok = geo.right_angle(inst.point(v), inst.point(p), inst.point(q))
+            else:
+                ok = statement_holds(inst, fact.statement)
         except Euclid2Error as exc:
-            raise FactVerificationFailed(f"{stmt.text()} could not be verified: {exc}") from exc
+            raise FactVerificationFailed(
+                f"{fact.statement.text()} could not be verified: {exc}"
+            ) from exc
         if not ok:
-            raise FactVerificationFailed(f"construction fact {stmt.text()} is numerically false")
-        self.inst.facts.append(ConstructionFact(stmt, reason))
+            raise FactVerificationFailed(
+                f"construction fact {fact.statement.text()} is numerically false"
+            )
+        inst.facts.append(fact)
 
     def pt_of(self, label: str) -> Pt:
         if label not in self.inst.coords:
@@ -205,7 +268,7 @@ class _Builder:
     def _do_CutRandom(self, cmd: sc.CutRandom):
         p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
         t = self.length(cmd.at)
-        plen = self.inst.seg_len(Segment(cmd.on[0], cmd.on[1]))
+        plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
         if geo.cmp(plen, t) <= 0:
             raise InvalidParam(
                 f"cut {cmd.point} at {cmd.at.text()} falls outside {cmd.on[0]}{cmd.on[1]}"
@@ -223,14 +286,13 @@ class _Builder:
         c = (cr.mul(cr.add(p[0], q[0]), half), cr.mul(cr.add(p[1], q[1]), half))
         self.new_point(cmd.point, c)
         self.fact(
-            SegEq(Segment(cmd.on[0], cmd.point), Segment(cmd.point, cmd.on[1])),
-            "Midpoint",
+            "segeq", (_side(cmd.on[0], cmd.point), _side(cmd.point, cmd.on[1])), "Midpoint"
         )
 
     def _do_ExtendBy(self, cmd: sc.ExtendBy):
         p, q = self.base(cmd.on)
         L = self.length(cmd.by)
-        plen = self.inst.seg_len(Segment(cmd.on[0], cmd.on[1]))
+        plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
         scale = cr.div(L, plen)
         n = (
             cr.add(q[0], cr.mul(scale, cr.sub(q[0], p[0]))),
@@ -239,16 +301,15 @@ class _Builder:
         self.new_point(cmd.to, n)
         self.draw(q, n)
         if isinstance(cmd.by, sc.LenSeg):
-            ref = segment_named(cmd.by.seg)
-            self.fact(SegEq(Segment(cmd.on[1], cmd.to), ref), "CopiedLength")
+            self.fact("segeq", (_side(cmd.on[1], cmd.to), _named(cmd.by.seg)), "CopiedLength")
 
     def _do_ExtendCopy(self, cmd: sc.ExtendCopy):
         p, q = self.base(cmd.on)
         anchor = self.pt_of(cmd.anchor)
         if not geo.collinear(p, q, anchor):
             raise InvalidParam(f"anchor {cmd.anchor} is not on line {cmd.on[0]}{cmd.on[1]}")
-        d = self.inst.seg_len(Segment(cmd.copy[0], cmd.copy[1]))
-        plen = self.inst.seg_len(Segment(cmd.on[0], cmd.on[1]))
+        d = self.inst.side_len(*_side(cmd.copy[0], cmd.copy[1]))
+        plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
         scale = cr.div(d, plen)
         n = (
             cr.add(anchor[0], cr.mul(scale, cr.sub(q[0], p[0]))),
@@ -260,8 +321,7 @@ class _Builder:
         self.new_point(cmd.to, n)
         self.draw(q, n)
         self.fact(
-            SegEq(Segment(cmd.to, cmd.anchor), Segment(cmd.copy[0], cmd.copy[1])),
-            "CopiedLength",
+            "segeq", (_side(cmd.to, cmd.anchor), _side(cmd.copy[0], cmd.copy[1])), "CopiedLength"
         )
 
     def _square_offset(self, side: str, L: Expr, base_dir: Pt) -> Pt:
@@ -291,7 +351,7 @@ class _Builder:
         else:
             raise InvalidParam(f"base {P}{Q} not an edge of square name {letters}")
         p, q = self.pt_of(P), self.pt_of(Q)
-        L = self.inst.seg_len(Segment(P, Q))
+        L = self.inst.side_len(*_side(P, Q))
         v = self._square_offset(cmd.side, L, geo.sub2(q, p))
         c2 = (cr.add(q[0], v[0]), cr.add(q[1], v[1]))
         c3 = (cr.add(p[0], v[0]), cr.add(p[1], v[1]))
@@ -302,13 +362,13 @@ class _Builder:
             self.draw(quad[i], quad[(i + 1) % 4])
         self.inst.declared[letters] = tuple(self.pt_of(x) for x in letters)
         s0, s1, s2, s3 = cycle
-        self.fact(SegEq(Segment(s0, s1), Segment(s1, s2)), "SquareSides")
-        self.fact(SegEq(Segment(s1, s2), Segment(s2, s3)), "SquareSides")
-        self.fact(SegEq(Segment(s2, s3), Segment(s3, s0)), "SquareSides")
-        self.fact(RightAngle(s0, s1, s3), "SquareAngles")
-        self.fact(RightAngle(s1, s0, s2), "SquareAngles")
-        self.fact(RightAngle(s2, s1, s3), "SquareAngles")
-        self.fact(RightAngle(s3, s2, s0), "SquareAngles")
+        sides = [_side(s0, s1), _side(s1, s2), _side(s2, s3), _side(s3, s0)]
+        for i in range(3):
+            self.fact("segeq", (sides[i], sides[i + 1]), "SquareSides")
+        self.fact("rangle", (s0, s1, s3), "SquareAngles")
+        self.fact("rangle", (s1, s0, s2), "SquareAngles")
+        self.fact("rangle", (s2, s1, s3), "SquareAngles")
+        self.fact("rangle", (s3, s2, s0), "SquareAngles")
 
     def _do_RectFig(self, cmd: sc.RectFig):
         w = self.length(cmd.width)
@@ -339,19 +399,13 @@ class _Builder:
         for i in range(4):
             self.draw(quad[i], quad[(i + 1) % 4])
         self.inst.declared[cmd.name] = tuple(quad)
-        self.fact(SegEq(Segment(l0, l1), Segment(l3, l2)), "I34-OppositeSides")
-        self.fact(SegEq(Segment(l1, l2), Segment(l0, l3)), "I34-OppositeSides")
+        self.fact("segeq", (_side(l0, l1), _side(l3, l2)), "I34-OppositeSides")
+        self.fact("segeq", (_side(l1, l2), _side(l0, l3)), "I34-OppositeSides")
         for i, lab in enumerate(cmd.name):
             prev = cmd.name[(i - 1) % 4]
             nxt = cmd.name[(i + 1) % 4]
-            self.fact(RightAngle(lab, prev, nxt), "ParallelogramRight")
-        self.fact(
-            Eq(
-                term_sum([Fig(FigureName(cmd.name))]),
-                term_sum([Fig(FigureName(cmd.source))]),
-            ),
-            "TriangulatedEqual",
-        )
+            self.fact("rangle", (lab, prev, nxt), "ParallelogramRight")
+        self.fact("eq", (cmd.name, cmd.source), "TriangulatedEqual")
 
     def _do_Perp(self, cmd: sc.Perp):
         p = self.pt_of(cmd.frm)
@@ -366,10 +420,11 @@ class _Builder:
         self.draw(p, n)
         for other in cmd.on:
             if other != cmd.frm:
-                self.fact(RightAngle(cmd.frm, cmd.new, other), "ParallelogramRight")
+                self.fact("rangle", (cmd.frm, cmd.new, other), "ParallelogramRight")
         if isinstance(cmd.length, sc.LenSeg):
-            ref = segment_named(cmd.length.seg)
-            self.fact(SegEq(Segment(cmd.frm, cmd.new), ref), "CopiedLength")
+            self.fact(
+                "segeq", (_side(cmd.frm, cmd.new), _named(cmd.length.seg)), "CopiedLength"
+            )
 
     def _do_ParallelTranslate(self, cmd: sc.ParallelTranslate):
         p = self.pt_of(cmd.through)
@@ -378,7 +433,8 @@ class _Builder:
         self.new_point(cmd.new, n)
         self.draw(p, n)
         self.fact(
-            SegEq(Segment(cmd.through, cmd.new), Segment(cmd.along[0], cmd.along[1])),
+            "segeq",
+            (_side(cmd.through, cmd.new), _side(cmd.along[0], cmd.along[1])),
             "I34-OppositeSides",
         )
 
@@ -402,9 +458,7 @@ class _Builder:
                     )
                     if on == 0:
                         for e in circ.endpoints:
-                            self.fact(
-                                SegEq(Segment(end, pointlab), Segment(end, e)), "Radius"
-                            )
+                            self.fact("segeq", (_side(end, pointlab), _side(end, e)), "Radius")
 
     def _do_SemicircleOn(self, cmd: sc.SemicircleOn):
         a, b = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
@@ -418,8 +472,7 @@ class _Builder:
         r2 = geo.dist2(c, a)
         self.inst.circles[cmd.center] = Circle(cmd.center, c, r2, cmd.on, cmd.side)
         self.fact(
-            SegEq(Segment(cmd.center, cmd.on[0]), Segment(cmd.center, cmd.on[1])),
-            "Radius",
+            "segeq", (_side(cmd.center, cmd.on[0]), _side(cmd.center, cmd.on[1])), "Radius"
         )
 
     def _do_IntersectLines(self, cmd: sc.IntersectLines):
@@ -435,10 +488,8 @@ class _Builder:
             raise UnknownName(f"no circle centered at {cmd.center}")
         self.new_point(cmd.new, _line_circle(p, geo.sub2(q, p), circ, cmd.side))
         for e in circ.endpoints:
-            self.fact(
-                SegEq(Segment(circ.center_label, cmd.new), Segment(circ.center_label, e)),
-                "Radius",
-            )
+            c = circ.center_label
+            self.fact("segeq", (_side(c, cmd.new), _side(c, e)), "Radius")
 
     def _do_GnomonDecl(self, cmd: sc.GnomonDecl):
         outer = figure_region(self.inst, cmd.outer)

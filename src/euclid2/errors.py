@@ -124,6 +124,10 @@ class UnreadableFile(Euclid2Error):
     """A named input file is missing or cannot be read as UTF-8 text."""
 
 
+class UnwritableFile(Euclid2Error):
+    """A named output file cannot be written."""
+
+
 # oracle layer
 class OracleError(Euclid2Error):
     pass

@@ -19,7 +19,7 @@ from . import constructible as cr
 from . import diagram as dg
 from . import script as sc
 from . import terms as T
-from .errors import DiagramError, RealizeFailed
+from .errors import DiagramError, Euclid2Error, RealizeFailed
 
 
 def _base_params(script: sc.Script) -> dict[str, Fraction]:
@@ -62,13 +62,42 @@ def sample_instance(
     raise RealizeFailed(f"no valid parameter draw after {retries} tries: {last}")
 
 
+Draw = tuple[dg.DiagramInstance, dict[str, Fraction]]  # as sample_instance returns
+
+
+def draw_samples(
+    script: sc.Script, samples: int, seed: int = 0
+) -> tuple[list[Draw], Euclid2Error | None]:
+    """The first `samples` draws of `Random(seed)`, each realized once by
+    `sample_instance`.  Drawing stops at the first draw that fails: its
+    error comes back with the draws before it, and is due once those are
+    evaluated."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(samples):
+        try:
+            draws.append(sample_instance(script, rng))
+        except Euclid2Error as exc:
+            return draws, exc
+    return draws, None
+
+
 def _evaluate_sample(
     inst: dg.DiagramInstance, stmt: T.Eq, tol: Fraction
 ) -> tuple[bool, Fraction, Fraction]:
     """(holds within tol, lhs midpoint, rhs midpoint) in one realized
     instance; each side is evaluated once."""
-    lhs = dg.sum_value(inst, stmt.lhs)
-    rhs = dg.sum_value(inst, stmt.rhs)
+    return _within(dg.sum_value(inst, stmt.lhs), dg.sum_value(inst, stmt.rhs), tol)
+
+
+def _within(lhs: cr.Expr, rhs: cr.Expr, tol: Fraction) -> tuple[bool, Fraction, Fraction]:
+    """(|lhs - rhs| <= tol * max(1, |lhs|), lhs midpoint, rhs midpoint).  Two
+    rationals are compared by cross-multiplying their ints."""
+    ln, ld, rn, rd = lhs.num, lhs.den, rhs.num, rhs.den
+    if ld and rd:
+        tn, td = tol.numerator, tol.denominator
+        ok = abs(ln * rd - rn * ld) * td <= tn * max(ld, abs(ln)) * rd
+        return ok, Fraction(ln, ld), Fraction(rn, rd)
     lhs_mid = cr.midpoint(lhs, 128)
     diff = cr.sub(lhs, rhs)
     budget = tol * max(Fraction(1), abs(lhs_mid))
@@ -80,6 +109,24 @@ def _evaluate_sample(
         lo, hi = diff.interval(256)
         err = max(abs(lo), abs(hi))
     return err <= budget, lhs_mid, cr.midpoint(rhs, 128)
+
+
+def evaluate_draws(stmt: T.Eq, draws: list[Draw], tol: Fraction) -> list[dict]:
+    """One record per draw: both sides of the equality evaluated once in
+    its instance and compared within tol."""
+    records = []
+    for k, (inst, params) in enumerate(draws):
+        ok, lhs, rhs = _evaluate_sample(inst, stmt, tol)
+        records.append(
+            {
+                "sample": k,
+                "params": {n: T.rational_text(v) for n, v in params.items()},
+                "lhs": float(lhs),
+                "rhs": float(rhs),
+                "ok": ok,
+            }
+        )
+    return records
 
 
 def check_numeric_detailed(
@@ -94,18 +141,8 @@ def check_numeric_detailed(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     tol = Fraction(tol).limit_denominator(10**15) if not isinstance(tol, Fraction) else tol
-    rng = random.Random(seed)
-    records = []
-    for k in range(samples):
-        inst, params = sample_instance(script, rng)
-        ok, lhs, rhs = _evaluate_sample(inst, stmt, tol)
-        records.append(
-            {
-                "sample": k,
-                "params": {n: T.rational_text(v) for n, v in params.items()},
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-                "ok": ok,
-            }
-        )
+    draws, error = draw_samples(script, samples, seed)
+    records = evaluate_draws(stmt, draws, tol)
+    if error is not None:
+        raise error
     return records

@@ -89,8 +89,15 @@ def color_of(rule: Rule) -> ColorClass:
 # fact base
 
 
+def _side_ckey(a: str, b: str | None):
+    """The union-find key of segment ab, or of the standalone segment a."""
+    if b is None:
+        return ("lone", a)
+    return ("pp", a, b) if a < b else ("pp", b, a)
+
+
 def _seg_ckey(s: T.Segment):
-    return ("lone", s.a) if s.standalone else ("pp", s.a, s.b)
+    return _side_ckey(s.a, s.b)
 
 
 class FactBase:
@@ -100,8 +107,10 @@ class FactBase:
     else is matched one statement at a time.
 
     A new base holds the diagram's construction facts: those of its commands
-    and those of its labelled grid cells, whose listing raises
-    FactVerificationFailed for a label off its corner."""
+    and then those of its labelled grid cells, whose listing raises
+    FactVerificationFailed for a label off its corner.  Both go in from
+    their labels, as `add` would put their statements, without building
+    one; only a command's figure equality is added as a statement."""
 
     def __init__(self, inst: dg.DiagramInstance, flags=frozenset()):
         self.inst = inst
@@ -113,31 +122,39 @@ class FactBase:
         self._eqs: list[Eq] = []
         self._region_keys: dict[str, tuple | None] = {}
         for fact in inst.facts:
-            self.add(fact.statement, f"construction:{fact.reason}")
+            provenance = f"construction:{fact.reason}"
+            if fact.kind == "segeq":
+                (a, b), (c, d) = fact.labels
+                self._seed_segeq(_side_ckey(a, b), _side_ckey(c, d), provenance)
+            elif fact.kind == "rangle":
+                self._seed_rangle(*fact.labels, provenance)
+            else:
+                self.add(fact.statement, provenance)
         for bl, br, tr, tl, square in inst.cells():
-            self._seed_segeq(tl, bl, tr, br, "construction:I34-OppositeSides")
-            self._seed_segeq(tl, tr, bl, br, "construction:I34-OppositeSides")
+            left, right = _side_ckey(tl, bl), _side_ckey(tr, br)
+            top, bottom = _side_ckey(tl, tr), _side_ckey(bl, br)
+            self._seed_segeq(left, right, "construction:I34-OppositeSides")
+            self._seed_segeq(top, bottom, "construction:I34-OppositeSides")
             for v, p, q in ((bl, br, tl), (br, bl, tr), (tr, br, tl), (tl, bl, tr)):
-                self._seed_rangle(v, p, q)
+                self._seed_rangle(v, p, q, "construction:ParallelogramRight")
             if square:
-                self._seed_segeq(tl, tr, tr, br, "construction:SquareSides")
-                self._seed_segeq(tr, br, br, bl, "construction:SquareSides")
-                self._seed_segeq(br, bl, bl, tl, "construction:SquareSides")
+                self._seed_segeq(top, right, "construction:SquareSides")
+                self._seed_segeq(right, bottom, "construction:SquareSides")
+                self._seed_segeq(bottom, left, "construction:SquareSides")
 
-    def _seed_segeq(self, a: str, b: str, c: str, d: str, provenance: str):
-        """A cell fact goes in as `add` would put it (under its `stmt_key`,
+    def _seed_segeq(self, s: tuple, t: tuple, provenance: str):
+        """The equality of the sides with union-find keys s and t (see
+        `_side_ckey`) goes in as `add` would put it (under its `stmt_key`,
         first provenance kept), without building the statement."""
-        s = ("pp", a, b) if a < b else ("pp", b, a)  # _seg_ckey of each side
-        t = ("pp", c, d) if c < d else ("pp", d, c)
-        key = T.segeq_key(s[1] + s[2], t[1] + t[2])
+        key = T.segeq_key("".join(s[1:]), "".join(t[1:]))
         if key not in self._stmts:
             self._stmts[key] = provenance
             self._union(s, t)
 
-    def _seed_rangle(self, v: str, p: str, q: str):
+    def _seed_rangle(self, v: str, p: str, q: str, provenance: str):
         key = T.rangle_key(v, p, q)
         if key not in self._stmts:
-            self._stmts[key] = "construction:ParallelogramRight"
+            self._stmts[key] = provenance
             self._rangles.append((v, p, q))
 
     def _find(self, k):

@@ -17,6 +17,8 @@ from euclid2 import geometry as geo
 from euclid2 import oracle as orc
 from euclid2 import script as sc
 from euclid2.errors import RealizeFailed
+from euclid2.terms import Eq
+from helpers import all_entries
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "euclid2" / "corpus"
 DATA = Path(__file__).resolve().parent / "data"
@@ -93,6 +95,20 @@ def test_missing_or_unreadable_file_exit_two(command, tmp_path, capsys):
         code, out, err = run_cli([command, path], capsys)
         assert code == 2
         assert "cannot read" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [(["render", str(CORPUS / "II_1.e2p"), "-o"], "x.svg"),
+     (["check", str(CORPUS / "II_1.e2p"), "--emit-certs"], "c.json")],
+)
+def test_unwritable_output_exit_two(command, target, tmp_path, capsys):
+    path = tmp_path / "missing" / target
+    code, out, err = run_cli([*command, str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in out + err
+    assert not path.parent.exists()
 
 
 def test_check_json_validates_schema(capsys):
@@ -209,6 +225,27 @@ def test_oracle_json_records(capsys):
     assert doc[0]["target"] == "diorismos"
     assert len(doc[0]["samples"]) == 3
     assert all(r["ok"] for r in doc[0]["samples"])
+
+
+@pytest.mark.parametrize("name", sorted({e["file"] for e in all_entries()}))
+def test_oracle_json_is_each_targets_records(name, capsys):
+    """Drawing once for all targets gives each target the records that
+    `check_numeric_detailed` gives it alone."""
+    code, out, err = run_cli(
+        ["oracle", str(CORPUS / name), "--json", "--seed", "3", "--samples", "3"], capsys
+    )
+    assert (code, err) == (0, "")
+    script = sc.parse_script(corpusdata.read_script_text(name))
+    claims = [script.diorismos] + [s.claim for s in script.steps if isinstance(s.claim, Eq)]
+    want = [orc.check_numeric_detailed(c, script, samples=3, seed=3) for c in claims]
+    assert [t["samples"] for t in json.loads(out)] == want
+
+
+def test_oracle_realizes_each_draw_once(monkeypatch, capsys):
+    calls = _counting_realize(monkeypatch)
+    code, out, _ = run_cli(["oracle", str(CORPUS / "II_8.e2p"), "--samples", "20"], capsys)
+    assert code == 0 and out.count("ok (20 samples)") > 1
+    assert len(calls) == 20
 
 
 def test_oracle_corrupted_claim_fails(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,13 @@ from euclid2 import oracle as orc
 from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import terms as T
-from euclid2.errors import Euclid2Error, InvalidParam, UnknownName
+from euclid2.errors import (
+    Euclid2Error,
+    FactVerificationFailed,
+    InvalidParam,
+    Undecidable,
+    UnknownName,
+)
 from helpers import (
     GRID,
     all_entries,
@@ -107,6 +114,58 @@ def test_construction_facts_ii5_midpoint():
     )
 
 
+def test_oracle_realize_builds_no_fact_statement(monkeypatch):
+    """Command facts are decided on labels: realizing at oracle draws
+    builds no segment, segment equality or right angle record."""
+    scripts = [load(name) for name in sorted({e["file"] for e in all_entries()})]
+    built = []
+
+    def counted(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return counting_init
+
+    for cls in (T.Segment, T.SegEq, T.RightAngle):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    facts = []
+    for script in scripts:
+        for seed in range(3):
+            inst, _params = orc.sample_instance(script, random.Random(seed))
+            facts += inst.facts
+    assert facts and built == []
+    # a reader that asks for the statements gets them built
+    assert {type(f.statement).__name__ for f in facts} == {"SegEq", "RightAngle", "Eq"}
+    assert {"Segment", "SegEq", "RightAngle"} <= set(built)
+
+
+@pytest.mark.parametrize(
+    "name, kernel, effect, message",
+    [
+        ("II_5.e2p", "equal_length", False, "construction fact AC == BC is numerically false"),
+        ("II_5.e2p", "equal_length", Undecidable("x"), "AC == BC could not be verified: x"),
+        ("II_5.e2p", "right_angle", False, "construction fact rangle(C;B,E) is numerically false"),
+        # a length cited as written keeps its spelling, a standalone one its letter
+        ("II_8.e2p", "equal_length", False, "construction fact BD == CB is numerically false"),
+        ("II_1.e2p", "equal_length", False, "construction fact BG == A is numerically false"),
+    ],
+)
+def test_false_command_fact_message(monkeypatch, name, kernel, effect, message):
+    """A command fact that fails its check names itself as its statement
+    prints; here the first fact of each kind fails."""
+
+    def kernel_result(*_points):
+        if isinstance(effect, Exception):
+            raise effect
+        return effect
+
+    monkeypatch.setattr(geo, kernel, kernel_result)
+    with pytest.raises(FactVerificationFailed) as err:
+        realize(name)
+    assert str(err.value) == message
+
+
 def _count_cell_listings(monkeypatch) -> list:
     calls = []
     listing = dg._labelled_cells
@@ -166,14 +225,14 @@ def _partition(fb: rules.FactBase) -> set:
 
 
 def _assert_seeded_as_reference(inst: dg.DiagramInstance):
-    """The base seeded from `inst.cells()` holds exactly what adding each
-    reference cell fact after the command facts gives, and each such fact
-    holds in the diagram."""
-    facts = reference_cell_facts(inst)
+    """The base seeded from `inst.facts` and `inst.cells()` holds exactly
+    what adding the statement of each command fact, then each reference
+    cell fact, gives, and each such fact holds in the diagram."""
+    facts = [(f.statement, f.reason) for f in inst.facts] + reference_cell_facts(inst)
     for stmt, _ in facts:
         assert dg.statement_holds(inst, stmt), stmt.text()
     seeded = rules.FactBase(inst)
-    ref = rules.FactBase(dg.DiagramInstance(coords=inst.coords, facts=inst.facts))
+    ref = rules.FactBase(dg.DiagramInstance(coords=inst.coords))
     for stmt, reason in facts:
         ref.add(stmt, f"construction:{reason}")
     assert list(seeded._stmts.items()) == list(ref._stmts.items())
@@ -191,6 +250,17 @@ def test_seeded_cells_match_reference_on_corpus(name, scale):
     params = {n: v * scale for n, v in script.params.items() if v is not None}
     try:
         inst = dg.realize(script, params)
+    except Euclid2Error:
+        assume(False)
+    _assert_seeded_as_reference(inst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CORPUS_FILES), st.integers(0, 2**32 - 1))
+def test_seeded_facts_match_reference_at_oracle_draws(name, seed):
+    script = load(name)
+    try:
+        inst, _params = orc.sample_instance(script, random.Random(seed))
     except Euclid2Error:
         assume(False)
     _assert_seeded_as_reference(inst)

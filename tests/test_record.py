@@ -110,6 +110,15 @@ def test_not_compared_fields():
     assert h == sc.Hypothesis(index=1, stmt=stmt, flag="x") and h.line == 4
 
 
+def test_construction_fact_builds_its_statement_on_demand():
+    fact = dg.ConstructionFact("segeq", (("A", "C"), ("B", "C")), "Midpoint")
+    assert dg.ConstructionFact._fields == ("kind", "labels", "reason")
+    assert fact.statement == T.parse_statement("CA == BC")
+    assert fact.statement.text() == "AC == BC"
+    lone = dg.ConstructionFact("segeq", (("B", "G"), ("A", None)), "CopiedLength")
+    assert lone.statement.text() == "BG == A" and lone.statement.b.standalone
+
+
 def test_list_and_dict_defaults_are_per_instance():
     a, b = dg.DiagramInstance(), dg.DiagramInstance()
     a.coords["A"] = (0, 0)
