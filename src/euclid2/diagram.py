@@ -231,8 +231,9 @@ class _Builder:
         return self.inst.coords[label]
 
     def base(self, on) -> tuple[Pt, Pt]:
-        """The endpoints of a line that a construction scales or intersects
-        along; two points built at the same place give it no direction."""
+        """The endpoints of a segment that a construction joins, scales or
+        intersects along; two points built at the same place give it no
+        length and no direction."""
         p, q = self.pt_of(on[0]), self.pt_of(on[1])
         if geo.pts_equal(p, q):
             raise InvalidParam(f"segment {on[0]}{on[1]} has zero length")
@@ -448,7 +449,7 @@ class _Builder:
         self.draw(p, n)
 
     def _do_Join(self, cmd: sc.Join):
-        p, q = self.pt_of(cmd.p), self.pt_of(cmd.q)
+        p, q = self.base((cmd.p, cmd.q))
         self.draw(p, q)
         for circ in self.inst.circles.values():
             for end, pointlab in ((cmd.p, cmd.q), (cmd.q, cmd.p)):

@@ -1,16 +1,15 @@
 """Exact polygon machinery: areas, point location, and the coverage check
-behind visual-evidence steps.
+behind visual-evidence steps and MERGE's overlap test.
 
-Coverage equality has two exact paths, chosen by the input alone.  When
-every edge of every polygon is axis-parallel (Book II's rectangles, squares
-and gnomons), the multiplicity functions are constant on each cell of the
-compressed grid of distinct vertex x and y coordinates, so both sides are
-compared cell by cell there.  Any other input goes through the arrangement
-induced by all polygon edges: every trapezoid of the vertical-slab
-decomposition gets one interior sample point, and the multiplicity sums of
-both sides must agree on every sample.  With rational coordinates every
-predicate is exact; with radicals the comparisons go through sign
-refinement of constructible reals.
+Coverage equality has one exact algorithm for any polygons, the trapezoidal
+decomposition of the vertical-slab arrangement (de Berg, Cheong, van
+Kreveld and Overmars, *Computational Geometry*, ch. 6).  Slab boundaries
+are the distinct vertex x coordinates and the x of each point where a
+slanted edge crosses another edge, so Book II's rectilinear figures need no
+crossings.  In each slab the edges spanning it, sorted by exact height at
+its middle, bound trapezoids on which both multiplicity functions are
+constant.  With rational coordinates every predicate is exact; with
+radicals the comparisons go through sign refinement of constructible reals.
 
 `cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle` and
 `signed_area2` (so `area`) have an integer kernel: on rational input they
@@ -178,19 +177,11 @@ def region_key(poly: Polygon):
     return best
 
 
-def _edges(poly: Polygon):
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        if not pts_equal(p, q):
-            yield (p, q)
-
-
 def point_in_polygon(p: Pt, poly: Polygon) -> bool:
     """Crossing-number parity for a point not on the boundary."""
     px, py = p
     inside = False
-    for a, b in _edges(poly):
+    for a, b in zip(poly, poly[1:] + poly[:1]):
         ya, yb = a[1], b[1]
         above_a = cmp(ya, py) > 0
         above_b = cmp(yb, py) > 0
@@ -202,10 +193,6 @@ def point_in_polygon(p: Pt, poly: Polygon) -> bool:
         if cmp(xi, px) > 0:
             inside = not inside
     return inside
-
-
-def coverage_multiplicity(polys: list[tuple[Polygon, int]], p: Pt) -> int:
-    return sum(m for poly, m in polys if point_in_polygon(p, poly))
 
 
 def _locate(v: Expr, vals: list[Expr]) -> tuple[int, bool]:
@@ -232,173 +219,100 @@ def _sorted_unique(vals: list[Expr]) -> list[Expr]:
     return out
 
 
-def _intersection_xs(edges):
-    xs = []
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            p1, q1 = edges[i]
-            p2, q2 = edges[j]
-            d1, d2 = sub2(q1, p1), sub2(q2, p2)
-            den = cross(d1, d2)
-            if sign(den) == 0:
-                continue
-            t_num = cross(sub2(p2, p1), d2)
-            u_num = cross(sub2(p2, p1), d1)
-            sden = sign(den)
-            t_num_s, u_num_s = sign(t_num), sign(u_num)
-            # require 0 <= t <= 1 and 0 <= u <= 1 (signs relative to den)
-            def frac_in_01(num, num_s):
-                if sden > 0:
-                    return num_s >= 0 and cmp(num, den) <= 0
-                return num_s <= 0 and cmp(num, den) >= 0
-
-            if frac_in_01(t_num, t_num_s) and frac_in_01(u_num, u_num_s):
-                t = cr.div(t_num, den)
-                xs.append(cr.add(p1[0], cr.mul(t, d1[0])))
-    return xs
-
-
 class CoverageResult:
     def __init__(self, equal, exact, max_multiplicity, witness=None):
         self.equal = equal
         self.exact = exact
         self.max_multiplicity = max_multiplicity
-        self.witness = witness  # sample point with differing multiplicity
+        self.witness = witness  # (point, ml, mr) where the sides differ
+
+
+def _crossing_x(e, f) -> Expr | None:
+    """The x where the non-vertical edges e and f cross strictly inside
+    both x-ranges, or None.  An edge is (x_lo, x_hi, slope, intercept, _)
+    with slope None when it is horizontal."""
+    se, sf = e[2] or cr.ZERO, f[2] or cr.ZERO
+    if cmp(se, sf) == 0:
+        return None
+    x = cr.div(cr.sub(f[3], e[3]), cr.sub(se, sf))
+    if all(cmp(g[0], x) < 0 < cmp(g[1], x) for g in (e, f)):
+        return x
+    return None
 
 
 def coverage_equal(
     lhs: list[tuple[Polygon, int]], rhs: list[tuple[Polygon, int]]
 ) -> CoverageResult:
     """True iff the two multiplicity functions agree everywhere off edges.
-    Rectilinear input is decided on the compressed coordinate grid, any
-    other input on the slab arrangement; both give the same `equal`,
-    `exact` and `max_multiplicity`."""
-    polys = [p for p, _ in lhs] + [p for p, _ in rhs]
-    if all(_rectilinear(poly) for poly in polys):
-        return _grid_coverage(lhs, rhs)
-    return _arrangement_coverage(lhs, rhs)
 
-
-def _rectilinear(poly: Polygon) -> bool:
-    """True iff each vertex shares an x or a y with the next one: every
-    edge is axis-parallel or has zero length."""
-    return all(
-        cmp(a[0], b[0]) == 0 or cmp(a[1], b[1]) == 0
-        for a, b in zip(poly, poly[1:] + poly[:1])
-    )
-
-
-def _grid_axis(vals: list[Expr]) -> tuple[list[Expr], list[int]]:
-    """The sorted distinct values and the index of each input value among
-    them, found by binary search with `cmp`."""
-    uniq = _sorted_unique(vals)
-    return uniq, [_locate(v, uniq)[0] for v in vals]
-
-
-def _grid_coverage(
-    lhs: list[tuple[Polygon, int]], rhs: list[tuple[Polygon, int]]
-) -> CoverageResult:
-    """Coverage of rectilinear polygons on the grid of their distinct vertex
-    coordinates, where no edge passes through the inside of a cell.  A cell
-    is inside a polygon when an odd number of its vertical edges cross the
-    cell's row to the right of it: the crossing-to-+x rule of
-    `point_in_polygon`, so non-simple polygons agree with the arrangement.
-    The witness is the centre of the first differing cell in x-then-y
-    order."""
-    sides = [(p, m, 0) for p, m in lhs if p] + [(p, m, 1) for p, m in rhs if p]
-    exact = all(polygon_exact_rational(p) for p, _, _ in sides)
-    verts = [v for p, _, _ in sides for v in p]
-    xs, ixs = _grid_axis([v[0] for v in verts])
-    ys, iys = _grid_axis([v[1] for v in verts])
-    # cell (i, j) lies between xs[i], xs[i + 1] and ys[j], ys[j + 1]; its
-    # multiplicity on each side is cover[side][i * ny + j]
-    nx, ny = max(len(xs) - 1, 0), max(len(ys) - 1, 0)
-    cover = ([0] * (nx * ny), [0] * (nx * ny))
-    start = 0
-    for poly, m, side in sides:
-        n = len(poly)
-        px, py = ixs[start:start + n], iys[start:start + n]
-        start += n
-        # crossing[l * ny + j]: parity of vertical edges on line l over row j
-        crossing = [0] * (len(xs) * ny)
-        for k in range(n):
-            if px[k] == px[k - 1]:
-                lo, hi = sorted((py[k], py[k - 1]))
-                for j in range(px[k] * ny + lo, px[k] * ny + hi):
-                    crossing[j] ^= 1
-        cells = cover[side]
-        x0, x1 = min(px), max(px)
-        for j in range(min(py), max(py)):
-            inside = 0
-            for i in range(x1 - 1, x0 - 1, -1):
-                inside ^= crossing[(i + 1) * ny + j]
-                if inside:
-                    cells[i * ny + j] += m
-    left, right = cover
-    max_mult = max([0, *left, *right])
-    half = cr.rational(1, 2)
-    for c, (ml, mr) in enumerate(zip(left, right)):
-        if ml != mr:
-            i, j = divmod(c, ny)
-            centre = (
-                cr.mul(cr.add(xs[i], xs[i + 1]), half),
-                cr.mul(cr.add(ys[j], ys[j + 1]), half),
-            )
-            return CoverageResult(False, exact, max_mult, (centre, ml, mr))
-    return CoverageResult(True, exact, max_mult)
-
-
-def _arrangement_coverage(
-    lhs: list[tuple[Polygon, int]], rhs: list[tuple[Polygon, int]]
-) -> CoverageResult:
-    """Coverage on the vertical-slab arrangement of all edges and their
-    crossings: one sample point per trapezoid, located by
-    `point_in_polygon`.  Decides any polygons; the reference the grid path
-    must agree with."""
-    all_polys = [p for p, _ in lhs] + [p for p, _ in rhs]
-    exact = all(polygon_exact_rational(p) for p in all_polys)
-    edges = [e for poly in all_polys for e in _edges(poly)]
-    xs = [p[0] for e in edges for p in e]
-    xs += _intersection_xs(edges)
+    One sweep over vertical slabs decides any polygons: the slabs lie
+    between consecutive distinct x values of the vertices and of the points
+    where a slanted edge crosses another edge, so the non-vertical edges
+    spanning a slab cut it into trapezoids.  Going up a slab, by exact
+    height at its middle, each edge flips its polygon's crossing parity
+    (the even-odd rule of `point_in_polygon`, so self-crossing polygons
+    count alike) and both sides keep their multiplicity as a running sum.
+    `max_multiplicity` covers every trapezoid; the witness is the centre of
+    the first differing one, slab by slab, bottom to top."""
+    polys = [(p, m, 0) for p, m in lhs] + [(p, m, 1) for p, m in rhs]
+    exact = all(polygon_exact_rational(p) for p, _, _ in polys)
+    xs: list[Expr] = []
+    edges = []  # (x_lo, x_hi, slope or None, intercept, polygon index)
+    for k, (poly, _, _) in enumerate(polys):
+        xs += [p[0] for p in poly]
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            c = cmp(a[0], b[0])
+            if c == 0:
+                continue  # a vertical or zero-length edge spans no slab
+            if c > 0:
+                a, b = b, a
+            if cmp(a[1], b[1]) == 0:
+                edges.append((a[0], b[0], None, a[1], k))
+            else:
+                s = cr.div(cr.sub(b[1], a[1]), cr.sub(b[0], a[0]))
+                edges.append((a[0], b[0], s, cr.sub(a[1], cr.mul(s, a[0])), k))
+    slanted = [e for e in edges if e[2] is not None]
+    flat = [e for e in edges if e[2] is None]
+    for i, e in enumerate(slanted):
+        for f in slanted[i + 1 :] + flat:
+            x = _crossing_x(e, f)
+            if x is not None:
+                xs.append(x)
     xs = _sorted_unique(xs)
-    equal = True
-    witness = None
-    max_mult = 0
-    one = cr.ONE
+    spans: list[list] = [[] for _ in xs[1:]]
+    for e in edges:
+        for i in range(_locate(e[0], xs)[0], _locate(e[1], xs)[0]):
+            spans[i].append(e)
     half = cr.rational(1, 2)
-    for i in range(len(xs) - 1):
-        xm = cr.mul(cr.add(xs[i], xs[i + 1]), half)
-        ys = []
-        for a, b in edges:
-            ca, cb = cmp(a[0], xm), cmp(b[0], xm)
-            if ca * cb == -1:
-                t = cr.div(cr.sub(xm, a[0]), cr.sub(b[0], a[0]))
-                ys.append(cr.add(a[1], cr.mul(t, cr.sub(b[1], a[1]))))
-        if not ys:
+    max_mult, witness = 0, None
+    for i, span in enumerate(spans):
+        if not span:
             continue
-        ys = _sorted_unique(ys)
-        samples = [cr.sub(ys[0], one)]
-        for j in range(len(ys) - 1):
-            samples.append(cr.mul(cr.add(ys[j], ys[j + 1]), half))
-        samples.append(cr.add(ys[-1], one))
-        for sy in samples:
-            p = (xm, sy)
-            ml = coverage_multiplicity(lhs, p)
-            mr = coverage_multiplicity(rhs, p)
-            max_mult = max(max_mult, ml, mr)
-            if ml != mr:
-                equal = False
-                if witness is None:
-                    witness = (p, ml, mr)
-    return CoverageResult(equal, exact, max_mult, witness)
+        xm = cr.mul(cr.add(xs[i], xs[i + 1]), half)
+        ys = sorted(
+            ((c if s is None else cr.add(cr.mul(s, xm), c), k) for _, _, s, c, k in span),
+            key=lambda yk: by_value(yk[0]),
+        )
+        inside = [False] * len(polys)
+        count = [0, 0]
+        # past the last edge of a slab every polygon has been left again
+        for (y, k), (above, _) in zip(ys, ys[1:]):
+            inside[k] = not inside[k]
+            _, m, side = polys[k]
+            count[side] += m if inside[k] else -m
+            if cmp(y, above) < 0:
+                ml, mr = count
+                max_mult = max(max_mult, ml, mr)
+                if ml != mr and witness is None:
+                    witness = ((xm, cr.mul(cr.add(y, above), half)), ml, mr)
+    return CoverageResult(witness is None, exact, max_mult, witness)
 
 
-def polys_overlap(a: Polygon, b: Polygon) -> bool:
-    """True iff the interiors intersect (positive-area overlap): the pair
-    covers some point twice, which `coverage_equal` decides on the grid
-    (boxes and gnomons) or on the arrangement (shapes with a slanted
-    edge)."""
-    return coverage_equal([(a, 1), (b, 1)], []).max_multiplicity >= 2
+def polys_overlap(*polys: Polygon) -> bool:
+    """True iff some point lies inside two of the polygons (positive-area
+    overlap).  Each polygon covers a point 0 or 1 times, so this is one
+    `coverage_equal` call that asks whether any point is covered twice."""
+    return coverage_equal([(p, 1) for p in polys], []).max_multiplicity >= 2
 
 
 # ---------------------------------------------------------------------------

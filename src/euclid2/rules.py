@@ -42,7 +42,7 @@ from .errors import (
     VEFailed,
 )
 from .record import Record
-from .script import Rule
+from .script import Flag, Rule
 from .terms import (
     Eq,
     Fig,
@@ -866,18 +866,14 @@ def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
     for t, n in Counter(figs).items():
         if n > 1:
             raise OverlapWithoutFlag(f"figure {t.name.letters} aggregated twice")
-    overlap = False
-    for i in range(len(figs)):
-        for j in range(i + 1, len(figs)):
-            pi_ = fb.region(figs[i].name.letters)
-            pj = fb.region(figs[j].name.letters)
-            if geo.polys_overlap(pi_, pj):
-                overlap = True
+    # one coverage question over all of them: is some point covered twice?
+    overlap = len(figs) > 1 and geo.polys_overlap(*(fb.region(t.name.letters) for t in figs))
     flags = ["aggregation"]
     if overlap:
-        if "allow-overlap" not in fb.flags:
+        if Flag.ALLOW_OVERLAP.value not in fb.flags:
             raise OverlapWithoutFlag(
-                "left-hand figures overlap and the script does not set allow-overlap"
+                "left-hand figures overlap and the script does not set "
+                + Flag.ALLOW_OVERLAP.value
             )
         flags.append("overlap")
     return StepOutcome(derived, tuple(flags))

@@ -62,6 +62,13 @@ class Rule(enum.Enum):
     BM = "BM"
 
 
+class Flag(enum.Enum):
+    """The words a `flags` header line may set; the parser rejects any
+    other word.  `allow-overlap` lets MERGE aggregate overlapping figures."""
+
+    ALLOW_OVERLAP = "allow-overlap"
+
+
 # ---------------------------------------------------------------------------
 # length expressions
 
@@ -420,7 +427,7 @@ class _Parser(Reader):
             self.end()
             self.params[name] = value
         elif head == "flags":
-            self.flags.update(self._list(self.read_run))
+            self.flags.update(self._list(self._flag))
         else:
             self.pos = 0
             raise self.err("header directive")
@@ -429,6 +436,15 @@ class _Parser(Reader):
         if self.toks[self.pos] in self.points:
             raise self.fail(f"duplicate point {self.toks[self.pos]}")
         self.points.append(self.name(1, 1, "single-letter point"))
+
+    def _flag(self) -> str:
+        at = self.pos
+        word = self.read_run()
+        try:
+            Flag(word)
+        except ValueError:
+            raise self.fail(f"unknown flag {word!r}", at) from None
+        return word
 
     def _list(self, read) -> list:
         """One or more items up to the end of the line."""

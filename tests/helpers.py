@@ -1,7 +1,8 @@
 """Test-only helpers over the checker's exact machinery: the corpus
 entries, a point from plain numbers, an interval of a chosen width, a
-coverage check of named figures, equality of content, the facts of the
-labelled grid cells, and exact identity checks on a grid."""
+coverage check of named figures, the sampled-arrangement coverage reference,
+equality of content, the facts of the labelled grid cells, and exact
+identity checks on a grid."""
 
 import itertools
 from fractions import Fraction
@@ -55,6 +56,69 @@ def verify_decomposition(
     left = [(dg.figure_region(inst, name), m) for name, m in lhs]
     right = [(dg.figure_region(inst, name), m) for name, m in rhs]
     return geo.coverage_equal(left, right)
+
+
+def coverage_multiplicity(polys: list[tuple[geo.Polygon, int]], p: geo.Pt) -> int:
+    return sum(m for poly, m in polys if geo.point_in_polygon(p, poly))
+
+
+def _intersection_xs(edges):
+    """The x of every crossing of two edges, tested pair by pair."""
+    xs = []
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            p1, q1 = edges[i]
+            p2, q2 = edges[j]
+            d1, d2 = geo.sub2(q1, p1), geo.sub2(q2, p2)
+            den = geo.cross(d1, d2)
+            sden = geo.sign(den)
+            if sden == 0:
+                continue
+            # 0 <= t <= 1 and 0 <= u <= 1, with signs relative to den
+            nums = (geo.cross(geo.sub2(p2, p1), d2), geo.cross(geo.sub2(p2, p1), d1))
+            if all(geo.sign(n) * sden >= 0 and geo.cmp(n, den) * sden <= 0 for n in nums):
+                t = cr.div(nums[0], den)
+                xs.append(cr.add(p1[0], cr.mul(t, d1[0])))
+    return xs
+
+
+def arrangement_coverage(
+    lhs: list[tuple[geo.Polygon, int]], rhs: list[tuple[geo.Polygon, int]]
+) -> geo.CoverageResult:
+    """The coverage reference: on the vertical-slab arrangement of all edges
+    and all their crossings, one sample point per trapezoid, located in each
+    polygon by `point_in_polygon`.  Independent of `geo.coverage_equal`'s
+    sweep, which must give the same `equal`, `exact` and
+    `max_multiplicity`."""
+    all_polys = [p for p, _ in lhs] + [p for p, _ in rhs]
+    exact = all(geo.polygon_exact_rational(p) for p in all_polys)
+    edges = [e for poly in all_polys for e in zip(poly, poly[1:] + poly[:1])]
+    xs = [p[0] for e in edges for p in e]
+    xs = geo._sorted_unique(xs + _intersection_xs(edges))
+    equal, witness, max_mult = True, None, 0
+    half = cr.rational(1, 2)
+    for i in range(len(xs) - 1):
+        xm = cr.mul(cr.add(xs[i], xs[i + 1]), half)
+        ys = []
+        for a, b in edges:
+            if geo.cmp(a[0], xm) * geo.cmp(b[0], xm) == -1:
+                t = cr.div(cr.sub(xm, a[0]), cr.sub(b[0], a[0]))
+                ys.append(cr.add(a[1], cr.mul(t, cr.sub(b[1], a[1]))))
+        if not ys:
+            continue
+        ys = geo._sorted_unique(ys)
+        samples = [cr.sub(ys[0], cr.ONE)]
+        samples += [cr.mul(cr.add(lo, hi), half) for lo, hi in zip(ys, ys[1:])]
+        samples.append(cr.add(ys[-1], cr.ONE))
+        for sy in samples:
+            p = (xm, sy)
+            ml, mr = coverage_multiplicity(lhs, p), coverage_multiplicity(rhs, p)
+            max_mult = max(max_mult, ml, mr)
+            if ml != mr:
+                equal = False
+                if witness is None:
+                    witness = (p, ml, mr)
+    return geo.CoverageResult(equal, exact, max_mult, witness)
 
 
 def equal_content(inst: dg.DiagramInstance, p: list[str], q: list[str]) -> bool:

@@ -22,6 +22,7 @@ from euclid2 import script as sc
 from euclid2 import svgout
 from euclid2 import terms as T
 from helpers import (
+    coverage_multiplicity,
     diorismos_holds_on_grid,
     holds_on_grid,
     negative_entries,
@@ -189,8 +190,8 @@ def test_criterion_5_overlap_multiplicity_and_grid_oracle():
     )
     lhs_regions = [(dg.figure_region(inst, n), 1) for n in ("AF", "CE")]
     rhs_regions = [(dg.figure_region(inst, n), 1) for n in ("KLM", "CF")]
-    assert geo.coverage_multiplicity(lhs_regions, mid) == 2
-    assert geo.coverage_multiplicity(rhs_regions, mid) == 2
+    assert coverage_multiplicity(lhs_regions, mid) == 2
+    assert coverage_multiplicity(rhs_regions, mid) == 2
 
     lhs = [_frac_polygon(p) for p, _ in lhs_regions]
     rhs = [_frac_polygon(p) for p, _ in rhs_regions]

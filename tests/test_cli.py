@@ -18,7 +18,7 @@ from euclid2 import oracle as orc
 from euclid2 import script as sc
 from euclid2.errors import RealizeFailed
 from euclid2.terms import Eq
-from helpers import all_entries
+from helpers import all_entries, arrangement_coverage
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "euclid2" / "corpus"
 DATA = Path(__file__).resolve().parent / "data"
@@ -139,18 +139,26 @@ def test_check_json_rejected_carries_cause(capsys):
 )
 def test_slanted_split_takes_the_arrangement(name, verdict, monkeypatch, capsys):
     """A rectangle cut by a slanted segment: VE compares figures with a
-    slanted edge, so coverage goes through the arrangement from the CLI."""
+    slanted edge from the CLI, and the one coverage call answers as the
+    sampled-arrangement reference does."""
     calls = []
-    arrangement = geo._arrangement_coverage
-    monkeypatch.setattr(
-        geo, "_arrangement_coverage", lambda *args: calls.append(args) or arrangement(*args)
-    )
+    coverage = geo.coverage_equal
+
+    def recording(*args):
+        calls.append((args, coverage(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(geo, "coverage_equal", recording)
     code, out, _ = run_cli(["check", "--json", str(DATA / name)], capsys)
     doc = json.loads(out)
     jsonschema.validate(doc, corpusdata.report_schema())
     assert doc["verdict"] == verdict
     assert code == (0 if verdict["status"] == "accepted" else 1)
-    assert len(calls) == 1
+    [(args, res)] = calls
+    reference = arrangement_coverage(*args)
+    assert (res.equal, res.exact, res.max_multiplicity) == (
+        reference.equal, reference.exact, reference.max_multiplicity)
+    assert res.equal is (verdict["status"] == "accepted")
 
 
 def test_ve_reads_rectangles_through_pi_namings(capsys):
@@ -355,11 +363,12 @@ qed
         "extend CD to E by 1",
         "extend CD to E with EB = AB",
         "intersect E = line CD x circle O above",
+        "join C D",
     ],
 )
 def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, capsys):
     """C and D are both the midpoint of AB, so the line CD has no length to
-    scale by and no direction to intersect along."""
+    join, scale by or intersect along."""
     bad = tmp_path / "zero.e2p"
     bad.write_text(ZERO_BASE.format(construction=construction))
     code, out, err = run_cli([command, str(bad)], capsys)
@@ -372,6 +381,25 @@ def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, ca
         assert err == f"realize failed: {reason}\n"
     else:
         assert err == f"diorismos: oracle error: realize failed: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, where",
+    [
+        ("flags allow-overlpa", "col 7: unknown flag 'allow-overlpa'"),
+        ("flags allow-overlap bogus", "col 21: unknown flag 'bogus'"),
+    ],
+)
+def test_unknown_flag_is_a_parse_error(flags, where, tmp_path, capsys):
+    """The checker reads only the flags it declares, so any other word is
+    a parse error at its column rather than a flag silently dropped."""
+    text = corpusdata.read_script_text("II_7.e2p")
+    assert "\nflags allow-overlap\n" in text
+    bad = tmp_path / "flags.e2p"
+    bad.write_text(text.replace("\nflags allow-overlap\n", f"\n{flags}\n"))
+    code, out, _ = run_cli(["check", str(bad)], capsys)
+    assert code == 2
+    assert f"parse error: line 10, {where}" in out
 
 
 def _counting_realize(monkeypatch) -> list:

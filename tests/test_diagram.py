@@ -23,6 +23,7 @@ from euclid2.errors import (
 from helpers import (
     GRID,
     all_entries,
+    coverage_multiplicity,
     equal_content,
     negative_entries,
     pt,
@@ -386,9 +387,8 @@ def test_brute_force_grid_agreement_ii1_to_ii6():
                 px = x0 + (x1 - x0) * Fraction(2 * i + 1, 2 * n)
                 py = y0 + (y1 - y0) * Fraction(2 * j + 1, 2 * n)
                 p = pt(px, py)
-                assert geo.coverage_multiplicity(left, p) == geo.coverage_multiplicity(
-                    right, p
-                ), (name, px, py)
+                assert coverage_multiplicity(left, p) == coverage_multiplicity(right, p), (
+                    name, px, py)
 
 
 def test_refine_sign_examples():

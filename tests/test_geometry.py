@@ -9,7 +9,7 @@ from euclid2 import corpusdata, rules
 from euclid2 import geometry as geo
 from euclid2 import script as sc
 from euclid2.errors import InvalidParam
-from helpers import all_entries, negative_entries, pt
+from helpers import all_entries, arrangement_coverage, coverage_multiplicity, negative_entries, pt
 
 
 def P(x, y):
@@ -65,8 +65,8 @@ def test_polys_overlap():
     assert not geo.polys_overlap(box(0, 0, 1, 1), box(1, 0, 2, 1))
 
 
-def _arrangement_overlap(a, b):
-    return geo._arrangement_coverage([(a, 1), (b, 1)], []).max_multiplicity >= 2
+def _arrangement_overlap(*polys):
+    return arrangement_coverage([(p, 1) for p in polys], []).max_multiplicity >= 2
 
 
 @pytest.mark.parametrize(
@@ -121,26 +121,38 @@ def test_crossed_quadrilateral_is_not_a_box():
 
 
 def test_merge_sends_no_box_pair_to_the_arrangement(monkeypatch):
-    """II.8's MERGE step tests 15 pairs of boxes for overlap; the grid
-    decides each of them without the slab arrangement."""
+    """II.8's MERGE step asks once whether its six boxes cover some point
+    twice, and gets the answer of the reference tested pair by pair."""
     overlaps = _count_calls(monkeypatch, "polys_overlap")
     located = _count_calls(monkeypatch, "point_in_polygon")
-    crossed = _count_calls(monkeypatch, "_intersection_xs")
     report = rules.check_proof(sc.parse_script(corpusdata.read_script_text("II_8.e2p")))
     assert report.accepted
-    assert len(overlaps) == 15
-    assert all(geo.box_of(a) and geo.box_of(b) for a, b in overlaps)
-    assert located == [] and crossed == []
+    assert located == []
+    [boxes] = overlaps
+    assert len(boxes) == 6 and all(geo.box_of(b) for b in boxes)
+    pairs = [(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]]
+    assert not any(_arrangement_overlap(a, b) for a, b in pairs)
+    assert _arrangement_overlap(*boxes) is False
 
 
-def test_grid_witness_is_the_first_differing_cell():
-    """Rectilinear coverage is decided cell by cell on the grid of vertex
-    coordinates; the witness is the centre of the first differing cell in
-    x-then-y order, with both multiplicities."""
+def test_merge_overlap_is_one_question_over_all_figures():
+    """Some point lies inside two of the polygons exactly when some pair of
+    them overlaps, whatever the number of polygons."""
+    a, b, c = box(0, 0, 1, 1), box(1, 0, 2, 1), box(0, 1, 2, 2)
+    assert geo.polys_overlap(a, b, c) is False
+    assert geo.polys_overlap(a, b, c, box("1/2", "1/2", "3/2", "3/2")) is True
+    assert geo.polys_overlap(a) is False and geo.polys_overlap() is False
+
+
+def test_witness_is_the_centre_of_the_first_differing_trapezoid():
+    """The witness is the centre of the first trapezoid whose multiplicities
+    differ, slab by slab and bottom to top, with both multiplicities.  In
+    the slab 1 < x < 2 only the left box spans, so its one trapezoid runs
+    from y = 0 to y = 2."""
     res = geo.coverage_equal([(box(0, 0, 3, 2), 1)], [(box(0, 0, 1, 2), 1), (box(2, 1, 3, 2), 2)])
     assert not res.equal and res.exact and res.max_multiplicity == 2
     (x, y), ml, mr = res.witness
-    assert (x.rat, y.rat, ml, mr) == (Fraction(3, 2), Fraction(1, 2), 1, 0)
+    assert (x.rat, y.rat, ml, mr) == (Fraction(3, 2), Fraction(1), 1, 0)
 
 
 def _count_calls(monkeypatch, name):
@@ -156,36 +168,37 @@ def _count_calls(monkeypatch, name):
 
 
 def test_corpus_sends_no_coverage_to_the_arrangement(monkeypatch):
-    """Every corpus coverage call (VE, and MERGE's overlap pairs of boxes
-    and gnomons) has only axis-parallel edges, so none of them samples
-    points or intersects edges; the verdicts stay those of expected.json."""
+    """Every corpus coverage call (VE, and MERGE's overlap questions over
+    boxes and gnomons) has only axis-parallel edges, so the sweep locates
+    no point and computes no crossing; the verdicts stay those of
+    expected.json."""
     located = _count_calls(monkeypatch, "point_in_polygon")
-    crossed = _count_calls(monkeypatch, "_intersection_xs")
+    crossed = _count_calls(monkeypatch, "_crossing_x")
     covered = _count_calls(monkeypatch, "coverage_equal")
+    overlaps = _count_calls(monkeypatch, "polys_overlap")
     for entry in all_entries() + negative_entries():
         script = sc.parse_script(corpusdata.read_script_text(entry["file"]))
         report = rules.check_proof(script, profile=entry["profile"])
         assert report.verdict == entry["verdict"], entry["file"]
-    assert len(covered) == 58
+    # 29 VE steps and one overlap question for each of 6 MERGE steps
+    assert (len(covered), len(overlaps)) == (35, 6)
     assert located == [] and crossed == []
 
 
-def test_a_slanted_edge_takes_the_arrangement(monkeypatch):
-    """A triangle beside a box has a slanted edge, so the whole input goes
-    through the arrangement and gets its answer."""
-    crossed = _count_calls(monkeypatch, "_intersection_xs")
+def test_a_slanted_edge_takes_the_arrangement():
+    """A triangle beside a box has a slanted edge; the sweep gives the
+    answer of the sampled arrangement, and its witness lies in the box."""
     triangle = (P(0, 0), P(2, 0), P(0, 2))
     beside = box(2, 0, 3, 1)
     halves = [((P(0, 0), P(2, 0), P(2, 2)), 1), ((P(0, 0), P(2, 2), P(0, 2)), 1)]
     assert geo.coverage_equal([(box(0, 0, 2, 2), 1)], halves).equal
     res = geo.coverage_equal([(triangle, 1), (beside, 1)], [(triangle, 1)])
-    reference = geo._arrangement_coverage([(triangle, 1), (beside, 1)], [(triangle, 1)])
-    assert len(crossed) == 3
+    reference = arrangement_coverage([(triangle, 1), (beside, 1)], [(triangle, 1)])
     assert not res.equal and res.max_multiplicity == 1
     assert (res.equal, res.exact, res.max_multiplicity) == (
         reference.equal, reference.exact, reference.max_multiplicity)
     (x, y), ml, mr = res.witness
-    assert (ml, mr) == (1, 0) and 2 < x.rat < 3 and 0 < y.rat < 1
+    assert (x.rat, y.rat, ml, mr) == (Fraction(5, 2), Fraction(1, 2), 1, 0)
 
 
 _S2 = cr.sqrt(cr.const(2))
@@ -246,17 +259,64 @@ def rectilinear_sides(draw):
 @settings(max_examples=60, deadline=None)
 @given(rectilinear_sides())
 def test_grid_coverage_equals_the_arrangement(sides):
-    lhs, rhs = sides
-    grid = geo.coverage_equal(lhs, rhs)
-    reference = geo._arrangement_coverage(lhs, rhs)
-    assert grid.equal is reference.equal
-    assert grid.exact is reference.exact
-    assert grid.max_multiplicity == reference.max_multiplicity
-    if not grid.equal:
-        point, ml, mr = grid.witness
+    _assert_matches_the_arrangement(*sides)
+
+
+def _assert_matches_the_arrangement(lhs, rhs):
+    """The sweep and the sampled-arrangement reference agree on `equal`,
+    `exact` and `max_multiplicity`, and the reference finds the witness's
+    multiplicities at the witness."""
+    res = geo.coverage_equal(lhs, rhs)
+    reference = arrangement_coverage(lhs, rhs)
+    assert res.equal is reference.equal
+    assert res.exact is reference.exact
+    assert res.max_multiplicity == reference.max_multiplicity
+    if not res.equal:
+        point, ml, mr = res.witness
         assert ml != mr
-        assert geo.coverage_multiplicity(lhs, point) == ml
-        assert geo.coverage_multiplicity(rhs, point) == mr
+        assert coverage_multiplicity(lhs, point) == ml
+        assert coverage_multiplicity(rhs, point) == mr
+
+
+@st.composite
+def slanted_sides(draw):
+    """Two sides of triangles to pentagons (often slanted, self-crossing or
+    degenerate) and boxes, with multiplicities 1-3, on a few shared
+    rational or Q(sqrt 2) coordinates.  Half the time the right side
+    repeats the left one turned, or splits a left polygon along one of its
+    diagonals, and possibly adds a shape."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+
+    def shape():
+        if draw(st.booleans()):
+            (x1, x2), (y1, y2) = (
+                sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2)),
+                       key=geo.by_value) for _ in range(2))
+            return geo.box_polygon(x1, y1, x2, y2)
+        n = draw(st.integers(3, 5))
+        return tuple((draw(st.sampled_from(pool)), draw(st.sampled_from(pool))) for _ in range(n))
+
+    def side(lo):
+        return [(shape(), draw(st.integers(1, 3))) for _ in range(draw(st.integers(lo, 2)))]
+
+    lhs = side(1)
+    if draw(st.booleans()):
+        return lhs, side(0)
+    rhs = []
+    for poly, m in lhs:
+        k = draw(st.integers(0, len(poly) - 1))
+        turned = poly[k:] + poly[:k]
+        if len(turned) == 4 and draw(st.booleans()):
+            rhs += [(turned[:3], m), (turned[2:] + turned[:1], m)]
+        else:
+            rhs.append((turned, m))
+    return lhs, rhs + side(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slanted_sides())
+def test_slanted_coverage_equals_the_arrangement(sides):
+    _assert_matches_the_arrangement(*sides)
 
 
 def test_gnomon_polygon():

@@ -357,6 +357,14 @@ def test_merge_unbound_figure_is_not_skipped(ii4):
         )
 
 
+def test_merge_with_one_left_figure_resolves_no_region(ii4):
+    """One left-hand figure cannot overlap another, so MERGE asks no
+    coverage question and an unbound name there does not fail the step."""
+    claim = ps("fig(XY) + sq(CB) = sq(AC) + sq(CB)")
+    out = rules.rule_MERGE(ii4, claim, [ps("XY on AC"), ps("sq(CB) = sq(CB)")])
+    assert T.stmt_equal(out.derived, claim) and out.flags == ("aggregation",)
+
+
 def test_merge_rejects_a_figure_aggregated_twice(ii4):
     with pytest.raises(OverlapWithoutFlag, match="HF aggregated twice"):
         rules.rule_MERGE(

@@ -24,6 +24,7 @@ ALLOWED = {
     "corpusdata.read_script_text": _BENCHMARK,
     "corpusdata.report_schema": "public API: the shipped report schema; tests/test_cli.py",
     "errors.ParseError.__init__": _PARSE_ERROR,
+    "geometry.point_in_polygon": _BENCHMARK + "; the coverage reference in tests/helpers.py",
     "errors.UndeclaredPoint.__init__": "user-reachable: undeclared point; "
     "tests/test_parser.py::test_undeclared_point",
     "errors.UnknownRule.__init__": _PARSE_ERROR,
