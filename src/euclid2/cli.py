@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import diagram as dg
@@ -115,7 +114,7 @@ def _cmd_oracle(args) -> int:
     records_out = []
     for label, stmt in targets:
         try:
-            records = orc.evaluate_draws(stmt, draws, args.tol)
+            records = orc.evaluate_draws(stmt, draws)
             if draw_error is not None:
                 raise draw_error
         except Euclid2Error as exc:
@@ -137,13 +136,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
-
-
-def _tolerance(text: str) -> Fraction:
-    tol = Fraction(text).limit_denominator(10**15)
-    if tol < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
-    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check equality claims numerically")
     p.add_argument("file")
     p.add_argument("--samples", type=_positive_int, default=20)
-    p.add_argument("--tol", type=_tolerance, default="1e-9")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)

@@ -18,16 +18,16 @@ r1 != r2 name one field when r1*r2 is a perfect square.  Exact values are
 plain values: equality is decided by `exact_key` (for a + b*sqrt(r): a, the
 sign of b and b*b*r), never by object identity.  Everything else (nested or
 mixed radicals) is a radical node.  Radical nodes are shared through a weak
-table, so equal constructions give one node while any caller holds it, and
-the table never outlives its users.  Their signs fall back to interval
-refinement with outward-rounded dyadic endpoints, doubling precision until
-the sign is separated or the bit budget runs out.
+table, so equal constructions give one node while any caller holds it (a
+sum or product whatever the order of its operands), and the table never
+outlives its users.  Their signs fall back to interval refinement with
+outward-rounded dyadic endpoints, doubling precision until the sign is
+separated or the bit budget runs out.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from fractions import Fraction
 
@@ -38,12 +38,7 @@ _MIN_BITS = 64
 
 
 def max_bits_budget() -> int:
-    env = os.environ.get("EUCLID2_MAX_BITS")
-    if env:
-        try:
-            return max(_MIN_BITS, int(env))
-        except ValueError:
-            pass
+    """The precision at which interval refinement gives up."""
     return DEFAULT_MAX_BITS
 
 
@@ -200,7 +195,10 @@ def _sqrt_interval(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def _intern(kind, args) -> Expr:
-    key = (kind,) + tuple(exact_key(a) for a in args)
+    keys = [exact_key(a) for a in args]
+    if kind == "add" or kind == "mul":
+        keys.sort()  # so that x+y and y+x are one node
+    key = (kind, *keys)
     node = Expr._table.get(key)
     if node is None:
         node = Expr(kind, args, 0, 0, None)
@@ -366,7 +364,7 @@ def neg(x: Expr) -> Expr:
     return sub(ZERO, x)
 
 
-def refine_sign(x: Expr, max_bits: int | None = None) -> int:
+def refine_sign(x: Expr) -> int:
     """-1, 0 or +1.  Exact for rationals and single-radical quadratic values;
     interval refinement otherwise; raises Undecidable at the bit budget."""
     if x.den:
@@ -383,11 +381,8 @@ def refine_sign(x: Expr, max_bits: int | None = None) -> int:
         if b > 0:  # a < 0
             return 1 if b * b * r > a * a else -1
         return 1 if a * a > b * b * r else -1
-    limit = max_bits if max_bits is not None else max_bits_budget()
-    if limit < _MIN_BITS:
-        raise ValueError("max_bits must be >= 64")
     bits = _MIN_BITS
-    while bits <= limit:
+    while bits <= DEFAULT_MAX_BITS:
         try:
             lo, hi = x.interval(bits)
         except _IntervalIndeterminate:
@@ -398,7 +393,7 @@ def refine_sign(x: Expr, max_bits: int | None = None) -> int:
         if hi < 0:
             return -1
         bits *= 2
-    raise Undecidable(f"sign not separated within {limit} bits")
+    raise Undecidable(f"sign not separated within {DEFAULT_MAX_BITS} bits")
 
 
 def midpoint(x: Expr, bits: int = 80) -> Fraction:

@@ -2,8 +2,10 @@
 
 The construction is realized at seeded random rational parameter draws, and
 both sides of an equality are evaluated there as exact areas and lengths
-(rationals, Q(sqrt r) values or radical nodes), then compared with a relative
-tolerance.  Realizing the construction is what lets the oracle read every
+(rationals, Q(sqrt r) values or radical nodes) and compared exactly, by the
+comparison `diagram.statement_holds` uses; a difference that cannot be
+decided is a typed `Undecidable`.  The floats in a record are for display
+only.  Realizing the construction is what lets the oracle read every
 statement, including those that hold only because the construction fixes a
 length (the golden cut of II.11).
 
@@ -17,9 +19,14 @@ from fractions import Fraction
 
 from . import constructible as cr
 from . import diagram as dg
+from . import geometry as geo
 from . import script as sc
 from . import terms as T
 from .errors import DiagramError, Euclid2Error, RealizeFailed
+
+
+# Draws tried before a draw-dependent realize failure is final.
+_RETRIES = 50
 
 
 def _base_params(script: sc.Script) -> dict[str, Fraction]:
@@ -43,7 +50,7 @@ def _realize_error(script: sc.Script, params: dict[str, Fraction]) -> str | None
 
 
 def sample_instance(
-    script: sc.Script, rng: random.Random, retries: int = 50
+    script: sc.Script, rng: random.Random
 ) -> tuple[dg.DiagramInstance, dict[str, Fraction]]:
     """Realize the script at a random parameter draw, retrying failed draws.
     The first failure is final when the script fails the same way at the
@@ -51,7 +58,7 @@ def sample_instance(
     those), as it then does not depend on the draw."""
     base = _base_params(script)
     last = None
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         params = _draw_params(script, rng)
         try:
             return dg.realize(script, params), params
@@ -59,7 +66,7 @@ def sample_instance(
             if last is None and (params == base or _realize_error(script, base) == str(exc)):
                 raise RealizeFailed(f"realize failed: {exc}") from exc
             last = exc
-    raise RealizeFailed(f"no valid parameter draw after {retries} tries: {last}")
+    raise RealizeFailed(f"no valid parameter draw after {_RETRIES} tries: {last}")
 
 
 Draw = tuple[dg.DiagramInstance, dict[str, Fraction]]  # as sample_instance returns
@@ -82,48 +89,19 @@ def draw_samples(
     return draws, None
 
 
-def _evaluate_sample(
-    inst: dg.DiagramInstance, stmt: T.Eq, tol: Fraction
-) -> tuple[bool, Fraction, Fraction]:
-    """(holds within tol, lhs midpoint, rhs midpoint) in one realized
-    instance; each side is evaluated once."""
-    return _within(dg.sum_value(inst, stmt.lhs), dg.sum_value(inst, stmt.rhs), tol)
-
-
-def _within(lhs: cr.Expr, rhs: cr.Expr, tol: Fraction) -> tuple[bool, Fraction, Fraction]:
-    """(|lhs - rhs| <= tol * max(1, |lhs|), lhs midpoint, rhs midpoint).  Two
-    rationals are compared by cross-multiplying their ints."""
-    ln, ld, rn, rd = lhs.num, lhs.den, rhs.num, rhs.den
-    if ld and rd:
-        tn, td = tol.numerator, tol.denominator
-        ok = abs(ln * rd - rn * ld) * td <= tn * max(ld, abs(ln)) * rd
-        return ok, Fraction(ln, ld), Fraction(rn, rd)
-    lhs_mid = cr.midpoint(lhs, 128)
-    diff = cr.sub(lhs, rhs)
-    budget = tol * max(Fraction(1), abs(lhs_mid))
-    if diff.den:
-        err = abs(diff.rat)
-    elif diff.q is not None:
-        err = abs(cr.midpoint(diff, 256))
-    else:
-        lo, hi = diff.interval(256)
-        err = max(abs(lo), abs(hi))
-    return err <= budget, lhs_mid, cr.midpoint(rhs, 128)
-
-
-def evaluate_draws(stmt: T.Eq, draws: list[Draw], tol: Fraction) -> list[dict]:
+def evaluate_draws(stmt: T.Eq, draws: list[Draw]) -> list[dict]:
     """One record per draw: both sides of the equality evaluated once in
-    its instance and compared within tol."""
+    its instance and compared exactly."""
     records = []
     for k, (inst, params) in enumerate(draws):
-        ok, lhs, rhs = _evaluate_sample(inst, stmt, tol)
+        lhs, rhs = dg.sum_value(inst, stmt.lhs), dg.sum_value(inst, stmt.rhs)
         records.append(
             {
                 "sample": k,
                 "params": {n: T.rational_text(v) for n, v in params.items()},
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-                "ok": ok,
+                "lhs": float(cr.midpoint(lhs, 128)),
+                "rhs": float(cr.midpoint(rhs, 128)),
+                "ok": geo.cmp(lhs, rhs) == 0,
             }
         )
     return records
@@ -133,16 +111,14 @@ def check_numeric_detailed(
     stmt: T.Eq,
     script: sc.Script,
     samples: int = 20,
-    tol: float | Fraction = Fraction(1, 10**9),
     seed: int = 0,
 ) -> list[dict]:
     """One record per seeded sample; the statement holds numerically when
     every record is `ok`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tol = Fraction(tol).limit_denominator(10**15) if not isinstance(tol, Fraction) else tol
     draws, error = draw_samples(script, samples, seed)
-    records = evaluate_draws(stmt, draws, tol)
+    records = evaluate_draws(stmt, draws)
     if error is not None:
         raise error
     return records

@@ -89,17 +89,6 @@ def color_of(rule: Rule) -> ColorClass:
 # fact base
 
 
-def _side_ckey(a: str, b: str | None):
-    """The union-find key of segment ab, or of the standalone segment a."""
-    if b is None:
-        return ("lone", a)
-    return ("pp", a, b) if a < b else ("pp", b, a)
-
-
-def _seg_ckey(s: T.Segment):
-    return _side_ckey(s.a, s.b)
-
-
 class FactBase:
     """Normalized statements with provenance.  Segment equalities live in a
     union-find so chains cited inline (Euclid's "DK, that is to say BG, is
@@ -125,14 +114,14 @@ class FactBase:
             provenance = f"construction:{fact.reason}"
             if fact.kind == "segeq":
                 (a, b), (c, d) = fact.labels
-                self._seed_segeq(_side_ckey(a, b), _side_ckey(c, d), provenance)
+                self._seed_segeq(T.side_key(a, b), T.side_key(c, d), provenance)
             elif fact.kind == "rangle":
                 self._seed_rangle(*fact.labels, provenance)
             else:
                 self.add(fact.statement, provenance)
         for bl, br, tr, tl, square in inst.cells():
-            left, right = _side_ckey(tl, bl), _side_ckey(tr, br)
-            top, bottom = _side_ckey(tl, tr), _side_ckey(bl, br)
+            left, right = T.side_key(tl, bl), T.side_key(tr, br)
+            top, bottom = T.side_key(tl, tr), T.side_key(bl, br)
             self._seed_segeq(left, right, "construction:I34-OppositeSides")
             self._seed_segeq(top, bottom, "construction:I34-OppositeSides")
             for v, p, q in ((bl, br, tl), (br, bl, tr), (tr, br, tl), (tl, bl, tr)):
@@ -142,11 +131,11 @@ class FactBase:
                 self._seed_segeq(right, bottom, "construction:SquareSides")
                 self._seed_segeq(bottom, left, "construction:SquareSides")
 
-    def _seed_segeq(self, s: tuple, t: tuple, provenance: str):
-        """The equality of the sides with union-find keys s and t (see
-        `_side_ckey`) goes in as `add` would put it (under its `stmt_key`,
-        first provenance kept), without building the statement."""
-        key = T.segeq_key("".join(s[1:]), "".join(t[1:]))
+    def _seed_segeq(self, s: str, t: str, provenance: str):
+        """The equality of the sides with keys s and t (see `T.side_key`)
+        goes in as `add` would put it (under its `stmt_key`, first
+        provenance kept), without building the statement."""
+        key = T.segeq_key(s, t)
         if key not in self._stmts:
             self._stmts[key] = provenance
             self._union(s, t)
@@ -178,7 +167,7 @@ class FactBase:
             return
         self._stmts[key] = provenance
         if isinstance(stmt, SegEq):
-            self._union(_seg_ckey(stmt.a), _seg_ckey(stmt.b))
+            self._union(T.seg_key(stmt.a), T.seg_key(stmt.b))
         elif isinstance(stmt, RightAngle):
             self._rangles.append((stmt.vertex, stmt.arm1, stmt.arm2))
         elif isinstance(stmt, (Pi, IsSq)):
@@ -187,7 +176,7 @@ class FactBase:
             self._eqs.append(stmt)
 
     def has_segeq(self, a: T.Segment, b: T.Segment) -> bool:
-        ka, kb = _seg_ckey(a), _seg_ckey(b)
+        ka, kb = T.seg_key(a), T.seg_key(b)
         if ka == kb:
             return True
         return self._find(ka) == self._find(kb)

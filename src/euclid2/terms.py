@@ -297,8 +297,15 @@ Statement = Pi | IsSq | SegEq | RightAngle | Eq
 STATEMENTS: tuple[type[Syntax], ...] = typing.get_args(Statement)
 
 
-def _seg_key(s: Segment) -> str:
+def seg_key(s: Segment) -> str:
+    """A segment's key: its two points in order, or a standalone name."""
     return s.a + (s.b or "")
+
+
+def side_key(a: str, b: str | None) -> str:
+    """`seg_key` of the segment with endpoint labels a and b in either
+    order, or of the standalone segment a when b is None."""
+    return a if b is None else a + b if a < b else b + a
 
 
 def stmt_key(s: Statement):
@@ -307,11 +314,11 @@ def stmt_key(s: Statement):
         sides = sorted([sum_key(s.lhs), sum_key(s.rhs)])
         return ("eq", sides[0], sides[1])
     if isinstance(s, Pi):
-        return ("pi", s.figure.letters, _seg_key(s.first), _seg_key(s.second))
+        return ("pi", s.figure.letters, seg_key(s.first), seg_key(s.second))
     if isinstance(s, IsSq):
-        return ("on", s.figure.letters, _seg_key(s.side))
+        return ("on", s.figure.letters, seg_key(s.side))
     if isinstance(s, SegEq):
-        return segeq_key(_seg_key(s.a), _seg_key(s.b))
+        return segeq_key(seg_key(s.a), seg_key(s.b))
     if isinstance(s, RightAngle):
         return rangle_key(s.vertex, s.arm1, s.arm2)
     raise TypeError(s)

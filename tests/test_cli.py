@@ -268,6 +268,50 @@ def test_oracle_corrupted_claim_fails(tmp_path, capsys):
     assert "FAILED" in out
 
 
+_NEAR_MISS = """prop near-miss
+points A B C
+line A C B
+construct:
+  place AB = 1
+  cut C on AB at 999999999999/1000000000000
+claim: sq(AB) = sq(AC)
+proof:
+qed
+"""
+# AC = sqrt 2 and AE = sqrt 3, so rect(AC,AE) is a radical node
+_MIXED = """prop mixed-radicands
+points A B C D E
+construct:
+  place AB = 1
+  square ABCD on AB below
+  perp E from B on AB above len |AC|
+claim: {claim}
+proof:
+qed
+"""
+
+
+@pytest.mark.parametrize(
+    "text, code, out, err",
+    [
+        # one part in 10**12 apart: decided false, however close
+        (_NEAR_MISS, 1, "diorismos: FAILED (2 samples)\n", ""),
+        # commuted operands are one node, so the difference is an exact zero
+        (_MIXED.format(claim="rect(AC,AE) = rect(AE,AC)"), 0, "diorismos: ok (2 samples)\n", ""),
+        # (x + 1) + 1 and x + 2 are two nodes that intervals never separate
+        (
+            _MIXED.format(claim="rect(AC,AE) + sq(AB) + sq(AB) = rect(AC,AE) + 2*sq(AB)"),
+            1, "", "diorismos: oracle error: sign not separated within 4096 bits\n",
+        ),
+    ],
+    ids=["near-miss", "commuted", "reassociated"],
+)
+def test_oracle_decides_each_draw_exactly(text, code, out, err, tmp_path, capsys):
+    path = tmp_path / "claim.e2p"
+    path.write_text(text)
+    assert run_cli(["oracle", str(path), "--samples", "2"], capsys) == (code, out, err)
+
+
 def test_emit_certs_sidecar(tmp_path, capsys):
     sidecar = tmp_path / "ii4.cert.json"
     path = str(CORPUS / "II_4.e2p")
@@ -447,7 +491,7 @@ def test_draw_dependent_failure_still_retries(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--samples", "0"], ["--samples", "-3"], ["--tol", "abc"]]
+    "flags", [["--samples", "0"], ["--samples", "-3"], ["--tol", "1e-9"]]
 )
 def test_oracle_bad_option_exit_two(flags, capsys):
     code, out, _ = run_cli(["oracle", str(CORPUS / "II_4.e2p"), *flags], capsys)

@@ -77,6 +77,19 @@ def test_equal_radical_constructions_share_one_node():
     assert cr.exact_key(a) == cr.exact_key(b)
 
 
+def test_commuted_operands_share_one_node():
+    s2, s3 = cr.sqrt(cr.const(2)), cr.sqrt(cr.const(3))
+    for op in (cr.add, cr.mul):
+        assert op(s2, s3) is op(s3, s2)
+    # |pq| for p = (sqrt2, sqrt3), q = (1, 1), and the same segment turned a
+    # quarter about r = (0, 0): (1-sqrt2)^2 + (1-sqrt3)^2 against
+    # (sqrt3-1)^2 + (1-sqrt2)^2, summed in the other order
+    p, q, r = (s2, s3), (cr.ONE, cr.ONE), (cr.ZERO, cr.ZERO)
+    s = (cr.sub(s3, cr.ONE), cr.sub(cr.ONE, s2))
+    assert geo.cmp(geo.dist2(p, q), geo.dist2(r, s)) == 0
+    assert geo.equal_length(p, q, r, s)
+
+
 def test_no_global_state_survives_check_and_oracle():
     for entry in all_entries() + negative_entries():
         script = sc.parse_script(corpusdata.read_script_text(entry["file"]))
@@ -108,7 +121,7 @@ def test_undecidable_at_budget():
     z = cr.sub(prod, s2)
     assert z.den == 0 and z.quad is None
     with pytest.raises(Undecidable):
-        cr.refine_sign(z, max_bits=256)
+        cr.refine_sign(z)
 
 
 def test_division_by_exact_zero_raises():

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,21 +80,17 @@ def test_extended_ve_flag_in_ii6():
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["prop"])
 def test_oracle_soundness_of_accepted_equalities(entry):
-    """Every equality accepted in a corpus proof holds numerically on 20
-    seeded random instances within 1e-9 relative tolerance (the accepted
-    hypotheses are included)."""
+    """Every equality accepted in a corpus proof holds exactly on 20 seeded
+    random instances (the accepted hypotheses are included)."""
     script = load(entry["file"])
     report = rules.check_proof(script, profile=entry["profile"])
     assert report.accepted
     eqs = [h.stmt for h in script.hypotheses if isinstance(h.stmt, T.Eq)]
     eqs += [s.claim for s in script.steps if isinstance(s.claim, T.Eq)]
     rng = random.Random(917)
-    tol = Fraction(1, 10**9)
-    for _ in range(20):
-        inst, _params = orc.sample_instance(script, rng)
-        for stmt in eqs:
-            ok, _lhs, _rhs = orc._evaluate_sample(inst, stmt, tol)
-            assert ok, (entry["prop"], stmt.text())
+    draws = [orc.sample_instance(script, rng) for _ in range(20)]
+    for stmt in eqs:
+        assert all(r["ok"] for r in orc.evaluate_draws(stmt, draws)), (entry["prop"], stmt.text())
 
 
 def test_reports_are_deterministic():
@@ -256,10 +251,3 @@ def test_ve_area_identity_every_corpus_ve_step():
                     dg.sum_value(inst, claim.lhs), dg.sum_value(inst, claim.rhs)
                 )
                 assert cr.refine_sign(diff) == 0, (entry["prop"], step.index)
-
-
-def test_max_bits_env_override(monkeypatch):
-    monkeypatch.setenv("EUCLID2_MAX_BITS", "8192")
-    assert cr.max_bits_budget() == 8192
-    monkeypatch.delenv("EUCLID2_MAX_BITS")
-    assert cr.max_bits_budget() == cr.DEFAULT_MAX_BITS

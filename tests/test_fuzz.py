@@ -1,12 +1,16 @@
 """Mutated corpus scripts: realizing, rendering and checking them either
 works or raises a typed `Euclid2Error`, never anything else."""
 
+import contextlib
+import io
 import re
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euclid2 import corpusdata
+from euclid2 import cli, corpusdata
 from euclid2 import diagram as dg
 from euclid2 import rules
 from euclid2 import script as sc
@@ -78,6 +82,19 @@ def test_mutated_construction_realizes_or_raises_a_typed_error(text):
         svgout.render_svg(script, inst)
     except Euclid2Error:
         pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_scripts())
+def test_oracle_on_a_mutated_construction_exits_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.e2p"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["oracle", str(path), "--samples", "2"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 # ---------------------------------------------------------------------------

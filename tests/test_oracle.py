@@ -1,10 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import oracle as orc
 from euclid2 import script as sc
@@ -110,43 +107,9 @@ def test_exact_numeric_agreement_ii1_to_ii8():
                  "II_6.e2p", "II_7.e2p"]:
         script = load(name)
         exact = diorismos_holds_on_grid(script)
-        numeric = holds_numeric(
-            script.diorismos, script, samples=20, tol=Fraction(1, 10**12), seed=5
-        )
+        numeric = holds_numeric(script.diorismos, script, samples=20, seed=5)
         assert exact and numeric, name
     script = load("II_4.e2p")
     corrupted = ps("sq(AB) = sq(AC) + sq(CB) + rect(AC,CB)")  # 2*rect halved
     assert not diorismos_holds_on_grid(script, corrupted)
     assert not holds_numeric(corrupted, script, samples=3, seed=5)
-
-
-# ---------------------------------------------------------------------------
-# the tolerance test on exact rationals
-
-
-def _fraction_within(lhs: Fraction, rhs: Fraction, tol: Fraction) -> bool:
-    return abs(lhs - rhs) <= tol * max(Fraction(1), abs(lhs))
-
-
-_ints = st.integers(-(10**30), 10**30)
-_dens = st.integers(1, 10**30)
-_rationals = st.builds(Fraction, _ints, _dens)
-_tolerances = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**15))
-
-
-@given(_rationals, _rationals, _tolerances)
-def test_rational_tolerance_matches_fractions(lhs, rhs, tol):
-    assert orc._within(cr.const(lhs), cr.const(rhs), tol) == (
-        _fraction_within(lhs, rhs, tol), lhs, rhs
-    )
-
-
-@given(_rationals, _tolerances, st.sampled_from([-1, 1]), st.sampled_from([0, 1]))
-def test_rational_tolerance_at_its_boundary(lhs, tol, direction, beyond):
-    """rhs exactly at the tolerance from lhs holds; one part in 10**40
-    further does not (unless the tolerance is zero, and so rhs is lhs)."""
-    budget = tol * max(Fraction(1), abs(lhs))
-    rhs = lhs + direction * budget * (1 + Fraction(beyond, 10**40))
-    ok, lmid, rmid = orc._within(cr.const(lhs), cr.const(rhs), tol)
-    assert ok == _fraction_within(lhs, rhs, tol) == (not beyond or budget == 0)
-    assert (lmid, rmid) == (lhs, rhs)
