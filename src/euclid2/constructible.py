@@ -1,4 +1,4 @@
-"""Constructible reals: exact values, and expression DAGs for the rest.
+"""Constructible reals, each decided exactly.
 
 A rational is two ints, `num` and `den` > 0 in lowest terms (zero is 0/1),
 and `rational` is its one constructor: one `math.gcd`, none when den == 1.
@@ -9,36 +9,37 @@ is a read-only `Fraction` view for readers outside the tower.  A single
 square root of a rational folds to an exact quadratic form
 (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0, gcd(an, bn, d) = 1 and
 r >= 2 an integer that is not a perfect square; arithmetic stays exact
-inside that field as integer products and one three-way `math.gcd`, and
-sign queries on such values are decided exactly.  `Expr.quad` is the
-matching read-only `Fraction` view.  The radicand is not factored: trial
-division stops at `_TRIAL_BOUND` and the cofactor left gets one
-perfect-square test, so r may keep a square factor, and two radicands
-r1 != r2 name one field when r1*r2 is a perfect square.  Exact values are
-plain values: equality is decided by `exact_key` (for a + b*sqrt(r): a, the
-sign of b and b*b*r), never by object identity.  Everything else (nested or
-mixed radicals) is a radical node.  Radical nodes are shared through a weak
-table, so equal constructions give one node while any caller holds it (a
-sum or product whatever the order of its operands), and the table never
-outlives its users.  Their signs fall back to interval refinement with
-outward-rounded dyadic endpoints, doubling precision until the sign is
-separated or the bit budget runs out.
+inside that field as integer products and one three-way `math.gcd`.
+`Expr.quad` is the matching read-only `Fraction` view.  The radicand is not
+factored: trial division stops at `_TRIAL_BOUND` and the cofactor left gets
+one perfect-square test, so r may keep a square factor, and two radicands
+r1 != r2 name one field when r1*r2 is a perfect square.
+
+Every other value is a tower element a + b*sqrt(r) over a tower of real
+quadratic extensions, where every ruler-and-compass value lies (Wantzel,
+1837).  The radicals of a, b and r all lie below sqrt(r) in one order,
+(height, `exact_key(r)`), the height being 1 plus the height of r's top
+radical; the quadratic form is the height-1 case.  Two operands combine
+over the greater of their top radicals, and a sign is decided exactly by
+recursion on a, b and a*a - b*b*r, so every comparison is exact (Yap,
+*Towards exact geometric computation*, 1997).  Intervals are for display
+only.  `exact_key` keys a value by its structure: equal keys mean equal
+values, and exact values (a + b*sqrt(r) keyed by a, the sign of b and b*b*r)
+get one key per value, but two routes to one tower value may get two keys.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 
-from .errors import Undecidable
-
+# `perfbench`'s probe prints this budget; no sign is decided by refining
+# intervals, so nothing reaches it.
 DEFAULT_MAX_BITS = 4096
-_MIN_BITS = 64
 
 
 def max_bits_budget() -> int:
-    """The precision at which interval refinement gives up."""
+    """An interval precision budget that no comparison reaches."""
     return DEFAULT_MAX_BITS
 
 
@@ -84,15 +85,12 @@ def _square_free(n: int) -> tuple[int, int]:
 
 
 class Expr:
-    """One value: an exact rational or quadratic form, or a radical node.
-    Exact values are built fresh and compared by value.  Radical nodes are
-    interned weakly on the `exact_key` of their arguments, so identical
-    subtrees are one object and their difference folds to an exact zero at
-    construction time."""
+    """One value: a rational, a quadratic form, or a tower element whose
+    `args` are (a, b, r) for a + b*sqrt(r)."""
 
-    __slots__ = ("kind", "args", "num", "den", "q", "_ivals", "__weakref__")
+    __slots__ = ("kind", "args", "num", "den", "q", "_ivals")
 
-    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    _table: dict = {}  # nothing fills it; `perfbench` reads its length
 
     def __init__(self, kind, args, num, den, q):
         self.kind = kind
@@ -151,59 +149,23 @@ class Expr:
             m = math.isqrt(bn * bn * r << 2 * bits)
             lo = (an << bits) + (m if bn > 0 else -m - 1)
             return Fraction(lo // d, scale), Fraction(-(-(lo + 1) // d), scale)
-        k = self.kind
-        if k == "sqrt":
-            alo, ahi = self.args[0].interval(bits + 8)
-            if ahi < 0:
-                raise _IntervalIndeterminate()
-            return _sqrt_interval(max(alo, Fraction(0)), bits)[0], _sqrt_interval(ahi, bits)[1]
-        xlo, xhi = self.args[0].interval(bits + 8)
-        ylo, yhi = self.args[1].interval(bits + 8)
-        if k == "add":
-            lo, hi = xlo + ylo, xhi + yhi
-        elif k == "sub":
-            lo, hi = xlo - yhi, xhi - ylo
-        elif k == "mul":
-            prods = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
-            lo, hi = min(prods), max(prods)
-        elif k == "div":
-            if ylo <= 0 <= yhi:
-                raise _IntervalIndeterminate()
-            quots = (xlo / ylo, xlo / yhi, xhi / ylo, xhi / yhi)
-            lo, hi = min(quots), max(quots)
-        else:  # pragma: no cover
-            raise AssertionError(k)
-        scale = 1 << bits
+        (alo, ahi), (blo, bhi), (rlo, rhi) = (v.interval(bits + 8) for v in self.args)
+        slo, shi = _sqrt_interval(rlo, rhi, bits + 8)
+        prods = (blo * slo, blo * shi, bhi * slo, bhi * shi)
         return (
-            Fraction(math.floor(lo * scale), scale),
-            Fraction(math.ceil(hi * scale), scale),
+            Fraction(math.floor((alo + min(prods)) * scale), scale),
+            Fraction(math.ceil((ahi + max(prods)) * scale), scale),
         )
 
 
-class _IntervalIndeterminate(Exception):
-    pass
-
-
-def _sqrt_interval(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(q) for q >= 0 with dyadic endpoints at 2^-bits."""
-    if q == 0:
-        return Fraction(0), Fraction(0)
-    scale = 1 << bits
-    lo_int = math.isqrt((q.numerator * scale * scale) // q.denominator)
-    hi_int = math.isqrt(-(-(q.numerator * scale * scale) // q.denominator)) + 1
-    return Fraction(lo_int, scale), Fraction(hi_int, scale)
-
-
-def _intern(kind, args) -> Expr:
-    keys = [exact_key(a) for a in args]
-    if kind == "add" or kind == "mul":
-        keys.sort()  # so that x+y and y+x are one node
-    key = (kind, *keys)
-    node = Expr._table.get(key)
-    if node is None:
-        node = Expr(kind, args, 0, 0, None)
-        Expr._table[key] = node
-    return node
+def _sqrt_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of sqrt(q) for every q >= 0 in [lo, hi], with dyadic
+    endpoints at 2^-bits."""
+    s2 = 1 << 2 * bits
+    lo = max(lo, Fraction(0))
+    lo_int = math.isqrt(lo.numerator * s2 // lo.denominator)
+    hi_int = math.isqrt(-(-hi.numerator * s2 // hi.denominator)) + 1
+    return Fraction(lo_int, 1 << bits), Fraction(hi_int, 1 << bits)
 
 
 def rational(n: int, d: int) -> Expr:
@@ -279,35 +241,69 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
     return _quad((a1 * a2 - b1 * b2 * r) * s, (b1 * a2 - a1 * b2) * s, d1 * abs(norm), r)
 
 
+def _top(x: Expr):
+    """((height, exact_key(r)), r) for x's top radical sqrt(r), or None for
+    a rational."""
+    if x.den:
+        return None
+    if x.q is not None:
+        return (1, ("r", x.q[3], 1)), rational(x.q[3], 1)
+    r = x.args[2]
+    top = _top(r)
+    return (1 + (top[0][0] if top else 0), exact_key(r)), r
+
+
+def _parts(x: Expr, order) -> tuple[Expr, Expr]:
+    """(a, b) with x = a + b*sqrt(r), for the radical sqrt(r) of the given
+    order, which is x's top radical or lies above it."""
+    top = _top(x)
+    if top is None or top[0] != order:
+        return x, ZERO
+    if x.q is not None:
+        an, bn, d, _ = x.q
+        return rational(an, d), rational(bn, d)
+    return x.args[0], x.args[1]
+
+
+def _ext(a: Expr, b: Expr, r: Expr) -> Expr:
+    """a + b*sqrt(r) for a, b and r below sqrt(r); a quadratic form when
+    all three are rational."""
+    if b.den and b.num == 0:
+        return a
+    if a.den and b.den and r.den:
+        return add(a, mul(b, sqrt(r)))
+    return Expr("tower", (a, b, r), 0, 0, None)
+
+
 def _binop(kind, x: Expr, y: Expr) -> Expr:
-    """x op y when not both are rational."""
+    """x op y when not both are rational: in one quadratic field, else over
+    the greater of the two top radicals sqrt(r)."""
     folded = _exact_combine(kind, x, y)
     if folded is not None:
         return folded
-    if kind == "sub" and x is y:
-        return ZERO
-    if kind == "mul":
-        if x is y and x.kind == "sqrt":
-            return x.args[0]
-        if x.den == 1 and x.num == 0 or y.den == 1 and y.num == 0:
-            return ZERO
-        if x.den == 1 and x.num == 1:
-            return y
-        if y.den == 1 and y.num == 1:
-            return x
+    order, r = max((t for t in (_top(x), _top(y)) if t), key=lambda t: t[0])
+    a1, b1 = _parts(x, order)
+    a2, b2 = _parts(y, order)
     if kind == "add":
-        if x.den == 1 and x.num == 0:
-            return y
-        if y.den == 1 and y.num == 0:
-            return x
-    if kind == "sub" and y.den == 1 and y.num == 0:
-        return x
-    if kind == "div":
-        if y.den:
-            return mul(x, div(ONE, y))
-        if x.den == 1 and x.num == 0:
-            return ZERO
-    return _intern(kind, (x, y))
+        return _ext(add(a1, a2), add(b1, b2), r)
+    if kind == "sub":
+        return _ext(sub(a1, a2), sub(b1, b2), r)
+    if kind == "mul":
+        return _ext(add(mul(a1, a2), mul(mul(b1, b2), r)), add(mul(a1, b2), mul(a2, b1)), r)
+    norm = sub(mul(a2, a2), mul(mul(b2, b2), r))
+    if refine_sign(norm) == 0:
+        # sqrt(r) = |a2/b2| lies below: y is 2*a2 when a2 and b2 agree in
+        # sign, and 0 otherwise
+        s = refine_sign(a2)
+        if s == 0 or s != refine_sign(b2):
+            raise ZeroDivisionError("division by exact zero")
+        return div(x, add(a2, a2))
+    # times the conjugate over the norm
+    return _ext(
+        div(sub(mul(a1, a2), mul(mul(b1, b2), r)), norm),
+        div(sub(mul(b1, a2), mul(a1, b2)), norm),
+        r,
+    )
 
 
 def add(x: Expr, y: Expr) -> Expr:
@@ -357,7 +353,10 @@ def sqrt(x: Expr) -> Expr:
         if rad == 1:
             return rational(sn, sd)
         return Expr("quad", (), 0, 0, (0, sn, sd * rd, rad))
-    return _intern("sqrt", (x,))
+    s = refine_sign(x)
+    if s < 0:
+        raise ValueError("sqrt of negative exact value")
+    return _ext(ZERO, ONE, x) if s else ZERO
 
 
 def neg(x: Expr) -> Expr:
@@ -365,8 +364,8 @@ def neg(x: Expr) -> Expr:
 
 
 def refine_sign(x: Expr) -> int:
-    """-1, 0 or +1.  Exact for rationals and single-radical quadratic values;
-    interval refinement otherwise; raises Undecidable at the bit budget."""
+    """-1, 0 or +1, decided exactly: from the ints of a rational or a
+    quadratic form, and for a + b*sqrt(r) by recursion below sqrt(r)."""
     if x.den:
         return (x.num > 0) - (x.num < 0)
     if x.q is not None:
@@ -381,32 +380,21 @@ def refine_sign(x: Expr) -> int:
         if b > 0:  # a < 0
             return 1 if b * b * r > a * a else -1
         return 1 if a * a > b * b * r else -1
-    bits = _MIN_BITS
-    while bits <= DEFAULT_MAX_BITS:
-        try:
-            lo, hi = x.interval(bits)
-        except _IntervalIndeterminate:
-            bits *= 2
-            continue
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-    raise Undecidable(f"sign not separated within {DEFAULT_MAX_BITS} bits")
+    a, b, r = x.args
+    sa, sb = refine_sign(a), refine_sign(b)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: a + b*sqrt(r) has the sign of a when a*a > b*b*r
+    return sa * refine_sign(sub(mul(a, a), mul(mul(b, b), r)))
 
 
 def midpoint(x: Expr, bits: int = 80) -> Fraction:
     if x.den:
         return x.rat
-    while True:
-        try:
-            lo, hi = x.interval(bits)
-            return (lo + hi) / 2
-        except _IntervalIndeterminate:
-            bits *= 2
-            if bits > 1 << 20:
-                raise Undecidable("midpoint refinement exhausted")
+    lo, hi = x.interval(bits)
+    return (lo + hi) / 2
 
 
 def decimal_text(x: Expr, places: int = 4) -> str:
@@ -437,10 +425,10 @@ def exact_text(x: Expr) -> str:
 
 
 def exact_key(x: Expr):
-    """Hashable identity of a value: exact values by value, radical nodes
-    (interned, so equal constructions are one node) by node identity.
-    a + b*sqrt(r) is keyed by a, the sign of b and b*b*r in lowest terms,
-    so equal values get one key whatever square factor r keeps."""
+    """Hashable key of a value: equal keys mean equal values.  A quadratic
+    form is keyed by a, the sign of b and b*b*r in lowest terms, so equal
+    values get one key whatever square factor r keeps; a tower element by
+    the keys of its a, b and r."""
     if x.den:
         return ("r", x.num, x.den)
     if x.q is not None:
@@ -450,4 +438,5 @@ def exact_key(x: Expr):
         q2 = q * q
         g = math.gcd(r, q2)  # gcd(p, q) = 1, so only r and q*q share factors
         return ("q", an // ga, d // ga, p > 0, p * p * (r // g), q2 // g)
-    return ("n", id(x))
+    a, b, r = x.args
+    return ("x", exact_key(a), exact_key(b), exact_key(r))

@@ -97,7 +97,8 @@ class FactVerificationFailed(DiagramError):
 
 
 class Undecidable(Euclid2Error):
-    """Sign/coverage could not be decided within the precision budget."""
+    """A sign or coverage question left undecided.  Every sign is now decided
+    exactly, so nothing raises it; it stays for callers that catch it."""
 
 
 # parser layer

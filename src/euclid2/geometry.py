@@ -8,8 +8,8 @@ are the distinct vertex x coordinates and the x of each point where a
 slanted edge crosses another edge, so Book II's rectilinear figures need no
 crossings.  In each slab the edges spanning it, sorted by exact height at
 its middle, bound trapezoids on which both multiplicity functions are
-constant.  With rational coordinates every predicate is exact; with
-radicals the comparisons go through sign refinement of constructible reals.
+constant.  Every predicate is exact: on rationals by integer products,
+and with radicals by the exact sign of a constructible real.
 
 `cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle` and
 `signed_area2` (so `area`) have an integer kernel: on rational input they
@@ -102,8 +102,8 @@ def equal_length(p: Pt, q: Pt, r: Pt, s: Pt) -> bool:
 
 
 def point_key(p: Pt):
-    """Hashable identity of a point with exact coordinates: equal points
-    have equal keys."""
+    """Hashable key of a point: equal keys mean equal points, and equal
+    points with rational or Q(sqrt r) coordinates have equal keys."""
     return (cr.exact_key(p[0]), cr.exact_key(p[1]))
 
 
@@ -390,11 +390,10 @@ class DrawnSegments:
     distinct line coordinates (`h_lines`, `v_lines`) are sorted by value,
     with the first value seen standing for its line, and are found by
     binary search with `cmp`, so two constructions of one value reach one
-    line and a radical that cannot be compared raises `Undecidable`.  Each
-    line's pieces are merged once into sorted disjoint covered intervals
-    (`h_cover[i]` for `h_lines[i]`, likewise `v_cover`), so a side query is
-    two binary searches.  Segments that are neither horizontal nor vertical
-    stay in `other` for `segment_drawn`."""
+    line.  Each line's pieces are merged once into sorted disjoint covered
+    intervals (`h_cover[i]` for `h_lines[i]`, likewise `v_cover`), so a side
+    query is two binary searches.  Segments that are neither horizontal nor
+    vertical stay in `other` for `segment_drawn`."""
 
     def __init__(self, segments: list[tuple[Pt, Pt]]):
         self.h_lines: list[Expr] = []

@@ -2,10 +2,9 @@
 
 The construction is realized at seeded random rational parameter draws, and
 both sides of an equality are evaluated there as exact areas and lengths
-(rationals, Q(sqrt r) values or radical nodes) and compared exactly, by the
-comparison `diagram.statement_holds` uses; a difference that cannot be
-decided is a typed `Undecidable`.  The floats in a record are for display
-only.  Realizing the construction is what lets the oracle read every
+(rationals, Q(sqrt r) values or tower elements) and compared exactly, by
+the comparison `diagram.statement_holds` uses.  The floats in a record are
+for display only.  Realizing the construction is what lets the oracle read every
 statement, including those that hold only because the construction fixes a
 length (the golden cut of II.11).
 

@@ -1022,9 +1022,6 @@ def check_proof(
             return reject(step.index, exc.cause)
         except Euclid2Error as exc:
             return reject(step.index, f"{type(exc).__name__}: {exc}")
-        except Exception as exc:
-            # a fault of the checker itself, kept apart from calculus rejections
-            return reject(step.index, f"InternalError: {type(exc).__name__}: {exc}")
         blue = tuple(stmt.text() for stmt, is_blue in resolved if is_blue)
         digest = outcome.certificate["digest"] if outcome.certificate else None
         report.steps.append(

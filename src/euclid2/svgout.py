@@ -65,8 +65,7 @@ class _View:
         self.height = cr.mul(
             cr.add(cr.sub(self.maxy, self.miny), cr.mul(cr.const(2), self.pad)), self.scale
         )
-        # exact_key -> (value, text); keeping the value alive keeps a radical
-        # node's key, its id, from being reused by another node
+        # exact_key -> text
         self._x_text: dict = {}
         self._y_text: dict = {}
 
@@ -74,15 +73,15 @@ class _View:
         key = cr.exact_key(v)
         if key not in self._x_text:
             shifted = cr.add(cr.sub(v, self.minx), self.pad)
-            self._x_text[key] = (v, _fmt(cr.mul(shifted, self.scale)))
-        return self._x_text[key][1]
+            self._x_text[key] = _fmt(cr.mul(shifted, self.scale))
+        return self._x_text[key]
 
     def y(self, v: cr.Expr) -> str:
         key = cr.exact_key(v)
         if key not in self._y_text:
             shifted = cr.add(cr.sub(self.maxy, v), self.pad)
-            self._y_text[key] = (v, _fmt(cr.mul(shifted, self.scale)))
-        return self._y_text[key][1]
+            self._y_text[key] = _fmt(cr.mul(shifted, self.scale))
+        return self._y_text[key]
 
     def xy(self, p) -> tuple[str, str]:
         return self.x(p[0]), self.y(p[1])

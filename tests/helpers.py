@@ -11,7 +11,6 @@ from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
-from euclid2.errors import Undecidable
 from euclid2.terms import RightAngle, SegEq, Segment
 
 
@@ -33,19 +32,18 @@ def pt(x, y) -> geo.Pt:
     return (gx, gy)
 
 
+_MIN_BITS = 64
+
+
 def refine_to_width(x: cr.Expr, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink the enclosing interval until hi - lo <= width."""
-    bits = cr._MIN_BITS
+    """Shrink the enclosing interval, doubling its precision from
+    `_MIN_BITS`, until hi - lo <= width."""
+    bits = _MIN_BITS
     while True:
-        try:
-            lo, hi = x.interval(bits)
-            if hi - lo <= width:
-                return lo, hi
-        except cr._IntervalIndeterminate:
-            pass
+        lo, hi = x.interval(bits)
+        if hi - lo <= width:
+            return lo, hi
         bits *= 2
-        if bits > 1 << 22:
-            raise Undecidable("interval refinement exhausted")
 
 
 def verify_decomposition(

@@ -170,6 +170,24 @@ def test_ve_reads_rectangles_through_pi_namings(capsys):
     assert doc["steps"][2]["flags"] == ["extended-VE"]
 
 
+def test_chained_quadrature_is_decided_in_a_tower(capsys):
+    """II.14 applied twice puts the nested radical 2^(1/4) into the diagram;
+    every comparison is decided exactly, so the relettered II.14 proof is
+    accepted, the oracle agrees on every target and rendering is stable."""
+    path = str(DATA / "II_14_chained.e2p")
+    code, out, _ = run_cli(["check", "--json", path], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == {"status": "accepted"}
+    assert [s["color"] for s in doc["steps"]] == [
+        "violet", "plain", "plain", "plain", "violet", "magenta", "plain"]
+    code, out, _ = run_cli(["oracle", path, "--samples", "5"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 7
+    assert all(line.endswith(": ok (5 samples)") for line in lines)
+    first, second = (run_cli(["render", path], capsys) for _ in range(2))
+    assert first == second and first[0] == 0 and first[1].startswith("<svg")
+
+
 def test_check_many_files_ordered_output(capsys):
     files = [str(CORPUS / f"II_{k}.e2p") for k in (3, 1, 2)]
     code, out, _ = run_cli(["check", *files], capsys)
@@ -278,7 +296,7 @@ claim: sq(AB) = sq(AC)
 proof:
 qed
 """
-# AC = sqrt 2 and AE = sqrt 3, so rect(AC,AE) is a radical node
+# AC = sqrt 2 and AE = sqrt 3, so rect(AC,AE) is a tower element over Q(sqrt 2)
 _MIXED = """prop mixed-radicands
 points A B C D E
 construct:
@@ -296,12 +314,11 @@ qed
     [
         # one part in 10**12 apart: decided false, however close
         (_NEAR_MISS, 1, "diorismos: FAILED (2 samples)\n", ""),
-        # commuted operands are one node, so the difference is an exact zero
+        # commuted operands, and (x + 1) + 1 against x + 2: exact zeros
         (_MIXED.format(claim="rect(AC,AE) = rect(AE,AC)"), 0, "diorismos: ok (2 samples)\n", ""),
-        # (x + 1) + 1 and x + 2 are two nodes that intervals never separate
         (
             _MIXED.format(claim="rect(AC,AE) + sq(AB) + sq(AB) = rect(AC,AE) + 2*sq(AB)"),
-            1, "", "diorismos: oracle error: sign not separated within 4096 bits\n",
+            0, "diorismos: ok (2 samples)\n", "",
         ),
     ],
     ids=["near-miss", "commuted", "reassociated"],

@@ -113,7 +113,7 @@ def test_area_kernels_match_the_shoelace_in_fraction(poly):
 
 
 # Rationals, values of Q(sqrt 2) (also written with sqrt 8) and, in
-# `_MIXED` only, of Q(sqrt 3), whose products with sqrt 2 are radical nodes.
+# `_MIXED` only, of Q(sqrt 3), whose products with sqrt 2 are tower elements.
 _small = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60))
 
 
@@ -139,8 +139,8 @@ def _old_dot(u, v):
 
 
 def _same_value(new, old) -> bool:
-    # both held while keyed: a radical node is keyed by identity and
-    # interned only while some caller holds it
+    # a tower element is keyed by its structure, and the kernels and the
+    # composition combine the same operands in the same order
     return cr.exact_key(new) == cr.exact_key(old)
 
 

@@ -17,8 +17,6 @@ _BENCHMARK = "benchmark-read: perfbench/ imports or rebinds it"
 
 ALLOWED = {
     "constructible.Expr.__repr__": "public API: repr of a value; tests/test_record.py",
-    "constructible._intern": "radical nodes (ROADMAP item 7): no corpus figure nests a radical",
-    "constructible._sqrt_interval": "radical nodes (ROADMAP item 7): interval of a square root",
     "constructible.max_bits_budget": _BENCHMARK,
     "corpusdata.expected": _BENCHMARK,
     "corpusdata.read_script_text": _BENCHMARK,
