@@ -1,12 +1,14 @@
-"""Realize construction programs as exact coordinates, together with the
-facts each construction command states (segment equalities, right angles,
-figure bindings).  A command's segment equalities and right angles are kept
-as label tuples, each decided once on the coordinates the command just
-built; no statement is built unless a reader asks for one
-(`ConstructionFact.statement`).  The labelled cells of the drawn grid,
-figures the construction never draws, are listed only when a proof check
-reads them (`DiagramInstance.cells`).  The fact base seeds both kinds from
-their labels.
+"""Realize construction programs as exact coordinates, together with what
+the diagram states: the facts of its construction commands and its
+labelled boxes.
+
+A command's segment equalities, right angles and figure bindings are kept
+as label tuples (`ConstructionFact`), each decided once on the coordinates
+the command just built; no statement is built unless a reader asks for one.
+The labelled axis-aligned boxes (the squares `square` draws, the rectangles
+`torect` draws and the labelled cells of the drawn grid) are listed once by
+their corner labels (`DiagramInstance.boxes`); the fact base states their
+sides and right angles, theorems of such a box, without deciding them.
 
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
@@ -48,16 +50,17 @@ from .terms import (
 )
 
 
-Cell = tuple[str, str, str, str, bool]  # see DiagramInstance.cells
+Box = tuple[str, str, str, str, bool]  # see DiagramInstance.boxes
 # A segment as a fact names it: its two labels in the order the fact prints
 # them, or a standalone segment's name and None.
 Side = tuple[str, str | None]
 
 
 class ConstructionFact(FrozenRecord):
-    """A fact a construction command states, by kind and labels:
-    `("segeq", (side, side))`, `("rangle", (vertex, arm1, arm2))` or
-    `("eq", (figure, source))` for fig(figure) = fig(source)."""
+    """A fact a construction command states that is not a fact of one box
+    it builds, by kind and labels: `("segeq", (side, side))`,
+    `("rangle", (vertex, arm1, arm2))` or `("eq", (figure, source))` for
+    fig(figure) = fig(source)."""
 
     kind: str
     labels: tuple
@@ -108,10 +111,11 @@ class DiagramInstance(Record):
     declared: dict[str, Polygon] = {}
     circles: dict[str, Circle] = {}
     facts: list[ConstructionFact] = []
+    built_boxes: list[Box] = []  # by `square` and `torect`
     params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
     _region_cache: dict[str, Polygon] = {}
-    _cells: list[Cell] | None = None
+    _boxes: list[Box] | None = None
 
     @property
     def drawn(self) -> geo.DrawnSegments:
@@ -119,15 +123,17 @@ class DiagramInstance(Record):
             self._drawn = geo.DrawnSegments(self.drawn_list)
         return self._drawn
 
-    def cells(self) -> list[Cell]:
-        """Each elementary cell of the drawn grid whose four corners are
-        labelled, once, as (bl, br, tr, tl, square): its corner labels and
-        whether it is a square with a drawn diagonal.  Listed on the first
-        call (raising FactVerificationFailed when a label does not stand at
-        its corner); later calls return the same list."""
-        if self._cells is None:
-            self._cells = _labelled_cells(self)
-        return self._cells
+    def boxes(self) -> list[Box]:
+        """Every labelled axis-aligned box, as (a, b, c, d, square): its
+        corner labels in boundary order and whether it is a square.  The
+        boxes `square` and `torect` built come first, then each elementary
+        cell of the drawn grid whose four corners carry labels, as
+        (bl, br, tr, tl, square), a square when its sides are equal and a
+        diagonal is drawn.  The cells are listed on the first call; later
+        calls return the same list."""
+        if self._boxes is None:
+            self._boxes = self.built_boxes + _labelled_cells(self)
+        return self._boxes
 
     def point(self, label: str) -> Pt:
         if label not in self.coords:
@@ -362,14 +368,7 @@ class _Builder:
         for i in range(4):
             self.draw(quad[i], quad[(i + 1) % 4])
         self.inst.declared[letters] = tuple(self.pt_of(x) for x in letters)
-        s0, s1, s2, s3 = cycle
-        sides = [_side(s0, s1), _side(s1, s2), _side(s2, s3), _side(s3, s0)]
-        for i in range(3):
-            self.fact("segeq", (sides[i], sides[i + 1]), "SquareSides")
-        self.fact("rangle", (s0, s1, s3), "SquareAngles")
-        self.fact("rangle", (s1, s0, s2), "SquareAngles")
-        self.fact("rangle", (s2, s1, s3), "SquareAngles")
-        self.fact("rangle", (s3, s2, s0), "SquareAngles")
+        self.inst.built_boxes.append((*letters, True))  # the name goes round it in order
 
     def _do_RectFig(self, cmd: sc.RectFig):
         w = self.length(cmd.width)
@@ -400,12 +399,7 @@ class _Builder:
         for i in range(4):
             self.draw(quad[i], quad[(i + 1) % 4])
         self.inst.declared[cmd.name] = tuple(quad)
-        self.fact("segeq", (_side(l0, l1), _side(l3, l2)), "I34-OppositeSides")
-        self.fact("segeq", (_side(l1, l2), _side(l0, l3)), "I34-OppositeSides")
-        for i, lab in enumerate(cmd.name):
-            prev = cmd.name[(i - 1) % 4]
-            nxt = cmd.name[(i + 1) % 4]
-            self.fact("rangle", (lab, prev, nxt), "ParallelogramRight")
+        self.inst.built_boxes.append((l0, l1, l2, l3, False))
         self.fact("eq", (cmd.name, cmd.source), "TriangulatedEqual")
 
     def _do_Perp(self, cmd: sc.Perp):
@@ -571,23 +565,25 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
     raise TypeError(f"cannot evaluate {stmt!r} numerically")
 
 
-def _labelled_cells(inst: DiagramInstance) -> list[Cell]:
-    """The facts a cell gives (its I.34 sides and corner right angles, and a
-    square's equal sides) are theorems of an axis-aligned box with those
-    labels at its corners, so the one check per cell is that they stand
-    there; the square test is an exact comparison of width and height."""
-    cells: list[Cell] = []
+def _labelled_cells(inst: DiagramInstance) -> list[Box]:
+    """Each label is placed on the grid of drawn lines by exact value (the
+    last label of a point winning), and a cell is listed when its four
+    corners carry labels; the square test compares width and height
+    exactly."""
     drawn = inst.drawn
-    label_at = {geo.point_key(p): name for name, p in inst.coords.items()}
-    for (x1, y1, x2, y2) in geo.elementary_cells(drawn):
-        box = geo.box_polygon(x1, y1, x2, y2)
-        labels = [label_at.get(geo.point_key(p)) for p in box]
+    xs, ys = drawn.v_lines, drawn.h_lines
+    label_at = {}
+    for name, (x, y) in inst.coords.items():
+        (i, on_x), (j, on_y) = geo.locate(x, xs), geo.locate(y, ys)
+        if on_x and on_y:
+            label_at[i, j] = name
+    cells: list[Box] = []
+    for i, j in geo.elementary_cells(drawn):
+        corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+        labels = [label_at.get(k) for k in corners]
         if None in labels:
             continue
-        if not all(geo.pts_equal(inst.coords[lab], p) for lab, p in zip(labels, box)):
-            raise FactVerificationFailed(
-                f"cell {''.join(labels)}: a label does not stand at its corner"
-            )
+        x1, y1, x2, y2 = xs[i], ys[j], xs[i + 1], ys[j + 1]
         square = geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0 and (
             drawn.segment_drawn((x1, y1), (x2, y2)) or drawn.segment_drawn((x2, y1), (x1, y2))
         )

@@ -195,7 +195,7 @@ def point_in_polygon(p: Pt, poly: Polygon) -> bool:
     return inside
 
 
-def _locate(v: Expr, vals: list[Expr]) -> tuple[int, bool]:
+def locate(v: Expr, vals: list[Expr]) -> tuple[int, bool]:
     """Binary search of v in the sorted distinct vals: (index, found)."""
     lo, hi = 0, len(vals)
     while lo < hi:
@@ -213,7 +213,7 @@ def _locate(v: Expr, vals: list[Expr]) -> tuple[int, bool]:
 def _sorted_unique(vals: list[Expr]) -> list[Expr]:
     out: list[Expr] = []
     for v in vals:
-        i, found = _locate(v, out)
+        i, found = locate(v, out)
         if not found:
             out.insert(i, v)
     return out
@@ -281,7 +281,7 @@ def coverage_equal(
     xs = _sorted_unique(xs)
     spans: list[list] = [[] for _ in xs[1:]]
     for e in edges:
-        for i in range(_locate(e[0], xs)[0], _locate(e[1], xs)[0]):
+        for i in range(locate(e[0], xs)[0], locate(e[1], xs)[0]):
             spans[i].append(e)
     half = cr.rational(1, 2)
     max_mult, witness = 0, None
@@ -376,7 +376,7 @@ def _covered(intervals: list[Interval], lo: Expr, hi: Expr) -> bool:
 def _add_to_line(lines: list[Expr], pieces: list[list[Interval]], c: Expr, piece: Interval):
     """File piece under the line at coordinate c, adding the line in sorted
     position when no line equals c by value."""
-    i, found = _locate(c, lines)
+    i, found = locate(c, lines)
     if not found:
         lines.insert(i, c)
         pieces.insert(i, [])
@@ -414,7 +414,7 @@ class DrawnSegments:
 
     @staticmethod
     def _line(lines: list[Expr], cover: list[list[Interval]], c: Expr) -> list[Interval]:
-        i, found = _locate(c, lines)
+        i, found = locate(c, lines)
         return cover[i] if found else []
 
     def h_covered(self, y: Expr, x1: Expr, x2: Expr) -> bool:
@@ -504,11 +504,10 @@ def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
 
 def elementary_cells(drawn: DrawnSegments):
     """All grid boxes between consecutive drawn lines whose four sides are
-    fully drawn.  Yields (x1, y1, x2, y2)."""
+    fully drawn.  Yields (i, j) for the box from corner
+    (v_lines[i], h_lines[j]) to (v_lines[i + 1], h_lines[j + 1])."""
     xs, ys = drawn.v_lines, drawn.h_lines
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
-            x1, x2 = xs[i], xs[i + 1]
-            y1, y2 = ys[j], ys[j + 1]
-            if drawn.box_sides_drawn(x1, y1, x2, y2):
-                yield (x1, y1, x2, y2)
+            if drawn.box_sides_drawn(xs[i], ys[j], xs[i + 1], ys[j + 1]):
+                yield i, j

@@ -96,10 +96,10 @@ class FactBase:
     else is matched one statement at a time.
 
     A new base holds the diagram's construction facts: those of its commands
-    and then those of its labelled grid cells, whose listing raises
-    FactVerificationFailed for a label off its corner.  Both go in from
-    their labels, as `add` would put their statements, without building
-    one; only a command's figure equality is added as a statement."""
+    and then those of its labelled boxes (`_seed_box`).  Both go in from
+    their labels without building a statement, by the one path per form
+    that `add` takes too; only a command's figure equality is added as a
+    statement."""
 
     def __init__(self, inst: dg.DiagramInstance, flags=frozenset()):
         self.inst = inst
@@ -119,31 +119,36 @@ class FactBase:
                 self._seed_rangle(*fact.labels, provenance)
             else:
                 self.add(fact.statement, provenance)
-        for bl, br, tr, tl, square in inst.cells():
-            left, right = T.side_key(tl, bl), T.side_key(tr, br)
-            top, bottom = T.side_key(tl, tr), T.side_key(bl, br)
-            self._seed_segeq(left, right, "construction:I34-OppositeSides")
-            self._seed_segeq(top, bottom, "construction:I34-OppositeSides")
-            for v, p, q in ((bl, br, tl), (br, bl, tr), (tr, br, tl), (tl, bl, tr)):
-                self._seed_rangle(v, p, q, "construction:ParallelogramRight")
-            if square:
-                self._seed_segeq(top, right, "construction:SquareSides")
-                self._seed_segeq(right, bottom, "construction:SquareSides")
-                self._seed_segeq(bottom, left, "construction:SquareSides")
+        for box in inst.boxes():
+            self._seed_box(*box)
+
+    def _seed_box(self, a: str, b: str, c: str, d: str, square: bool):
+        """The facts of the axis-aligned box with corners a, b, c, d in
+        boundary order: its two pairs of opposite sides (I.34), its four
+        right angles and, for a square, its equal adjacent sides."""
+        ab, bc, cd, da = (T.side_key(p, q) for p, q in ((a, b), (b, c), (c, d), (d, a)))
+        self._seed_segeq(da, bc, "construction:I34-OppositeSides")
+        self._seed_segeq(cd, ab, "construction:I34-OppositeSides")
+        for v, p, q in ((a, b, d), (b, a, c), (c, b, d), (d, a, c)):
+            self._seed_rangle(v, p, q, "construction:ParallelogramRight")
+        if square:
+            self._seed_segeq(ab, bc, "construction:SquareSides")
+
+    def _put(self, key, provenance: str) -> bool:
+        """Record a statement key with its provenance; False if it was
+        already there (the first provenance is kept)."""
+        if key in self._stmts:
+            return False
+        self._stmts[key] = provenance
+        return True
 
     def _seed_segeq(self, s: str, t: str, provenance: str):
-        """The equality of the sides with keys s and t (see `T.side_key`)
-        goes in as `add` would put it (under its `stmt_key`, first
-        provenance kept), without building the statement."""
-        key = T.segeq_key(s, t)
-        if key not in self._stmts:
-            self._stmts[key] = provenance
+        """The equality of the sides with keys s and t (see `T.side_key`)."""
+        if self._put(T.segeq_key(s, t), provenance):
             self._union(s, t)
 
     def _seed_rangle(self, v: str, p: str, q: str, provenance: str):
-        key = T.rangle_key(v, p, q)
-        if key not in self._stmts:
-            self._stmts[key] = provenance
+        if self._put(T.rangle_key(v, p, q), provenance):
             self._rangles.append((v, p, q))
 
     def _find(self, k):
@@ -158,22 +163,16 @@ class FactBase:
         if ra != rb:
             self._parent[ra] = rb
 
-    def size(self) -> int:
-        return len(self._stmts)
-
     def add(self, stmt: Statement, provenance: str):
-        key = stmt_key(stmt)
-        if key in self._stmts:
-            return
-        self._stmts[key] = provenance
         if isinstance(stmt, SegEq):
-            self._union(T.seg_key(stmt.a), T.seg_key(stmt.b))
+            self._seed_segeq(T.seg_key(stmt.a), T.seg_key(stmt.b), provenance)
         elif isinstance(stmt, RightAngle):
-            self._rangles.append((stmt.vertex, stmt.arm1, stmt.arm2))
-        elif isinstance(stmt, (Pi, IsSq)):
-            self._namings.append(stmt)
-        elif isinstance(stmt, Eq):
-            self._eqs.append(stmt)
+            self._seed_rangle(stmt.vertex, stmt.arm1, stmt.arm2, provenance)
+        elif self._put(stmt_key(stmt), provenance):
+            if isinstance(stmt, (Pi, IsSq)):
+                self._namings.append(stmt)
+            else:
+                self._eqs.append(stmt)
 
     def has_segeq(self, a: T.Segment, b: T.Segment) -> bool:
         ka, kb = T.seg_key(a), T.seg_key(b)
@@ -284,7 +283,8 @@ def make_certificate(kind: str, payload: dict) -> dict:
 
 
 class StepOutcome(Record):
-    derived: Statement
+    """What an accepted step adds to the report; the base takes its claim."""
+
     flags: tuple[str, ...] = ()
     certificate: dict | None = None
 
@@ -367,7 +367,7 @@ def rule_R1(fb: FactBase, claim, premises) -> StepOutcome:
         raise NoMatch("neither operand of the contained-by fact occurs in the equality")
     for cand in candidates:
         if stmt_equal(cand, claim):
-            return StepOutcome(cand)
+            return StepOutcome()
     raise NoMatch(f"no substitution of {se.text()} into {pi.text()} yields the claim")
 
 
@@ -384,7 +384,7 @@ def rule_R2(fb: FactBase, claim, premises) -> StepOutcome:
         if pair is not None and all(isinstance(t, SquareOn) for t in pair):
             s1, s2 = (t.side for t in pair)
             if {s1, s2} == {se.a, se.b} or (s1 == s2 and s1 in (se.a, se.b)):
-                return StepOutcome(claim)
+                return StepOutcome()
         raise NoMatch("standalone R2 must conclude sq(X) = sq(Y) from X == Y")
     if len(rest) != 1:
         raise NoMatch("R2 takes one square-on or equality premise")
@@ -394,10 +394,10 @@ def rule_R2(fb: FactBase, claim, premises) -> StepOutcome:
             if base.side == a:
                 derived = IsSq(base.figure, b)
                 _match_claim(derived, claim)
-                return StepOutcome(derived)
+                return StepOutcome()
         if base.side in (se.a, se.b) or se.a == se.b:
             _match_claim(base, claim)
-            return StepOutcome(base)
+            return StepOutcome()
         raise NoMatch("side of the square-on fact is not mentioned in the equality")
     if isinstance(base, Eq):
         for a, b in ((se.a, se.b), (se.b, se.a)):
@@ -409,7 +409,7 @@ def rule_R2(fb: FactBase, claim, premises) -> StepOutcome:
 
             derived, replaced = _subst_eq(base, repl)
             if replaced and stmt_equal(derived, claim):
-                return StepOutcome(derived)
+                return StepOutcome()
         raise NoMatch("no square-on term rewrites to the claim")
     raise NoMatch("R2 premise must be a square-on fact or an equality")
 
@@ -430,7 +430,7 @@ def _rewrite_by_namings(rule: str, claim, premises, repl) -> StepOutcome:
         if not replaced:
             raise NoMatch(f"naming fig({figure.letters}) = {target.text()} rewrites no term")
     _match_claim(derived, claim)
-    return StepOutcome(derived)
+    return StepOutcome()
 
 
 def rule_R3(fb: FactBase, claim, premises) -> StepOutcome:
@@ -470,7 +470,7 @@ def rule_CN1(fb: FactBase, claim, premises) -> StepOutcome:
                 right = b.b if mid == b.a else b.a
                 derived = SegEq(left, right)
                 if stmt_equal(derived, claim):
-                    return StepOutcome(derived)
+                    return StepOutcome()
         raise NoLink("segment equalities share no common segment")
     if isinstance(a, Eq) and isinstance(b, Eq):
         for s1, o1 in ((a.lhs, a.rhs), (a.rhs, a.lhs)):
@@ -478,7 +478,7 @@ def rule_CN1(fb: FactBase, claim, premises) -> StepOutcome:
                 if Counter(s1.terms) == Counter(s2.terms):
                     derived = Eq(o1, o2)
                     if stmt_equal(derived, claim):
-                        return StepOutcome(derived)
+                        return StepOutcome()
         raise NoLink("equalities share no common side")
     raise NoLink("CN1 chains two segment equalities or two sum equalities")
 
@@ -498,7 +498,7 @@ def rule_CN2(fb: FactBase, claim, premises) -> StepOutcome:
                     term_sum(list(o1.terms) + list(o2.terms)),
                 )
                 if stmt_equal(derived, claim):
-                    return StepOutcome(derived)
+                    return StepOutcome()
         raise NoMatch("no pairing of premise sides yields the claim")
     if len(eqs) == 1:
         # "let T have been added to both": claim = premise with one common
@@ -509,7 +509,7 @@ def rule_CN2(fb: FactBase, claim, premises) -> StepOutcome:
             m1, m2 = Counter(s1.terms), Counter(o1.terms)
             added = left - m1
             if m1 <= left and m2 <= right and added and added == right - m2:
-                return StepOutcome(claim)
+                return StepOutcome()
         raise NoMatch("claim does not add one common term multiset to both sides")
     raise NoMatch("CN2 takes one or two premises")
 
@@ -528,7 +528,7 @@ def rule_CN3(fb: FactBase, claim, premises) -> StepOutcome:
         raise NoCommonTerm("removing the common terms would empty a side")
     derived = Eq(term_sum(left.elements()), term_sum(right.elements()))
     _match_claim(derived, claim)
-    return StepOutcome(derived)
+    return StepOutcome()
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def rule_VE(fb: FactBase, claim, premises) -> StepOutcome:
             "exact": result.exact,
         },
     )
-    return StepOutcome(claim, tuple(flags), cert)
+    return StepOutcome(tuple(flags), cert)
 
 
 def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
@@ -606,7 +606,7 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
             "NAME", {"figure": claim.figure.letters, "side": claim.side.text(),
                      "polygon": _poly_payload(poly)}
         )
-        return StepOutcome(claim, (), cert)
+        return StepOutcome(certificate=cert)
     if isinstance(claim, Pi):
         poly = fb.region(claim.figure.letters)
         if len(poly) != 4:
@@ -618,7 +618,7 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
              "corner": [cr.exact_text(corner[0]), cr.exact_text(corner[1])],
              "polygon": _poly_payload(poly)},
         )
-        return StepOutcome(claim, (), cert)
+        return StepOutcome(certificate=cert)
     pair = _fig_pair(claim)
     if pair is not None:
         n1, n2 = (t.name.letters for t in pair)
@@ -628,7 +628,7 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
         if fb.region_key(n1) != fb.region_key(n2):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
         cert = make_certificate("NAME", {"alias": [n1, n2]})
-        return StepOutcome(claim, ("alias",), cert)
+        return StepOutcome(("alias",), cert)
     raise NameMismatch("NAME accepts square-on, contained-by, or alias claims")
 
 
@@ -716,7 +716,7 @@ def rule_I47(fb: FactBase, claim, premises) -> StepOutcome:
             cert = make_certificate(
                 "I47", {"vertex": v, "legs": [l1.text(), l2.text()], "hyp": hyp.text()}
             )
-            return StepOutcome(claim, (), cert)
+            return StepOutcome(certificate=cert)
     raise NoRightAngle("claim is not of the form sq(hyp) = sq(leg1) + sq(leg2)")
 
 
@@ -769,7 +769,7 @@ def rule_I43(fb: FactBase, claim, premises) -> StepOutcome:
             "complements": [f1, f2],
         },
     )
-    return StepOutcome(claim, (), cert)
+    return StepOutcome(certificate=cert)
 
 
 def _opposite_corner(box, p):
@@ -804,7 +804,7 @@ def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
                 term_sum([Multiple(2, t1)]),
             )
             _match_claim(derived, claim)
-            return StepOutcome(derived, flags)
+            return StepOutcome(flags)
         raise DistinctTargets("DOUBLE premises must both name the same invisible term")
     if len(premises) == 1:
         p = premises[0]
@@ -816,16 +816,16 @@ def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
             for doubled in pair:
                 derived = Eq(term_sum([f1, f2]), term_sum([Multiple(2, doubled)]))
                 if stmt_equal(derived, claim):
-                    return StepOutcome(derived, flags)
+                    return StepOutcome(flags)
         # collapse/expand between duplicate terms and explicit multiples
         if T.expand_multiples(p.lhs) == T.expand_multiples(claim.lhs) and T.expand_multiples(
             p.rhs
         ) == T.expand_multiples(claim.rhs):
-            return StepOutcome(claim, flags)
+            return StepOutcome(flags)
         if T.expand_multiples(p.lhs) == T.expand_multiples(claim.rhs) and T.expand_multiples(
             p.rhs
         ) == T.expand_multiples(claim.lhs):
-            return StepOutcome(claim, flags)
+            return StepOutcome(flags)
         raise NoMatch("claim is not a doubling or regrouping of the premise")
     raise NoMatch("DOUBLE takes one or two premises")
 
@@ -840,7 +840,7 @@ def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
         raise NoMatch("MERGE needs at least one premise")
     if len(eqs) == 1:
         _match_claim(eqs[0], claim)
-        return StepOutcome(eqs[0], ("aggregation",))
+        return StepOutcome(("aggregation",))
     orientation = _find_merge_orientation(eqs, Counter(claim.lhs.terms))
     if orientation is None:
         raise NoMatch("no orientation of the premises aggregates to the claim")
@@ -865,7 +865,7 @@ def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
                 + Flag.ALLOW_OVERLAP.value
             )
         flags.append("overlap")
-    return StepOutcome(derived, tuple(flags))
+    return StepOutcome(tuple(flags))
 
 
 def _find_merge_orientation(eqs, target_l, chosen=None):
@@ -903,7 +903,7 @@ def rule_BM(fb: FactBase, claim, premises) -> StepOutcome:
     )
     if not same:
         raise NoMatch("rectangles are not congruent")
-    return StepOutcome(claim, ("bm-dissection",))
+    return StepOutcome(("bm-dissection",))
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1009,6 @@ def check_proof(
 
     prior: dict[int, Statement] = {}
     hyps = {h.index: h.stmt for h in script.hypotheses}
-    report.fact_counts.append(fb.size())
 
     for step in script.steps:
         rule = Rule(step.rule)
@@ -1039,8 +1038,6 @@ def check_proof(
             report.certificates.append(outcome.certificate)
         prior[step.index] = step.claim
         fb.add(step.claim, f"step:{step.index}")
-        report.fact_counts.append(fb.size())
-        report.derived.append(outcome.derived)
 
     if not script.steps or not stmt_equal(script.steps[-1].claim, script.diorismos):
         return reject(len(script.steps), ClaimMismatch.__name__)

@@ -364,9 +364,7 @@ class _Parser(Reader):
                 self._header(head)
             elif section == "construct" and head != "hypothesis":
                 construction.append(self._command(head))
-            elif section in ("construct", "hypotheses") or (
-                section == "claim" and head == "hypothesis"
-            ):
+            elif section in ("construct", "hypotheses"):
                 if head != "hypothesis":
                     raise self.err("hypothesis or claim expected")
                 hypotheses.append(self.read(Hypothesis, index=len(hypotheses) + 1, line=self.line))
@@ -583,10 +581,6 @@ class CheckReport(Record):
     diorismos: str
     timing_ms: float = 0.0
     certificates: list[dict] = []
-    # fact-base size before the first step, then after each accepted step
-    fact_counts: list[int] = []
-    # the statement each accepted step's rule derived
-    derived: list[Statement] = []
 
     @property
     def accepted(self) -> bool:

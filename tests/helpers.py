@@ -1,8 +1,8 @@
 """Test-only helpers over the checker's exact machinery: the corpus
 entries, a point from plain numbers, an interval of a chosen width, a
 coverage check of named figures, the sampled-arrangement coverage reference,
-equality of content, the facts of the labelled grid cells, and exact
-identity checks on a grid."""
+equality of content, the facts of the labelled boxes, and exact identity
+checks on a grid."""
 
 import itertools
 from fractions import Fraction
@@ -11,6 +11,7 @@ from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
+from euclid2 import script as sc
 from euclid2.terms import RightAngle, SegEq, Segment
 
 
@@ -129,34 +130,53 @@ def equal_content(inst: dg.DiagramInstance, p: list[str], q: list[str]) -> bool:
     return geo.cmp(total_p, total_q) == 0
 
 
-def reference_cell_facts(inst: dg.DiagramInstance) -> list[tuple]:
-    """(statement, reason) for each fact of each labelled grid cell, one at
-    a time: for every elementary cell whose four corners carry labels
-    (found by comparing coordinates, the last label of a point winning),
-    its I.34 opposite sides, its four corner right angles and, when it is a
-    square with a drawn diagonal, its equal sides."""
+def _box_facts(a, b, c, d, square) -> list[tuple]:
+    """(statement, reason) for each fact of the box with corners a, b, c, d
+    in boundary order: its I.34 opposite sides, its four corner right angles
+    and, for a square, the equality of two adjacent sides."""
+    facts = [
+        (SegEq(Segment(d, a), Segment(b, c)), "I34-OppositeSides"),
+        (SegEq(Segment(c, d), Segment(a, b)), "I34-OppositeSides"),
+    ]
+    for vertex, p, q in ((a, b, d), (b, a, c), (c, b, d), (d, a, c)):
+        facts.append((RightAngle(vertex, p, q), "ParallelogramRight"))
+    if square:
+        facts.append((SegEq(Segment(a, b), Segment(b, c)), "SquareSides"))
+    return facts
+
+
+def reference_box_facts(inst: dg.DiagramInstance, construction=()) -> list[tuple]:
+    """(statement, reason) for each fact of each labelled box, one at a
+    time: first the box each `square` and `torect` command of the
+    construction builds, its name giving its corners in boundary order;
+    then each elementary cell between consecutive drawn axis lines whose
+    four corners carry labels (found by comparing coordinates, the last
+    label of a point winning), a square when its width equals its height
+    and a diagonal is drawn."""
     facts = []
+    for cmd in construction:
+        if isinstance(cmd, (sc.SquareOnCmd, sc.TriangulateToRect)):
+            facts += _box_facts(*cmd.name, isinstance(cmd, sc.SquareOnCmd))
     drawn = inst.drawn
-    for x1, y1, x2, y2 in geo.elementary_cells(drawn):
-        corners = geo.box_polygon(x1, y1, x2, y2)
-        labels = []
-        for p in corners:
-            at = [name for name, q in inst.coords.items() if geo.pts_equal(p, q)]
-            labels.append(at[-1] if at else None)
-        if None in labels:
-            continue
-        bl, br, tr, tl = labels
-        facts.append((SegEq(Segment(tl, bl), Segment(tr, br)), "I34-OppositeSides"))
-        facts.append((SegEq(Segment(tl, tr), Segment(bl, br)), "I34-OppositeSides"))
-        for vertex, p, q in ((bl, br, tl), (br, bl, tr), (tr, br, tl), (tl, bl, tr)):
-            facts.append((RightAngle(vertex, p, q), "ParallelogramRight"))
-        width, height = cr.sub(x2, x1), cr.sub(y2, y1)
-        if geo.cmp(width, height) == 0 and (
-            drawn.segment_drawn(corners[0], corners[2])
-            or drawn.segment_drawn(corners[1], corners[3])
-        ):
-            for a, b, c in ((tl, tr, br), (tr, br, bl), (br, bl, tl)):
-                facts.append((SegEq(Segment(a, b), Segment(b, c)), "SquareSides"))
+    segments = inst.drawn_list
+    xs = geo._sorted_unique([p[0] for p, q in segments if geo.is_axis_segment(p, q) == "v"])
+    ys = geo._sorted_unique([p[1] for p, q in segments if geo.is_axis_segment(p, q) == "h"])
+    for x1, x2 in zip(xs, xs[1:]):
+        for y1, y2 in zip(ys, ys[1:]):
+            if not drawn.box_sides_drawn(x1, y1, x2, y2):
+                continue
+            corners = geo.box_polygon(x1, y1, x2, y2)
+            labels = []
+            for p in corners:
+                at = [name for name, q in inst.coords.items() if geo.pts_equal(p, q)]
+                labels.append(at[-1] if at else None)
+            if None in labels:
+                continue
+            square = geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0 and (
+                drawn.segment_drawn(corners[0], corners[2])
+                or drawn.segment_drawn(corners[1], corners[3])
+            )
+            facts += _box_facts(*labels, square)
     return facts
 
 

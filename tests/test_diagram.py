@@ -27,7 +27,7 @@ from helpers import (
     equal_content,
     negative_entries,
     pt,
-    reference_cell_facts,
+    reference_box_facts,
     refine_to_width,
     verify_decomposition,
 )
@@ -96,8 +96,9 @@ def test_construction_facts_ii2():
     assert fb.has_segeq(T.mk_segment("A", "D"), T.mk_segment("A", "B"))
     assert fb.has_segeq(T.mk_segment("B", "E"), T.mk_segment("A", "B"))
     assert fb.has_rangle(T.RightAngle("A", "B", "D"))
-    rangles = [f.statement for f in inst.facts if isinstance(f.statement, T.RightAngle)]
-    assert any(r.vertex == "A" for r in rangles)
+    # the square is a box of the diagram, not a command fact
+    assert ("A", "D", "E", "B", True) in inst.boxes()
+    assert not any(f.kind == "rangle" for f in inst.facts)
 
 
 def test_construction_facts_ii14_radius():
@@ -146,7 +147,7 @@ def test_oracle_realize_builds_no_fact_statement(monkeypatch):
     [
         ("II_5.e2p", "equal_length", False, "construction fact AC == BC is numerically false"),
         ("II_5.e2p", "equal_length", Undecidable("x"), "AC == BC could not be verified: x"),
-        ("II_5.e2p", "right_angle", False, "construction fact rangle(C;B,E) is numerically false"),
+        ("II_1.e2p", "right_angle", False, "construction fact rangle(B;G,C) is numerically false"),
         # a length cited as written keeps its spelling, a standalone one its letter
         ("II_8.e2p", "equal_length", False, "construction fact BD == CB is numerically false"),
         ("II_1.e2p", "equal_length", False, "construction fact BG == A is numerically false"),
@@ -200,22 +201,7 @@ def test_check_derives_cell_facts_once_per_instance(monkeypatch, name):
     for _ in range(2):
         assert rules.check_proof(script, instance=inst).verdict == "accepted"
     assert calls[1:] == [inst]
-    assert inst.cells() is inst.cells()
-
-
-def test_false_cell_fact_rejects_at_step_zero(monkeypatch):
-    # a cell's facts rest on its labels standing at its corners: a label
-    # lookup that puts a label on another corner rejects before any step
-    script = load("II_2.e2p")
-    inst = dg.realize(script)
-    key = geo.point_key
-    c_key, f_key = key(inst.point("C")), key(inst.point("F"))
-    monkeypatch.setattr(geo, "point_key", lambda p: f_key if key(p) == c_key else key(p))
-    report = rules.check_proof(script, instance=inst)
-    assert (report.verdict, report.reject_step) == ("rejected", 0)
-    assert report.reject_cause == (
-        "RealizeFailed: cell DFFA: a label does not stand at its corner"
-    )
+    assert inst.boxes() is inst.boxes()
 
 
 def _partition(fb: rules.FactBase) -> set:
@@ -225,11 +211,12 @@ def _partition(fb: rules.FactBase) -> set:
     return {frozenset(g) for g in groups.values()}
 
 
-def _assert_seeded_as_reference(inst: dg.DiagramInstance):
-    """The base seeded from `inst.facts` and `inst.cells()` holds exactly
+def _assert_seeded_as_reference(inst: dg.DiagramInstance, construction=()):
+    """The base seeded from `inst.facts` and `inst.boxes()` holds exactly
     what adding the statement of each command fact, then each reference
-    cell fact, gives, and each such fact holds in the diagram."""
-    facts = [(f.statement, f.reason) for f in inst.facts] + reference_cell_facts(inst)
+    box fact, gives, and each such fact holds in the diagram."""
+    facts = [(f.statement, f.reason) for f in inst.facts]
+    facts += reference_box_facts(inst, construction)
     for stmt, _ in facts:
         assert dg.statement_holds(inst, stmt), stmt.text()
     seeded = rules.FactBase(inst)
@@ -253,7 +240,7 @@ def test_seeded_cells_match_reference_on_corpus(name, scale):
         inst = dg.realize(script, params)
     except Euclid2Error:
         assume(False)
-    _assert_seeded_as_reference(inst)
+    _assert_seeded_as_reference(inst, script.construction)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,17 +251,21 @@ def test_seeded_facts_match_reference_at_oracle_draws(name, seed):
         inst, _params = orc.sample_instance(script, random.Random(seed))
     except Euclid2Error:
         assume(False)
-    _assert_seeded_as_reference(inst)
+    _assert_seeded_as_reference(inst, script.construction)
 
 
 def test_every_corpus_diagram_seeds_as_reference():
-    cells = []
+    boxes, built = [], []
     for name in CORPUS_FILES:
-        inst = dg.realize(load(name))
-        _assert_seeded_as_reference(inst)
-        cells += inst.cells()
-    # both kinds occur: squares with a drawn diagonal and other rectangles
-    assert {square for *_, square in cells} == {True, False}
+        script = load(name)
+        inst = dg.realize(script)
+        _assert_seeded_as_reference(inst, script.construction)
+        boxes += inst.boxes()
+        built += inst.built_boxes
+    # both kinds occur: squares and other rectangles, built and found as cells
+    assert {square for *_, square in boxes} == {True, False}
+    assert {square for *_, square in built} == {True, False}
+    assert len(boxes) > len(built)
 
 
 def _axis(draw) -> list[int]:

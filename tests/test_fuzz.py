@@ -1,5 +1,6 @@
 """Mutated corpus scripts: realizing, rendering and checking them either
-works or raises a typed `Euclid2Error`, never anything else."""
+works or raises a typed `Euclid2Error`, never anything else; and a mutated
+step claim that the checker still accepts is true."""
 
 import contextlib
 import io
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 from euclid2 import cli, corpusdata
 from euclid2 import diagram as dg
+from euclid2 import oracle as orc
 from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
+from euclid2 import terms as T
 from euclid2.errors import Euclid2Error, ParseError
 from helpers import all_entries
 
@@ -163,6 +166,81 @@ def test_mutated_proof_exits_with_a_documented_code(case, command):
             code = cli.main([command, str(path), "--profile", profile])
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# mutation soundness: a wrong claim that passes its step is not wrong
+
+PARSED = [(e["profile"], sc.parse_script(corpusdata.read_script_text(e["file"]))) for e in ENTRIES]
+
+
+def _script_terms(script) -> list:
+    """Every term of the script's diorismos and step claims, namings lifted."""
+    terms = []
+    for stmt in (script.diorismos, *(step.claim for step in script.steps)):
+        stmt = T.lift_naming(stmt)
+        if isinstance(stmt, T.Eq):
+            terms += [*stmt.lhs.terms, *stmt.rhs.terms]
+    return list(dict.fromkeys(terms))
+
+
+@st.composite
+def mutated_claims(draw):
+    """A positive corpus entry, one of its steps and a mutant of that step's
+    claim (None when the mutant does not parse).  A sum equality has a term
+    swapped for, or added from, the terms of the same script, or one of its
+    terms dropped or duplicated; any other claim has one label swapped."""
+    profile, script = draw(st.sampled_from(PARSED))
+    step = draw(st.sampled_from(script.steps))
+    claim = step.claim
+    if isinstance(claim, T.Eq):
+        sides = [list(claim.lhs.terms), list(claim.rhs.terms)]
+        kind = draw(st.sampled_from(["swap", "drop", "duplicate", "add"]))
+        droppable = [side for side in sides if len(side) > 1]
+        if kind == "drop" and droppable:
+            side = draw(st.sampled_from(droppable))
+            del side[draw(st.integers(0, len(side) - 1))]
+        else:
+            side = draw(st.sampled_from(sides))
+            i = draw(st.integers(0, len(side) - 1))
+            term = draw(st.sampled_from(_script_terms(script)))
+            if kind == "duplicate":
+                side.append(side[i])
+            elif kind == "add":
+                side.append(term)
+            else:
+                side[i] = term
+        return profile, script, step, T.Eq(T.term_sum(sides[0]), T.term_sum(sides[1]))
+    text = claim.text()
+    j = draw(st.sampled_from([m.start() for m in re.finditer("[A-Z]", text)]))
+    text = text[:j] + draw(st.sampled_from(script.points)) + text[j + 1 :]
+    try:
+        return profile, script, step, T.parse_statement(text)
+    except Euclid2Error:
+        return profile, script, step, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_claims(), st.integers(0, 2**32 - 1))
+def test_a_mutated_claim_that_passes_its_step_holds(case, seed):
+    """When a step with a mutated claim is still accepted (the proof is
+    accepted, or rejected at another step), the mutant holds exactly on 5
+    oracle draws of the construction."""
+    profile, script, step, claim = case
+    if claim is None:
+        return
+    mutated_step = sc.ProofStep(step.index, claim, step.rule, step.premises, step.line)
+    fields = {name: getattr(script, name) for name in sc.Script._fields}
+    fields["steps"] = tuple(mutated_step if s is step else s for s in script.steps)
+    report = rules.check_proof(sc.Script(**fields), profile=profile)
+    if not any(record.index == step.index for record in report.steps):
+        return
+    draws, error = orc.draw_samples(script, 5, seed)
+    assert error is None and len(draws) == 5
+    if isinstance(claim, T.Eq):
+        assert all(r["ok"] for r in orc.evaluate_draws(claim, draws)), claim.text()
+    else:
+        assert all(dg.statement_holds(inst, claim) for inst, _ in draws), claim.text()
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,7 @@ def test_elementary_cells():
         (P(1, 0), P(1, -1)),
         (P(2, 0), P(2, -1)),
     ])
-    cells = list(geo.elementary_cells(drawn))
-    assert len(cells) == 2
+    assert list(geo.elementary_cells(drawn)) == [(0, 0), (1, 0)]
 
 
 def _interval_minus(lo, hi, pieces):
@@ -419,6 +418,7 @@ class _ReferenceDrawn:
                 and self.v_covered(x1, y1, y2) and self.v_covered(x2, y1, y2))
 
     def elementary_cells(self):
+        """The corners (x1, y1, x2, y2) of each closed cell."""
         xs = geo._sorted_unique([c for c, _, _ in self.v])
         ys = geo._sorted_unique([c for c, _, _ in self.h])
         return [
@@ -437,7 +437,9 @@ def _keys(values):
 def drawn_pieces(draw):
     """Horizontal and vertical segments on a few shared rational or Q(sqrt 2)
     coordinates, so that pieces nest, touch, repeat and come reversed; a
-    coordinate is sometimes rebuilt by another construction of its value."""
+    coordinate is sometimes rebuilt by another construction of its value.
+    The four sides of a box between pool values are sometimes drawn too, so
+    that cells close."""
     pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
 
     def value():
@@ -451,6 +453,9 @@ def drawn_pieces(draw):
         c, a, b = value(), value(), value()
         horizontal = draw(st.booleans())
         segments.append(((a, c), (b, c)) if horizontal else ((c, a), (c, b)))
+    for _ in range(draw(st.integers(0, 3))):
+        box = geo.box_polygon(value(), value(), value(), value())
+        segments += [(box[k], box[(k + 1) % 4]) for k in range(4)]
     queries = [(value(), value(), value()) for _ in range(6)]
     return segments, queries
 
@@ -465,8 +470,9 @@ def test_drawn_index_equals_the_reference(case):
         assert drawn.v_covered(c, lo, hi) is ref.v_covered(c, lo, hi)
     for (x1, y1, _), (x2, y2, _) in zip(queries, queries[1:]):
         assert drawn.box_sides_drawn(x1, y1, x2, y2) is ref.box_sides_drawn(x1, y1, x2, y2)
-    got = [_keys(cell) for cell in geo.elementary_cells(drawn)]
-    assert got == [_keys(cell) for cell in ref.elementary_cells()]
+    xs, ys = drawn.v_lines, drawn.h_lines
+    got = [(xs[i], ys[j], xs[i + 1], ys[j + 1]) for i, j in geo.elementary_cells(drawn)]
+    assert [_keys(cell) for cell in got] == [_keys(cell) for cell in ref.elementary_cells()]
 
 
 def _hline(y, x1, x2):

@@ -177,6 +177,18 @@ def test_construct_must_precede_hypotheses_and_claim():
     assert exc.value.expected == "construct: must come before hypotheses and the claim"
 
 
+def test_hypothesis_after_the_claim_is_a_parse_error():
+    lines = corpusdata.read_script_text("II_9.e2p").splitlines()
+    hyps = [line for line in lines if line.startswith("hypothesis ")]
+    rest = [line for line in lines if not line.startswith("hypothesis ")]
+    claim = next(i for i, line in enumerate(rest) if line.startswith("claim:"))
+    moved = rest[: claim + 1] + hyps + rest[claim + 1 :]
+    with pytest.raises(ParseError) as exc:
+        sc.parse_script("\n".join(moved) + "\n")
+    assert exc.value.line == claim + 2
+    assert exc.value.expected == f"unexpected line in section 'claim': {hyps[0]!r}"
+
+
 def test_whitespace_between_tokens_is_free():
     text = corpusdata.read_script_text("II_5.e2p")
     spaced = (

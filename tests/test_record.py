@@ -123,13 +123,13 @@ def test_list_and_dict_defaults_are_per_instance():
     a, b = dg.DiagramInstance(), dg.DiagramInstance()
     a.coords["A"] = (0, 0)
     a.facts.append(None)
-    assert b.coords == {} and b.facts == [] and a.params is not b.params
+    a.built_boxes.append(None)
+    assert b.coords == {} and b.facts == [] and b.built_boxes == []
+    assert a.params is not b.params
     args = ("II.1", "default", "accepted", None, None, [], [], "")
     r, s = sc.CheckReport(*args), sc.CheckReport(*args)
     r.certificates.append({})
-    r.fact_counts.append(1)
-    r.derived.append(None)
-    assert s.certificates == [] and s.fact_counts == [] and s.derived == []
+    assert s.certificates == []
 
 
 def test_post_init_normalises_and_validates():

@@ -83,10 +83,8 @@ def dummy_ctx():
 
 def test_r1_examples():
     c = dummy_ctx()
-    out = rules.rule_R1(c, ps("BH pi A x BC"), [ps("BH pi GB x BC"), ps("BG == A")])
-    assert T.stmt_equal(out.derived, ps("BH pi A x BC"))
-    out = rules.rule_R1(c, ps("AF pi AB x AC"), [ps("AF pi DA x AC"), ps("AD == AB")])
-    assert T.stmt_equal(out.derived, ps("AF pi AB x AC"))
+    rules.rule_R1(c, ps("BH pi A x BC"), [ps("BH pi GB x BC"), ps("BG == A")])
+    rules.rule_R1(c, ps("AF pi AB x AC"), [ps("AF pi DA x AC"), ps("AD == AB")])
     with pytest.raises(NoMatch):
         rules.rule_R1(c, ps("BH pi A x BC"), [ps("BH pi GB x BC"), ps("DK == DE")])
 
@@ -94,48 +92,41 @@ def test_r1_examples():
 def test_r1_preserves_position():
     c = dummy_ctx()
     # the substituted operand keeps its slot: second operand here
-    out = rules.rule_R1(c, ps("HD pi BD x AB"), [ps("HD pi BD x BH"), ps("BH == AB")])
-    assert out.derived.first == T.mk_segment("B", "D")
+    rules.rule_R1(c, ps("HD pi BD x AB"), [ps("HD pi BD x BH"), ps("BH == AB")])
     with pytest.raises(NoMatch):
         rules.rule_R1(c, ps("HD pi AB x BD"), [ps("HD pi BD x BH"), ps("BH == AB")])
 
 
 def test_r2_examples():
     c = dummy_ctx()
-    out = rules.rule_R2(c, ps("HF on AC"), [ps("HF on HG"), ps("HG == AC")])
-    assert T.stmt_equal(out.derived, ps("HF on AC"))
-    out = rules.rule_R2(c, ps("HF on HG"), [ps("HF on HG"), ps("HG == HG")])
-    assert T.stmt_equal(out.derived, ps("HF on HG"))
+    rules.rule_R2(c, ps("HF on AC"), [ps("HF on HG"), ps("HG == AC")])
+    rules.rule_R2(c, ps("HF on HG"), [ps("HF on HG"), ps("HG == HG")])
     with pytest.raises(NoMatch):
         rules.rule_R2(c, ps("HF on AC"), [ps("HF on HG"), ps("AB == CD")])
 
 
 def test_r2_on_equalities():
     c = dummy_ctx()
-    out = rules.rule_R2(
+    rules.rule_R2(
         c,
         ps("rect(BE,EF) + sq(GE) = sq(GH)"),
         [ps("rect(BE,EF) + sq(GE) = sq(GF)"), ps("GF == GH")],
     )
-    assert T.stmt_equal(out.derived, ps("rect(BE,EF) + sq(GE) = sq(GH)"))
     # standalone form: sq(X) = sq(Y) from X == Y
-    out = rules.rule_R2(c, ps("sq(GF) = sq(GH)"), [ps("GF == GH")])
-    assert T.stmt_equal(out.derived, ps("sq(GF) = sq(GH)"))
+    rules.rule_R2(c, ps("sq(GF) = sq(GH)"), [ps("GF == GH")])
 
 
 def test_r3_examples(ii5, ii4):
-    out = rules.rule_R3(
+    rules.rule_R3(
         ii5,
         ps("rect(AD,DB) = fig(NOP)"),
         [ps("fig(AH) = fig(NOP)"), ps("AH pi AD x DB")],
     )
-    assert T.stmt_equal(out.derived, ps("rect(AD,DB) = fig(NOP)"))
-    out = rules.rule_R3(
+    rules.rule_R3(
         ii4,
         ps("rect(AC,CB) = fig(GE)"),
         [ps("fig(AG) = fig(GE)"), ps("AG pi AC x CB")],
     )
-    assert T.stmt_equal(out.derived, ps("rect(AC,CB) = fig(GE)"))
     with pytest.raises(NoMatch):
         rules.rule_R3(
             ii5,
@@ -146,20 +137,18 @@ def test_r3_examples(ii5, ii4):
 
 def test_r3_resolves_diagonal_alias(ii3):
     # the square CE may be renamed by its second diagonal DB
-    out = rules.rule_R3(
+    rules.rule_R3(
         ii3,
         ps("fig(AD) + sq(CB) = rect(AB,BC)"),
         [ps("fig(AD) + fig(CE) = rect(AB,BC)"), ps("DB on CB")],
     )
-    assert T.stmt_equal(out.derived, ps("fig(AD) + sq(CB) = rect(AB,BC)"))
 
 
 def test_r3_matches_an_unbound_figure_by_its_letters_only(ii3):
     # AC and CB lie on one line, so neither binds a region
-    out = rules.rule_R3(
+    rules.rule_R3(
         ii3, ps("rect(AB,BC) = sq(CB)"), [ps("fig(AC) = sq(CB)"), ps("AC pi AB x BC")]
     )
-    assert T.stmt_equal(out.derived, ps("rect(AB,BC) = sq(CB)"))
     with pytest.raises(NoMatch):
         rules.rule_R3(
             ii3, ps("rect(AB,BC) = sq(CB)"), [ps("fig(AC) = sq(CB)"), ps("CB pi AB x BC")]
@@ -179,18 +168,16 @@ def test_inline_equality_premise_matches_up_to_figure_names():
 
 def test_r4_examples():
     c = dummy_ctx()
-    out = rules.rule_R4(
+    rules.rule_R4(
         c,
         ps("fig(FK) = sq(AB)"),
         [ps("rect(CF,FA) = sq(AB)"), ps("FK pi CF x FA")],
     )
-    assert T.stmt_equal(out.derived, ps("fig(FK) = sq(AB)"))
-    out = rules.rule_R4(
+    rules.rule_R4(
         c,
         ps("fig(BD) = sq(HE)"),
         [ps("rect(BE,EF) = sq(HE)"), ps("BD pi BE x EF")],
     )
-    assert T.stmt_equal(out.derived, ps("fig(BD) = sq(HE)"))
     with pytest.raises(NoMatch):
         rules.rule_R4(
             c,
@@ -205,8 +192,7 @@ def test_r4_examples():
 
 def test_cn1_examples():
     c = dummy_ctx()
-    out = rules.rule_CN1(c, ps("DK == A"), [ps("DK == BG"), ps("BG == A")])
-    assert T.stmt_equal(out.derived, ps("DK == A"))
+    rules.rule_CN1(c, ps("DK == A"), [ps("DK == BG"), ps("BG == A")])
     with pytest.raises(NoLink):
         rules.rule_CN1(c, ps("DK == A"), [ps("DK == BG"), ps("CE == A")])
 
@@ -214,37 +200,33 @@ def test_cn1_examples():
 def test_cn2_example():
     c = dummy_ctx()
     claim = ps("fig(NOP) + fig(LG) = rect(AD,DB) + sq(CD)")
-    out = rules.rule_CN2(
+    rules.rule_CN2(
         c, claim, [ps("fig(NOP) = rect(AD,DB)"), ps("fig(LG) = sq(CD)")]
     )
-    assert T.stmt_equal(out.derived, claim)
 
 
 def test_cn3_example():
     c = dummy_ctx()
-    out = rules.rule_CN3(
+    rules.rule_CN3(
         c,
         ps("rect(BE,EF) = sq(HE)"),
         [ps("rect(BE,EF) + sq(GE) = sq(HE) + sq(GE)")],
     )
-    assert T.stmt_equal(out.derived, ps("rect(BE,EF) = sq(HE)"))
     with pytest.raises(NoCommonTerm):
         rules.rule_CN3(c, ps("sq(A) = sq(B)"), [ps("sq(AB) = sq(CD)")])
 
 
 def test_cn3_removes_common_terms_with_multiplicity():
     c = dummy_ctx()
-    out = rules.rule_CN3(
+    rules.rule_CN3(
         c, ps("sq(A) + sq(B) = sq(C)"), [ps("sq(A) + sq(A) + sq(B) = sq(A) + sq(C)")]
     )
-    assert T.stmt_equal(out.derived, ps("sq(A) + sq(B) = sq(C)"))
 
 
 def test_cn2_single_premise_counts_repeated_terms():
     c = dummy_ctx()
     claim = ps("sq(A) + sq(C) + sq(C) = sq(B) + sq(C) + sq(C)")
-    out = rules.rule_CN2(c, claim, [ps("sq(A) = sq(B)")])
-    assert T.stmt_equal(out.derived, claim)
+    rules.rule_CN2(c, claim, [ps("sq(A) = sq(B)")])
     # the premise side sq(A) + sq(A) is not contained in sq(A) + sq(D)
     with pytest.raises(NoMatch):
         rules.rule_CN2(
@@ -328,10 +310,9 @@ def test_double_examples(ii4):
         [ps("AG pi AC x CB"), ps("fig(GE) = rect(AC,CB)")],
     )
     assert "unjustified-in-paper" in out.flags
-    out = rules.rule_DOUBLE(
+    rules.rule_DOUBLE(
         dummy_ctx(), ps("fig(AF) + fig(CE) = 2*fig(AF)"), [ps("fig(AF) = fig(CE)")]
     )
-    assert T.stmt_equal(out.derived, ps("fig(AF) + fig(CE) = 2*fig(AF)"))
     with pytest.raises(DistinctTargets):
         rules.rule_DOUBLE(
             ii4,
@@ -342,8 +323,7 @@ def test_double_examples(ii4):
 
 def test_merge_single_premise(ii4):
     claim = ps("fig(HF) + fig(CK) = sq(AC) + sq(CB)")
-    out = rules.rule_MERGE(ii4, claim, [claim])
-    assert T.stmt_equal(out.derived, claim)
+    rules.rule_MERGE(ii4, claim, [claim])
 
 
 def test_merge_unbound_figure_is_not_skipped(ii4):
@@ -362,7 +342,7 @@ def test_merge_with_one_left_figure_resolves_no_region(ii4):
     coverage question and an unbound name there does not fail the step."""
     claim = ps("fig(XY) + sq(CB) = sq(AC) + sq(CB)")
     out = rules.rule_MERGE(ii4, claim, [ps("XY on AC"), ps("sq(CB) = sq(CB)")])
-    assert T.stmt_equal(out.derived, claim) and out.flags == ("aggregation",)
+    assert out.flags == ("aggregation",)
 
 
 def test_merge_rejects_a_figure_aggregated_twice(ii4):
@@ -432,14 +412,21 @@ def test_report_schema_enums_follow_the_vocabulary():
 
 @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e["prop"])
 def test_factbase_monotone_and_replay(entry):
+    """Replaying each step of an accepted proof by its rule against the base
+    accepts it; the base only grows, and holds each claim once added."""
     script = load(entry["file"])
-    report = rules.check_proof(script)
-    assert report.accepted
-    counts = report.fact_counts
-    assert all(b >= a for a, b in zip(counts, counts[1:]))
-    # replay: every accepted step's independently derived statement matches
-    for step, derived in zip(script.steps, report.derived):
-        assert T.stmt_equal(step.claim, derived)
+    assert rules.check_proof(script).accepted
+    fb = ctx_for(entry["file"])
+    hyps = {h.index: h.stmt for h in script.hypotheses}
+    prior = {}
+    for step in script.steps:
+        before = dict(fb._stmts)
+        premises = [stmt for stmt, _ in rules._resolve_premises(fb, hyps, step, prior)]
+        rules._HANDLERS[rules.Rule(step.rule)](fb, step.claim, premises)
+        prior[step.index] = step.claim
+        fb.add(step.claim, f"step:{step.index}")
+        assert before.items() <= fb._stmts.items()
+        assert fb.has(step.claim)
 
 
 def _flip_first_rect(stmt):
