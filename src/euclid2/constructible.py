@@ -1,10 +1,11 @@
 """Constructible reals, each decided exactly.
 
 A rational is two ints, `num` and `den` > 0 in lowest terms (zero is 0/1),
-and `rational` is its one constructor: one `math.gcd`, none when den == 1.
-`add`, `sub`, `mul` and `div` combine two rationals as integer products and
-one `rational`, before any other path; `geometry` does the same for a whole
-primitive.  `const` is where an `int` or `Fraction` enters, and `Expr.rat`
+and `rational` is its one constructor: one `math.gcd`, none when den == 1,
+and no `Expr.__init__` frame, as it allocates the value and sets its slots.
+`add`, `sub`, `mul`, `div` and `neg` combine rationals as integer products
+and one `rational`, before any other path; `geometry` does the same for a
+whole primitive and `diagram` for a constructed point or length.  `const` is where an `int` or `Fraction` enters, and `Expr.rat`
 is a read-only `Fraction` view for readers outside the tower.  A single
 square root of a rational folds to an exact quadratic form
 (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0, gcd(an, bn, d) = 1 and
@@ -168,13 +169,24 @@ def _sqrt_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fra
     return Fraction(lo_int, 1 << bits), Fraction(hi_int, 1 << bits)
 
 
+_new = object.__new__
+
+
 def rational(n: int, d: int) -> Expr:
     """The rational n/d for ints n and d != 0, reduced by one gcd (none
-    when d == 1) with d > 0: every rational `Expr` is built here."""
+    when d == 1) with d > 0: every rational `Expr` is built here, its six
+    slots set without an `Expr.__init__` call."""
     if d != 1:
         g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
         n, d = n // g, d // g
-    return Expr("rat", (), n, d, None)
+    e = _new(Expr)
+    e.kind = "rat"
+    e.args = ()
+    e.num = n
+    e.den = d
+    e.q = None
+    e._ivals = None
+    return e
 
 
 def const(q) -> Expr:
@@ -360,6 +372,8 @@ def sqrt(x: Expr) -> Expr:
 
 
 def neg(x: Expr) -> Expr:
+    if x.den:
+        return rational(-x.num, x.den)
     return sub(ZERO, x)
 
 

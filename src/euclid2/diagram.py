@@ -10,6 +10,10 @@ The labelled axis-aligned boxes (the squares `square` draws, the rectangles
 their corner labels (`DiagramInstance.boxes`); the fact base states their
 sides and right angles, theorems of such a box, without deciding them.
 
+On rational input a line-line meet (`_meet`) and the length of an
+axis-aligned side (`DiagramInstance.side_len`) are solved in ints and each
+coordinate is reduced once; other input composes `Expr` arithmetic.
+
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
 line in the canonical corpus figures); standalone segments and declared
@@ -18,6 +22,7 @@ rectangles live in the left margin at deterministic spots.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import constructible as cr
@@ -127,7 +132,8 @@ class DiagramInstance(Record):
         """Every labelled axis-aligned box, as (a, b, c, d, square): its
         corner labels in boundary order and whether it is a square.  The
         boxes `square` and `torect` built come first, then each elementary
-        cell of the drawn grid whose four corners carry labels, as
+        cell of the drawn grid whose four corners carry labels, other than
+        those boxes, as
         (bl, br, tr, tl, square), a square when its sides are equal and a
         diagonal is drawn.  The cells are listed on the first call; later
         calls return the same list."""
@@ -160,7 +166,16 @@ class DiagramInstance(Record):
         return self.side_len(seg.a, seg.b)
 
     def side_len(self, a: str, b: str | None) -> Expr:
+        """The length of side ab.  An axis-aligned side with rational ends
+        is |dx| or |dy|, one integer difference reduced once."""
         p, q = self.endpoints(a, b)
+        (x1, y1), (x2, y2) = p, q
+        if x1.den and y1.den and x2.den and y2.den:
+            if x1.num * x2.den == x2.num * x1.den:
+                return cr.rational(abs(y2.num * y1.den - y1.num * y2.den), y1.den * y2.den)
+            if y1.num * y2.den == y2.num * y1.den:
+                return cr.rational(abs(x2.num * x1.den - x1.num * x2.den), x1.den * x2.den)
+            return cr.sqrt(geo.dist2(p, q))
         dx = cr.sub(q[0], p[0])
         dy = cr.sub(q[1], p[1])
         if geo.sign(dx) == 0:
@@ -289,8 +304,7 @@ class _Builder:
 
     def _do_CutHalf(self, cmd: sc.CutHalf):
         p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
-        half = cr.const(Fraction(1, 2))
-        c = (cr.mul(cr.add(p[0], q[0]), half), cr.mul(cr.add(p[1], q[1]), half))
+        c = (cr.mul(cr.add(p[0], q[0]), _HALF), cr.mul(cr.add(p[1], q[1]), _HALF))
         self.new_point(cmd.point, c)
         self.fact(
             "segeq", (_side(cmd.on[0], cmd.point), _side(cmd.point, cmd.on[1])), "Midpoint"
@@ -423,7 +437,7 @@ class _Builder:
 
     def _do_ParallelTranslate(self, cmd: sc.ParallelTranslate):
         p = self.pt_of(cmd.through)
-        x, y = self.pt_of(cmd.along[0]), self.pt_of(cmd.along[1])
+        x, y = self.base(cmd.along)
         n = (cr.add(p[0], cr.sub(y[0], x[0])), cr.add(p[1], cr.sub(y[1], x[1])))
         self.new_point(cmd.new, n)
         self.draw(p, n)
@@ -435,10 +449,8 @@ class _Builder:
 
     def _do_ParallelMeet(self, cmd: sc.ParallelMeet):
         p = self.pt_of(cmd.through)
-        x, y = self.pt_of(cmd.along[0]), self.pt_of(cmd.along[1])
-        u, v = self.pt_of(cmd.meet[0]), self.pt_of(cmd.meet[1])
-        d = geo.sub2(y, x)
-        n = _line_line(p, d, u, geo.sub2(v, u))
+        x, y = self.base(cmd.along)
+        n = _meet(p, x, y, *self.base(cmd.meet))
         self.new_point(cmd.new, n)
         self.draw(p, n)
 
@@ -458,10 +470,7 @@ class _Builder:
     def _do_SemicircleOn(self, cmd: sc.SemicircleOn):
         a, b = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
         c = self.pt_of(cmd.center)
-        mid = (
-            cr.mul(cr.add(a[0], b[0]), cr.const(Fraction(1, 2))),
-            cr.mul(cr.add(a[1], b[1]), cr.const(Fraction(1, 2))),
-        )
+        mid = (cr.mul(cr.add(a[0], b[0]), _HALF), cr.mul(cr.add(a[1], b[1]), _HALF))
         if not geo.pts_equal(c, mid):
             raise InvalidParam(f"{cmd.center} is not the midpoint of {cmd.on[0]}{cmd.on[1]}")
         r2 = geo.dist2(c, a)
@@ -472,9 +481,7 @@ class _Builder:
 
     def _do_IntersectLines(self, cmd: sc.IntersectLines):
         p, q = self.base(cmd.line)
-        u = self.pt_of(cmd.other[0])
-        du = geo.sub2(self.pt_of(cmd.other[1]), u)
-        self.new_point(cmd.new, _line_line(p, geo.sub2(q, p), u, du))
+        self.new_point(cmd.new, _meet(p, p, q, *self.base(cmd.other)))
 
     def _do_IntersectCircle(self, cmd: sc.IntersectCircle):
         p, q = self.base(cmd.line)
@@ -492,7 +499,26 @@ class _Builder:
         self.inst.declared[cmd.name] = geo.gnomon_polygon(outer, corner)
 
 
-def _line_line(p: Pt, d: Pt, u: Pt, du: Pt) -> Pt:
+_HALF = cr.const(Fraction(1, 2))
+
+
+def _meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
+    """The point where the line through p parallel to xy meets the line uv.
+    On rational input the ten coordinates are scaled to one denominator D
+    and the point is solved in ints, each coordinate reduced once; any
+    other input composes `Expr` arithmetic."""
+    cs = (*p, *x, *y, *u, *v)
+    dens = [c.den for c in cs]
+    if all(dens):
+        D = math.lcm(*dens)
+        px, py, xx, xy, yx, yy, ux, uy, vx, vy = [c.num * (D // c.den) for c in cs]
+        dx, dy, ex, ey = yx - xx, yy - xy, vx - ux, vy - uy
+        den = dx * ey - dy * ex
+        if den == 0:
+            raise NoIntersection("lines are parallel")
+        t = (ux - px) * ey - (uy - py) * ex  # the meet is p + (t/den)*(y - x)
+        return cr.rational(px * den + t * dx, den * D), cr.rational(py * den + t * dy, den * D)
+    d, du = geo.sub2(y, x), geo.sub2(v, u)
     den = geo.cross(d, du)
     if geo.sign(den) == 0:
         raise NoIntersection("lines are parallel")
@@ -568,9 +594,12 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
 def _labelled_cells(inst: DiagramInstance) -> list[Box]:
     """Each label is placed on the grid of drawn lines by exact value (the
     last label of a point winning), and a cell is listed when its four
-    corners carry labels; the square test compares width and height
+    corners carry labels that are not the labels of a box `square` or
+    `torect` built (that box, listed already, knows from its command
+    whether it is a square); the square test compares width and height
     exactly."""
     drawn = inst.drawn
+    built = {frozenset(box[:4]) for box in inst.built_boxes}
     xs, ys = drawn.v_lines, drawn.h_lines
     label_at = {}
     for name, (x, y) in inst.coords.items():
@@ -581,7 +610,7 @@ def _labelled_cells(inst: DiagramInstance) -> list[Box]:
     for i, j in geo.elementary_cells(drawn):
         corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
         labels = [label_at.get(k) for k in corners]
-        if None in labels:
+        if None in labels or frozenset(labels) in built:
             continue
         x1, y1, x2, y2 = xs[i], ys[j], xs[i + 1], ys[j + 1]
         square = geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0 and (

@@ -11,8 +11,8 @@ its middle, bound trapezoids on which both multiplicity functions are
 constant.  Every predicate is exact: on rationals by integer products,
 and with radicals by the exact sign of a constructible real.
 
-`cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle` and
-`signed_area2` (so `area`) have an integer kernel: on rational input they
+`cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle`,
+`signed_area2` and `area` have an integer kernel: on rational input they
 compute on the ints `num`, `den` and reduce once by `cr.rational` (a
 predicate just compares); other input takes the `Expr` composition through
 `cr.add/sub/mul`.
@@ -137,16 +137,21 @@ def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
     return sign(t) >= 0 and cmp(t, dot(d, d)) <= 0
 
 
+def _shoelace(poly: Polygon) -> tuple[int, int]:
+    """Twice the signed area of a rational polygon as n/d: the shoelace sum
+    of the coordinates scaled to one x and one y denominator."""
+    dx = math.lcm(*(p[0].den for p in poly))
+    dy = math.lcm(*(p[1].den for p in poly))
+    xs = [p[0].num * (dx // p[0].den) for p in poly]
+    ys = [p[1].num * (dy // p[1].den) for p in poly]
+    return sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(poly))), dx * dy
+
+
 def signed_area2(poly: Polygon) -> Expr:
-    """Twice the signed area.  On rational vertices: the shoelace sum of
-    the coordinates scaled to one x and one y denominator, reduced once."""
+    """Twice the signed area.  On rational vertices: the shoelace sum,
+    reduced once."""
     if polygon_exact_rational(poly):
-        dx = math.lcm(*(p[0].den for p in poly))
-        dy = math.lcm(*(p[1].den for p in poly))
-        xs = [p[0].num * (dx // p[0].den) for p in poly]
-        ys = [p[1].num * (dy // p[1].den) for p in poly]
-        n = sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(poly)))
-        return cr.rational(n, dx * dy)
+        return cr.rational(*_shoelace(poly))
     acc = cr.ZERO
     for p, q in zip(poly, poly[1:] + poly[:1]):
         acc = cr.add(acc, cross(p, q))
@@ -154,6 +159,11 @@ def signed_area2(poly: Polygon) -> Expr:
 
 
 def area(poly: Polygon) -> Expr:
+    """The unsigned area.  On rational vertices: |shoelace| / 2, reduced
+    once."""
+    if polygon_exact_rational(poly):
+        n, d = _shoelace(poly)
+        return cr.rational(abs(n), 2 * d)
     a2 = signed_area2(poly)
     if sign(a2) < 0:
         a2 = cr.neg(a2)

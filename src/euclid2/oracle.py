@@ -33,10 +33,11 @@ def _base_params(script: sc.Script) -> dict[str, Fraction]:
     return {n: d if d is not None else Fraction(1, 2) for n, d in script.params.items()}
 
 
-def _draw_params(script: sc.Script, rng: random.Random) -> dict[str, Fraction]:
+def _draw_params(base: dict[str, Fraction], rng: random.Random) -> dict[str, Fraction]:
+    """Each base value times a random k/2^20 in [1/2, 3/2)."""
     return {
-        name: base * Fraction(rng.randrange(1 << 19, 3 << 19), 1 << 20)
-        for name, base in _base_params(script).items()
+        name: Fraction(b.numerator * rng.randrange(1 << 19, 3 << 19), b.denominator << 20)
+        for name, b in base.items()
     }
 
 
@@ -58,7 +59,7 @@ def sample_instance(
     base = _base_params(script)
     last = None
     for _ in range(_RETRIES):
-        params = _draw_params(script, rng)
+        params = _draw_params(base, rng)
         try:
             return dg.realize(script, params), params
         except DiagramError as exc:

@@ -425,11 +425,15 @@ qed
         "extend CD to E with EB = AB",
         "intersect E = line CD x circle O above",
         "join C D",
+        "parallel E through A along CD meet AB",
+        "parallel E through A along AB meet CD",
+        "parallel E through A along CD",
+        "intersect E = line AB x line CD",
     ],
 )
 def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, capsys):
     """C and D are both the midpoint of AB, so the line CD has no length to
-    join, scale by or intersect along."""
+    join, scale by, intersect along or draw a parallel to."""
     bad = tmp_path / "zero.e2p"
     bad.write_text(ZERO_BASE.format(construction=construction))
     code, out, err = run_cli([command, str(bad)], capsys)
@@ -498,7 +502,7 @@ def test_draw_dependent_failure_still_retries(monkeypatch):
     script = sc.parse_script(text.replace("param d = 1/5", "param d = 2/5"))
     seed = next(
         s for s in range(200)
-        if orc._draw_params(script, random.Random(s))["d"] >= Fraction(1, 2)
+        if orc._draw_params(orc._base_params(script), random.Random(s))["d"] >= Fraction(1, 2)
     )
     calls = _counting_realize(monkeypatch)
     _inst, params = orc.sample_instance(script, random.Random(seed))

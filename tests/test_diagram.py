@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -266,6 +267,24 @@ def test_every_corpus_diagram_seeds_as_reference():
     assert {square for *_, square in boxes} == {True, False}
     assert {square for *_, square in built} == {True, False}
     assert len(boxes) > len(built)
+
+
+DATA_SCRIPTS = sorted((Path(__file__).resolve().parent / "data").glob("*.e2p"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [corpusdata.read_script_text(n) for n in CORPUS_FILES]
+    + [p.read_text(encoding="utf-8") for p in DATA_SCRIPTS],
+    ids=CORPUS_FILES + [p.name for p in DATA_SCRIPTS],
+)
+def test_boxes_lists_each_box_once(text):
+    """An undivided box that `square` or `torect` built is also a labelled
+    grid cell; it is listed once, as built."""
+    inst = dg.realize(sc.parse_script(text))
+    label_sets = [frozenset(box[:4]) for box in inst.boxes()]
+    assert len(set(label_sets)) == len(label_sets)
+    assert inst.boxes()[: len(inst.built_boxes)] == inst.built_boxes
 
 
 def _axis(draw) -> list[int]:

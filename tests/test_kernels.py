@@ -1,7 +1,8 @@
 """The integer kernels of the exact primitives.
 
-On rational input `cr.add/sub/mul/div`, `cr.rational` and the geometry
-primitives compute in ints and reduce once; these tests pin them to
+On rational input `cr.add/sub/mul/div/neg`, `cr.rational`, the geometry
+primitives and the construction kernels of `diagram` (`_meet`, axis
+`side_len`) compute in ints and reduce once; these tests pin them to
 `Fraction` arithmetic and to canonical output, and pin their non-rational
 path to the plain `Expr` composition it replaced."""
 
@@ -10,11 +11,14 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
+from euclid2 import diagram as dg
 from euclid2 import geometry as geo
+from euclid2.errors import NoIntersection
 from helpers import pt
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "euclid2"
@@ -185,17 +189,27 @@ def test_equal_length_kernel_matches_dist2_on_quadratic_points(p, q, r, turned):
 
 
 def test_equal_length_builds_no_expr_on_rational_points(monkeypatch):
+    """No value is built: neither through `Expr.__init__` nor by
+    `cr.rational`, which allocates without it."""
     made = []
-    init = cr.Expr.__init__
+    init, rational = cr.Expr.__init__, cr.rational
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         made.append(args[0])
         init(self, *args)
+
+    def counted_rational(n, d):
+        made.append("rat")
+        return rational(n, d)
 
     big = Fraction(3**150, 7**90)
     p, q = pt(big, -big), pt(-big, Fraction(1, 3))
     r, s = pt(0, 0), pt(Fraction(-1, 3) - big, -2 * big)  # q - p turned
-    monkeypatch.setattr(cr.Expr, "__init__", counted)
+    monkeypatch.setattr(cr.Expr, "__init__", counted_init)
+    monkeypatch.setattr(cr, "rational", counted_rational)
+    geo.dist2(p, q)
+    assert made == ["rat"]  # the counters see a value that is built
+    made.clear()
     assert geo.equal_length(p, q, r, s)
     assert not geo.equal_length(p, q, r, p)
     assert geo.equal_length(r, r, s, s)
@@ -226,17 +240,157 @@ def test_kernels_build_no_fraction(monkeypatch):
     assert made == []
 
 
+def _rational_sites(tree: ast.AST) -> list[int]:
+    """Lines that could build a rational `Expr`: the kind "rat", a call
+    given the class `Expr` itself (as `object.__new__(Expr)` is), and an
+    `Expr(...)` call whose `den` (its fourth argument) is not the constant
+    0, which every quadratic and tower value has."""
+    def is_expr(node):  # `Expr` or `cr.Expr`
+        return (isinstance(node, ast.Name) and node.id == "Expr") or (
+            isinstance(node, ast.Attribute) and node.attr == "Expr"
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == "rat":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            if any(is_expr(a) for a in node.args):
+                lines.append(node.lineno)
+            elif is_expr(node.func):
+                den = node.args[3] if len(node.args) > 3 else None
+                if not (isinstance(den, ast.Constant) and den.value == 0):
+                    lines.append(node.lineno)
+    return lines
+
+
 def test_one_rational_constructor():
     """`rational` is the only place a rational `Expr` is built, and the
     geometry module computes without `Fraction`."""
     sites = [
         (path.name, line)
         for path in sorted(SRC.glob("*.py"))
-        for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if 'Expr("rat"' in text
+        for line in _rational_sites(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert len(sites) == 1 and sites[0][0] == "constructible.py"
     tree = ast.parse((SRC / "constructible.py").read_text(encoding="utf-8"))
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "rational"]
-    assert fn.lineno <= sites[0][1] <= fn.end_lineno
+    assert sites and all(
+        name == "constructible.py" and fn.lineno <= line <= fn.end_lineno for name, line in sites
+    ), sites
     assert "Fraction(" not in (SRC / "geometry.py").read_text(encoding="utf-8")
+
+
+def test_rational_sites_catch_a_rational_built_elsewhere():
+    for text in ('Expr("rat", (), n, d, None)', "e = object.__new__(Expr)",
+                 "e = _new(cr.Expr)", 'cr.Expr("quad", (), n, d, None)', 'e.kind = "rat"'):
+        assert _rational_sites(ast.parse(text)), text
+    assert _rational_sites(ast.parse('Expr("tower", (a, b, r), 0, 0, None)')) == []
+
+
+# -- the construction kernels of `diagram` ------------------------------
+
+
+def _old_meet(p, x, y, u, v):
+    # the composition `_meet` replaced on rational input
+    d, du = geo.sub2(y, x), geo.sub2(v, u)
+    den = _old_cross(d, du)
+    if geo.sign(den) == 0:
+        raise NoIntersection("lines are parallel")
+    t = cr.div(_old_cross(geo.sub2(u, p), du), den)
+    return (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1])))
+
+
+def _meets_alike(p, x, y, u, v):
+    try:
+        old = _old_meet(p, x, y, u, v)
+    except NoIntersection:
+        with pytest.raises(NoIntersection, match="^lines are parallel$"):
+            dg._meet(p, x, y, u, v)
+        return None
+    new = dg._meet(p, x, y, u, v)
+    assert all(_same_value(a, b) for a, b in zip(new, old))
+    return new
+
+
+def _shift(u, s, x, y):
+    """u + s*(y - x): v puts the line uv parallel to xy."""
+    return (cr.add(u[0], cr.mul(s, cr.sub(y[0], x[0]))), cr.add(u[1], cr.mul(s, cr.sub(y[1], x[1]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_fpoints, min_size=5, max_size=5), _fracs, st.booleans())
+def test_meet_kernel_equals_the_composition_on_rationals(pts, s, parallel):
+    p, x, y, u, v = [_pt(c) for c in pts]
+    if parallel:
+        v = _shift(u, cr.const(s), x, y)
+    new = _meets_alike(p, x, y, u, v)
+    if parallel:
+        assert new is None
+    if new is not None:
+        assert all(_canonical(c, Fraction(c.num, c.den)) for c in new)
+    # the form `intersect ... x line` uses: p = x
+    _meets_alike(x, x, y, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_MIXED, min_size=5, max_size=5), _small, st.booleans())
+def test_meet_equals_the_composition_on_any_field(pts, s, parallel):
+    p, x, y, u, v = pts
+    if parallel:
+        v = _shift(u, cr.const(s), x, y)
+    new = _meets_alike(p, x, y, u, v)
+    if parallel:
+        assert new is None
+
+
+def _old_side_len(p, q):
+    dx, dy = cr.sub(q[0], p[0]), cr.sub(q[1], p[1])
+    if geo.sign(dx) == 0:
+        return dy if geo.sign(dy) >= 0 else cr.sub(cr.ZERO, dy)
+    if geo.sign(dy) == 0:
+        return dx if geo.sign(dx) >= 0 else cr.sub(cr.ZERO, dx)
+    return cr.sqrt(_old_dot((dx, dy), (dx, dy)))
+
+
+def _side_lens_alike(p, q, t):
+    # pq, and the axis sides from p to (p.x, t) and to (t, p.y)
+    for a, b in ((p, q), (p, (p[0], t)), (p, (t, p[1])), (p, p)):
+        inst = dg.DiagramInstance(coords={"A": a, "B": b})
+        new = inst.side_len("A", "B")
+        assert _same_value(new, _old_side_len(a, b))
+        assert geo.sign(new) >= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fpoints, _fpoints, _fracs)
+def test_side_len_kernel_equals_the_composition_on_rationals(p, q, t):
+    _side_lens_alike(_pt(p), _pt(q), cr.const(t))
+    inst = dg.DiagramInstance(coords={"A": _pt(p), "B": _pt((p[0], t))})
+    assert _canonical(inst.side_len("A", "B"), abs(t - p[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD)
+def test_side_len_equals_the_composition_on_quadratic_points(p, q, t):
+    _side_lens_alike(p, q, t[0])
+
+
+def _old_area(poly):
+    a2 = cr.ZERO
+    for i in range(len(poly)):
+        a2 = cr.add(a2, _old_cross(poly[i], poly[(i + 1) % len(poly)]))
+    if geo.sign(a2) < 0:
+        a2 = cr.sub(cr.ZERO, a2)
+    return cr.div(a2, cr.const(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_fpoints, min_size=3, max_size=6), st.lists(_MIXED, min_size=3, max_size=5))
+def test_area_and_neg_equal_the_composition(rat_poly, poly):
+    for pts in (tuple(_pt(c) for c in rat_poly), tuple(poly)):
+        area = geo.area(pts)
+        assert _same_value(area, _old_area(pts))
+        for x in (area, geo.signed_area2(pts), *pts[0]):
+            assert _same_value(cr.neg(x), cr.sub(cr.ZERO, x))
+            if x.den:
+                assert _canonical(cr.neg(x), -Fraction(x.num, x.den))
