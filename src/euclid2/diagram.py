@@ -22,6 +22,7 @@ rectangles live in the left margin at deterministic spots.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -119,7 +120,7 @@ class DiagramInstance(Record):
     built_boxes: list[Box] = []  # by `square` and `torect`
     params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
-    _region_cache: dict[str, Polygon] = {}
+    _regions: dict[str, list | None] = {}  # name -> [region, key once asked] or None
     _boxes: list[Box] | None = None
 
     @property
@@ -133,13 +134,34 @@ class DiagramInstance(Record):
         corner labels in boundary order and whether it is a square.  The
         boxes `square` and `torect` built come first, then each elementary
         cell of the drawn grid whose four corners carry labels, other than
-        those boxes, as
-        (bl, br, tr, tl, square), a square when its sides are equal and a
-        diagonal is drawn.  The cells are listed on the first call; later
-        calls return the same list."""
+        those boxes, as (bl, br, tr, tl, square), a square when its sides are
+        equal and a diagonal is drawn.  The cells are listed on the first
+        call; later calls return the same list."""
         if self._boxes is None:
             self._boxes = self.built_boxes + _labelled_cells(self)
         return self._boxes
+
+    def _bound(self, letters: str) -> list | None:
+        if letters not in self._regions:
+            try:
+                self._regions[letters] = [_resolve_region(self, letters), None]
+            except Euclid2Error:
+                self._regions[letters] = None
+        return self._regions[letters]
+
+    def region(self, letters: str) -> Polygon:
+        """The region the figure name binds; raises UnknownName, saying
+        why, when it binds none."""
+        bound = self._bound(letters)
+        return _resolve_region(self, letters) if bound is None else bound[0]
+
+    def region_key(self, letters: str) -> tuple | None:
+        """Identity of the region the figure name binds, one for all of its
+        names, or None when the name binds no region."""
+        bound = self._bound(letters)
+        if bound is not None and bound[1] is None:
+            bound[1] = geo.region_key(bound[0])
+        return bound and bound[1]
 
     def point(self, label: str) -> Pt:
         if label not in self.coords:
@@ -220,7 +242,7 @@ class _Builder:
     def draw(self, p: Pt, q: Pt):
         self.inst.drawn_list.append((p, q))
         self.inst._drawn = None
-        self.inst._region_cache.clear()
+        self.inst._regions.clear()
 
     def fact(self, kind: str, labels: tuple, reason: str):
         """Record a fact of the command just run once it holds on the
@@ -494,8 +516,7 @@ class _Builder:
             self.fact("segeq", (_side(c, cmd.new), _side(c, e)), "Radius")
 
     def _do_GnomonDecl(self, cmd: sc.GnomonDecl):
-        outer = figure_region(self.inst, cmd.outer)
-        corner = figure_region(self.inst, cmd.corner)
+        outer, corner = self.inst.region(cmd.outer), self.inst.region(cmd.corner)
         self.inst.declared[cmd.name] = geo.gnomon_polygon(outer, corner)
 
 
@@ -563,17 +584,15 @@ def term_value(inst: DiagramInstance, t) -> Expr:
     if isinstance(t, RectBy):
         return cr.mul(inst.seg_len(t.first), inst.seg_len(t.second))
     if isinstance(t, Fig):
-        return geo.area(figure_region(inst, t.name.letters))
+        return geo.area(inst.region(t.name.letters))
     if isinstance(t, Multiple):
         return cr.mul(cr.const(t.count), term_value(inst, t.inner))
     raise TypeError(t)
 
 
 def sum_value(inst: DiagramInstance, s) -> Expr:
-    acc = cr.ZERO
-    for t in s.terms:
-        acc = cr.add(acc, term_value(inst, t))
-    return acc
+    # a TermSum is never empty, so the sum starts at its first term
+    return functools.reduce(cr.add, [term_value(inst, t) for t in s.terms])
 
 
 def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
@@ -593,11 +612,11 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
 
 def _labelled_cells(inst: DiagramInstance) -> list[Box]:
     """Each label is placed on the grid of drawn lines by exact value (the
-    last label of a point winning), and a cell is listed when its four
-    corners carry labels that are not the labels of a box `square` or
-    `torect` built (that box, listed already, knows from its command
-    whether it is a square); the square test compares width and height
-    exactly."""
+    last label of a point winning).  From each labelled point in sorted
+    order, the cell it is the lower left corner of is listed when its four
+    corners carry labels, not those of a box `square` or `torect` built (that
+    box, listed already, knows from its command whether it is a square), and
+    its sides are drawn; the square test compares width and height exactly."""
     drawn = inst.drawn
     built = {frozenset(box[:4]) for box in inst.built_boxes}
     xs, ys = drawn.v_lines, drawn.h_lines
@@ -607,10 +626,10 @@ def _labelled_cells(inst: DiagramInstance) -> list[Box]:
         if on_x and on_y:
             label_at[i, j] = name
     cells: list[Box] = []
-    for i, j in geo.elementary_cells(drawn):
+    for i, j in sorted(label_at):
         corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
         labels = [label_at.get(k) for k in corners]
-        if None in labels or frozenset(labels) in built:
+        if None in labels or frozenset(labels) in built or not drawn.cell_drawn(i, j):
             continue
         x1, y1, x2, y2 = xs[i], ys[j], xs[i + 1], ys[j + 1]
         square = geo.cmp(cr.sub(x2, x1), cr.sub(y2, y1)) == 0 and (
@@ -652,37 +671,23 @@ def realize(
 # figure binding
 
 
-def figure_region(inst: DiagramInstance, letters: str) -> Polygon:
-    cached = inst._region_cache.get(letters)
-    if cached is not None:
-        return cached
-    poly = _resolve_region(inst, letters)
-    inst._region_cache[letters] = poly
-    return poly
-
-
 def _resolve_region(inst: DiagramInstance, letters: str) -> Polygon:
+    """A declared figure, or four corners in boundary order or two opposite
+    corners of an axis-aligned box, with every side drawn."""
     if letters in inst.declared:
         return inst.declared[letters]
     if len(letters) == 4:
-        pts = [inst.point(p) for p in letters]
-        drawn = inst.drawn
-        for i in range(4):
-            if not drawn.segment_drawn(pts[i], pts[(i + 1) % 4]):
-                raise UnknownName(f"side {letters[i]}{letters[(i+1)%4]} of {letters} not drawn")
-        return tuple(pts)
-    if len(letters) == 2:
-        p, q = inst.point(letters[0]), inst.point(letters[1])
-        box = geo.normalized_box(p, q)
+        poly = tuple(inst.point(p) for p in letters)
+    elif len(letters) == 2:
+        box = geo.normalized_box(inst.point(letters[0]), inst.point(letters[1]))
         if box is None:
             raise UnknownName(f"{letters} does not span a rectangle")
-        x1, y1, x2, y2 = box
-        if not inst.drawn.box_sides_drawn(x1, y1, x2, y2):
-            raise UnknownName(f"rectangle {letters} has undrawn sides")
-        return geo.box_polygon(x1, y1, x2, y2)
-    raise UnknownName(f"figure {letters!r} is not bound in the diagram")
-
-
-def region_key_of(inst: DiagramInstance, letters: str):
-    return geo.region_key(figure_region(inst, letters))
-
+        poly = geo.box_polygon(*box)
+    else:
+        raise UnknownName(f"figure {letters!r} is not bound in the diagram")
+    i = inst.drawn.undrawn_side(poly)
+    if i is None:
+        return poly
+    if len(letters) == 2:
+        raise UnknownName(f"rectangle {letters} has undrawn sides")
+    raise UnknownName(f"side {letters[i]}{letters[(i + 1) % 4]} of {letters} not drawn")

@@ -178,13 +178,7 @@ def region_key(poly: Polygon):
     """Canonical hashable identity of a polygon region (orientation- and
     rotation-insensitive).  Requires exact vertex coordinates."""
     keys = [point_key(p) for p in poly]
-    best = None
-    for seq in (keys, keys[::-1]):
-        for i in range(len(seq)):
-            rot = tuple(seq[i:] + seq[:i])
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min(tuple(seq[i:] + seq[:i]) for seq in (keys, keys[::-1]) for i in range(len(seq)))
 
 
 def point_in_polygon(p: Pt, poly: Polygon) -> bool:
@@ -326,22 +320,25 @@ def polys_overlap(*polys: Polygon) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# axis-aligned boxes, drawn-side coverage, elementary cells
+# axis-aligned boxes and what is drawn
 #
 # What is drawn is fixed once a diagram is realized, so `DrawnSegments`
 # indexes it once: the distinct lines of horizontal and vertical pieces,
 # sorted by value, each with its pieces merged into disjoint covered
-# intervals.  A side query locates its line and one interval by binary
-# search with `cmp`, and the line lists are the breakpoints of
-# `elementary_cells`.
+# intervals.  It is the one place that says whether a figure is drawn:
+# `segment_drawn` for a segment, `undrawn_side` for a polygon's boundary
+# and `cell_drawn` for a cell of the grid its line lists make.
 
 
 def is_axis_segment(p: Pt, q: Pt) -> str | None:
-    if cmp(p[0], q[0]) == 0 and cmp(p[1], q[1]) != 0:
-        return "v"
-    if cmp(p[1], q[1]) == 0 and cmp(p[0], q[0]) != 0:
-        return "h"
-    return None
+    (a, b), (c, d) = p, q
+    if a.den and b.den and c.den and d.den:  # reduced, so equal values have equal ints
+        same_x, same_y = a.num == c.num and a.den == c.den, b.num == d.num and b.den == d.den
+    else:
+        same_x, same_y = cmp(a, c) == 0, cmp(b, d) == 0
+    if same_x == same_y:
+        return None  # a point, or a slanted segment
+    return "v" if same_x else "h"
 
 
 Interval = tuple[Expr, Expr]
@@ -422,33 +419,16 @@ class DrawnSegments:
         self.h_cover = [_merge_intervals(pcs) for pcs in h_pieces]
         self.v_cover = [_merge_intervals(pcs) for pcs in v_pieces]
 
-    @staticmethod
-    def _line(lines: list[Expr], cover: list[list[Interval]], c: Expr) -> list[Interval]:
-        i, found = locate(c, lines)
-        return cover[i] if found else []
-
-    def h_covered(self, y: Expr, x1: Expr, x2: Expr) -> bool:
-        return _covered(self._line(self.h_lines, self.h_cover, y), x1, x2)
-
-    def v_covered(self, x: Expr, y1: Expr, y2: Expr) -> bool:
-        return _covered(self._line(self.v_lines, self.v_cover, x), y1, y2)
-
-    def box_sides_drawn(self, x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> bool:
-        return (
-            self.h_covered(y1, x1, x2)
-            and self.h_covered(y2, x1, x2)
-            and self.v_covered(x1, y1, y2)
-            and self.v_covered(x2, y1, y2)
-        )
-
     def segment_drawn(self, p: Pt, q: Pt) -> bool:
         """The segment pq lies inside the union of drawn segments collinear
-        with it (used for diameters of parallelograms in complement checks)."""
+        with it."""
         kind = is_axis_segment(p, q)
         if kind == "h":
-            return self.h_covered(p[1], p[0], q[0])
+            i, found = locate(p[1], self.h_lines)
+            return found and _covered(self.h_cover[i], p[0], q[0])
         if kind == "v":
-            return self.v_covered(p[0], p[1], q[1])
+            i, found = locate(p[0], self.v_lines)
+            return found and _covered(self.v_cover[i], p[1], q[1])
         pieces = []
         for a, b in self.other:
             if collinear(a, b, p) and collinear(a, b, q):
@@ -461,6 +441,26 @@ class DrawnSegments:
         merged = _merge_intervals([(a[idx], b[idx]) for a, b in pieces])
         return _covered(merged, p[idx], q[idx])
 
+    def undrawn_side(self, poly: Polygon) -> int | None:
+        """The index i of the first side, from poly[i] to the next vertex,
+        that is not drawn, or None when the whole boundary is."""
+        for i, (p, q) in enumerate(zip(poly, poly[1:] + poly[:1])):
+            if not self.segment_drawn(p, q):
+                return i
+        return None
+
+    def cell_drawn(self, i: int, j: int) -> bool:
+        """The four sides of the grid cell from corner (v_lines[i], h_lines[j])
+        to (v_lines[i + 1], h_lines[j + 1]) are drawn; its lines are taken
+        by index, so only their intervals are searched."""
+        x1, x2, y1, y2 = self.v_lines[i], self.v_lines[i + 1], self.h_lines[j], self.h_lines[j + 1]
+        return (
+            _covered(self.h_cover[j], x1, x2)
+            and _covered(self.h_cover[j + 1], x1, x2)
+            and _covered(self.v_cover[i], y1, y2)
+            and _covered(self.v_cover[i + 1], y1, y2)
+        )
+
 
 def box_polygon(x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> Polygon:
     """Counterclockwise rectangle for corner coordinates x1<x2, y1<y2."""
@@ -468,10 +468,11 @@ def box_polygon(x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> Polygon:
 
 
 def normalized_box(p: Pt, q: Pt) -> tuple[Expr, Expr, Expr, Expr] | None:
-    if cmp(p[0], q[0]) == 0 or cmp(p[1], q[1]) == 0:
+    cx, cy = cmp(p[0], q[0]), cmp(p[1], q[1])
+    if cx == 0 or cy == 0:
         return None
-    x1, x2 = (p[0], q[0]) if cmp(p[0], q[0]) < 0 else (q[0], p[0])
-    y1, y2 = (p[1], q[1]) if cmp(p[1], q[1]) < 0 else (q[1], p[1])
+    x1, x2 = (p[0], q[0]) if cx < 0 else (q[0], p[0])
+    y1, y2 = (p[1], q[1]) if cy < 0 else (q[1], p[1])
     return (x1, y1, x2, y2)
 
 
@@ -510,14 +511,3 @@ def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
     if at_right and at_top and not (at_left or at_bottom):
         return ((X1, Y1), (X2, Y1), (X2, y1), (x1, y1), (x1, Y2), (X1, Y2))
     raise InvalidParam("corner box does not sit in a corner of the outer box")
-
-
-def elementary_cells(drawn: DrawnSegments):
-    """All grid boxes between consecutive drawn lines whose four sides are
-    fully drawn.  Yields (i, j) for the box from corner
-    (v_lines[i], h_lines[j]) to (v_lines[i + 1], h_lines[j + 1])."""
-    xs, ys = drawn.v_lines, drawn.h_lines
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            if drawn.box_sides_drawn(xs[i], ys[j], xs[i + 1], ys[j + 1]):
-                yield i, j

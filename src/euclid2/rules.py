@@ -3,8 +3,9 @@ color class (visual evidence red, renaming blue, the two substitution
 families violet and magenta, everything else plain).
 
 Every rule runs against the `FactBase`: the realized diagram, the script's
-flags and the facts so far.  `FactBase.region_key` alone decides which region
-a figure name denotes, for inline-premise matching, R3 and NAME's alias check.
+flags and the facts so far.  `DiagramInstance.region` and `region_key` alone
+decide which region a figure name binds, and `FactBase._named` which figure
+an invisible term names.
 
 Premises are the claims of earlier steps, declared hypotheses, or inline
 statements resolved against the construction facts; naming-form inline
@@ -36,6 +37,7 @@ from .errors import (
     NotComplements,
     OverlapWithoutFlag,
     RuleError,
+    RuleNotInProfile,
     SidesNotATriangle,
     UnboundFigure,
     UnresolvedPremise,
@@ -107,9 +109,8 @@ class FactBase:
         self._parent: dict = {}
         self._stmts: dict = {}  # stmt_key -> provenance
         self._rangles: list[tuple[str, str, str]] = []  # (vertex, arm1, arm2)
-        self._namings: list[Statement] = []  # Pi and IsSq facts
+        self._named: dict[RectBy | SquareOn, FigureName] = {}  # the first naming of a term wins
         self._eqs: list[Eq] = []
-        self._region_keys: dict[str, tuple | None] = {}
         for fact in inst.facts:
             provenance = f"construction:{fact.reason}"
             if fact.kind == "segeq":
@@ -169,8 +170,10 @@ class FactBase:
         elif isinstance(stmt, RightAngle):
             self._seed_rangle(stmt.vertex, stmt.arm1, stmt.arm2, provenance)
         elif self._put(stmt_key(stmt), provenance):
-            if isinstance(stmt, (Pi, IsSq)):
-                self._namings.append(stmt)
+            if isinstance(stmt, Pi):
+                self._named.setdefault(RectBy(stmt.first, stmt.second), stmt.figure)
+            elif isinstance(stmt, IsSq):
+                self._named.setdefault(SquareOn(stmt.side), stmt.figure)
             else:
                 self._eqs.append(stmt)
 
@@ -212,21 +215,6 @@ class FactBase:
                     return False
         return False
 
-    def region(self, letters: str) -> geo.Polygon:
-        """The region the figure name binds; raises UnknownName if none."""
-        return dg.figure_region(self.inst, letters)
-
-    def region_key(self, letters: str) -> tuple | None:
-        """Identity of the region the figure name binds, one for all of its
-        names, or None when the name binds no region."""
-        if letters not in self._region_keys:
-            try:
-                key = dg.region_key_of(self.inst, letters)
-            except Euclid2Error:
-                key = None
-            self._region_keys[letters] = key
-        return self._region_keys[letters]
-
     def _eq_region_key(self, eq: Eq):
         """An equality up to figure names; an unbound name keeps its letters."""
 
@@ -234,7 +222,7 @@ class FactBase:
             out = []
             for t in s.terms:
                 if isinstance(t, Fig):
-                    key = self.region_key(t.name.letters)
+                    key = self.inst.region_key(t.name.letters)
                     out.append(("letters", t.name.letters) if key is None else ("region", key))
                 else:
                     out.append(("term", T.term_key(t)))
@@ -254,12 +242,6 @@ class FactBase:
             key = self._eq_region_key(stmt)
             return any(self._eq_region_key(f) == key for f in self._eqs)
         return False
-
-    def issq_facts(self):
-        return [f for f in self._namings if isinstance(f, IsSq)]
-
-    def pi_facts(self):
-        return [f for f in self._namings if isinstance(f, Pi)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +396,7 @@ def rule_R2(fb: FactBase, claim, premises) -> StepOutcome:
     raise NoMatch("R2 premise must be a square-on fact or an equality")
 
 
-def _rewrite_by_namings(rule: str, claim, premises, repl) -> StepOutcome:
+def _rewrite_by_naming(rule: str, claim, premises, repl) -> StepOutcome:
     """R3 and R4: rewrite the first equality premise by each other premise
     that names a figure, term t becoming repl(figure, target, t) where that
     is not None; a naming that rewrites no term fails the step."""
@@ -442,15 +424,15 @@ def rule_R3(fb: FactBase, claim, premises) -> StepOutcome:
             return None
         if t.name == figure:
             return target
-        key = fb.region_key(t.name.letters)
-        return target if key is not None and key == fb.region_key(figure.letters) else None
+        key = fb.inst.region_key(t.name.letters)
+        return target if key is not None and key == fb.inst.region_key(figure.letters) else None
 
-    return _rewrite_by_namings("R3", claim, premises, repl)
+    return _rewrite_by_naming("R3", claim, premises, repl)
 
 
 def rule_R4(fb: FactBase, claim, premises) -> StepOutcome:
     """An invisible term becomes the figure it names; operand order counts."""
-    return _rewrite_by_namings(
+    return _rewrite_by_naming(
         "R4", claim, premises, lambda figure, target, t: Fig(figure) if t == target else None
     )
 
@@ -547,23 +529,16 @@ def _resolve_ve_regions(fb: FactBase, s: TermSum):
             resolve(term.inner, mult * term.count)
             return
         if isinstance(term, Fig):
-            out.append((term.name.letters, fb.region(term.name.letters), mult))
-            return
-        if isinstance(term, SquareOn):
-            for fact in fb.issq_facts():
-                if fact.side == term.side:
-                    extended = True
-                    out.append((fact.figure.letters, fb.region(fact.figure.letters), mult))
-                    return
-            raise UnboundFigure(f"no square-on naming binds {term.text()}")
-        if isinstance(term, RectBy):
-            for fact in fb.pi_facts():
-                if fact.first == term.first and fact.second == term.second:
-                    extended = True
-                    out.append((fact.figure.letters, fb.region(fact.figure.letters), mult))
-                    return
-            raise UnboundFigure(f"no contained-by naming binds {term.text()}")
-        raise UnboundFigure(f"term {term.text()} cannot be bound to a region")
+            name = term.name
+        elif isinstance(term, (SquareOn, RectBy)):
+            name = fb._named.get(term)
+            if name is None:
+                kind = "square-on" if isinstance(term, SquareOn) else "contained-by"
+                raise UnboundFigure(f"no {kind} naming binds {term.text()}")
+            extended = True
+        else:
+            raise UnboundFigure(f"term {term.text()} cannot be bound to a region")
+        out.append((name.letters, fb.inst.region(name.letters), mult))
 
     for t in s.terms:
         resolve(t, 1)
@@ -599,7 +574,7 @@ def rule_VE(fb: FactBase, claim, premises) -> StepOutcome:
 def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
     inst = fb.inst
     if isinstance(claim, IsSq):
-        poly = fb.region(claim.figure.letters)
+        poly = inst.region(claim.figure.letters)
         _require_square(poly, claim.figure.letters)
         _require_side(inst, poly, claim.side)
         cert = make_certificate(
@@ -608,7 +583,7 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
         )
         return StepOutcome(certificate=cert)
     if isinstance(claim, Pi):
-        poly = fb.region(claim.figure.letters)
+        poly = inst.region(claim.figure.letters)
         if len(poly) != 4:
             raise NameMismatch(f"{claim.figure.letters} is not a quadrilateral")
         corner = _shared_corner(inst, poly, claim.first, claim.second)
@@ -622,10 +597,8 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
     pair = _fig_pair(claim)
     if pair is not None:
         n1, n2 = (t.name.letters for t in pair)
-        for name in (n1, n2):
-            if fb.region_key(name) is None:
-                fb.region(name)  # raises the UnknownName that says why
-        if fb.region_key(n1) != fb.region_key(n2):
+        inst.region(n1), inst.region(n2)  # raise the UnknownName saying why one binds none
+        if inst.region_key(n1) != inst.region_key(n2):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
         cert = make_certificate("NAME", {"alias": [n1, n2]})
         return StepOutcome(("alias",), cert)
@@ -725,8 +698,8 @@ def rule_I43(fb: FactBase, claim, premises) -> StepOutcome:
     if pair is None:
         raise NotComplements("I43 equates two named figures")
     f1, f2 = (t.name.letters for t in pair)
-    r1 = fb.region(f1)
-    r2 = fb.region(f2)
+    r1 = fb.inst.region(f1)
+    r2 = fb.inst.region(f2)
     b1 = geo.box_of(r1)
     b2 = geo.box_of(r2)
     if b1 is None or b2 is None:
@@ -856,7 +829,7 @@ def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
         if n > 1:
             raise OverlapWithoutFlag(f"figure {t.name.letters} aggregated twice")
     # one coverage question over all of them: is some point covered twice?
-    overlap = len(figs) > 1 and geo.polys_overlap(*(fb.region(t.name.letters) for t in figs))
+    overlap = len(figs) > 1 and geo.polys_overlap(*(fb.inst.region(t.name.letters) for t in figs))
     flags = ["aggregation"]
     if overlap:
         if Flag.ALLOW_OVERLAP.value not in fb.flags:
@@ -889,7 +862,7 @@ def rule_BM(fb: FactBase, claim, premises) -> StepOutcome:
     pair = _fig_pair(claim)
     if pair is None:
         raise NoMatch("BM equates two named rectangles")
-    b1, b2 = (geo.box_of(fb.region(t.name.letters)) for t in pair)
+    b1, b2 = (geo.box_of(fb.inst.region(t.name.letters)) for t in pair)
     if b1 is None or b2 is None:
         raise NoMatch("BM applies to axis-aligned rectangles")
     def dims(b):
@@ -1013,7 +986,7 @@ def check_proof(
     for step in script.steps:
         rule = Rule(step.rule)
         if rule not in allowed:
-            return reject(step.index, "RuleNotInProfile")
+            return reject(step.index, RuleNotInProfile.__name__)
         try:
             resolved = _resolve_premises(fb, hyps, step, prior)
             outcome = _HANDLERS[rule](fb, step.claim, [stmt for stmt, _ in resolved])

@@ -144,7 +144,7 @@ def render_svg(
         )
         for letters in ve_figures:
             try:
-                poly = dg.figure_region(inst, letters)
+                poly = inst.region(letters)
             except Euclid2Error:
                 continue
             pts = " ".join(",".join(view.xy(p)) for p in poly)

@@ -52,8 +52,8 @@ def verify_decomposition(
     lhs: list[tuple[str, int]],
     rhs: list[tuple[str, int]],
 ) -> geo.CoverageResult:
-    left = [(dg.figure_region(inst, name), m) for name, m in lhs]
-    right = [(dg.figure_region(inst, name), m) for name, m in rhs]
+    left = [(inst.region(name), m) for name, m in lhs]
+    right = [(inst.region(name), m) for name, m in rhs]
     return geo.coverage_equal(left, right)
 
 
@@ -123,10 +123,10 @@ def arrangement_coverage(
 def equal_content(inst: dg.DiagramInstance, p: list[str], q: list[str]) -> bool:
     total_p = cr.ZERO
     for name in p:
-        total_p = cr.add(total_p, geo.area(dg.figure_region(inst, name)))
+        total_p = cr.add(total_p, geo.area(inst.region(name)))
     total_q = cr.ZERO
     for name in q:
-        total_q = cr.add(total_q, geo.area(dg.figure_region(inst, name)))
+        total_q = cr.add(total_q, geo.area(inst.region(name)))
     return geo.cmp(total_p, total_q) == 0
 
 
@@ -163,9 +163,9 @@ def reference_box_facts(inst: dg.DiagramInstance, construction=()) -> list[tuple
     ys = geo._sorted_unique([p[1] for p, q in segments if geo.is_axis_segment(p, q) == "h"])
     for x1, x2 in zip(xs, xs[1:]):
         for y1, y2 in zip(ys, ys[1:]):
-            if not drawn.box_sides_drawn(x1, y1, x2, y2):
-                continue
             corners = geo.box_polygon(x1, y1, x2, y2)
+            if drawn.undrawn_side(corners) is not None:
+                continue
             labels = []
             for p in corners:
                 at = [name for name, q in inst.coords.items() if geo.pts_equal(p, q)]

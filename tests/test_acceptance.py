@@ -183,13 +183,13 @@ def test_criterion_5_overlap_multiplicity_and_grid_oracle():
     inst = dg.realize(script)
     res = verify_decomposition(inst, [("AF", 1), ("CE", 1)], [("KLM", 1), ("CF", 1)])
     assert res.equal and res.exact and res.max_multiplicity == 2
-    cf = dg.figure_region(inst, "CF")
+    cf = inst.region("CF")
     mid = pt(
         (_frac(cf[0][0]) + _frac(cf[2][0])) / 2,
         (_frac(cf[0][1]) + _frac(cf[2][1])) / 2,
     )
-    lhs_regions = [(dg.figure_region(inst, n), 1) for n in ("AF", "CE")]
-    rhs_regions = [(dg.figure_region(inst, n), 1) for n in ("KLM", "CF")]
+    lhs_regions = [(inst.region(n), 1) for n in ("AF", "CE")]
+    rhs_regions = [(inst.region(n), 1) for n in ("KLM", "CF")]
     assert coverage_multiplicity(lhs_regions, mid) == 2
     assert coverage_multiplicity(rhs_regions, mid) == 2
 
@@ -264,7 +264,7 @@ def test_criterion_8_quadrature():
     inst = dg.realize(script)
     eh2 = inst.seg_len2(T.mk_segment("E", "H"))
     assert cr.refine_sign(cr.sub(eh2, cr.ONE)) == 0
-    area = geo.area(dg.figure_region(inst, "A"))
+    area = geo.area(inst.region("A"))
     assert cr.refine_sign(cr.sub(eh2, area)) == 0
     ok(8, "II.14 with a 2 x 1/2 rectangle: EH^2 - 1 is Zero on the exact path")
 

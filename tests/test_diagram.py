@@ -326,14 +326,15 @@ def test_seeded_cells_match_reference_on_fuzzed_grids(inst):
 
 def test_figure_region_names():
     inst = realize("II_2.e2p")
-    adeb = dg.figure_region(inst, "ADEB")
+    adeb = inst.region("ADEB")
     assert geo.area(adeb).rat == 1
-    af = dg.figure_region(inst, "AF")
+    af = inst.region("AF")
     assert geo.area(af).rat == Fraction(2, 5)
     # AE names the full square by its diagonal: same region as ADEB
-    assert dg.region_key_of(inst, "AE") == dg.region_key_of(inst, "ADEB")
+    assert inst.region_key("AE") == inst.region_key("ADEB")
     with pytest.raises(UnknownName):
-        dg.figure_region(inst, "AC")  # collinear corners span no rectangle
+        inst.region("AC")  # collinear corners span no rectangle
+    assert inst.region_key("AC") is None
 
 
 def test_verify_decomposition_ii1():
@@ -341,9 +342,9 @@ def test_verify_decomposition_ii1():
     res = verify_decomposition(inst, [("BH", 1)], [("BK", 1), ("DL", 1), ("EH", 1)])
     assert res.equal and res.exact
     # areas agree exactly: a(b+c+d) = ab+ac+ad
-    lhs = geo.area(dg.figure_region(inst, "BH")).rat
+    lhs = geo.area(inst.region("BH")).rat
     parts = sum(
-        geo.area(dg.figure_region(inst, nm)).rat for nm in ("BK", "DL", "EH")
+        geo.area(inst.region(nm)).rat for nm in ("BK", "DL", "EH")
     )
     assert lhs == parts
 
@@ -352,8 +353,8 @@ def test_verify_decomposition_false_case():
     inst = realize("II_2.e2p")
     res = verify_decomposition(inst, [("AE", 1)], [("AF", 1)])
     assert not res.equal
-    assert geo.area(dg.figure_region(inst, "AE")).rat == 1
-    assert geo.area(dg.figure_region(inst, "AF")).rat == Fraction(2, 5)
+    assert geo.area(inst.region("AE")).rat == 1
+    assert geo.area(inst.region("AF")).rat == Fraction(2, 5)
 
 
 def test_verify_decomposition_ii7_multiplicity():
@@ -386,8 +387,8 @@ def test_brute_force_grid_agreement_ii1_to_ii6():
         inst = realize(name)
         res = verify_decomposition(inst, lhs, rhs)
         assert res.equal and res.exact, name
-        left = [(dg.figure_region(inst, n), m) for n, m in lhs]
-        right = [(dg.figure_region(inst, n), m) for n, m in rhs]
+        left = [(inst.region(n), m) for n, m in lhs]
+        right = [(inst.region(n), m) for n, m in rhs]
         xs = [p[0].rat for poly, _ in left + right for p in poly]
         ys = [p[1].rat for poly, _ in left + right for p in poly]
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)

@@ -295,3 +295,78 @@ def test_parse_error_on_a_mutated_line_points_into_it(case):
         assert 1 <= exc.col <= len(lines[k]) + 1, (lines[k], str(exc))
     except Euclid2Error:
         pass
+
+
+# ---------------------------------------------------------------------------
+# command lines: mutated argument lists
+
+_SCRIPT = "{dir}/script.e2p"
+_BAD_VALUES = {
+    "--profile": ["nope", "", "DEFAULT", "bm"],
+    "--samples": ["0", "-2", "five", "", "2.5"],
+    "--seed": ["x", "", "2.5", "-4"],
+}
+_UNKNOWN = ["--bogus", "-x", "--json=1", "--profile=nope", "--samples=0", "--", "-h", "--seed"]
+_MISSING = ["{dir}/missing.e2p", "{dir}", "{dir}/no/such/dir.e2p"]
+
+
+def _argv(command: str, profile: str) -> list[str]:
+    """A valid argument list for the command, its paths under {dir}."""
+    return {
+        "check": ["check", _SCRIPT, "--json", "--timing", "--emit-certs", "{dir}/certs.json",
+                  "--profile", profile],
+        "annotate": ["annotate", _SCRIPT, "--profile", profile, "--compare", "{dir}/golden.txt"],
+        "render": ["render", _SCRIPT, "--profile", profile, "-o", "{dir}/out.svg"],
+        "oracle": ["oracle", _SCRIPT, "--samples", "3", "--seed", "4", "--json"],
+    }[command]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """An entry and an argument list for one command with one to three
+    mutations: a token dropped, duplicated or swapped, an unknown flag put
+    in, a bad `--profile`, `--samples` or `--seed` value, or a missing file.
+    No number above 5 is ever in the list and `--samples` is never dropped,
+    so `oracle` either draws at most 5 samples or stops at a usage error."""
+    entry = draw(st.sampled_from(ENTRIES))
+    argv = _argv(draw(st.sampled_from(["check", "annotate", "render", "oracle"])), entry["profile"])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap", "unknown", "value", "missing"]))
+        at = draw(st.integers(0, len(argv)))
+        if kind == "drop" and argv:
+            i = draw(st.integers(0, len(argv) - 1))
+            if argv[i] != "--samples":
+                del argv[i]
+        elif kind == "duplicate" and argv:
+            argv.insert(at, draw(st.sampled_from(argv)))
+        elif kind == "swap" and len(argv) > 1:
+            i, j = draw(st.lists(st.integers(0, len(argv) - 1), min_size=2, max_size=2))
+            argv[i], argv[j] = argv[j], argv[i]
+        elif kind == "unknown":
+            argv.insert(at, draw(st.sampled_from(_UNKNOWN)))
+        elif kind == "value":
+            flag = draw(st.sampled_from(sorted(_BAD_VALUES)))
+            bad = draw(st.sampled_from(_BAD_VALUES[flag]))
+            if flag in argv[:-1]:
+                argv[argv.index(flag) + 1] = bad
+            else:
+                argv[at:at] = [flag, bad]
+        elif kind == "missing" and _SCRIPT in argv:
+            argv[argv.index(_SCRIPT)] = draw(st.sampled_from(_MISSING))
+    return entry["file"], argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_argvs())
+def test_mutated_argument_list_exits_with_a_documented_code(case):
+    """Every command on a mutated argument list ends in exit 0, 1 or 2, and
+    never in a traceback; whatever it writes stays in a temporary directory."""
+    file, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "script.e2p").write_text(corpusdata.read_script_text(file), encoding="utf-8")
+        (Path(tmp) / "golden.txt").write_text("red blue\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.replace("{dir}", tmp) for arg in argv])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -352,11 +352,10 @@ def test_drawn_segments_coverage():
         (P(2, 0), P(3, 0)),
         (P(0, 0), P(0, 1)),
     ])
-    z = cr.ZERO
-    assert drawn.h_covered(z, cr.const(Fraction(1, 2)), cr.const(Fraction(5, 2)))
-    assert not drawn.h_covered(z, z, cr.const(4))
-    assert drawn.v_covered(z, z, cr.const(1))
-    assert not drawn.v_covered(cr.const(1), z, cr.const(1))
+    assert drawn.segment_drawn(P("1/2", 0), P("5/2", 0))
+    assert not drawn.segment_drawn(P(0, 0), P(4, 0))
+    assert drawn.segment_drawn(P(0, 0), P(0, 1))
+    assert not drawn.segment_drawn(P(1, 0), P(1, 1))
 
 
 def test_segment_drawn_along_diagonal():
@@ -367,15 +366,39 @@ def test_segment_drawn_along_diagonal():
     assert not drawn.segment_drawn(P(0, 1), P(1, 2))
 
 
+def _drawn_cells(drawn):
+    """(i, j) of every grid cell whose four sides are drawn."""
+    return [
+        (i, j)
+        for i in range(len(drawn.v_lines) - 1)
+        for j in range(len(drawn.h_lines) - 1)
+        if drawn.cell_drawn(i, j)
+    ]
+
+
 def test_elementary_cells():
-    drawn = geo.DrawnSegments([
+    sides = [
         (P(0, 0), P(2, 0)),
         (P(0, -1), P(2, -1)),
         (P(0, 0), P(0, -1)),
         (P(1, 0), P(1, -1)),
         (P(2, 0), P(2, -1)),
+    ]
+    assert _drawn_cells(geo.DrawnSegments(sides)) == [(0, 0), (1, 0)]
+    # the right cell loses its top side, and only the left one stays closed
+    open_top = sides[1:] + [(P(0, 0), P(1, 0))]
+    assert _drawn_cells(geo.DrawnSegments(open_top)) == [(0, 0)]
+
+
+def test_undrawn_side_is_the_first_one_missing():
+    drawn = geo.DrawnSegments([
+        (P(0, 0), P(2, 0)), (P(2, 0), P(2, 1)), (P(0, 1), P(1, 1)), (P(0, 0), P(0, 1)),
+        (P(1, 0), P(1, 1)),
     ])
-    assert list(geo.elementary_cells(drawn)) == [(0, 0), (1, 0)]
+    assert drawn.undrawn_side(box(0, 0, 1, 1)) is None
+    assert drawn.undrawn_side(box(0, 0, 2, 1)) == 2  # the top runs out at x = 1
+    assert drawn.undrawn_side(box(1, 0, 2, 1)) == 2
+    assert drawn.undrawn_side((P(0, 0), P(2, 0), P(0, 1))) == 1  # a slanted side
 
 
 def _interval_minus(lo, hi, pieces):
@@ -466,12 +489,20 @@ def test_drawn_index_equals_the_reference(case):
     segments, queries = case
     drawn, ref = geo.DrawnSegments(segments), _ReferenceDrawn(segments)
     for c, lo, hi in queries:
-        assert drawn.h_covered(c, lo, hi) is ref.h_covered(c, lo, hi)
-        assert drawn.v_covered(c, lo, hi) is ref.v_covered(c, lo, hi)
+        if geo.cmp(lo, hi) != 0:  # a point is no axis segment; see the zero-length test
+            assert drawn.segment_drawn((lo, c), (hi, c)) is ref.h_covered(c, lo, hi)
+            assert drawn.segment_drawn((c, lo), (c, hi)) is ref.v_covered(c, lo, hi)
     for (x1, y1, _), (x2, y2, _) in zip(queries, queries[1:]):
-        assert drawn.box_sides_drawn(x1, y1, x2, y2) is ref.box_sides_drawn(x1, y1, x2, y2)
+        if geo.cmp(x1, x2) == 0 or geo.cmp(y1, y2) == 0:
+            continue
+        # the sides of box_polygon in order: bottom, right, top, left
+        sides = [ref.h_covered(y1, x1, x2), ref.v_covered(x2, y1, y2),
+                 ref.h_covered(y2, x1, x2), ref.v_covered(x1, y1, y2)]
+        first = next((i for i, ok in enumerate(sides) if not ok), None)
+        assert drawn.undrawn_side(geo.box_polygon(x1, y1, x2, y2)) == first
+        assert (first is None) is ref.box_sides_drawn(x1, y1, x2, y2)
     xs, ys = drawn.v_lines, drawn.h_lines
-    got = [(xs[i], ys[j], xs[i + 1], ys[j + 1]) for i, j in geo.elementary_cells(drawn)]
+    got = [(xs[i], ys[j], xs[i + 1], ys[j + 1]) for i, j in _drawn_cells(drawn)]
     assert [_keys(cell) for cell in got] == [_keys(cell) for cell in ref.elementary_cells()]
 
 
@@ -484,8 +515,8 @@ def test_touching_pieces_cover_their_union():
         _hline(0, 0, 1), _hline(0, 2, 1), (P(5, 0), P(5, 1)), (P(5, 2), P(5, 1)),
     ])
     z, two = cr.ZERO, cr.const(2)
-    assert drawn.h_covered(z, z, two) and drawn.h_covered(z, two, z)
-    assert drawn.v_covered(cr.const(5), z, two)
+    assert drawn.segment_drawn(*_hline(0, 0, 2)) and drawn.segment_drawn(*_hline(0, 2, 0))
+    assert drawn.segment_drawn(P(5, 0), P(5, 2))
     assert [[_keys(iv) for iv in line] for line in drawn.h_cover] == [[_keys((z, two))]]
     assert len(drawn.v_cover[0]) == 1
 
@@ -494,28 +525,26 @@ def test_a_gap_between_pieces_is_not_covered():
     """However small the gap, the pieces on either side stay apart."""
     gap = Fraction(1, 10**9)
     drawn = geo.DrawnSegments([_hline(0, 0, 1), _hline(0, 1 + gap, 2)])
-    z = cr.ZERO
-    assert not drawn.h_covered(z, z, cr.const(2))
-    assert not drawn.h_covered(z, cr.const(1), cr.const(1 + gap))
-    assert drawn.h_covered(z, z, cr.const(1))
-    assert drawn.h_covered(z, cr.const(1 + gap), cr.const(2))
+    assert not drawn.segment_drawn(*_hline(0, 0, 2))
+    assert not drawn.segment_drawn(*_hline(0, 1, 1 + gap))
+    assert drawn.segment_drawn(*_hline(0, 0, 1))
+    assert drawn.segment_drawn(*_hline(0, 1 + gap, 2))
 
 
 def test_query_on_an_undrawn_line():
     drawn = geo.DrawnSegments([_hline(0, 0, 1), (P(0, 0), P(0, 1))])
-    one = cr.ONE
-    assert not drawn.h_covered(one, cr.ZERO, one)
-    assert not drawn.v_covered(one, cr.ZERO, one)
-    assert not geo.DrawnSegments([]).h_covered(cr.ZERO, cr.ZERO, one)
+    assert not drawn.segment_drawn(*_hline(1, 0, 1))
+    assert not drawn.segment_drawn(P(1, 0), P(1, 1))
+    assert not geo.DrawnSegments([]).segment_drawn(*_hline(0, 0, 1))
 
 
 def test_zero_length_query_is_covered():
-    """A point needs no drawn length, on a drawn line or off one."""
+    """A point needs no drawn length, on a drawn line or off one: the
+    interval search behind `segment_drawn` and `cell_drawn` says so."""
     drawn = geo.DrawnSegments([_hline(0, 0, 1)])
     half, three = cr.const(Fraction(1, 2)), cr.const(3)
-    assert drawn.h_covered(cr.ZERO, half, half)
-    assert drawn.h_covered(three, half, half)
-    assert drawn.v_covered(three, half, half)
+    assert geo._covered(drawn.h_cover[0], half, half)
+    assert geo._covered([], half, half) and geo._covered([], three, three)
 
 
 def test_line_reached_by_two_constructions_of_one_value():
@@ -529,9 +558,10 @@ def test_line_reached_by_two_constructions_of_one_value():
         ((s2, zero), (s2, one)), ((other, one), (other, two)),
     ])
     assert len(drawn.h_lines) == 1 and len(drawn.v_lines) == 1
-    assert drawn.h_covered(third, zero, two)
-    assert drawn.v_covered(third, two, zero)
-    assert not drawn.h_covered(cr.add(third, one), zero, two)
+    assert drawn.segment_drawn((zero, third), (two, third))
+    assert drawn.segment_drawn((third, two), (third, zero))
+    assert not drawn.segment_drawn((zero, cr.add(third, one)), (two, cr.add(third, one)))
+    assert _drawn_cells(drawn) == []  # one line each way closes no cell
 
 
 def test_slanted_segment_uses_the_merge_routine(monkeypatch):
