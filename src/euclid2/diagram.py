@@ -120,7 +120,7 @@ class DiagramInstance(Record):
     built_boxes: list[Box] = []  # by `square` and `torect`
     params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
-    _regions: dict[str, list | None] = {}  # name -> [region, key once asked] or None
+    _regions: dict[str, Polygon | Euclid2Error] = {}  # a name's region, or why it has none
     _boxes: list[Box] | None = None
 
     @property
@@ -134,34 +134,35 @@ class DiagramInstance(Record):
         corner labels in boundary order and whether it is a square.  The
         boxes `square` and `torect` built come first, then each elementary
         cell of the drawn grid whose four corners carry labels, other than
-        those boxes, as (bl, br, tr, tl, square), a square when its sides are
-        equal and a diagonal is drawn.  The cells are listed on the first
-        call; later calls return the same list."""
+        those boxes, as
+        (bl, br, tr, tl, square), a square when its sides are equal and a
+        diagonal is drawn.  The cells are listed on the first call; later
+        calls return the same list."""
         if self._boxes is None:
             self._boxes = self.built_boxes + _labelled_cells(self)
         return self._boxes
 
-    def _bound(self, letters: str) -> list | None:
-        if letters not in self._regions:
-            try:
-                self._regions[letters] = [_resolve_region(self, letters), None]
-            except Euclid2Error:
-                self._regions[letters] = None
-        return self._regions[letters]
-
     def region(self, letters: str) -> Polygon:
         """The region the figure name binds; raises UnknownName, saying
-        why, when it binds none."""
-        bound = self._bound(letters)
-        return _resolve_region(self, letters) if bound is None else bound[0]
+        why, when it binds none.  Each name is resolved once until the next
+        segment is drawn."""
+        if letters not in self._regions:
+            try:
+                self._regions[letters] = _resolve_region(self, letters)
+            except Euclid2Error as err:
+                self._regions[letters] = err
+        bound = self._regions[letters]
+        if isinstance(bound, Euclid2Error):
+            raise bound.with_traceback(None)
+        return bound
 
     def region_key(self, letters: str) -> tuple | None:
         """Identity of the region the figure name binds, one for all of its
         names, or None when the name binds no region."""
-        bound = self._bound(letters)
-        if bound is not None and bound[1] is None:
-            bound[1] = geo.region_key(bound[0])
-        return bound and bound[1]
+        try:
+            return geo.region_key(self.region(letters))
+        except Euclid2Error:
+            return None
 
     def point(self, label: str) -> Pt:
         if label not in self.coords:

@@ -178,7 +178,13 @@ def region_key(poly: Polygon):
     """Canonical hashable identity of a polygon region (orientation- and
     rotation-insensitive).  Requires exact vertex coordinates."""
     keys = [point_key(p) for p in poly]
-    return min(tuple(seq[i:] + seq[:i]) for seq in (keys, keys[::-1]) for i in range(len(seq)))
+    best = None
+    for seq in (keys, keys[::-1]):
+        for i in range(len(seq)):
+            rot = tuple(seq[i:] + seq[:i])
+            if best is None or rot < best:
+                best = rot
+    return best
 
 
 def point_in_polygon(p: Pt, poly: Polygon) -> bool:
@@ -331,11 +337,7 @@ def polys_overlap(*polys: Polygon) -> bool:
 
 
 def is_axis_segment(p: Pt, q: Pt) -> str | None:
-    (a, b), (c, d) = p, q
-    if a.den and b.den and c.den and d.den:  # reduced, so equal values have equal ints
-        same_x, same_y = a.num == c.num and a.den == c.den, b.num == d.num and b.den == d.den
-    else:
-        same_x, same_y = cmp(a, c) == 0, cmp(b, d) == 0
+    same_x, same_y = cmp(p[0], q[0]) == 0, cmp(p[1], q[1]) == 0
     if same_x == same_y:
         return None  # a point, or a slanted segment
     return "v" if same_x else "h"
@@ -468,11 +470,10 @@ def box_polygon(x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> Polygon:
 
 
 def normalized_box(p: Pt, q: Pt) -> tuple[Expr, Expr, Expr, Expr] | None:
-    cx, cy = cmp(p[0], q[0]), cmp(p[1], q[1])
-    if cx == 0 or cy == 0:
+    if cmp(p[0], q[0]) == 0 or cmp(p[1], q[1]) == 0:
         return None
-    x1, x2 = (p[0], q[0]) if cx < 0 else (q[0], p[0])
-    y1, y2 = (p[1], q[1]) if cy < 0 else (q[1], p[1])
+    x1, x2 = (p[0], q[0]) if cmp(p[0], q[0]) < 0 else (q[0], p[0])
+    y1, y2 = (p[1], q[1]) if cmp(p[1], q[1]) < 0 else (q[1], p[1])
     return (x1, y1, x2, y2)
 
 

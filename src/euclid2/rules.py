@@ -597,8 +597,7 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
     pair = _fig_pair(claim)
     if pair is not None:
         n1, n2 = (t.name.letters for t in pair)
-        inst.region(n1), inst.region(n2)  # raise the UnknownName saying why one binds none
-        if inst.region_key(n1) != inst.region_key(n2):
+        if geo.region_key(inst.region(n1)) != geo.region_key(inst.region(n2)):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
         cert = make_certificate("NAME", {"alias": [n1, n2]})
         return StepOutcome(("alias",), cert)

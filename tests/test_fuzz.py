@@ -4,6 +4,7 @@ step claim that the checker still accepts is true."""
 
 import contextlib
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -357,16 +358,23 @@ def mutated_argvs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(mutated_argvs())
-def test_mutated_argument_list_exits_with_a_documented_code(case):
+@given(case=mutated_argvs())
+def test_mutated_argument_list_exits_with_a_documented_code(tmp_path_factory, case):
     """Every command on a mutated argument list ends in exit 0, 1 or 2, and
-    never in a traceback; whatever it writes stays in a temporary directory."""
+    never in a traceback.  It runs in a fresh temporary directory, so what it
+    writes stays there even when a mutation leaves a bare word after `-o` or
+    `--emit-certs`."""
     file, argv = case
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "script.e2p").write_text(corpusdata.read_script_text(file), encoding="utf-8")
-        (Path(tmp) / "golden.txt").write_text("red blue\n", encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "script.e2p").write_text(corpusdata.read_script_text(file), encoding="utf-8")
+    (tmp / "golden.txt").write_text("red blue\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([arg.replace("{dir}", tmp) for arg in argv])
+            code = cli.main([arg.replace("{dir}", str(tmp)) for arg in argv])
+    finally:
+        os.chdir(cwd)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
