@@ -31,7 +31,6 @@ from . import geometry as geo
 from . import script as sc
 from .constructible import Expr
 from .errors import (
-    DegenerateSegment,
     Euclid2Error,
     FactVerificationFailed,
     InvalidParam,
@@ -87,8 +86,6 @@ class ConstructionFact(FrozenRecord):
 
 def _side(p: str, q: str) -> Side:
     """Segment pq as `terms.Segment` holds it: its labels in order."""
-    if p == q:
-        raise DegenerateSegment(f"segment {p}{q} is degenerate")
     return (p, q) if p < q else (q, p)
 
 
@@ -97,8 +94,6 @@ def _named(text: str) -> Side:
     (as `terms.segment_named` keeps it)."""
     if len(text) == 1:
         return (text, None)
-    if text[0] == text[1]:
-        raise DegenerateSegment(f"segment {text} is degenerate")
     return (text[0], text[1])
 
 
@@ -311,7 +306,7 @@ class _Builder:
         self.draw(a, b)
 
     def _do_CutRandom(self, cmd: sc.CutRandom):
-        p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
+        p, q = self.base(cmd.on)
         t = self.length(cmd.at)
         plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
         if geo.cmp(plen, t) <= 0:
@@ -326,7 +321,7 @@ class _Builder:
         self.new_point(cmd.point, c)
 
     def _do_CutHalf(self, cmd: sc.CutHalf):
-        p, q = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
+        p, q = self.base(cmd.on)
         c = (cr.mul(cr.add(p[0], q[0]), _HALF), cr.mul(cr.add(p[1], q[1]), _HALF))
         self.new_point(cmd.point, c)
         self.fact(
@@ -352,6 +347,7 @@ class _Builder:
         anchor = self.pt_of(cmd.anchor)
         if not geo.collinear(p, q, anchor):
             raise InvalidParam(f"anchor {cmd.anchor} is not on line {cmd.on[0]}{cmd.on[1]}")
+        self.base(cmd.copy)
         d = self.inst.side_len(*_side(cmd.copy[0], cmd.copy[1]))
         plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
         scale = cr.div(d, plen)
@@ -394,7 +390,7 @@ class _Builder:
             cycle = [letters[(ip - k) % 4] for k in range(4)]
         else:
             raise InvalidParam(f"base {P}{Q} not an edge of square name {letters}")
-        p, q = self.pt_of(P), self.pt_of(Q)
+        p, q = self.base(cmd.on)
         L = self.inst.side_len(*_side(P, Q))
         v = self._square_offset(cmd.side, L, geo.sub2(q, p))
         c2 = (cr.add(q[0], v[0]), cr.add(q[1], v[1]))
@@ -441,7 +437,7 @@ class _Builder:
 
     def _do_Perp(self, cmd: sc.Perp):
         p = self.pt_of(cmd.frm)
-        a, b = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
+        a, b = self.base(cmd.on)
         if not geo.collinear(a, b, p):
             raise InvalidParam(f"{cmd.frm} is not on line {cmd.on[0]}{cmd.on[1]}")
         if geo.cmp(a[1], b[1]) != 0:
@@ -491,7 +487,7 @@ class _Builder:
                             self.fact("segeq", (_side(end, pointlab), _side(end, e)), "Radius")
 
     def _do_SemicircleOn(self, cmd: sc.SemicircleOn):
-        a, b = self.pt_of(cmd.on[0]), self.pt_of(cmd.on[1])
+        a, b = self.base(cmd.on)
         c = self.pt_of(cmd.center)
         mid = (cr.mul(cr.add(a[0], b[0]), _HALF), cr.mul(cr.add(a[1], b[1]), _HALF))
         if not geo.pts_equal(c, mid):

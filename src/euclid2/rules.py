@@ -10,12 +10,18 @@ an invisible term names.
 Premises are the claims of earlier steps, declared hypotheses, or inline
 statements resolved against the construction facts; naming-form inline
 premises fall back to a diagram check and are tagged as blue premises.
+
+CN1, CN2 and MERGE read their premises through one orientation search
+(`_orientations`, `_added_up`); MERGE is CN2's addition plus its figure
+checks.  I43 and NAME decide which corner two figures share by value, with
+`geometry.cmp`, as every other rule compares points.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import time
 from collections import Counter
@@ -327,6 +333,33 @@ def _match_claim(derived: Statement, claim: Statement):
         )
 
 
+def _orientations(eqs):
+    """Every way to read each equality as (one side, the other side)."""
+    return itertools.product(*[((e.lhs, e.rhs), (e.rhs, e.lhs)) for e in eqs])
+
+
+def _added_up(eqs, claim: Eq) -> list[T.Term] | None:
+    """The terms of the chosen sides, when some orientation of the
+    equalities, added side by side, gives the claim's two sides."""
+    want = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
+    for chosen in _orientations(eqs):
+        left = [t for s, _ in chosen for t in s.terms]
+        if (Counter(left), Counter(t for _, o in chosen for t in o.terms)) == want:
+            return left
+    return None
+
+
+def _lifted(rule: str, claim, premises) -> list[Eq]:
+    """The premises as equalities, namings lifted, for a rule that adds
+    equalities up to an equality."""
+    if not isinstance(claim, Eq):
+        raise NoMatch(f"{rule} concludes an equality")
+    eqs = [lift_naming(p) for p in premises]
+    if not all(isinstance(p, Eq) for p in eqs):
+        raise NoMatch(f"{rule} premises must be equalities or namings")
+    return eqs
+
+
 # ---------------------------------------------------------------------------
 # substitution rules (violet / magenta)
 
@@ -377,7 +410,7 @@ def rule_R2(fb: FactBase, claim, premises) -> StepOutcome:
                 derived = IsSq(base.figure, b)
                 _match_claim(derived, claim)
                 return StepOutcome()
-        if base.side in (se.a, se.b) or se.a == se.b:
+        if se.a == se.b:
             _match_claim(base, claim)
             return StepOutcome()
         raise NoMatch("side of the square-on fact is not mentioned in the equality")
@@ -455,33 +488,19 @@ def rule_CN1(fb: FactBase, claim, premises) -> StepOutcome:
                     return StepOutcome()
         raise NoLink("segment equalities share no common segment")
     if isinstance(a, Eq) and isinstance(b, Eq):
-        for s1, o1 in ((a.lhs, a.rhs), (a.rhs, a.lhs)):
-            for s2, o2 in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
-                if Counter(s1.terms) == Counter(s2.terms):
-                    derived = Eq(o1, o2)
-                    if stmt_equal(derived, claim):
-                        return StepOutcome()
+        for (s1, o1), (s2, o2) in _orientations((a, b)):
+            if Counter(s1.terms) == Counter(s2.terms) and stmt_equal(Eq(o1, o2), claim):
+                return StepOutcome()
         raise NoLink("equalities share no common side")
     raise NoLink("CN1 chains two segment equalities or two sum equalities")
 
 
 def rule_CN2(fb: FactBase, claim, premises) -> StepOutcome:
-    if not isinstance(claim, Eq):
-        raise NoMatch("CN2 concludes an equality")
-    eqs = [lift_naming(p) for p in premises]
-    if not all(isinstance(p, Eq) for p in eqs):
-        raise NoMatch("CN2 premises must be equalities or namings")
+    eqs = _lifted("CN2", claim, premises)
     if len(eqs) == 2:
-        p1, p2 = eqs
-        for s1, o1 in ((p1.lhs, p1.rhs), (p1.rhs, p1.lhs)):
-            for s2, o2 in ((p2.lhs, p2.rhs), (p2.rhs, p2.lhs)):
-                derived = Eq(
-                    term_sum(list(s1.terms) + list(s2.terms)),
-                    term_sum(list(o1.terms) + list(o2.terms)),
-                )
-                if stmt_equal(derived, claim):
-                    return StepOutcome()
-        raise NoMatch("no pairing of premise sides yields the claim")
+        if _added_up(eqs, claim) is None:
+            raise NoMatch("no pairing of premise sides yields the claim")
+        return StepOutcome()
     if len(eqs) == 1:
         # "let T have been added to both": claim = premise with one common
         # multiset adjoined to the two sides
@@ -522,12 +541,10 @@ def _resolve_ve_regions(fb: FactBase, s: TermSum):
     Invisible terms resolve through naming facts in the fact base."""
     out = []
     extended = False
-
-    def resolve(term, mult):
-        nonlocal extended
-        if isinstance(term, Multiple):
-            resolve(term.inner, mult * term.count)
-            return
+    for term in s.terms:
+        mult = 1
+        if isinstance(term, Multiple):  # never nested
+            term, mult = term.inner, term.count
         if isinstance(term, Fig):
             name = term.name
         elif isinstance(term, (SquareOn, RectBy)):
@@ -539,9 +556,6 @@ def _resolve_ve_regions(fb: FactBase, s: TermSum):
         else:
             raise UnboundFigure(f"term {term.text()} cannot be bound to a region")
         out.append((name.letters, fb.inst.region(name.letters), mult))
-
-    for t in s.terms:
-        resolve(t, 1)
     return out, extended
 
 
@@ -633,17 +647,13 @@ def _require_side(inst, poly, seg: T.Segment):
 def _shared_corner(inst, poly, s1: T.Segment, s2: T.Segment):
     _require_side(inst, poly, s1)
     _require_side(inst, poly, s2)
-    shared = set(map(geo.point_key, inst.seg_endpoints(s1))) & set(
-        map(geo.point_key, inst.seg_endpoints(s2))
-    )
+    ends1, ends2 = inst.seg_endpoints(s1), inst.seg_endpoints(s2)
+    shared = [p for p in ends1 if any(geo.pts_equal(p, q) for q in ends2)]
     if len(shared) != 1:
         raise NameMismatch("the two sides do not meet in exactly one corner")
-    a1, b1 = inst.seg_endpoints(s1)
-    a2, b2 = inst.seg_endpoints(s2)
-    key = next(iter(shared))
-    corner = next(p for p in (a1, b1) if geo.point_key(p) == key)
-    u = next(p for p in (a1, b1) if p is not corner)
-    v = next(p for p in (a2, b2) if not geo.pts_equal(p, corner))
+    corner = shared[0]
+    u = next(p for p in ends1 if p is not corner)
+    v = next(p for p in ends2 if not geo.pts_equal(p, corner))
     if geo.sign(geo.dot(geo.sub2(u, corner), geo.sub2(v, corner))) != 0:
         raise NameMismatch("the named sides do not contain a right angle")
     return corner
@@ -697,62 +707,39 @@ def rule_I43(fb: FactBase, claim, premises) -> StepOutcome:
     if pair is None:
         raise NotComplements("I43 equates two named figures")
     f1, f2 = (t.name.letters for t in pair)
-    r1 = fb.inst.region(f1)
-    r2 = fb.inst.region(f2)
-    b1 = geo.box_of(r1)
-    b2 = geo.box_of(r2)
+    b1, b2 = (geo.box_of(fb.inst.region(f)) for f in (f1, f2))
     if b1 is None or b2 is None:
         raise NotComplements("complements must be rectangles")
-    # shared corner
-    k1 = {geo.point_key(p): p for p in r1}
-    shared = set(k1) & set(map(geo.point_key, r2))
-    if len(shared) != 1:
-        raise NotComplements("the two figures do not meet in exactly one corner")
-    pk = shared.pop()
-    pshared = k1[pk]
-    xs = [b1[0], b1[2], b2[0], b2[2]]
-    ys = [b1[1], b1[3], b2[1], b2[3]]
-    X1, X2 = min(xs, key=geo.by_value), max(xs, key=geo.by_value)
-    Y1, Y2 = min(ys, key=geo.by_value), max(ys, key=geo.by_value)
-    # far corners of the complements must be opposite corners of the bbox
-    far1 = _opposite_corner(b1, pshared)
-    far2 = _opposite_corner(b2, pshared)
-    bbox_corners = [
-        (X1, Y1), (X2, Y1), (X2, Y2), (X1, Y2)
-    ]
-    if not _is_corner(far1, bbox_corners) or not _is_corner(far2, bbox_corners):
+
+    def in_order(axis):
+        """The two boxes in order along the axis (0 for x, 1 for y), when
+        one ends where the other starts."""
+        if geo.cmp(b1[axis + 2], b2[axis]) == 0:
+            return b1, b2
+        if geo.cmp(b2[axis + 2], b1[axis]) == 0:
+            return b2, b1
         raise NotComplements("figures do not sit in opposite corners of a parallelogram")
-    others = [
-        c for c in bbox_corners
-        if not geo.pts_equal(c, far1) and not geo.pts_equal(c, far2)
-    ]
-    if len(others) != 2:
-        raise NotComplements("degenerate parallelogram")
-    d0, d1 = others
-    if not geo.on_segment(pshared, d0, d1):
+
+    # abutting in x and in y, the boxes meet in exactly one corner and fill
+    # opposite corners of their bounding box
+    left, right = in_order(0)
+    low, high = in_order(1)
+    bbox = [(left[0], low[1]), (right[2], low[1]), (right[2], high[3]), (left[0], high[3])]
+    # the diameter joins the two corners the complements leave free
+    d0, d1 = bbox[1::2] if left is low else bbox[0::2]
+    if not geo.on_segment((left[2], low[3]), d0, d1):
         raise NotComplements("shared corner is not on the diameter")
     if not fb.inst.drawn.segment_drawn(d0, d1):
         raise NotComplements("the diameter is not drawn")
     cert = make_certificate(
         "I43",
         {
-            "parallelogram": _poly_payload(bbox_corners),
+            "parallelogram": _poly_payload(bbox),
             "diameter": _poly_payload([d0, d1]),
             "complements": [f1, f2],
         },
     )
     return StepOutcome(certificate=cert)
-
-
-def _opposite_corner(box, p):
-    x1, y1, x2, y2 = box
-    ox = x1 if geo.cmp(p[0], x1) != 0 else x2
-    oy = y1 if geo.cmp(p[1], y1) != 0 else y2
-    return (ox, oy)
-
-
-def _is_corner(p, corners):
-    return any(geo.pts_equal(p, c) for c in corners)
 
 
 # ---------------------------------------------------------------------------
@@ -789,41 +776,29 @@ def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
                 derived = Eq(term_sum([f1, f2]), term_sum([Multiple(2, doubled)]))
                 if stmt_equal(derived, claim):
                     return StepOutcome(flags)
-        # collapse/expand between duplicate terms and explicit multiples
-        if T.expand_multiples(p.lhs) == T.expand_multiples(claim.lhs) and T.expand_multiples(
-            p.rhs
-        ) == T.expand_multiples(claim.rhs):
-            return StepOutcome(flags)
-        if T.expand_multiples(p.lhs) == T.expand_multiples(claim.rhs) and T.expand_multiples(
-            p.rhs
-        ) == T.expand_multiples(claim.lhs):
+        # collapse/expand between duplicate terms and explicit multiples,
+        # the premise's two sides against the claim's in either order
+        sides = [sorted(map(T.expand_multiples, (e.lhs, e.rhs))) for e in (p, claim)]
+        if sides[0] == sides[1]:
             return StepOutcome(flags)
         raise NoMatch("claim is not a doubling or regrouping of the premise")
     raise NoMatch("DOUBLE takes one or two premises")
 
 
 def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
-    if not isinstance(claim, Eq):
-        raise NoMatch("MERGE concludes an equality")
-    eqs = [lift_naming(p) for p in premises]
-    if not all(isinstance(p, Eq) for p in eqs):
-        raise NoMatch("MERGE premises must be equalities or namings")
+    """CN2's addition over any number of premises, plus the figure checks
+    Euclid leaves to the diagram: no left-hand figure is added twice, and
+    the left-hand figures do not overlap unless the script allows it."""
+    eqs = _lifted("MERGE", claim, premises)
     if not eqs:
         raise NoMatch("MERGE needs at least one premise")
     if len(eqs) == 1:
         _match_claim(eqs[0], claim)
         return StepOutcome(("aggregation",))
-    orientation = _find_merge_orientation(eqs, Counter(claim.lhs.terms))
-    if orientation is None:
+    left = _added_up(eqs, claim)
+    if left is None:
         raise NoMatch("no orientation of the premises aggregates to the claim")
-    lefts, rights = orientation
-    derived = Eq(
-        term_sum([t for s in lefts for t in s.terms]),
-        term_sum([t for s in rights for t in s.terms]),
-    )
-    _match_claim(derived, claim)
-    # disjointness of the left-hand figure multisets
-    figs = [t for s in lefts for t in s.terms if isinstance(t, Fig)]
+    figs = [t for t in left if isinstance(t, Fig)]
     for t, n in Counter(figs).items():
         if n > 1:
             raise OverlapWithoutFlag(f"figure {t.name.letters} aggregated twice")
@@ -838,21 +813,6 @@ def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
             )
         flags.append("overlap")
     return StepOutcome(tuple(flags))
-
-
-def _find_merge_orientation(eqs, target_l, chosen=None):
-    if chosen is None:
-        chosen = []
-    if len(chosen) == len(eqs):
-        if sum((Counter(s.terms) for s, _ in chosen), Counter()) == target_l:
-            return [s for s, _ in chosen], [o for _, o in chosen]
-        return None
-    nxt = eqs[len(chosen)]
-    for s, o in ((nxt.lhs, nxt.rhs), (nxt.rhs, nxt.lhs)):
-        res = _find_merge_orientation(eqs, target_l, chosen + [(s, o)])
-        if res is not None:
-            return res
-    return None
 
 
 def rule_BM(fb: FactBase, claim, premises) -> StepOutcome:

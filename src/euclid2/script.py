@@ -487,7 +487,9 @@ class _Parser(Reader):
     def read_len(self) -> LenExpr:
         text = self.toks[self.pos]
         if text == "|":
-            return self.read(LenSeg)
+            length = self.read(LenSeg)
+            self.check_distinct(length.seg, self.pos - 2)
+            return length
         if not "a" <= text[:1] <= "z":  # not a word, so not a parameter
             return LenLit(self.read_rational("length expression"))
         if text not in self.params:

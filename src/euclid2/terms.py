@@ -491,7 +491,15 @@ class Reader:
         return self.name(1, 1, "point", "pt")
 
     def read_seg(self) -> Segment:
-        return segment_named(self.name(1, 2, "segment name", "seg"))
+        text = self.name(1, 2, "segment name", "seg")
+        self.check_distinct(text, self.pos - 1)
+        return segment_named(text)
+
+    def check_distinct(self, text: str, at: int) -> None:
+        """Raise unless the segment name `text`, token `at`, is one letter
+        or joins two distinct points."""
+        if len(text) == 2 and text[0] == text[1]:
+            raise self.fail(f"segment {text} is degenerate", at)
 
     def read_fig(self) -> FigureName:
         return FigureName(self.name(1, 4, "figure name", "fig"))

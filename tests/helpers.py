@@ -1,8 +1,8 @@
 """Test-only helpers over the checker's exact machinery: the corpus
 entries, a point from plain numbers, an interval of a chosen width, a
 coverage check of named figures, the sampled-arrangement coverage reference,
-equality of content, the facts of the labelled boxes, and exact identity
-checks on a grid."""
+equality of content, the facts of the labelled boxes, I.43's decision by
+point keys, and exact identity checks on a grid."""
 
 import itertools
 from fractions import Fraction
@@ -11,7 +11,9 @@ from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
+from euclid2 import rules
 from euclid2 import script as sc
+from euclid2.errors import NotComplements
 from euclid2.terms import RightAngle, SegEq, Segment
 
 
@@ -178,6 +180,52 @@ def reference_box_facts(inst: dg.DiagramInstance, construction=()) -> list[tuple
             )
             facts += _box_facts(*labels, square)
     return facts
+
+
+def reference_i43(inst: dg.DiagramInstance, f1: str, f2: str) -> dict:
+    """I43's certificate for the complements f1 and f2, or NotComplements,
+    decided as the rule decided it while it found the shared corner by
+    `geo.point_key`: the two boxes share exactly one vertex by key; the
+    corner of each opposite that vertex is a corner of their bounding box,
+    the two far corners differ; the shared vertex lies on the bounding
+    box's other diagonal, the diameter, which is drawn."""
+    r1, r2 = inst.region(f1), inst.region(f2)
+    b1, b2 = geo.box_of(r1), geo.box_of(r2)
+    if b1 is None or b2 is None:
+        raise NotComplements("complements must be rectangles")
+    k1 = {geo.point_key(p): p for p in r1}
+    shared = set(k1) & set(map(geo.point_key, r2))
+    if len(shared) != 1:
+        raise NotComplements("the two figures do not meet in exactly one corner")
+    pshared = k1[shared.pop()]
+    xs = [b1[0], b1[2], b2[0], b2[2]]
+    ys = [b1[1], b1[3], b2[1], b2[3]]
+    X1, X2 = min(xs, key=geo.by_value), max(xs, key=geo.by_value)
+    Y1, Y2 = min(ys, key=geo.by_value), max(ys, key=geo.by_value)
+
+    def opposite(box):
+        x1, y1, x2, y2 = box
+        return (x1 if geo.cmp(pshared[0], x1) != 0 else x2,
+                y1 if geo.cmp(pshared[1], y1) != 0 else y2)
+
+    far1, far2 = opposite(b1), opposite(b2)
+    bbox = [(X1, Y1), (X2, Y1), (X2, Y2), (X1, Y2)]
+    if not all(any(geo.pts_equal(far, c) for c in bbox) for far in (far1, far2)):
+        raise NotComplements("figures do not sit in opposite corners of a parallelogram")
+    others = [c for c in bbox if not geo.pts_equal(c, far1) and not geo.pts_equal(c, far2)]
+    if len(others) != 2:
+        raise NotComplements("degenerate parallelogram")
+    d0, d1 = others
+    if not geo.on_segment(pshared, d0, d1):
+        raise NotComplements("shared corner is not on the diameter")
+    if not inst.drawn.segment_drawn(d0, d1):
+        raise NotComplements("the diameter is not drawn")
+    return rules.make_certificate(
+        "I43",
+        {"parallelogram": rules._poly_payload(bbox),
+         "diameter": rules._poly_payload([d0, d1]),
+         "complements": [f1, f2]},
+    )
 
 
 # Three distinct values per variable.  As scales of the corpus parameters

@@ -57,6 +57,17 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     code, out, _ = run_cli(["check", str(bad)], capsys)
     assert code == 2
     assert "line 5, col 24: unknown rule 'R9'" in out
+    # a segment or a length named by one point twice is a parse error at its
+    # token, and the batch goes on to the next file
+    text = corpusdata.read_script_text("II_1.e2p")
+    bad.write_text(text.replace("claim: rect(A,BC)", "claim: rect(A,BB)"))
+    length = tmp_path / "length.e2p"
+    length.write_text(text.replace("below len |A|", "below len |GG|"))
+    code, out, _ = run_cli(["check", str(bad), str(length), str(CORPUS / "II_1.e2p")], capsys)
+    assert code == 2
+    assert f"{bad}: parse error: line 24, col 15: segment BB is degenerate\n" in out
+    assert f"{length}: parse error: line 19, col 34: segment GG is degenerate\n" in out
+    assert "verdict: Accepted (6 steps)" in out
 
 
 def test_check_json_keeps_stdout_a_json_stream(tmp_path, capsys):
@@ -402,7 +413,7 @@ def test_malformed_gnomon_is_a_diagram_error(command, tmp_path, capsys):
 
 
 ZERO_BASE = """prop zero-base
-points A B C D E O
+points A B C D E F G H O
 construct:
   place AB = 1
   cuthalf C on AB
@@ -429,11 +440,18 @@ qed
         "parallel E through A along AB meet CD",
         "parallel E through A along CD",
         "intersect E = line AB x line CD",
+        "cut E on CD at 1/2",
+        "cuthalf E on CD",
+        "extend AB to E with EB = CD",
+        "square CGHD on CD below",
+        "perp F from C on CD above len 1",
+        "semicircle on CD center C above",
     ],
 )
 def test_zero_length_base_is_a_diagram_error(construction, command, tmp_path, capsys):
     """C and D are both the midpoint of AB, so the line CD has no length to
-    join, scale by, intersect along or draw a parallel to."""
+    join, cut, scale by, copy, intersect along, draw a parallel, square,
+    perpendicular or semicircle on."""
     bad = tmp_path / "zero.e2p"
     bad.write_text(ZERO_BASE.format(construction=construction))
     code, out, err = run_cli([command, str(bad)], capsys)

@@ -202,6 +202,28 @@ DATA_ORACLE_SHA256 = {
 }
 
 
+# exit code and sha256 of `check --json --emit-certs` stdout followed by its
+# sidecar under each profile, run from tests/data, and of `render` stdout,
+# for each script under tests/data; II_14_chained is the one script with
+# tower coordinates and CN1 steps
+DATA_CHECK_SHA256 = {
+    "II_14_chained.e2p@default": (0, "54fac17cfb242db08a348fe0e75c77b3e3c8a63cfe28923411bd0869c1ead188"),
+    "II_14_chained.e2p@bm-dissection": (0, "33b624ab50305f6270ad1753846d3f17e2e3aa8f177717e6d37cf885378ab9a6"),
+    "rect_extended_ve.e2p@default": (0, "5f16e8bf16a35ff7a38d458058e86e2ecbc5f38f273db8c57dc5ad71e7e2045d"),
+    "rect_extended_ve.e2p@bm-dissection": (0, "5cb73601b3ba1d9ce90cf00e05c2461500abb6fdfefc9f0635832b500c3b30bc"),
+    "slanted_split.e2p@default": (0, "fe87bea9a3d2ffc4bffacbe0cc153860f78d9abfcf5ac0201feed7efecdc1f41"),
+    "slanted_split.e2p@bm-dissection": (0, "75cdb8277309d15517c3f95a22d939a91b3d918c9d910556c99fab68264eb8cd"),
+    "slanted_split_twice.e2p@default": (1, "961a30c4e04d7a79cfbe316811f03a5f22d32a299338b8d83078fd2cb0acbd93"),
+    "slanted_split_twice.e2p@bm-dissection": (1, "5ba4fe410bd44602ff9f4b5ebecbd7d19ac7924359f819ad228b0e266a59e2be"),
+}
+DATA_SVG_SHA256 = {
+    "II_14_chained.e2p": (0, "651dc89f9d34cb992fd6f99bf99a2793149aaa2ba71a01dcb578c768520b0ff0"),
+    "rect_extended_ve.e2p": (0, "c2d012c7f40a76c24a204be89ce0ba8c4426e503cd0aeed9dfac85b853cb7bf7"),
+    "slanted_split.e2p": (0, "ed3c0d51a49f2c2e73801aedde7741eeb2054332cfe8fb7ba488a2a4ea34a214"),
+    "slanted_split_twice.e2p": (0, "69a91480b16cd9e320c96988fc103eb1e64bfef8ce4aeff79809cfd5316a1681"),
+}
+
+
 def _cli_stdout(args, capsys) -> tuple[int, str]:
     code = cli.main(args)
     return code, capsys.readouterr().out
@@ -236,6 +258,23 @@ def test_data_oracle_json_matches_golden_digests(capsys):
     assert sorted(DATA_ORACLE_SHA256) == sorted(p.name for p in DATA.glob("*.e2p"))
     for name, want in DATA_ORACLE_SHA256.items():
         code, out = _cli_stdout(["oracle", "--json", "--samples", "3", str(DATA / name)], capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, name
+
+
+def test_data_check_json_and_render_match_golden_digests(tmp_path, monkeypatch, capsys):
+    names = sorted(p.name for p in DATA.glob("*.e2p"))
+    assert sorted(DATA_CHECK_SHA256) == sorted(f"{n}@{p}" for n in names for p in rules.PROFILES)
+    assert sorted(DATA_SVG_SHA256) == names
+    monkeypatch.chdir(DATA)
+    sidecar = tmp_path / "certs.json"
+    for key, want in DATA_CHECK_SHA256.items():
+        name, profile = key.split("@")
+        code, out = _cli_stdout(
+            ["check", "--json", "--profile", profile, "--emit-certs", str(sidecar), name], capsys
+        )
+        assert (code, hashlib.sha256((out + sidecar.read_text()).encode()).hexdigest()) == want, key
+    for name, want in DATA_SVG_SHA256.items():
+        code, out = _cli_stdout(["render", name], capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, name
 
 

@@ -250,8 +250,8 @@ def test_a_mutated_claim_that_passes_its_step_holds(case, seed):
 _DECLARING = ("prop", "points", "line", "param", "flags", "construct:", "proof:", "qed",
               "segment", "rectfig", "gnomon")
 _PIECES = LABELS + NUMBERS + WORDS + [
-    "sq(AB)", "fig(CD)", "rect(A,BC)", "2*", "pi", "==", "+", ";", "[", "]", "s1", "h1", "R1",
-    "VE", "1.", "claim:", "(", ",",
+    "sq(AB)", "sq(AA)", "|AA|", "fig(CD)", "rect(A,BC)", "2*", "pi", "==", "+", ";", "[", "]",
+    "s1", "h1", "R1", "VE", "1.", "claim:", "(", ",",
 ]
 
 
@@ -294,8 +294,6 @@ def test_parse_error_on_a_mutated_line_points_into_it(case):
     except ParseError as exc:
         assert exc.line == k + 1, (lines[k], str(exc))
         assert 1 <= exc.col <= len(lines[k]) + 1, (lines[k], str(exc))
-    except Euclid2Error:
-        pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from euclid2 import constructible as cr
 from euclid2 import corpusdata
 from euclid2 import diagram as dg
+from euclid2 import geometry as geo
 from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import terms as T
 from euclid2.errors import (
     DistinctTargets,
+    NameMismatch,
     NoCommonTerm,
     NoLink,
     NoMatch,
@@ -17,7 +24,7 @@ from euclid2.errors import (
     VEFailed,
 )
 from euclid2.terms import parse_statement as ps
-from helpers import default_entries
+from helpers import default_entries, reference_i43
 
 
 def load(name):
@@ -303,6 +310,155 @@ def test_i43_examples(ii4, ii5):
         rules.rule_I43(ii4, ps("fig(AG) = fig(HF)"), [])
 
 
+def _box(x1, y1, x2, y2, start, turn):
+    """The box as a polygon from corner `start`, counterclockwise or not."""
+    corners = geo.box_polygon(x1, y1, x2, y2)
+    corners = corners[start:] + corners[:start]
+    return corners if turn else corners[:1] + corners[:0:-1]
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes on a small rational grid, as I.43's complements (with the
+    shared corner on the diameter or off it), nested, overlapping, sharing
+    an edge, or stacked on one shared corner; or one of them slanted.  The
+    bounding box's diagonals are drawn or not."""
+    grid = st.sets(st.integers(0, 9), min_size=4, max_size=4).map(sorted)
+    xs = [cr.rational(n, 2) for n in draw(grid)]
+    ys = [cr.rational(n, 3) for n in draw(grid)]
+    x0, x1, x2, x3 = xs
+    y0, y1, y2, y3 = ys
+    kind = draw(st.sampled_from(
+        ["complements", "nested", "overlapping", "edge", "stacked", "slanted"]
+    ))
+    slanted = None
+    if kind == "complements":
+        rising = draw(st.booleans())
+        if draw(st.booleans()):  # the shared corner on the diameter
+            t = cr.div(cr.sub(x1, x0), cr.sub(x3, x0))
+            y1 = cr.add(y0, cr.mul(t if rising else cr.sub(cr.ONE, t), cr.sub(y3, y0)))
+        if rising:
+            boxes = [(x0, y1, x1, y3), (x1, y0, x3, y1)]
+        else:
+            boxes = [(x0, y0, x1, y1), (x1, y1, x3, y3)]
+    elif kind == "nested":
+        inner = (x1, y1, draw(st.sampled_from([x2, x3])), draw(st.sampled_from([y2, y3])))
+        boxes = [(x0, y0, x3, y3), inner]
+    elif kind == "overlapping":
+        boxes = [(x0, y0, x2, y2), (x1, y1, x3, y3)]
+    elif kind == "edge":
+        lo, hi = sorted(draw(st.sets(st.sampled_from(ys), min_size=2, max_size=2)),
+                        key=geo.by_value)
+        boxes = [(x0, y0, x1, y2), (x1, lo, x2, hi)]
+    elif kind == "stacked":
+        boxes = [(x0, y0, x2, y1), (draw(st.sampled_from([x0, x1])), y1, x2, y3)]
+    else:
+        boxes = [(x0, y0, x1, y1)]
+        slanted = ((x1, y1), (x3, y1), (x3, y3), (x2, y3))
+    polys = [_box(*b, draw(st.integers(0, 3)), draw(st.booleans())) for b in boxes]
+    if slanted is not None:
+        polys.append(slanted)
+    if draw(st.booleans()):
+        polys.reverse()
+    X1, Y1 = (min((p[i] for poly in polys for p in poly), key=geo.by_value) for i in (0, 1))
+    X2, Y2 = (max((p[i] for poly in polys for p in poly), key=geo.by_value) for i in (0, 1))
+    diagonals = [((X1, Y1), (X2, Y2)), ((X2, Y1), (X1, Y2))]
+    drawn = [d for d in diagonals if draw(st.booleans())]
+    return polys, drawn
+
+
+def _two_figures(polys, drawn) -> rules.FactBase:
+    inst = dg.DiagramInstance(declared={"P": polys[0], "Q": polys[1]}, drawn_list=drawn)
+    return rules.FactBase(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_pairs())
+def test_i43_decides_as_the_point_key_reference(case):
+    """On rational corners, where equal points have equal keys, I43 gives
+    the verdict and the certificate of its point-key reference."""
+    fb = _two_figures(*case)
+    try:
+        want = reference_i43(fb.inst, "P", "Q")
+    except NotComplements:
+        want = None
+    try:
+        got = rules.rule_I43(fb, ps("fig(P) = fig(Q)"), []).certificate
+    except NotComplements:
+        got = None
+    assert got == want
+
+
+def _sqrt6_twice():
+    """sqrt(6) as a quadratic value and as the tower sqrt(2)*sqrt(3): one
+    value with two keys."""
+    quad = cr.sqrt(cr.const(6))
+    tower = cr.mul(cr.sqrt(cr.const(2)), cr.sqrt(cr.const(3)))
+    assert geo.cmp(quad, tower) == 0 and cr.exact_key(quad) != cr.exact_key(tower)
+    return quad, tower
+
+
+def test_i43_finds_the_shared_corner_by_value():
+    """Complements whose shared corner has x = sqrt(6) in one box and
+    sqrt(2)*sqrt(3) in the other meet in one corner."""
+    quad, tower = _sqrt6_twice()
+    two = cr.const(2)
+    far = cr.mul(two, quad)
+    polys = [geo.box_polygon(cr.ZERO, cr.ZERO, quad, cr.ONE),
+             geo.box_polygon(tower, cr.ONE, far, two)]
+    fb = _two_figures(polys, [((far, cr.ZERO), (cr.ZERO, two))])
+    with pytest.raises(NotComplements):
+        reference_i43(fb.inst, "P", "Q")
+    out = rules.rule_I43(fb, ps("fig(P) = fig(Q)"), [])
+    assert out.certificate["diameter"] == rules._poly_payload([(far, cr.ZERO), (cr.ZERO, two)])
+
+
+def test_name_finds_the_shared_corner_by_value():
+    """B and E are one point, its x spelled sqrt(6) and sqrt(2)*sqrt(3), so
+    AB and EC meet in one corner of ABCD."""
+    quad, tower = _sqrt6_twice()
+    coords = {"A": (cr.ZERO, cr.ZERO), "B": (quad, cr.ZERO), "C": (quad, cr.ONE),
+              "D": (cr.ZERO, cr.ONE), "E": (tower, cr.ZERO)}
+    inst = dg.DiagramInstance(coords=coords, declared={"ABCD": tuple(coords[p] for p in "ABCD")})
+    out = rules.rule_NAME(rules.FactBase(inst), ps("ABCD pi AB x EC"))
+    assert out.certificate["corner"] == [cr.exact_text(quad), "0"]
+    with pytest.raises(NameMismatch):
+        rules.rule_NAME(rules.FactBase(inst), ps("ABCD pi AB x BA"))
+
+
+_TERMS = [T.Fig(T.FigureName("A")), T.Fig(T.FigureName("B")), T.SquareOn(T.Segment("A", "B"))]
+_SIDES = st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3).map(T.term_sum)
+
+
+@st.composite
+def additions(draw):
+    """Equalities over three terms, repeats allowed, and a claim: their
+    sides added up in a drawn orientation, or any equality."""
+    eqs = draw(st.lists(st.builds(T.Eq, _SIDES, _SIDES), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return eqs, T.Eq(draw(_SIDES), draw(_SIDES))
+    flips = [draw(st.booleans()) for _ in eqs]
+    sides = [(e.rhs, e.lhs) if f else (e.lhs, e.rhs) for e, f in zip(eqs, flips)]
+    return eqs, T.Eq(*(T.term_sum(t for s in side for t in s.terms) for side in zip(*sides)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(additions())
+def test_added_up_is_the_first_orientation_that_adds_up(case):
+    """`_added_up` returns the left terms of the first orientation, each
+    equality's own first, whose sides add up to the claim's two sides."""
+    eqs, claim = case
+    want = None
+    for mask in range(2 ** len(eqs)):
+        flips = [mask >> (len(eqs) - 1 - i) & 1 for i in range(len(eqs))]
+        left = [t for e, f in zip(eqs, flips) for t in (e.rhs if f else e.lhs).terms]
+        right = [t for e, f in zip(eqs, flips) for t in (e.lhs if f else e.rhs).terms]
+        if (Counter(left), Counter(right)) == (Counter(claim.lhs.terms), Counter(claim.rhs.terms)):
+            want = left
+            break
+    assert rules._added_up(eqs, claim) == want
+
+
 def test_double_examples(ii4):
     out = rules.rule_DOUBLE(
         ii4,
@@ -313,6 +469,12 @@ def test_double_examples(ii4):
     rules.rule_DOUBLE(
         dummy_ctx(), ps("fig(AF) + fig(CE) = 2*fig(AF)"), [ps("fig(AF) = fig(CE)")]
     )
+    # regrouping: a multiple spelled out, the sides in either order
+    premise = ps("sq(AC) + sq(AC) + sq(CD) = sq(AD) + sq(DB)")
+    for claim in ("2*sq(AC) + sq(CD) = sq(AD) + sq(DB)", "sq(AD) + sq(DB) = 2*sq(AC) + sq(CD)"):
+        rules.rule_DOUBLE(dummy_ctx(), ps(claim), [premise])
+    with pytest.raises(NoMatch):
+        rules.rule_DOUBLE(dummy_ctx(), ps("2*sq(AC) + sq(AD) = sq(CD) + sq(DB)"), [premise])
     with pytest.raises(DistinctTargets):
         rules.rule_DOUBLE(
             ii4,
