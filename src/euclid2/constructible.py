@@ -27,6 +27,8 @@ recursion on a, b and a*a - b*b*r, so every comparison is exact (Yap,
 only.  `exact_key` keys a value by its structure: equal keys mean equal
 values, and exact values (a + b*sqrt(r) keyed by a, the sign of b and b*b*r)
 get one key per value, but two routes to one tower value may get two keys.
+So keys order tower radicals and memoize SVG text, but decide no identity.
+`exact_text` spells every value exactly, a tower element by its parts.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Expr:
     """One value: a rational, a quadratic form, or a tower element whose
     `args` are (a, b, r) for a + b*sqrt(r)."""
 
-    __slots__ = ("kind", "args", "num", "den", "q", "_ivals")
+    __slots__ = ("kind", "args", "num", "den", "q")
 
     _table: dict = {}  # nothing fills it; `perfbench` reads its length
 
@@ -101,7 +103,6 @@ class Expr:
         # (an, bn, d, r): value (an + bn*sqrt(r))/d, d > 0, bn != 0,
         # gcd(an, bn, d) == 1, r >= 2 not a perfect square; else None
         self.q = q
-        self._ivals: dict[int, tuple[Fraction, Fraction]] | None = None  # made by interval()
 
     def __repr__(self):
         if self.den:
@@ -129,17 +130,7 @@ class Expr:
     # -- intervals ---------------------------------------------------------
 
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        ivals = self._ivals
-        if ivals is None:
-            ivals = self._ivals = {}
-        cached = ivals.get(bits)
-        if cached is not None:
-            return cached
-        lo, hi = self._compute_interval(bits)
-        ivals[bits] = (lo, hi)
-        return lo, hi
-
-    def _compute_interval(self, bits: int):
+        """An enclosure of the value with dyadic endpoints at 2^-bits."""
         scale = 1 << bits
         if self.den:
             n, d = self.num << bits, self.den
@@ -174,7 +165,7 @@ _new = object.__new__
 
 def rational(n: int, d: int) -> Expr:
     """The rational n/d for ints n and d != 0, reduced by one gcd (none
-    when d == 1) with d > 0: every rational `Expr` is built here, its six
+    when d == 1) with d > 0: every rational `Expr` is built here, its five
     slots set without an `Expr.__init__` call."""
     if d != 1:
         g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
@@ -185,7 +176,6 @@ def rational(n: int, d: int) -> Expr:
     e.num = n
     e.den = d
     e.q = None
-    e._ivals = None
     return e
 
 
@@ -430,12 +420,13 @@ def decimal_text(x: Expr, places: int = 4) -> str:
 
 def exact_text(x: Expr) -> str:
     """A value as certificates print it: `n/d` for a rational, `a+b*sqrt(r)`
-    with a and b in lowest terms for a quadratic value, else 30 places."""
+    with a and b in lowest terms for a quadratic value, and a tower element
+    a + b*sqrt(r) as `(a)+(b)*sqrt(r)` of its parts' texts."""
     if x.den:
         return str(x.num) if x.den == 1 else f"{x.num}/{x.den}"
     if x.q is not None:
         return "{}+{}*sqrt({})".format(*x.quad)
-    return decimal_text(x, 30)
+    return "({})+({})*sqrt({})".format(*map(exact_text, x.args))
 
 
 def exact_key(x: Expr):

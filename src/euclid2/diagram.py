@@ -151,13 +151,12 @@ class DiagramInstance(Record):
             raise bound.with_traceback(None)
         return bound
 
-    def region_key(self, letters: str) -> tuple | None:
-        """Identity of the region the figure name binds, one for all of its
-        names, or None when the name binds no region."""
+    def same_region(self, a: str, b: str) -> bool:
+        """The two figure names bind one region; False when either binds none."""
         try:
-            return geo.region_key(self.region(letters))
+            return geo.same_region(self.region(a), self.region(b))
         except Euclid2Error:
-            return None
+            return False
 
     def point(self, label: str) -> Pt:
         if label not in self.coords:
@@ -419,10 +418,9 @@ class _Builder:
         if cmd.source not in self.inst.declared:
             raise UnknownName(f"figure {cmd.source!r} not declared")
         src = self.inst.declared[cmd.source]
-        xs = sorted({cr.exact_key(p[0]): p[0] for p in src}.values(), key=geo.by_value)
-        ys = sorted({cr.exact_key(p[1]): p[1] for p in src}.values(), key=geo.by_value)
-        w = cr.sub(xs[-1], xs[0])
-        h = cr.sub(ys[-1], ys[0])
+        xs, ys = zip(*src)
+        w = cr.sub(max(xs, key=geo.by_value), min(xs, key=geo.by_value))
+        h = cr.sub(max(ys, key=geo.by_value), min(ys, key=geo.by_value))
         l0, l1, l2, l3 = cmd.name
         self.new_point(l0, (cr.ZERO, cr.ZERO))
         self.new_point(l1, (cr.ZERO, cr.neg(h)))

@@ -15,7 +15,7 @@ and with radicals by the exact sign of a constructible real.
 `signed_area2` and `area` have an integer kernel: on rational input they
 compute on the ints `num`, `den` and reduce once by `cr.rational` (a
 predicate just compares); other input takes the `Expr` composition through
-`cr.add/sub/mul`.
+`cr.add/sub/mul`.  Identity is by value: `pts_equal` and `same_region`.
 """
 
 from __future__ import annotations
@@ -101,12 +101,6 @@ def equal_length(p: Pt, q: Pt, r: Pt, s: Pt) -> bool:
     return cmp(dist2(p, q), dist2(r, s)) == 0
 
 
-def point_key(p: Pt):
-    """Hashable key of a point: equal keys mean equal points, and equal
-    points with rational or Q(sqrt r) coordinates have equal keys."""
-    return (cr.exact_key(p[0]), cr.exact_key(p[1]))
-
-
 def pts_equal(p: Pt, q: Pt) -> bool:
     return cmp(p[0], q[0]) == 0 and cmp(p[1], q[1]) == 0
 
@@ -174,17 +168,15 @@ def polygon_exact_rational(poly: Polygon) -> bool:
     return all(p[0].den and p[1].den for p in poly)
 
 
-def region_key(poly: Polygon):
-    """Canonical hashable identity of a polygon region (orientation- and
-    rotation-insensitive).  Requires exact vertex coordinates."""
-    keys = [point_key(p) for p in poly]
-    best = None
-    for seq in (keys, keys[::-1]):
-        for i in range(len(seq)):
-            rot = tuple(seq[i:] + seq[:i])
-            if best is None or rot < best:
-                best = rot
-    return best
+def same_region(p: Polygon, q: Polygon) -> bool:
+    """The two polygons have one vertex cycle, from any start vertex and in
+    either direction, their vertices compared by value."""
+    n = len(p)
+    return len(q) == n and any(
+        all(pts_equal(p[k], seq[(i + k) % n]) for k in range(n))
+        for seq in (q, q[::-1])
+        for i in range(n)
+    )
 
 
 def point_in_polygon(p: Pt, poly: Polygon) -> bool:

@@ -3,9 +3,9 @@ color class (visual evidence red, renaming blue, the two substitution
 families violet and magenta, everything else plain).
 
 Every rule runs against the `FactBase`: the realized diagram, the script's
-flags and the facts so far.  `DiagramInstance.region` and `region_key` alone
-decide which region a figure name binds, and `FactBase._named` which figure
-an invisible term names.
+flags and the facts so far.  `DiagramInstance.region` alone decides which
+region a figure name binds, and `FactBase._named` which figure an invisible
+term names.
 
 Premises are the claims of earlier steps, declared hypotheses, or inline
 statements resolved against the construction facts; naming-form inline
@@ -13,8 +13,9 @@ premises fall back to a diagram check and are tagged as blue premises.
 
 CN1, CN2 and MERGE read their premises through one orientation search
 (`_orientations`, `_added_up`); MERGE is CN2's addition plus its figure
-checks.  I43 and NAME decide which corner two figures share by value, with
-`geometry.cmp`, as every other rule compares points.
+checks.  Rules reach coordinates only through geometry's exact predicates,
+so every identity is decided by value: whether two names bind one figure
+(`same_region`) and which corner two figures share (`cmp`).
 """
 
 from __future__ import annotations
@@ -221,21 +222,23 @@ class FactBase:
                     return False
         return False
 
-    def _eq_region_key(self, eq: Eq):
-        """An equality up to figure names; an unbound name keeps its letters."""
-
-        def side(s: TermSum):
-            out = []
-            for t in s.terms:
-                if isinstance(t, Fig):
-                    key = self.inst.region_key(t.name.letters)
-                    out.append(("letters", t.name.letters) if key is None else ("region", key))
-                else:
-                    out.append(("term", T.term_key(t)))
-            return tuple(sorted(out, key=repr))
-
-        sides = sorted([side(eq.lhs), side(eq.rhs)], key=repr)
-        return (sides[0], sides[1])
+    def _same_sum(self, s: TermSum, t: TermSum) -> bool:
+        """The terms of s pair off with those of t: a figure with one that
+        binds its region (an unbound name only with its own letters), any
+        other term with an equal one.  That match is an equivalence, so
+        taking the first unused match never misses a pairing."""
+        rest = list(t.terms)
+        for a in s.terms:
+            for i, b in enumerate(rest):
+                if T.term_key(a) == T.term_key(b) or (
+                    isinstance(a, Fig) and isinstance(b, Fig)
+                    and self.inst.same_region(a.name.letters, b.name.letters)
+                ):
+                    del rest[i]
+                    break
+            else:
+                return False
+        return not rest
 
     def has(self, stmt: Statement) -> bool:
         if isinstance(stmt, SegEq):
@@ -245,8 +248,11 @@ class FactBase:
         if stmt_key(stmt) in self._stmts:
             return True
         if isinstance(stmt, Eq):
-            key = self._eq_region_key(stmt)
-            return any(self._eq_region_key(f) == key for f in self._eqs)
+            return any(
+                self._same_sum(stmt.lhs, a) and self._same_sum(stmt.rhs, b)
+                for f in self._eqs
+                for a, b in ((f.lhs, f.rhs), (f.rhs, f.lhs))
+            )
         return False
 
 
@@ -453,12 +459,10 @@ def rule_R3(fb: FactBase, claim, premises) -> StepOutcome:
     identical or when both bind one region (CE and DB name one square)."""
 
     def repl(figure, target, t):
-        if not isinstance(t, Fig):
-            return None
-        if t.name == figure:
-            return target
-        key = fb.inst.region_key(t.name.letters)
-        return target if key is not None and key == fb.inst.region_key(figure.letters) else None
+        same = isinstance(t, Fig) and (
+            t.name == figure or fb.inst.same_region(t.name.letters, figure.letters)
+        )
+        return target if same else None
 
     return _rewrite_by_naming("R3", claim, premises, repl)
 
@@ -611,7 +615,7 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
     pair = _fig_pair(claim)
     if pair is not None:
         n1, n2 = (t.name.letters for t in pair)
-        if geo.region_key(inst.region(n1)) != geo.region_key(inst.region(n2)):
+        if not geo.same_region(inst.region(n1), inst.region(n2)):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
         cert = make_certificate("NAME", {"alias": [n1, n2]})
         return StepOutcome(("alias",), cert)
@@ -621,14 +625,11 @@ def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
 def _require_square(poly, letters):
     if len(poly) != 4:
         raise NameMismatch(f"{letters} is not a quadrilateral")
-    sides = [geo.dist2(poly[i], poly[(i + 1) % 4]) for i in range(4)]
     for i in range(1, 4):
-        if geo.cmp(sides[0], sides[i]) != 0:
+        if not geo.equal_length(poly[0], poly[1], poly[i], poly[(i + 1) % 4]):
             raise NameMismatch(f"{letters} is not equilateral")
     for i in range(4):
-        u = geo.sub2(poly[(i + 1) % 4], poly[i])
-        v = geo.sub2(poly[(i - 1) % 4], poly[i])
-        if geo.sign(geo.dot(u, v)) != 0:
+        if not geo.right_angle(poly[i], poly[(i + 1) % 4], poly[i - 1]):
             raise NameMismatch(f"{letters} is not right-angled")
 
 
@@ -654,7 +655,7 @@ def _shared_corner(inst, poly, s1: T.Segment, s2: T.Segment):
     corner = shared[0]
     u = next(p for p in ends1 if p is not corner)
     v = next(p for p in ends2 if not geo.pts_equal(p, corner))
-    if geo.sign(geo.dot(geo.sub2(u, corner), geo.sub2(v, corner))) != 0:
+    if not geo.right_angle(corner, u, v):
         raise NameMismatch("the named sides do not contain a right angle")
     return corner
 
@@ -691,9 +692,9 @@ def rule_I47(fb: FactBase, claim, premises) -> StepOutcome:
             if not arms_ok:
                 raise NoRightAngle("right-angle arms do not lie along the legs")
             pv, px, py = fb.inst.point(v), fb.inst.point(x), fb.inst.point(y)
-            if geo.sign(geo.dot(geo.sub2(px, pv), geo.sub2(py, pv))) != 0:
+            if not geo.right_angle(pv, px, py):
                 raise NoRightAngle("angle between the legs is not right")
-            if geo.sign(geo.cross(geo.sub2(px, pv), geo.sub2(py, pv))) == 0:
+            if geo.collinear(pv, px, py):
                 raise SidesNotATriangle("the three points are collinear")
             cert = make_certificate(
                 "I47", {"vertex": v, "legs": [l1.text(), l2.text()], "hyp": hyp.text()}

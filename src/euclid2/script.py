@@ -466,10 +466,10 @@ class _Parser(Reader):
         # declared figure; every other name is spelled with points
         if kind == "seg" and len(text) == 1:
             if text not in self.segments:
-                raise UndeclaredPoint(self.line, self.col(at), text)
+                raise self.fail(f"segment {text!r} not declared", at)
         elif kind == "fig" and len(text) in (1, 3):
             if text not in self.figures:
-                raise UndeclaredPoint(self.line, self.col(at), text)
+                raise self.fail(f"figure {text!r} not declared", at)
         else:
             for i, p in enumerate(text):
                 if p not in self.points:
@@ -488,6 +488,7 @@ class _Parser(Reader):
         text = self.toks[self.pos]
         if text == "|":
             length = self.read(LenSeg)
+            self.check_label("seg", length.seg, self.pos - 2)
             self.check_distinct(length.seg, self.pos - 2)
             return length
         if not "a" <= text[:1] <= "z":  # not a word, so not a parameter

@@ -1,8 +1,8 @@
 """Test-only helpers over the checker's exact machinery: the corpus
 entries, a point from plain numbers, an interval of a chosen width, a
 coverage check of named figures, the sampled-arrangement coverage reference,
-equality of content, the facts of the labelled boxes, I.43's decision by
-point keys, and exact identity checks on a grid."""
+equality of content, the facts of the labelled boxes, point and region
+keys with I.43's decision by them, and exact identity checks on a grid."""
 
 import itertools
 from fractions import Fraction
@@ -182,10 +182,27 @@ def reference_box_facts(inst: dg.DiagramInstance, construction=()) -> list[tuple
     return facts
 
 
+def point_key(p: geo.Pt) -> tuple:
+    """A point keyed by the `exact_key`s of its coordinates, as the checker
+    once decided point identity: equal keys mean equal points, and equal
+    points with rational or Q(sqrt r) coordinates have equal keys."""
+    return (cr.exact_key(p[0]), cr.exact_key(p[1]))
+
+
+def region_key(poly: geo.Polygon) -> tuple:
+    """A polygon keyed by the least rotation, in either direction, of its
+    point keys, as the checker once decided region identity; canonical
+    where point keys are."""
+    keys = [point_key(p) for p in poly]
+    return min(
+        tuple(seq[i:] + seq[:i]) for seq in (keys, keys[::-1]) for i in range(len(keys))
+    )
+
+
 def reference_i43(inst: dg.DiagramInstance, f1: str, f2: str) -> dict:
     """I43's certificate for the complements f1 and f2, or NotComplements,
     decided as the rule decided it while it found the shared corner by
-    `geo.point_key`: the two boxes share exactly one vertex by key; the
+    `point_key`: the two boxes share exactly one vertex by key; the
     corner of each opposite that vertex is a corner of their bounding box,
     the two far corners differ; the shared vertex lies on the bounding
     box's other diagonal, the diameter, which is drawn."""
@@ -193,8 +210,8 @@ def reference_i43(inst: dg.DiagramInstance, f1: str, f2: str) -> dict:
     b1, b2 = geo.box_of(r1), geo.box_of(r2)
     if b1 is None or b2 is None:
         raise NotComplements("complements must be rectangles")
-    k1 = {geo.point_key(p): p for p in r1}
-    shared = set(k1) & set(map(geo.point_key, r2))
+    k1 = {point_key(p): p for p in r1}
+    shared = set(k1) & set(map(point_key, r2))
     if len(shared) != 1:
         raise NotComplements("the two figures do not meet in exactly one corner")
     pshared = k1[shared.pop()]

@@ -68,6 +68,14 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     assert f"{bad}: parse error: line 24, col 15: segment BB is degenerate\n" in out
     assert f"{length}: parse error: line 19, col 34: segment GG is degenerate\n" in out
     assert "verdict: Accepted (6 steps)" in out
+    # so is a length copied from a segment that is not declared
+    bad.write_text(text.replace("below len |A|", "below len |Z|"))
+    length.write_text(text.replace("below len |A|", "below len |BZ|"))
+    code, out, _ = run_cli(["check", str(bad), str(length), str(CORPUS / "II_1.e2p")], capsys)
+    assert code == 2
+    assert f"{bad}: parse error: line 19, col 34: segment 'Z' not declared\n" in out
+    assert f"{length}: parse error: line 19, col 35: point 'Z' not in roster\n" in out
+    assert "verdict: Accepted (6 steps)" in out
 
 
 def test_check_json_keeps_stdout_a_json_stream(tmp_path, capsys):

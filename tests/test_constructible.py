@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -498,6 +499,22 @@ def test_tower_signs_are_exact_and_identities_decide_to_zero(xv, yv):
     assert cr.refine_sign(cr.sub(cr.mul(root, root), x)) == 0
 
 
+def _text_value(text: str) -> decimal.Decimal:
+    """The value an `exact_text` spells, evaluated to 150 digits."""
+    with decimal.localcontext(_REF):
+        spelled = re.sub(r"(\d+)", r"D(\1)", text)
+        return eval(spelled, {"D": decimal.Decimal, "sqrt": _REF.sqrt})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tower_values(depth=3))
+def test_exact_text_spells_a_tower_value_exactly(xv):
+    x, vx = xv
+    text = cr.exact_text(x)
+    assert "." not in text
+    assert abs(_text_value(text) - vx) < decimal.Decimal("1e-120")
+
+
 def _random_expr(rng: random.Random, depth: int):
     """Random DAG over small rationals, tracking the exact value."""
     if depth == 0 or rng.random() < 0.3:
@@ -554,3 +571,5 @@ def test_exact_text_writes_each_coefficient_in_lowest_terms():
     x = cr.add(cr.const(Fraction(1, 2)), cr.mul(cr.const(Fraction(3, 4)), cr.sqrt(cr.const(2))))
     assert x.q == (2, 3, 4, 2)
     assert cr.exact_text(x) == "1/2+3/4*sqrt(2)"
+    tower = cr.sqrt(cr.add(cr.ONE, cr.sqrt(cr.const(2))))
+    assert cr.exact_text(tower) == "(0)+(1)*sqrt(1+1*sqrt(2))"

@@ -224,6 +224,76 @@ DATA_SVG_SHA256 = {
 }
 
 
+# exit codes of `check` and of `annotate`, and sha256 of their two stdouts
+# joined, both in text form under one profile, for every corpus, `neg/` and
+# tests/data script, run from its own directory; the text reports carry the
+# verdicts, colors, flags and blue premises a reader sees
+TEXT_SHA256 = {
+    "II_1.e2p@default": (0, 0, "c8f3eabaa96247b1e17976d74735e07b14e78fbb024891d3b019960e30d52762"),
+    "II_1.e2p@bm-dissection": (0, 0, "7246b4a72a6b081560dc0fdffba7bdeed5bb126a2f20ac9f93b212d19a7c7fb7"),
+    "II_10.e2p@default": (0, 0, "4f314efdcb32cb7aa1b941c7683231ee65d6b71527a47f0e1ee715758f5b367c"),
+    "II_10.e2p@bm-dissection": (0, 0, "770eec30f177fb22c051fd5655ada8a881111ca9c6384af05c4bff4bae4b8b27"),
+    "II_11.e2p@default": (0, 0, "f9e703f4a19e50ad318171ebe3bf039e5b20693f06199a7243a581d1a06f598f"),
+    "II_11.e2p@bm-dissection": (0, 0, "48fd90ab0d2c6a3650ba06f77e4056188da924e30cd5145552f53f3a7e3c7fcb"),
+    "II_12.e2p@default": (0, 0, "5c8da72b3b8840f8614008565318c9153f5a30c3ec057a7b3c4b425eabab84b6"),
+    "II_12.e2p@bm-dissection": (0, 0, "1f49a4a62b0a57277c1642cf575afe33e40061e7482965655385901e2e06af59"),
+    "II_13.e2p@default": (0, 0, "fba937b94e6ddfdf4b7f6be2bd9d65aae57a3dc2e1491f06784f1c294ac48f30"),
+    "II_13.e2p@bm-dissection": (0, 0, "649971d7554214389571b8c05f855114ed6e2224278921b42248089a59e4c57e"),
+    "II_14.e2p@default": (0, 0, "d06a5d2b42ff051eb7997892651b72e3f4ea71a369aa9a533ae6bdbf823e09ea"),
+    "II_14.e2p@bm-dissection": (0, 0, "a380463ee666402d3e7f056011180d730e319f60a49ba790936329459fbb4ab5"),
+    "II_14_bm.e2p@default": (1, 1, "a7806191ee19b0078f263c19daee80ff5430086dd61b1e80f59a240220b70657"),
+    "II_14_bm.e2p@bm-dissection": (0, 0, "3e8ccc3fd0e9777654f8d981991d5fb154f2709c41d1d399f2180f26f7d7fb59"),
+    "II_2.e2p@default": (0, 0, "429c6122684735de4385da234f3bd31389d034014f9b2219a595d2544a302c16"),
+    "II_2.e2p@bm-dissection": (0, 0, "2af699fa03244e5ab60fdc4cc6900c3ad132497b881b46563ad8b9a85d2538e2"),
+    "II_3.e2p@default": (0, 0, "3fc20a9a8c124f98af35bd6eb43596d4de6f9a733bd21ff9c2e15fa216950cde"),
+    "II_3.e2p@bm-dissection": (0, 0, "8e963371bd50fa307819ae0527b664b6286a15826af58392c75c6cdd7b7ca585"),
+    "II_4.e2p@default": (0, 0, "1116e0b2116bebb1044a5948c9941c22b0f2540bcf7a46669bc3cc8705885b1f"),
+    "II_4.e2p@bm-dissection": (0, 0, "fd8afd141365877219133a3e3c7ab23de034d663e6d1beb517dd6c3faf6f8ad2"),
+    "II_5.e2p@default": (0, 0, "37b6d2cd7029f3689337cbff9aeaeed2f8a171b0f895af8b6ea10d27fac38ba5"),
+    "II_5.e2p@bm-dissection": (0, 0, "6389d4200ea5c333c4b025205baf0674acb75b637de3b4ba38eef74469fe8c01"),
+    "II_5_bm.e2p@default": (1, 1, "e5a6132148579437b73e3c46652fb981d0075687577f4e371954bc3bd42ed2f1"),
+    "II_5_bm.e2p@bm-dissection": (0, 0, "3d59beb36ca2de5b79d01780c4d9b2a84a9b94bdddb79775a1e0780bed551865"),
+    "II_6.e2p@default": (0, 0, "3e08f155752d8d5db9a3bbfa9d246048160519125e2246abb8a65e2720381b96"),
+    "II_6.e2p@bm-dissection": (0, 0, "a14bcab3d9579cd1d5150c8127ab756370ba1fd2f0060fccbde857c4d3dbcdd1"),
+    "II_7.e2p@default": (0, 0, "da65ff789868463598cb2848efc4294ae34d38104d12e5f464630dfff4118db4"),
+    "II_7.e2p@bm-dissection": (0, 0, "6ee1e1e11a814b0cd5c82c9f3bb18ff065956b40c81d507a9c8138c8dab08936"),
+    "II_8.e2p@default": (0, 0, "e6ad5e581828c85d44fd83faff27c54c015d1977d303d2219ae5fc0c31cf6139"),
+    "II_8.e2p@bm-dissection": (0, 0, "f46df90240ab6fc8f85bc35c2f86aeef307361ed87db0e1d7469855cdff707f6"),
+    "II_9.e2p@default": (0, 0, "c85fd6227a8a46969fe1b195d13a8bcea342d39a881b3b3d28c67105e22a8268"),
+    "II_9.e2p@bm-dissection": (0, 0, "202882ac5ac20d9105659abfeb816a91e8cd1a861fa7a92b8badf2565c1e022d"),
+    "neg/II_11_no_rangle.e2p@default": (1, 1, "ea67858410a95068c67cee25551bdea52af87433b7fa3e86053d2a0b6cd61f63"),
+    "neg/II_11_no_rangle.e2p@bm-dissection": (1, 1, "495ed0be66a4b7d8df6eb1f94b0308d0b80796e68058dad7962d3c0ca19bed32"),
+    "neg/II_14_no_common.e2p@default": (1, 1, "31bbfeed62a6670683000e0bd11a90663a41719f10184a38e6a515813257ace3"),
+    "neg/II_14_no_common.e2p@bm-dissection": (1, 1, "b920b662f2b95f378bd02bd6fe740dff7cfe203d57ed91326424e96b96a39686"),
+    "neg/II_14_wrong_radius.e2p@default": (1, 1, "bebc0362d6c2dee40f299426a8ff0e2ba2c82abf10b252148501b042bd87daf0"),
+    "neg/II_14_wrong_radius.e2p@bm-dissection": (1, 1, "554fa6c37d03d985ac26444172b56758cf07a9a32793dff118f4be55a9583f56"),
+    "neg/II_1_false_ve.e2p@default": (1, 1, "4853dce7a1c6c0869c25f7ead3f09dfba893b3d391461beb3c7d0789f56dfbbe"),
+    "neg/II_1_false_ve.e2p@bm-dissection": (1, 1, "f3af72c7899762760f96aa59ff91c32773c5196535a1e90b20a99cceefec86c9"),
+    "neg/II_2_claim_mismatch.e2p@default": (1, 1, "06719003ebbd34fa68462e1ce81e3ec121d56d2d674af6ca39ca26886ab40943"),
+    "neg/II_2_claim_mismatch.e2p@bm-dissection": (1, 1, "22ee3bff0470a404f5672134bedb4d53e4ced3342f76d691efaef3361581b63e"),
+    "neg/II_4_commuted.e2p@default": (1, 1, "050d22519403a78bddf30b64f9286d8880909c8ef22080e0aca3d61cb3195d1e"),
+    "neg/II_4_commuted.e2p@bm-dissection": (1, 1, "f94426abdd74fe67289e938ba31f35a575ac3f9af021cc4245ee3980e04ed8d7"),
+    "neg/II_4_double_distinct.e2p@default": (1, 1, "a1c239b98488389dc11919ebcc9f3bd1124abfa627617b96c10b19502d88cc6c"),
+    "neg/II_4_double_distinct.e2p@bm-dissection": (1, 1, "5517febf06279d94e3f0f4cc5975d9d3df4d95e0e47462b76c19b6b04dd2fcc6"),
+    "neg/II_5_bad_i43.e2p@default": (1, 1, "a697a0de2db75919c99da64348838984fadc080e3aeed3c0097c768fb5b34929"),
+    "neg/II_5_bad_i43.e2p@bm-dissection": (1, 1, "3c723aa6e110c194bf8687d50bde9ad21c15e88870ab63ddf6867c7aa5e9d309"),
+    "neg/II_7_merge_overlap.e2p@default": (1, 1, "c709c416726b9b14e1e30221941c4f658d9d38b5b906c8ff9d0615eb38b78ab4"),
+    "neg/II_7_merge_overlap.e2p@bm-dissection": (1, 1, "acf717aa5a44f217f80b9a0e1e16eeaae79a0370a1895a68df7cd1c15e689077"),
+    "neg/II_9_missing_hyp.e2p@default": (1, 1, "0e18450b049f030795edf670d09cd0b290fa18d3ec3a358a888cd891f1010362"),
+    "neg/II_9_missing_hyp.e2p@bm-dissection": (1, 1, "112159e4a677dc401e4db1b66f750e0276140cfba1873f795bbb1f09a0f35baf"),
+    "neg/mueller_congruence.e2p@default": (1, 1, "28ebbb90ba0bec3910c35b591a1edac75ba94997ffe7ba9891276b3afd7e785e"),
+    "neg/mueller_congruence.e2p@bm-dissection": (1, 1, "6de5a2aea3ad585f6b3c56c1041f31cefc479b05d730b6bdc370907e291333c1"),
+    "II_14_chained.e2p@default": (0, 0, "273ef3ac317f12ad88ffd41a3b2d1e0bacb2cb7a7e722a927c10fb75954f0550"),
+    "II_14_chained.e2p@bm-dissection": (0, 0, "71e596aa3b213b171c0da6b55ac53f87e101f63ae5fbb4ee4d3d05d32aeedd08"),
+    "rect_extended_ve.e2p@default": (0, 0, "54fc4a4fe290aee95d7b080ab9f5001d1e320867a12888cda07d013d256ee3b5"),
+    "rect_extended_ve.e2p@bm-dissection": (0, 0, "487f74bea96b08979cc660466795ee419ea29646af1eb68c245c0d2d75f30504"),
+    "slanted_split.e2p@default": (0, 0, "6def9ea34846f61a20cdf9b5501381eaa2d99ea57434ee73a504bc62bd415665"),
+    "slanted_split.e2p@bm-dissection": (0, 0, "66af352b1f9dd8999d6d7060d988fdc43dcec912ac6cc60e6ad62d9229b94ef9"),
+    "slanted_split_twice.e2p@default": (1, 1, "47172bd48d78402933492827a839d4f73fb95cb3c2885e2c05a82b0119a2c689"),
+    "slanted_split_twice.e2p@bm-dissection": (1, 1, "f8026713fb8de986646dc5ec984e15dd8e8141d58cce58b8b5a23d13a24c0211"),
+}
+
+
 def _cli_stdout(args, capsys) -> tuple[int, str]:
     code = cli.main(args)
     return code, capsys.readouterr().out
@@ -309,3 +379,17 @@ def test_ve_area_identity_every_corpus_ve_step():
                     dg.sum_value(inst, claim.lhs), dg.sum_value(inst, claim.rhs)
                 )
                 assert cr.refine_sign(diff) == 0, (entry["prop"], step.index)
+
+
+def test_check_text_and_annotate_match_golden_digests(monkeypatch, capsys):
+    corpus = sorted({e["file"] for e in ENTRIES + NEGATIVES})
+    cases = [(Path(str(corpusdata.corpus_root())), n) for n in corpus]
+    cases += [(DATA, p.name) for p in sorted(DATA.glob("*.e2p"))]
+    assert sorted(TEXT_SHA256) == sorted(f"{n}@{p}" for _, n in cases for p in rules.PROFILES)
+    for where, name in cases:
+        monkeypatch.chdir(where)
+        for profile in rules.PROFILES:
+            check, text = _cli_stdout(["check", "--profile", profile, name], capsys)
+            annotate, listing = _cli_stdout(["annotate", "--profile", profile, name], capsys)
+            digest = hashlib.sha256((text + listing).encode()).hexdigest()
+            assert (check, annotate, digest) == TEXT_SHA256[f"{name}@{profile}"], (name, profile)

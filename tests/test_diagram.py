@@ -331,10 +331,12 @@ def test_figure_region_names():
     af = inst.region("AF")
     assert geo.area(af).rat == Fraction(2, 5)
     # AE names the full square by its diagonal: same region as ADEB
-    assert inst.region_key("AE") == inst.region_key("ADEB")
+    assert inst.same_region("AE", "ADEB") and inst.same_region("ADEB", "AE")
+    assert not inst.same_region("AF", "ADEB")
     with pytest.raises(UnknownName):
         inst.region("AC")  # collinear corners span no rectangle
-    assert inst.region_key("AC") is None
+    # a name that binds no region is the same region as none, itself included
+    assert not inst.same_region("AC", "AC") and not inst.same_region("ADEB", "AC")
 
 
 def test_verify_decomposition_ii1():

@@ -9,7 +9,14 @@ from euclid2 import corpusdata, rules
 from euclid2 import geometry as geo
 from euclid2 import script as sc
 from euclid2.errors import InvalidParam
-from helpers import all_entries, arrangement_coverage, coverage_multiplicity, negative_entries, pt
+from helpers import (
+    all_entries,
+    arrangement_coverage,
+    coverage_multiplicity,
+    negative_entries,
+    pt,
+    region_key,
+)
 
 
 def P(x, y):
@@ -578,7 +585,44 @@ def test_slanted_segment_uses_the_merge_routine(monkeypatch):
     assert not drawn.segment_drawn(P(0, 1), P(0, 1))
 
 
-def test_region_key_rotation_invariant():
+def test_same_region_rotation_invariant():
     a = box(0, 0, 1, 1)
     b = tuple(reversed((a[2], a[3], a[0], a[1])))
-    assert geo.region_key(a) == geo.region_key(b)
+    assert geo.same_region(a, b)
+    assert not geo.same_region(a, box(0, 0, 1, 2))
+    assert not geo.same_region(a, a[:3])
+
+
+def _rebuilt(p):
+    """The point with each coordinate built again by another route."""
+    return tuple(cr.div(cr.mul(v, cr.const(3)), cr.const(3)) for v in p)
+
+
+@st.composite
+def polygon_variants(draw):
+    """A polygon on rational or Q(sqrt 2) vertices, where point keys are
+    canonical, and polygons to compare it with: each rotation of it, in
+    either direction, with its vertices rebuilt; the polygon with one
+    vertex moved to another pool value; and the polygon less a vertex.
+    The pool is small, so vertices repeat."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+    value = st.sampled_from(pool)
+    n = draw(st.integers(3, 6))
+    poly = tuple((draw(value), draw(value)) for _ in range(n))
+    rebuilt = [_rebuilt(p) for p in poly]
+    variants = [
+        tuple(seq[i:] + seq[:i]) for seq in (rebuilt, rebuilt[::-1]) for i in range(n)
+    ]
+    i, axis, v = draw(st.integers(0, n - 1)), draw(st.integers(0, 1)), draw(value)
+    moved = list(poly)
+    moved[i] = (v, poly[i][1]) if axis == 0 else (poly[i][0], v)
+    variants += [tuple(moved), poly[:i] + poly[i + 1 :]]
+    return poly, variants
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygon_variants())
+def test_same_region_agrees_with_the_keyed_reference(case):
+    poly, variants = case
+    for q in variants:
+        assert geo.same_region(poly, q) == (region_key(poly) == region_key(q))

@@ -287,6 +287,42 @@ def test_rational_sites_catch_a_rational_built_elsewhere():
     assert _rational_sites(ast.parse('Expr("tower", (a, b, r), 0, 0, None)')) == []
 
 
+def _named(tree: ast.AST) -> set[str]:
+    """Every name a module reads, binds, imports or reaches as an
+    attribute, the attribute as `value.attr` when its value is a name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                out.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+_RAW_GEOMETRY = {"geo.sub2", "geo.dot", "geo.cross", "geo.dist2", "geo.sign"}
+
+
+def test_identity_is_decided_by_value():
+    """Only `constructible`, which orders tower radicals by it, and `svgout`,
+    which memoizes coordinate text by it, name `exact_key`; and the rules
+    reach coordinates only through geometry's exact predicates."""
+    named = {path.name: _named(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, names in named.items() if "exact_key" in names} == {
+        "constructible.py", "svgout.py"}
+    assert not named["rules.py"] & _RAW_GEOMETRY
+    assert "from .geometry import" not in (SRC / "rules.py").read_text(encoding="utf-8")
+    imported = _named(ast.parse("from .geometry import dot\nfrom x import exact_key"))
+    assert {"dot", "exact_key"} <= imported
+    assert _named(ast.parse("geo.sign(geo.dot(u, v))")) & _RAW_GEOMETRY == {"geo.sign", "geo.dot"}
+
+
 # -- the construction kernels of `diagram` ------------------------------
 
 

@@ -124,6 +124,7 @@ def test_error_locality_line_numbers():
 
 CLAIM = "claim: rect(A,BC) = rect(A,BD) + rect(A,DE) + rect(A,EC)"
 STEP2 = "  2. BH pi A x BC ; R1 [BH pi GB x BC] [BG == A]"
+PERP = "  perp G from B on BC below len |A|"
 
 
 @pytest.mark.parametrize(
@@ -147,7 +148,11 @@ STEP2 = "  2. BH pi A x BC ; R1 [BH pi GB x BC] [BG == A]"
         (STEP2, STEP2.replace("BH pi A x BC ;", "BH pi A x C7 ;"), 16, "segment name, got 'C7'"),
         # an undeclared label: the column of the letter
         (CLAIM, CLAIM.replace("rect(A,BC) =", "rect(A,BZ) ="), 16, "point 'Z' not in roster"),
-        (STEP2, STEP2.replace("[BG == A]", "[BG == Q]"), 47, "point 'Q' not in roster"),
+        (STEP2, STEP2.replace("[BG == A]", "[BG == Q]"), 47, "segment 'Q' not declared"),
+        (CLAIM, "claim: fig(X) = sq(BC)", 12, "figure 'X' not declared"),
+        # a segment whose length a construction copies is declared as well
+        (PERP, PERP.replace("|A|", "|Z|"), 34, "segment 'Z' not declared"),
+        (PERP, PERP.replace("|A|", "|BZ|"), 35, "point 'Z' not in roster"),
         # a parameter: a new length-parameter name, and declared where used
         ("param c = 2/5", "param 3x", 7, "length-parameter name, got '3x'"),
         ("param c = 2/5", "param Q9 = 2/5", 7, "length-parameter name, got 'Q9'"),
@@ -232,18 +237,22 @@ def test_grammar_doc_examples_cover_every_term_and_statement():
 POINTS = list("ABCDEFGHKLM")
 
 
-def _gen_len(rng):
+def _gen_len(rng, points, segments):
+    """A literal, a parameter, or the length of a segment the script names:
+    two of its points, or a standalone segment declared before."""
     k = rng.randrange(3)
     if k == 0:
         return sc.LenLit(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
     if k == 1:
         return sc.LenParam(rng.choice(["a", "d", "e"]))
-    return sc.LenSeg(rng.choice(["AB", "CD", "A"]))
+    return sc.LenSeg(rng.choice(["".join(rng.sample(points, 2)), *segments]))
 
 
 def _gen_script(rng: random.Random) -> sc.Script:
     points = tuple(sorted(rng.sample(POINTS, rng.randint(4, 8))))
     pick = lambda: rng.choice(points)
+    segments = []  # the standalone segments declared so far
+    length = lambda: _gen_len(rng, points, segments)
 
     def pair():
         a = pick()
@@ -260,17 +269,17 @@ def _gen_script(rng: random.Random) -> sc.Script:
 
     # one random-instance factory per class of the command table
     makers = {
-        sc.PlaceSegment: lambda: sc.PlaceSegment(*pair(), _gen_len(rng)),
-        sc.StandaloneSegmentCmd: lambda: sc.StandaloneSegmentCmd(pick(), _gen_len(rng)),
-        sc.CutRandom: lambda: sc.CutRandom(pick(), pair(), _gen_len(rng)),
+        sc.PlaceSegment: lambda: sc.PlaceSegment(*pair(), length()),
+        sc.StandaloneSegmentCmd: lambda: sc.StandaloneSegmentCmd(pick(), length()),
+        sc.CutRandom: lambda: sc.CutRandom(pick(), pair(), length()),
         sc.CutHalf: lambda: sc.CutHalf(pick(), pair()),
-        sc.ExtendBy: lambda: sc.ExtendBy(pair(), pick(), _gen_len(rng)),
+        sc.ExtendBy: lambda: sc.ExtendBy(pair(), pick(), length()),
         sc.ExtendCopy: lambda: sc.ExtendCopy(pair(), pick(), pick(), pair()),
         sc.SquareOnCmd: square,
-        sc.RectFig: lambda: sc.RectFig(pick(), _gen_len(rng), _gen_len(rng)),
+        sc.RectFig: lambda: sc.RectFig(pick(), length(), length()),
         sc.TriangulateToRect: lambda: sc.TriangulateToRect(letters(4), pick()),
         sc.Perp: lambda: sc.Perp(pick(), pick(), pair(), rng.choice(["below", "above"]),
-                                 _gen_len(rng)),
+                                 length()),
         sc.ParallelTranslate: lambda: sc.ParallelTranslate(pick(), pick(), pair()),
         sc.ParallelMeet: lambda: sc.ParallelMeet(pick(), pick(), pair(), pair()),
         sc.Join: lambda: sc.Join(*pair()),
@@ -283,7 +292,11 @@ def _gen_script(rng: random.Random) -> sc.Script:
     }
     assert set(makers) == set(sc.COMMANDS)
     kinds = [rng.choice(sc.COMMANDS) for _ in range(rng.randint(0, 8))]
-    cmds = [makers[k]() for k in [sc.PlaceSegment] + kinds]
+    cmds = []
+    for k in [sc.PlaceSegment] + kinds:
+        cmds.append(makers[k]())
+        if k is sc.StandaloneSegmentCmd:
+            segments.append(cmds[-1].name)
 
     def stmt(rng):
         from euclid2 import terms as T
@@ -326,7 +339,7 @@ def _gen_script(rng: random.Random) -> sc.Script:
         base_lines=(points[:3],),
         params={"a": Fraction(1, 2), "d": Fraction(1, 5), "e": Fraction(2, 5)},
         flags=frozenset(["allow-overlap"] if rng.random() < 0.3 else []),
-        construction=tuple(cmds + [sc.StandaloneSegmentCmd("A", _gen_len(rng))]),
+        construction=tuple(cmds + [sc.StandaloneSegmentCmd("A", length())]),
         hypotheses=(sc.Hypothesis(1, stmt(rng), "generated"),),
         diorismos=stmt(rng),
         steps=tuple(steps),

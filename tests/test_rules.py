@@ -426,6 +426,41 @@ def test_name_finds_the_shared_corner_by_value():
         rules.rule_NAME(rules.FactBase(inst), ps("ABCD pi AB x BA"))
 
 
+def _square_spelled_twice() -> rules.FactBase:
+    """The drawn square ABCD of side sqrt(6), and the declared figure P on
+    its corners with the x of B and C spelled sqrt(2)*sqrt(3): one region
+    whose corners have other keys."""
+    quad, tower = _sqrt6_twice()
+    coords = {"A": (cr.ZERO, cr.ZERO), "B": (quad, cr.ZERO), "C": (quad, quad),
+              "D": (cr.ZERO, quad)}
+    corners = [coords[p] for p in "ABCD"]
+    inst = dg.DiagramInstance(
+        coords=coords,
+        declared={"P": ((cr.ZERO, cr.ZERO), (tower, cr.ZERO), (tower, quad), (cr.ZERO, quad))},
+        drawn_list=list(zip(corners, corners[1:] + corners[:1])),
+    )
+    return rules.FactBase(inst)
+
+
+@pytest.mark.parametrize("claim", ["fig(ABCD) = fig(P)", "fig(AC) = fig(P)"])
+def test_name_aliases_one_region_by_value(claim):
+    out = rules.rule_NAME(_square_spelled_twice(), ps(claim))
+    assert out.flags == ("alias",)
+
+
+def test_r3_matches_a_figure_by_value():
+    fb = _square_spelled_twice()
+    premises = [ps("fig(P) = rect(AB,AD)"), ps("ABCD on AB")]
+    rules.rule_R3(fb, ps("sq(AB) = rect(AB,AD)"), premises)
+
+
+def test_fact_base_matches_an_equality_by_value():
+    fb = _square_spelled_twice()
+    fb.add(ps("fig(P) = sq(AB)"), "hypothesis")
+    assert fb.has(ps("fig(AC) = sq(AB)")) and fb.has(ps("sq(AB) = fig(ABCD)"))
+    assert not fb.has(ps("fig(AC) = sq(AD)"))
+
+
 _TERMS = [T.Fig(T.FigureName("A")), T.Fig(T.FigureName("B")), T.SquareOn(T.Segment("A", "B"))]
 _SIDES = st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3).map(T.term_sum)
 
