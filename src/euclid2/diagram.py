@@ -55,7 +55,7 @@ from .terms import (
 )
 
 
-Box = tuple[str, str, str, str, bool]  # see DiagramInstance.boxes
+LabelledBox = tuple[str, str, str, str, bool]  # see DiagramInstance.boxes
 # A segment as a fact names it: its two labels in the order the fact prints
 # them, or a standalone segment's name and None.
 Side = tuple[str, str | None]
@@ -112,11 +112,13 @@ class DiagramInstance(Record):
     declared: dict[str, Polygon] = {}
     circles: dict[str, Circle] = {}
     facts: list[ConstructionFact] = []
-    built_boxes: list[Box] = []  # by `square` and `torect`
+    built_boxes: list[LabelledBox] = []  # by `square` and `torect`
     params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
-    _regions: dict[str, Polygon | Euclid2Error] = {}  # a name's region, or why it has none
-    _boxes: list[Box] | None = None
+    # a name's region and its box (None when it is no axis-aligned box), or
+    # why it binds none
+    _regions: dict[str, tuple[Polygon, geo.Box | None] | Euclid2Error] = {}
+    _boxes: list[LabelledBox] | None = None
 
     @property
     def drawn(self) -> geo.DrawnSegments:
@@ -124,7 +126,7 @@ class DiagramInstance(Record):
             self._drawn = geo.DrawnSegments(self.drawn_list)
         return self._drawn
 
-    def boxes(self) -> list[Box]:
+    def boxes(self) -> list[LabelledBox]:
         """Every labelled axis-aligned box, as (a, b, c, d, square): its
         corner labels in boundary order and whether it is a square.  The
         boxes `square` and `torect` built come first, then each elementary
@@ -140,7 +142,16 @@ class DiagramInstance(Record):
     def region(self, letters: str) -> Polygon:
         """The region the figure name binds; raises UnknownName, saying
         why, when it binds none.  Each name is resolved once until the next
-        segment is drawn."""
+        segment is drawn, and the binding keeps the region's box beside it
+        (see `box`)."""
+        return self._bound(letters)[0]
+
+    def box(self, letters: str) -> geo.Box | None:
+        """The axis-aligned box (x1, y1, x2, y2) the figure name binds, or
+        None when its region is no such box; raises as `region` does."""
+        return self._bound(letters)[1]
+
+    def _bound(self, letters: str) -> tuple[Polygon, geo.Box | None]:
         if letters not in self._regions:
             try:
                 self._regions[letters] = _resolve_region(self, letters)
@@ -511,7 +522,7 @@ class _Builder:
             self.fact("segeq", (_side(c, cmd.new), _side(c, e)), "Radius")
 
     def _do_GnomonDecl(self, cmd: sc.GnomonDecl):
-        outer, corner = self.inst.region(cmd.outer), self.inst.region(cmd.corner)
+        outer, corner = self.inst.box(cmd.outer), self.inst.box(cmd.corner)
         self.inst.declared[cmd.name] = geo.gnomon_polygon(outer, corner)
 
 
@@ -579,7 +590,8 @@ def term_value(inst: DiagramInstance, t) -> Expr:
     if isinstance(t, RectBy):
         return cr.mul(inst.seg_len(t.first), inst.seg_len(t.second))
     if isinstance(t, Fig):
-        return geo.area(inst.region(t.name.letters))
+        box = inst.box(t.name.letters)
+        return geo.area(inst.region(t.name.letters)) if box is None else geo.box_area(box)
     if isinstance(t, Multiple):
         return cr.mul(cr.const(t.count), term_value(inst, t.inner))
     raise TypeError(t)
@@ -605,7 +617,7 @@ def statement_holds(inst: DiagramInstance, stmt: Statement) -> bool:
     raise TypeError(f"cannot evaluate {stmt!r} numerically")
 
 
-def _labelled_cells(inst: DiagramInstance) -> list[Box]:
+def _labelled_cells(inst: DiagramInstance) -> list[LabelledBox]:
     """Each label is placed on the grid of drawn lines by exact value (the
     last label of a point winning).  From each labelled point in sorted
     order, the cell it is the lower left corner of is listed when its four
@@ -620,7 +632,7 @@ def _labelled_cells(inst: DiagramInstance) -> list[Box]:
         (i, on_x), (j, on_y) = geo.locate(x, xs), geo.locate(y, ys)
         if on_x and on_y:
             label_at[i, j] = name
-    cells: list[Box] = []
+    cells: list[LabelledBox] = []
     for i, j in sorted(label_at):
         corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
         labels = [label_at.get(k) for k in corners]
@@ -666,23 +678,24 @@ def realize(
 # figure binding
 
 
-def _resolve_region(inst: DiagramInstance, letters: str) -> Polygon:
-    """A declared figure, or four corners in boundary order or two opposite
-    corners of an axis-aligned box, with every side drawn."""
+def _resolve_region(inst: DiagramInstance, letters: str) -> tuple[Polygon, geo.Box | None]:
+    """The region and box of a declared figure, of four corners in boundary
+    order with every side drawn, or of two opposite corners of an
+    axis-aligned box whose four sides are drawn on the grid's lines."""
     if letters in inst.declared:
-        return inst.declared[letters]
-    if len(letters) == 4:
-        poly = tuple(inst.point(p) for p in letters)
-    elif len(letters) == 2:
+        poly = inst.declared[letters]
+        return poly, geo.box_of(poly)
+    if len(letters) == 2:
         box = geo.normalized_box(inst.point(letters[0]), inst.point(letters[1]))
         if box is None:
             raise UnknownName(f"{letters} does not span a rectangle")
-        poly = geo.box_polygon(*box)
-    else:
+        if not inst.drawn.box_drawn(box):
+            raise UnknownName(f"rectangle {letters} has undrawn sides")
+        return geo.box_polygon(*box), box
+    if len(letters) != 4:
         raise UnknownName(f"figure {letters!r} is not bound in the diagram")
+    poly = tuple(inst.point(p) for p in letters)
     i = inst.drawn.undrawn_side(poly)
-    if i is None:
-        return poly
-    if len(letters) == 2:
-        raise UnknownName(f"rectangle {letters} has undrawn sides")
-    raise UnknownName(f"side {letters[i]}{letters[(i + 1) % 4]} of {letters} not drawn")
+    if i is not None:
+        raise UnknownName(f"side {letters[i]}{letters[(i + 1) % 4]} of {letters} not drawn")
+    return poly, geo.box_of(poly)

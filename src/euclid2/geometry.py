@@ -12,10 +12,10 @@ constant.  Every predicate is exact: on rationals by integer products,
 and with radicals by the exact sign of a constructible real.
 
 `cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle`,
-`signed_area2` and `area` have an integer kernel: on rational input they
-compute on the ints `num`, `den` and reduce once by `cr.rational` (a
-predicate just compares); other input takes the `Expr` composition through
-`cr.add/sub/mul`.  Identity is by value: `pts_equal` and `same_region`.
+`signed_area2`, `area` and `box_area` have an integer kernel: on rational
+input they compute on the ints `num`, `den` and reduce once by
+`cr.rational` (a predicate just compares); other input takes the `Expr`
+composition through `cr.add/sub/mul`.  Identity is by value: `pts_equal` and `same_region`.
 """
 
 from __future__ import annotations
@@ -324,8 +324,9 @@ def polys_overlap(*polys: Polygon) -> bool:
 # indexes it once: the distinct lines of horizontal and vertical pieces,
 # sorted by value, each with its pieces merged into disjoint covered
 # intervals.  It is the one place that says whether a figure is drawn:
-# `segment_drawn` for a segment, `undrawn_side` for a polygon's boundary
-# and `cell_drawn` for a cell of the grid its line lists make.
+# `segment_drawn` for a segment, `undrawn_side` for a polygon's boundary,
+# `box_drawn` for an axis-aligned box on the grid's own lines (a two-letter
+# figure name) and `cell_drawn` for a cell of that grid by line index.
 
 
 def is_axis_segment(p: Pt, q: Pt) -> str | None:
@@ -336,6 +337,7 @@ def is_axis_segment(p: Pt, q: Pt) -> str | None:
 
 
 Interval = tuple[Expr, Expr]
+Box = tuple[Expr, Expr, Expr, Expr]  # (x1, y1, x2, y2), x1 < x2 and y1 < y2
 
 
 def _merge_intervals(pieces: list[Interval]) -> list[Interval]:
@@ -443,16 +445,30 @@ class DrawnSegments:
                 return i
         return None
 
+    def box_drawn(self, box: Box) -> bool:
+        """The four sides of the box (x1, y1, x2, y2) are drawn: its two x
+        values lie on `v_lines` and its two y values on `h_lines`, and each
+        side lies inside its line's covered intervals."""
+        x1, y1, x2, y2 = box
+        (i1, on_x1), (i2, on_x2) = locate(x1, self.v_lines), locate(x2, self.v_lines)
+        (j1, on_y1), (j2, on_y2) = locate(y1, self.h_lines), locate(y2, self.h_lines)
+        return on_x1 and on_x2 and on_y1 and on_y2 and self._sides_drawn(i1, j1, i2, j2)
+
     def cell_drawn(self, i: int, j: int) -> bool:
         """The four sides of the grid cell from corner (v_lines[i], h_lines[j])
         to (v_lines[i + 1], h_lines[j + 1]) are drawn; its lines are taken
         by index, so only their intervals are searched."""
-        x1, x2, y1, y2 = self.v_lines[i], self.v_lines[i + 1], self.h_lines[j], self.h_lines[j + 1]
+        return self._sides_drawn(i, j, i + 1, j + 1)
+
+    def _sides_drawn(self, i1: int, j1: int, i2: int, j2: int) -> bool:
+        """The box between the lines v_lines[i1], v_lines[i2] and h_lines[j1],
+        h_lines[j2] has its four sides inside their lines' intervals."""
+        x1, x2, y1, y2 = self.v_lines[i1], self.v_lines[i2], self.h_lines[j1], self.h_lines[j2]
         return (
-            _covered(self.h_cover[j], x1, x2)
-            and _covered(self.h_cover[j + 1], x1, x2)
-            and _covered(self.v_cover[i], y1, y2)
-            and _covered(self.v_cover[i + 1], y1, y2)
+            _covered(self.h_cover[j1], x1, x2)
+            and _covered(self.h_cover[j2], x1, x2)
+            and _covered(self.v_cover[i1], y1, y2)
+            and _covered(self.v_cover[i2], y1, y2)
         )
 
 
@@ -461,15 +477,29 @@ def box_polygon(x1: Expr, y1: Expr, x2: Expr, y2: Expr) -> Polygon:
     return ((x1, y1), (x2, y1), (x2, y2), (x1, y2))
 
 
-def normalized_box(p: Pt, q: Pt) -> tuple[Expr, Expr, Expr, Expr] | None:
-    if cmp(p[0], q[0]) == 0 or cmp(p[1], q[1]) == 0:
+def box_area(box: Box) -> Expr:
+    """Width times height of the box (x1, y1, x2, y2), x1 < x2 and y1 < y2;
+    on rational corners one integer product reduced once."""
+    x1, y1, x2, y2 = box
+    if x1.den and y1.den and x2.den and y2.den:
+        w = x2.num * x1.den - x1.num * x2.den
+        h = y2.num * y1.den - y1.num * y2.den
+        return cr.rational(w * h, x1.den * x2.den * y1.den * y2.den)
+    return cr.mul(cr.sub(x2, x1), cr.sub(y2, y1))
+
+
+def normalized_box(p: Pt, q: Pt) -> Box | None:
+    """The box with opposite corners p and q, or None when they share an x
+    or a y; one comparison per axis."""
+    cx, cy = cmp(p[0], q[0]), cmp(p[1], q[1])
+    if cx == 0 or cy == 0:
         return None
-    x1, x2 = (p[0], q[0]) if cmp(p[0], q[0]) < 0 else (q[0], p[0])
-    y1, y2 = (p[1], q[1]) if cmp(p[1], q[1]) < 0 else (q[1], p[1])
+    x1, x2 = (p[0], q[0]) if cx < 0 else (q[0], p[0])
+    y1, y2 = (p[1], q[1]) if cy < 0 else (q[1], p[1])
     return (x1, y1, x2, y2)
 
 
-def box_of(poly: Polygon) -> tuple[Expr, Expr, Expr, Expr] | None:
+def box_of(poly: Polygon) -> Box | None:
     """(x1, y1, x2, y2) with x1 < x2 and y1 < y2 when the quadrilateral is
     an axis-aligned box whose sides are its edges, else None.  The edges
     must alternate between horizontal and vertical, so a crossed
@@ -482,10 +512,9 @@ def box_of(poly: Polygon) -> tuple[Expr, Expr, Expr, Expr] | None:
     return normalized_box(poly[0], poly[2])
 
 
-def gnomon_polygon(outer: Polygon, corner: Polygon) -> Polygon:
-    """L-shaped hexagon: axis-aligned outer box minus a corner box that
-    shares exactly one vertex with it."""
-    outer_box, corner_box = box_of(outer), box_of(corner)
+def gnomon_polygon(outer_box: Box | None, corner_box: Box | None) -> Polygon:
+    """L-shaped hexagon: the outer box minus a corner box that shares
+    exactly one vertex with it; a part that is no box (None) is an error."""
     if outer_box is None or corner_box is None:
         raise InvalidParam("gnomon parts must be axis-aligned boxes")
     X1, Y1, X2, Y2 = outer_box

@@ -708,7 +708,7 @@ def rule_I43(fb: FactBase, claim, premises) -> StepOutcome:
     if pair is None:
         raise NotComplements("I43 equates two named figures")
     f1, f2 = (t.name.letters for t in pair)
-    b1, b2 = (geo.box_of(fb.inst.region(f)) for f in (f1, f2))
+    b1, b2 = (fb.inst.box(f) for f in (f1, f2))
     if b1 is None or b2 is None:
         raise NotComplements("complements must be rectangles")
 
@@ -822,7 +822,7 @@ def rule_BM(fb: FactBase, claim, premises) -> StepOutcome:
     pair = _fig_pair(claim)
     if pair is None:
         raise NoMatch("BM equates two named rectangles")
-    b1, b2 = (geo.box_of(fb.inst.region(t.name.letters)) for t in pair)
+    b1, b2 = (fb.inst.box(t.name.letters) for t in pair)
     if b1 is None or b2 is None:
         raise NoMatch("BM applies to axis-aligned rectangles")
     def dims(b):

@@ -88,7 +88,7 @@ class LenParam(FrozenRecord):
 
 
 class LenSeg(Syntax):
-    SYNTAX = "|<seg:1-2>|"
+    SYNTAX = "|<seg:1-2 seg>|"
     seg: str  # "XY" or "A"
 
 
@@ -99,10 +99,12 @@ LenExpr = LenLit | LenParam | LenSeg
 # construction commands
 #
 # Each command's concrete syntax is its SYNTAX template (see `terms.Syntax`);
-# `len` reads a length expression.
+# `len` reads a length expression.  Letters marked `pt` must be roster
+# points and those marked `fig` a declared figure or roster points; the
+# name a `segment`, `rectfig` or `gnomon` command declares is not checked.
 
 class PlaceSegment(Syntax):
-    SYNTAX = "place <p:1><q:1> = <length:len>"
+    SYNTAX = "place <p:1 pt><q:1 pt> = <length:len>"
     p: str
     q: str
     length: LenExpr
@@ -115,27 +117,27 @@ class StandaloneSegmentCmd(Syntax):
 
 
 class CutRandom(Syntax):
-    SYNTAX = "cut <point:1> on <on:2> at <at:len>"
+    SYNTAX = "cut <point:1 pt> on <on:2 pt> at <at:len>"
     point: str
     on: tuple[str, str]
     at: LenExpr
 
 
 class CutHalf(Syntax):
-    SYNTAX = "cuthalf <point:1> on <on:2>"
+    SYNTAX = "cuthalf <point:1 pt> on <on:2 pt>"
     point: str
     on: tuple[str, str]
 
 
 class ExtendBy(Syntax):
-    SYNTAX = "extend <on:2> to <to:1> by <by:len>"
+    SYNTAX = "extend <on:2 pt> to <to:1 pt> by <by:len>"
     on: tuple[str, str]
     to: str
     by: LenExpr
 
 
 class ExtendCopy(Syntax):
-    SYNTAX = "extend <on:2> to <to:1> with <to:1><anchor:1> = <copy:2>"
+    SYNTAX = "extend <on:2 pt> to <to:1 pt> with <to:1 pt><anchor:1 pt> = <copy:2 pt>"
     on: tuple[str, str]
     to: str
     anchor: str
@@ -143,7 +145,7 @@ class ExtendCopy(Syntax):
 
 
 class SquareOnCmd(Syntax):
-    SYNTAX = "square <name:4> on <on:2> <side:below|above|left|right>"
+    SYNTAX = "square <name:4 pt> on <on:2 pt> <side:below|above|left|right>"
     name: str  # boundary order, containing the base edge
     on: tuple[str, str]
     side: str
@@ -157,13 +159,13 @@ class RectFig(Syntax):
 
 
 class TriangulateToRect(Syntax):
-    SYNTAX = "torect <name:4> from <source:1>"
+    SYNTAX = "torect <name:4 pt> from <source:1 fig>"
     name: str
     source: str  # declared figure
 
 
 class Perp(Syntax):
-    SYNTAX = "perp <new:1> from <frm:1> on <on:2> <side:below|above> len <length:len>"
+    SYNTAX = "perp <new:1 pt> from <frm:1 pt> on <on:2 pt> <side:below|above> len <length:len>"
     new: str
     frm: str
     on: tuple[str, str]
@@ -172,14 +174,14 @@ class Perp(Syntax):
 
 
 class ParallelTranslate(Syntax):
-    SYNTAX = "parallel <new:1> through <through:1> along <along:2>"
+    SYNTAX = "parallel <new:1 pt> through <through:1 pt> along <along:2 pt>"
     new: str
     through: str
     along: tuple[str, str]
 
 
 class ParallelMeet(Syntax):
-    SYNTAX = "parallel <new:1> through <through:1> along <along:2> meet <meet:2>"
+    SYNTAX = "parallel <new:1 pt> through <through:1 pt> along <along:2 pt> meet <meet:2 pt>"
     new: str
     through: str
     along: tuple[str, str]
@@ -187,27 +189,27 @@ class ParallelMeet(Syntax):
 
 
 class Join(Syntax):
-    SYNTAX = "join <p:1> <q:1>"
+    SYNTAX = "join <p:1 pt> <q:1 pt>"
     p: str
     q: str
 
 
 class SemicircleOn(Syntax):
-    SYNTAX = "semicircle on <on:2> center <center:1> <side:above|below>"
+    SYNTAX = "semicircle on <on:2 pt> center <center:1 pt> <side:above|below>"
     on: tuple[str, str]
     center: str
     side: str
 
 
 class IntersectLines(Syntax):
-    SYNTAX = "intersect <new:1> = line <line:2> x line <other:2>"
+    SYNTAX = "intersect <new:1 pt> = line <line:2 pt> x line <other:2 pt>"
     new: str
     line: tuple[str, str]
     other: tuple[str, str]
 
 
 class IntersectCircle(Syntax):
-    SYNTAX = "intersect <new:1> = line <line:2> x circle <center:1> <side:above|below>"
+    SYNTAX = "intersect <new:1 pt> = line <line:2 pt> x circle <center:1 pt> <side:above|below>"
     new: str
     line: tuple[str, str]
     center: str
@@ -215,7 +217,7 @@ class IntersectCircle(Syntax):
 
 
 class GnomonDecl(Syntax):
-    SYNTAX = "gnomon <name:3> = <outer:1-4> minus <corner:1-4>"
+    SYNTAX = "gnomon <name:3> = <outer:1-4 fig> minus <corner:1-4 fig>"
     name: str
     outer: str
     corner: str
@@ -488,7 +490,6 @@ class _Parser(Reader):
         text = self.toks[self.pos]
         if text == "|":
             length = self.read(LenSeg)
-            self.check_label("seg", length.seg, self.pos - 2)
             self.check_distinct(length.seg, self.pos - 2)
             return length
         if not "a" <= text[:1] <= "z":  # not a word, so not a parameter

@@ -93,9 +93,12 @@ class FigureName(FrozenRecord):
 # placeholder `<field:spec>` stands for a record field.  The spec is a
 # letter count (`2`, or a range such as `1-4`), a list of words such as
 # `above|below`, or the name of a reader method (`seg` reads with
-# `Reader.read_seg`).  Adjacent letter fields, each of a fixed count, read one
-# name; a letter field annotated as a tuple holds one letter per item, and a
-# field named twice must repeat the same letters.  The rest of a template is
+# `Reader.read_seg`).  A letter count may name the kind of label the letters
+# must be declared as (`2 pt`, `1-4 fig`; see `Reader.check_label`); without
+# one the name is not checked, as where a command declares it.  Adjacent
+# letter fields, each of a fixed count and of one kind, read one name; a
+# letter field annotated as a tuple holds one letter per item, and a field
+# named twice must repeat the same letters.  The rest of a template is
 # literal tokens.  Whitespace between tokens is free.
 
 # A token is a number (`12`, `-1/2`, or a malformed one such as `1e3`, so
@@ -119,14 +122,15 @@ class Syntax(FrozenRecord):
             items += [("lit", text) for text in _TOKEN.findall(cls.SYNTAX, pos, m.start())]
             name, spec = m.groups()
             if spec[0].isdigit():
-                lo, _, hi = spec.partition("-")
+                count, _, kind = spec.partition(" ")
+                lo, _, hi = count.partition("-")
                 lo, hi = int(lo), int(hi or lo)
                 parts = ((name, hi, cls.__annotations__[name].startswith("tuple")),)
                 if m.start() == pos and items and items[-1][0] == "letters":
                     # right after another letter field: the two read one name
-                    before, lo_before, hi_before = items.pop()[1]
+                    before, lo_before, hi_before, _ = items.pop()[1]
                     parts, lo, hi = before + parts, lo_before + lo, hi_before + hi
-                items.append(("letters", (parts, lo, hi)))
+                items.append(("letters", (parts, lo, hi, kind or None)))
             elif "|" in spec:
                 items.append(("words", (name, tuple(spec.split("|")))))
             else:
@@ -404,8 +408,8 @@ class Reader:
                     raise self.err(repr(arg))
                 self.pos += 1
             elif op == "letters":
-                parts, lo, hi = arg
-                letters = self.name(lo, hi)
+                parts, lo, hi, kind = arg
+                letters = self.name(lo, hi, kind=kind)
                 rest = letters
                 for name, size, as_tuple in parts:
                     value = tuple(rest[:size]) if as_tuple else rest[:size]

@@ -76,6 +76,24 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     assert f"{bad}: parse error: line 19, col 34: segment 'Z' not declared\n" in out
     assert f"{length}: parse error: line 19, col 35: point 'Z' not in roster\n" in out
     assert "verdict: Accepted (6 steps)" in out
+    # and so is a construction letter outside the roster: a point the
+    # command builds or reads, or a point of a gnomon's part
+    cases = [
+        ("II_2.e2p", "  cut C on AB at c\n", "  cut Z on AB at c\n", "line 11, col 7", "Z"),
+        ("II_7.e2p", "  join B D\n", "  join B Q\n", "line 15, col 10", "Q"),
+        ("II_7.e2p", "minus DG\n", "minus DZ\n", "line 20, col 28", "Z"),
+    ]
+    paths = []
+    for k, (name, old, new, where, point) in enumerate(cases):
+        source = corpusdata.read_script_text(name)
+        assert old in source
+        paths.append(tmp_path / f"roster{k}.e2p")
+        paths[-1].write_text(source.replace(old, new))
+    code, out, _ = run_cli(["check", *map(str, paths), str(CORPUS / "II_1.e2p")], capsys)
+    assert code == 2
+    for path, (_, _, _, where, point) in zip(paths, cases):
+        assert f"{path}: parse error: {where}: point {point!r} not in roster\n" in out
+    assert "verdict: Accepted (6 steps)" in out
 
 
 def test_check_json_keeps_stdout_a_json_stream(tmp_path, capsys):

@@ -339,6 +339,50 @@ def test_figure_region_names():
     assert not inst.same_region("AC", "AC") and not inst.same_region("ADEB", "AC")
 
 
+_OPEN_BOX = """prop open box
+points A B C D E
+construct:
+  place AB = 1
+  perp D from A on AB below len 1
+  perp C from B on AB below len 1
+  join D C
+  cut E on DC at 1/2
+  join B E
+claim: fig(AC) = fig(AC)
+proof:
+qed
+"""
+
+
+def test_a_box_binds_once_its_last_side_is_drawn():
+    """The binding of a two-letter name lasts until the next segment is
+    drawn: before DC is joined AC binds nothing, after it AC binds its box."""
+    script = sc.parse_script(_OPEN_BOX)
+    builder = dg._Builder(script, {})
+    inst = builder.inst
+    for cmd in script.construction[:3]:
+        builder.dispatch(cmd)
+    for query in (inst.box, inst.region):
+        with pytest.raises(UnknownName, match="^rectangle AC has undrawn sides$"):
+            query("AC")
+    builder.dispatch(script.construction[3])  # join D C
+    assert [v.rat for v in inst.box("AC")] == [0, -1, 1, 0]
+    assert geo.same_region(inst.region("AC"), geo.box_polygon(*inst.box("AC")))
+    assert dg.term_value(inst, T.Fig(T.FigureName("AC"))).rat == 1
+
+
+def test_a_slanted_figure_has_no_box_and_takes_the_shoelace(monkeypatch):
+    inst = dg.realize(sc.parse_script(_OPEN_BOX))
+    assert inst.box("ABED") is None and inst.box("ABCD") is not None
+    shoelace = []
+    area = geo.area
+    monkeypatch.setattr(geo, "area", lambda poly: shoelace.append(poly) or area(poly))
+    assert dg.term_value(inst, T.Fig(T.FigureName("ABED"))).rat == Fraction(3, 4)
+    assert shoelace == [inst.region("ABED")]
+    assert dg.term_value(inst, T.Fig(T.FigureName("ABCD"))).rat == 1
+    assert len(shoelace) == 1  # a box is width times height
+
+
 def test_verify_decomposition_ii1():
     inst = realize("II_1.e2p")
     res = verify_decomposition(inst, [("BH", 1)], [("BK", 1), ("DL", 1), ("EH", 1)])

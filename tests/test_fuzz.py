@@ -296,6 +296,50 @@ def test_parse_error_on_a_mutated_line_points_into_it(case):
         assert 1 <= exc.col <= len(lines[k]) + 1, (lines[k], str(exc))
 
 
+@st.composite
+def stray_letters(draw):
+    """A corpus script with one letter of a name on a construction line
+    changed to a letter that is neither a roster point nor a declared name,
+    with that line's index, the letter's column and the letter.  The names
+    `segment`, `rectfig` and `gnomon` declare are left alone."""
+    lines = corpusdata.read_script_text(draw(st.sampled_from(FILES))).splitlines()
+    taken = set()
+    spots = []
+    for line in lines:
+        code = line.split("#", 1)[0]
+        head = code.split()[:1]
+        if head == ["points"] or head and head[0] in ("segment", "rectfig", "gnomon"):
+            taken.update(re.findall("[A-Z]", code.split("=")[0]))
+    for k in _construction_span(lines):
+        code = lines[k].split("#", 1)[0]
+        names = list(re.finditer("[A-Z]+", code))
+        if code.split()[0] in ("segment", "rectfig"):
+            continue
+        if code.split()[0] == "gnomon":
+            names = names[1:]
+        spots += [(k, m.start() + i) for m in names for i in range(len(m.group()))]
+    k, j = draw(st.sampled_from(spots))
+    letter = draw(st.sampled_from(sorted(set("ABCDEFGHIJKLMNOPQRSTUVWXYZ") - taken)))
+    lines[k] = lines[k][:j] + letter + lines[k][j + 1:]
+    return lines, k, j + 1, letter
+
+
+@settings(max_examples=100, deadline=None)
+@given(stray_letters())
+def test_a_construction_letter_outside_the_roster_is_a_parse_error(case):
+    """Every letter a construction command reads names a roster point, or
+    a declared segment or figure, so a stray one fails at parse, at its own
+    column, and not when the diagram is realized."""
+    lines, k, col, letter = case
+    try:
+        sc.parse_script("\n".join(lines) + "\n")
+    except ParseError as exc:
+        assert (exc.line, exc.col) == (k + 1, col), (lines[k], str(exc))
+        assert f"{letter!r} not" in str(exc), (lines[k], str(exc))
+    else:
+        raise AssertionError(f"parsed: {lines[k]}")
+
+
 # ---------------------------------------------------------------------------
 # command lines: mutated argument lists
 

@@ -23,9 +23,13 @@ def P(x, y):
     return pt(Fraction(x), Fraction(y))
 
 
+def extent(x1, y1, x2, y2):
+    """The box (x1, y1, x2, y2) as exact values."""
+    return tuple(cr.const(Fraction(v)) for v in (x1, y1, x2, y2))
+
+
 def box(x1, y1, x2, y2):
-    return geo.box_polygon(cr.const(Fraction(x1)), cr.const(Fraction(y1)),
-                           cr.const(Fraction(x2)), cr.const(Fraction(y2)))
+    return geo.box_polygon(*extent(x1, y1, x2, y2))
 
 
 def test_area_shoelace():
@@ -241,8 +245,7 @@ def rectilinear_sides(draw):
             (x1, xm, x2), (y1, ym, y2) = coords(3), coords(3)
             cx1, cx2 = draw(st.sampled_from([(x1, xm), (xm, x2)]))
             cy1, cy2 = draw(st.sampled_from([(y1, ym), (ym, y2)]))
-            outer, corner = geo.box_polygon(x1, y1, x2, y2), geo.box_polygon(cx1, cy1, cx2, cy2)
-            return turned(geo.gnomon_polygon(outer, corner))
+            return turned(geo.gnomon_polygon((x1, y1, x2, y2), (cx1, cy1, cx2, cy2)))
         a, b, c, d, e, f = (draw(st.sampled_from(pool)) for _ in range(6))
         return turned(((a, d), (c, d), (c, e), (b, e), (b, f), (a, f)))
 
@@ -327,28 +330,28 @@ def test_slanted_coverage_equals_the_arrangement(sides):
 
 
 def test_gnomon_polygon():
-    outer = box(0, 0, 4, 4)
-    corner = box(0, 0, 1, 1)
-    g = geo.gnomon_polygon(outer, corner)
+    outer = extent(0, 0, 4, 4)
+    g = geo.gnomon_polygon(outer, extent(0, 0, 1, 1))
     assert len(g) == 6
     assert geo.area(g).rat == 15
     with pytest.raises(InvalidParam, match="corner box does not sit in a corner"):
-        geo.gnomon_polygon(outer, box(1, 1, 2, 2))
+        geo.gnomon_polygon(outer, extent(1, 1, 2, 2))
+    with pytest.raises(InvalidParam, match="gnomon parts must be axis-aligned boxes"):
+        geo.gnomon_polygon(outer, None)
 
 
 def test_box_of():
     assert [v.rat for v in geo.box_of(box(0, 0, 2, 1))] == [0, 0, 2, 1]
     turned = (P(2, 1), P(0, 1), P(0, 0), P(2, 0))
     assert [v.rat for v in geo.box_of(turned)] == [0, 0, 2, 1]
-    gnomon = geo.gnomon_polygon(box(0, 0, 4, 4), box(0, 0, 1, 1))
+    gnomon = geo.gnomon_polygon(extent(0, 0, 4, 4), extent(0, 0, 1, 1))
     assert geo.box_of(gnomon) is None
     assert geo.box_of((P(0, 0), P(2, 0), P(3, 1), P(0, 1))) is None
 
 
 def test_gnomon_coverage():
-    outer = box(0, 0, 4, 4)
-    corner = box(3, 3, 4, 4)
-    g = geo.gnomon_polygon(outer, corner)
+    outer, corner = box(0, 0, 4, 4), box(3, 3, 4, 4)
+    g = geo.gnomon_polygon(extent(0, 0, 4, 4), extent(3, 3, 4, 4))
     res = geo.coverage_equal([(g, 1), (corner, 1)], [(outer, 1)])
     assert res.equal
 
@@ -511,6 +514,143 @@ def test_drawn_index_equals_the_reference(case):
     xs, ys = drawn.v_lines, drawn.h_lines
     got = [(xs[i], ys[j], xs[i + 1], ys[j + 1]) for i, j in _drawn_cells(drawn)]
     assert [_keys(cell) for cell in got] == [_keys(cell) for cell in ref.elementary_cells()]
+
+
+@st.composite
+def drawn_grids(draw):
+    """Grid lines on 2-4 sorted rational or Q(sqrt 2) values each way, each
+    line drawn piece by piece between consecutive grid values, a piece whole,
+    half drawn or left out, so that some boxes fall one line short; and the
+    boxes to ask about: every box between grid values, and boxes with one
+    coordinate moved off the grid, to a pool value or a midpoint.  A value
+    is sometimes rebuilt by another construction."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+
+    def values():
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4, unique=True))
+        return sorted((pool[i] for i in picks), key=geo.by_value)
+
+    def rebuilt(v):
+        return cr.div(cr.mul(v, cr.const(3)), cr.const(3)) if draw(st.booleans()) else v
+
+    xs, ys = values(), values()
+    half = cr.rational(1, 2)
+    segments = []
+    for lines, span, horizontal in ((ys, xs, True), (xs, ys, False)):
+        for c in lines:
+            for a, b in zip(span, span[1:]):
+                how = draw(st.sampled_from(["whole", "whole", "whole", "half", "none"]))
+                if how == "none":
+                    continue
+                if how == "half":
+                    b = cr.mul(cr.add(a, b), half)
+                a, b, c = rebuilt(a), rebuilt(b), rebuilt(c)
+                segments.append(((a, c), (b, c)) if horizontal else ((c, a), (c, b)))
+    boxes = [(xs[i], ys[k], xs[j], ys[m])
+             for i in range(len(xs)) for j in range(i + 1, len(xs))
+             for k in range(len(ys)) for m in range(k + 1, len(ys))]
+    for _ in range(draw(st.integers(0, 4))):
+        box = list(draw(st.sampled_from(boxes)))
+        at = draw(st.integers(0, 3))
+        grid = xs if at % 2 == 0 else ys
+        i = draw(st.integers(0, len(grid) - 2))
+        box[at] = draw(st.sampled_from([*pool, cr.mul(cr.add(grid[i], grid[i + 1]), half)]))
+        found = geo.normalized_box(box[:2], box[2:])
+        if found is not None:
+            boxes.append(found)
+    return segments, [tuple(rebuilt(v) for v in box) for box in boxes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_grids())
+def test_box_query_equals_the_polygon_route_and_the_reference(case):
+    """`box_drawn` on a box's own lines says what the four side queries of
+    its polygon say, and what the line-filtering reference says."""
+    segments, boxes = case
+    drawn, ref = geo.DrawnSegments(segments), _ReferenceDrawn(segments)
+    for box in boxes:
+        expected = ref.box_sides_drawn(*box)
+        assert drawn.box_drawn(box) is expected
+        assert (drawn.undrawn_side(geo.box_polygon(*box)) is None) is expected
+
+
+def test_box_query_on_and_off_the_grid():
+    drawn = geo.DrawnSegments([
+        (P(0, 0), P(2, 0)), (P(2, 0), P(2, 1)), (P(0, 1), P(1, 1)), (P(0, 0), P(0, 1)),
+        (P(1, 0), P(1, 1)), (P(1, 1), P(2, 1)),
+    ])
+    assert drawn.box_drawn(extent(0, 0, 2, 1)) and drawn.box_drawn(extent(1, 0, 2, 1))
+    assert not drawn.box_drawn(extent(0, 0, 2, 2))  # y = 2 is no line
+    assert not drawn.box_drawn(extent(0, 0, 3, 1))  # nor is x = 3
+    short = geo.DrawnSegments([(P(0, 0), P(2, 0)), (P(2, 0), P(2, 1)), (P(0, 1), P(1, 1)),
+                               (P(0, 0), P(0, 1))])
+    assert not short.box_drawn(extent(0, 0, 2, 1))  # the top stops at x = 1
+
+
+@st.composite
+def pool_boxes(draw):
+    """A box (x1, y1, x2, y2) on rational or Q(sqrt 2) values."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=2, unique=True)
+    (x1, x2), (y1, y2) = (sorted((pool[i] for i in draw(picks)), key=geo.by_value)
+                          for _ in range(2))
+    return x1, y1, x2, y2
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool_boxes())
+def test_box_area_equals_the_shoelace(box):
+    assert geo.cmp(geo.box_area(box), geo.area(geo.box_polygon(*box))) == 0
+
+
+def _polygon_gnomon(outer, corner):
+    """The L-shaped hexagon as `gnomon_polygon` once cut it from the two
+    parts' polygons, each found to be a box by `box_of`."""
+    X1, Y1, X2, Y2 = geo.box_of(outer)
+    x1, y1, x2, y2 = geo.box_of(corner)
+    at_left, at_bottom = geo.cmp(x1, X1) == 0, geo.cmp(y1, Y1) == 0
+    at_right, at_top = geo.cmp(x2, X2) == 0, geo.cmp(y2, Y2) == 0
+    if at_left and at_bottom and not (at_right or at_top):
+        return ((x2, Y1), (X2, Y1), (X2, Y2), (X1, Y2), (X1, y2), (x2, y2))
+    if at_right and at_bottom and not (at_left or at_top):
+        return ((X1, Y1), (x1, Y1), (x1, y2), (X2, y2), (X2, Y2), (X1, Y2))
+    if at_left and at_top and not (at_right or at_bottom):
+        return ((X1, Y1), (X2, Y1), (X2, Y2), (x2, Y2), (x2, y1), (X1, y1))
+    if at_right and at_top and not (at_left or at_bottom):
+        return ((X1, Y1), (X2, Y1), (X2, y1), (x1, y1), (x1, Y2), (X1, Y2))
+    return None
+
+
+@st.composite
+def gnomon_parts(draw):
+    """An outer box on three sorted rational or Q(sqrt 2) values each way,
+    the box in one of its corners, and the turn and direction in which
+    their polygons are given."""
+    pool = draw(st.sampled_from([_RATIONAL, _QUADRATIC]))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=3, unique=True)
+    (x1, xm, x2), (y1, ym, y2) = (sorted((pool[i] for i in draw(picks)), key=geo.by_value)
+                                  for _ in range(2))
+    (cx1, cx2), (cy1, cy2) = draw(st.sampled_from([(x1, xm), (xm, x2)])), draw(
+        st.sampled_from([(y1, ym), (ym, y2)]))
+    return (x1, y1, x2, y2), (cx1, cy1, cx2, cy2), draw(st.integers(0, 3)), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(gnomon_parts())
+def test_gnomon_from_boxes_equals_the_polygon_route(case):
+    """The gnomon cut from two boxes is, vertex by vertex, the one cut from
+    their polygons, given from any vertex in either direction."""
+    outer, corner, turn, backwards = case
+
+    def turned(box):
+        poly = geo.box_polygon(*box)
+        poly = poly[turn:] + poly[:turn]
+        return poly[::-1] if backwards else poly
+
+    new = geo.gnomon_polygon(outer, corner)
+    old = _polygon_gnomon(turned(outer), turned(corner))
+    assert len(new) == len(old) == 6
+    assert all(geo.pts_equal(p, q) for p, q in zip(new, old))
 
 
 def _hline(y, x1, x2):

@@ -216,7 +216,8 @@ def _doc_examples(heading):
 def test_grammar_doc_examples_cover_every_command():
     # each placeholder such as <len> or <w> stands for a length; 1 is one
     examples = [re.sub(r"<\w+>", "1", ex) for ex in _doc_examples("Construction commands")]
-    text = "prop doc\nconstruct:\n" + "".join(f"  {ex}\n" for ex in examples)
+    roster = " ".join(sorted(set(re.findall("[A-Z]", "".join(examples)))))
+    text = f"prop doc\npoints {roster}\nconstruct:\n" + "".join(f"  {ex}\n" for ex in examples)
     parsed = sc.parse_script(text + "claim: fig(A) = fig(A)\nproof:\nqed\n").construction
     assert {type(c) for c in parsed} == set(sc.COMMANDS)
     assert [c.text() for c in parsed] == examples
@@ -251,7 +252,7 @@ def _gen_len(rng, points, segments):
 def _gen_script(rng: random.Random) -> sc.Script:
     points = tuple(sorted(rng.sample(POINTS, rng.randint(4, 8))))
     pick = lambda: rng.choice(points)
-    segments = []  # the standalone segments declared so far
+    segments, figures = [], []  # the standalone segments and figures declared so far
     length = lambda: _gen_len(rng, points, segments)
 
     def pair():
@@ -261,6 +262,10 @@ def _gen_script(rng: random.Random) -> sc.Script:
 
     def letters(n):
         return "".join(rng.sample(points, n))
+
+    def part():
+        """A gnomon part: a name spelled with points, or a declared figure."""
+        return rng.choice([letters(2), letters(4), *figures])
 
     def square():
         name = letters(4)
@@ -277,7 +282,8 @@ def _gen_script(rng: random.Random) -> sc.Script:
         sc.ExtendCopy: lambda: sc.ExtendCopy(pair(), pick(), pick(), pair()),
         sc.SquareOnCmd: square,
         sc.RectFig: lambda: sc.RectFig(pick(), length(), length()),
-        sc.TriangulateToRect: lambda: sc.TriangulateToRect(letters(4), pick()),
+        sc.TriangulateToRect: lambda: sc.TriangulateToRect(
+            letters(4), rng.choice([f for f in figures if len(f) == 1])),
         sc.Perp: lambda: sc.Perp(pick(), pick(), pair(), rng.choice(["below", "above"]),
                                  length()),
         sc.ParallelTranslate: lambda: sc.ParallelTranslate(pick(), pick(), pair()),
@@ -287,16 +293,21 @@ def _gen_script(rng: random.Random) -> sc.Script:
         sc.IntersectLines: lambda: sc.IntersectLines(pick(), pair(), pair()),
         sc.IntersectCircle: lambda: sc.IntersectCircle(pick(), pair(), pick(),
                                                        rng.choice(["above", "below"])),
-        sc.GnomonDecl: lambda: sc.GnomonDecl(letters(3), letters(rng.randint(1, 4)),
-                                             letters(rng.randint(1, 4))),
+        sc.GnomonDecl: lambda: sc.GnomonDecl(letters(3), part(), part()),
     }
     assert set(makers) == set(sc.COMMANDS)
     kinds = [rng.choice(sc.COMMANDS) for _ in range(rng.randint(0, 8))]
     cmds = []
     for k in [sc.PlaceSegment] + kinds:
+        # `torect` copies a declared one-letter figure
+        if k is sc.TriangulateToRect and not any(len(f) == 1 for f in figures):
+            cmds.append(makers[sc.RectFig]())
+            figures.append(cmds[-1].name)
         cmds.append(makers[k]())
         if k is sc.StandaloneSegmentCmd:
             segments.append(cmds[-1].name)
+        elif k in (sc.RectFig, sc.GnomonDecl):
+            figures.append(cmds[-1].name)
 
     def stmt(rng):
         from euclid2 import terms as T

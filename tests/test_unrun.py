@@ -23,6 +23,8 @@ ALLOWED = {
     "corpusdata.report_schema": "public API: the shipped report schema; tests/test_cli.py",
     "errors.ParseError.__init__": _PARSE_ERROR,
     "geometry.point_in_polygon": _BENCHMARK + "; the coverage reference in tests/helpers.py",
+    "geometry.signed_area2": "user-reachable: the area of a figure that is no box and has "
+    "an irrational corner, which no corpus figure is; tests/test_kernels.py",
     "errors.UndeclaredPoint.__init__": "user-reachable: undeclared point; "
     "tests/test_parser.py::test_undeclared_point",
     "errors.UnknownRule.__init__": _PARSE_ERROR,
