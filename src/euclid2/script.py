@@ -35,6 +35,7 @@ import enum
 import json
 import typing
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError, UndeclaredPoint, UnknownRule
 from .record import FrozenRecord, Record
@@ -595,35 +596,13 @@ class CheckReport(Record):
 
 
 def emit_report(r: CheckReport, mode: str = "text", timing: bool = False) -> str:
+    """The report as text, or with `mode` "json" as the document that
+    `json.dumps(..., indent=2, sort_keys=True)` writes, plus a newline.  The
+    document's shape is fixed, so `_report_json` writes it from a template,
+    with no dict and no pure-Python encoder in between; `timing` adds the
+    check's wall time to either form."""
     if mode == "json":
-        doc = {
-            "prop_id": r.prop_id,
-            "profile": r.profile,
-            "verdict": (
-                {"status": "accepted"}
-                if r.accepted
-                else {"status": "rejected", "step": r.reject_step, "cause": r.reject_cause}
-            ),
-            "diorismos": r.diorismos,
-            "hypotheses": [
-                {"id": hid, "statement": text, "flag": flag}
-                for hid, text, flag in r.hypotheses
-            ],
-            "steps": [
-                {
-                    "index": s.index,
-                    "statement": s.statement,
-                    "rule": s.rule,
-                    "color": s.color,
-                    "flags": list(s.flags),
-                    "certificate": s.certificate,
-                }
-                for s in r.steps
-            ],
-        }
-        if timing:
-            doc["timing_ms"] = r.timing_ms
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _report_json(r, timing)
 
     lines = [f"{r.prop_id} [{r.profile}]"]
     for hid, text, flag in r.hypotheses:
@@ -639,3 +618,63 @@ def emit_report(r: CheckReport, mode: str = "text", timing: bool = False) -> str
     if timing:
         lines.append(f"timing: {r.timing_ms:.1f} ms")
     return "\n".join(lines) + "\n"
+
+
+# the JSON report's layout, each object's keys in sorted order, as
+# `json.dumps(..., indent=2, sort_keys=True)` writes it
+_REPORT = (
+    '{\n  "diorismos": %s,\n  "hypotheses": %s,\n  "profile": %s,\n  "prop_id": %s,'
+    '\n  "steps": %s,%s\n  "verdict": %s\n}\n'
+)
+_ACCEPTED = '{\n    "status": "accepted"\n  }'
+_REJECTED = '{\n    "cause": %s,\n    "status": "rejected",\n    "step": %s\n  }'
+_HYPOTHESIS = '{\n      "flag": %s,\n      "id": %s,\n      "statement": %s\n    }'
+_STEP = (
+    '{\n      "certificate": %s,\n      "color": %s,\n      "flags": %s,\n      "index": %d,'
+    '\n      "rule": %s,\n      "statement": %s\n    }'
+)
+
+
+def _scalar(value: str | int | None) -> str:
+    """A string, an int or None as JSON writes it."""
+    if value is None:
+        return "null"
+    return _quote(value) if isinstance(value, str) else str(value)
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of items already written, its closing bracket `indent`
+    deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _report_json(r: CheckReport, timing: bool) -> str:
+    verdict = _ACCEPTED if r.accepted else _REJECTED % (
+        _scalar(r.reject_cause), _scalar(r.reject_step)
+    )
+    hypotheses = [
+        _HYPOTHESIS % (_quote(flag), _quote(hid), _quote(text)) for hid, text, flag in r.hypotheses
+    ]
+    steps = [
+        _STEP % (
+            _scalar(s.certificate),
+            _quote(s.color),
+            _array([_quote(flag) for flag in s.flags], "      "),
+            s.index,
+            _quote(s.rule),
+            _quote(s.statement),
+        )
+        for s in r.steps
+    ]
+    return _REPORT % (
+        _quote(r.diorismos),
+        _array(hypotheses, "  "),
+        _quote(r.profile),
+        _quote(r.prop_id),
+        _array(steps, "  "),
+        f'\n  "timing_ms": {json.dumps(r.timing_ms)},' if timing else "",
+        verdict,
+    )

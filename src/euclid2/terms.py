@@ -364,10 +364,18 @@ class Reader:
     token.  `read` parses a form from its SYNTAX template, with one
     `read_<spec>` method per field spec.  `check_label` is where a subclass
     checks each name against what has been declared; this class accepts
-    every name."""
+    every name.
+
+    A reader parses each distinct term once: `read_term` keeps the term it
+    read under its tokens, from the cursor through the first `)`, and
+    returns it when those tokens come again.  That is exact because a
+    term's value depends only on its tokens and on the declarations, and
+    declarations only grow while one reader runs.  Errors are not kept, so
+    each one is raised with its own text and column."""
 
     def __init__(self, text: str = "", line: int = 0):
         self.line = line
+        self._terms: dict[tuple[str, ...], Term] = {}
         self.start(text)
 
     def start(self, text: str) -> None:
@@ -509,7 +517,20 @@ class Reader:
         return FigureName(self.name(1, 4, "figure name", "fig"))
 
     def read_term(self) -> Term:
-        return self.choose(TERMS, "term")
+        toks, start = self.toks, self.pos
+        try:
+            end = toks.index(")", start) + 1
+        except ValueError:  # every term ends with `)`, so this one fails
+            return self.choose(TERMS, "term")
+        key = tuple(toks[start:end])
+        term = self._terms.get(key)
+        if term is not None:
+            self.pos = end
+            return term
+        term = self.choose(TERMS, "term")
+        if self.pos == end:
+            self._terms[key] = term
+        return term
 
     def read_atom(self) -> Term:
         return self.choose(_ATOMS, "term other than a multiple")

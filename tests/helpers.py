@@ -2,9 +2,11 @@
 entries, a point from plain numbers, an interval of a chosen width, a
 coverage check of named figures, the sampled-arrangement coverage reference,
 equality of content, the facts of the labelled boxes, point and region
-keys with I.43's decision by them, and exact identity checks on a grid."""
+keys with I.43's decision by them, exact identity checks on a grid, and
+the report document built as a dict for `json.dumps`."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from euclid2 import constructible as cr
@@ -276,3 +278,36 @@ def diorismos_holds_on_grid(script, stmt=None) -> bool:
         return dg.statement_holds(dg.realize(script, params), stmt)
 
     return holds_on_grid(holds, len(names))
+
+
+def reference_report_json(r: sc.CheckReport, timing: bool = False) -> str:
+    """`emit_report(r, "json", timing)` as it was first written: the report
+    as a dict, laid out by `json.dumps(..., indent=2, sort_keys=True)`."""
+    doc = {
+        "prop_id": r.prop_id,
+        "profile": r.profile,
+        "verdict": (
+            {"status": "accepted"}
+            if r.accepted
+            else {"status": "rejected", "step": r.reject_step, "cause": r.reject_cause}
+        ),
+        "diorismos": r.diorismos,
+        "hypotheses": [
+            {"id": hid, "statement": text, "flag": flag}
+            for hid, text, flag in r.hypotheses
+        ],
+        "steps": [
+            {
+                "index": s.index,
+                "statement": s.statement,
+                "rule": s.rule,
+                "color": s.color,
+                "flags": list(s.flags),
+                "certificate": s.certificate,
+            }
+            for s in r.steps
+        ],
+    }
+    if timing:
+        doc["timing_ms"] = r.timing_ms
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

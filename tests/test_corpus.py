@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euclid2 import cli
 from euclid2 import constructible as cr
@@ -13,7 +15,7 @@ from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
 from euclid2 import terms as T
-from helpers import all_entries, default_entries, negative_entries
+from helpers import all_entries, default_entries, negative_entries, reference_report_json
 
 ENTRIES = all_entries()
 NEGATIVES = negative_entries()
@@ -99,6 +101,52 @@ def test_reports_are_deterministic():
     b = sc.emit_report(rules.check_proof(script), "json")
     assert a == b
     assert "timing" not in a
+
+
+# strings that stress JSON quoting: non-ASCII, quote, backslash, control and
+# non-BMP characters, mixed with any others
+_REPORT_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\xe9\u2212\u30a2\U0001f600') | st.characters(),
+    max_size=12,
+)
+_DIGEST = st.binary(min_size=32, max_size=32).map(bytes.hex)
+
+
+@st.composite
+def check_reports(draw):
+    steps = [
+        sc.StepRecord(
+            index=draw(st.integers(0, 10**6)),
+            statement=draw(_REPORT_TEXT),
+            rule=draw(_REPORT_TEXT),
+            color=draw(_REPORT_TEXT),
+            flags=tuple(draw(st.lists(_REPORT_TEXT, max_size=3))),
+            certificate=draw(st.none() | _DIGEST | _REPORT_TEXT),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    hypotheses = draw(st.lists(st.tuples(_REPORT_TEXT, _REPORT_TEXT, _REPORT_TEXT), max_size=3))
+    if draw(st.booleans()):
+        verdict, step, cause = "accepted", None, None
+    else:
+        verdict = "rejected"
+        step = draw(st.none() | st.just(0) | st.integers(0, 10**6))
+        cause = draw(st.none() | _REPORT_TEXT)
+    timing_ms = draw(
+        st.sampled_from([0.0, -0.0, 1e-05, 12345.678, float("inf"), float("nan")]) | st.floats()
+    )
+    return sc.CheckReport(
+        draw(_REPORT_TEXT), draw(_REPORT_TEXT), verdict, step, cause,
+        steps, hypotheses, draw(_REPORT_TEXT), timing_ms,
+    )
+
+
+@given(check_reports(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_report_json_is_the_json_dumps_document(report, timing):
+    """The report writer lays out exactly what `json.dumps(..., indent=2,
+    sort_keys=True)` writes for the report's dict."""
+    assert sc.emit_report(report, "json", timing) == reference_report_json(report, timing)
 
 
 # sha256 of each entry's SVG (realized at its defaults, overlaid with its

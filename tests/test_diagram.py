@@ -18,6 +18,7 @@ from euclid2.errors import (
     Euclid2Error,
     FactVerificationFailed,
     InvalidParam,
+    ParseError,
     Undecidable,
     UnknownName,
 )
@@ -88,6 +89,36 @@ def test_realize_ii11_golden_interval():
 def test_cut_outside_segment_rejected():
     with pytest.raises(InvalidParam):
         realize("II_5.e2p", {"d": Fraction(3, 5)})  # beyond B
+
+
+def _hand_built(points, construction) -> sc.Script:
+    return sc.Script(
+        prop_id="T",
+        points=points,
+        base_lines=(),
+        params={},
+        flags=frozenset(),
+        construction=construction,
+        hypotheses=(),
+        diorismos=T.parse_statement("sq(AB) = sq(AB)"),
+        steps=(),
+    )
+
+
+def test_realize_checks_a_script_built_by_hand():
+    """The parser stops a construction letter outside the roster and an
+    undeclared `torect` source; a `Script` built through the API reaches
+    realize's own checks, which raise typed errors."""
+    place = sc.PlaceSegment("A", "B", sc.LenLit(Fraction(1)))
+    stray = _hand_built(("A", "B"), (place, sc.CutHalf("Z", ("A", "B"))))
+    with pytest.raises(InvalidParam, match="^point 'Z' missing from roster$"):
+        dg.realize(stray)
+    torect = _hand_built(("A", "B", "C", "D"), (place, sc.TriangulateToRect("ABCD", "A")))
+    with pytest.raises(UnknownName, match="^figure 'A' not declared$"):
+        dg.realize(torect)
+    for script in (stray, torect):
+        with pytest.raises(ParseError):
+            sc.parse_script(sc.format_script(script))
 
 
 def test_construction_facts_ii2():

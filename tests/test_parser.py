@@ -411,3 +411,74 @@ def test_proof_step_text_parses_back(step):
     parsed = sc.parse_script(text).steps[-1]
     assert parsed == step
     assert parsed.text() == step.text()
+
+
+# ---------------------------------------------------------------------------
+# a parser reads each distinct term once
+
+DATA = Path(__file__).resolve().parent / "data"
+SCRIPT_TEXTS = {name: corpusdata.read_script_text(name) for name in sorted(set(CORPUS_FILES))}
+SCRIPT_TEXTS.update({f"data/{p.name}": p.read_text(encoding="utf-8") for p in sorted(DATA.glob("*.e2p"))})
+
+
+def _before_semicolon(text: str) -> str:
+    """`text` up to its first `;` outside parentheses (a right angle's
+    `rangle(B;A,C)` holds one inside)."""
+    depth = 0
+    for i, c in enumerate(text):
+        depth += (c == "(") - (c == ")")
+        if c == ";" and depth == 0:
+            return text[:i]
+    return text
+
+
+class _UnkeptReader(T.Reader):
+    """A reader that reads every term afresh."""
+
+    def read_term(self):
+        return self.choose(T.TERMS, "term")
+
+
+def _fresh_statement(text: str) -> T.Statement:
+    reader = _UnkeptReader(text)
+    stmt = reader.read_stmt()
+    reader.end()
+    return stmt
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_TEXTS))
+def test_every_statement_equals_a_fresh_parse_of_its_text(name):
+    """Each step claim, inline premise, hypothesis and the diorismos equal
+    what `parse_statement`, and a reader that keeps no term, make of the
+    statement's own source text."""
+    text = SCRIPT_TEXTS[name]
+    script = sc.parse_script(text)
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    claim = next(line for line in lines if line.lstrip().startswith("claim"))
+    pairs = [(script.diorismos, claim.split(":", 1)[1])]
+    for h in script.hypotheses:
+        pairs.append((h.stmt, _before_semicolon(lines[h.line - 1].split("hypothesis", 1)[1])))
+    for step in script.steps:
+        line = lines[step.line - 1]
+        head = _before_semicolon(line)
+        pairs.append((step.claim, head.split(".", 1)[1]))
+        inline = re.findall(r"\[([^\]]*)\]", line[len(head):])
+        premises = [p.stmt for p in step.premises if isinstance(p, sc.InlinePremise)]
+        assert len(inline) == len(premises)
+        pairs += zip(premises, inline)
+    for stmt, source in pairs:
+        for fresh in (T.parse_statement(source), _fresh_statement(source)):
+            assert stmt == fresh and stmt.text() == fresh.text(), source
+
+
+def test_a_term_read_in_one_parse_is_not_kept_for_the_next():
+    declared = (
+        "prop T\npoints A B\nconstruct:\n  place AB = 1\n  rectfig X 1 x 1\n"
+        "claim: fig(X) = sq(AB)\nproof:\n  1. fig(X) = sq(AB) ; VE\nqed\n"
+    )
+    assert sc.parse_script(declared).diorismos.text() == "fig(X) = sq(AB)"
+    undeclared = declared.replace("  rectfig X 1 x 1\n", "")
+    with pytest.raises(ParseError) as exc:
+        sc.parse_script(undeclared)
+    assert (exc.value.line, exc.value.col) == (5, 12)
+    assert exc.value.expected == "figure 'X' not declared"
