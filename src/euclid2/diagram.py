@@ -10,9 +10,10 @@ The labelled axis-aligned boxes (the squares `square` draws, the rectangles
 their corner labels (`DiagramInstance.boxes`); the fact base states their
 sides and right angles, theorems of such a box, without deciding them.
 
-On rational input a line-line meet (`_meet`) and the length of an
-axis-aligned side (`DiagramInstance.side_len`) are solved in ints and each
-coordinate is reduced once; other input composes `Expr` arithmetic.
+The builder deals only in points, lengths and boxes: each command measures
+and places the points it fetched with geometry's primitives (`geo.length`,
+`geo.along`, `geo.midpoint`, `geo.meet`); only `geometry` and
+`constructible` read how a number is stored.
 
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
@@ -23,7 +24,6 @@ rectangles live in the left margin at deterministic spots.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 from . import constructible as cr
@@ -186,32 +186,6 @@ class DiagramInstance(Record):
     def seg_endpoints(self, seg: Segment) -> tuple[Pt, Pt]:
         return self.endpoints(seg.a, seg.b)
 
-    def seg_len2(self, seg: Segment) -> Expr:
-        p, q = self.seg_endpoints(seg)
-        return geo.dist2(p, q)
-
-    def seg_len(self, seg: Segment) -> Expr:
-        return self.side_len(seg.a, seg.b)
-
-    def side_len(self, a: str, b: str | None) -> Expr:
-        """The length of side ab.  An axis-aligned side with rational ends
-        is |dx| or |dy|, one integer difference reduced once."""
-        p, q = self.endpoints(a, b)
-        (x1, y1), (x2, y2) = p, q
-        if x1.den and y1.den and x2.den and y2.den:
-            if x1.num * x2.den == x2.num * x1.den:
-                return cr.rational(abs(y2.num * y1.den - y1.num * y2.den), y1.den * y2.den)
-            if y1.num * y2.den == y2.num * y1.den:
-                return cr.rational(abs(x2.num * x1.den - x1.num * x2.den), x1.den * x2.den)
-            return cr.sqrt(geo.dist2(p, q))
-        dx = cr.sub(q[0], p[0])
-        dy = cr.sub(q[1], p[1])
-        if geo.sign(dx) == 0:
-            return dy if geo.sign(dy) >= 0 else cr.neg(dy)
-        if geo.sign(dy) == 0:
-            return dx if geo.sign(dx) >= 0 else cr.neg(dx)
-        return cr.sqrt(geo.dist2(p, q))
-
 
 # ---------------------------------------------------------------------------
 # realize
@@ -233,7 +207,7 @@ class _Builder:
                 raise InvalidParam(f"parameter {expr.name!r} has no value")
             v = cr.const(self.inst.params[expr.name])
         else:
-            v = self.inst.side_len(*_named(expr.seg))
+            v = geo.length(*self.inst.endpoints(*_named(expr.seg)))
         if geo.sign(v) <= 0:
             raise InvalidParam(f"length {expr.text()} must be positive")
         return v
@@ -249,6 +223,11 @@ class _Builder:
         self.inst.drawn_list.append((p, q))
         self.inst._drawn = None
         self.inst._regions.clear()
+
+    def outline(self, poly: Polygon):
+        """Draw the closed outline of poly, side by side from its first vertex."""
+        for p, q in zip(poly, poly[1:] + poly[:1]):
+            self.draw(p, q)
 
     def fact(self, kind: str, labels: tuple, reason: str):
         """Record a fact of the command just run once it holds on the
@@ -318,35 +297,22 @@ class _Builder:
     def _do_CutRandom(self, cmd: sc.CutRandom):
         p, q = self.base(cmd.on)
         t = self.length(cmd.at)
-        plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
-        if geo.cmp(plen, t) <= 0:
+        if geo.cmp(geo.length(p, q), t) <= 0:
             raise InvalidParam(
                 f"cut {cmd.point} at {cmd.at.text()} falls outside {cmd.on[0]}{cmd.on[1]}"
             )
-        scale = cr.div(t, plen)
-        c = (
-            cr.add(p[0], cr.mul(scale, cr.sub(q[0], p[0]))),
-            cr.add(p[1], cr.mul(scale, cr.sub(q[1], p[1]))),
-        )
-        self.new_point(cmd.point, c)
+        self.new_point(cmd.point, geo.along(p, p, q, t))
 
     def _do_CutHalf(self, cmd: sc.CutHalf):
         p, q = self.base(cmd.on)
-        c = (cr.mul(cr.add(p[0], q[0]), _HALF), cr.mul(cr.add(p[1], q[1]), _HALF))
-        self.new_point(cmd.point, c)
+        self.new_point(cmd.point, geo.midpoint(p, q))
         self.fact(
             "segeq", (_side(cmd.on[0], cmd.point), _side(cmd.point, cmd.on[1])), "Midpoint"
         )
 
     def _do_ExtendBy(self, cmd: sc.ExtendBy):
         p, q = self.base(cmd.on)
-        L = self.length(cmd.by)
-        plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
-        scale = cr.div(L, plen)
-        n = (
-            cr.add(q[0], cr.mul(scale, cr.sub(q[0], p[0]))),
-            cr.add(q[1], cr.mul(scale, cr.sub(q[1], p[1]))),
-        )
+        n = geo.along(q, p, q, self.length(cmd.by))
         self.new_point(cmd.to, n)
         self.draw(q, n)
         if isinstance(cmd.by, sc.LenSeg):
@@ -357,14 +323,7 @@ class _Builder:
         anchor = self.pt_of(cmd.anchor)
         if not geo.collinear(p, q, anchor):
             raise InvalidParam(f"anchor {cmd.anchor} is not on line {cmd.on[0]}{cmd.on[1]}")
-        self.base(cmd.copy)
-        d = self.inst.side_len(*_side(cmd.copy[0], cmd.copy[1]))
-        plen = self.inst.side_len(*_side(cmd.on[0], cmd.on[1]))
-        scale = cr.div(d, plen)
-        n = (
-            cr.add(anchor[0], cr.mul(scale, cr.sub(q[0], p[0]))),
-            cr.add(anchor[1], cr.mul(scale, cr.sub(q[1], p[1]))),
-        )
+        n = geo.along(anchor, p, q, geo.length(*self.base(cmd.copy)))
         beyond = geo.dot(geo.sub2(n, q), geo.sub2(q, p))
         if geo.sign(beyond) <= 0:
             raise InvalidParam("extension does not pass the far endpoint")
@@ -373,19 +332,6 @@ class _Builder:
         self.fact(
             "segeq", (_side(cmd.to, cmd.anchor), _side(cmd.copy[0], cmd.copy[1])), "CopiedLength"
         )
-
-    def _square_offset(self, side: str, L: Expr, base_dir: Pt) -> Pt:
-        if side == "below":
-            v = (cr.ZERO, cr.neg(L))
-        elif side == "above":
-            v = (cr.ZERO, L)
-        elif side == "left":
-            v = (cr.neg(L), cr.ZERO)
-        else:
-            v = (L, cr.ZERO)
-        if geo.sign(geo.dot(v, base_dir)) != 0:
-            raise InvalidParam(f"square side {side!r} is not perpendicular to the base")
-        return v
 
     def _do_SquareOnCmd(self, cmd: sc.SquareOnCmd):
         P, Q = cmd.on
@@ -401,15 +347,14 @@ class _Builder:
         else:
             raise InvalidParam(f"base {P}{Q} not an edge of square name {letters}")
         p, q = self.base(cmd.on)
-        L = self.inst.side_len(*_side(P, Q))
-        v = self._square_offset(cmd.side, L, geo.sub2(q, p))
+        v = _SQUARE_OFFSET[cmd.side](geo.length(p, q))
+        if geo.sign(geo.dot(v, geo.sub2(q, p))) != 0:
+            raise InvalidParam(f"square side {cmd.side!r} is not perpendicular to the base")
         c2 = (cr.add(q[0], v[0]), cr.add(q[1], v[1]))
         c3 = (cr.add(p[0], v[0]), cr.add(p[1], v[1]))
         self.new_point(cycle[2], c2)
         self.new_point(cycle[3], c3)
-        quad = [self.pt_of(x) for x in cycle]
-        for i in range(4):
-            self.draw(quad[i], quad[(i + 1) % 4])
+        self.outline(tuple(self.pt_of(x) for x in cycle))
         self.inst.declared[letters] = tuple(self.pt_of(x) for x in letters)
         self.inst.built_boxes.append((*letters, True))  # the name goes round it in order
 
@@ -422,8 +367,7 @@ class _Builder:
         y1 = cr.neg(h)
         poly = geo.box_polygon(x1, y1, x2, y2)
         self.inst.declared[cmd.name] = poly
-        for i in range(4):
-            self.draw(poly[i], poly[(i + 1) % 4])
+        self.outline(poly)
 
     def _do_TriangulateToRect(self, cmd: sc.TriangulateToRect):
         if cmd.source not in self.inst.declared:
@@ -432,16 +376,13 @@ class _Builder:
         xs, ys = zip(*src)
         w = cr.sub(max(xs, key=geo.by_value), min(xs, key=geo.by_value))
         h = cr.sub(max(ys, key=geo.by_value), min(ys, key=geo.by_value))
-        l0, l1, l2, l3 = cmd.name
-        self.new_point(l0, (cr.ZERO, cr.ZERO))
-        self.new_point(l1, (cr.ZERO, cr.neg(h)))
-        self.new_point(l2, (w, cr.neg(h)))
-        self.new_point(l3, (w, cr.ZERO))
-        quad = [self.pt_of(x) for x in cmd.name]
-        for i in range(4):
-            self.draw(quad[i], quad[(i + 1) % 4])
-        self.inst.declared[cmd.name] = tuple(quad)
-        self.inst.built_boxes.append((l0, l1, l2, l3, False))
+        y = cr.neg(h)
+        quad = ((cr.ZERO, cr.ZERO), (cr.ZERO, y), (w, y), (w, cr.ZERO))
+        for label, corner in zip(cmd.name, quad):
+            self.new_point(label, corner)
+        self.outline(quad)
+        self.inst.declared[cmd.name] = quad
+        self.inst.built_boxes.append((*cmd.name, False))
         self.fact("eq", (cmd.name, cmd.source), "TriangulatedEqual")
 
     def _do_Perp(self, cmd: sc.Perp):
@@ -478,7 +419,7 @@ class _Builder:
     def _do_ParallelMeet(self, cmd: sc.ParallelMeet):
         p = self.pt_of(cmd.through)
         x, y = self.base(cmd.along)
-        n = _meet(p, x, y, *self.base(cmd.meet))
+        n = geo.meet(p, x, y, *self.base(cmd.meet))
         self.new_point(cmd.new, n)
         self.draw(p, n)
 
@@ -498,8 +439,7 @@ class _Builder:
     def _do_SemicircleOn(self, cmd: sc.SemicircleOn):
         a, b = self.base(cmd.on)
         c = self.pt_of(cmd.center)
-        mid = (cr.mul(cr.add(a[0], b[0]), _HALF), cr.mul(cr.add(a[1], b[1]), _HALF))
-        if not geo.pts_equal(c, mid):
+        if not geo.pts_equal(c, geo.midpoint(a, b)):
             raise InvalidParam(f"{cmd.center} is not the midpoint of {cmd.on[0]}{cmd.on[1]}")
         r2 = geo.dist2(c, a)
         self.inst.circles[cmd.center] = Circle(cmd.center, c, r2, cmd.on, cmd.side)
@@ -509,7 +449,7 @@ class _Builder:
 
     def _do_IntersectLines(self, cmd: sc.IntersectLines):
         p, q = self.base(cmd.line)
-        self.new_point(cmd.new, _meet(p, p, q, *self.base(cmd.other)))
+        self.new_point(cmd.new, geo.meet(p, p, q, *self.base(cmd.other)))
 
     def _do_IntersectCircle(self, cmd: sc.IntersectCircle):
         p, q = self.base(cmd.line)
@@ -526,31 +466,13 @@ class _Builder:
         self.inst.declared[cmd.name] = geo.gnomon_polygon(outer, corner)
 
 
-_HALF = cr.const(Fraction(1, 2))
-
-
-def _meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
-    """The point where the line through p parallel to xy meets the line uv.
-    On rational input the ten coordinates are scaled to one denominator D
-    and the point is solved in ints, each coordinate reduced once; any
-    other input composes `Expr` arithmetic."""
-    cs = (*p, *x, *y, *u, *v)
-    dens = [c.den for c in cs]
-    if all(dens):
-        D = math.lcm(*dens)
-        px, py, xx, xy, yx, yy, ux, uy, vx, vy = [c.num * (D // c.den) for c in cs]
-        dx, dy, ex, ey = yx - xx, yy - xy, vx - ux, vy - uy
-        den = dx * ey - dy * ex
-        if den == 0:
-            raise NoIntersection("lines are parallel")
-        t = (ux - px) * ey - (uy - py) * ex  # the meet is p + (t/den)*(y - x)
-        return cr.rational(px * den + t * dx, den * D), cr.rational(py * den + t * dy, den * D)
-    d, du = geo.sub2(y, x), geo.sub2(v, u)
-    den = geo.cross(d, du)
-    if geo.sign(den) == 0:
-        raise NoIntersection("lines are parallel")
-    t = cr.div(geo.cross(geo.sub2(u, p), du), den)
-    return (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1])))
+# a square's offset from its base to the far side, by the side the command names
+_SQUARE_OFFSET = {
+    "below": lambda L: (cr.ZERO, cr.neg(L)),
+    "above": lambda L: (cr.ZERO, L),
+    "left": lambda L: (cr.neg(L), cr.ZERO),
+    "right": lambda L: (L, cr.ZERO),
+}
 
 
 def _line_circle(p: Pt, d: Pt, circ: Circle, side: str) -> Pt:
@@ -586,9 +508,11 @@ def _line_circle(p: Pt, d: Pt, circ: Circle, side: str) -> Pt:
 
 def term_value(inst: DiagramInstance, t) -> Expr:
     if isinstance(t, SquareOn):
-        return inst.seg_len2(t.side)
+        return geo.dist2(*inst.seg_endpoints(t.side))
     if isinstance(t, RectBy):
-        return cr.mul(inst.seg_len(t.first), inst.seg_len(t.second))
+        return cr.mul(
+            geo.length(*inst.seg_endpoints(t.first)), geo.length(*inst.seg_endpoints(t.second))
+        )
     if isinstance(t, Fig):
         box = inst.box(t.name.letters)
         return geo.area(inst.region(t.name.letters)) if box is None else geo.box_area(box)

@@ -11,11 +11,14 @@ its middle, bound trapezoids on which both multiplicity functions are
 constant.  Every predicate is exact: on rationals by integer products,
 and with radicals by the exact sign of a constructible real.
 
-`cross`, `dot`, `dist2`, `equal_length`, `collinear`, `right_angle`,
-`signed_area2`, `area` and `box_area` have an integer kernel: on rational
-input they compute on the ints `num`, `den` and reduce once by
+`dot`, `dist2`, `length`, `equal_length`, `collinear`, `right_angle`,
+`meet`, `signed_area2`, `area` and `box_area` have an integer kernel: on
+rational input they compute on the ints `num`, `den` and reduce once by
 `cr.rational` (a predicate just compares); other input takes the `Expr`
-composition through `cr.add/sub/mul`.  Identity is by value: `pts_equal` and `same_region`.
+composition through `cr.add/sub/mul`.  `midpoint` and `along` build the
+points a construction places on a line.  Identity is by value: `pts_equal`
+and `same_region`.  This module and `constructible` are the only ones that
+read how a number is stored.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 
 from . import constructible as cr
 from .constructible import Expr
-from .errors import InvalidParam
+from .errors import InvalidParam, NoIntersection
 
 Pt = tuple[Expr, Expr]
 Polygon = tuple[Pt, ...]
@@ -65,9 +68,6 @@ def _rat_sub2(p: Pt, q: Pt) -> tuple[int, int, int, int] | None:
 
 def cross(u: Pt, v: Pt) -> Expr:
     (a, b), (c, d) = u, v
-    if a.den and b.den and c.den and d.den:
-        n = a.num * d.num * b.den * c.den - b.num * c.num * a.den * d.den
-        return cr.rational(n, a.den * b.den * c.den * d.den)
     return cr.sub(cr.mul(a, d), cr.mul(b, c))
 
 
@@ -86,6 +86,65 @@ def dist2(p: Pt, q: Pt) -> Expr:
         return cr.rational((nx * dy) ** 2 + (ny * dx) ** 2, (dx * dy) ** 2)
     d = sub2(p, q)
     return dot(d, d)
+
+
+def length(p: Pt, q: Pt) -> Expr:
+    """|pq|.  An axis-aligned segment with rational ends is |dx| or |dy|,
+    one integer difference reduced once."""
+    r = _rat_sub2(q, p)
+    if r is not None:
+        nx, dx, ny, dy = r
+        if nx == 0:
+            return cr.rational(abs(ny), dy)
+        if ny == 0:
+            return cr.rational(abs(nx), dx)
+        return cr.sqrt(dist2(p, q))
+    dx, dy = sub2(q, p)
+    if sign(dx) == 0:
+        return dy if sign(dy) >= 0 else cr.neg(dy)
+    if sign(dy) == 0:
+        return dx if sign(dx) >= 0 else cr.neg(dx)
+    return cr.sqrt(dist2(p, q))
+
+
+_HALF = cr.rational(1, 2)
+
+
+def midpoint(p: Pt, q: Pt) -> Pt:
+    return (cr.mul(cr.add(p[0], q[0]), _HALF), cr.mul(cr.add(p[1], q[1]), _HALF))
+
+
+def along(start: Pt, p: Pt, q: Pt, d: Expr) -> Pt:
+    """The point at distance d from start in the direction of pq."""
+    scale = cr.div(d, length(p, q))
+    return (
+        cr.add(start[0], cr.mul(scale, cr.sub(q[0], p[0]))),
+        cr.add(start[1], cr.mul(scale, cr.sub(q[1], p[1]))),
+    )
+
+
+def meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
+    """The point where the line through p parallel to xy meets the line uv.
+    On rational input the ten coordinates are scaled to one denominator D
+    and the point is solved in ints, each coordinate reduced once; any
+    other input composes `Expr` arithmetic."""
+    cs = (*p, *x, *y, *u, *v)
+    dens = [c.den for c in cs]
+    if all(dens):
+        D = math.lcm(*dens)
+        px, py, xx, xy, yx, yy, ux, uy, vx, vy = [c.num * (D // c.den) for c in cs]
+        dx, dy, ex, ey = yx - xx, yy - xy, vx - ux, vy - uy
+        den = dx * ey - dy * ex
+        if den == 0:
+            raise NoIntersection("lines are parallel")
+        t = (ux - px) * ey - (uy - py) * ex  # the meet is p + (t/den)*(y - x)
+        return cr.rational(px * den + t * dx, den * D), cr.rational(py * den + t * dy, den * D)
+    d, du = sub2(y, x), sub2(v, u)
+    den = cross(d, du)
+    if sign(den) == 0:
+        raise NoIntersection("lines are parallel")
+    t = cr.div(cross(sub2(u, p), du), den)
+    return (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1])))
 
 
 def equal_length(p: Pt, q: Pt, r: Pt, s: Pt) -> bool:
@@ -285,12 +344,11 @@ def coverage_equal(
     for e in edges:
         for i in range(locate(e[0], xs)[0], locate(e[1], xs)[0]):
             spans[i].append(e)
-    half = cr.rational(1, 2)
     max_mult, witness = 0, None
     for i, span in enumerate(spans):
         if not span:
             continue
-        xm = cr.mul(cr.add(xs[i], xs[i + 1]), half)
+        xm = cr.mul(cr.add(xs[i], xs[i + 1]), _HALF)
         ys = sorted(
             ((c if s is None else cr.add(cr.mul(s, xm), c), k) for _, _, s, c, k in span),
             key=lambda yk: by_value(yk[0]),
@@ -306,7 +364,7 @@ def coverage_equal(
                 ml, mr = count
                 max_mult = max(max_mult, ml, mr)
                 if ml != mr and witness is None:
-                    witness = ((xm, cr.mul(cr.add(y, above), half)), ml, mr)
+                    witness = ((xm, cr.mul(cr.add(y, above), _HALF)), ml, mr)
     return CoverageResult(witness is None, exact, max_mult, witness)
 
 

@@ -185,10 +185,7 @@ class FactBase:
                 self._eqs.append(stmt)
 
     def has_segeq(self, a: T.Segment, b: T.Segment) -> bool:
-        ka, kb = T.seg_key(a), T.seg_key(b)
-        if ka == kb:
-            return True
-        return self._find(ka) == self._find(kb)
+        return self._find(T.seg_key(a)) == self._find(T.seg_key(b))
 
     def ray_match(self, v: str, arm_fact: str, arm_query: str) -> bool:
         """The ray from v through arm_query runs along the line v arm_fact."""

@@ -29,7 +29,10 @@ def _fmt(e: cr.Expr) -> str:
 class _View:
     def __init__(self, inst: dg.DiagramInstance):
         # the distinct x and y values by exact_key; a drawing repeats a few
-        # values many times, so the extent scans each value once
+        # values many times, so the extent scans each value once.  Every
+        # standalone segment and built outline is drawn, and a gnomon's
+        # vertices lie on its parts' drawn sides, so the points, the drawn
+        # segments and the circles bound the picture.
         xs: dict = {}
         ys: dict = {}
 
@@ -42,12 +45,6 @@ class _View:
         for a, b in inst.drawn_list:
             see(a)
             see(b)
-        for a, b in inst.standalone.values():
-            see(a)
-            see(b)
-        for poly in inst.declared.values():
-            for p in poly:
-                see(p)
         self.radius: dict[str, cr.Expr] = {}
         for label, circ in inst.circles.items():
             r = self.radius[label] = cr.sqrt(circ.radius2)

@@ -295,6 +295,11 @@ class RightAngle(Syntax):
     arm1: str
     arm2: str
 
+    def __post_init__(self):
+        for arm in (self.arm1, self.arm2):
+            if arm == self.vertex:
+                raise ValueError(f"right angle arm {self.vertex}{arm} is degenerate")
+
 
 # an equality has no key token, so it is tried last
 Statement = Pi | IsSq | SegEq | RightAngle | Eq

@@ -244,12 +244,12 @@ def test_criterion_7_golden_ratio():
     inst = dg.realize(script)
     # the golden cut of AB = 1 at H: AH carries (sqrt 5 - 1)/2 and BH the
     # complementary piece consumed by the checked claim AB x BH = HA^2
-    ah = inst.seg_len(T.mk_segment("A", "H"))
+    ah = geo.length(*inst.seg_endpoints(T.mk_segment("A", "H")))
     lo, hi = refine_to_width(ah, Fraction(1, 10**20))
     assert hi - lo <= Fraction(1, 10**20)
     target = Fraction(61803398874989484820, 10**20)
     assert abs((lo + hi) / 2 - target) <= Fraction(1, 10**20)
-    bh = inst.seg_len(T.mk_segment("B", "H"))
+    bh = geo.length(*inst.seg_endpoints(T.mk_segment("B", "H")))
     assert cr.refine_sign(cr.sub(cr.add(ah, bh), cr.ONE)) == 0
     assert holds_numeric(script.diorismos, script, samples=20, seed=7)
     ok(7, "golden cut in a width<=1e-20 interval at 0.61803398874989484820; oracle passes")
@@ -262,7 +262,7 @@ def test_criterion_7_golden_ratio():
 def test_criterion_8_quadrature():
     script = load("II_14.e2p")
     inst = dg.realize(script)
-    eh2 = inst.seg_len2(T.mk_segment("E", "H"))
+    eh2 = geo.dist2(*inst.seg_endpoints(T.mk_segment("E", "H")))
     assert cr.refine_sign(cr.sub(eh2, cr.ONE)) == 0
     area = geo.area(inst.region("A"))
     assert cr.refine_sign(cr.sub(eh2, area)) == 0

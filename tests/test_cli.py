@@ -68,6 +68,14 @@ def test_check_parse_error_exit_two(tmp_path, capsys):
     assert f"{bad}: parse error: line 24, col 15: segment BB is degenerate\n" in out
     assert f"{length}: parse error: line 19, col 34: segment GG is degenerate\n" in out
     assert "verdict: Accepted (6 steps)" in out
+    # so is a right angle with an arm at its vertex, which would hold on
+    # any diagram
+    text11 = corpusdata.read_script_text("II_11.e2p")
+    degenerate = "hypothesis rangle(A;A,B) ; flag degenerate\nhypothesis "
+    bad.write_text(text11.replace("hypothesis ", degenerate, 1))
+    code, out, _ = run_cli(["check", str(bad)], capsys)
+    assert code == 2
+    assert f"{bad}: parse error: line 22, col 12: right angle arm AA is degenerate\n" in out
     # so is a length copied from a segment that is not declared
     bad.write_text(text.replace("below len |A|", "below len |Z|"))
     length.write_text(text.replace("below len |A|", "below len |BZ|"))

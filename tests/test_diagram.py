@@ -72,12 +72,12 @@ def test_realize_ii5_cut_exact():
     d = frac_pt(inst, "D")
     assert d[0] - c[0] == Fraction(1, 5)
     # CD is an exact rational length
-    assert inst.seg_len(T.mk_segment("C", "D")).rat == Fraction(1, 5)
+    assert geo.length(*inst.seg_endpoints(T.mk_segment("C", "D"))).rat == Fraction(1, 5)
 
 
 def test_realize_ii11_golden_interval():
     inst = realize("II_11.e2p")
-    ah = inst.seg_len(T.mk_segment("A", "H"))
+    ah = geo.length(*inst.seg_endpoints(T.mk_segment("A", "H")))
     lo, hi = refine_to_width(ah, Fraction(1, 10**20))
     assert hi - lo <= Fraction(1, 10**20)
     target = Fraction(61803398874989484820, 10**20)

@@ -1,10 +1,10 @@
 """The integer kernels of the exact primitives.
 
-On rational input `cr.add/sub/mul/div/neg`, `cr.rational`, the geometry
-primitives and the construction kernels of `diagram` (`_meet`, axis
-`side_len`) compute in ints and reduce once; these tests pin them to
-`Fraction` arithmetic and to canonical output, and pin their non-rational
-path to the plain `Expr` composition it replaced."""
+On rational input `cr.add/sub/mul/div/neg`, `cr.rational` and the geometry
+primitives, among them the construction kernels `geo.meet` and the axis
+path of `geo.length`, compute in ints and reduce once; these tests pin them
+to `Fraction` arithmetic and to canonical output, and pin their
+non-rational path to the plain `Expr` composition it replaced."""
 
 import ast
 import math
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euclid2 import constructible as cr
-from euclid2 import diagram as dg
 from euclid2 import geometry as geo
 from euclid2.errors import NoIntersection
 from helpers import pt
@@ -323,11 +322,32 @@ def test_identity_is_decided_by_value():
     assert _named(ast.parse("geo.sign(geo.dot(u, v))")) & _RAW_GEOMETRY == {"geo.sign", "geo.dot"}
 
 
-# -- the construction kernels of `diagram` ------------------------------
+_STORAGE = {"num", "den", "rat", "quad"}
+
+
+def _reads_storage(tree: ast.AST) -> bool:
+    """The module reads a value's `num`, `den`, `rat` or `quad`."""
+    return any(isinstance(node, ast.Attribute) and node.attr in _STORAGE
+               for node in ast.walk(tree))
+
+
+def test_only_the_number_modules_read_how_a_number_is_stored():
+    """Only `constructible` and `geometry` know how a number is stored: no
+    other module reads a value's `num`, `den`, `rat` or `quad`, so
+    `diagram` and the rules deal in points, lengths and boxes."""
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               if _reads_storage(ast.parse(path.read_text(encoding="utf-8")))}
+    assert readers == {"constructible.py", "geometry.py"}
+    for text in ("e.num", "x[0].den", "inst.point(a).rat", "v.quad"):
+        assert _reads_storage(ast.parse(text)), text
+    assert not _reads_storage(ast.parse("quad = cmd.q; num = den = rat = 1"))
+
+
+# -- the construction kernels `geo.meet` and `geo.length` ----------------
 
 
 def _old_meet(p, x, y, u, v):
-    # the composition `_meet` replaced on rational input
+    # the composition `geo.meet` replaced on rational input
     d, du = geo.sub2(y, x), geo.sub2(v, u)
     den = _old_cross(d, du)
     if geo.sign(den) == 0:
@@ -341,9 +361,9 @@ def _meets_alike(p, x, y, u, v):
         old = _old_meet(p, x, y, u, v)
     except NoIntersection:
         with pytest.raises(NoIntersection, match="^lines are parallel$"):
-            dg._meet(p, x, y, u, v)
+            geo.meet(p, x, y, u, v)
         return None
-    new = dg._meet(p, x, y, u, v)
+    new = geo.meet(p, x, y, u, v)
     assert all(_same_value(a, b) for a, b in zip(new, old))
     return new
 
@@ -379,7 +399,7 @@ def test_meet_equals_the_composition_on_any_field(pts, s, parallel):
         assert new is None
 
 
-def _old_side_len(p, q):
+def _old_length(p, q):
     dx, dy = cr.sub(q[0], p[0]), cr.sub(q[1], p[1])
     if geo.sign(dx) == 0:
         return dy if geo.sign(dy) >= 0 else cr.sub(cr.ZERO, dy)
@@ -388,27 +408,25 @@ def _old_side_len(p, q):
     return cr.sqrt(_old_dot((dx, dy), (dx, dy)))
 
 
-def _side_lens_alike(p, q, t):
+def _lengths_alike(p, q, t):
     # pq, and the axis sides from p to (p.x, t) and to (t, p.y)
     for a, b in ((p, q), (p, (p[0], t)), (p, (t, p[1])), (p, p)):
-        inst = dg.DiagramInstance(coords={"A": a, "B": b})
-        new = inst.side_len("A", "B")
-        assert _same_value(new, _old_side_len(a, b))
+        new = geo.length(a, b)
+        assert _same_value(new, _old_length(a, b))
         assert geo.sign(new) >= 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(_fpoints, _fpoints, _fracs)
-def test_side_len_kernel_equals_the_composition_on_rationals(p, q, t):
-    _side_lens_alike(_pt(p), _pt(q), cr.const(t))
-    inst = dg.DiagramInstance(coords={"A": _pt(p), "B": _pt((p[0], t))})
-    assert _canonical(inst.side_len("A", "B"), abs(t - p[1]))
+def test_length_kernel_equals_the_composition_on_rationals(p, q, t):
+    _lengths_alike(_pt(p), _pt(q), cr.const(t))
+    assert _canonical(geo.length(_pt(p), _pt((p[0], t))), abs(t - p[1]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD)
-def test_side_len_equals_the_composition_on_quadratic_points(p, q, t):
-    _side_lens_alike(p, q, t[0])
+def test_length_equals_the_composition_on_quadratic_points(p, q, t):
+    _lengths_alike(p, q, t[0])
 
 
 def _old_area(poly):

@@ -20,6 +20,13 @@ def test_mk_segment_degenerate():
         T.mk_segment("A", "A")
 
 
+def test_right_angle_arm_at_vertex_degenerate():
+    # an arm of zero length makes no angle, so no fact may state one
+    with pytest.raises(ValueError, match="^right angle arm BB is degenerate$"):
+        T.RightAngle("B", "A", "B")
+    assert T.RightAngle("B", "A", "A").text() == "rangle(B;A,A)"
+
+
 def test_normalize_permutation_invariance():
     a = T.term_sum([T.SquareOn(seg("CB")), T.RectBy(seg("AC"), seg("CB"))])
     b = T.term_sum([T.RectBy(seg("AC"), seg("CB")), T.SquareOn(seg("CB"))])
@@ -174,6 +181,8 @@ def test_statement_text_parses_back(s):
         ("fig(ABCDE) = sq(AB)", 5, "figure name, got 'ABCDE'"),
         ("X pi AB x C7", 11, "segment name, got 'C7'"),
         ("rangle(B;A,CD)", 12, "point, got 'CD'"),
+        ("rangle(A;A,B)", 1, "right angle arm AA is degenerate"),
+        ("rangle(A;B,A)", 1, "right angle arm AA is degenerate"),
         ("AB == CD + EF", 10, "end of line, got '+'"),
         ("sq(AB) =", 9, "term, got end of line"),
         ("2*3*sq(AB) = sq(AB)", 3, "term other than a multiple, got '3'"),
