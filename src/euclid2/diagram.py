@@ -297,7 +297,8 @@ class _Builder:
     def _do_CutRandom(self, cmd: sc.CutRandom):
         p, q = self.base(cmd.on)
         t = self.length(cmd.at)
-        if geo.cmp(geo.length(p, q), t) <= 0:
+        # t > 0 and p != q, so comparing squares decides |pq| <= t exactly
+        if geo.cmp(geo.dist2(p, q), cr.mul(t, t)) <= 0:
             raise InvalidParam(
                 f"cut {cmd.point} at {cmd.at.text()} falls outside {cmd.on[0]}{cmd.on[1]}"
             )

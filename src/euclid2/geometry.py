@@ -314,7 +314,11 @@ def coverage_equal(
     (the even-odd rule of `point_in_polygon`, so self-crossing polygons
     count alike) and both sides keep their multiplicity as a running sum.
     `max_multiplicity` covers every trapezoid; the witness is the centre of
-    the first differing one, slab by slab, bottom to top."""
+    the first differing one, slab by slab, bottom to top.
+
+    Worst case: with E edges in all, the crossing test is E^2 pairs, and
+    each of the up to E + E^2 slabs sorts the edges spanning it, so the
+    sweep grows with slabs × edges."""
     polys = [(p, m, 0) for p, m in lhs] + [(p, m, 1) for p, m in rhs]
     exact = all(polygon_exact_rational(p) for p, _, _ in polys)
     xs: list[Expr] = []

@@ -11,17 +11,17 @@ Premises are the claims of earlier steps, declared hypotheses, or inline
 statements resolved against the construction facts; naming-form inline
 premises fall back to a diagram check and are tagged as blue premises.
 
-CN1, CN2 and MERGE read their premises through one orientation search
-(`_orientations`, `_added_up`); MERGE is CN2's addition plus its figure
-checks.  Rules reach coordinates only through geometry's exact predicates,
-so every identity is decided by value: whether two names bind one figure
+CN1 and CN2 read their two premises through one orientation search
+(`_orientations`, `_added_up`), four readings at most.  MERGE adds any
+number of premises as written, in one pass, plus its figure checks.
+Rules reach coordinates only through geometry's exact predicates, so every
+identity is decided by value: whether two names bind one figure
 (`same_region`) and which corner two figures share (`cmp`).
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 import json
 import time
@@ -223,7 +223,8 @@ class FactBase:
         """The terms of s pair off with those of t: a figure with one that
         binds its region (an unbound name only with its own letters), any
         other term with an equal one.  That match is an equivalence, so
-        taking the first unused match never misses a pairing."""
+        taking the first unused match never misses a pairing.  Worst case:
+        quadratic in the number of terms, len(s) × len(t) comparisons."""
         rest = list(t.terms)
         for a in s.terms:
             for i, b in enumerate(rest):
@@ -238,6 +239,11 @@ class FactBase:
         return not rest
 
     def has(self, stmt: Statement) -> bool:
+        """Whether the base holds the statement.  A segment equality is one
+        union-find lookup and any other statement one key lookup; an
+        equality that no key matches falls back to a scan of every equality
+        fact, each read both ways round by `_same_sum`, so its worst case is
+        linear in the equality facts times quadratic in the terms."""
         if isinstance(stmt, SegEq):
             return self.has_segeq(stmt.a, stmt.b)
         if isinstance(stmt, RightAngle):
@@ -262,6 +268,10 @@ def _poly_payload(poly) -> list[list[str]]:
 
 
 def make_certificate(kind: str, payload: dict) -> dict:
+    # imported here: OpenSSL costs about 3.5 MB resident and 4 ms of import,
+    # and only a certificate digest needs it
+    import hashlib
+
     doc = {"kind": kind, **payload}
     doc["digest"] = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -337,13 +347,15 @@ def _match_claim(derived: Statement, claim: Statement):
 
 
 def _orientations(eqs):
-    """Every way to read each equality as (one side, the other side)."""
+    """Every way to read each equality as (one side, the other side): 2^n
+    readings of n equalities, so only CN1 and CN2 call it, on two."""
     return itertools.product(*[((e.lhs, e.rhs), (e.rhs, e.lhs)) for e in eqs])
 
 
 def _added_up(eqs, claim: Eq) -> list[T.Term] | None:
     """The terms of the chosen sides, when some orientation of the
-    equalities, added side by side, gives the claim's two sides."""
+    equalities, added side by side, gives the claim's two sides.  It tries
+    every orientation (`_orientations`), so it serves CN2's two premises."""
     want = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
     for chosen in _orientations(eqs):
         left = [t for s, _ in chosen for t in s.terms]
@@ -784,19 +796,26 @@ def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
 
 
 def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
-    """CN2's addition over any number of premises, plus the figure checks
-    Euclid leaves to the diagram: no left-hand figure is added twice, and
-    the left-hand figures do not overlap unless the script allows it."""
+    """Addition over any number of premises, plus the figure checks Euclid
+    leaves to the diagram: no left-hand figure of the claim is added twice,
+    and those figures do not overlap unless the script allows it.
+
+    The premises add up as written, left sides to one side and right sides
+    to the other, and the claim may read either way round: one pass, linear
+    in the terms.  Unlike CN2, MERGE tries no other orientation of its
+    premises, so its work never grows as 2^n in their number."""
     eqs = _lifted("MERGE", claim, premises)
     if not eqs:
         raise NoMatch("MERGE needs at least one premise")
     if len(eqs) == 1:
         _match_claim(eqs[0], claim)
         return StepOutcome(("aggregation",))
-    left = _added_up(eqs, claim)
-    if left is None:
-        raise NoMatch("no orientation of the premises aggregates to the claim")
-    figs = [t for t in left if isinstance(t, Fig)]
+    sums = (Counter(t for e in eqs for t in e.lhs.terms),
+            Counter(t for e in eqs for t in e.rhs.terms))
+    want = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
+    if sums != want and sums != want[::-1]:
+        raise NoMatch("the premises, added as written, do not give the claim")
+    figs = [t for t in claim.lhs.terms if isinstance(t, Fig)]
     for t, n in Counter(figs).items():
         if n > 1:
             raise OverlapWithoutFlag(f"figure {t.name.letters} aggregated twice")

@@ -116,20 +116,35 @@ def test_check_json_keeps_stdout_a_json_stream(tmp_path, capsys):
     assert code == 2 and f"{missing}: read error: cannot read" in out and err == ""
 
 
-def test_cli_import_loads_only_what_check_runs():
+def _modules_loaded_by(args=None) -> set[str]:
+    """The modules a fresh interpreter loads for `import euclid2.cli` and,
+    given args, for `euclid2.cli.main(args)`; compared with a snapshot taken
+    before the import, so whatever `site` loads first does not count."""
+    run = "" if args is None else f"euclid2.cli.main({args!r})\n"
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import euclid2.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        f"import euclid2.cli\n{run}"
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
     )
     path = [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=30, check=True)
-    loaded = set(proc.stdout.split())
+    return set(proc.stderr.split())
+
+
+def test_cli_import_loads_only_what_check_runs():
+    """Importing the CLI loads no OpenSSL, and neither does `oracle`: only a
+    certificate's digest needs hashlib, and the first one under `check`
+    loads it."""
+    loaded = _modules_loaded_by()
     assert "euclid2.rules" in loaded
-    assert not loaded & {"dataclasses", "inspect", "euclid2.oracle", "euclid2.svgout"}
+    assert not loaded & {"dataclasses", "inspect", "euclid2.oracle", "euclid2.svgout",
+                         "hashlib", "_hashlib"}
+    oracle = _modules_loaded_by(["oracle", str(CORPUS / "II_11.e2p"), "--samples", "3", "--json"])
+    assert "euclid2.oracle" in oracle and "_hashlib" not in oracle
+    assert "_hashlib" in _modules_loaded_by(["check", "--json", str(CORPUS / "II_1.e2p")])
 
 
 @pytest.mark.parametrize("command", ["annotate", "render", "oracle"])

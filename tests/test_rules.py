@@ -551,6 +551,39 @@ def test_merge_rejects_a_figure_aggregated_twice(ii4):
         )
 
 
+def test_merge_adds_its_premises_as_written(ii4):
+    """The claim may read either way round; a premise is never turned."""
+    premises = [ps("HF on AC"), ps("CK on CB")]
+    for claim in ("fig(HF) + fig(CK) = sq(AC) + sq(CB)", "sq(AC) + sq(CB) = fig(HF) + fig(CK)"):
+        assert rules.rule_MERGE(ii4, ps(claim), premises).flags == ("aggregation",)
+    with pytest.raises(NoMatch, match="added as written"):
+        rules.rule_MERGE(
+            ii4,
+            ps("fig(HF) + fig(CK) = sq(AC) + sq(CB)"),
+            [ps("HF on AC"), ps("sq(CB) = fig(CK)")],
+        )
+
+
+def test_merge_work_does_not_grow_with_its_premise_count(monkeypatch):
+    """II.11 plus a MERGE step citing s8 forty times: one pass rejects it,
+    and the orientation search never sees more than CN1's two equalities."""
+    seen = []
+    orientations = rules._orientations
+
+    def bounded(eqs):
+        # fails at once, where 2^40 orientations would run for hours
+        assert len(eqs) <= 2, f"{len(eqs)} equalities to orient"
+        seen.append(len(eqs))
+        return orientations(eqs)
+
+    monkeypatch.setattr(rules, "_orientations", bounded)
+    step = "  17. fig(FK) + fig(AD) = fig(AD) + fig(FK) ; MERGE " + " ".join(["s8"] * 40)
+    text = corpusdata.read_script_text("II_11.e2p").replace("\nqed", f"\n{step}\nqed", 1)
+    report = rules.check_proof(sc.parse_script(text))
+    assert (report.reject_step, report.reject_cause) == (17, "NoMatch")
+    assert max(seen) == 2
+
+
 # ---------------------------------------------------------------------------
 # checker-level invariants
 
