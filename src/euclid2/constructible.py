@@ -5,16 +5,16 @@ and `rational` is its one constructor: one `math.gcd`, none when den == 1,
 and no `Expr.__init__` frame, as it allocates the value and sets its slots.
 `add`, `sub`, `mul`, `div` and `neg` combine rationals as integer products
 and one `rational`, before any other path; `geometry` does the same for a
-whole primitive and `diagram` for a constructed point or length.  `const` is where an `int` or `Fraction` enters, and `Expr.rat`
-is a read-only `Fraction` view for readers outside the tower.  A single
-square root of a rational folds to an exact quadratic form
-(an + bn*sqrt(r))/d, four ints with d > 0, bn != 0, gcd(an, bn, d) = 1 and
-r >= 2 an integer that is not a perfect square; arithmetic stays exact
-inside that field as integer products and one three-way `math.gcd`.
-`Expr.quad` is the matching read-only `Fraction` view.  The radicand is not
-factored: trial division stops at `_TRIAL_BOUND` and the cofactor left gets
-one perfect-square test, so r may keep a square factor, and two radicands
-r1 != r2 name one field when r1*r2 is a perfect square.
+whole primitive and `diagram` for a constructed point or length.  `const`
+is where an `int` or a parsed literal enters, read through its `numerator`
+and `denominator`.  A single square root of a rational folds to an exact
+quadratic form (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0,
+gcd(an, bn, d) = 1 and r >= 2 an integer that is not a perfect square;
+arithmetic stays exact inside that field as integer products and one
+three-way `math.gcd`.  The radicand is not factored: trial division stops
+at `_TRIAL_BOUND` and the cofactor left gets one perfect-square test, so r
+may keep a square factor, and two radicands r1 != r2 name one field when
+r1*r2 is a perfect square.
 
 Every other value is a tower element a + b*sqrt(r) over a tower of real
 quadratic extensions, where every ruler-and-compass value lies (Wantzel,
@@ -23,18 +23,20 @@ quadratic extensions, where every ruler-and-compass value lies (Wantzel,
 radical; the quadratic form is the height-1 case.  Two operands combine
 over the greater of their top radicals, and a sign is decided exactly by
 recursion on a, b and a*a - b*b*r, so every comparison is exact (Yap,
-*Towards exact geometric computation*, 1997).  Intervals are for display
-only.  `exact_key` keys a value by its structure: equal keys mean equal
-values, and exact values (a + b*sqrt(r) keyed by a, the sign of b and b*b*r)
-get one key per value, but two routes to one tower value may get two keys.
-So keys order tower radicals and memoize SVG text, but decide no identity.
-`exact_text` spells every value exactly, a tower element by its parts.
+*Towards exact geometric computation*, 1997).  Only display approximates,
+from the integer bounds of `bounds`.  `Expr.rat`, `Expr.quad` and
+`Expr.interval` are read-only `Fraction` views for readers outside the
+package; no command reads them.  `exact_key` keys a value by its
+structure: equal keys mean equal values, and exact values (a + b*sqrt(r)
+keyed by a, the sign of b and b*b*r) get one key per value, but two routes
+to one tower value may get two keys.  So keys order tower radicals and
+memoize SVG text, but decide no identity.  `exact_text` spells every value
+exactly, a tower element by its parts.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 # `perfbench`'s probe prints this budget; no sign is decided by refining
 # intervals, so nothing reaches it.
@@ -88,18 +90,19 @@ def _square_free(n: int) -> tuple[int, int]:
 
 
 class Expr:
-    """One value: a rational, a quadratic form, or a tower element whose
-    `args` are (a, b, r) for a + b*sqrt(r)."""
+    """One value: a rational (`den` > 0), a quadratic form (`q`), or a
+    tower element whose `args` are (a, b, r) for a + b*sqrt(r)."""
 
-    __slots__ = ("kind", "args", "num", "den", "q")
+    __slots__ = ("args", "num", "den", "q")
 
     _table: dict = {}  # nothing fills it; `perfbench` reads its length
 
-    def __init__(self, kind, args, num, den, q):
-        self.kind = kind
+    def __init__(self, args, q):
+        """A quadratic form or a tower element; `rational` builds the rest."""
         self.args = args
-        self.num = num
-        self.den = den  # > 0 with gcd(num, den) == 1 for a rational, else 0
+        # num/den is the value of a rational, in lowest terms with den > 0;
+        # den is 0 for every other value
+        self.num = self.den = 0
         # (an, bn, d, r): value (an + bn*sqrt(r))/d, d > 0, bn != 0,
         # gcd(an, bn, d) == 1, r >= 2 not a perfect square; else None
         self.q = q
@@ -110,54 +113,53 @@ class Expr:
         if self.q is not None:
             an, bn, d, r = self.q
             return f"Expr(({an}+{bn}*sqrt({r}))/{d})"
-        return f"Expr<{self.kind}>"
+        return "Expr<tower>"
 
-    # -- exact views -------------------------------------------------------
+    # -- read-only `Fraction` views, for readers outside the package --------
 
     @property
     def rat(self) -> Fraction | None:
         """The rational value as a `Fraction`, or None."""
+        from fractions import Fraction
+
         return Fraction(self.num, self.den) if self.den else None
 
     @property
     def quad(self) -> tuple[Fraction, Fraction, int] | None:
         """(a, b, r) with the value a + b*sqrt(r) as `Fraction`s, or None."""
+        from fractions import Fraction
+
         if self.q is None:
             return None
         an, bn, d, r = self.q
         return Fraction(an, d), Fraction(bn, d), r
 
-    # -- intervals ---------------------------------------------------------
-
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """An enclosure of the value with dyadic endpoints at 2^-bits."""
-        scale = 1 << bits
-        if self.den:
-            n, d = self.num << bits, self.den
-            return Fraction(n // d, scale), Fraction(-(-n // d), scale)
-        if self.q is not None:
-            an, bn, d, r = self.q
-            # m < |bn|*sqrt(r)*scale < m + 1, as the root is irrational
-            m = math.isqrt(bn * bn * r << 2 * bits)
-            lo = (an << bits) + (m if bn > 0 else -m - 1)
-            return Fraction(lo // d, scale), Fraction(-(-(lo + 1) // d), scale)
-        (alo, ahi), (blo, bhi), (rlo, rhi) = (v.interval(bits + 8) for v in self.args)
-        slo, shi = _sqrt_interval(rlo, rhi, bits + 8)
-        prods = (blo * slo, blo * shi, bhi * slo, bhi * shi)
-        return (
-            Fraction(math.floor((alo + min(prods)) * scale), scale),
-            Fraction(math.ceil((ahi + max(prods)) * scale), scale),
-        )
+        """`bounds(self, bits)` as an enclosure with `Fraction` endpoints."""
+        from fractions import Fraction
+
+        lo, hi = bounds(self, bits)
+        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
-def _sqrt_interval(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(q) for every q >= 0 in [lo, hi], with dyadic
-    endpoints at 2^-bits."""
-    s2 = 1 << 2 * bits
-    lo = max(lo, Fraction(0))
-    lo_int = math.isqrt(lo.numerator * s2 // lo.denominator)
-    hi_int = math.isqrt(-(-hi.numerator * s2 // hi.denominator)) + 1
-    return Fraction(lo_int, 1 << bits), Fraction(hi_int, 1 << bits)
+def bounds(x: Expr, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= x*2^bits <= hi, for display."""
+    if x.den:
+        n, d = x.num << bits, x.den
+        return n // d, -(-n // d)
+    if x.q is not None:
+        an, bn, d, r = x.q
+        # m < |bn|*sqrt(r)*2^bits < m + 1, as the root is irrational
+        m = math.isqrt(bn * bn * r << 2 * bits)
+        lo = (an << bits) + (m if bn > 0 else -m - 1)
+        return lo // d, -(-(lo + 1) // d)
+    k = bits + 8
+    (alo, ahi), (blo, bhi), (rlo, rhi) = (bounds(v, k) for v in x.args)
+    # sqrt(r) lies in [slo, shi]/2^k, so b*sqrt(r) in [min, max] of prods/2^2k
+    slo, shi = math.isqrt(max(rlo, 0) << k), math.isqrt(rhi << k) + 1
+    prods = (blo * slo, blo * shi, bhi * slo, bhi * shi)
+    shift = 2 * k - bits
+    return ((alo << k) + min(prods)) >> shift, -(-((ahi << k) + max(prods)) >> shift)
 
 
 _new = object.__new__
@@ -165,13 +167,12 @@ _new = object.__new__
 
 def rational(n: int, d: int) -> Expr:
     """The rational n/d for ints n and d != 0, reduced by one gcd (none
-    when d == 1) with d > 0: every rational `Expr` is built here, its five
+    when d == 1) with d > 0: every rational `Expr` is built here, its four
     slots set without an `Expr.__init__` call."""
     if d != 1:
         g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
         n, d = n // g, d // g
     e = _new(Expr)
-    e.kind = "rat"
     e.args = ()
     e.num = n
     e.den = d
@@ -180,11 +181,8 @@ def rational(n: int, d: int) -> Expr:
 
 
 def const(q) -> Expr:
-    """The exact rational q: an `int`, or anything `Fraction` accepts."""
-    if type(q) is int:
-        return rational(q, 1)
-    if type(q) is not Fraction:
-        q = Fraction(q)
+    """The exact rational q: an `int`, or anything with `numerator` and
+    `denominator`, such as a `script.LenLit`."""
     return rational(q.numerator, q.denominator)
 
 
@@ -194,7 +192,7 @@ def _quad(an: int, bn: int, d: int, r: int) -> Expr:
     if bn == 0:
         return rational(an, d)
     g = math.gcd(an, bn, d)
-    return Expr("quad", (), 0, 0, (an // g, bn // g, d // g, r))
+    return Expr((), (an // g, bn // g, d // g, r))
 
 
 ZERO = const(0)
@@ -274,7 +272,7 @@ def _ext(a: Expr, b: Expr, r: Expr) -> Expr:
         return a
     if a.den and b.den and r.den:
         return add(a, mul(b, sqrt(r)))
-    return Expr("tower", (a, b, r), 0, 0, None)
+    return Expr((a, b, r), None)
 
 
 def _binop(kind, x: Expr, y: Expr) -> Expr:
@@ -354,7 +352,7 @@ def sqrt(x: Expr) -> Expr:
         rad = rn * rd
         if rad == 1:
             return rational(sn, sd)
-        return Expr("quad", (), 0, 0, (0, sn, sd * rd, rad))
+        return Expr((), (0, sn, sd * rd, rad))
     s = refine_sign(x)
     if s < 0:
         raise ValueError("sqrt of negative exact value")
@@ -394,20 +392,14 @@ def refine_sign(x: Expr) -> int:
     return sa * refine_sign(sub(mul(a, a), mul(mul(b, b), r)))
 
 
-def midpoint(x: Expr, bits: int = 80) -> Fraction:
-    if x.den:
-        return x.rat
-    lo, hi = x.interval(bits)
-    return (lo + hi) / 2
-
-
 def decimal_text(x: Expr, places: int = 4) -> str:
     """Deterministic fixed-point rendering, rounded half up (SVG, reports)."""
     if x.den:
         n, d = x.num, x.den
     else:
-        q = midpoint(x, bits=max(64, 4 * places))
-        n, d = q.numerator, q.denominator
+        bits = max(64, 4 * places)
+        lo, hi = bounds(x, bits)
+        n, d = lo + hi, 1 << (bits + 1)
     scale = 10**places
     n = (2 * n * scale + d) // (2 * d)
     sign = "-" if n < 0 else ""
@@ -425,7 +417,8 @@ def exact_text(x: Expr) -> str:
     if x.den:
         return str(x.num) if x.den == 1 else f"{x.num}/{x.den}"
     if x.q is not None:
-        return "{}+{}*sqrt({})".format(*x.quad)
+        an, bn, d, r = x.q
+        return f"{exact_text(rational(an, d))}+{exact_text(rational(bn, d))}*sqrt({r})"
     return "({})+({})*sqrt({})".format(*map(exact_text, x.args))
 
 

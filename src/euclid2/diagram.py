@@ -24,7 +24,6 @@ rectangles live in the left margin at deterministic spots.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from . import constructible as cr
 from . import geometry as geo
@@ -113,7 +112,6 @@ class DiagramInstance(Record):
     circles: dict[str, Circle] = {}
     facts: list[ConstructionFact] = []
     built_boxes: list[LabelledBox] = []  # by `square` and `torect`
-    params: dict[str, Fraction] = {}
     _drawn: geo.DrawnSegments | None = None
     # a name's region and its box (None when it is no axis-aligned box), or
     # why it binds none
@@ -192,20 +190,21 @@ class DiagramInstance(Record):
 
 
 class _Builder:
-    def __init__(self, script: sc.Script, params: dict[str, Fraction]):
+    def __init__(self, script: sc.Script, params: dict[str, Expr]):
         self.script = script
-        self.inst = DiagramInstance(params=dict(params))
+        self.params = params
+        self.inst = DiagramInstance()
         self.margin_slots = 0
 
     # -- small helpers -------------------------------------------------
 
     def length(self, expr: sc.LenExpr) -> Expr:
         if isinstance(expr, sc.LenLit):
-            v = cr.const(expr.value)
+            v = cr.const(expr)
         elif isinstance(expr, sc.LenParam):
-            if expr.name not in self.inst.params:
+            if expr.name not in self.params:
                 raise InvalidParam(f"parameter {expr.name!r} has no value")
-            v = cr.const(self.inst.params[expr.name])
+            v = self.params[expr.name]
         else:
             v = geo.length(*self.inst.endpoints(*_named(expr.seg)))
         if geo.sign(v) <= 0:
@@ -287,7 +286,7 @@ class _Builder:
 
     def _do_StandaloneSegmentCmd(self, cmd: sc.StandaloneSegmentCmd):
         L = self.length(cmd.length)
-        y = cr.const(Fraction(1, 2) + Fraction(self.margin_slots, 2))
+        y = cr.rational(1 + self.margin_slots, 2)
         self.margin_slots += 1
         a = (cr.sub(cr.const(-1), L), y)
         b = (cr.const(-1), y)
@@ -582,14 +581,14 @@ def _verify_base_lines(inst: DiagramInstance, script: sc.Script):
 
 
 def realize(
-    script: sc.Script, params: dict[str, Fraction] | None = None
+    script: sc.Script, params: dict[str, Expr] | None = None
 ) -> DiagramInstance:
     values = {}
     for name, default in script.params.items():
         if params and name in params:
             values[name] = params[name]
         elif default is not None:
-            values[name] = default
+            values[name] = cr.const(default)
         else:
             raise InvalidParam(f"parameter {name!r} has no value")
     if params:

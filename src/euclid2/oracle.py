@@ -14,7 +14,6 @@ The oracle validates statements, never proofs.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import constructible as cr
 from . import diagram as dg
@@ -28,20 +27,22 @@ from .errors import DiagramError, Euclid2Error, RealizeFailed
 _RETRIES = 50
 
 
-def _base_params(script: sc.Script) -> dict[str, Fraction]:
+def _base_params(script: sc.Script) -> dict[str, cr.Expr]:
     """Each parameter's default, or 1/2 when it has none: what a draw scales."""
-    return {n: d if d is not None else Fraction(1, 2) for n, d in script.params.items()}
+    return {
+        n: cr.const(d) if d is not None else cr.rational(1, 2) for n, d in script.params.items()
+    }
 
 
-def _draw_params(base: dict[str, Fraction], rng: random.Random) -> dict[str, Fraction]:
+def _draw_params(base: dict[str, cr.Expr], rng: random.Random) -> dict[str, cr.Expr]:
     """Each base value times a random k/2^20 in [1/2, 3/2)."""
     return {
-        name: Fraction(b.numerator * rng.randrange(1 << 19, 3 << 19), b.denominator << 20)
+        name: cr.mul(b, cr.rational(rng.randrange(1 << 19, 3 << 19), 1 << 20))
         for name, b in base.items()
     }
 
 
-def _realize_error(script: sc.Script, params: dict[str, Fraction]) -> str | None:
+def _realize_error(script: sc.Script, params: dict[str, cr.Expr]) -> str | None:
     try:
         dg.realize(script, params)
     except DiagramError as exc:
@@ -51,7 +52,7 @@ def _realize_error(script: sc.Script, params: dict[str, Fraction]) -> str | None
 
 def sample_instance(
     script: sc.Script, rng: random.Random
-) -> tuple[dg.DiagramInstance, dict[str, Fraction]]:
+) -> tuple[dg.DiagramInstance, dict[str, cr.Expr]]:
     """Realize the script at a random parameter draw, retrying failed draws.
     The first failure is final when the script fails the same way at the
     base values the draws scale (a script without parameters has only
@@ -63,13 +64,13 @@ def sample_instance(
         try:
             return dg.realize(script, params), params
         except DiagramError as exc:
-            if last is None and (params == base or _realize_error(script, base) == str(exc)):
+            if last is None and (not base or _realize_error(script, base) == str(exc)):
                 raise RealizeFailed(f"realize failed: {exc}") from exc
             last = exc
     raise RealizeFailed(f"no valid parameter draw after {_RETRIES} tries: {last}")
 
 
-Draw = tuple[dg.DiagramInstance, dict[str, Fraction]]  # as sample_instance returns
+Draw = tuple[dg.DiagramInstance, dict[str, cr.Expr]]  # as sample_instance returns
 
 
 def draw_samples(
@@ -95,12 +96,14 @@ def evaluate_draws(stmt: T.Eq, draws: list[Draw]) -> list[dict]:
     records = []
     for k, (inst, params) in enumerate(draws):
         lhs, rhs = dg.sum_value(inst, stmt.lhs), dg.sum_value(inst, stmt.rhs)
+        (llo, lhi), (rlo, rhi) = cr.bounds(lhs, 128), cr.bounds(rhs, 128)
         records.append(
             {
                 "sample": k,
-                "params": {n: T.rational_text(v) for n, v in params.items()},
-                "lhs": float(cr.midpoint(lhs, 128)),
-                "rhs": float(cr.midpoint(rhs, 128)),
+                "params": {n: cr.exact_text(v) for n, v in params.items()},
+                # int true division rounds each midpoint once, correctly
+                "lhs": (llo + lhi) / (1 << 129),
+                "rhs": (rlo + rhi) / (1 << 129),
                 "ok": geo.cmp(lhs, rhs) == 0,
             }
         )

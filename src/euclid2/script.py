@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import typing
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError, UndeclaredPoint, UnknownRule
 from .record import FrozenRecord, Record
-from .terms import Eq, Reader, Statement, Syntax, rational_text
+from .terms import Eq, Reader, Statement, Syntax
 
 
 class Rule(enum.Enum):
@@ -75,10 +75,16 @@ class Flag(enum.Enum):
 
 
 class LenLit(FrozenRecord):
-    value: Fraction
+    """A rational length n/d in lowest terms, with d > 0."""
+
+    numerator: int
+    denominator: int
 
     def text(self) -> str:
-        return rational_text(self.value)
+        """`n/d`, or `n` for an integer."""
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"
 
 
 class LenParam(FrozenRecord):
@@ -283,8 +289,6 @@ class ProofStep(Syntax):
     claim: Statement
     rule: str
     premises: tuple[PremiseRef, ...]
-    line: int = 0  # source line, for error reports
-    NOT_COMPARED = ("line",)
 
 
 class Hypothesis(Syntax):
@@ -292,15 +296,13 @@ class Hypothesis(Syntax):
     index: int
     stmt: Statement
     flag: str
-    line: int = 0  # source line, for error reports
-    NOT_COMPARED = ("line",)
 
 
 class Script(Record):
     prop_id: str
     points: tuple[str, ...]
     base_lines: tuple[tuple[str, ...], ...]
-    params: dict[str, Fraction | None]
+    params: dict[str, LenLit | None]
     flags: frozenset[str]
     construction: tuple[ConstructionCmd, ...]
     hypotheses: tuple[Hypothesis, ...]
@@ -321,7 +323,7 @@ class _Parser(Reader):
         self.prop_id: str | None = None
         self.points: list[str] = []
         self.base_lines: list[tuple[str, ...]] = []
-        self.params: dict[str, Fraction | None] = {}
+        self.params: dict[str, LenLit | None] = {}
         self.flags: set[str] = set()
         self.segments: set[str] = set()
         self.figures: set[str] = set()
@@ -370,11 +372,11 @@ class _Parser(Reader):
             elif section in ("construct", "hypotheses"):
                 if head != "hypothesis":
                     raise self.err("hypothesis or claim expected")
-                hypotheses.append(self.read(Hypothesis, index=len(hypotheses) + 1, line=self.line))
+                hypotheses.append(self.read(Hypothesis, index=len(hypotheses) + 1))
                 self.end()
                 section = "hypotheses"
             elif section == "proof":
-                step = self.read(ProofStep, line=self.line)
+                step = self.read(ProofStep)
                 if step.index != len(steps) + 1:
                     raise self.fail(f"step indices must be dense from 1, got {step.index}", 0)
                 steps.append(step)
@@ -478,14 +480,16 @@ class _Parser(Reader):
                 if p not in self.points:
                     raise UndeclaredPoint(self.line, self.col(at) + i, p)
 
-    def read_rational(self, want: str) -> Fraction:
+    def read_rational(self, want: str) -> LenLit:
         num, slash, den = self.toks[self.pos].partition("/")
         if not num.lstrip("-").isdecimal() or slash and not den.isdecimal():
             raise self.err(want)
-        if slash and int(den) == 0:
+        n, d = int(num), int(den or 1)
+        if d == 0:
             raise self.fail("zero denominator")
         self.pos += 1
-        return Fraction(int(num), int(den or 1))
+        g = math.gcd(n, d)
+        return LenLit(n // g, d // g)
 
     def read_len(self) -> LenExpr:
         text = self.toks[self.pos]
@@ -494,7 +498,7 @@ class _Parser(Reader):
             self.check_distinct(length.seg, self.pos - 2)
             return length
         if not "a" <= text[:1] <= "z":  # not a word, so not a parameter
-            return LenLit(self.read_rational("length expression"))
+            return self.read_rational("length expression")
         if text not in self.params:
             raise self.fail(f"parameter {text!r} not declared")
         self.pos += 1
@@ -545,7 +549,7 @@ def format_script(s: Script) -> str:
     for line in s.base_lines:
         out.append("line " + " ".join(line))
     for name, val in s.params.items():
-        out.append(f"param {name}" + (f" = {rational_text(val)}" if val is not None else ""))
+        out.append(f"param {name}" + (f" = {val.text()}" if val is not None else ""))
     if s.flags:
         out.append("flags " + " ".join(sorted(s.flags)))
     out.append("construct:")

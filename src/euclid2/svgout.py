@@ -9,8 +9,6 @@ formatted once per render and looked up after that.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import constructible as cr
 from . import diagram as dg
 from . import geometry as geo
@@ -19,7 +17,7 @@ from .errors import Euclid2Error
 from .terms import Eq, Fig, Multiple
 
 SCALE = 100
-PAD = Fraction(2, 5)  # diagram units of padding
+PAD = cr.rational(2, 5)  # diagram units of padding
 
 
 def _fmt(e: cr.Expr) -> str:
@@ -54,13 +52,12 @@ class _View:
         self.maxy = max(ys.values(), key=geo.by_value)
         self.maxx = max(xs.values(), key=geo.by_value)
         self.miny = min(ys.values(), key=geo.by_value)
-        self.pad = cr.const(PAD)
         self.scale = cr.const(SCALE)
         self.width = cr.mul(
-            cr.add(cr.sub(self.maxx, self.minx), cr.mul(cr.const(2), self.pad)), self.scale
+            cr.add(cr.sub(self.maxx, self.minx), cr.mul(cr.const(2), PAD)), self.scale
         )
         self.height = cr.mul(
-            cr.add(cr.sub(self.maxy, self.miny), cr.mul(cr.const(2), self.pad)), self.scale
+            cr.add(cr.sub(self.maxy, self.miny), cr.mul(cr.const(2), PAD)), self.scale
         )
         # exact_key -> text
         self._x_text: dict = {}
@@ -69,14 +66,14 @@ class _View:
     def x(self, v: cr.Expr) -> str:
         key = cr.exact_key(v)
         if key not in self._x_text:
-            shifted = cr.add(cr.sub(v, self.minx), self.pad)
+            shifted = cr.add(cr.sub(v, self.minx), PAD)
             self._x_text[key] = _fmt(cr.mul(shifted, self.scale))
         return self._x_text[key]
 
     def y(self, v: cr.Expr) -> str:
         key = cr.exact_key(v)
         if key not in self._y_text:
-            shifted = cr.add(cr.sub(self.maxy, v), self.pad)
+            shifted = cr.add(cr.sub(self.maxy, v), PAD)
             self._y_text[key] = _fmt(cr.mul(shifted, self.scale))
         return self._y_text[key]
 
@@ -111,14 +108,9 @@ def render_svg(
             circ = inst.circles[label]
             a, b = circ.endpoints
             pa, pb = inst.point(a), inst.point(b)
-            if circ.side == "above":
-                start, end = pa, pb
-                sweep = 0 if geo.cmp(pa[0], pb[0]) < 0 else 1
-            else:
-                start, end = pa, pb
-                sweep = 1 if geo.cmp(pa[0], pb[0]) < 0 else 0
-            sx, sy = view.xy(start)
-            ex, ey = view.xy(end)
+            sweep = int((geo.cmp(pa[0], pb[0]) < 0) != (circ.side == "above"))
+            sx, sy = view.xy(pa)
+            ex, ey = view.xy(pb)
             rr = _fmt(cr.mul(view.radius[label], view.scale))
             out.append(
                 f'    <path id="arc-{label}" d="M {sx} {sy} A {rr} {rr} 0 0 {sweep} {ex} {ey}" />'

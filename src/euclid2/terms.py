@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 import typing
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import DegenerateSegment, ParseError
@@ -558,8 +557,3 @@ def parse_statement(text: str, line: int = 0) -> Statement:
     stmt = reader.read_stmt()
     reader.end()
     return stmt
-
-
-def rational_text(q: Fraction) -> str:
-    """`n/d`, or `n` for an integer."""
-    return str(q)

@@ -2,12 +2,18 @@
 entries, a point from plain numbers, an interval of a chosen width, a
 coverage check of named figures, the sampled-arrangement coverage reference,
 equality of content, the facts of the labelled boxes, point and region
-keys with I.43's decision by them, exact identity checks on a grid, and
-the report document built as a dict for `json.dumps`."""
+keys with I.43's decision by them, exact identity checks on a grid, the
+report document built as a dict for `json.dumps`, and a run of code in an
+interpreter that cannot import `fractions`."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 from euclid2 import constructible as cr
 from euclid2 import corpusdata
@@ -35,6 +41,22 @@ def pt(x, y) -> geo.Pt:
     gx = x if isinstance(x, cr.Expr) else cr.const(x)
     gy = y if isinstance(y, cr.Expr) else cr.const(y)
     return (gx, gy)
+
+
+def run_without_fractions(code: str) -> None:
+    """Run `code` (indented as a block) in a fresh interpreter where any
+    import of `fractions` raises, with `cr` and `geo` imported."""
+    prelude = (
+        "import sys\n"
+        "sys.modules['fractions'] = None\n"
+        "from euclid2 import constructible as cr\n"
+        "from euclid2 import geometry as geo\n"
+    )
+    path = [str(Path(cr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 _MIN_BITS = 64
@@ -274,7 +296,7 @@ def diorismos_holds_on_grid(script, stmt=None) -> bool:
     names = list(script.params)
 
     def holds(*scales):
-        params = {n: script.params[n] * k for n, k in zip(names, scales)}
+        params = {n: cr.mul(cr.const(script.params[n]), cr.const(k)) for n, k in zip(names, scales)}
         return dg.statement_holds(dg.realize(script, params), stmt)
 
     return holds_on_grid(holds, len(names))

@@ -5,13 +5,13 @@ import shutil
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from euclid2 import cli, corpusdata
+from euclid2 import constructible as cr
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
 from euclid2 import oracle as orc
@@ -134,17 +134,26 @@ def _modules_loaded_by(args=None) -> set[str]:
     return set(proc.stderr.split())
 
 
+_NUMBER_MODULES = {"fractions", "decimal", "numbers"}
+
+
 def test_cli_import_loads_only_what_check_runs():
     """Importing the CLI loads no OpenSSL, and neither does `oracle`: only a
     certificate's digest needs hashlib, and the first one under `check`
-    loads it."""
+    loads it.  No command loads `fractions` or the modules it imports:
+    every number is an `Expr`, and display rounds integer bounds."""
     loaded = _modules_loaded_by()
     assert "euclid2.rules" in loaded
     assert not loaded & {"dataclasses", "inspect", "euclid2.oracle", "euclid2.svgout",
-                         "hashlib", "_hashlib"}
+                         "hashlib", "_hashlib", *_NUMBER_MODULES}
     oracle = _modules_loaded_by(["oracle", str(CORPUS / "II_11.e2p"), "--samples", "3", "--json"])
     assert "euclid2.oracle" in oracle and "_hashlib" not in oracle
-    assert "_hashlib" in _modules_loaded_by(["check", "--json", str(CORPUS / "II_1.e2p")])
+    assert not oracle & _NUMBER_MODULES
+    certs = _modules_loaded_by(["check", "--json", "--emit-certs", os.devnull,
+                                str(CORPUS / "II_1.e2p"), str(CORPUS / "II_11.e2p")])
+    assert "_hashlib" in certs and not certs & _NUMBER_MODULES
+    render = _modules_loaded_by(["render", str(DATA / "II_14_chained.e2p")])
+    assert "euclid2.svgout" in render and not render & _NUMBER_MODULES
 
 
 @pytest.mark.parametrize("command", ["annotate", "render", "oracle"])
@@ -567,15 +576,18 @@ def test_draw_dependent_failure_still_retries(monkeypatch):
     of the draws but not at the default, so a failed draw is retried."""
     text = corpusdata.read_script_text("II_5.e2p")
     script = sc.parse_script(text.replace("param d = 1/5", "param d = 2/5"))
+    half = cr.rational(1, 2)
     seed = next(
         s for s in range(200)
-        if orc._draw_params(orc._base_params(script), random.Random(s))["d"] >= Fraction(1, 2)
+        if geo.cmp(orc._draw_params(orc._base_params(script), random.Random(s))["d"], half) >= 0
     )
     calls = _counting_realize(monkeypatch)
     _inst, params = orc.sample_instance(script, random.Random(seed))
-    assert params["d"] < Fraction(1, 2)
+    assert geo.cmp(params["d"], half) < 0
     assert len(calls) >= 3  # the failed draw, the default, a later draw
-    assert calls[1] == (script, {"d": Fraction(2, 5)})
+    realized, default = calls[1]
+    assert realized == script and list(default) == ["d"]
+    assert geo.cmp(default["d"], cr.rational(2, 5)) == 0
 
 
 @pytest.mark.parametrize(

@@ -67,7 +67,7 @@ def test_realize_deterministic():
 
 
 def test_realize_ii5_cut_exact():
-    inst = realize("II_5.e2p", {"d": Fraction(1, 5)})
+    inst = realize("II_5.e2p", {"d": cr.rational(1, 5)})
     c = frac_pt(inst, "C")
     d = frac_pt(inst, "D")
     assert d[0] - c[0] == Fraction(1, 5)
@@ -88,7 +88,7 @@ def test_realize_ii11_golden_interval():
 
 def test_cut_outside_segment_rejected():
     with pytest.raises(InvalidParam):
-        realize("II_5.e2p", {"d": Fraction(3, 5)})  # beyond B
+        realize("II_5.e2p", {"d": cr.rational(3, 5)})  # beyond B
 
 
 def _hand_built(points, construction) -> sc.Script:
@@ -109,7 +109,7 @@ def test_realize_checks_a_script_built_by_hand():
     """The parser stops a construction letter outside the roster and an
     undeclared `torect` source; a `Script` built through the API reaches
     realize's own checks, which raise typed errors."""
-    place = sc.PlaceSegment("A", "B", sc.LenLit(Fraction(1)))
+    place = sc.PlaceSegment("A", "B", sc.LenLit(1, 1))
     stray = _hand_built(("A", "B"), (place, sc.CutHalf("Z", ("A", "B"))))
     with pytest.raises(InvalidParam, match="^point 'Z' missing from roster$"):
         dg.realize(stray)
@@ -267,7 +267,8 @@ CORPUS_FILES = sorted({e["file"] for e in all_entries() + negative_entries()})
 @given(st.sampled_from(CORPUS_FILES), st.sampled_from(GRID))
 def test_seeded_cells_match_reference_on_corpus(name, scale):
     script = load(name)
-    params = {n: v * scale for n, v in script.params.items() if v is not None}
+    params = {n: cr.mul(cr.const(v), cr.const(scale))
+              for n, v in script.params.items() if v is not None}
     try:
         inst = dg.realize(script, params)
     except Euclid2Error:

@@ -230,7 +230,7 @@ def test_a_mutated_claim_that_passes_its_step_holds(case, seed):
     profile, script, step, claim = case
     if claim is None:
         return
-    mutated_step = sc.ProofStep(step.index, claim, step.rule, step.premises, step.line)
+    mutated_step = sc.ProofStep(step.index, claim, step.rule, step.premises)
     fields = {name: getattr(script, name) for name in sc.Script._fields}
     fields["steps"] = tuple(mutated_step if s is step else s for s in script.steps)
     report = rules.check_proof(sc.Script(**fields), profile=profile)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from euclid2 import constructible as cr
 from euclid2 import geometry as geo
 from euclid2.errors import NoIntersection
-from helpers import pt
+from helpers import pt, run_without_fractions
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "euclid2"
 
@@ -215,51 +215,46 @@ def test_equal_length_builds_no_expr_on_rational_points(monkeypatch):
     assert made == []
 
 
-def test_kernels_build_no_fraction(monkeypatch):
-    made = []
-
-    class CountingFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
-
-    s2 = cr.sqrt(cr.const(2))
-    rat = [pt(Fraction(1, 3), Fraction(-5, 7)), pt(2, Fraction(9, 4)), pt(0, 0)]
-    quad = [(cr.add(cr.ONE, s2), cr.const(Fraction(1, 2))), (s2, cr.mul(s2, s2))]
-    monkeypatch.setattr(cr, "Fraction", CountingFraction)
-    for pts in (rat, quad + rat[:1]):
-        a, b, c = pts
-        for f in (geo.cross, geo.dot, geo.dist2):
-            cr.refine_sign(f(a, b))
-        geo.collinear(a, b, c)
-        geo.right_angle(a, b, c)
-        cr.refine_sign(geo.area(tuple(pts)))
-    for n, d in ((6, -4), (0, 5), (7, 1)):
-        cr.refine_sign(cr.rational(n, d))
-    assert made == []
+def test_kernels_build_no_fraction():
+    run_without_fractions("""
+        s2 = cr.sqrt(cr.const(2))
+        rat = [(cr.rational(1, 3), cr.rational(-5, 7)), (cr.const(2), cr.rational(9, 4)),
+               (cr.ZERO, cr.ZERO)]
+        quad = [(cr.add(cr.ONE, s2), cr.rational(1, 2)), (s2, cr.mul(s2, s2))]
+        for pts in (rat, quad + rat[:1]):
+            a, b, c = pts
+            for f in (geo.cross, geo.dot, geo.dist2):
+                cr.refine_sign(f(a, b))
+            geo.collinear(a, b, c)
+            geo.right_angle(a, b, c)
+            cr.refine_sign(geo.area(tuple(pts)))
+        for n, d in ((6, -4), (0, 5), (7, 1)):
+            cr.refine_sign(cr.rational(n, d))
+    """)
 
 
 def _rational_sites(tree: ast.AST) -> list[int]:
-    """Lines that could build a rational `Expr`: the kind "rat", a call
-    given the class `Expr` itself (as `object.__new__(Expr)` is), and an
-    `Expr(...)` call whose `den` (its fourth argument) is not the constant
-    0, which every quadratic and tower value has."""
+    """Lines that could build a rational `Expr`: a call given the class
+    `Expr` itself (as `object.__new__(Expr)` is), and a store to a `den`
+    of anything but the constant 0, which every quadratic and tower value
+    has."""
     def is_expr(node):  # `Expr` or `cr.Expr`
         return (isinstance(node, ast.Name) and node.id == "Expr") or (
             isinstance(node, ast.Attribute) and node.attr == "Expr"
         )
 
+    zero_stores = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
+                and node.value.value == 0:
+            zero_stores.update(map(id, node.targets))
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and node.value == "rat":
+        if isinstance(node, ast.Call) and any(is_expr(a) for a in node.args):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Call):
-            if any(is_expr(a) for a in node.args):
-                lines.append(node.lineno)
-            elif is_expr(node.func):
-                den = node.args[3] if len(node.args) > 3 else None
-                if not (isinstance(den, ast.Constant) and den.value == 0):
-                    lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "den" \
+                and isinstance(node.ctx, ast.Store) and id(node) not in zero_stores:
+            lines.append(node.lineno)
     return lines
 
 
@@ -280,10 +275,11 @@ def test_one_rational_constructor():
 
 
 def test_rational_sites_catch_a_rational_built_elsewhere():
-    for text in ('Expr("rat", (), n, d, None)', "e = object.__new__(Expr)",
-                 "e = _new(cr.Expr)", 'cr.Expr("quad", (), n, d, None)', 'e.kind = "rat"'):
+    for text in ("e = object.__new__(Expr)", "e = _new(cr.Expr)", "e.den = d",
+                 "self.num, self.den = n, d", "x.den = 1", "x.den += 1"):
         assert _rational_sites(ast.parse(text)), text
-    assert _rational_sites(ast.parse('Expr("tower", (a, b, r), 0, 0, None)')) == []
+    for text in ("Expr((a, b, r), None)", "self.num = self.den = 0", "d = x.den"):
+        assert _rational_sites(ast.parse(text)) == [], text
 
 
 def _named(tree: ast.AST) -> set[str]:

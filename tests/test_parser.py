@@ -243,7 +243,8 @@ def _gen_len(rng, points, segments):
     two of its points, or a standalone segment declared before."""
     k = rng.randrange(3)
     if k == 0:
-        return sc.LenLit(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        return sc.LenLit(q.numerator, q.denominator)
     if k == 1:
         return sc.LenParam(rng.choice(["a", "d", "e"]))
     return sc.LenSeg(rng.choice(["".join(rng.sample(points, 2)), *segments]))
@@ -348,7 +349,7 @@ def _gen_script(rng: random.Random) -> sc.Script:
         prop_id=f"gen.{rng.randint(1, 999)}",
         points=points,
         base_lines=(points[:3],),
-        params={"a": Fraction(1, 2), "d": Fraction(1, 5), "e": Fraction(2, 5)},
+        params={"a": sc.LenLit(1, 2), "d": sc.LenLit(1, 5), "e": sc.LenLit(2, 5)},
         flags=frozenset(["allow-overlap"] if rng.random() < 0.3 else []),
         construction=tuple(cmds + [sc.StandaloneSegmentCmd("A", length())]),
         hypotheses=(sc.Hypothesis(1, stmt(rng), "generated"),),
@@ -456,10 +457,13 @@ def test_every_statement_equals_a_fresh_parse_of_its_text(name):
     lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
     claim = next(line for line in lines if line.lstrip().startswith("claim"))
     pairs = [(script.diorismos, claim.split(":", 1)[1])]
-    for h in script.hypotheses:
-        pairs.append((h.stmt, _before_semicolon(lines[h.line - 1].split("hypothesis", 1)[1])))
-    for step in script.steps:
-        line = lines[step.line - 1]
+    hypothesis_lines = [line for line in lines if line.lstrip().startswith("hypothesis")]
+    step_lines = [line for line in lines if re.match(r"\s*\d+\.", line)]
+    assert len(hypothesis_lines) == len(script.hypotheses)
+    assert len(step_lines) == len(script.steps)
+    for h, line in zip(script.hypotheses, hypothesis_lines):
+        pairs.append((h.stmt, _before_semicolon(line.split("hypothesis", 1)[1])))
+    for step, line in zip(script.steps, step_lines):
         head = _before_semicolon(line)
         pairs.append((step.claim, head.split(".", 1)[1]))
         inline = re.findall(r"\[([^\]]*)\]", line[len(head):])

@@ -14,9 +14,13 @@ UNRUN = Path(__file__).resolve().parent / "unrun.py"
 _PARSE_ERROR = "user-reachable: malformed input; tests/test_cli.py::test_check_parse_error_exit_two"
 _ROUND_TRIP = "public API: format_script prints it; tests/test_parser.py::test_roundtrip_corpus"
 _BENCHMARK = "benchmark-read: perfbench/ imports or rebinds it"
+_VIEW = _BENCHMARK + "; a read-only Fraction view, deleted with ROADMAP item 6 stage B"
 
 ALLOWED = {
     "constructible.Expr.__repr__": "public API: repr of a value; tests/test_record.py",
+    "constructible.Expr.interval": _VIEW,
+    "constructible.Expr.quad": _VIEW,
+    "constructible.Expr.rat": _VIEW,
     "constructible.max_bits_budget": _BENCHMARK,
     "corpusdata.expected": _BENCHMARK,
     "corpusdata.read_script_text": _BENCHMARK,
