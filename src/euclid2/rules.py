@@ -12,8 +12,9 @@ statements resolved against the construction facts; naming-form inline
 premises fall back to a diagram check and are tagged as blue premises.
 
 CN1 and CN2 read their two premises through one orientation search
-(`_orientations`, `_added_up`), four readings at most.  MERGE adds any
-number of premises as written, in one pass, plus its figure checks.
+(`_orientations`), four readings at most.  CN2 and MERGE add up with one
+routine, `_adds_up`: MERGE adds any number of premises as written, in one
+pass, plus its figure checks, and CN2 adds its two in each orientation.
 Rules reach coordinates only through geometry's exact predicates, so every
 identity is decided by value: whether two names bind one figure
 (`same_region`) and which corner two figures share (`cmp`).
@@ -114,7 +115,7 @@ class FactBase:
         self.inst = inst
         self.flags = flags
         self._parent: dict = {}
-        self._stmts: dict = {}  # stmt_key -> provenance
+        self._stmts: dict = {}  # statement key (see `T.stmt_key`) -> provenance
         self._rangles: list[tuple[str, str, str]] = []  # (vertex, arm1, arm2)
         self._named: dict[RectBy | SquareOn, FigureName] = {}  # the first naming of a term wins
         self._eqs: list[Eq] = []
@@ -152,11 +153,11 @@ class FactBase:
 
     def _seed_segeq(self, s: str, t: str, provenance: str):
         """The equality of the sides with keys s and t (see `T.side_key`)."""
-        if self._put(T.segeq_key(s, t), provenance):
+        if self._put(frozenset((s, t)), provenance):
             self._union(s, t)
 
     def _seed_rangle(self, v: str, p: str, q: str, provenance: str):
-        if self._put(T.rangle_key(v, p, q), provenance):
+        if self._put((v, frozenset((p, q))), provenance):
             self._rangles.append((v, p, q))
 
     def _find(self, k):
@@ -173,7 +174,8 @@ class FactBase:
 
     def add(self, stmt: Statement, provenance: str):
         if isinstance(stmt, SegEq):
-            self._seed_segeq(T.seg_key(stmt.a), T.seg_key(stmt.b), provenance)
+            a, b = stmt.a, stmt.b
+            self._seed_segeq(T.side_key(a.a, a.b), T.side_key(b.a, b.b), provenance)
         elif isinstance(stmt, RightAngle):
             self._seed_rangle(stmt.vertex, stmt.arm1, stmt.arm2, provenance)
         elif self._put(stmt_key(stmt), provenance):
@@ -185,7 +187,7 @@ class FactBase:
                 self._eqs.append(stmt)
 
     def has_segeq(self, a: T.Segment, b: T.Segment) -> bool:
-        return self._find(T.seg_key(a)) == self._find(T.seg_key(b))
+        return self._find(T.side_key(a.a, a.b)) == self._find(T.side_key(b.a, b.b))
 
     def ray_match(self, v: str, arm_fact: str, arm_query: str) -> bool:
         """The ray from v through arm_query runs along the line v arm_fact."""
@@ -228,7 +230,7 @@ class FactBase:
         rest = list(t.terms)
         for a in s.terms:
             for i, b in enumerate(rest):
-                if T.term_key(a) == T.term_key(b) or (
+                if a == b or (
                     isinstance(a, Fig) and isinstance(b, Fig)
                     and self.inst.same_region(a.name.letters, b.name.letters)
                 ):
@@ -352,16 +354,14 @@ def _orientations(eqs):
     return itertools.product(*[((e.lhs, e.rhs), (e.rhs, e.lhs)) for e in eqs])
 
 
-def _added_up(eqs, claim: Eq) -> list[T.Term] | None:
-    """The terms of the chosen sides, when some orientation of the
-    equalities, added side by side, gives the claim's two sides.  It tries
-    every orientation (`_orientations`), so it serves CN2's two premises."""
+def _adds_up(pairs, claim: Eq) -> bool:
+    """Whether the (one side, other side) pairs, added side by side as
+    written, give the claim's two sides in either order: one pass, linear
+    in the terms."""
+    sums = (Counter(t for s, _ in pairs for t in s.terms),
+            Counter(t for _, o in pairs for t in o.terms))
     want = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
-    for chosen in _orientations(eqs):
-        left = [t for s, _ in chosen for t in s.terms]
-        if (Counter(left), Counter(t for _, o in chosen for t in o.terms)) == want:
-            return left
-    return None
+    return sums == want or sums == want[::-1]
 
 
 def _lifted(rule: str, claim, premises) -> list[Eq]:
@@ -511,7 +511,7 @@ def rule_CN1(fb: FactBase, claim, premises) -> StepOutcome:
 def rule_CN2(fb: FactBase, claim, premises) -> StepOutcome:
     eqs = _lifted("CN2", claim, premises)
     if len(eqs) == 2:
-        if _added_up(eqs, claim) is None:
+        if not any(_adds_up(chosen, claim) for chosen in _orientations(eqs)):
             raise NoMatch("no pairing of premise sides yields the claim")
         return StepOutcome()
     if len(eqs) == 1:
@@ -675,7 +675,6 @@ def rule_I47(fb: FactBase, claim, premises) -> StepOutcome:
     rangles = [p for p in premises if isinstance(p, RightAngle)]
     if not rangles:
         raise NoRightAngle("I47 needs a right-angle premise")
-    ra = rangles[0]
     for hyp_side, leg_side in ((claim.lhs, claim.rhs), (claim.rhs, claim.lhs)):
         if len(hyp_side.terms) == 1 and len(leg_side.terms) == 2:
             terms = list(hyp_side.terms) + list(leg_side.terms)
@@ -693,12 +692,15 @@ def rule_I47(fb: FactBase, claim, premises) -> StepOutcome:
             y = next(p for p in l2.points() if p != v)
             if set(hyp.points()) != {x, y}:
                 raise SidesNotATriangle("hypotenuse does not join the leg endpoints")
-            if ra.vertex != v:
-                raise NoRightAngle(f"right angle is at {ra.vertex}, legs meet at {v}")
-            arms_ok = (fb.ray_match(v, ra.arm1, x) and fb.ray_match(v, ra.arm2, y)) or (
-                fb.ray_match(v, ra.arm1, y) and fb.ray_match(v, ra.arm2, x)
-            )
-            if not arms_ok:
+            # the right-angle premises at the vertex where the legs meet
+            at_v = [ra for ra in rangles if ra.vertex == v]
+            if not at_v:
+                raise NoRightAngle(f"no right-angle premise is at {v}, where the legs meet")
+            if not any(
+                (fb.ray_match(v, ra.arm1, x) and fb.ray_match(v, ra.arm2, y))
+                or (fb.ray_match(v, ra.arm1, y) and fb.ray_match(v, ra.arm2, x))
+                for ra in at_v
+            ):
                 raise NoRightAngle("right-angle arms do not lie along the legs")
             pv, px, py = fb.inst.point(v), fb.inst.point(x), fb.inst.point(y)
             if not geo.right_angle(pv, px, py):
@@ -756,6 +758,13 @@ def rule_I43(fb: FactBase, claim, premises) -> StepOutcome:
 # the aggregation rules the paper flags as unexplained
 
 
+def _expanded(s: TermSum) -> Counter:
+    """The terms of s counted with each multiple n*t as n copies of t."""
+    return Counter(
+        u for t in s.terms for u in ([t.inner] * t.count if isinstance(t, Multiple) else [t])
+    )
+
+
 def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
     flags = ("unjustified-in-paper",)
     if not isinstance(claim, Eq):
@@ -788,8 +797,8 @@ def rule_DOUBLE(fb: FactBase, claim, premises) -> StepOutcome:
                     return StepOutcome(flags)
         # collapse/expand between duplicate terms and explicit multiples,
         # the premise's two sides against the claim's in either order
-        sides = [sorted(map(T.expand_multiples, (e.lhs, e.rhs))) for e in (p, claim)]
-        if sides[0] == sides[1]:
+        got, want = ((_expanded(e.lhs), _expanded(e.rhs)) for e in (p, claim))
+        if got == want or got == want[::-1]:
             return StepOutcome(flags)
         raise NoMatch("claim is not a doubling or regrouping of the premise")
     raise NoMatch("DOUBLE takes one or two premises")
@@ -810,10 +819,7 @@ def rule_MERGE(fb: FactBase, claim, premises) -> StepOutcome:
     if len(eqs) == 1:
         _match_claim(eqs[0], claim)
         return StepOutcome(("aggregation",))
-    sums = (Counter(t for e in eqs for t in e.lhs.terms),
-            Counter(t for e in eqs for t in e.rhs.terms))
-    want = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
-    if sums != want and sums != want[::-1]:
+    if not _adds_up([(e.lhs, e.rhs) for e in eqs], claim):
         raise NoMatch("the premises, added as written, do not give the claim")
     figs = [t for t in claim.lhs.terms if isinstance(t, Fig)]
     for t, n in Counter(figs).items():

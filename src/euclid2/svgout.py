@@ -48,6 +48,8 @@ class _View:
             r = self.radius[label] = cr.sqrt(circ.radius2)
             see((cr.add(circ.center[0], r), cr.add(circ.center[1], r)))
             see((cr.sub(circ.center[0], r), cr.sub(circ.center[1], r)))
+        if not xs:  # nothing is drawn: the picture is its padding
+            see((cr.const(0), cr.const(0)))
         self.minx = min(xs.values(), key=geo.by_value)
         self.maxy = max(ys.values(), key=geo.by_value)
         self.maxx = max(xs.values(), key=geo.by_value)

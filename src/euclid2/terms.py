@@ -1,7 +1,7 @@
 """Object language: segments, figure names, terms, sums, statements.
 
 Every value is immutable and carries a canonical form, so rule matching in
-the calculus is a purely syntactic comparison.  Rectangle operands stay in
+the calculus compares records by value.  Rectangle operands stay in
 the order they were written: `rect(X,Y)` and `rect(Y,X)` are distinct terms.
 Segment endpoints, by contrast, are unordered (`GB` names the same segment
 as `BG`).
@@ -210,7 +210,7 @@ _ATOMS = tuple(t for t in TERMS if t is not Multiple)  # what a multiple may hol
 
 
 def term_key(t: Term) -> str:
-    """Canonical sort key: the term's text with canonical segment spelling."""
+    """The order `TermSum` prints in: the text with canonical segments."""
     if isinstance(t, SquareOn):
         return f"sq({t.side.a}{t.side.b or ''})"
     if isinstance(t, RectBy):
@@ -239,21 +239,6 @@ class TermSum(FrozenRecord):
 
 def term_sum(terms) -> TermSum:
     return TermSum(tuple(terms))
-
-
-def sum_key(s: TermSum) -> tuple[str, ...]:
-    return tuple(term_key(t) for t in s.terms)
-
-
-def expand_multiples(s: TermSum) -> tuple[str, ...]:
-    """Multiset key with every Multiple(n, t) flattened to n copies of t."""
-    out: list[str] = []
-    for t in s.terms:
-        if isinstance(t, Multiple):
-            out.extend([term_key(t.inner)] * t.count)
-        else:
-            out.append(term_key(t))
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -305,40 +290,23 @@ Statement = Pi | IsSq | SegEq | RightAngle | Eq
 STATEMENTS: tuple[type[Syntax], ...] = typing.get_args(Statement)
 
 
-def seg_key(s: Segment) -> str:
-    """A segment's key: its two points in order, or a standalone name."""
-    return s.a + (s.b or "")
-
-
 def side_key(a: str, b: str | None) -> str:
-    """`seg_key` of the segment with endpoint labels a and b in either
-    order, or of the standalone segment a when b is None."""
+    """The key of the segment with endpoint labels a and b in either order,
+    or of the standalone segment a when b is None: its points in order."""
     return a if b is None else a + b if a < b else b + a
 
 
 def stmt_key(s: Statement):
-    """Canonical, orientation-insensitive key used by stmt_equal."""
+    """The statement as a value that forgets which side of `=` or `==` comes
+    first and the order of a right angle's arms; `pi` and `on`, whose
+    operand order counts, are their own key."""
     if isinstance(s, Eq):
-        sides = sorted([sum_key(s.lhs), sum_key(s.rhs)])
-        return ("eq", sides[0], sides[1])
-    if isinstance(s, Pi):
-        return ("pi", s.figure.letters, seg_key(s.first), seg_key(s.second))
-    if isinstance(s, IsSq):
-        return ("on", s.figure.letters, seg_key(s.side))
+        return frozenset((s.lhs, s.rhs))
     if isinstance(s, SegEq):
-        return segeq_key(seg_key(s.a), seg_key(s.b))
+        return frozenset((s.a, s.b))
     if isinstance(s, RightAngle):
-        return rangle_key(s.vertex, s.arm1, s.arm2)
-    raise TypeError(s)
-
-
-def segeq_key(a: str, b: str):
-    """`stmt_key` of a segment equality, from the keys of its sides."""
-    return ("segeq", a, b) if a <= b else ("segeq", b, a)
-
-
-def rangle_key(vertex: str, arm1: str, arm2: str):
-    return ("rangle", vertex, arm1, arm2) if arm1 <= arm2 else ("rangle", vertex, arm2, arm1)
+        return s.vertex, frozenset((s.arm1, s.arm2))
+    return s
 
 
 def lift_naming(p: Statement) -> Statement:
@@ -353,7 +321,7 @@ def lift_naming(p: Statement) -> Statement:
 
 
 def stmt_equal(a: Statement, b: Statement) -> bool:
-    """Syntactic identity modulo segment-endpoint order, term-multiset order,
+    """Value identity modulo segment-endpoint order, term-multiset order,
     symmetry of `=` and `==`, and arm order of right angles.  Rect operand
     order and pi operand order are significant."""
     return stmt_key(a) == stmt_key(b)

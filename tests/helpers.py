@@ -3,8 +3,9 @@ entries, a point from plain numbers, an interval of a chosen width, a
 coverage check of named figures, the sampled-arrangement coverage reference,
 equality of content, the facts of the labelled boxes, point and region
 keys with I.43's decision by them, exact identity checks on a grid, the
-report document built as a dict for `json.dumps`, and a run of code in an
-interpreter that cannot import `fractions`."""
+report document built as a dict for `json.dumps`, a run of code in an
+interpreter that cannot import `fractions`, and statement and sum keys
+built from strings, as the checker once compared them."""
 
 import itertools
 import json
@@ -21,6 +22,7 @@ from euclid2 import diagram as dg
 from euclid2 import geometry as geo
 from euclid2 import rules
 from euclid2 import script as sc
+from euclid2 import terms as T
 from euclid2.errors import NotComplements
 from euclid2.terms import RightAngle, SegEq, Segment
 
@@ -333,3 +335,35 @@ def reference_report_json(r: sc.CheckReport, timing: bool = False) -> str:
     if timing:
         doc["timing_ms"] = r.timing_ms
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _seg_text(s: Segment) -> str:
+    return s.a + (s.b or "")
+
+
+def reference_expand_multiples(s: T.TermSum) -> tuple[str, ...]:
+    """A sum's terms as sorted `term_key` strings, each multiple n*t
+    flattened to n copies of t."""
+    out: list[str] = []
+    for t in s.terms:
+        if isinstance(t, T.Multiple):
+            out.extend([T.term_key(t.inner)] * t.count)
+        else:
+            out.append(T.term_key(t))
+    return tuple(sorted(out))
+
+
+def reference_stmt_key(s) -> tuple:
+    """A statement's key as a tuple of strings: the sides of `=` and `==`
+    and the arms of a right angle sorted, a segment by its points in order,
+    and `pi` and `on` operands in the order written."""
+    if isinstance(s, T.Eq):
+        sides = sorted(tuple(T.term_key(t) for t in side.terms) for side in (s.lhs, s.rhs))
+        return ("eq", *sides)
+    if isinstance(s, T.Pi):
+        return ("pi", s.figure.letters, _seg_text(s.first), _seg_text(s.second))
+    if isinstance(s, T.IsSq):
+        return ("on", s.figure.letters, _seg_text(s.side))
+    if isinstance(s, T.SegEq):
+        return ("segeq", *sorted((_seg_text(s.a), _seg_text(s.b))))
+    return ("rangle", s.vertex, *sorted((s.arm1, s.arm2)))

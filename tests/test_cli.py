@@ -470,6 +470,33 @@ def test_malformed_gnomon_is_a_diagram_error(command, tmp_path, capsys):
         assert err == f"diorismos: oracle error: realize failed: {reason}\n"
 
 
+NOTHING_DRAWN = """prop X
+points A B
+construct:
+claim: sq(AB) = sq(AB)
+proof:
+  1. sq(AB) = sq(AB) ; VE
+qed
+"""
+
+
+@pytest.mark.parametrize(
+    "command, code", [("check", 1), ("annotate", 1), ("render", 0), ("oracle", 1)]
+)
+def test_a_script_that_draws_nothing(command, code, tmp_path, capsys):
+    """A script with no construction parses; `check` rejects it, `render`
+    draws the padding alone, and no command ends in a traceback."""
+    path = tmp_path / "empty.e2p"
+    path.write_text(NOTHING_DRAWN)
+    got, out, err = run_cli([command, str(path)], capsys)
+    assert got == code
+    assert "Traceback" not in out + err
+    if command == "check":
+        assert "Rejected at step 1: UnboundFigure" in out
+    elif command == "render":
+        assert 'width="80" height="80" viewBox="0 0 80 80"' in out
+
+
 ZERO_BASE = """prop zero-base
 points A B C D E F G H O
 construct:

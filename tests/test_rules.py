@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -24,7 +25,13 @@ from euclid2.errors import (
     VEFailed,
 )
 from euclid2.terms import parse_statement as ps
-from helpers import default_entries, reference_i43
+from helpers import (
+    all_entries,
+    default_entries,
+    negative_entries,
+    reference_expand_multiples,
+    reference_i43,
+)
 
 
 def load(name):
@@ -479,19 +486,68 @@ def additions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(additions())
-def test_added_up_is_the_first_orientation_that_adds_up(case):
-    """`_added_up` returns the left terms of the first orientation, each
-    equality's own first, whose sides add up to the claim's two sides."""
+def test_adds_up_over_the_orientations_is_whether_one_adds_up(case):
+    """CN2's reading: `_adds_up` over `_orientations` holds exactly when some
+    orientation of the equalities, added side by side, gives the claim's two
+    sides; MERGE's reading, `_adds_up` on the sides as written, holds when
+    they or all of them turned round add up."""
     eqs, claim = case
-    want = None
+    want = Counter(claim.lhs.terms), Counter(claim.rhs.terms)
+    found = []
     for mask in range(2 ** len(eqs)):
         flips = [mask >> (len(eqs) - 1 - i) & 1 for i in range(len(eqs))]
         left = [t for e, f in zip(eqs, flips) for t in (e.rhs if f else e.lhs).terms]
         right = [t for e, f in zip(eqs, flips) for t in (e.lhs if f else e.rhs).terms]
-        if (Counter(left), Counter(right)) == (Counter(claim.lhs.terms), Counter(claim.rhs.terms)):
-            want = left
-            break
-    assert rules._added_up(eqs, claim) == want
+        found.append((Counter(left), Counter(right)) == want)
+    assert any(rules._adds_up(chosen, claim) for chosen in rules._orientations(eqs)) == any(found)
+    as_written = [(e.lhs, e.rhs) for e in eqs]
+    assert rules._adds_up(as_written, claim) == (found[0] or found[-1])
+
+
+_ATOMS = [T.SquareOn(T.Segment("A", "B")), T.SquareOn(T.Segment("C", "D")),
+          T.RectBy(T.Segment("A", "B"), T.Segment("C", "D"))]
+
+
+@st.composite
+def regrouped(draw, atoms):
+    """A sum of `atoms` (each atom a count of copies), with each atom's
+    copies grouped into parts, a part of two or more written as a multiple."""
+    out = []
+    for atom, count in atoms.items():
+        while count:
+            part = draw(st.integers(1, count))
+            out.append(atom if part == 1 else T.Multiple(part, atom))
+            count -= part
+    return T.term_sum(out)
+
+
+@st.composite
+def regroupings(draw):
+    """An equality over three terms and a claim: its sides regrouped, in a
+    drawn order, or regroupings of any two sums."""
+    counts = st.dictionaries(st.sampled_from(_ATOMS), st.integers(1, 3), min_size=1)
+    left, right = draw(counts), draw(counts)
+    premise = T.Eq(draw(regrouped(left)), draw(regrouped(right)))
+    if draw(st.booleans()):
+        left, right = draw(counts), draw(counts)
+    sides = draw(regrouped(left)), draw(regrouped(right))
+    return premise, T.Eq(*(sides[::-1] if draw(st.booleans()) else sides))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regroupings())
+def test_double_regroups_as_the_expanded_keys_say(case):
+    """DOUBLE with one premise that equates no two figures accepts a claim
+    exactly when the string keys of the sides, multiples expanded, are the
+    premise's in either order."""
+    premise, claim = case
+    keys = [sorted(map(reference_expand_multiples, (e.lhs, e.rhs))) for e in (premise, claim)]
+    try:
+        rules.rule_DOUBLE(dummy_ctx(), claim, [premise])
+        accepted = True
+    except NoMatch:
+        accepted = False
+    assert accepted == (keys[0] == keys[1])
 
 
 def test_double_examples(ii4):
@@ -710,3 +766,42 @@ def test_no_implicit_commutativity_mutations(entry):
     if entry["prop"] in ("II.1", "II.2", "II.3", "II.4", "II.5", "II.6", "II.7",
                          "II.11", "II.12", "II.13", "II.14"):
         assert mutated_any
+
+
+# II.10 step 1 citing a second right angle, at F, before the one at C where
+# the legs meet: I47 takes the premise at the vertex of the legs
+_TWO_RANGLES = ("I47 [rangle(C;A,E)]", "I47 [rangle(F;E,G)] [rangle(C;A,E)]")
+_PERMUTED = [(e["file"], e["profile"], None) for e in all_entries() + negative_entries()]
+_PERMUTED.append(("II_10.e2p", "default", _TWO_RANGLES))
+
+
+@pytest.mark.parametrize(
+    "name, profile, edit", _PERMUTED,
+    ids=[f"{n}-{p}" + ("-two-rangles" if e else "") for n, p, e in _PERMUTED],
+)
+def test_premise_order_never_changes_a_verdict(name, profile, edit):
+    """Every reordering of the premises of any one step leaves the verdict,
+    the rejected step and the cause as they are."""
+    text = corpusdata.read_script_text(name)
+    if edit is not None:
+        assert text.count(edit[0]) == 1
+        text = text.replace(*edit)
+    script = sc.parse_script(text)
+    inst = dg.realize(script)
+    report = rules.check_proof(script, instance=inst, profile=profile)
+    want = (report.verdict, report.reject_step, report.reject_cause)
+    if edit is not None:
+        assert report.accepted, want
+    fields = {f: getattr(script, f) for f in script._fields}
+    for k, step in enumerate(script.steps):
+        for order in itertools.permutations(step.premises):
+            if order == step.premises:
+                continue
+            steps = list(script.steps)
+            steps[k] = sc.ProofStep(step.index, step.claim, step.rule, order)
+            report = rules.check_proof(
+                sc.Script(**{**fields, "steps": tuple(steps)}), instance=inst, profile=profile
+            )
+            assert (report.verdict, report.reject_step, report.reject_cause) == want, (
+                step.index, [p.text() for p in order]
+            )

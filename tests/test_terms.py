@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from euclid2 import terms as T
 from euclid2.errors import DegenerateSegment, ParseError
+from euclid2.record import Record
+from helpers import reference_stmt_key
 
 
 def seg(s):
@@ -272,3 +274,72 @@ def test_stmt_equal_on_shuffled_variants(data):
         assert T.stmt_equal(stmt, T.SegEq(stmt.b, stmt.a))
     if isinstance(stmt, T.RightAngle):
         assert T.stmt_equal(stmt, T.RightAngle(stmt.vertex, stmt.arm2, stmt.arm1))
+
+
+def _respelled(x):
+    """A value equal to x, spelled otherwise: every segment backwards and
+    every sum built from its terms in reverse order."""
+    if isinstance(x, T.Segment):
+        return x if x.b is None else T.Segment(x.b, x.a, display=x.b + x.a)
+    if isinstance(x, T.TermSum):
+        return T.term_sum(reversed([_respelled(t) for t in x.terms]))
+    if isinstance(x, Record):
+        return type(x)(*[_respelled(getattr(x, f)) for f in x._fields])
+    return x
+
+
+@st.composite
+def equal_pairs(draw):
+    """A statement and a variant built to equal it: respelled, with the
+    sides of `=` or `==` or the arms of a right angle swapped."""
+    a = draw(statements())
+    b = _respelled(a) if draw(st.booleans()) else a
+    if draw(st.booleans()):
+        if isinstance(b, T.Eq):
+            b = T.Eq(b.rhs, b.lhs)
+        elif isinstance(b, T.SegEq):
+            b = T.SegEq(b.b, b.a)
+        elif isinstance(b, T.RightAngle):
+            b = T.RightAngle(b.vertex, b.arm2, b.arm1)
+    return a, b, True
+
+
+def _swapped(t):
+    """t with the operands of its rectangle swapped, when they differ."""
+    inner = t.inner if isinstance(t, T.Multiple) else t
+    if not isinstance(inner, T.RectBy) or inner.first == inner.second:
+        return None
+    swapped = T.RectBy(inner.second, inner.first)
+    return T.Multiple(t.count, swapped) if isinstance(t, T.Multiple) else swapped
+
+
+@st.composite
+def differing_pairs(draw):
+    """A statement and a variant built to differ from it: the operands of
+    `pi` or of one rectangle swapped, or one term changed.  A form with no
+    term or operand order is paired with any statement, and no verdict is
+    expected of that pair."""
+    a = draw(statements())
+    if isinstance(a, T.Pi) and a.first != a.second:
+        return a, T.Pi(a.figure, a.second, a.first), False
+    if not isinstance(a, T.Eq):
+        return a, draw(statements()), None
+    side = draw(st.sampled_from(["lhs", "rhs"]))
+    items = list(getattr(a, side).terms)
+    i = draw(st.integers(0, len(items) - 1))
+    old = items[i]
+    new = _swapped(old) if draw(st.booleans()) else None
+    items[i] = new or draw(terms().filter(lambda t: t != old))
+    changed = T.term_sum(items)
+    return a, T.Eq(changed, a.rhs) if side == "lhs" else T.Eq(a.lhs, changed), False
+
+
+@given(st.one_of(equal_pairs(), differing_pairs(), st.tuples(statements(), statements(), st.none())))
+@settings(max_examples=500)
+def test_stmt_equal_is_equality_of_the_reference_keys(case):
+    """`stmt_equal` compares statements as values; string keys built from
+    each statement's canonical text decide the same."""
+    a, b, same = case
+    assert T.stmt_equal(a, b) == (reference_stmt_key(a) == reference_stmt_key(b))
+    if same is not None:
+        assert T.stmt_equal(a, b) == same
