@@ -52,7 +52,8 @@ def _cmd_check(args) -> int:
         sys.stdout.write(
             sc.emit_report(report, "json" if args.json else "text", timing=args.timing)
         )
-        certificates[path] = report.certificates
+        if args.emit_certs:  # kept to the end of the run only when written
+            certificates[path] = report.certificates
         if not report.accepted:
             code = max(code, EXIT_REJECTED)
     if args.emit_certs:

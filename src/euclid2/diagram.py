@@ -114,8 +114,9 @@ class DiagramInstance(Record):
     built_boxes: list[LabelledBox] = []  # by `square` and `torect`
     _drawn: geo.DrawnSegments | None = None
     # a name's region and its box (None when it is no axis-aligned box), or
-    # why it binds none
-    _regions: dict[str, tuple[Polygon, geo.Box | None] | Euclid2Error] = {}
+    # why it binds none, as the error's type and message: a kept exception's
+    # traceback holds this instance, a cycle reference counting never frees
+    _regions: dict[str, tuple[Polygon, geo.Box | None] | tuple[type, str]] = {}
     _boxes: list[LabelledBox] | None = None
 
     @property
@@ -154,10 +155,10 @@ class DiagramInstance(Record):
             try:
                 self._regions[letters] = _resolve_region(self, letters)
             except Euclid2Error as err:
-                self._regions[letters] = err
+                self._regions[letters] = (type(err), str(err))
         bound = self._regions[letters]
-        if isinstance(bound, Euclid2Error):
-            raise bound.with_traceback(None)
+        if isinstance(bound[0], type):
+            raise bound[0](bound[1])
         return bound
 
     def same_region(self, a: str, b: str) -> bool:

@@ -28,6 +28,14 @@ import json
 import time
 from collections import Counter
 
+try:  # CPython's own SHA-256, as `random` takes its sha512: hashlib loads OpenSSL
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from . import constructible as cr
 from . import diagram as dg
 from . import geometry as geo
@@ -270,14 +278,10 @@ def _poly_payload(poly) -> list[list[str]]:
 
 
 def make_certificate(kind: str, payload: dict) -> dict:
-    # imported here: OpenSSL costs about 3.5 MB resident and 4 ms of import,
-    # and only a certificate digest needs it
-    import hashlib
-
+    # the built-in SHA-256 gives hashlib's digest without OpenSSL, which
+    # costs about 3.7 MB resident and 5 ms of import
     doc = {"kind": kind, **payload}
-    doc["digest"] = hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
+    doc["digest"] = _sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:16]
     return doc
 
 
@@ -323,22 +327,26 @@ def _naming_pairs(premises) -> list[tuple[FigureName, T.Term]]:
 def _subst_eq(eq: Eq, f) -> tuple[Eq, int]:
     """`eq` with every term t (inside multiples too) replaced by f(t) where
     that is not None, and the number of terms replaced."""
-    replaced = 0
-
-    def walk(t):
-        nonlocal replaced
-        if isinstance(t, Multiple):
-            return Multiple(t.count, walk(t.inner))
-        r = f(t)
-        if r is None:
-            return t
-        replaced += 1
-        return r
+    replaced = []  # each term put in
 
     def side(s: TermSum) -> TermSum:
-        return term_sum(walk(t) for t in s.terms)
+        return term_sum(_subst_term(t, f, replaced) for t in s.terms)
 
-    return Eq(side(eq.lhs), side(eq.rhs)), replaced
+    return Eq(side(eq.lhs), side(eq.rhs)), len(replaced)
+
+
+def _subst_term(t, f, replaced: list):
+    """t, or inside its multiple, replaced by f(t) where that is not None,
+    noting each replacement in `replaced`.  A module function, not a closure
+    that calls itself: such a closure is a reference cycle, and it would
+    keep `f`, with the fact base and diagram it reads, until a collection."""
+    if isinstance(t, Multiple):
+        return Multiple(t.count, _subst_term(t.inner, f, replaced))
+    r = f(t)
+    if r is None:
+        return t
+    replaced.append(r)
+    return r
 
 
 def _match_claim(derived: Statement, claim: Statement):

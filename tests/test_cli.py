@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import os
 import random
@@ -15,10 +17,12 @@ from euclid2 import constructible as cr
 from euclid2 import diagram as dg
 from euclid2 import geometry as geo
 from euclid2 import oracle as orc
+from euclid2 import rules
 from euclid2 import script as sc
-from euclid2.errors import RealizeFailed
+from euclid2 import svgout
+from euclid2.errors import Euclid2Error, RealizeFailed, UnknownName
 from euclid2.terms import Eq
-from helpers import all_entries, arrangement_coverage
+from helpers import all_entries, arrangement_coverage, negative_entries
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "euclid2" / "corpus"
 DATA = Path(__file__).resolve().parent / "data"
@@ -127,33 +131,62 @@ def _modules_loaded_by(args=None) -> set[str]:
         f"import euclid2.cli\n{run}"
         "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
     )
+    return set(_python(code).stderr.split())
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports euclid2 from `src`."""
     path = [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=30, check=True)
-    return set(proc.stderr.split())
 
 
 _NUMBER_MODULES = {"fractions", "decimal", "numbers"}
+_OPENSSL_MODULES = {"hashlib", "_hashlib"}
 
 
 def test_cli_import_loads_only_what_check_runs():
-    """Importing the CLI loads no OpenSSL, and neither does `oracle`: only a
-    certificate's digest needs hashlib, and the first one under `check`
-    loads it.  No command loads `fractions` or the modules it imports:
-    every number is an `Expr`, and display rounds integer bounds."""
+    """No command loads OpenSSL: a certificate's digest comes from the
+    interpreter's built-in SHA-256, so `check --emit-certs`, `annotate` and
+    `render` load neither hashlib nor _hashlib, and neither does `oracle`.
+    No command loads `fractions` or the modules it imports: every number is
+    an `Expr`, and display rounds integer bounds."""
     loaded = _modules_loaded_by()
     assert "euclid2.rules" in loaded
     assert not loaded & {"dataclasses", "inspect", "euclid2.oracle", "euclid2.svgout",
-                         "hashlib", "_hashlib", *_NUMBER_MODULES}
+                         *_OPENSSL_MODULES, *_NUMBER_MODULES}
     oracle = _modules_loaded_by(["oracle", str(CORPUS / "II_11.e2p"), "--samples", "3", "--json"])
-    assert "euclid2.oracle" in oracle and "_hashlib" not in oracle
-    assert not oracle & _NUMBER_MODULES
+    assert "euclid2.oracle" in oracle
+    assert not oracle & {*_OPENSSL_MODULES, *_NUMBER_MODULES}
     certs = _modules_loaded_by(["check", "--json", "--emit-certs", os.devnull,
                                 str(CORPUS / "II_1.e2p"), str(CORPUS / "II_11.e2p")])
-    assert "_hashlib" in certs and not certs & _NUMBER_MODULES
+    assert not certs & {*_OPENSSL_MODULES, *_NUMBER_MODULES}
+    annotate = _modules_loaded_by(["annotate", str(CORPUS / "II_11.e2p")])
+    assert not annotate & {*_OPENSSL_MODULES, *_NUMBER_MODULES}
     render = _modules_loaded_by(["render", str(DATA / "II_14_chained.e2p")])
-    assert "euclid2.svgout" in render and not render & _NUMBER_MODULES
+    assert "euclid2.svgout" in render
+    assert not render & {*_OPENSSL_MODULES, *_NUMBER_MODULES}
+
+
+def test_certificate_digest_falls_back_to_hashlib():
+    """Where the interpreter has no built-in SHA-256 module, the digest
+    comes from hashlib, and it is the same."""
+    payload = {"lhs": ["ABCD"], "rhs": ["AB", "CD"], "n": 3}
+    proc = _python(
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from euclid2 import rules\n"
+        f"doc = rules.make_certificate('VE', {payload!r})\n"
+        "print(json.dumps([doc, 'hashlib' in sys.modules]))\n"
+    )
+    doc, hashlib_loaded = json.loads(proc.stdout)
+    assert hashlib_loaded
+    assert doc == rules.make_certificate("VE", payload)
+    del doc["digest"]
+    assert rules.make_certificate("VE", payload)["digest"] == hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()
+    ).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("command", ["annotate", "render", "oracle"])
@@ -495,6 +528,60 @@ def test_a_script_that_draws_nothing(command, code, tmp_path, capsys):
         assert "Rejected at step 1: UnboundFigure" in out
     elif command == "render":
         assert 'width="80" height="80" viewBox="0 0 80 80"' in out
+
+
+# the claim cites the side AD of square ABCD as a figure, so the name binds
+# no region and the diagram keeps why
+SIDE_AS_FIGURE = """prop X
+points A B C D
+construct:
+  place AB = 1
+  square ABCD on AB below
+claim: fig(AD) = fig(AD)
+proof:
+  1. fig(AD) = fig(AD) ; VE
+qed
+"""
+
+
+def _check_and_drop(text: str, profile: str, unbound: str | None = None):
+    """Parse, realize, check, report and render one script, and look the
+    unbound figure name up twice; everything made here is dropped on return."""
+    script = sc.parse_script(text)
+    try:
+        inst = dg.realize(script)
+    except Euclid2Error:
+        inst = None
+    report = rules.check_proof(script, instance=inst, profile=profile)
+    sc.emit_report(report, "json", timing=True)
+    sc.emit_report(report, "text", timing=True)
+    if inst is not None:
+        svgout.render_svg(script, inst, report)
+    if unbound is not None:
+        for _ in range(2):
+            with pytest.raises(UnknownName, match="does not span a rectangle"):
+                inst.region(unbound)
+
+
+def test_checking_leaves_no_cyclic_garbage():
+    """A check makes no reference cycle, so reference counting frees each
+    script's diagram and fact base as soon as its report is written, and
+    the collector finds nothing after any script, error paths included."""
+    files = sorted({CORPUS / e["file"] for e in all_entries() + negative_entries()})
+    cases = [(path.name, path.read_text(), None) for path in files]
+    cases += [(path.name, path.read_text(), None) for path in sorted(DATA.glob("*.e2p"))]
+    cases += [("nothing drawn", NOTHING_DRAWN, None), ("side as figure", SIDE_AS_FIGURE, "AD")]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, text, unbound in cases:
+            for profile in rules.PROFILES:
+                _check_and_drop(text, profile, unbound)
+                assert gc.collect() == 0, (name, profile)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 ZERO_BASE = """prop zero-base

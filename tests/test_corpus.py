@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -394,6 +395,29 @@ def test_data_check_json_and_render_match_golden_digests(tmp_path, monkeypatch, 
     for name, want in DATA_SVG_SHA256.items():
         code, out = _cli_stdout(["render", name], capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, name
+
+
+def test_certificate_digest_is_sha256_of_the_document(tmp_path, capsys):
+    """Every digest `check --emit-certs` writes, for the corpus and
+    tests/data under each profile, is hashlib's SHA-256 of the certificate
+    without its digest, as sorted-key JSON, cut to 16 hex digits."""
+    root = Path(str(corpusdata.corpus_root()))
+    files = sorted({str(root / e["file"]) for e in ENTRIES + NEGATIVES})
+    files += sorted(str(p) for p in DATA.glob("*.e2p"))
+    sidecar = tmp_path / "certs.json"
+    count = 0
+    for profile in rules.PROFILES:
+        _cli_stdout(["check", "--json", "--profile", profile, "--emit-certs", str(sidecar),
+                     *files], capsys)
+        certificates = json.loads(sidecar.read_text())
+        assert sorted(certificates) == sorted(files)
+        for path, certs in certificates.items():
+            for cert in certs:
+                doc = {k: v for k, v in cert.items() if k != "digest"}
+                want = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+                assert cert["digest"] == want[:16], (path, profile, cert["kind"])
+                count += 1
+    assert count == 56 + 59  # default, then bm-dissection
 
 
 def test_certificates_present_for_geometry_rules():
