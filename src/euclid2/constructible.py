@@ -5,14 +5,16 @@ and `rational` is its one constructor: one `math.gcd`, none when den == 1,
 and no `Expr.__init__` frame, as it allocates the value and sets its slots.
 `add`, `sub`, `mul`, `div` and `neg` combine rationals as integer products
 and one `rational`, before any other path; `geometry` does the same for a
-whole primitive and `diagram` for a constructed point or length.  `const`
+whole primitive or constructed point, on rationals and, through `_quad`
+and `qsign`, on the values of one quadratic field.  `const`
 is where an `int` or a parsed literal enters, read through its `numerator`
 and `denominator`.  A single square root of a rational folds to an exact
 quadratic form (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0,
 gcd(an, bn, d) = 1 and r >= 2 an integer that is not a perfect square;
 arithmetic stays exact inside that field as integer products and one
 three-way `math.gcd`.  The radicand is not factored: trial division stops
-at `_TRIAL_BOUND` and the cofactor left gets one perfect-square test, so r
+at `_TRIAL_BOUND`, trying the primes one gcd with their product finds, and
+the cofactor left gets one perfect-square test, so r
 may keep a square factor, and two radicands r1 != r2 name one field when
 r1*r2 is a perfect square.
 
@@ -62,6 +64,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 
 def _square_free(n: int) -> tuple[int, int]:
@@ -72,10 +75,12 @@ def _square_free(n: int) -> tuple[int, int]:
     cofactor is below `_TRIAL_BOUND`**3 (every corpus radicand), and a
     large prime costs no more than a small one."""
     s = r = 1
+    g = math.gcd(n, _PRIMORIAL)  # the primes below the bound that divide n
     for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break  # n is 1 or a prime
-        if n % p == 0:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
             e = 0
             while n % p == 0:
                 n //= p
@@ -365,6 +370,21 @@ def neg(x: Expr) -> Expr:
     return sub(ZERO, x)
 
 
+def qsign(a: int, b: int, r: int) -> int:
+    """The sign of a + b*sqrt(r) for ints a and b, r being 0 or a radicand
+    (>= 2, not a perfect square)."""
+    if not (b and r):
+        return (a > 0) - (a < 0)
+    if a >= 0 and b > 0:
+        return 1
+    if a <= 0 and b < 0:
+        return -1
+    # opposite signs: a*a never equals b*b*r, as sqrt(r) is irrational
+    if b > 0:  # a < 0
+        return 1 if b * b * r > a * a else -1
+    return 1 if a * a > b * b * r else -1
+
+
 def refine_sign(x: Expr) -> int:
     """-1, 0 or +1, decided exactly: from the ints of a rational or a
     quadratic form, and for a + b*sqrt(r) by recursion below sqrt(r)."""
@@ -372,16 +392,7 @@ def refine_sign(x: Expr) -> int:
         return (x.num > 0) - (x.num < 0)
     if x.q is not None:
         a, b, _, r = x.q
-        # (a + b*sqrt(r))/d with d > 0, b != 0 and r not a perfect square is
-        # never zero, and a*a never equals b*b*r below
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 * r
-        if b > 0:  # a < 0
-            return 1 if b * b * r > a * a else -1
-        return 1 if a * a > b * b * r else -1
+        return qsign(a, b, r)
     a, b, r = x.args
     sa, sb = refine_sign(a), refine_sign(b)
     if sa == sb or sb == 0:

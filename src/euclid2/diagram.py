@@ -12,8 +12,8 @@ sides and right angles, theorems of such a box, without deciding them.
 
 The builder deals only in points, lengths and boxes: each command measures
 and places the points it fetched with geometry's primitives (`geo.length`,
-`geo.along`, `geo.midpoint`, `geo.meet`); only `geometry` and
-`constructible` read how a number is stored.
+`geo.along`, `geo.midpoint`, `geo.meet`, `geo.line_circle`); only
+`geometry` and `constructible` read how a number is stored.
 
 Conventions: the first placed segment lies on the x axis starting at the
 origin; squares are erected on the side named by the command (below the base
@@ -33,7 +33,6 @@ from .errors import (
     Euclid2Error,
     FactVerificationFailed,
     InvalidParam,
-    NoIntersection,
     UnknownName,
 )
 from .geometry import Polygon, Pt
@@ -297,12 +296,12 @@ class _Builder:
     def _do_CutRandom(self, cmd: sc.CutRandom):
         p, q = self.base(cmd.on)
         t = self.length(cmd.at)
-        # t > 0 and p != q, so comparing squares decides |pq| <= t exactly
-        if geo.cmp(geo.dist2(p, q), cr.mul(t, t)) <= 0:
+        pq = geo.length(p, q)
+        if geo.cmp(pq, t) <= 0:
             raise InvalidParam(
                 f"cut {cmd.point} at {cmd.at.text()} falls outside {cmd.on[0]}{cmd.on[1]}"
             )
-        self.new_point(cmd.point, geo.along(p, p, q, t))
+        self.new_point(cmd.point, geo.along(p, p, q, t, pq))
 
     def _do_CutHalf(self, cmd: sc.CutHalf):
         p, q = self.base(cmd.on)
@@ -349,10 +348,10 @@ class _Builder:
             raise InvalidParam(f"base {P}{Q} not an edge of square name {letters}")
         p, q = self.base(cmd.on)
         v = _SQUARE_OFFSET[cmd.side](geo.length(p, q))
-        if geo.sign(geo.dot(v, geo.sub2(q, p))) != 0:
-            raise InvalidParam(f"square side {cmd.side!r} is not perpendicular to the base")
         c2 = (cr.add(q[0], v[0]), cr.add(q[1], v[1]))
         c3 = (cr.add(p[0], v[0]), cr.add(p[1], v[1]))
+        if not geo.right_angle(p, q, c3):
+            raise InvalidParam(f"square side {cmd.side!r} is not perpendicular to the base")
         self.new_point(cycle[2], c2)
         self.new_point(cycle[3], c3)
         self.outline(tuple(self.pt_of(x) for x in cycle))
@@ -430,10 +429,7 @@ class _Builder:
         for circ in self.inst.circles.values():
             for end, pointlab in ((cmd.p, cmd.q), (cmd.q, cmd.p)):
                 if end == circ.center_label:
-                    on = geo.sign(
-                        cr.sub(geo.dist2(self.pt_of(pointlab), circ.center), circ.radius2)
-                    )
-                    if on == 0:
+                    if geo.cmp(geo.dist2(self.pt_of(pointlab), circ.center), circ.radius2) == 0:
                         for e in circ.endpoints:
                             self.fact("segeq", (_side(end, pointlab), _side(end, e)), "Radius")
 
@@ -457,7 +453,9 @@ class _Builder:
         circ = self.inst.circles.get(cmd.center)
         if circ is None:
             raise UnknownName(f"no circle centered at {cmd.center}")
-        self.new_point(cmd.new, _line_circle(p, geo.sub2(q, p), circ, cmd.side))
+        self.new_point(
+            cmd.new, geo.line_circle(p, q, circ.center, circ.radius2, cmd.side == "above")
+        )
         for e in circ.endpoints:
             c = circ.center_label
             self.fact("segeq", (_side(c, cmd.new), _side(c, e)), "Radius")
@@ -474,33 +472,6 @@ _SQUARE_OFFSET = {
     "left": lambda L: (cr.neg(L), cr.ZERO),
     "right": lambda L: (L, cr.ZERO),
 }
-
-
-def _line_circle(p: Pt, d: Pt, circ: Circle, side: str) -> Pt:
-    pc = geo.sub2(p, circ.center)
-    a = geo.dot(d, d)
-    b = cr.mul(cr.const(2), geo.dot(d, pc))
-    c = cr.sub(geo.dot(pc, pc), circ.radius2)
-    disc = cr.sub(cr.mul(b, b), cr.mul(cr.const(4), cr.mul(a, c)))
-    sd = geo.sign(disc)
-    if sd < 0:
-        raise NoIntersection("line misses the circle")
-    roots = []
-    if sd == 0:
-        roots = [cr.div(cr.neg(b), cr.mul(cr.const(2), a))]
-    else:
-        rt = cr.sqrt(disc)
-        two_a = cr.mul(cr.const(2), a)
-        roots = [cr.div(cr.sub(rt, b), two_a), cr.div(cr.sub(cr.neg(rt), b), two_a)]
-    cands = [
-        (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1]))) for t in roots
-    ]
-    if len(cands) == 1:
-        return cands[0]
-    c0, c1 = cands
-    upper = c0 if geo.cmp(c0[1], c1[1]) > 0 else c1
-    lower = c1 if upper is c0 else c0
-    return upper if side == "above" else lower
 
 
 # ---------------------------------------------------------------------------

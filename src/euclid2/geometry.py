@@ -12,13 +12,19 @@ constant.  Every predicate is exact: on rationals by integer products,
 and with radicals by the exact sign of a constructible real.
 
 `dot`, `dist2`, `length`, `equal_length`, `collinear`, `right_angle`,
-`meet`, `signed_area2`, `area` and `box_area` have an integer kernel: on
-rational input they compute on the ints `num`, `den` and reduce once by
-`cr.rational` (a predicate just compares); other input takes the `Expr`
-composition through `cr.add/sub/mul`.  `midpoint` and `along` build the
-points a construction places on a line.  Identity is by value: `pts_equal`
-and `same_region`.  This module and `constructible` are the only ones that
-read how a number is stored.
+`meet`, `along`, `signed_area2`, `area` and `box_area` have an integer
+kernel: on rational input they compute on the ints `num`, `den` and reduce
+once by `cr.rational` (a predicate just compares).  `cmp`, `dot`, `dist2`,
+`length`, `equal_length`, `collinear`, `right_angle`, `box_area`, `meet`,
+`along` and `line_circle` have a second one, for input in one field
+Q(sqrt r) (II.11's and II.14's points past a circle): `_field` reads each
+value as ints (a, b, d) for (a + b*sqrt(r))/d, and the result is reduced
+once by `cr._quad`.  Input in two fields or with a tower value, and
+`signed_area2`, `area` and `cross` on anything but rationals, take the
+`Expr` composition through `cr.add/sub/mul`.  `midpoint`, `along` and
+`line_circle` build the points a construction places on a line.  Identity
+is by value: `pts_equal` and `same_region`.  This module and
+`constructible` are the only ones that read how a number is stored.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import functools
 import math
 
 from . import constructible as cr
-from .constructible import Expr
+from .constructible import Expr, _quad
 from .errors import InvalidParam, NoIntersection
 
 Pt = tuple[Expr, Expr]
@@ -39,10 +45,14 @@ def sign(x: Expr) -> int:
 
 
 def cmp(a: Expr, b: Expr) -> int:
-    """-1, 0 or +1 as a <, = or > b; two rationals by cross-multiplying."""
+    """-1, 0 or +1 as a <, = or > b; two rationals by cross-multiplying,
+    two values of one field Q(sqrt r) by the sign of the int difference."""
     if a.den and b.den:
         p, q = a.num * b.den, b.num * a.den
         return (p > q) - (p < q)
+    (a1, b1, d1, r1), (a2, b2, d2, r2) = a.q or (a.num, 0, a.den, 0), b.q or (b.num, 0, b.den, 0)
+    if d1 and d2 and (r1 == r2 or not (r1 and r2)):
+        return cr.qsign(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, r1 or r2)
     return sign(cr.sub(a, b))
 
 
@@ -52,6 +62,61 @@ by_value = functools.cmp_to_key(cmp)
 
 def sub2(p: Pt, q: Pt) -> Pt:
     return (cr.sub(p[0], q[0]), cr.sub(p[1], q[1]))
+
+
+# -- one quadratic field: each value (a + b*sqrt(r))/d as an int triple
+# (a, b, d), d > 0, over the one radicand r of a kernel's input (0 when all
+# of it is rational), combined unreduced by `_add` ... `_div`.
+
+Triple = tuple[int, int, int]
+
+
+def _field(*xs: Expr) -> tuple[int, list[Triple]] | None:
+    """(r, triples) for values of one field Q(sqrt r); else None."""
+    r, out = 0, []
+    for x in xs:
+        a, b, d, s = x.q or (x.num, 0, x.den, 0)  # d == 0: a tower value
+        if not d or (s and r and s != r):
+            return None
+        r = r or s
+        out.append((a, b, d))
+    return r, out
+
+
+def _diffs(*ends: Pt) -> tuple[int, list[Triple]] | None:
+    """(r, [x, y, ...]): the differences ends[1] - ends[0], ends[3] -
+    ends[2], ... as triples over one field; else None."""
+    f = _field(*[c for p in ends for c in p])
+    if f is None:
+        return None
+    r, t = f
+    return r, [_sub(t[i + 2], t[i]) for k in range(0, len(t), 4) for i in (k, k + 1)]
+
+
+def _add(x: Triple, y: Triple) -> Triple:
+    return x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2]
+
+
+def _sub(x: Triple, y: Triple) -> Triple:
+    return x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], x[2] * y[2]
+
+
+def _mul(x: Triple, y: Triple, r: int) -> Triple:
+    return x[0] * y[0] + x[1] * y[1] * r, x[0] * y[1] + x[1] * y[0], x[2] * y[2]
+
+
+def _div(x: Triple, y: Triple, r: int) -> Triple:
+    """x / y for y != 0: x times y's conjugate over its norm, which is
+    nonzero as sqrt(r) is irrational."""
+    a, b, d = y
+    n = (a * a - b * b * r) * x[2]
+    s = d if n > 0 else -d
+    return (x[0] * a - x[1] * b * r) * s, (x[1] * a - x[0] * b) * s, abs(n)
+
+
+def _norm2(x: Triple, y: Triple, r: int) -> Triple:
+    """x*x + y*y: the squared length of the vector (x, y)."""
+    return _add(_mul(x, x, r), _mul(y, y, r))
 
 
 def _rat_sub2(p: Pt, q: Pt) -> tuple[int, int, int, int] | None:
@@ -76,6 +141,10 @@ def dot(u: Pt, v: Pt) -> Expr:
     if a.den and b.den and c.den and d.den:
         n = a.num * c.num * b.den * d.den + b.num * d.num * a.den * c.den
         return cr.rational(n, a.den * b.den * c.den * d.den)
+    f = _field(a, b, c, d)
+    if f is not None:
+        r, (a, b, c, d) = f
+        return _quad(*_add(_mul(a, c, r), _mul(b, d, r)), r)
     return cr.add(cr.mul(a, c), cr.mul(b, d))
 
 
@@ -84,13 +153,18 @@ def dist2(p: Pt, q: Pt) -> Expr:
     if r is not None:
         nx, dx, ny, dy = r
         return cr.rational((nx * dy) ** 2 + (ny * dx) ** 2, (dx * dy) ** 2)
+    f = _diffs(p, q)
+    if f is not None:
+        r, (x, y) = f
+        return _quad(*_norm2(x, y, r), r)
     d = sub2(p, q)
     return dot(d, d)
 
 
 def length(p: Pt, q: Pt) -> Expr:
     """|pq|.  An axis-aligned segment with rational ends is |dx| or |dy|,
-    one integer difference reduced once."""
+    one integer difference reduced once, and with ends in one field the
+    same difference as a triple."""
     r = _rat_sub2(q, p)
     if r is not None:
         nx, dx, ny, dy = r
@@ -99,6 +173,14 @@ def length(p: Pt, q: Pt) -> Expr:
         if ny == 0:
             return cr.rational(abs(nx), dx)
         return cr.sqrt(dist2(p, q))
+    f = _diffs(p, q)
+    if f is not None:
+        r, (x, y) = f
+        for u, w in ((x, y), (y, x)):
+            if not (u[0] or u[1]):
+                s = cr.qsign(w[0], w[1], r)
+                return _quad(s * w[0], s * w[1], w[2], r)
+        return cr.sqrt(_quad(*_norm2(x, y, r), r))
     dx, dy = sub2(q, p)
     if sign(dx) == 0:
         return dy if sign(dy) >= 0 else cr.neg(dy)
@@ -114,9 +196,28 @@ def midpoint(p: Pt, q: Pt) -> Pt:
     return (cr.mul(cr.add(p[0], q[0]), _HALF), cr.mul(cr.add(p[1], q[1]), _HALF))
 
 
-def along(start: Pt, p: Pt, q: Pt, d: Expr) -> Pt:
-    """The point at distance d from start in the direction of pq."""
-    scale = cr.div(d, length(p, q))
+def along(start: Pt, p: Pt, q: Pt, d: Expr, pq: Expr | None = None) -> Pt:
+    """The point at distance d from start in the direction of pq, whose
+    length `pq` is measured here unless the caller has measured it."""
+    pq = length(p, q) if pq is None else pq
+    (sx, sy), u = start, _rat_sub2(q, p)
+    if u is not None and sx.den and sy.den and d.den and pq.den:
+        # start + (k/m)*(q - p), k/m = d/|pq| with m > 0
+        nx, dx, ny, dy = u
+        k, m = d.num * pq.den, d.den * pq.num
+        return (
+            cr.rational(sx.num * m * dx + k * nx * sx.den, sx.den * m * dx),
+            cr.rational(sy.num * m * dy + k * ny * sy.den, sy.den * m * dy),
+        )
+    f = _field(*start, *p, *q, d, pq)
+    if f is not None:
+        r, (sx, sy, px, py, qx, qy, d, pq) = f
+        k = _div(d, pq, r)
+        return (
+            _quad(*_add(sx, _mul(k, _sub(qx, px), r)), r),
+            _quad(*_add(sy, _mul(k, _sub(qy, py), r)), r),
+        )
+    scale = cr.div(d, pq)
     return (
         cr.add(start[0], cr.mul(scale, cr.sub(q[0], p[0]))),
         cr.add(start[1], cr.mul(scale, cr.sub(q[1], p[1]))),
@@ -126,8 +227,9 @@ def along(start: Pt, p: Pt, q: Pt, d: Expr) -> Pt:
 def meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
     """The point where the line through p parallel to xy meets the line uv.
     On rational input the ten coordinates are scaled to one denominator D
-    and the point is solved in ints, each coordinate reduced once; any
-    other input composes `Expr` arithmetic."""
+    and the point is solved in ints, each coordinate reduced once; in one
+    field it is solved in triples; any other input composes `Expr`
+    arithmetic."""
     cs = (*p, *x, *y, *u, *v)
     dens = [c.den for c in cs]
     if all(dens):
@@ -139,6 +241,15 @@ def meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
             raise NoIntersection("lines are parallel")
         t = (ux - px) * ey - (uy - py) * ex  # the meet is p + (t/den)*(y - x)
         return cr.rational(px * den + t * dx, den * D), cr.rational(py * den + t * dy, den * D)
+    f = _field(*cs)
+    if f is not None:
+        r, (px, py, xx, xy, yx, yy, ux, uy, vx, vy) = f
+        dx, dy, ex, ey = _sub(yx, xx), _sub(yy, xy), _sub(vx, ux), _sub(vy, uy)
+        den = _sub(_mul(dx, ey, r), _mul(dy, ex, r))
+        if not (den[0] or den[1]):
+            raise NoIntersection("lines are parallel")
+        t = _div(_sub(_mul(_sub(ux, px), ey, r), _mul(_sub(uy, py), ex, r)), den, r)
+        return _quad(*_add(px, _mul(t, dx, r)), r), _quad(*_add(py, _mul(t, dy, r)), r)
     d, du = sub2(y, x), sub2(v, u)
     den = cross(d, du)
     if sign(den) == 0:
@@ -147,9 +258,48 @@ def meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
     return (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1])))
 
 
+def line_circle(p: Pt, q: Pt, center: Pt, radius2: Expr, above: bool) -> Pt:
+    """A point where the line pq meets the circle about center with squared
+    radius radius2: the higher of two when `above`, else the lower; on a
+    horizontal line, the nearer p when `above`.  It is p + t*(q - p) for a
+    root t of a*t*t + b*t + c = 0, taken with +sqrt(b*b - 4*a*c) when that
+    point is the one asked for.  On rational input the roots lie in one
+    field Q(sqrt r), and the point is built in triples, each coordinate
+    reduced once; any other input composes `Expr` arithmetic."""
+    plus = (cmp(q[1], p[1]) > 0) == above
+    f = _field(*p, *q, *center, radius2)
+    if f is not None and f[0] == 0:
+        _, (px, py, qx, qy, cx, cy, r2) = f
+        dx, dy, wx, wy = _sub(qx, px), _sub(qy, py), _sub(px, cx), _sub(py, cy)
+        # a*t*t + 2*h*t + c = 0 has the roots (-h +- sqrt(h*h - a*c))/a
+        a, h = _norm2(dx, dy, 0), _add(_mul(dx, wx, 0), _mul(dy, wy, 0))
+        disc = _sub(_mul(h, h, 0), _mul(a, _sub(_norm2(wx, wy, 0), r2), 0))
+        if disc[0] < 0:
+            raise NoIntersection("line misses the circle")
+        rt = cr.sqrt(cr.rational(disc[0], disc[2]))
+        e, k, g, r = rt.q or (rt.num, 0, rt.den, 0)
+        t = _div(_sub((e, k, g) if plus else (-e, -k, g), h), a, r)
+        return _quad(*_add(px, _mul(t, dx, r)), r), _quad(*_add(py, _mul(t, dy, r)), r)
+    d, pc = sub2(q, p), sub2(p, center)
+    a = dot(d, d)
+    b = cr.mul(cr.const(2), dot(d, pc))
+    c = cr.sub(dot(pc, pc), radius2)
+    disc = cr.sub(cr.mul(b, b), cr.mul(cr.const(4), cr.mul(a, c)))
+    sd = sign(disc)
+    if sd < 0:
+        raise NoIntersection("line misses the circle")
+    if sd == 0:
+        t = cr.div(cr.neg(b), cr.mul(cr.const(2), a))
+    else:
+        rt = cr.sqrt(disc)
+        t = cr.div(cr.sub(rt if plus else cr.neg(rt), b), cr.mul(cr.const(2), a))
+    return (cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1])))
+
+
 def equal_length(p: Pt, q: Pt, r: Pt, s: Pt) -> bool:
     """|pq| == |rs|.  On rational points: the integer squared lengths over
-    their denominators, cross-multiplied."""
+    their denominators, cross-multiplied; in one field, both parts of the
+    squared lengths' triples."""
     u, v = _rat_sub2(q, p), _rat_sub2(s, r)
     if u is not None and v is not None:
         nx, dx, ny, dy = u
@@ -157,6 +307,11 @@ def equal_length(p: Pt, q: Pt, r: Pt, s: Pt) -> bool:
         return ((nx * dy) ** 2 + (ny * dx) ** 2) * (ex * ey) ** 2 == (
             (mx * ey) ** 2 + (my * ex) ** 2
         ) * (dx * dy) ** 2
+    f = _diffs(p, q, r, s)
+    if f is not None:
+        rad, (ux, uy, vx, vy) = f
+        (a1, b1, d1), (a2, b2, d2) = _norm2(ux, uy, rad), _norm2(vx, vy, rad)
+        return a1 * d2 == a2 * d1 and b1 * d2 == b2 * d1
     return cmp(dist2(p, q), dist2(r, s)) == 0
 
 
@@ -169,6 +324,10 @@ def collinear(a: Pt, b: Pt, c: Pt) -> bool:
     if u is not None and v is not None:
         # cross(u, v) == 0 over the positive denominators
         return u[0] * v[2] * u[3] * v[1] == u[2] * v[0] * u[1] * v[3]
+    f = _diffs(a, b, a, c)
+    if f is not None:
+        r, (ux, uy, vx, vy) = f
+        return not any(_sub(_mul(ux, vy, r), _mul(uy, vx, r))[:2])
     return sign(cross(sub2(b, a), sub2(c, a))) == 0
 
 
@@ -178,6 +337,10 @@ def right_angle(v: Pt, a: Pt, b: Pt) -> bool:
     if u is not None and w is not None:
         # dot(u, w) == 0 over the positive denominators
         return u[0] * w[0] * u[3] * w[3] + u[2] * w[2] * u[1] * w[1] == 0
+    f = _diffs(v, a, v, b)
+    if f is not None:
+        r, (ux, uy, wx, wy) = f
+        return not any(_add(_mul(ux, wx, r), _mul(uy, wy, r))[:2])
     return sign(dot(sub2(a, v), sub2(b, v))) == 0
 
 
@@ -547,6 +710,10 @@ def box_area(box: Box) -> Expr:
         w = x2.num * x1.den - x1.num * x2.den
         h = y2.num * y1.den - y1.num * y2.den
         return cr.rational(w * h, x1.den * x2.den * y1.den * y2.den)
+    f = _field(x1, y1, x2, y2)
+    if f is not None:
+        r, (x1, y1, x2, y2) = f
+        return _quad(*_mul(_sub(x2, x1), _sub(y2, y1), r), r)
     return cr.mul(cr.sub(x2, x1), cr.sub(y2, y1))
 
 

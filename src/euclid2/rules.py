@@ -606,37 +606,38 @@ def rule_VE(fb: FactBase, claim, premises) -> StepOutcome:
     return StepOutcome(tuple(flags), cert)
 
 
-def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
-    inst = fb.inst
+def _decide_NAME(inst, claim):
+    """Decide a NAME claim in the diagram, raising NameMismatch unless it
+    holds; returns its flags and a function that makes its certificate's
+    payload, which only a NAME step calls."""
     if isinstance(claim, IsSq):
         poly = inst.region(claim.figure.letters)
         _require_square(poly, claim.figure.letters)
         _require_side(inst, poly, claim.side)
-        cert = make_certificate(
-            "NAME", {"figure": claim.figure.letters, "side": claim.side.text(),
-                     "polygon": _poly_payload(poly)}
-        )
-        return StepOutcome(certificate=cert)
+        return (), lambda: {"figure": claim.figure.letters, "side": claim.side.text(),
+                            "polygon": _poly_payload(poly)}
     if isinstance(claim, Pi):
         poly = inst.region(claim.figure.letters)
         if len(poly) != 4:
             raise NameMismatch(f"{claim.figure.letters} is not a quadrilateral")
         corner = _shared_corner(inst, poly, claim.first, claim.second)
-        cert = make_certificate(
-            "NAME",
-            {"figure": claim.figure.letters, "sides": [claim.first.text(), claim.second.text()],
-             "corner": [cr.exact_text(corner[0]), cr.exact_text(corner[1])],
-             "polygon": _poly_payload(poly)},
-        )
-        return StepOutcome(certificate=cert)
+        return (), lambda: {
+            "figure": claim.figure.letters, "sides": [claim.first.text(), claim.second.text()],
+            "corner": [cr.exact_text(corner[0]), cr.exact_text(corner[1])],
+            "polygon": _poly_payload(poly),
+        }
     pair = _fig_pair(claim)
     if pair is not None:
         n1, n2 = (t.name.letters for t in pair)
         if not geo.same_region(inst.region(n1), inst.region(n2)):
             raise NameMismatch(f"{n1} and {n2} bind different regions")
-        cert = make_certificate("NAME", {"alias": [n1, n2]})
-        return StepOutcome(("alias",), cert)
+        return ("alias",), lambda: {"alias": [n1, n2]}
     raise NameMismatch("NAME accepts square-on, contained-by, or alias claims")
+
+
+def rule_NAME(fb: FactBase, claim, premises=()) -> StepOutcome:
+    flags, payload = _decide_NAME(fb.inst, claim)
+    return StepOutcome(flags, make_certificate("NAME", payload()))
 
 
 def _require_square(poly, letters):
@@ -917,7 +918,7 @@ def _resolve_premises(fb: FactBase, hyps: dict, step, prior: dict):
                 continue
             if isinstance(stmt, (Pi, IsSq)) or _single_terms(stmt) is not None:
                 try:
-                    rule_NAME(fb, stmt)
+                    _decide_NAME(fb.inst, stmt)
                     resolved.append((stmt, True))
                     continue
                 except RuleError:

@@ -447,7 +447,10 @@ class Reader:
                 if exc.col > best.col:
                     best = exc
             self.pos = start
-        raise best
+        try:
+            raise best
+        finally:
+            best = None  # the traceback holds this frame: no cycle through it
 
     def check_label(self, kind: str, text: str, at: int) -> None:
         """Raise unless the name `text`, token `at`, is declared as a `kind`:

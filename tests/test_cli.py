@@ -20,7 +20,7 @@ from euclid2 import oracle as orc
 from euclid2 import rules
 from euclid2 import script as sc
 from euclid2 import svgout
-from euclid2.errors import Euclid2Error, RealizeFailed, UnknownName
+from euclid2.errors import Euclid2Error, ParseError, RealizeFailed, UnknownName
 from euclid2.terms import Eq
 from helpers import all_entries, arrangement_coverage, negative_entries
 
@@ -579,6 +579,28 @@ def test_checking_leaves_no_cyclic_garbage():
             for profile in rules.PROFILES:
                 _check_and_drop(text, profile, unbound)
                 assert gc.collect() == 0, (name, profile)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("claim: rect(A,BC)", "claim: rect(A,BB)"),  # a degenerate segment, read under `choose`
+    ("below len |A|", "below len |Z|"),  # an undeclared standalone segment
+], ids=["degenerate segment", "undeclared segment"])
+def test_parse_errors_leave_no_cyclic_garbage(old, new):
+    """The furthest error `terms.Reader.choose` raises is not kept in its
+    frame, which the error's traceback holds, so a failed parse frees the
+    parser and the commands read so far by reference counting."""
+    text = (CORPUS / "II_1.e2p").read_text()
+    assert old in text
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ParseError):
+            sc.parse_script(text.replace(old, new, 1))
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

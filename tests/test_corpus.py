@@ -420,6 +420,23 @@ def test_certificate_digest_is_sha256_of_the_document(tmp_path, capsys):
     assert count == 56 + 59  # default, then bm-dissection
 
 
+def test_a_check_builds_only_the_certificates_its_reports_carry(monkeypatch):
+    """An inline naming premise is decided without a certificate, so a
+    check of every corpus case builds as many certificates as its reports
+    carry, and some of those premises are blue."""
+    built = []
+    make = rules.make_certificate
+    monkeypatch.setattr(rules, "make_certificate",
+                        lambda kind, payload: built.append(kind) or make(kind, payload))
+    carried = blue = 0
+    for entry in ENTRIES + NEGATIVES:
+        report = rules.check_proof(load(entry["file"]), profile=entry["profile"])
+        carried += len(report.certificates)
+        blue += sum(len(step.blue_premises) for step in report.steps)
+    assert len(built) == carried > 0
+    assert blue > 0
+
+
 def test_certificates_present_for_geometry_rules():
     report = rules.check_proof(load("II_4.e2p"))
     by_rule = {}

@@ -91,6 +91,43 @@ def test_cut_outside_segment_rejected():
         realize("II_5.e2p", {"d": cr.rational(3, 5)})  # beyond B
 
 
+def _measured_cuts(monkeypatch, at: sc.LenExpr) -> list[str]:
+    """The geometry measurements two cuts take, one on the axis segment AB
+    and one on the slanted diagonal AD of the square ABDC below it."""
+    script = _hand_built(tuple("ABCDEF"), (
+        sc.PlaceSegment("A", "B", sc.LenLit(1, 1)),
+        sc.SquareOnCmd("ABDC", ("A", "B"), "below"),
+        sc.CutRandom("E", ("A", "B"), at),
+        sc.CutRandom("F", ("A", "D"), at),
+    ))
+    builder = dg._Builder(script, {})
+    for cmd in script.construction[:2]:
+        builder.dispatch(cmd)
+    calls = []
+    for name in ("length", "dist2"):
+        kernel = getattr(geo, name)
+        monkeypatch.setattr(geo, name, lambda p, q, n=name, k=kernel: calls.append(n) or k(p, q))
+    try:
+        for cmd in script.construction[2:]:
+            builder.dispatch(cmd)
+    finally:
+        monkeypatch.undo()
+    a, d, e, f = (builder.inst.point(x) for x in "ADEF")
+    assert geo.pts_equal(e, (cr.rational(1, 3), cr.ZERO))
+    assert geo.equal_length(a, f, a, e) and geo.collinear(a, d, f)
+    return calls
+
+
+def test_a_cut_measures_its_segment_once(monkeypatch):
+    """`cut` compares the cut length with |pq| and places its point from
+    that one measurement: one `geo.length` a cut, on an axis segment and on
+    a slanted one, whose length is the root of its one `geo.dist2`; a cut
+    at |pq| is still refused."""
+    assert _measured_cuts(monkeypatch, sc.LenLit(1, 3)) == ["length", "length", "dist2"]
+    with pytest.raises(InvalidParam, match="^cut E at 1 falls outside AB$"):
+        _measured_cuts(monkeypatch, sc.LenLit(1, 1))
+
+
 def _hand_built(points, construction) -> sc.Script:
     return sc.Script(
         prop_id="T",

@@ -444,3 +444,187 @@ def test_area_and_neg_equal_the_composition(rat_poly, poly):
             assert _same_value(cr.neg(x), cr.sub(cr.ZERO, x))
             if x.den:
                 assert _canonical(cr.neg(x), -Fraction(x.num, x.den))
+
+
+# -- one quadratic field: the triple paths of `geo._field` ----------------
+#
+# Points mix rationals and values of Q(sqrt 5), one radicand, so every
+# kernel takes its triple path; each must equal the `Expr` composition.
+
+_Q5 = _points([0, 0, 5, 5])
+
+
+def _old_along(start, p, q, d):
+    scale = cr.div(d, _old_length(p, q))
+    return tuple(cr.add(start[i], cr.mul(scale, cr.sub(q[i], p[i]))) for i in (0, 1))
+
+
+def _old_line_circle(p, q, center, radius2, above):
+    # the composition `diagram` ran before the kernel moved into geometry
+    d, pc = geo.sub2(q, p), geo.sub2(p, center)
+    a = _old_dot(d, d)
+    b = cr.mul(cr.const(2), _old_dot(d, pc))
+    c = cr.sub(_old_dot(pc, pc), radius2)
+    disc = cr.sub(cr.mul(b, b), cr.mul(cr.const(4), cr.mul(a, c)))
+    sd = geo.sign(disc)
+    if sd < 0:
+        raise NoIntersection("line misses the circle")
+    if sd == 0:
+        roots = [cr.div(cr.neg(b), cr.mul(cr.const(2), a))]
+    else:
+        rt, two_a = cr.sqrt(disc), cr.mul(cr.const(2), a)
+        roots = [cr.div(cr.sub(rt, b), two_a), cr.div(cr.sub(cr.neg(rt), b), two_a)]
+    cands = [(cr.add(p[0], cr.mul(t, d[0])), cr.add(p[1], cr.mul(t, d[1]))) for t in roots]
+    if len(cands) == 1:
+        return cands[0]
+    c0, c1 = cands
+    upper = c0 if geo.sign(cr.sub(c0[1], c1[1])) > 0 else c1
+    return upper if above else (c1 if upper is c0 else c0)
+
+
+def _same_point(new, old) -> bool:
+    return all(_same_value(a, b) for a, b in zip(new, old))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_Q5, _Q5, _Q5, _small)
+def test_field_kernels_equal_the_expr_composition(a, b, c, t):
+    assert geo._field(*a, *b, *c) is not None
+    t = cr.const(t)
+    u = geo.sub2(b, a)
+    on_line = (cr.add(a[0], cr.mul(t, u[0])), cr.add(a[1], cr.mul(t, u[1])))
+    square = (cr.sub(a[0], cr.mul(t, u[1])), cr.add(a[1], cr.mul(t, u[0])))
+    for x, y in ((a[0], b[1]), (a[0], a[0]), (b[1], cr.add(b[1], t))):
+        assert geo.cmp(x, y) == geo.sign(cr.sub(x, y))
+    assert _same_value(geo.dot(a, b), _old_dot(a, b))
+    assert _same_value(geo.dist2(a, b), _old_dot(u, u))
+    assert _same_value(geo.box_area((*a, *b)), cr.mul(u[0], u[1]))
+    for p in (c, on_line, square):
+        pa = geo.sub2(p, a)
+        assert geo.collinear(a, b, p) == (geo.sign(_old_cross(u, pa)) == 0)
+        assert geo.right_angle(a, b, p) == (geo.sign(_old_dot(u, pa)) == 0)
+        assert geo.equal_length(a, b, a, p) == (geo.cmp(_old_dot(u, u), _old_dot(pa, pa)) == 0)
+    _lengths_alike(a, b, t)
+    _meets_alike(c, a, b, on_line, square)
+    if not geo.pts_equal(a, b):
+        assert _same_point(geo.along(c, a, b, t), _old_along(c, a, b, t))
+        assert _same_point(geo.along(c, a, b, t, geo.length(a, b)), _old_along(c, a, b, t))
+
+
+def _circles_alike(p, q, center, radius2):
+    for above in (True, False):
+        try:
+            old = _old_line_circle(p, q, center, radius2, above)
+        except NoIntersection:
+            with pytest.raises(NoIntersection, match="^line misses the circle$"):
+                geo.line_circle(p, q, center, radius2, above)
+            continue
+        assert _same_point(geo.line_circle(p, q, center, radius2, above), old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_fpoints, min_size=4, max_size=4), st.sampled_from(["through", "tangent", "any"]))
+def test_line_circle_equals_the_composition_on_rationals(pts, kind):
+    # the line pq through a point m of the circle about c, or tangent to it
+    # there, or any line and radius
+    p, q, c, m = [_pt(x) for x in pts]
+    if geo.pts_equal(p, q):
+        return
+    radius2 = geo.dist2(c, m)
+    if kind != "any":
+        p = m
+        if kind == "tangent":
+            w = geo.sub2(m, c)
+            q = (cr.sub(m[0], w[1]), cr.add(m[1], w[0]))
+        if geo.pts_equal(p, q):
+            return
+    _circles_alike(p, q, c, radius2)
+    # a horizontal line, whose two points have one y
+    _circles_alike(p, (cr.add(p[0], cr.ONE), p[1]), c, radius2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_MIXED, min_size=4, max_size=4))
+def test_line_circle_equals_the_composition_on_any_field(pts):
+    p, q, c, m = pts
+    for a in (p, m):
+        if not geo.pts_equal(a, q):
+            _circles_alike(a, q, c, geo.dist2(c, m))
+
+
+def test_two_fields_and_towers_take_the_composed_path():
+    """Values of one field under two radicands, values of two fields, and
+    tower values are no one-field input: `_field` reads none of them, and
+    the kernels, composing `Expr` arithmetic, still equal the composition."""
+    # 1031 and 1033 are primes above the trial bound, so the radicand of
+    # sqrt(1031^2 * 1033) keeps its square factor
+    s2, s3, q, q2 = (cr.sqrt(cr.const(n)) for n in (2, 3, 1033, 1031**2 * 1033))
+    assert (q.q[3], q2.q[3]) == (1033, 1031**2 * 1033)
+    tower = cr.sqrt(cr.add(cr.ONE, s2))
+    cases = [
+        ((cr.add(cr.ONE, q), cr.ZERO), (q2, cr.ONE), (cr.ONE, cr.ZERO)),
+        ((s2, cr.rational(1, 2)), (cr.ZERO, s3), (s3, s2)),
+        ((tower, cr.ONE), (cr.ZERO, cr.ONE), (cr.ONE, cr.ZERO)),
+    ]
+    for a, b, c in cases:
+        assert geo._field(*a, *b, *c) is None
+        u, w = geo.sub2(b, a), geo.sub2(c, a)
+        assert geo.cmp(a[0], b[0]) == geo.sign(cr.sub(a[0], b[0]))
+        assert _same_value(geo.dot(a, b), _old_dot(a, b))
+        assert _same_value(geo.dist2(a, b), _old_dot(u, u))
+        assert _same_value(geo.box_area((*a, *b)), cr.mul(u[0], u[1]))
+        assert geo.collinear(a, b, c) == (geo.sign(_old_cross(u, w)) == 0)
+        assert geo.right_angle(a, b, c) == (geo.sign(_old_dot(u, w)) == 0)
+        assert not geo.equal_length(a, b, a, c)
+        _lengths_alike(a, b, cr.ONE)
+        _meets_alike(c, a, b, b, c)
+        assert _same_point(geo.along(c, a, b, cr.ONE), _old_along(c, a, b, cr.ONE))
+        _circles_alike(a, b, c, cr.const(9))
+
+
+def test_one_field_kernels_build_only_their_results(monkeypatch):
+    """On one-field input a predicate builds no value and a construction
+    builds only its result: neither through `Expr.__init__` nor by
+    `cr.rational`.  The line-circle meet also builds its discriminant and
+    that root."""
+    made = []
+    init, rational = cr.Expr.__init__, cr.rational
+
+    def counted_init(self, *args):
+        made.append(args[0])
+        init(self, *args)
+
+    def counted_rational(n, d):
+        made.append("rat")
+        return rational(n, d)
+
+    s5 = cr.sqrt(cr.const(5))
+    a = (cr.add(cr.ONE, s5), cr.rational(1, 2))
+    b = (cr.rational(-2, 3), cr.mul(s5, cr.rational(3, 4)))
+    c = (cr.add(cr.rational(1, 2), s5), cr.mul(cr.const(2), s5))
+    axis = (a[0], cr.add(s5, cr.const(3)))
+    rat = [(cr.rational(n, 7), cr.rational(m, 5)) for n, m in ((1, 2), (-3, 4), (2, -1))]
+    four, pq = cr.const(4), geo.length(a, axis)
+    monkeypatch.setattr(cr.Expr, "__init__", counted_init)
+    monkeypatch.setattr(cr, "rational", counted_rational)
+    built = {}
+    for name, run in [
+        ("cmp", lambda: geo.cmp(a[0], c[1])),
+        ("pts_equal", lambda: geo.pts_equal(a, c)),
+        ("equal_length", lambda: geo.equal_length(a, b, a, c)),
+        ("collinear", lambda: geo.collinear(a, b, c)),
+        ("right_angle", lambda: geo.right_angle(a, b, c)),
+        ("dot", lambda: geo.dot(a, b)),
+        ("dist2", lambda: geo.dist2(a, b)),
+        ("box_area", lambda: geo.box_area((*a, *c))),
+        ("length", lambda: geo.length(a, axis)),
+        ("meet", lambda: geo.meet(c, a, b, axis, (cr.ZERO, cr.ZERO))),
+        ("along", lambda: geo.along(c, a, axis, b[1], pq)),
+        ("line_circle", lambda: geo.line_circle(*rat[:2], rat[2], four, True)),
+    ]:
+        made.clear()
+        run()
+        built[name] = len(made)
+    assert built == {"cmp": 0, "pts_equal": 0, "equal_length": 0, "collinear": 0,
+                     "right_angle": 0, "dot": 1, "dist2": 1, "box_area": 1, "length": 1,
+                     "meet": 2, "along": 2, "line_circle": 4}
