@@ -5,18 +5,18 @@ and `rational` is its one constructor: one `math.gcd`, none when den == 1,
 and no `Expr.__init__` frame, as it allocates the value and sets its slots.
 `add`, `sub`, `mul`, `div` and `neg` combine rationals as integer products
 and one `rational`, before any other path; `geometry` does the same for a
-whole primitive or constructed point, on rationals and, through `_quad`
-and `qsign`, on the values of one quadratic field.  `const`
-is where an `int` or a parsed literal enters, read through its `numerator`
-and `denominator`.  A single square root of a rational folds to an exact
-quadratic form (an + bn*sqrt(r))/d, four ints with d > 0, bn != 0,
-gcd(an, bn, d) = 1 and r >= 2 an integer that is not a perfect square;
-arithmetic stays exact inside that field as integer products and one
-three-way `math.gcd`.  The radicand is not factored: trial division stops
-at `_TRIAL_BOUND`, trying the primes one gcd with their product finds, and
-the cofactor left gets one perfect-square test, so r
-may keep a square factor, and two radicands r1 != r2 name one field when
-r1*r2 is a perfect square.
+whole primitive or constructed point, on rationals and, through `qadd`,
+`qsub`, `qmul`, `qdiv`, `_quad` and `qsign`, on the values of one
+quadratic field.  `const` is where an `int` or a parsed literal enters,
+read through its `numerator` and `denominator`.  A single square root of
+a rational folds to an exact quadratic form (an + bn*sqrt(r))/d, four ints
+with d > 0, bn != 0, gcd(an, bn, d) = 1 and r >= 2 an integer that is not
+a perfect square; arithmetic stays exact inside that field as integer
+products and one three-way `math.gcd`.  The radicand is not factored:
+trial division stops at `_TRIAL_BOUND`, trying the primes one gcd with
+their product finds, and the cofactor left gets one perfect-square test,
+so r may keep a square factor, and two radicands r1 != r2 name one field
+when r1*r2 is a perfect square.
 
 Every other value is a tower element a + b*sqrt(r) over a tower of real
 quadratic extensions, where every ruler-and-compass value lies (Wantzel,
@@ -200,6 +200,33 @@ def _quad(an: int, bn: int, d: int, r: int) -> Expr:
     return Expr((), (an // g, bn // g, d // g, r))
 
 
+# -- one field's arithmetic on unreduced int triples: `_quad` reduces a
+# result once.
+
+Triple = tuple[int, int, int]  # (a, b, d): the value (a + b*sqrt(r))/d, d > 0
+
+
+def qadd(x: Triple, y: Triple) -> Triple:
+    return x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2]
+
+
+def qsub(x: Triple, y: Triple) -> Triple:
+    return x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], x[2] * y[2]
+
+
+def qmul(x: Triple, y: Triple, r: int) -> Triple:
+    return x[0] * y[0] + x[1] * y[1] * r, x[0] * y[1] + x[1] * y[0], x[2] * y[2]
+
+
+def qdiv(x: Triple, y: Triple, r: int) -> Triple:
+    """x / y for y != 0: x times y's conjugate over its norm, which is
+    nonzero as sqrt(r) is irrational."""
+    a, b, d = y
+    n = (a * a - b * b * r) * x[2]
+    s = d if n > 0 else -d
+    return (x[0] * a - x[1] * b * r) * s, (x[1] * a - x[0] * b) * s, abs(n)
+
+
 ZERO = const(0)
 ONE = const(1)
 
@@ -227,23 +254,18 @@ def _exact_combine(kind, x: Expr, y: Expr) -> Expr | None:
         else:
             r = r2
             a1, b1, d1 = a1 * r2, b1 * t, d1 * r2
-    if kind == "add" or kind == "sub":
-        if kind == "sub":
-            a2, b2 = -a2, -b2
-        if d1 == d2:
-            return _quad(a1 + a2, b1 + b2, d1, r)
-        return _quad(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2, r)
+    x, y = (a1, b1, d1), (a2, b2, d2)
+    if kind == "add":
+        return _quad(*qadd(x, y), r)
+    if kind == "sub":
+        return _quad(*qsub(x, y), r)
     if kind == "mul":
-        return _quad(a1 * a2 + b1 * b2 * r, a1 * b2 + a2 * b1, d1 * d2, r)
+        return _quad(*qmul(x, y, r), r)
     if kind != "div":  # pragma: no cover
         raise AssertionError(kind)
-    # times the conjugate over the norm, which is zero only when y is, as
-    # sqrt(r) is irrational
-    norm = a2 * a2 - b2 * b2 * r
-    if norm == 0:
+    if a2 * a2 == b2 * b2 * r:  # y's norm, zero only when y is
         raise ZeroDivisionError("division by exact zero")
-    s = d2 if norm > 0 else -d2
-    return _quad((a1 * a2 - b1 * b2 * r) * s, (b1 * a2 - a1 * b2) * s, d1 * abs(norm), r)
+    return _quad(*qdiv(x, y, r), r)
 
 
 def _top(x: Expr):

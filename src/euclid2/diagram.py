@@ -324,8 +324,7 @@ class _Builder:
         if not geo.collinear(p, q, anchor):
             raise InvalidParam(f"anchor {cmd.anchor} is not on line {cmd.on[0]}{cmd.on[1]}")
         n = geo.along(anchor, p, q, geo.length(*self.base(cmd.copy)))
-        beyond = geo.dot(geo.sub2(n, q), geo.sub2(q, p))
-        if geo.sign(beyond) <= 0:
+        if geo.angle_sign(q, n, p) >= 0:  # n is not past q, away from p
             raise InvalidParam("extension does not pass the far endpoint")
         self.new_point(cmd.to, n)
         self.draw(q, n)

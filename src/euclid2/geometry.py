@@ -11,11 +11,11 @@ its middle, bound trapezoids on which both multiplicity functions are
 constant.  Every predicate is exact: on rationals by integer products,
 and with radicals by the exact sign of a constructible real.
 
-`dot`, `dist2`, `length`, `equal_length`, `collinear`, `right_angle`,
+`dot`, `dist2`, `length`, `equal_length`, `collinear`, `angle_sign`,
 `meet`, `along`, `signed_area2`, `area` and `box_area` have an integer
 kernel: on rational input they compute on the ints `num`, `den` and reduce
 once by `cr.rational` (a predicate just compares).  `cmp`, `dot`, `dist2`,
-`length`, `equal_length`, `collinear`, `right_angle`, `box_area`, `meet`,
+`length`, `equal_length`, `collinear`, `angle_sign`, `box_area`, `meet`,
 `along` and `line_circle` have a second one, for input in one field
 Q(sqrt r) (II.11's and II.14's points past a circle): `_field` reads each
 value as ints (a, b, d) for (a + b*sqrt(r))/d, and the result is reduced
@@ -33,7 +33,7 @@ import functools
 import math
 
 from . import constructible as cr
-from .constructible import Expr, _quad
+from .constructible import Expr, Triple, _quad, qadd, qdiv, qmul, qsub
 from .errors import InvalidParam, NoIntersection
 
 Pt = tuple[Expr, Expr]
@@ -66,9 +66,7 @@ def sub2(p: Pt, q: Pt) -> Pt:
 
 # -- one quadratic field: each value (a + b*sqrt(r))/d as an int triple
 # (a, b, d), d > 0, over the one radicand r of a kernel's input (0 when all
-# of it is rational), combined unreduced by `_add` ... `_div`.
-
-Triple = tuple[int, int, int]
+# of it is rational), combined unreduced by `cr.qadd` ... `cr.qdiv`.
 
 
 def _field(*xs: Expr) -> tuple[int, list[Triple]] | None:
@@ -90,33 +88,12 @@ def _diffs(*ends: Pt) -> tuple[int, list[Triple]] | None:
     if f is None:
         return None
     r, t = f
-    return r, [_sub(t[i + 2], t[i]) for k in range(0, len(t), 4) for i in (k, k + 1)]
-
-
-def _add(x: Triple, y: Triple) -> Triple:
-    return x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2]
-
-
-def _sub(x: Triple, y: Triple) -> Triple:
-    return x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], x[2] * y[2]
-
-
-def _mul(x: Triple, y: Triple, r: int) -> Triple:
-    return x[0] * y[0] + x[1] * y[1] * r, x[0] * y[1] + x[1] * y[0], x[2] * y[2]
-
-
-def _div(x: Triple, y: Triple, r: int) -> Triple:
-    """x / y for y != 0: x times y's conjugate over its norm, which is
-    nonzero as sqrt(r) is irrational."""
-    a, b, d = y
-    n = (a * a - b * b * r) * x[2]
-    s = d if n > 0 else -d
-    return (x[0] * a - x[1] * b * r) * s, (x[1] * a - x[0] * b) * s, abs(n)
+    return r, [qsub(t[i + 2], t[i]) for k in range(0, len(t), 4) for i in (k, k + 1)]
 
 
 def _norm2(x: Triple, y: Triple, r: int) -> Triple:
     """x*x + y*y: the squared length of the vector (x, y)."""
-    return _add(_mul(x, x, r), _mul(y, y, r))
+    return qadd(qmul(x, x, r), qmul(y, y, r))
 
 
 def _rat_sub2(p: Pt, q: Pt) -> tuple[int, int, int, int] | None:
@@ -144,7 +121,7 @@ def dot(u: Pt, v: Pt) -> Expr:
     f = _field(a, b, c, d)
     if f is not None:
         r, (a, b, c, d) = f
-        return _quad(*_add(_mul(a, c, r), _mul(b, d, r)), r)
+        return _quad(*qadd(qmul(a, c, r), qmul(b, d, r)), r)
     return cr.add(cr.mul(a, c), cr.mul(b, d))
 
 
@@ -212,10 +189,10 @@ def along(start: Pt, p: Pt, q: Pt, d: Expr, pq: Expr | None = None) -> Pt:
     f = _field(*start, *p, *q, d, pq)
     if f is not None:
         r, (sx, sy, px, py, qx, qy, d, pq) = f
-        k = _div(d, pq, r)
+        k = qdiv(d, pq, r)
         return (
-            _quad(*_add(sx, _mul(k, _sub(qx, px), r)), r),
-            _quad(*_add(sy, _mul(k, _sub(qy, py), r)), r),
+            _quad(*qadd(sx, qmul(k, qsub(qx, px), r)), r),
+            _quad(*qadd(sy, qmul(k, qsub(qy, py), r)), r),
         )
     scale = cr.div(d, pq)
     return (
@@ -244,12 +221,12 @@ def meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
     f = _field(*cs)
     if f is not None:
         r, (px, py, xx, xy, yx, yy, ux, uy, vx, vy) = f
-        dx, dy, ex, ey = _sub(yx, xx), _sub(yy, xy), _sub(vx, ux), _sub(vy, uy)
-        den = _sub(_mul(dx, ey, r), _mul(dy, ex, r))
+        dx, dy, ex, ey = qsub(yx, xx), qsub(yy, xy), qsub(vx, ux), qsub(vy, uy)
+        den = qsub(qmul(dx, ey, r), qmul(dy, ex, r))
         if not (den[0] or den[1]):
             raise NoIntersection("lines are parallel")
-        t = _div(_sub(_mul(_sub(ux, px), ey, r), _mul(_sub(uy, py), ex, r)), den, r)
-        return _quad(*_add(px, _mul(t, dx, r)), r), _quad(*_add(py, _mul(t, dy, r)), r)
+        t = qdiv(qsub(qmul(qsub(ux, px), ey, r), qmul(qsub(uy, py), ex, r)), den, r)
+        return _quad(*qadd(px, qmul(t, dx, r)), r), _quad(*qadd(py, qmul(t, dy, r)), r)
     d, du = sub2(y, x), sub2(v, u)
     den = cross(d, du)
     if sign(den) == 0:
@@ -261,25 +238,26 @@ def meet(p: Pt, x: Pt, y: Pt, u: Pt, v: Pt) -> Pt:
 def line_circle(p: Pt, q: Pt, center: Pt, radius2: Expr, above: bool) -> Pt:
     """A point where the line pq meets the circle about center with squared
     radius radius2: the higher of two when `above`, else the lower; on a
-    horizontal line, the nearer p when `above`.  It is p + t*(q - p) for a
-    root t of a*t*t + b*t + c = 0, taken with +sqrt(b*b - 4*a*c) when that
-    point is the one asked for.  On rational input the roots lie in one
-    field Q(sqrt r), and the point is built in triples, each coordinate
-    reduced once; any other input composes `Expr` arithmetic."""
+    horizontal line, the first met going from p towards q when `above`.  It
+    is p + t*(q - p) for a root t of a*t*t + b*t + c = 0, taken with
+    +sqrt(b*b - 4*a*c) when that point is the one asked for.  On rational
+    input the roots lie in one field Q(sqrt r), and the point is built in
+    triples, each coordinate reduced once; any other input composes `Expr`
+    arithmetic."""
     plus = (cmp(q[1], p[1]) > 0) == above
     f = _field(*p, *q, *center, radius2)
     if f is not None and f[0] == 0:
         _, (px, py, qx, qy, cx, cy, r2) = f
-        dx, dy, wx, wy = _sub(qx, px), _sub(qy, py), _sub(px, cx), _sub(py, cy)
+        dx, dy, wx, wy = qsub(qx, px), qsub(qy, py), qsub(px, cx), qsub(py, cy)
         # a*t*t + 2*h*t + c = 0 has the roots (-h +- sqrt(h*h - a*c))/a
-        a, h = _norm2(dx, dy, 0), _add(_mul(dx, wx, 0), _mul(dy, wy, 0))
-        disc = _sub(_mul(h, h, 0), _mul(a, _sub(_norm2(wx, wy, 0), r2), 0))
+        a, h = _norm2(dx, dy, 0), qadd(qmul(dx, wx, 0), qmul(dy, wy, 0))
+        disc = qsub(qmul(h, h, 0), qmul(a, qsub(_norm2(wx, wy, 0), r2), 0))
         if disc[0] < 0:
             raise NoIntersection("line misses the circle")
         rt = cr.sqrt(cr.rational(disc[0], disc[2]))
         e, k, g, r = rt.q or (rt.num, 0, rt.den, 0)
-        t = _div(_sub((e, k, g) if plus else (-e, -k, g), h), a, r)
-        return _quad(*_add(px, _mul(t, dx, r)), r), _quad(*_add(py, _mul(t, dy, r)), r)
+        t = qdiv(qsub((e, k, g) if plus else (-e, -k, g), h), a, r)
+        return _quad(*qadd(px, qmul(t, dx, r)), r), _quad(*qadd(py, qmul(t, dy, r)), r)
     d, pc = sub2(q, p), sub2(p, center)
     a = dot(d, d)
     b = cr.mul(cr.const(2), dot(d, pc))
@@ -327,21 +305,28 @@ def collinear(a: Pt, b: Pt, c: Pt) -> bool:
     f = _diffs(a, b, a, c)
     if f is not None:
         r, (ux, uy, vx, vy) = f
-        return not any(_sub(_mul(ux, vy, r), _mul(uy, vx, r))[:2])
+        return not any(qsub(qmul(ux, vy, r), qmul(uy, vx, r))[:2])
     return sign(cross(sub2(b, a), sub2(c, a))) == 0
+
+
+def angle_sign(v: Pt, a: Pt, b: Pt) -> int:
+    """+1, 0 or -1 as the angle at v between the arms to a and to b is
+    acute, right or obtuse: the sign of their dot product."""
+    u, w = _rat_sub2(a, v), _rat_sub2(b, v)
+    if u is not None and w is not None:
+        # dot(u, w) over the positive denominators
+        n = u[0] * w[0] * u[3] * w[3] + u[2] * w[2] * u[1] * w[1]
+        return (n > 0) - (n < 0)
+    f = _diffs(v, a, v, b)
+    if f is not None:
+        r, (ux, uy, wx, wy) = f
+        return cr.qsign(*qadd(qmul(ux, wx, r), qmul(uy, wy, r))[:2], r)
+    return sign(dot(sub2(a, v), sub2(b, v)))
 
 
 def right_angle(v: Pt, a: Pt, b: Pt) -> bool:
     """The arms from v to a and to b are perpendicular."""
-    u, w = _rat_sub2(a, v), _rat_sub2(b, v)
-    if u is not None and w is not None:
-        # dot(u, w) == 0 over the positive denominators
-        return u[0] * w[0] * u[3] * w[3] + u[2] * w[2] * u[1] * w[1] == 0
-    f = _diffs(v, a, v, b)
-    if f is not None:
-        r, (ux, uy, wx, wy) = f
-        return not any(_add(_mul(ux, wx, r), _mul(uy, wy, r))[:2])
-    return sign(dot(sub2(a, v), sub2(b, v))) == 0
+    return angle_sign(v, a, b) == 0
 
 
 def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
@@ -713,7 +698,7 @@ def box_area(box: Box) -> Expr:
     f = _field(x1, y1, x2, y2)
     if f is not None:
         r, (x1, y1, x2, y2) = f
-        return _quad(*_mul(_sub(x2, x1), _sub(y2, y1), r), r)
+        return _quad(*qmul(qsub(x2, x1), qsub(y2, y1), r), r)
     return cr.mul(cr.sub(x2, x1), cr.sub(y2, y1))
 
 

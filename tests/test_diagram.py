@@ -128,6 +128,33 @@ def test_a_cut_measures_its_segment_once(monkeypatch):
         _measured_cuts(monkeypatch, sc.LenLit(1, 1))
 
 
+@pytest.mark.parametrize("on, copy, passes", [
+    (("A", "B"), ("A", "B"), True),
+    (("A", "B"), ("A", "E"), False),  # ends at B
+    (("A", "D"), ("A", "B"), True),  # on the diagonal, in Q(sqrt 2)
+    (("A", "D"), ("A", "F"), False),  # ends at D
+], ids=["axis past", "axis at end", "diagonal past", "diagonal at end"])
+def test_an_extension_must_pass_the_far_endpoint(on, copy, passes):
+    """`extend` copies a length from the anchor, the midpoint of the line it
+    extends, and refuses a point that does not lie beyond the far end."""
+    anchor = "E" if on == ("A", "B") else "F"
+    script = _hand_built(tuple("ABCDEFG"), (
+        sc.PlaceSegment("A", "B", sc.LenLit(1, 1)),
+        sc.SquareOnCmd("ABDC", ("A", "B"), "below"),
+        sc.CutHalf("E", ("A", "B")),
+        sc.CutHalf("F", ("A", "D")),
+        sc.ExtendCopy(on, "G", anchor, copy),
+    ))
+    if not passes:
+        with pytest.raises(InvalidParam, match="^extension does not pass the far endpoint$"):
+            dg.realize(script, {})
+        return
+    inst = dg.realize(script, {})
+    a, q, g = (inst.point(x) for x in (on[0], on[1], "G"))
+    assert geo.collinear(a, q, g) and geo.angle_sign(q, g, a) < 0
+    assert geo.equal_length(inst.point(anchor), g, *(inst.point(x) for x in copy))
+
+
 def _hand_built(points, construction) -> sc.Script:
     return sc.Script(
         prop_id="T",

@@ -161,21 +161,6 @@ def test_kernels_equal_the_expr_composition_on_any_field(a, b, poly):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD, _small)
-def test_predicate_kernels_equal_the_expr_composition(a, b, c, t):
-    # one quadratic field, so every sign below is decided exactly; besides
-    # c, a point on the line ab and one on the perpendicular to ab at a
-    t = cr.const(t)
-    u = geo.sub2(b, a)
-    on_line = (cr.add(a[0], cr.mul(t, u[0])), cr.add(a[1], cr.mul(t, u[1])))
-    square = (cr.sub(a[0], cr.mul(t, u[1])), cr.add(a[1], cr.mul(t, u[0])))
-    for p in (c, on_line, square):
-        pa = geo.sub2(p, a)
-        assert geo.collinear(a, b, p) == (geo.sign(_old_cross(u, pa)) == 0)
-        assert geo.right_angle(a, b, p) == (geo.sign(_old_dot(u, pa)) == 0)
-
-
-@settings(max_examples=200, deadline=None)
 @given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD, st.booleans())
 def test_equal_length_kernel_matches_dist2_on_quadratic_points(p, q, r, turned):
     # rationals and Q(sqrt 2) values, written with sqrt 2 or sqrt 8, mixed
@@ -446,14 +431,6 @@ def test_area_and_neg_equal_the_composition(rat_poly, poly):
                 assert _canonical(cr.neg(x), -Fraction(x.num, x.den))
 
 
-# -- one quadratic field: the triple paths of `geo._field` ----------------
-#
-# Points mix rationals and values of Q(sqrt 5), one radicand, so every
-# kernel takes its triple path; each must equal the `Expr` composition.
-
-_Q5 = _points([0, 0, 5, 5])
-
-
 def _old_along(start, p, q, d):
     scale = cr.div(d, _old_length(p, q))
     return tuple(cr.add(start[i], cr.mul(scale, cr.sub(q[i], p[i]))) for i in (0, 1))
@@ -487,8 +464,11 @@ def _same_point(new, old) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_Q5, _Q5, _Q5, _small)
-def test_field_kernels_equal_the_expr_composition(a, b, c, t):
+@given(_ONE_FIELD, _ONE_FIELD, _ONE_FIELD, _small)
+def test_predicate_kernels_equal_the_expr_composition(a, b, c, t):
+    # one quadratic field, so every kernel takes its triple path and every
+    # sign below is decided exactly; besides c, a point on the line ab and
+    # one on the perpendicular to ab at a
     assert geo._field(*a, *b, *c) is not None
     t = cr.const(t)
     u = geo.sub2(b, a)
@@ -502,9 +482,9 @@ def test_field_kernels_equal_the_expr_composition(a, b, c, t):
     for p in (c, on_line, square):
         pa = geo.sub2(p, a)
         assert geo.collinear(a, b, p) == (geo.sign(_old_cross(u, pa)) == 0)
+        assert geo.angle_sign(a, b, p) == geo.sign(_old_dot(u, pa))
         assert geo.right_angle(a, b, p) == (geo.sign(_old_dot(u, pa)) == 0)
         assert geo.equal_length(a, b, a, p) == (geo.cmp(_old_dot(u, u), _old_dot(pa, pa)) == 0)
-    _lengths_alike(a, b, t)
     _meets_alike(c, a, b, on_line, square)
     if not geo.pts_equal(a, b):
         assert _same_point(geo.along(c, a, b, t), _old_along(c, a, b, t))
