@@ -437,7 +437,7 @@ def _old_along(start, p, q, d):
 
 
 def _old_line_circle(p, q, center, radius2, above):
-    # the composition `diagram` ran before the kernel moved into geometry
+    # the reference: both roots by `Expr` arithmetic, then the higher or lower point
     d, pc = geo.sub2(q, p), geo.sub2(p, center)
     a = _old_dot(d, d)
     b = cr.mul(cr.const(2), _old_dot(d, pc))
