@@ -13,10 +13,9 @@ a rational folds to an exact quadratic form (an + bn*sqrt(r))/d, four ints
 with d > 0, bn != 0, gcd(an, bn, d) = 1 and r >= 2 an integer that is not
 a perfect square; arithmetic stays exact inside that field as integer
 products and one three-way `math.gcd`.  The radicand is not factored:
-trial division stops at `_TRIAL_BOUND`, trying the primes one gcd with
-their product finds, and the cofactor left gets one perfect-square test,
-so r may keep a square factor, and two radicands r1 != r2 name one field
-when r1*r2 is a perfect square.
+trial division stops at `_TRIAL_BOUND` and the cofactor left gets one
+perfect-square test, so r may keep a square factor, and two radicands
+r1 != r2 name one field when r1*r2 is a perfect square.
 
 Every other value is a tower element a + b*sqrt(r) over a tower of real
 quadratic extensions, where every ruler-and-compass value lies (Wantzel,
@@ -64,7 +63,6 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
-_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 
 def _square_free(n: int) -> tuple[int, int]:
@@ -75,12 +73,10 @@ def _square_free(n: int) -> tuple[int, int]:
     cofactor is below `_TRIAL_BOUND`**3 (every corpus radicand), and a
     large prime costs no more than a small one."""
     s = r = 1
-    g = math.gcd(n, _PRIMORIAL)  # the primes below the bound that divide n
     for p in _TRIAL_PRIMES:
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
+        if p * p > n:
+            break  # n is 1 or a prime
+        if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p

@@ -12,19 +12,19 @@ constant.  Every predicate is exact: on rationals by integer products,
 and with radicals by the exact sign of a constructible real.
 
 `dot`, `dist2`, `length`, `equal_length`, `collinear`, `angle_sign`,
-`meet`, `along`, `signed_area2`, `area` and `box_area` have an integer
-kernel: on rational input they compute on the ints `num`, `den` and reduce
-once by `cr.rational` (a predicate just compares).  `cmp`, `dot`, `dist2`,
-`length`, `equal_length`, `collinear`, `angle_sign`, `box_area`, `meet`,
-`along` and `line_circle` have a second one, for input in one field
-Q(sqrt r) (II.11's and II.14's points past a circle): `_field` reads each
-value as ints (a, b, d) for (a + b*sqrt(r))/d, and the result is reduced
-once by `cr._quad`.  Input in two fields or with a tower value, and
-`signed_area2`, `area` and `cross` on anything but rationals, take the
-`Expr` composition through `cr.add/sub/mul`.  `midpoint`, `along` and
-`line_circle` build the points a construction places on a line.  Identity
-is by value: `pts_equal` and `same_region`.  This module and
-`constructible` are the only ones that read how a number is stored.
+`meet`, `signed_area2`, `area` and `box_area` have an integer kernel: on
+rational input they compute on the ints `num`, `den` and reduce once by
+`cr.rational` (a predicate just compares); so does `along`.  `cmp`,
+`dot`, `dist2`, `length`, `equal_length`, `collinear`, `angle_sign`,
+`box_area`, `meet`, `along` and `line_circle` have a second one, for input
+in one field Q(sqrt r) (II.11's and II.14's points past a circle): `_field`
+reads each value as ints (a, b, d) for (a + b*sqrt(r))/d, and the result
+is reduced once by `cr._quad`.  Input in two fields or with a tower
+value, and `signed_area2`, `area` and `cross` on anything but rationals,
+take the `Expr` composition through `cr.add/sub/mul`.  `midpoint`,
+`along` and `line_circle` build the points a construction places on a
+line.  Identity is by value: `pts_equal` and `same_region`.  This module
+and `constructible` are the only ones that read how a number is stored.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def cmp(a: Expr, b: Expr) -> int:
     if a.den and b.den:
         p, q = a.num * b.den, b.num * a.den
         return (p > q) - (p < q)
+    # `_field`'s test of one field, written out: a third of the time of a
+    # call to it, on the comparison under `by_value`, `pts_equal` and the
+    # drawn-segment index
     (a1, b1, d1, r1), (a2, b2, d2, r2) = a.q or (a.num, 0, a.den, 0), b.q or (b.num, 0, b.den, 0)
     if d1 and d2 and (r1 == r2 or not (r1 and r2)):
         return cr.qsign(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, r1 or r2)
@@ -179,7 +182,8 @@ def along(start: Pt, p: Pt, q: Pt, d: Expr, pq: Expr | None = None) -> Pt:
     pq = length(p, q) if pq is None else pq
     (sx, sy), u = start, _rat_sub2(q, p)
     if u is not None and sx.den and sy.den and d.den and pq.den:
-        # start + (k/m)*(q - p), k/m = d/|pq| with m > 0
+        # start + (k/m)*(q - p), k/m = d/|pq| with m > 0: on II.8's rational
+        # cuts and extensions, a third of the time of the triple path
         nx, dx, ny, dy = u
         k, m = d.num * pq.den, d.den * pq.num
         return (

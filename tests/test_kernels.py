@@ -10,6 +10,7 @@ import ast
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,23 @@ def test_kernels_equal_the_expr_composition_on_any_field(a, b, poly):
     for i in range(len(poly)):
         old = cr.add(old, _old_cross(poly[i], poly[(i + 1) % len(poly)]))
     assert _same_value(geo.signed_area2(tuple(poly)), old)
+
+
+_ODD_FIELDS = [cr.sqrt(cr.add(cr.ONE, cr.sqrt(cr.const(2)))),  # a tower value
+               cr.sqrt(cr.const(1033)), cr.sqrt(cr.const(1031**2 * 1033))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED, _MIXED, st.sampled_from(_ODD_FIELDS))
+def test_cmp_decides_one_field_as_field_does(a, b, odd):
+    """`cmp` writes out `_field`'s test of one field: past the rational
+    branch it composes a difference exactly when `_field` reads none."""
+    for x, y in ((a[0], b[1]), (a[1], b[0]), (a[0], odd), (odd, b[1])):
+        want = geo.sign(cr.sub(x, y))
+        with mock.patch.object(cr, "sub", wraps=cr.sub) as sub:
+            assert geo.cmp(x, y) == want
+        composed = not (x.den and y.den) and geo._field(x, y) is None
+        assert sub.called == composed
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,6 +420,19 @@ def _lengths_alike(p, q, t):
 def test_length_kernel_equals_the_composition_on_rationals(p, q, t):
     _lengths_alike(_pt(p), _pt(q), cr.const(t))
     assert _canonical(geo.length(_pt(p), _pt((p[0], t))), abs(t - p[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fpoints, _fpoints, _fracs, _fracs.filter(bool))
+def test_along_matches_fraction_on_rationals(start, p, d, s):
+    # pq along an axis and along (3, 4), so |pq| = 5|s| is rational and
+    # every input of `along` is: its rational kernel
+    for u in ((s, 0), (0, s), (3 * s, 4 * s)):
+        q, pq = (p[0] + u[0], p[1] + u[1]), abs(s) * (5 if u[0] and u[1] else 1)
+        want = (start[0] + d / pq * u[0], start[1] + d / pq * u[1])
+        for n in (geo.along(_pt(start), _pt(p), _pt(q), cr.const(d)),
+                  geo.along(_pt(start), _pt(p), _pt(q), cr.const(d), cr.const(pq))):
+            assert _canonical(n[0], want[0]) and _canonical(n[1], want[1])
 
 
 @settings(max_examples=150, deadline=None)
